@@ -1,10 +1,13 @@
 """Bundled reference MILP solver: LP-based branch and bound.
 
 Best-bound node selection, branching on the binary whose fractional part is
-closest to 0.5 (ties broken by lowest variable id).  No cuts, no warm
-starts: every node re-solves its relaxation from scratch on the shared
-prepared matrix.  Deterministic given the model: ties in the node heap fall
-back to creation order.
+closest to 0.5 (ties broken by lowest variable id).  No cuts.  Only the root
+relaxation is solved from scratch; every other node, and the re-solve that
+polishes a near-integral point, starts from the optimal basis of its parent
+on the shared prepared matrix (a dual simplex warm start, see
+:mod:`confl3.simplex`).  Nodes keep that basis, never its inverse.
+Deterministic given the model: ties in the node heap fall back to creation
+order.
 """
 
 from __future__ import annotations
@@ -55,7 +58,10 @@ def solve_mip(model: Model, time_limit: float, node_limit: int | None = None) ->
     bin_ids = np.array(model.binary_ids(), dtype=int)
 
     counter = 0
-    heap: list[tuple[float, int, np.ndarray, np.ndarray]] = [(-math.inf, counter, lo, hi)]
+    # (bound, creation order, lower bounds, upper bounds, parent basis)
+    heap: list[tuple[float, int, np.ndarray, np.ndarray, simplex.Basis | None]] = [
+        (-math.inf, counter, lo, hi, None)
+    ]
     incumbent: Assignment | None = None
     incumbent_obj = math.inf
     nodes = 0
@@ -71,10 +77,10 @@ def solve_mip(model: Model, time_limit: float, node_limit: int | None = None) ->
         if node_limit is not None and nodes >= node_limit:
             hit_limit = True
             break
-        _, _, node_lo, node_hi = heapq.heappop(heap)
+        _, _, node_lo, node_hi, start_basis = heapq.heappop(heap)
         nodes += 1
 
-        res = simplex.solve_prepared(prep, node_lo, node_hi)
+        res = simplex.solve_prepared(prep, node_lo, node_hi, start_basis)
         if res.status == simplex.INFEASIBLE:
             continue
         if res.status == simplex.UNBOUNDED:
@@ -92,7 +98,7 @@ def solve_mip(model: Model, time_limit: float, node_limit: int | None = None) ->
             pin_lo, pin_hi = node_lo.copy(), node_hi.copy()
             for j, v in zip(bin_ids, np.round(frac)):
                 pin_lo[int(j)] = pin_hi[int(j)] = v
-            polished = simplex.solve_prepared(prep, pin_lo, pin_hi)
+            polished = simplex.solve_prepared(prep, pin_lo, pin_hi, res.basis)
             if polished.status == simplex.OPTIMAL:
                 if polished.objective < incumbent_obj - 0.0:
                     incumbent = polished.assignment
@@ -112,11 +118,11 @@ def solve_mip(model: Model, time_limit: float, node_limit: int | None = None) ->
         down_lo, down_hi = node_lo.copy(), node_hi.copy()
         down_hi[j] = 0.0
         counter += 1
-        heapq.heappush(heap, (value, counter, down_lo, down_hi))
+        heapq.heappush(heap, (value, counter, down_lo, down_hi, res.basis))
         up_lo, up_hi = node_lo.copy(), node_hi.copy()
         up_lo[j] = 1.0
         counter += 1
-        heapq.heappush(heap, (value, counter, up_lo, up_hi))
+        heapq.heappush(heap, (value, counter, up_lo, up_hi, res.basis))
 
     elapsed = time.monotonic() - start
     open_bound = heap[0][0] if heap else math.inf

@@ -1,6 +1,7 @@
 """Command-line entry point: generate, solve, exact, export-lp, report.
 
-Exit codes: 0 success, 1 infeasible / no solution, 2 usage or input error.
+Exit codes: 0 success, 1 infeasible / no solution, 2 usage or input error,
+3 numerical breakdown in the bundled solver.
 `CONFL3_LOG` selects verbosity (debug, info, quiet).
 """
 
@@ -334,6 +335,9 @@ def main(argv=None) -> int:
     except (SchemaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"error: numerical breakdown: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -11,8 +11,9 @@ the fixing.  A final improvement pass runs the same neighborhood search
 around the best solution with an objective cutoff.
 
 Both relaxation families are solved on shared prepared matrices with only
-bound vectors changing per query, and query results are memoized on the
-fixing set.
+bound vectors changing per query, each query warm-started from the optimal
+basis of its family's root relaxation, and query results are memoized on
+the fixing set.
 """
 
 from __future__ import annotations
@@ -145,7 +146,8 @@ class RunResult:
 
 class HeuristicContext:
     """Shared solver state for one instance: both models, their prepared
-    relaxations, the strengthened root bound and a memo of fixing LPs."""
+    relaxations with the optimal bases of their roots, the strengthened root
+    bound and a memo of fixing LPs."""
 
     def __init__(self, instance: Instance):
         validate_instance(instance)
@@ -156,10 +158,13 @@ class HeuristicContext:
         self.strong_prep = simplex.prepare(self.strong.model)
         self.base_lo = np.array([v.lower for v in self.plain.model.variables])
         self.base_hi = np.array([v.upper for v in self.plain.model.variables])
-        root = self._relaxation_value(self.strong_prep, ())
-        if root is None:
+        root = simplex.solve_prepared(self.strong_prep, self.base_lo, self.base_hi)
+        if root.status != simplex.OPTIMAL:
             raise ValueError("strengthened relaxation is infeasible; instance unsolvable")
-        self.root_value = root
+        self.root_value = root.objective
+        # The plain model relaxes the strengthened one, so its root is feasible.
+        plain_root = simplex.solve_prepared(self.plain_prep, self.base_lo, self.base_hi)
+        self._root_basis = {True: root.basis, False: plain_root.basis}
         self.weights = {u.id: u.weight for u in instance.users}
         self.potential: dict[tuple[str, int], float] = {}
         for t in instance.technologies:
@@ -170,11 +175,12 @@ class HeuristicContext:
                 self.potential[f.id, t] = reach.get(f.id, 0.0)
         self._memo: dict[tuple[bool, frozenset], float | None] = {}
 
-    def _relaxation_value(self, prep, ones: tuple) -> float | None:
+    def _relaxation_value(self, strong: bool, ones: tuple) -> float | None:
         lo = self.base_lo.copy()
         for key in ones:
             lo[self.plain.z[key]] = 1.0
-        res = simplex.solve_prepared(prep, lo, self.base_hi)
+        prep = self.strong_prep if strong else self.plain_prep
+        res = simplex.solve_prepared(prep, lo, self.base_hi, self._root_basis[strong])
         if res.status != simplex.OPTIMAL:
             return None
         return res.objective
@@ -184,8 +190,7 @@ class HeuristicContext:
         given (facility, technology) openings forced to 1; None if infeasible."""
         key = (strong, ones)
         if key not in self._memo:
-            prep = self.strong_prep if strong else self.plain_prep
-            self._memo[key] = self._relaxation_value(prep, tuple(sorted(ones)))
+            self._memo[key] = self._relaxation_value(strong, tuple(sorted(ones)))
         return self._memo[key]
 
     def score(self, value: float | None) -> float:

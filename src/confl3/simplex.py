@@ -1,15 +1,25 @@
-"""Bundled reference LP solver: bounded-variable two-phase revised simplex.
+"""Bundled reference LP solver: bounded-variable revised simplex.
 
 Dense algebra throughout, sized for desk-scale models (hundreds to a few
-thousand rows).  The basis inverse is kept explicitly and updated by
-elementary row operations, with periodic refactorization.  Dantzig pricing
-with a permanent switch to Bland's rule after a long run of degenerate
-pivots.
+thousand rows).  The basis inverse is kept explicitly, updated in product
+form after each pivot, and refactorized periodically.  Dantzig pricing with
+a permanent switch to Bland's rule after a long run of degenerate pivots.
 
 :func:`prepare` builds the dense row data once; :func:`solve_prepared`
 solves it under caller-supplied variable bounds, which is what lets the
 branch-and-bound and the fixing heuristic re-solve the same matrix under
 many bound vectors without rebuilding it.
+
+A solve without a starting basis runs the two-phase primal simplex.  Every
+optimal result carries its final :class:`Basis`.  Handed back to
+:func:`solve_prepared` with other bounds, that basis is still dual feasible,
+because only the bounds changed: the warm path refactorizes it once, moves
+boxed nonbasic columns whose reduced cost has the wrong sign to their other
+bound, and runs a bounded dual simplex until the basics are within their
+bounds, then lets the primal simplex confirm optimality.  A row the dual
+cannot repair proves the bounds infeasible.  The warm path falls back to the
+two-phase solve when an unboxed column is dual infeasible, when the dual
+reaches its iteration cap, or when its final point fails the bound check.
 """
 
 from __future__ import annotations
@@ -31,9 +41,20 @@ _BASIC = 2
 
 _DTOL = 1e-9        # reduced-cost tolerance
 _PIVTOL = 1e-9      # smallest rate treated as blocking
-_FEASTOL = 1e-7     # phase-1 residual accepted as feasible
+_FEASTOL = 1e-7     # phase-1 residual accepted as feasible; warm bound check
+_DUAL_FEASTOL = 1e-9  # bound violation (relative) the dual simplex repairs
 _BLAND_AFTER = 1000 # consecutive degenerate pivots before Bland's rule
 _REFACTOR_EVERY = 150
+
+
+@dataclass(frozen=True, eq=False)
+class Basis:
+    """A simplex basis over the columns ``[structural | slack]``: the basic
+    column of each row and the state of every column (at lower, at upper or
+    basic).  It never holds the inverse, so it is cheap to keep per node."""
+
+    basic: np.ndarray    # (m,) column index basic in each row
+    state: np.ndarray    # (n + m,) int8: _AT_LOWER, _AT_UPPER or _BASIC
 
 
 @dataclass(frozen=True)
@@ -41,6 +62,7 @@ class LpResult:
     status: str
     objective: float | None = None
     assignment: Assignment | None = None
+    basis: Basis | None = None    # set on optimal results
 
 
 @dataclass
@@ -85,31 +107,46 @@ def solve_lp(model: Model) -> LpResult:
     return solve_prepared(prep, lo, hi)
 
 
-def solve_prepared(prep: PreparedLp, lo: np.ndarray, hi: np.ndarray) -> LpResult:
-    status, x = _two_phase(prep, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+def solve_prepared(prep: PreparedLp, lo: np.ndarray, hi: np.ndarray,
+                   basis: Basis | None = None) -> LpResult:
+    """Solve the prepared matrix under variable bounds `lo`/`hi`.
+
+    `basis` is an optimal basis of the same prepared matrix under other
+    bounds, as returned in :attr:`LpResult.basis`; the solve then starts
+    from it (see the module docstring).
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    if np.any(lo > hi + 1e-12):
+        return LpResult(INFEASIBLE)
+    if np.any((lo == -math.inf) & (hi == math.inf)):
+        raise ValueError("free variables are not supported by the bundled simplex")
+    solved = None if basis is None else _warm(prep, lo, hi, basis)
+    status, x, end = solved or _two_phase(prep, lo, hi)
     if status != OPTIMAL:
         return LpResult(status)
     x = np.clip(x, lo, hi)
     objective = float(prep.costs @ x)
     assignment: Assignment = {i: float(x[i]) for i in range(len(x))}
-    return LpResult(OPTIMAL, objective, assignment)
+    return LpResult(OPTIMAL, objective, assignment, end)
 
 
-def _two_phase(prep: PreparedLp, lo_s: np.ndarray, hi_s: np.ndarray) -> tuple[str, np.ndarray]:
+def _columns(prep: PreparedLp, lo_s: np.ndarray, hi_s: np.ndarray):
+    """Matrix, bounds and costs over [structural | one slack per row].
+
+    Slacks are [0, inf) for <= rows and fixed [0, 0] for = rows.
+    """
     m, n = prep.rows.shape
-    if np.any(lo_s > hi_s + 1e-12):
-        return INFEASIBLE, np.empty(0)
-    for j in range(n):
-        if lo_s[j] == -math.inf and hi_s[j] == math.inf:
-            raise ValueError("free variables are not supported by the bundled simplex")
-
-    # Columns: [structural | one slack per row | artificials as needed].
-    # Slacks are [0, inf) for <= rows and fixed [0, 0] for = rows.
-    slack_lo = np.zeros(m)
-    slack_hi = np.where(prep.is_eq, 0.0, math.inf)
-    lo = np.concatenate([lo_s, slack_lo])
-    hi = np.concatenate([hi_s, slack_hi])
     a = np.hstack([prep.rows, np.eye(m)]) if m else prep.rows.copy()
+    lo = np.concatenate([lo_s, np.zeros(m)])
+    hi = np.concatenate([hi_s, np.where(prep.is_eq, 0.0, math.inf)])
+    cost = np.concatenate([prep.costs, np.zeros(m)])
+    return a, lo, hi, cost
+
+
+def _two_phase(prep: PreparedLp, lo_s: np.ndarray, hi_s: np.ndarray):
+    m, n = prep.rows.shape
+    a, lo, hi, cost = _columns(prep, lo_s, hi_s)
 
     # Nonbasic start: every structural at a finite bound.
     x = np.zeros(n + m)
@@ -136,37 +173,134 @@ def _two_phase(prep: PreparedLp, lo_s: np.ndarray, hi_s: np.ndarray) -> tuple[st
             art_cols.append(col)
             art_rows.append(i)
             basis[i] = n + m + len(art_cols) - 1
-    n_art = len(art_cols)
-    if n_art:
-        a = np.hstack([a, np.column_stack(art_cols)])
-        lo = np.concatenate([lo, np.zeros(n_art)])
-        hi = np.concatenate([hi, np.full(n_art, math.inf)])
-        x = np.concatenate([x, np.abs(residual[art_rows])])
-        state = np.concatenate([state, np.full(n_art, _BASIC, dtype=np.int8)])
 
-    if n_art:
-        phase1_cost = np.zeros(n + m + n_art)
-        phase1_cost[n + m :] = 1.0
-        status = _simplex(a, prep.rhs, phase1_cost, lo, hi, basis, state, x, phase=1)
+    if art_cols:
+        n_art = len(art_cols)
+        x1 = np.concatenate([x, np.abs(residual[art_rows])])
+        state1 = np.concatenate([state, np.full(n_art, _BASIC, dtype=np.int8)])
+        phase1_cost = np.concatenate([np.zeros(n + m), np.ones(n_art)])
+        status = _simplex(
+            np.hstack([a, np.column_stack(art_cols)]), prep.rhs, phase1_cost,
+            np.concatenate([lo, np.zeros(n_art)]),
+            np.concatenate([hi, np.full(n_art, math.inf)]),
+            basis, state1, x1, phase=1,
+        )
         if status != OPTIMAL:
             raise ArithmeticError("phase-1 simplex terminated abnormally")
-        rhs_scale = float(np.abs(prep.rhs).max()) if m else 1.0
-        if float(x[n + m :].sum()) > _FEASTOL * max(1.0, rhs_scale):
-            return INFEASIBLE, np.empty(0)
-        # Pin artificials at zero for phase 2; basic ones may linger at 0.
-        lo[n + m :] = 0.0
-        hi[n + m :] = 0.0
-        x[n + m :] = np.where(state[n + m :] == _BASIC, x[n + m :], 0.0)
+        rhs_scale = float(np.abs(prep.rhs).max())
+        if float(x1[n + m :].sum()) > _FEASTOL * max(1.0, rhs_scale):
+            return INFEASIBLE, None, None
+        x, state = x1[: n + m], state1[: n + m]
+        # An artificial can stay basic at (about) zero.  Its row's slack has
+        # a parallel column, so it takes the place and the basis stays
+        # nonsingular; phase 2 then runs without artificial columns.
+        for r in np.flatnonzero(basis >= n + m):
+            k = int(basis[r]) - n - m
+            i = art_rows[k]
+            basis[r] = n + i
+            state[n + i] = _BASIC
+            x[n + i] = art_cols[k][i] * x1[n + m + k]
 
-    cost = np.zeros(n + m + n_art)
-    cost[:n] = prep.costs
     status = _simplex(a, prep.rhs, cost, lo, hi, basis, state, x, phase=2)
     if status == UNBOUNDED:
-        return UNBOUNDED, np.empty(0)
-    return OPTIMAL, x[:n].copy()
+        return UNBOUNDED, None, None
+    return OPTIMAL, x[:n].copy(), Basis(basis, state)
 
 
-def _simplex(a, b, c, lo, hi, basis, state, x, phase: int) -> str:
+def _warm(prep: PreparedLp, lo_s: np.ndarray, hi_s: np.ndarray, start: Basis):
+    """Re-solve from `start` by dual simplex; None asks for the cold solve."""
+    n = prep.rows.shape[1]
+    a, lo, hi, cost = _columns(prep, lo_s, hi_s)
+    basis = start.basic.copy()
+    state = start.state.copy()
+    nonbasic = state != _BASIC
+    # Nonbasic columns sit on the bound their state names, or on the other
+    # one when that bound is infinite under the new bounds.
+    upper = np.where(state == _AT_UPPER, hi < math.inf, lo == -math.inf)
+    state[nonbasic] = np.where(upper[nonbasic], _AT_UPPER, _AT_LOWER)
+    x = np.where(upper, hi, lo)
+
+    binv = np.linalg.inv(a[:, basis])
+    d = cost - (cost[basis] @ binv) @ a
+    wrong = nonbasic & (lo < hi) & np.where(upper, d > _DTOL, d < -_DTOL)
+    if wrong.any():
+        if not np.all(np.isfinite(lo[wrong]) & np.isfinite(hi[wrong])):
+            return None
+        state[wrong] = np.where(upper[wrong], _AT_LOWER, _AT_UPPER)
+        x[wrong] = np.where(upper[wrong], lo[wrong], hi[wrong])
+    _recompute_basics(a, prep.rhs, basis, state, x, binv)
+
+    status, binv = _dual_simplex(a, prep.rhs, cost, lo, hi, basis, state, x, binv, d)
+    if status is None:
+        return None
+    if status == INFEASIBLE:
+        return INFEASIBLE, None, None
+    status = _simplex(a, prep.rhs, cost, lo, hi, basis, state, x, phase=2, binv=binv)
+    if status == UNBOUNDED:
+        return UNBOUNDED, None, None
+    tol = _FEASTOL * np.maximum(1.0, np.abs(x))
+    if np.any(x < lo - tol) or np.any(x > hi + tol):
+        return None
+    return OPTIMAL, x[:n].copy(), Basis(basis, state)
+
+
+def _dual_simplex(a, b, c, lo, hi, basis, state, x, binv, d):
+    """Bounded dual simplex from a dual feasible basis.
+
+    Returns (OPTIMAL, binv) once every basic lies within its bounds,
+    (INFEASIBLE, binv) when a violated row has no entering column, and
+    (None, binv) at the iteration cap.
+    """
+    m, k = a.shape
+    fixed = lo == hi
+    for it in range(m + k):
+        if it and it % _REFACTOR_EVERY == 0:
+            binv = np.linalg.inv(a[:, basis])
+            _recompute_basics(a, b, basis, state, x, binv)
+            d = c - (c[basis] @ binv) @ a
+
+        bx = x[basis]
+        below = lo[basis] - bx
+        above = bx - hi[basis]
+        viol = np.maximum(below, above)
+        viol[viol <= _DUAL_FEASTOL * np.maximum(1.0, np.abs(bx))] = 0.0
+        if not viol.any():
+            return OPTIMAL, binv
+        r = int(np.argmax(viol))
+        leave = int(basis[r])
+        increase = below[r] > 0
+        target = lo[leave] if increase else hi[leave]
+
+        # Entering columns move the leaving basic toward its violated bound
+        # and keep every reduced cost on its side of zero.
+        alpha = binv[r] @ a
+        s_alpha = alpha if increase else -alpha
+        at_lower = state == _AT_LOWER
+        eligible = ~fixed & np.where(at_lower, s_alpha < -_PIVTOL,
+                                     (state == _AT_UPPER) & (s_alpha > _PIVTOL))
+        cand = np.flatnonzero(eligible)
+        if not len(cand):
+            return INFEASIBLE, binv
+        slack_d = np.maximum(np.where(at_lower[cand], d[cand], -d[cand]), 0.0)
+        ratios = slack_d / np.abs(alpha[cand])
+        near = cand[ratios <= ratios.min() + 1e-12]
+        q = int(near[np.argmax(np.abs(alpha[near]))])
+
+        w = binv @ a[:, q]
+        step = (x[leave] - target) / w[r]
+        x[basis] = bx - step * w
+        x[q] += step
+        x[leave] = target
+        d -= (d[q] / alpha[q]) * alpha
+        d[q] = 0.0
+        state[leave] = _AT_LOWER if increase else _AT_UPPER
+        basis[r] = q
+        state[q] = _BASIC
+        binv = _replace_column(a, b, basis, state, x, binv, w, r)
+    return None, binv
+
+
+def _simplex(a, b, c, lo, hi, basis, state, x, phase: int, binv=None) -> str:
     m, k = a.shape
     if m == 0:
         # Pure box problem: push each variable to its attractive bound.
@@ -179,7 +313,8 @@ def _simplex(a, b, c, lo, hi, basis, state, x, phase: int) -> str:
                 return UNBOUNDED
         return OPTIMAL
 
-    binv = np.linalg.inv(a[:, basis])
+    if binv is None:
+        binv = np.linalg.inv(a[:, basis])
     fixed = lo == hi
     degenerate_run = 0
     bland = False
@@ -253,21 +388,28 @@ def _simplex(a, b, c, lo, hi, basis, state, x, phase: int) -> str:
         state[leave] = _AT_UPPER if rate[r] > 0 else _AT_LOWER
         basis[r] = j
         state[j] = _BASIC
-
-        piv = w[r]
-        if abs(piv) < 1e-11:
-            binv = np.linalg.inv(a[:, basis])
-            _recompute_basics(a, b, basis, state, x, binv)
-            continue
-        binv[r, :] /= piv
-        others = np.arange(m) != r
-        binv[others, :] -= np.outer(w[others], binv[r, :])
+        binv = _replace_column(a, b, basis, state, x, binv, w, r)
 
     raise ArithmeticError("simplex iteration limit exceeded")
 
 
 def _raise_phase1_unbounded() -> str:
     raise ArithmeticError("phase-1 objective unbounded; numerical breakdown")
+
+
+def _replace_column(a, b, basis, state, x, binv, w, r) -> np.ndarray:
+    """B^-1 after row r's basic column was replaced by the column whose
+    image under the old B^-1 is `w` (`basis` already updated): a
+    product-form update, or a refactorization when the pivot is tiny."""
+    piv = w[r]
+    if abs(piv) < 1e-11:
+        binv = np.linalg.inv(a[:, basis])
+        _recompute_basics(a, b, basis, state, x, binv)
+        return binv
+    row = binv[r, :] / piv
+    binv -= np.outer(w, row)
+    binv[r, :] = row
+    return binv
 
 
 def _recompute_basics(a, b, basis, state, x, binv) -> None:

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from confl3 import bnb, simplex
+from confl3.confl import build_3confl
+from confl3.instance_io import GeneratorParams, generate
 from confl3.milp import (
     BINARY,
     CONTINUOUS,
@@ -54,7 +56,7 @@ def _random_milp(rng: np.random.Generator, n_bin=8, n_cont=3, n_cons=8) -> Model
     return m
 
 
-@pytest.mark.parametrize("seed", range(15))
+@pytest.mark.parametrize("seed", range(25))
 def test_random_milps_match_enumeration(seed):
     rng = np.random.default_rng(seed)
     m = _random_milp(rng)
@@ -124,3 +126,28 @@ def test_bound_out_without_incumbent_is_distinct_status():
     r = bnb.solve_mip(m, 60.0, node_limit=0)
     assert r.status == bnb.TIMEOUT_NO_INCUMBENT
     assert r.incumbent is None
+
+
+# The desk-scale generator preset of scripts/benchmark_small.py.
+DESK = GeneratorParams(
+    grid_width=4, grid_height=3, n_facilities=3, n_central_offices=1, n_steiner=0,
+    users_per_pixel=0.4, knn=2, radii={1: 1.6, 2: 2.4, 3: 3.2},
+    coverage_fractions={1: 0.2, 2: 0.4, 3: 0.5}, delta=1.8, eta_noise=0.05,
+    max_retries=1,
+)
+
+
+def test_only_the_root_relaxation_is_solved_cold(monkeypatch):
+    model = build_3confl(generate(DESK, 1)).model
+    cold = []
+    two_phase = simplex._two_phase
+
+    def counting_two_phase(*args):
+        cold.append(args)
+        return two_phase(*args)
+
+    monkeypatch.setattr(simplex, "_two_phase", counting_two_phase)
+    r = bnb.solve_mip(model, 60.0)
+    assert r.status == bnb.OPTIMAL
+    assert r.nodes > 10
+    assert len(cold) == 1

@@ -1,5 +1,6 @@
 import json
 
+from confl3 import simplex
 from confl3.cli import main
 from confl3.confl import build_3confl, verify_solution
 from confl3.instance_io import read_instance
@@ -142,3 +143,15 @@ def test_strengthened_export_contains_extra_rows(tmp_path):
     assert main(["export-lp", str(inst_path), "-o", str(plain)]) == 0
     assert main(["export-lp", str(inst_path), "--strong", "-o", str(strong)]) == 0
     assert len(strong.read_text().splitlines()) >= len(plain.read_text().splitlines())
+
+
+def test_numerical_breakdown_has_its_own_exit_code(tmp_path, capsys, monkeypatch):
+    def breakdown(*args):
+        raise ArithmeticError("simplex iteration limit exceeded")
+
+    monkeypatch.setattr(simplex, "_two_phase", breakdown)
+    inst_path = _generate(tmp_path)
+    code = main(["exact", str(inst_path), "-o", str(tmp_path / "e.json")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "iteration limit" in err

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -105,3 +106,88 @@ def test_optimal_assignment_attains_reported_objective(seed):
     obj, violations = evaluate(m, r.assignment, tol=1e-6)
     assert violations == []
     assert obj == pytest.approx(r.objective, abs=1e-6)
+
+
+def _feasible_lp(rng: np.random.Generator, dependent: bool, n_vars=4, n_cons=5) -> Model:
+    """Random bounded LP built around an interior point, so its root is
+    feasible.  With `dependent`, an equality row is repeated at twice the
+    scale: phase 1 cannot price both artificials out, so one stays basic."""
+    m = Model()
+    ids = [m.add_variable(f"v{i}", CONTINUOUS, 0.0, float(rng.uniform(1, 6))) for i in range(n_vars)]
+    point = np.array([rng.uniform(0.2, 0.8) * m.variables[i].upper for i in ids])
+    for i in ids:
+        m.set_objective_coef(i, float(rng.normal()))
+    for sense in [LE, GE, EQ] + [str(rng.choice([LE, GE])) for _ in range(n_cons - 3)]:
+        coefs = rng.normal(size=n_vars)
+        lhs = float(coefs @ point)
+        margin = {LE: 1.0, GE: -1.0, EQ: 0.0}[sense] * abs(float(rng.normal()))
+        m.add_constraint([(i, float(c)) for i, c in zip(ids, coefs)], sense, lhs + margin)
+    if dependent:
+        coefs = rng.normal(size=n_vars)
+        lhs = float(coefs @ point)
+        m.add_constraint([(i, float(c)) for i, c in zip(ids, coefs)], EQ, lhs)
+        m.add_constraint([(i, 2.0 * float(c)) for i, c in zip(ids, coefs)], EQ, 2.0 * lhs)
+    return m
+
+
+def _bound_cuts(x, lo, hi):
+    """One-variable tightenings away from the point `x`: halfway toward a
+    bound and all the way to it, downward and upward."""
+    for j in range(len(x)):
+        if x[j] > lo[j] + 1e-6:
+            yield j, lo[j], lo[j] + 0.5 * (x[j] - lo[j])
+            yield j, lo[j], lo[j]
+        if x[j] < hi[j] - 1e-6:
+            yield j, x[j] + 0.5 * (hi[j] - x[j]), hi[j]
+            yield j, hi[j], hi[j]
+
+
+@pytest.mark.parametrize("dependent", [False, True])
+@pytest.mark.parametrize("seed", range(10))
+def test_warm_start_matches_cold_solve_and_oracle(seed, dependent, monkeypatch):
+    # The dual ratio test keeps every reduced cost on its side, so the primal
+    # cleanup after a warm dual simplex only confirms optimality.
+    cleanup_pivoted = []
+    primal = simplex._simplex
+
+    def recording_simplex(a, b, c, lo, hi, basis, state, x, phase, binv=None):
+        before = basis.copy(), state.copy()
+        status = primal(a, b, c, lo, hi, basis, state, x, phase, binv=binv)
+        if binv is not None:
+            cleanup_pivoted.append(not (np.array_equal(before[0], basis)
+                                        and np.array_equal(before[1], state)))
+        return status
+
+    monkeypatch.setattr(simplex, "_simplex", recording_simplex)
+    rng = np.random.default_rng(900 + seed)
+    model = _feasible_lp(rng, dependent)
+    prep = simplex.prepare(model)
+    lo = np.array([v.lower for v in model.variables])
+    hi = np.array([v.upper for v in model.variables])
+    n, m = len(lo), len(model.constraints)
+    root = simplex.solve_prepared(prep, lo, hi)
+    assert root.status == simplex.OPTIMAL
+    assert root.basis.basic.max() < n + m  # no artificial column survives
+    if dependent:
+        # The lingering artificial was swapped for its row's fixed slack.
+        assert any(col >= n and prep.is_eq[col - n] for col in root.basis.basic)
+
+    x = np.array([root.assignment[j] for j in range(n)])
+    statuses = set()
+    for j, new_lo, new_hi in _bound_cuts(x, lo, hi):
+        cut_lo, cut_hi = lo.copy(), hi.copy()
+        cut_lo[j], cut_hi[j] = new_lo, new_hi
+        warm = simplex.solve_prepared(prep, cut_lo, cut_hi, root.basis)
+        cold = simplex.solve_prepared(prep, cut_lo, cut_hi)
+        cut_model = model.copy()
+        cut_model.variables[j] = replace(cut_model.variables[j], lower=new_lo, upper=new_hi)
+        want_status, want_obj, _ = lp_vertex_optimum(cut_model)
+        assert warm.status == cold.status == want_status, (j, new_lo, new_hi)
+        statuses.add(warm.status)
+        if want_status == simplex.OPTIMAL:
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
+            assert warm.objective == pytest.approx(want_obj, rel=1e-9)
+            _, violations = evaluate(cut_model, warm.assignment, tol=1e-6)
+            assert violations == []
+    assert simplex.OPTIMAL in statuses
+    assert cleanup_pivoted and not any(cleanup_pivoted)
