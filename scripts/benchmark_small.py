@@ -16,7 +16,7 @@ from confl3.confl import build_3confl, strengthen, verify_solution
 from confl3.heuristic import HeuristicParams, run
 from confl3.instance_io import GeneratorParams, ResultRow, generate, report
 from confl3.milp import lp_relaxation
-from confl3.simplex import solve_lp
+from confl3.simplex import model_bounds, prepare, solve_lp
 
 PARAMS = GeneratorParams(
     grid_width=4,
@@ -55,7 +55,7 @@ def main() -> int:
             seed += 1
             continue
 
-        exact = bnb.solve_mip(confl.model, 120.0)
+        exact = bnb.solve_mip(prepare(confl.model), *model_bounds(confl.model), 120.0)
         heur = run(instance, HeuristicParams(test_iterations=outer_iterations, rng_seed=done))
         if exact.status != "optimal" or heur.status != "feasible":
             print(f"seed {seed}: exact={exact.status}, heuristic={heur.status}; skipped")

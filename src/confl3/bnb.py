@@ -1,13 +1,21 @@
 """Bundled reference MILP solver: LP-based branch and bound.
 
+:func:`solve_mip` takes what :func:`confl3.simplex.solve_prepared` takes: a
+prepared matrix (:func:`confl3.simplex.prepare`, possibly with rows
+appended), the variable bounds of the problem as two vectors, and
+optionally an optimal basis of the same matrix under other bounds.  The
+binaries are those of the prepared matrix's model.  So a caller that solves
+many problems over one matrix, such as the fixing heuristic, prepares it
+once and changes only the bounds.
+
 Best-bound node selection, branching on the binary whose fractional part is
-closest to 0.5 (ties broken by lowest variable id).  No cuts.  Only the root
-relaxation is solved from scratch; every other node, and the re-solve that
-polishes a near-integral point, starts from the optimal basis of its parent
-on the shared prepared matrix (a dual simplex warm start, see
+closest to 0.5 (ties broken by lowest variable id).  No cuts.  The root
+relaxation starts from the given basis, or from scratch without one; every
+other node, and the re-solve that polishes a near-integral point, starts
+from the optimal basis of its parent (a dual simplex warm start, see
 :mod:`confl3.simplex`).  Nodes keep that basis, never its inverse.
-Deterministic given the model: ties in the node heap fall back to creation
-order.
+Deterministic given its arguments: ties in the node heap fall back to
+creation order.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .milp import Assignment, Model
+from .milp import Assignment
 from . import simplex
 
 OPTIMAL = "optimal"
@@ -43,8 +51,11 @@ class MipResult:
         return self.incumbent is not None
 
 
-def solve_mip(model: Model, time_limit: float, node_limit: int | None = None) -> MipResult:
-    """Branch and bound within `time_limit` seconds (checked once per node).
+def solve_mip(prep: simplex.PreparedLp, lo: np.ndarray, hi: np.ndarray,
+              time_limit: float, node_limit: int | None = None,
+              basis: simplex.Basis | None = None) -> MipResult:
+    """Branch and bound within `time_limit` seconds (checked once per node)
+    over `prep` under the bounds `lo`/`hi`, the root starting from `basis`.
 
     Returns the best incumbent found plus the global lower bound at
     termination; `infeasible` is reported only when the tree proves it.
@@ -52,15 +63,12 @@ def solve_mip(model: Model, time_limit: float, node_limit: int | None = None) ->
     if not time_limit > 0:
         raise ValueError("time_limit must be positive")
     start = time.monotonic()
-    prep = simplex.prepare(model)
-    lo = np.array([v.lower for v in model.variables])
-    hi = np.array([v.upper for v in model.variables])
-    bin_ids = np.array(model.binary_ids(), dtype=int)
+    bin_ids = np.array(prep.model.binary_ids(), dtype=int)
 
     counter = 0
     # (bound, creation order, lower bounds, upper bounds, parent basis)
     heap: list[tuple[float, int, np.ndarray, np.ndarray, simplex.Basis | None]] = [
-        (-math.inf, counter, lo, hi, None)
+        (-math.inf, counter, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), basis)
     ]
     incumbent: Assignment | None = None
     incumbent_obj = math.inf

@@ -15,7 +15,9 @@ import math
 import os
 import sys
 
-from . import bnb
+import numpy as np
+
+from . import bnb, simplex
 from .confl import build_3confl, strengthen, verify_solution
 from .heuristic import HeuristicParams, UnattainableCoverageError, ogap, run
 from .instance_io import (
@@ -225,7 +227,8 @@ def _cmd_exact(args) -> int:
         _write(args.output, export_lp_text(confl.model))
         print(f"wrote LP text for an external solver to {args.output}")
         return 0
-    res = bnb.solve_mip(confl.model, args.time_limit)
+    res = bnb.solve_mip(simplex.prepare(confl.model), *simplex.model_bounds(confl.model),
+                        args.time_limit)
     gap = None
     if res.has_solution() and res.objective > 0:
         gap = ogap(res.objective, min(res.lower_bound, res.objective))
@@ -332,12 +335,13 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args)
+    # A singular basis raises LinAlgError, a ValueError; it is a breakdown too.
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        print(f"error: numerical breakdown: {exc}", file=sys.stderr)
+        return 3
     except (SchemaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ArithmeticError as exc:
-        print(f"error: numerical breakdown: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -95,19 +95,29 @@ class Instance:
     def total_weight(self) -> float:
         return sum(u.weight for u in self.users)
 
-    def user_weight(self, uid: str) -> float:
-        return self._weights()[uid]
 
-    def users_of(self, fid: str, t: int) -> list[str]:
-        """U_f^t: users reachable from facility `fid` on technology `t`."""
-        return [a.user for a in self.assignment_arcs.get(t, []) if a.facility == fid]
+class UnattainableCoverageError(ValueError):
+    def __init__(self, technology: int, needed: float, available: float):
+        self.technology = technology
+        super().__init__(
+            f"coverage threshold for technology {technology} is unattainable: "
+            f"needs {needed}, reachable weight {available}"
+        )
 
-    def potential_weight(self, fid: str, t: int) -> float:
-        w = self._weights()
-        return sum(w[uid] for uid in self.users_of(fid, t))
 
-    def _weights(self) -> dict[str, float]:
-        return {u.id: u.weight for u in self.users}
+def check_attainable(instance: Instance) -> None:
+    """Raise when some coverage threshold exceeds the total reachable weight
+    of its technology, double counting users reachable from several
+    facilities as the heuristic's completeness measure does (which can then
+    never be met)."""
+    weights = {u.id: u.weight for u in instance.users}
+    for t in instance.technologies:
+        available = sum(
+            weights[a.user] for a in instance.assignment_arcs.get(t, [])
+        )
+        needed = instance.coverage_thresholds[t]
+        if available < needed - 1e-9:
+            raise UnattainableCoverageError(t, needed, available)
 
 
 def validate_instance(instance: Instance) -> None:
@@ -397,48 +407,13 @@ def superinterferers(instance: Instance, uid: str, fid: str) -> set[str]:
     return out
 
 
-def _two_sir_feasible(
-    a1: float, b1: float, a2: float, b2: float, w: WirelessParams
-) -> bool:
-    """Exact feasibility of the 2-facility system
-    a1 p1 - delta b1 p2 >= delta eta, a2 p2 - delta b2 p1 >= delta eta,
-    p in [p_min, p_max]^2, by enumerating candidate polygon vertices."""
-    rhs = w.delta * w.eta_noise
-    tol = 1e-9
-    # Lines as (c1, c2, c0): c1 p1 + c2 p2 = c0.
-    lines = [
-        (a1, -w.delta * b1, rhs),
-        (-w.delta * b2, a2, rhs),
-        (1.0, 0.0, w.p_min),
-        (1.0, 0.0, w.p_max),
-        (0.0, 1.0, w.p_min),
-        (0.0, 1.0, w.p_max),
-    ]
-    for (c1, c2, c0), (d1, d2, d0) in itertools.combinations(lines, 2):
-        det = c1 * d2 - c2 * d1
-        if abs(det) < 1e-14:
-            continue
-        p1 = (c0 * d2 - c2 * d0) / det
-        p2 = (c1 * d0 - c0 * d1) / det
-        if not (w.p_min - tol <= p1 <= w.p_max + tol):
-            continue
-        if not (w.p_min - tol <= p2 <= w.p_max + tol):
-            continue
-        if a1 * p1 - w.delta * b1 * p2 < rhs - tol:
-            continue
-        if a2 * p2 - w.delta * b2 * p1 < rhs - tol:
-            continue
-        return True
-    return False
-
-
 def _pair_block_feasible(a1, b1, a2, b2, w: WirelessParams) -> np.ndarray:
-    """Vectorized counterpart of :func:`_two_sir_feasible`.
+    """Exact feasibility of the 2-facility power systems of many user pairs.
 
     a1, b1 are the serving/interfering fadings of the users of the first
     facility (shape n1), a2, b2 those of the second (shape n2); returns an
-    (n1, n2) feasibility mask by evaluating the same candidate vertices in
-    closed form.
+    (n1, n2) feasibility mask by evaluating the candidate vertices of each
+    pair's power polygon in closed form.
     """
     rhs = w.delta * w.eta_noise
     tol = 1e-9

@@ -10,10 +10,15 @@ ones go through a repair pass that re-solves inside a hamming ball around
 the fixing.  A final improvement pass runs the same neighborhood search
 around the best solution with an objective cutoff.
 
-Both relaxation families are solved on shared prepared matrices with only
-bound vectors changing per query, each query warm-started from the optimal
-basis of its family's root relaxation, and query results are memoized on
-the fixing set.
+A :class:`HeuristicContext` is the solve session of a run: both models,
+each matrix prepared once, and the optimal bases of both root relaxations.
+Fixing relaxations only change bound vectors, start from their family's
+root basis and are memoized on the fixing set.  A pinned check collapses the
+pinned openings' bounds on the plain matrix (a bound overlay) and starts
+from the plain root basis; :func:`run` checks each distinct opening state
+once, since branch and bound is deterministic.  VLNS appends its hamming row
+(and in improve mode its cutoff row) to the plain matrix and starts from the
+plain root basis plus the new rows' slacks.
 """
 
 from __future__ import annotations
@@ -25,8 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bnb, simplex
-from .confl import ConflModel, Instance, build_3confl, strengthen, validate_instance
-from .milp import LE, Assignment, apply_fixings
+from .confl import (ConflModel, Instance, UnattainableCoverageError, build_3confl,
+                    check_attainable, strengthen, validate_instance)
+from .milp import Assignment
+# Unused here (checks overlay bounds), but perfbench/tracing.py wraps this name.
+from .milp import apply_fixings  # noqa: F401
 
 EPS_TAU = 1e-9
 
@@ -43,15 +51,6 @@ class NoCompletableFosError(RuntimeError):
     def __init__(self, message: str, partial: "FOS"):
         super().__init__(message)
         self.partial = partial
-
-
-class UnattainableCoverageError(ValueError):
-    def __init__(self, technology: int, needed: float, available: float):
-        self.technology = technology
-        super().__init__(
-            f"coverage threshold for technology {technology} is unattainable: "
-            f"needs {needed}, reachable weight {available}"
-        )
 
 
 @dataclass(frozen=True)
@@ -145,9 +144,10 @@ class RunResult:
 
 
 class HeuristicContext:
-    """Shared solver state for one instance: both models, their prepared
-    relaxations with the optimal bases of their roots, the strengthened root
-    bound and a memo of fixing LPs."""
+    """The solve session of one instance: both models, their prepared
+    relaxations with the optimal bases of their roots (`root_basis`, keyed
+    by strengthened or not), the strengthened root bound and a memo of
+    fixing LPs."""
 
     def __init__(self, instance: Instance):
         validate_instance(instance)
@@ -156,21 +156,20 @@ class HeuristicContext:
         self.strong = strengthen(self.plain, instance)
         self.plain_prep = simplex.prepare(self.plain.model)
         self.strong_prep = simplex.prepare(self.strong.model)
-        self.base_lo = np.array([v.lower for v in self.plain.model.variables])
-        self.base_hi = np.array([v.upper for v in self.plain.model.variables])
+        self.base_lo, self.base_hi = simplex.model_bounds(self.plain.model)
         root = simplex.solve_prepared(self.strong_prep, self.base_lo, self.base_hi)
         if root.status != simplex.OPTIMAL:
             raise ValueError("strengthened relaxation is infeasible; instance unsolvable")
         self.root_value = root.objective
         # The plain model relaxes the strengthened one, so its root is feasible.
         plain_root = simplex.solve_prepared(self.plain_prep, self.base_lo, self.base_hi)
-        self._root_basis = {True: root.basis, False: plain_root.basis}
-        self.weights = {u.id: u.weight for u in instance.users}
+        self.root_basis = {True: root.basis, False: plain_root.basis}
+        weights = {u.id: u.weight for u in instance.users}
         self.potential: dict[tuple[str, int], float] = {}
         for t in instance.technologies:
             reach: dict[str, float] = {}
             for a in instance.assignment_arcs.get(t, []):
-                reach[a.facility] = reach.get(a.facility, 0.0) + self.weights[a.user]
+                reach[a.facility] = reach.get(a.facility, 0.0) + weights[a.user]
             for f in instance.facilities:
                 self.potential[f.id, t] = reach.get(f.id, 0.0)
         self._memo: dict[tuple[bool, frozenset], float | None] = {}
@@ -180,7 +179,7 @@ class HeuristicContext:
         for key in ones:
             lo[self.plain.z[key]] = 1.0
         prep = self.strong_prep if strong else self.plain_prep
-        res = simplex.solve_prepared(prep, lo, self.base_hi, self._root_basis[strong])
+        res = simplex.solve_prepared(prep, lo, self.base_hi, self.root_basis[strong])
         if res.status != simplex.OPTIMAL:
             return None
         return res.objective
@@ -213,26 +212,19 @@ def ogap(v: float, lower: float) -> float:
 
 
 def is_complete(fos: FOS, instance: Instance, tech: int,
-                ctx: HeuristicContext | None = None) -> bool:
+                ctx: HeuristicContext) -> bool:
     """Whether the opening state reaches the coverage threshold of `tech`.
 
     Users reachable from several opened facilities count once per facility;
     the measure is an optimistic potential, not a service plan.
     """
-    if ctx is not None:
-        total = sum(ctx.potential[f, t] for f, t in fos.entries if t == tech)
-    else:
-        total = sum(
-            instance.potential_weight(f, t) for f, t in fos.entries if t == tech
-        )
+    total = sum(ctx.potential[f, t] for f, t in fos.entries if t == tech)
     return total >= instance.coverage_thresholds[tech] - 1e-9
 
 
-def attractiveness_init(instance: Instance,
-                        ctx: HeuristicContext | None = None) -> AttractivenessTable:
+def attractiveness_init(instance: Instance, ctx: HeuristicContext) -> AttractivenessTable:
     """One strengthened-relaxation solve per (facility, technology) opening;
     scores are the root value over the fixed value, floored when infeasible."""
-    ctx = ctx or HeuristicContext(instance)
     tau: dict[tuple[str, int], float] = {}
     for f in instance.facilities:
         for t in instance.technologies:
@@ -242,13 +234,11 @@ def attractiveness_init(instance: Instance,
 
 
 def posterior_attractiveness(instance: Instance, current_fos: FOS,
-                             candidate: tuple[str, int],
-                             ctx: HeuristicContext | None = None) -> float:
+                             candidate: tuple[str, int], ctx: HeuristicContext) -> float:
     """Plain-relaxation score of extending the opening state by `candidate`."""
     fid, tech = candidate
     if fid in current_fos.facilities() and (fid, tech) not in current_fos.entries:
         raise ValueError(f"candidate {candidate} clashes with the opening state")
-    ctx = ctx or HeuristicContext(instance)
     value = ctx.relaxation_value(False, current_fos.entries | {candidate})
     return ctx.score(value)
 
@@ -269,9 +259,8 @@ def fixing_probabilities(candidates: list, tau: np.ndarray | list,
 
 
 def build_fos(instance: Instance, tau: AttractivenessTable, params: HeuristicParams,
-              rng: np.random.Generator, ctx: HeuristicContext | None = None) -> FOS:
+              rng: np.random.Generator, ctx: HeuristicContext) -> FOS:
     """Sample a fully complete opening state, fiber first, wireless last."""
-    ctx = ctx or HeuristicContext(instance)
     fos = FOS()
     for tech in instance.technologies:
         while not is_complete(fos, instance, tech, ctx):
@@ -320,34 +309,39 @@ def _outcome_from_mip(res: bnb.MipResult, repaired: bool) -> SolveOutcome:
     return SolveOutcome(status, res.incumbent, res.objective, repaired)
 
 
-def check_and_repair(instance: Instance, confl: ConflModel, fos: FOS,
+def check_and_repair(instance: Instance, ctx: HeuristicContext, fos: FOS,
                      params: HeuristicParams) -> SolveOutcome:
-    """Solve with the opening state pinned; on proved infeasibility or a
-    bound-out with no incumbent, retry inside a hamming ball around it."""
-    fixings = _fos_fixings(confl, fos)
-    res = bnb.solve_mip(apply_fixings(confl.model, fixings), params.sub_limit())
+    """Solve the plain model with the opening state pinned; on proved
+    infeasibility or a bound-out with no incumbent, retry inside a hamming
+    ball around it.  `instance` is the context's instance."""
+    lo, hi = ctx.base_lo.copy(), ctx.base_hi.copy()
+    for vid, value in _fos_fixings(ctx.plain, fos).items():
+        lo[vid] = hi[vid] = value
+    res = bnb.solve_mip(ctx.plain_prep, lo, hi, params.sub_limit(),
+                        basis=ctx.root_basis[False])
     if res.has_solution():
         return _outcome_from_mip(res, repaired=False)
     center = {
         (fid, t): 1.0 if (fid, t) in fos.entries else 0.0
         for fid in fos.facilities()
-        for t in confl.technologies
+        for t in ctx.plain.technologies
     }
-    repaired = vlns(instance, confl, center, params, mode="repair")
+    repaired = vlns(instance, ctx, center, params, mode="repair")
     return SolveOutcome(repaired.status, repaired.assignment, repaired.objective, True)
 
 
-def vlns(instance: Instance, confl: ConflModel, center: dict[tuple[str, int], float],
+def vlns(instance: Instance, ctx: HeuristicContext, center: dict[tuple[str, int], float],
          params: HeuristicParams, mode: str = "improve",
          incumbent_value: float | None = None,
          radius: int | None = None) -> SolveOutcome:
-    """Exact very-large-neighborhood search: re-solve the model under a
-    hamming-distance cap around `center` on the opening variables.
+    """Exact very-large-neighborhood search: re-solve the plain model under
+    a hamming-distance cap around `center` on the opening variables.
 
     `center` maps (facility, technology) to 0/1 over the coordinates it
     pins; other opening variables do not enter the distance.  In improve
     mode an objective cutoff strictly below `incumbent_value` is added, so
-    only improving solutions can come back.
+    only improving solutions can come back.  Both are ``<=`` rows appended
+    to the context's plain matrix; `instance` is the context's instance.
     """
     if mode not in ("repair", "improve"):
         raise ValueError(f"unknown vlns mode {mode!r}")
@@ -355,25 +349,27 @@ def vlns(instance: Instance, confl: ConflModel, center: dict[tuple[str, int], fl
         raise ValueError("improve mode needs the incumbent objective")
     n = params.radius(len(instance.facilities)) if radius is None else radius
 
-    model = confl.model.copy()
-    terms = []
-    ones = 0
-    for key, value in sorted(center.items()):
-        zid = confl.z[key]
-        if value >= 0.5:
-            terms.append((zid, -1.0))
-            ones += 1
-        else:
-            terms.append((zid, 1.0))
-    if terms:
-        model.add_constraint(terms, LE, float(n - ones), "VLNS_HAMMING")
+    prep = ctx.plain_prep
+    rows, rhs = [], []
+    if center:
+        hamming = np.zeros(len(prep.costs))
+        ones = 0
+        for key, value in center.items():
+            hamming[ctx.plain.z[key]] = -1.0 if value >= 0.5 else 1.0
+            ones += value >= 0.5
+        rows.append(hamming)
+        rhs.append(float(n - ones))
     if mode == "improve":
         # Margin well above the LP feasibility tolerance, or the solver can
         # tolerance-accept points sitting on the cutoff plane.
-        cutoff = incumbent_value - 1e-4 * max(1.0, abs(incumbent_value))
-        obj_terms = [(vid, cost) for vid, cost in model.objective.items()]
-        model.add_constraint(obj_terms, LE, cutoff, "VLNS_CUTOFF")
-    res = bnb.solve_mip(model, params.vlns_limit())
+        rows.append(prep.costs)
+        rhs.append(incumbent_value - 1e-4 * max(1.0, abs(incumbent_value)))
+    res = bnb.solve_mip(
+        simplex.append_rows(prep, np.reshape(rows, (len(rows), len(prep.costs))),
+                            np.array(rhs)),
+        ctx.base_lo, ctx.base_hi, params.vlns_limit(),
+        basis=ctx.root_basis[False].with_slacks(len(rows)),
+    )
     return _outcome_from_mip(res, repaired=(mode == "repair"))
 
 
@@ -397,25 +393,13 @@ def tau_update(tau: AttractivenessTable, sigma_solutions: list[tuple[FOS, float]
     return AttractivenessTable(tau=new_tau, tau0=dict(tau.tau0), iteration=tau.iteration + 1)
 
 
-def check_attainable(instance: Instance) -> None:
-    """Raise when some coverage threshold exceeds the total reachable weight
-    of its technology (the completeness measure can then never be met)."""
-    weights = {u.id: u.weight for u in instance.users}
-    for t in instance.technologies:
-        available = sum(
-            weights[a.user] for a in instance.assignment_arcs.get(t, [])
-        )
-        needed = instance.coverage_thresholds[t]
-        if available < needed - 1e-9:
-            raise UnattainableCoverageError(t, needed, available)
-
-
 def run(instance: Instance, params: HeuristicParams) -> RunResult:
     """Full two-loop driver; see the module docstring for the shape.
 
     Wall-clock limits govern the outer loop and the final improvement pass
     unless `params.test_iterations` is set, which swaps every clock for
-    deterministic iteration caps.
+    deterministic iteration caps.  Each distinct opening state is checked
+    once; repeats reuse its outcome, a timed-out one included.
     """
     params.validate()
     check_attainable(instance)
@@ -425,6 +409,7 @@ def run(instance: Instance, params: HeuristicParams) -> RunResult:
     rng = np.random.default_rng(params.rng_seed)
 
     best: SolveOutcome | None = None
+    checked: dict[FOS, SolveOutcome] = {}
     trace: list[dict] = []
     prev_values: list[float] = []
     start = time.monotonic()
@@ -454,7 +439,9 @@ def run(instance: Instance, params: HeuristicParams) -> RunResult:
                 fos = exc.partial
                 entry["partial"] = True
             entry["fos"] = [list(e) for e in fos.sorted_entries()]
-            outcome = check_and_repair(instance, ctx.plain, fos, params)
+            if fos not in checked:
+                checked[fos] = check_and_repair(instance, ctx, fos, params)
+            outcome = checked[fos]
             entry["repaired"] = outcome.repaired
             if outcome.has_solution():
                 solutions.append((fos, outcome.objective))
@@ -479,7 +466,7 @@ def run(instance: Instance, params: HeuristicParams) -> RunResult:
         center = {
             key: best.assignment[zid] for key, zid in ctx.plain.z.items()
         }
-        improved = vlns(instance, ctx.plain, center, params, mode="improve",
+        improved = vlns(instance, ctx, center, params, mode="improve",
                         incumbent_value=best.objective)
         if improved.has_solution() and improved.objective < best.objective:
             best = improved

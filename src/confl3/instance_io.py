@@ -21,8 +21,10 @@ from .confl import (
     Facility,
     Instance,
     SteinerNode,
+    UnattainableCoverageError,
     User,
     WirelessParams,
+    check_attainable,
     validate_instance,
 )
 
@@ -91,11 +93,13 @@ def generate(params: GeneratorParams, seed: int) -> Instance:
     last_error = None
     for _ in range(params.max_retries):
         instance = _generate_once(params, rng, seed)
-        shortfall = _unattainable_technology(instance)
-        if shortfall is None:
-            validate_instance(instance)
-            return instance
-        last_error = shortfall
+        try:
+            check_attainable(instance)
+        except UnattainableCoverageError as exc:
+            last_error = exc.technology
+            continue
+        validate_instance(instance)
+        return instance
     raise ValueError(
         f"could not generate an attainable instance after {params.max_retries} tries; "
         f"technology {last_error} lacks reachable user weight"
@@ -203,20 +207,6 @@ def _generate_once(params: GeneratorParams, rng: np.random.Generator, seed: int)
 
 def _dist(a: tuple[float, float], b: tuple[float, float]) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
-
-
-def _unattainable_technology(instance: Instance) -> int | None:
-    """First technology whose threshold exceeds the total reachable weight
-    (double counting users reachable from several facilities, as the
-    completeness measure does)."""
-    weights = {u.id: u.weight for u in instance.users}
-    for t in instance.technologies:
-        potential = sum(
-            weights[a.user] for a in instance.assignment_arcs.get(t, [])
-        )
-        if potential < instance.coverage_thresholds[t]:
-            return t
-    return None
 
 
 # --- serialization ---------------------------------------------------------

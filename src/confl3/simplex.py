@@ -8,7 +8,9 @@ a permanent switch to Bland's rule after a long run of degenerate pivots.
 :func:`prepare` builds the dense row data once; :func:`solve_prepared`
 solves it under caller-supplied variable bounds, which is what lets the
 branch-and-bound and the fixing heuristic re-solve the same matrix under
-many bound vectors without rebuilding it.
+many bound vectors without rebuilding it.  :func:`append_rows` adds ``<=``
+rows to a prepared matrix, and :meth:`Basis.with_slacks` extends a basis of
+the original by the new rows' slacks.
 
 A solve without a starting basis runs the two-phase primal simplex.  Every
 optimal result carries its final :class:`Basis`.  Handed back to
@@ -56,6 +58,14 @@ class Basis:
     basic: np.ndarray    # (m,) column index basic in each row
     state: np.ndarray    # (n + m,) int8: _AT_LOWER, _AT_UPPER or _BASIC
 
+    def with_slacks(self, k: int) -> "Basis":
+        """This basis for the matrix with `k` rows appended (see
+        :func:`append_rows`): each new row's slack is basic.  The new rows
+        have zero duals, so a dual feasible basis stays dual feasible."""
+        new = np.arange(len(self.state), len(self.state) + k)
+        return Basis(np.concatenate([self.basic, new]),
+                     np.concatenate([self.state, np.full(k, _BASIC, dtype=np.int8)]))
+
 
 @dataclass(frozen=True)
 class LpResult:
@@ -67,7 +77,7 @@ class LpResult:
 
 @dataclass
 class PreparedLp:
-    model: Model
+    model: Model         # the variables; rows appended later are not in it
     rows: np.ndarray     # (m, n) dense, >= rows negated to <=
     rhs: np.ndarray      # (m,)
     is_eq: np.ndarray    # (m,) bool
@@ -95,16 +105,28 @@ def prepare(model: Model) -> PreparedLp:
     return PreparedLp(model, rows, rhs, is_eq, costs)
 
 
+def append_rows(prep: PreparedLp, rows: np.ndarray, rhs: np.ndarray) -> PreparedLp:
+    """`prep` with the rows ``rows @ x <= rhs`` appended; the original's
+    arrays are left as they are."""
+    return PreparedLp(prep.model, np.vstack([prep.rows, rows]),
+                      np.concatenate([prep.rhs, rhs]),
+                      np.concatenate([prep.is_eq, np.zeros(len(rhs), dtype=bool)]),
+                      prep.costs)
+
+
+def model_bounds(model: Model) -> tuple[np.ndarray, np.ndarray]:
+    """The variable bounds of `model` as the vectors `lo`, `hi`."""
+    return (np.array([v.lower for v in model.variables]),
+            np.array([v.upper for v in model.variables]))
+
+
 def solve_lp(model: Model) -> LpResult:
     """Solve a pure-LP model. Binary variables are a contract violation:
     callers relax first."""
     for v in model.variables:
         if v.kind == BINARY:
             raise ValueError(f"solve_lp called on model with binary variable {v.name!r}")
-    prep = prepare(model)
-    lo = np.array([v.lower for v in model.variables])
-    hi = np.array([v.upper for v in model.variables])
-    return solve_prepared(prep, lo, hi)
+    return solve_prepared(prepare(model), *model_bounds(model))
 
 
 def solve_prepared(prep: PreparedLp, lo: np.ndarray, hi: np.ndarray,

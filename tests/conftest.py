@@ -8,10 +8,11 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
 import pytest
 
-from confl3 import bnb
 from confl3.confl import build_3confl, strengthen
 from confl3.instance_io import GeneratorParams, generate
 from confl3.milp import BINARY
+
+from solve import solve_model
 
 # Two facilities with wireless interference, mostly single-user coverage.
 PRESET_INTERFERENCE = dict(
@@ -61,7 +62,7 @@ def acceptance_set():
 @pytest.fixture(scope="session")
 def acceptance_exact(acceptance_set):
     """Reference branch-and-bound results, shared across criteria."""
-    return [bnb.solve_mip(confl.model, 120.0) for _, _, confl in acceptance_set]
+    return [solve_model(confl.model, 120.0) for _, _, confl in acceptance_set]
 
 
 @pytest.fixture(scope="session")

@@ -37,6 +37,7 @@ from confl3.confl import (
     User,
     WirelessParams,
 )
+from confl3.instance_io import GeneratorParams
 
 
 def full_fading(pairs: dict[tuple[str, str], float], facilities, users) -> dict:
@@ -310,3 +311,12 @@ def calm_wireless_instance() -> Instance:
         ),
         name="calm-wireless",
     )
+
+
+# The desk-scale generator preset of scripts/benchmark_small.py.
+DESK = GeneratorParams(
+    grid_width=4, grid_height=3, n_facilities=3, n_central_offices=1, n_steiner=0,
+    users_per_pixel=0.4, knn=2, radii={1: 1.6, 2: 2.4, 3: 3.2},
+    coverage_fractions={1: 0.2, 2: 0.4, 3: 0.5}, delta=1.8, eta_noise=0.05,
+    max_retries=1,
+)

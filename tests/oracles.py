@@ -3,7 +3,9 @@
 Kept deliberately dumb: the LP oracle enumerates candidate vertices from
 scratch with dense linear algebra (no simplex involved), and the MIP oracle
 enumerates every 0/1 pattern of the binaries, completing the continuous
-part with an LP solve per surviving pattern.
+part with an LP solve per surviving pattern.  The pairwise power-feasibility
+oracle decides one pair of wireless services at a time by enumerating the
+vertices of its power polygon.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import itertools
 
 import numpy as np
 
+from confl3.confl import WirelessParams
 from confl3.milp import EQ, GE, LE, Model, apply_fixings, lp_relaxation
 from confl3 import simplex
 
@@ -142,3 +145,38 @@ def mip_enumeration_optimum(model: Model) -> tuple[str, float | None, dict | Non
     if best is None:
         return "infeasible", None, None
     return "optimal", best, best_assignment
+
+
+def _two_sir_feasible(
+    a1: float, b1: float, a2: float, b2: float, w: WirelessParams
+) -> bool:
+    """Exact feasibility of the 2-facility system
+    a1 p1 - delta b1 p2 >= delta eta, a2 p2 - delta b2 p1 >= delta eta,
+    p in [p_min, p_max]^2, by enumerating candidate polygon vertices."""
+    rhs = w.delta * w.eta_noise
+    tol = 1e-9
+    # Lines as (c1, c2, c0): c1 p1 + c2 p2 = c0.
+    lines = [
+        (a1, -w.delta * b1, rhs),
+        (-w.delta * b2, a2, rhs),
+        (1.0, 0.0, w.p_min),
+        (1.0, 0.0, w.p_max),
+        (0.0, 1.0, w.p_min),
+        (0.0, 1.0, w.p_max),
+    ]
+    for (c1, c2, c0), (d1, d2, d0) in itertools.combinations(lines, 2):
+        det = c1 * d2 - c2 * d1
+        if abs(det) < 1e-14:
+            continue
+        p1 = (c0 * d2 - c2 * d0) / det
+        p2 = (c1 * d0 - c0 * d1) / det
+        if not (w.p_min - tol <= p1 <= w.p_max + tol):
+            continue
+        if not (w.p_min - tol <= p2 <= w.p_max + tol):
+            continue
+        if a1 * p1 - w.delta * b1 * p2 < rhs - tol:
+            continue
+        if a2 * p2 - w.delta * b2 * p1 < rhs - tol:
+            continue
+        return True
+    return False

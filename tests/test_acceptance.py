@@ -36,6 +36,7 @@ from instances import (
     pair_instance,
 )
 from oracles import enumerate_binary_patterns, mip_enumeration_optimum
+from solve import solve_model
 
 
 @contextlib.contextmanager
@@ -184,9 +185,11 @@ def test_formula_unit_checks():
             AssignmentArc("f0", "u0", 1.0),
             AssignmentArc("f1", "u0", 1.0),
         ]
-        inst.coverage_thresholds = {1: 0.0, 2: 0.0, 3: 5.0}
-        assert is_complete(FOS(frozenset({("f0", 3), ("f1", 3)})), inst, 3)
-        assert not is_complete(FOS(frozenset({("f0", 3)})), inst, 3)
+        inst.coverage_thresholds = {1: 0.0, 2: 0.0, 3: 3.0}
+        ctx = HeuristicContext(inst)  # a threshold above the real weight fails validation
+        inst.coverage_thresholds[3] = 5.0
+        assert is_complete(FOS(frozenset({("f0", 3), ("f1", 3)})), inst, 3, ctx)
+        assert not is_complete(FOS(frozenset({("f0", 3)})), inst, 3, ctx)
         # probability blend
         probs = fixing_probabilities(["a", "b"], [0.6, 0.2], [0.2, 0.2], 0.5)
         assert np.allclose(probs, [2 / 3, 1 / 3], atol=1e-12)
@@ -235,17 +238,17 @@ def test_vlns_contract(acceptance_set, acceptance_exact):
         # radius 0: the neighborhood is exactly the center fixing
         inst = calm_wireless_instance()
         ctx = HeuristicContext(inst)
-        exact = bnb.solve_mip(ctx.plain.model, 60.0)
+        exact = solve_model(ctx.plain.model, 60.0)
         center = {key: exact.incumbent[zid] for key, zid in ctx.plain.z.items()}
-        pinned = vlns(inst, ctx.plain, center, params, mode="repair", radius=0)
+        pinned = vlns(inst, ctx, center, params, mode="repair", radius=0)
         assert pinned.objective == pytest.approx(exact.objective, abs=1e-6)
 
         # radius |F| * |T|: the hamming row is vacuous
         crafted, _, _ = conflict_instance()
         cctx = HeuristicContext(crafted)
-        free = bnb.solve_mip(cctx.plain.model, 60.0)
+        free = solve_model(cctx.plain.model, 60.0)
         n_full = len(crafted.facilities) * len(cctx.plain.technologies)
-        wide = vlns(crafted, cctx.plain, {k: 0.0 for k in cctx.plain.z}, params,
+        wide = vlns(crafted, cctx, {k: 0.0 for k in cctx.plain.z}, params,
                     mode="repair", radius=n_full)
         assert wide.objective == pytest.approx(free.objective, abs=1e-6)
 
@@ -255,11 +258,11 @@ def test_vlns_contract(acceptance_set, acceptance_exact):
                 continue
             ictx = HeuristicContext(instance)
             center = {key: exact.incumbent[zid] for key, zid in ictx.plain.z.items()}
-            none_better = vlns(instance, ictx.plain, center, params, mode="improve",
+            none_better = vlns(instance, ictx, center, params, mode="improve",
                                incumbent_value=exact.objective)
             assert not none_better.has_solution(), seed
             inflated = exact.objective + 5.0
-            maybe = vlns(instance, ictx.plain, center, params, mode="improve",
+            maybe = vlns(instance, ictx, center, params, mode="improve",
                          incumbent_value=inflated)
             if maybe.has_solution():
                 assert maybe.objective < inflated

@@ -3,7 +3,7 @@ import pytest
 
 from confl3 import bnb, simplex
 from confl3.confl import build_3confl
-from confl3.instance_io import GeneratorParams, generate
+from confl3.instance_io import generate
 from confl3.milp import (
     BINARY,
     CONTINUOUS,
@@ -15,7 +15,9 @@ from confl3.milp import (
     lp_relaxation,
 )
 
+from instances import DESK
 from oracles import mip_enumeration_optimum
+from solve import solve_model
 
 
 def test_cover_pair():
@@ -25,7 +27,7 @@ def test_cover_pair():
     m.set_objective_coef(a, 1.0)
     m.set_objective_coef(b, 1.0)
     m.add_constraint([(a, 1.0), (b, 1.0)], GE, 1.0)
-    r = bnb.solve_mip(m, 10.0)
+    r = solve_model(m, 10.0)
     assert r.status == bnb.OPTIMAL
     assert r.objective == pytest.approx(1.0)
     assert r.lower_bound <= r.objective + 1e-9
@@ -36,7 +38,7 @@ def test_contradictory_fixing_proved_infeasible():
     v = m.add_variable("x1", BINARY, 0, 1)
     m.set_objective_coef(v, 1.0)
     m.add_constraint([(v, 1.0)], GE, 1.0)
-    r = bnb.solve_mip(apply_fixings(m, {v: 0.0}), 10.0)
+    r = solve_model(apply_fixings(m, {v: 0.0}), 10.0)
     assert r.status == bnb.INFEASIBLE
     assert r.incumbent is None
 
@@ -60,7 +62,7 @@ def _random_milp(rng: np.random.Generator, n_bin=8, n_cont=3, n_cons=8) -> Model
 def test_random_milps_match_enumeration(seed):
     rng = np.random.default_rng(seed)
     m = _random_milp(rng)
-    got = bnb.solve_mip(m, 60.0)
+    got = solve_model(m, 60.0)
     want_status, want_obj, _ = mip_enumeration_optimum(m)
     assert got.status == ("optimal" if want_status == "optimal" else "infeasible")
     if want_status == "optimal":
@@ -71,7 +73,7 @@ def test_random_milps_match_enumeration(seed):
 def test_incumbent_is_integral_and_feasible(seed):
     rng = np.random.default_rng(300 + seed)
     m = _random_milp(rng, n_bin=6)
-    r = bnb.solve_mip(m, 60.0)
+    r = solve_model(m, 60.0)
     if r.incumbent is None:
         return
     _, violations = evaluate(m, r.incumbent, tol=1e-6)
@@ -84,7 +86,7 @@ def test_incumbent_is_integral_and_feasible(seed):
 def test_lp_relaxation_bounds_mip(seed):
     rng = np.random.default_rng(600 + seed)
     m = _random_milp(rng, n_bin=6)
-    mip = bnb.solve_mip(m, 60.0)
+    mip = solve_model(m, 60.0)
     lp = simplex.solve_lp(lp_relaxation(m))
     if mip.status == bnb.OPTIMAL:
         assert lp.status == simplex.OPTIMAL
@@ -95,8 +97,8 @@ def test_lp_relaxation_bounds_mip(seed):
 def test_determinism_across_runs():
     rng = np.random.default_rng(42)
     m = _random_milp(rng, n_bin=9)
-    r1 = bnb.solve_mip(m, 60.0)
-    r2 = bnb.solve_mip(m, 60.0)
+    r1 = solve_model(m, 60.0)
+    r2 = solve_model(m, 60.0)
     assert r1.status == r2.status
     assert r1.nodes == r2.nodes
     assert r1.objective == r2.objective
@@ -108,7 +110,7 @@ def test_time_limit_respected():
     rng = np.random.default_rng(7)
     m = _random_milp(rng, n_bin=18, n_cont=6, n_cons=24)
     limit = 0.05
-    r = bnb.solve_mip(m, limit)
+    r = solve_model(m, limit)
     assert r.elapsed < limit + 2.0  # within one node's overhead at this scale
     assert r.status in (bnb.OPTIMAL, bnb.FEASIBLE, bnb.INFEASIBLE, bnb.TIMEOUT_NO_INCUMBENT)
 
@@ -116,25 +118,16 @@ def test_time_limit_respected():
 def test_node_limit():
     rng = np.random.default_rng(8)
     m = _random_milp(rng, n_bin=12, n_cons=14)
-    r = bnb.solve_mip(m, 60.0, node_limit=1)
+    r = solve_model(m, 60.0, node_limit=1)
     assert r.nodes <= 1
 
 
 def test_bound_out_without_incumbent_is_distinct_status():
     rng = np.random.default_rng(9)
     m = _random_milp(rng, n_bin=10, n_cons=12)
-    r = bnb.solve_mip(m, 60.0, node_limit=0)
+    r = solve_model(m, 60.0, node_limit=0)
     assert r.status == bnb.TIMEOUT_NO_INCUMBENT
     assert r.incumbent is None
-
-
-# The desk-scale generator preset of scripts/benchmark_small.py.
-DESK = GeneratorParams(
-    grid_width=4, grid_height=3, n_facilities=3, n_central_offices=1, n_steiner=0,
-    users_per_pixel=0.4, knn=2, radii={1: 1.6, 2: 2.4, 3: 3.2},
-    coverage_fractions={1: 0.2, 2: 0.4, 3: 0.5}, delta=1.8, eta_noise=0.05,
-    max_retries=1,
-)
 
 
 def test_only_the_root_relaxation_is_solved_cold(monkeypatch):
@@ -147,7 +140,7 @@ def test_only_the_root_relaxation_is_solved_cold(monkeypatch):
         return two_phase(*args)
 
     monkeypatch.setattr(simplex, "_two_phase", counting_two_phase)
-    r = bnb.solve_mip(model, 60.0)
+    r = solve_model(model, 60.0)
     assert r.status == bnb.OPTIMAL
     assert r.nodes > 10
     assert len(cold) == 1

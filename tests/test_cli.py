@@ -1,5 +1,7 @@
 import json
 
+import numpy as np
+
 from confl3 import simplex
 from confl3.cli import main
 from confl3.confl import build_3confl, verify_solution
@@ -155,3 +157,15 @@ def test_numerical_breakdown_has_its_own_exit_code(tmp_path, capsys, monkeypatch
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "iteration limit" in err
+
+
+def test_singular_basis_is_a_numerical_breakdown(tmp_path, capsys, monkeypatch):
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(simplex, "_two_phase", singular)
+    inst_path = _generate(tmp_path)
+    code = main(["exact", str(inst_path), "-o", str(tmp_path / "e.json")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Singular matrix" in err

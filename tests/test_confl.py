@@ -24,6 +24,7 @@ from instances import (
     wireless_single,
 )
 from oracles import enumerate_binary_patterns, mip_enumeration_optimum
+from solve import solve_model
 
 
 class TestBuildCounts:
@@ -52,7 +53,7 @@ class TestBuild2Confl:
     def test_hand_solved_tiny_instance(self):
         inst, want = wired_tiny()
         confl = build_2confl(inst)
-        got = bnb.solve_mip(confl.model, 30.0)
+        got = solve_model(confl.model, 30.0)
         assert got.status == bnb.OPTIMAL
         assert got.objective == pytest.approx(want, abs=1e-6)
         status, obj, _ = mip_enumeration_optimum(confl.model)
@@ -62,7 +63,7 @@ class TestBuild2Confl:
         inst, _ = wired_tiny()
         inst.coverage_thresholds = {1: 0.0, 2: 0.0}
         confl = build_2confl(inst)
-        got = bnb.solve_mip(confl.model, 30.0)
+        got = solve_model(confl.model, 30.0)
         assert got.objective == pytest.approx(0.0, abs=1e-9)
 
     def test_served_user_has_exactly_one_assignment_arc(self):
@@ -92,7 +93,7 @@ class TestBuild3Confl:
         # No interferers: the requirement at p = p_max is a*p_max >= delta*eta.
         assert w.fading["f0", "u0"] * w.p_max >= w.delta * w.eta_noise
         confl = build_3confl(inst)
-        got = bnb.solve_mip(confl.model, 30.0)
+        got = solve_model(confl.model, 30.0)
         assert got.status == bnb.OPTIMAL
         report = verify_solution(inst, confl, got.incumbent)
         assert report.feasible
@@ -190,7 +191,8 @@ class TestConflictPairs:
     )
     @settings(max_examples=120, deadline=None)
     def test_pair_test_agrees_with_grid_sampling(self, a1, b1, a2, b2, p_min, p_max, delta):
-        from confl3.confl import WirelessParams, _two_sir_feasible
+        from confl3.confl import WirelessParams
+        from oracles import _two_sir_feasible
 
         eta = 0.05
         w = WirelessParams(p_min, p_max, delta, eta, {})
@@ -218,7 +220,8 @@ class TestConflictPairs:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_block_evaluation_matches_scalar_reference(self, seed):
-        from confl3.confl import TECH_WIRELESS, _two_sir_feasible
+        from confl3.confl import TECH_WIRELESS
+        from oracles import _two_sir_feasible
         from confl3.instance_io import GeneratorParams, generate
 
         inst = generate(
@@ -333,7 +336,7 @@ class TestVerifySolution:
     def test_incumbents_verify_clean(self, builder):
         inst = builder()
         confl = build_2confl(inst) if 3 not in inst.technologies else build_3confl(inst)
-        got = bnb.solve_mip(confl.model, 60.0)
+        got = solve_model(confl.model, 60.0)
         assert got.status == bnb.OPTIMAL
         report = verify_solution(inst, confl, got.incumbent)
         assert report.feasible, report
@@ -343,7 +346,7 @@ class TestVerifySolution:
     def test_flow_decomposes_into_root_paths(self):
         inst, _ = wired_tiny()
         confl = build_2confl(inst)
-        got = bnb.solve_mip(confl.model, 30.0)
+        got = solve_model(confl.model, 30.0)
         for f in inst.facilities:
             demand = sum(got.incumbent[confl.z[f.id, t]] for t in confl.technologies)
             if demand < 0.5:

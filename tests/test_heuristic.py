@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from confl3 import bnb
+from confl3 import bnb, heuristic, simplex
 from confl3.confl import AssignmentArc
 from confl3.heuristic import (
     EPS_TAU,
@@ -11,6 +11,7 @@ from confl3.heuristic import (
     HeuristicContext,
     HeuristicParams,
     NoCompletableFosError,
+    SolveOutcome,
     UnattainableCoverageError,
     attractiveness_init,
     build_fos,
@@ -23,14 +24,18 @@ from confl3.heuristic import (
     tau_update,
     vlns,
 )
+from confl3.instance_io import generate
+from confl3.milp import LE, apply_fixings
 
 from instances import (
+    DESK,
     attractiveness_instance,
     calm_wireless_instance,
     conflict_instance,
     repair_instance,
     super_instance,
 )
+from solve import solve_model
 
 
 class TestOgap:
@@ -53,7 +58,7 @@ class TestIsComplete:
     def test_zero_threshold_with_empty_state(self):
         inst = calm_wireless_instance()
         inst.coverage_thresholds = {1: 0.0, 2: 0.0, 3: 0.0}
-        assert is_complete(FOS(), inst, 3)
+        assert is_complete(FOS(), inst, 3, HeuristicContext(inst))
 
     def test_shared_user_counts_twice(self):
         # Two facilities reach the same weight-3 user; the double sum gives
@@ -65,17 +70,20 @@ class TestIsComplete:
             AssignmentArc("f1", "u0", 1.0),
         ]
         inst.coverage_thresholds = {1: 0.0, 2: 0.0, 3: 3.0}
+        ctx = HeuristicContext(inst)  # a threshold above the real weight fails validation
         fos = FOS(frozenset({("f0", 3), ("f1", 3)}))
         inst.coverage_thresholds[3] = 5.0  # exceeds real weight 4, not the double sum
-        assert is_complete(fos, inst, 3)
+        assert is_complete(fos, inst, 3, ctx)
 
     def test_unreachable_threshold_never_complete(self):
         inst = calm_wireless_instance()
         fos = FOS(frozenset({("f0", 3), ("f1", 3)}))
         inst.coverage_thresholds = {1: 0.0, 2: 0.0, 3: inst.total_weight()}
-        assert is_complete(fos, inst, 3)
+        assert is_complete(fos, inst, 3, HeuristicContext(inst))
         inst.assignment_arcs[3] = inst.assignment_arcs[3][:1]  # u1 now unreachable
-        assert not is_complete(fos, inst, 3)
+        # ...on wireless; fiber keeps the instance solvable, so a context exists.
+        inst.assignment_arcs[1] = [AssignmentArc("f1", "u1", 1.0)]
+        assert not is_complete(fos, inst, 3, HeuristicContext(inst))
 
 
 class TestFosInvariant:
@@ -101,7 +109,7 @@ class TestAttractivenessInit:
 
     def test_infeasible_fixing_hits_floor(self):
         inst = super_instance()
-        table = attractiveness_init(inst)
+        table = attractiveness_init(inst, HeuristicContext(inst))
         assert table.tau["f1", 3] == EPS_TAU
 
 
@@ -243,7 +251,7 @@ class TestCheckAndRepair:
         inst = calm_wireless_instance()
         ctx = HeuristicContext(inst)
         fos = FOS(frozenset({("f0", 3), ("f1", 3)}))
-        out = check_and_repair(inst, ctx.plain, fos, HeuristicParams(test_iterations=1))
+        out = check_and_repair(inst, ctx, fos, HeuristicParams(test_iterations=1))
         assert out.status == "optimal" and not out.repaired
         for fid, t in fos.entries:
             assert out.assignment[ctx.plain.z[fid, t]] == pytest.approx(1.0, abs=1e-6)
@@ -253,7 +261,7 @@ class TestCheckAndRepair:
         ctx = HeuristicContext(inst)
         fos = FOS(frozenset({("f0", 3), ("f1", 3)}))
         out = check_and_repair(
-            inst, ctx.plain, fos, HeuristicParams(test_iterations=1, vlns_radius=2)
+            inst, ctx, fos, HeuristicParams(test_iterations=1, vlns_radius=2)
         )
         assert out.repaired
         assert out.has_solution()
@@ -268,7 +276,7 @@ class TestCheckAndRepair:
         inst.coverage_thresholds = {1: 2.0, 2: 2.0, 3: 0.0}
         ctx = HeuristicContext(inst)
         fos = FOS(frozenset({("f0", 1), ("f1", 1)}))
-        out = check_and_repair(inst, ctx.plain, fos, HeuristicParams(test_iterations=1))
+        out = check_and_repair(inst, ctx, fos, HeuristicParams(test_iterations=1))
         assert out.status == "optimal" and not out.repaired
 
     def test_bound_out_without_incumbent_also_triggers_repair(self, monkeypatch):
@@ -282,14 +290,14 @@ class TestCheckAndRepair:
         real_solve = heur_mod.bnb.solve_mip
         calls = {"n": 0}
 
-        def starving_solve(model, time_limit, node_limit=None):
+        def starving_solve(prep, lo, hi, time_limit, node_limit=None, basis=None):
             calls["n"] += 1
             if calls["n"] == 1:
-                return real_solve(model, time_limit, node_limit=0)
-            return real_solve(model, time_limit, node_limit)
+                return real_solve(prep, lo, hi, time_limit, node_limit=0, basis=basis)
+            return real_solve(prep, lo, hi, time_limit, node_limit, basis=basis)
 
         monkeypatch.setattr(heur_mod.bnb, "solve_mip", starving_solve)
-        out = check_and_repair(inst, ctx.plain, fos, HeuristicParams(test_iterations=1))
+        out = check_and_repair(inst, ctx, fos, HeuristicParams(test_iterations=1))
         assert out.repaired
         assert out.has_solution()
 
@@ -298,9 +306,9 @@ class TestVlns:
     def test_radius_zero_equals_check_only(self):
         inst = calm_wireless_instance()
         ctx = HeuristicContext(inst)
-        exact = bnb.solve_mip(ctx.plain.model, 60.0)
+        exact = solve_model(ctx.plain.model, 60.0)
         center = {key: exact.incumbent[zid] for key, zid in ctx.plain.z.items()}
-        out = vlns(inst, ctx.plain, center, HeuristicParams(test_iterations=1),
+        out = vlns(inst, ctx, center, HeuristicParams(test_iterations=1),
                    mode="repair", radius=0)
         assert out.status == "optimal"
         assert out.objective == pytest.approx(exact.objective, abs=1e-6)
@@ -308,19 +316,19 @@ class TestVlns:
     def test_full_radius_matches_unrestricted_solve(self):
         inst, _, _ = conflict_instance()
         ctx = HeuristicContext(inst)
-        exact = bnb.solve_mip(ctx.plain.model, 60.0)
+        exact = solve_model(ctx.plain.model, 60.0)
         center = {key: 0.0 for key in ctx.plain.z}
         n = len(inst.facilities) * len(ctx.plain.technologies)
-        out = vlns(inst, ctx.plain, center, HeuristicParams(test_iterations=1),
+        out = vlns(inst, ctx, center, HeuristicParams(test_iterations=1),
                    mode="repair", radius=n)
         assert out.objective == pytest.approx(exact.objective, abs=1e-6)
 
     def test_improve_from_optimum_finds_nothing(self):
         inst = calm_wireless_instance()
         ctx = HeuristicContext(inst)
-        exact = bnb.solve_mip(ctx.plain.model, 60.0)
+        exact = solve_model(ctx.plain.model, 60.0)
         center = {key: exact.incumbent[zid] for key, zid in ctx.plain.z.items()}
-        out = vlns(inst, ctx.plain, center, HeuristicParams(test_iterations=1),
+        out = vlns(inst, ctx, center, HeuristicParams(test_iterations=1),
                    mode="improve", incumbent_value=exact.objective, radius=6)
         assert out.status == "infeasible"
         assert not out.has_solution()
@@ -328,10 +336,10 @@ class TestVlns:
     def test_improve_strictly_improves_bad_incumbent(self):
         inst, _, _ = conflict_instance()
         ctx = HeuristicContext(inst)
-        exact = bnb.solve_mip(ctx.plain.model, 60.0)
+        exact = solve_model(ctx.plain.model, 60.0)
         bad_value = exact.objective + 3.0
         center = {key: 0.0 for key in ctx.plain.z}
-        out = vlns(inst, ctx.plain, center, HeuristicParams(test_iterations=1),
+        out = vlns(inst, ctx, center, HeuristicParams(test_iterations=1),
                    mode="improve", incumbent_value=bad_value, radius=6)
         assert out.has_solution()
         assert out.objective < bad_value
@@ -340,7 +348,7 @@ class TestVlns:
         inst = calm_wireless_instance()
         ctx = HeuristicContext(inst)
         with pytest.raises(ValueError, match="incumbent"):
-            vlns(inst, ctx.plain, {}, HeuristicParams(), mode="improve")
+            vlns(inst, ctx, {}, HeuristicParams(), mode="improve")
 
 
 class TestTauUpdate:
@@ -411,7 +419,7 @@ class TestRun:
             inst = build()
             res = run(inst, HeuristicParams(test_iterations=5, rng_seed=1))
             ctx = HeuristicContext(inst)
-            exact = bnb.solve_mip(ctx.plain.model, 60.0)
+            exact = solve_model(ctx.plain.model, 60.0)
             assert res.status == "feasible"
             assert res.objective == pytest.approx(exact.objective, abs=1e-6)
 
@@ -434,3 +442,122 @@ class TestRun:
         res = run(inst, p)
         assert len(res.trace) == 2 * 3
         assert {e["outer"] for e in res.trace} == {1, 2}
+
+
+def _agree(got_status, got_obj, want: bnb.MipResult) -> bool:
+    if got_status != want.status:
+        return False
+    if want.objective is None:
+        return got_obj is None
+    return abs(got_obj - want.objective) <= 1e-9 * max(1.0, abs(want.objective))
+
+
+def _opening_states(ctx):
+    """Every facility on one technology, and one facility per technology."""
+    fids = [f.id for f in ctx.instance.facilities]
+    techs = ctx.plain.technologies
+    states = [FOS(frozenset((f, t) for f in fids)) for t in techs]
+    states.append(FOS(frozenset(zip(fids, techs))))
+    return states
+
+
+def _vlns_model(confl, center, radius, cutoff=None):
+    """The plain model plus the hamming row and, with a cutoff, the
+    objective row, as separate constraints of a model copy."""
+    model = confl.model.copy()
+    ones = sum(v >= 0.5 for v in center.values())
+    model.add_constraint(
+        [(confl.z[k], -1.0 if v >= 0.5 else 1.0) for k, v in sorted(center.items())],
+        LE, float(radius - ones),
+    )
+    if cutoff is not None:
+        model.add_constraint(list(model.objective.items()), LE, cutoff)
+    return model
+
+
+class TestSolveSession:
+    """Pinned checks overlay bounds on the context's plain matrix and VLNS
+    appends rows to it, both warm from the plain root basis; each must
+    agree with the same problem built as its own model and solved cold."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_warm_sub_mips_match_cold_model_solves(self, seed, monkeypatch):
+        inst = generate(DESK, seed)
+        ctx = HeuristicContext(inst)
+        confl = ctx.plain
+        params = HeuristicParams(test_iterations=1)
+        states = _opening_states(ctx)
+        real_solve = bnb.solve_mip
+        warm_checks = []
+
+        def recording_solve(*args, **kwargs):
+            warm_checks.append(real_solve(*args, **kwargs))
+            return warm_checks[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(heuristic.bnb, "solve_mip", recording_solve)
+            # The repair search is compared on its own below.
+            m.setattr(heuristic, "vlns",
+                      lambda *args, **kwargs: SolveOutcome("infeasible", None, None))
+            for fos in states:
+                check_and_repair(inst, ctx, fos, params)
+        assert len(warm_checks) == len(states)
+
+        # Radius 1 keeps the neighbourhood trees small; the rows are the same.
+        radius = 1
+        improve_center = None
+        for fos, warm in zip(states, warm_checks):
+            fixings = {
+                confl.z[fid, t]: 1.0 if t == tech else 0.0
+                for fid, tech in fos.entries for t in confl.technologies
+            }
+            cold = solve_model(apply_fixings(confl.model, fixings), 60.0)
+            assert _agree(warm.status, warm.objective, cold), (fos, cold)
+
+            center = {
+                (fid, t): 1.0 if (fid, t) in fos.entries else 0.0
+                for fid in fos.facilities() for t in confl.technologies
+            }
+            out = vlns(inst, ctx, center, params, mode="repair", radius=radius)
+            cold = solve_model(_vlns_model(confl, center, radius), 60.0)
+            assert _agree(out.status, out.objective, cold), (fos, cold)
+            if improve_center is None and out.has_solution():
+                improve_center = {k: out.assignment[zid] for k, zid in confl.z.items()}
+                improve_value = out.objective
+
+        # The cutoff at the center's value (nothing better nearby, or a
+        # strictly better point) and at a worse value.
+        assert improve_center is not None
+        for value in (improve_value, 1.2 * improve_value):
+            better = vlns(inst, ctx, improve_center, params, mode="improve",
+                          incumbent_value=value, radius=radius)
+            cutoff = value - 1e-4 * max(1.0, abs(value))
+            cold = solve_model(_vlns_model(confl, improve_center, radius, cutoff), 60.0)
+            assert _agree(better.status, better.objective, cold), value
+
+    def test_only_the_two_context_roots_are_solved_cold(self, monkeypatch):
+        cold = []
+        two_phase = simplex._two_phase
+
+        def counting_two_phase(*args):
+            cold.append(args)
+            return two_phase(*args)
+
+        monkeypatch.setattr(simplex, "_two_phase", counting_two_phase)
+        res = run(generate(DESK, 1), HeuristicParams(test_iterations=2))
+        assert res.status == "feasible"
+        assert len(cold) == 2
+
+    def test_each_distinct_opening_state_is_checked_once(self, monkeypatch):
+        checked = []
+        real_check = heuristic.check_and_repair
+
+        def counting_check(instance, ctx, fos, params):
+            checked.append(fos)
+            return real_check(instance, ctx, fos, params)
+
+        monkeypatch.setattr(heuristic, "check_and_repair", counting_check)
+        res = run(generate(DESK, 1), HeuristicParams(test_iterations=2))
+        distinct = {tuple(map(tuple, e["fos"])) for e in res.trace}
+        assert len(res.trace) > len(distinct)
+        assert len(checked) == len(distinct)

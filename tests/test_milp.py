@@ -210,7 +210,7 @@ class TestExportLpText:
 
     def test_reimported_model_solves_to_same_optimum(self):
         from lp_text import parse_lp_text
-        from confl3 import bnb
+        from solve import solve_model
         from confl3.confl import build_3confl
         from instances import conflict_instance
 
@@ -227,7 +227,7 @@ class TestExportLpText:
             rebuilt.add_constraint(
                 [(ids[n], c) for n, c in row.coefs.items()], row.sense, row.rhs
             )
-        want = bnb.solve_mip(source, 60.0)
-        got = bnb.solve_mip(rebuilt, 60.0)
+        want = solve_model(source, 60.0)
+        got = solve_model(rebuilt, 60.0)
         assert got.status == want.status == "optimal"
         assert got.objective == pytest.approx(want.objective, abs=1e-6)

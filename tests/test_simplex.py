@@ -174,6 +174,17 @@ def test_warm_start_matches_cold_solve_and_oracle(seed, dependent, monkeypatch):
 
     x = np.array([root.assignment[j] for j in range(n)])
     statuses = set()
+
+    def check(warm, cold, cut_model, label):
+        want_status, want_obj, _ = lp_vertex_optimum(cut_model)
+        assert warm.status == cold.status == want_status, label
+        statuses.add(warm.status)
+        if want_status == simplex.OPTIMAL:
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
+            assert warm.objective == pytest.approx(want_obj, rel=1e-9)
+            _, violations = evaluate(cut_model, warm.assignment, tol=1e-6)
+            assert violations == []
+
     for j, new_lo, new_hi in _bound_cuts(x, lo, hi):
         cut_lo, cut_hi = lo.copy(), hi.copy()
         cut_lo[j], cut_hi[j] = new_lo, new_hi
@@ -181,13 +192,19 @@ def test_warm_start_matches_cold_solve_and_oracle(seed, dependent, monkeypatch):
         cold = simplex.solve_prepared(prep, cut_lo, cut_hi)
         cut_model = model.copy()
         cut_model.variables[j] = replace(cut_model.variables[j], lower=new_lo, upper=new_hi)
-        want_status, want_obj, _ = lp_vertex_optimum(cut_model)
-        assert warm.status == cold.status == want_status, (j, new_lo, new_hi)
-        statuses.add(warm.status)
-        if want_status == simplex.OPTIMAL:
-            assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
-            assert warm.objective == pytest.approx(want_obj, rel=1e-9)
-            _, violations = evaluate(cut_model, warm.assignment, tol=1e-6)
-            assert violations == []
-    assert simplex.OPTIMAL in statuses
+        check(warm, cold, cut_model, (j, new_lo, new_hi))
+
+    # Appended rows that cut the root point off, a random one and an
+    # objective cutoff, each a little and far: the root basis plus the new
+    # row's slack starts the dual simplex.
+    for g in (rng.normal(size=n), prep.costs):
+        for shift in (0.5, 50.0):
+            rhs = float(g @ x) - shift
+            cut_prep = simplex.append_rows(prep, g[None, :], np.array([rhs]))
+            warm = simplex.solve_prepared(cut_prep, lo, hi, root.basis.with_slacks(1))
+            cold = simplex.solve_prepared(cut_prep, lo, hi)
+            cut_model = model.copy()
+            cut_model.add_constraint([(j, float(g[j])) for j in range(n)], LE, rhs)
+            check(warm, cold, cut_model, (g, shift))
+    assert {simplex.OPTIMAL, simplex.INFEASIBLE} <= statuses
     assert cleanup_pivoted and not any(cleanup_pivoted)
