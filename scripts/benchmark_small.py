@@ -69,8 +69,8 @@ def main() -> int:
         rows.append(
             ResultRow(
                 instance_id=f"S{seed}",
-                gap_reference=max(gap_exact, 1e-6),
-                gap_heuristic=max(gap_heur, 1e-6),
+                gap_reference=gap_exact,
+                gap_heuristic=gap_heur,
             )
         )
         marker = "=" if abs(heur.objective - exact.objective) <= 1e-6 else ">"

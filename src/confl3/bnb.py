@@ -10,10 +10,11 @@ once and changes only the bounds.
 
 Best-bound node selection, branching on the binary whose fractional part is
 closest to 0.5 (ties broken by lowest variable id).  No cuts.  The root
-relaxation starts from the given basis, or from scratch without one; every
-other node, and the re-solve that polishes a near-integral point, starts
-from the optimal basis of its parent (a dual simplex warm start, see
-:mod:`confl3.simplex`).  Nodes keep that basis, never its inverse.
+relaxation starts from the given basis, or from the slack basis without
+one; every other node, and the re-solve that polishes a near-integral
+point, starts from the optimal basis of its parent (a dual simplex warm
+start, see :mod:`confl3.simplex`).  Nodes keep that basis, never its
+inverse.
 Deterministic given its arguments: ties in the node heap fall back to
 creation order.
 """

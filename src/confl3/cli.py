@@ -83,7 +83,6 @@ def _parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="run the fixing heuristic")
     solve.add_argument("instance")
     _heuristic_flags(solve)
-    solve.add_argument("--backend", choices=["bundled"], default="bundled")
     solve.add_argument("-o", "--output", required=True)
 
     exact = sub.add_parser("exact", help="run branch and bound on the full model")
@@ -91,9 +90,6 @@ def _parser() -> argparse.ArgumentParser:
     exact.add_argument("--strong", action="store_true",
                        help="add the strengthening inequalities first")
     exact.add_argument("--time-limit", type=float, default=3600.0)
-    exact.add_argument("--backend", choices=["bundled", "external-lp-file"],
-                       default="bundled",
-                       help="external-lp-file writes the LP text for an external solver")
     exact.add_argument("-o", "--output", required=True)
 
     export = sub.add_parser("export-lp", help="write the model in LP text format")
@@ -223,10 +219,6 @@ def _cmd_exact(args) -> int:
     confl = build_3confl(instance)
     if args.strong:
         confl = strengthen(confl, instance)
-    if args.backend == "external-lp-file":
-        _write(args.output, export_lp_text(confl.model))
-        print(f"wrote LP text for an external solver to {args.output}")
-        return 0
     res = bnb.solve_mip(simplex.prepare(confl.model), *simplex.model_bounds(confl.model),
                         args.time_limit)
     gap = None
@@ -287,8 +279,8 @@ def _cmd_report(args) -> int:
         kind = doc.get("kind")
         if kind not in ("exact", "heuristic"):
             raise SchemaError(f"{path}: unknown solution kind {kind!r}")
-        if doc.get("gap") is None:
-            raise SchemaError(f"{path}: no gap recorded (infeasible run?)")
+        if doc.get("objective") is None or doc.get("lower_bound") is None:
+            raise SchemaError(f"{path}: no objective or lower bound recorded (infeasible run?)")
         h = doc["instance"]["hash"]
         slot = groups.setdefault(h, {"name": doc["instance"]["name"]})
         if kind in slot:
@@ -302,11 +294,14 @@ def _cmd_report(args) -> int:
                 f"instance {slot['name']} ({h[:12]}...) needs one exact and one "
                 "heuristic solution; report refuses to mix instances"
             )
+        # Both gaps against one lower bound: the smaller, which neither
+        # objective lies below.
+        lower = min(slot["exact"]["lower_bound"], slot["heuristic"]["lower_bound"])
         rows.append(
             ResultRow(
                 instance_id=slot["name"],
-                gap_reference=100.0 * slot["exact"]["gap"],
-                gap_heuristic=100.0 * slot["heuristic"]["gap"],
+                gap_reference=100.0 * ogap(slot["exact"]["objective"], lower),
+                gap_heuristic=100.0 * ogap(slot["heuristic"]["objective"], lower),
             )
         )
     text = report(rows, csv=args.csv)

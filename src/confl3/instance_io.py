@@ -389,24 +389,35 @@ class ResultRow:
     gap_heuristic: float   # percent
 
     @property
-    def delta_gap(self) -> float:
+    def delta_gap(self) -> float | None:
+        """The relative gap change in percent; None when the reference gap
+        is 0, which no relative change is defined against."""
+        if self.gap_reference == 0:
+            return None
         return 100.0 * (self.gap_heuristic - self.gap_reference) / self.gap_reference
 
 
 def report(rows: list[ResultRow], csv: bool = False) -> str:
     """Aligned text table (or CSV) of reference vs heuristic gaps with the
-    relative gap change per row and its average in the footer."""
+    relative gap change per row and its average in the footer.  A row
+    without a relative change shows ``n/a`` (an empty CSV field) and is
+    left out of the average."""
     for row in rows:
-        if not row.gap_reference > 0:
+        if row.gap_reference < 0 or row.gap_heuristic < 0:
             raise ValueError(
-                f"row {row.instance_id!r}: gap_reference must be positive, got {row.gap_reference}"
+                f"row {row.instance_id!r}: gaps must be nonnegative, got "
+                f"{row.gap_reference} and {row.gap_heuristic}"
             )
+
+    def delta(row: ResultRow, missing: str) -> str:
+        return missing if row.delta_gap is None else f"{row.delta_gap:.2f}"
+
     if csv:
         lines = ["id,gap_reference,gap_heuristic,delta_gap"]
         for row in rows:
             lines.append(
                 f"{row.instance_id},{row.gap_reference:.2f},"
-                f"{row.gap_heuristic:.2f},{row.delta_gap:.2f}"
+                f"{row.gap_heuristic:.2f},{delta(row, '')}"
             )
         return "\n".join(lines) + "\n"
 
@@ -416,11 +427,12 @@ def report(rows: list[ResultRow], csv: bool = False) -> str:
             row.instance_id,
             f"{row.gap_reference:.2f}",
             f"{row.gap_heuristic:.2f}",
-            f"{row.delta_gap:.2f}",
+            delta(row, "n/a"),
         )
         for row in rows
     ]
-    footer = ("avg", "", "", f"{np.mean([r.delta_gap for r in rows]):.2f}" if rows else "")
+    deltas = [r.delta_gap for r in rows if r.delta_gap is not None]
+    footer = ("avg", "", "", f"{np.mean(deltas):.2f}" if deltas else "n/a")
     widths = [
         max(len(col[i]) for col in [header, footer] + body) for i in range(4)
     ]

@@ -12,16 +12,20 @@ many bound vectors without rebuilding it.  :func:`append_rows` adds ``<=``
 rows to a prepared matrix, and :meth:`Basis.with_slacks` extends a basis of
 the original by the new rows' slacks.
 
-A solve without a starting basis runs the two-phase primal simplex.  Every
-optimal result carries its final :class:`Basis`.  Handed back to
-:func:`solve_prepared` with other bounds, that basis is still dual feasible,
-because only the bounds changed: the warm path refactorizes it once, moves
-boxed nonbasic columns whose reduced cost has the wrong sign to their other
-bound, and runs a bounded dual simplex until the basics are within their
-bounds, then lets the primal simplex confirm optimality.  A row the dual
-cannot repair proves the bounds infeasible.  The warm path falls back to the
-two-phase solve when an unboxed column is dual infeasible, when the dual
-reaches its iteration cap, or when its final point fails the bound check.
+Every solve starts from a basis: the caller's, or else the slack basis, in
+which each row's slack is basic and every structural sits at a finite
+bound.  Every optimal result carries its final :class:`Basis`.  Handed back
+to :func:`solve_prepared` with other bounds, that basis is still dual
+feasible, because only the bounds changed.  The solve refactorizes the start
+basis and moves boxed nonbasic columns whose reduced cost has the wrong sign
+to their other bound.  An unboxed column cannot move, so for the dual phase
+only its cost is shifted until its reduced cost is zero (Koberstein, PhD
+thesis, Paderborn 2005).  A bounded dual simplex then runs until the basics
+are within their bounds; a row it cannot repair proves the bounds
+infeasible.  The primal simplex finishes on the true costs, to optimality or
+a proof of unboundedness; after a warm start it usually only confirms
+optimality.  Reaching the iteration cap, or a final point outside its
+bounds, raises :class:`ArithmeticError`.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ _BASIC = 2
 
 _DTOL = 1e-9        # reduced-cost tolerance
 _PIVTOL = 1e-9      # smallest rate treated as blocking
-_FEASTOL = 1e-7     # phase-1 residual accepted as feasible; warm bound check
+_FEASTOL = 1e-7     # final bound check
 _DUAL_FEASTOL = 1e-9  # bound violation (relative) the dual simplex repairs
 _BLAND_AFTER = 1000 # consecutive degenerate pivots before Bland's rule
 _REFACTOR_EVERY = 150
@@ -133,9 +137,9 @@ def solve_prepared(prep: PreparedLp, lo: np.ndarray, hi: np.ndarray,
                    basis: Basis | None = None) -> LpResult:
     """Solve the prepared matrix under variable bounds `lo`/`hi`.
 
-    `basis` is an optimal basis of the same prepared matrix under other
-    bounds, as returned in :attr:`LpResult.basis`; the solve then starts
-    from it (see the module docstring).
+    The solve starts from `basis`, an optimal basis of the same prepared
+    matrix under other bounds as returned in :attr:`LpResult.basis`, or
+    from the slack basis when it is None (see the module docstring).
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -143,8 +147,11 @@ def solve_prepared(prep: PreparedLp, lo: np.ndarray, hi: np.ndarray,
         return LpResult(INFEASIBLE)
     if np.any((lo == -math.inf) & (hi == math.inf)):
         raise ValueError("free variables are not supported by the bundled simplex")
-    solved = None if basis is None else _warm(prep, lo, hi, basis)
-    status, x, end = solved or _two_phase(prep, lo, hi)
+    if basis is None:
+        # The slack basis is the empty basis with every row's slack added.
+        basis = Basis(np.empty(0, dtype=int),
+                      np.full(len(lo), _AT_LOWER, dtype=np.int8)).with_slacks(len(prep.rhs))
+    status, x, end = _solve(prep, lo, hi, basis)
     if status != OPTIMAL:
         return LpResult(status)
     x = np.clip(x, lo, hi)
@@ -158,79 +165,21 @@ def _columns(prep: PreparedLp, lo_s: np.ndarray, hi_s: np.ndarray):
 
     Slacks are [0, inf) for <= rows and fixed [0, 0] for = rows.
     """
-    m, n = prep.rows.shape
-    a = np.hstack([prep.rows, np.eye(m)]) if m else prep.rows.copy()
+    m = len(prep.rhs)
+    a = np.hstack([prep.rows, np.eye(m)])
     lo = np.concatenate([lo_s, np.zeros(m)])
     hi = np.concatenate([hi_s, np.where(prep.is_eq, 0.0, math.inf)])
     cost = np.concatenate([prep.costs, np.zeros(m)])
     return a, lo, hi, cost
 
 
-def _two_phase(prep: PreparedLp, lo_s: np.ndarray, hi_s: np.ndarray):
-    m, n = prep.rows.shape
-    a, lo, hi, cost = _columns(prep, lo_s, hi_s)
-
-    # Nonbasic start: every structural at a finite bound.
-    x = np.zeros(n + m)
-    state = np.full(n + m, _AT_LOWER, dtype=np.int8)
-    for j in range(n):
-        if lo[j] == -math.inf:
-            x[j], state[j] = hi[j], _AT_UPPER
-        else:
-            x[j] = lo[j]
-
-    residual = prep.rhs - prep.rows @ x[:n] if m else np.empty(0)
-    basis = np.empty(m, dtype=int)
-    art_cols: list[np.ndarray] = []
-    art_rows: list[int] = []
-    for i in range(m):
-        r = residual[i]
-        if not prep.is_eq[i] and r >= 0.0:
-            basis[i] = n + i          # slack carries the row
-            x[n + i] = r
-            state[n + i] = _BASIC
-        else:
-            col = np.zeros(m)
-            col[i] = 1.0 if r >= 0 else -1.0
-            art_cols.append(col)
-            art_rows.append(i)
-            basis[i] = n + m + len(art_cols) - 1
-
-    if art_cols:
-        n_art = len(art_cols)
-        x1 = np.concatenate([x, np.abs(residual[art_rows])])
-        state1 = np.concatenate([state, np.full(n_art, _BASIC, dtype=np.int8)])
-        phase1_cost = np.concatenate([np.zeros(n + m), np.ones(n_art)])
-        status = _simplex(
-            np.hstack([a, np.column_stack(art_cols)]), prep.rhs, phase1_cost,
-            np.concatenate([lo, np.zeros(n_art)]),
-            np.concatenate([hi, np.full(n_art, math.inf)]),
-            basis, state1, x1, phase=1,
-        )
-        if status != OPTIMAL:
-            raise ArithmeticError("phase-1 simplex terminated abnormally")
-        rhs_scale = float(np.abs(prep.rhs).max())
-        if float(x1[n + m :].sum()) > _FEASTOL * max(1.0, rhs_scale):
-            return INFEASIBLE, None, None
-        x, state = x1[: n + m], state1[: n + m]
-        # An artificial can stay basic at (about) zero.  Its row's slack has
-        # a parallel column, so it takes the place and the basis stays
-        # nonsingular; phase 2 then runs without artificial columns.
-        for r in np.flatnonzero(basis >= n + m):
-            k = int(basis[r]) - n - m
-            i = art_rows[k]
-            basis[r] = n + i
-            state[n + i] = _BASIC
-            x[n + i] = art_cols[k][i] * x1[n + m + k]
-
-    status = _simplex(a, prep.rhs, cost, lo, hi, basis, state, x, phase=2)
-    if status == UNBOUNDED:
-        return UNBOUNDED, None, None
-    return OPTIMAL, x[:n].copy(), Basis(basis, state)
+def _max_iter(a: np.ndarray) -> int:
+    """The iteration cap of the dual and of the primal simplex."""
+    return 50_000 + 60 * sum(a.shape)
 
 
-def _warm(prep: PreparedLp, lo_s: np.ndarray, hi_s: np.ndarray, start: Basis):
-    """Re-solve from `start` by dual simplex; None asks for the cold solve."""
+def _solve(prep: PreparedLp, lo_s: np.ndarray, hi_s: np.ndarray, start: Basis):
+    """Dual simplex from `start`, then primal simplex on the true costs."""
     n = prep.rows.shape[1]
     a, lo, hi, cost = _columns(prep, lo_s, hi_s)
     basis = start.basic.copy()
@@ -245,37 +194,36 @@ def _warm(prep: PreparedLp, lo_s: np.ndarray, hi_s: np.ndarray, start: Basis):
     binv = np.linalg.inv(a[:, basis])
     d = cost - (cost[basis] @ binv) @ a
     wrong = nonbasic & (lo < hi) & np.where(upper, d > _DTOL, d < -_DTOL)
-    if wrong.any():
-        if not np.all(np.isfinite(lo[wrong]) & np.isfinite(hi[wrong])):
-            return None
-        state[wrong] = np.where(upper[wrong], _AT_LOWER, _AT_UPPER)
-        x[wrong] = np.where(upper[wrong], lo[wrong], hi[wrong])
+    # A wrong-signed boxed column moves to its other bound; an unboxed one
+    # cannot, so the dual phase runs on costs that zero its reduced cost.
+    boxed = np.isfinite(lo) & np.isfinite(hi)
+    flip = wrong & boxed
+    state[flip] = np.where(upper[flip], _AT_LOWER, _AT_UPPER)
+    x[flip] = np.where(upper[flip], lo[flip], hi[flip])
+    shift = wrong & ~boxed
+    dual_cost = np.where(shift, cost - d, cost)
+    d[shift] = 0.0
     _recompute_basics(a, prep.rhs, basis, state, x, binv)
 
-    status, binv = _dual_simplex(a, prep.rhs, cost, lo, hi, basis, state, x, binv, d)
-    if status is None:
-        return None
+    status, binv = _dual_simplex(a, prep.rhs, dual_cost, lo, hi, basis, state, x, binv, d)
     if status == INFEASIBLE:
         return INFEASIBLE, None, None
-    status = _simplex(a, prep.rhs, cost, lo, hi, basis, state, x, phase=2, binv=binv)
-    if status == UNBOUNDED:
+    if _simplex(a, prep.rhs, cost, lo, hi, basis, state, x, binv) == UNBOUNDED:
         return UNBOUNDED, None, None
     tol = _FEASTOL * np.maximum(1.0, np.abs(x))
     if np.any(x < lo - tol) or np.any(x > hi + tol):
-        return None
+        raise ArithmeticError("simplex final point violates its bounds")
     return OPTIMAL, x[:n].copy(), Basis(basis, state)
 
 
 def _dual_simplex(a, b, c, lo, hi, basis, state, x, binv, d):
-    """Bounded dual simplex from a dual feasible basis.
+    """Bounded dual simplex from a dual feasible basis with reduced costs `d`.
 
-    Returns (OPTIMAL, binv) once every basic lies within its bounds,
-    (INFEASIBLE, binv) when a violated row has no entering column, and
-    (None, binv) at the iteration cap.
+    Returns (OPTIMAL, binv) once every basic lies within its bounds and
+    (INFEASIBLE, binv) when a violated row has no entering column.
     """
-    m, k = a.shape
     fixed = lo == hi
-    for it in range(m + k):
+    for it in range(_max_iter(a)):
         if it and it % _REFACTOR_EVERY == 0:
             binv = np.linalg.inv(a[:, basis])
             _recompute_basics(a, b, basis, state, x, binv)
@@ -319,30 +267,18 @@ def _dual_simplex(a, b, c, lo, hi, basis, state, x, binv, d):
         basis[r] = q
         state[q] = _BASIC
         binv = _replace_column(a, b, basis, state, x, binv, w, r)
-    return None, binv
+    raise ArithmeticError("dual simplex iteration limit exceeded")
 
 
-def _simplex(a, b, c, lo, hi, basis, state, x, phase: int, binv=None) -> str:
-    m, k = a.shape
-    if m == 0:
-        # Pure box problem: push each variable to its attractive bound.
-        for j in range(k):
-            if c[j] < -_DTOL:
-                if hi[j] == math.inf:
-                    return UNBOUNDED
-                x[j], state[j] = hi[j], _AT_UPPER
-            elif c[j] > _DTOL and lo[j] == -math.inf:
-                return UNBOUNDED
-        return OPTIMAL
-
-    if binv is None:
-        binv = np.linalg.inv(a[:, basis])
+def _simplex(a, b, c, lo, hi, basis, state, x, binv) -> str:
+    """Primal simplex from a primal feasible basis with inverse `binv`;
+    returns OPTIMAL or UNBOUNDED."""
+    m = a.shape[0]
     fixed = lo == hi
     degenerate_run = 0
     bland = False
-    max_iter = 50_000 + 60 * (m + k)
 
-    for it in range(max_iter):
+    for it in range(_max_iter(a)):
         if it and it % _REFACTOR_EVERY == 0:
             binv = np.linalg.inv(a[:, basis])
             _recompute_basics(a, b, basis, state, x, binv)
@@ -381,7 +317,7 @@ def _simplex(a, b, c, lo, hi, basis, state, x, phase: int, binv=None) -> str:
         t = min(t_bound, t_basic)
 
         if t == math.inf:
-            return UNBOUNDED if phase == 2 else _raise_phase1_unbounded()
+            return UNBOUNDED
 
         if t <= 1e-12:
             degenerate_run += 1
@@ -413,10 +349,6 @@ def _simplex(a, b, c, lo, hi, basis, state, x, phase: int, binv=None) -> str:
         binv = _replace_column(a, b, basis, state, x, binv, w, r)
 
     raise ArithmeticError("simplex iteration limit exceeded")
-
-
-def _raise_phase1_unbounded() -> str:
-    raise ArithmeticError("phase-1 objective unbounded; numerical breakdown")
 
 
 def _replace_column(a, b, basis, state, x, binv, w, r) -> np.ndarray:

@@ -133,13 +133,14 @@ def test_bound_out_without_incumbent_is_distinct_status():
 def test_only_the_root_relaxation_is_solved_cold(monkeypatch):
     model = build_3confl(generate(DESK, 1)).model
     cold = []
-    two_phase = simplex._two_phase
+    solve_prepared = simplex.solve_prepared
 
-    def counting_two_phase(*args):
-        cold.append(args)
-        return two_phase(*args)
+    def counting_solve_prepared(prep, lo, hi, basis=None):
+        if basis is None:
+            cold.append(prep)
+        return solve_prepared(prep, lo, hi, basis)
 
-    monkeypatch.setattr(simplex, "_two_phase", counting_two_phase)
+    monkeypatch.setattr(simplex, "solve_prepared", counting_solve_prepared)
     r = solve_model(model, 60.0)
     assert r.status == bnb.OPTIMAL
     assert r.nodes > 10

@@ -72,17 +72,16 @@ def test_exact_and_report_pipeline(tmp_path, capsys):
     heu_doc = json.loads(heu_path.read_text())
     assert exact_doc["instance"]["hash"] == heu_doc["instance"]["hash"]
 
-    # The exact gap is 0 on a solved-to-optimality instance; fabricate
-    # nonzero gaps to exercise the arithmetic path.
-    exact_doc["gap"] = 0.9580
-    heu_doc["gap"] = 0.5208
-    exact_path.write_text(json.dumps(exact_doc))
-    heu_path.write_text(json.dumps(heu_doc))
     code = main(["report", str(exact_path), str(heu_path)])
     assert code == 0
     out = capsys.readouterr().out
     assert "ΔGap%" in out
-    assert "-45.64" in out  # 100 * (52.08 - 95.80) / 95.80
+    # Both gaps are measured against the smaller of the two lower bounds.
+    lower = min(exact_doc["lower_bound"], heu_doc["lower_bound"])
+    gap_ref = 100.0 * (exact_doc["objective"] - lower) / exact_doc["objective"]
+    gap_heu = 100.0 * (heu_doc["objective"] - lower) / heu_doc["objective"]
+    delta = "n/a" if gap_ref == 0 else f"{100.0 * (gap_heu - gap_ref) / gap_ref:.2f}"
+    assert out.splitlines()[2].split()[1:] == [f"{gap_ref:.2f}", f"{gap_heu:.2f}", delta]
 
 
 def test_report_refuses_mixed_instances(tmp_path, capsys):
@@ -108,14 +107,6 @@ def test_export_lp_writes_model(tmp_path):
     text = lp_path.read_text()
     for section in ("Minimize", "Subject To", "Bounds", "Binaries", "End"):
         assert section in text
-
-
-def test_exact_external_backend_writes_lp(tmp_path, capsys):
-    inst_path = _generate(tmp_path)
-    out = tmp_path / "model.lp"
-    code = main(["exact", str(inst_path), "--backend", "external-lp-file", "-o", str(out)])
-    assert code == 0
-    assert out.read_text().startswith("Minimize")
 
 
 def test_missing_instance_file_is_usage_error(tmp_path, capsys):
@@ -151,7 +142,7 @@ def test_numerical_breakdown_has_its_own_exit_code(tmp_path, capsys, monkeypatch
     def breakdown(*args):
         raise ArithmeticError("simplex iteration limit exceeded")
 
-    monkeypatch.setattr(simplex, "_two_phase", breakdown)
+    monkeypatch.setattr(simplex, "_dual_simplex", breakdown)
     inst_path = _generate(tmp_path)
     code = main(["exact", str(inst_path), "-o", str(tmp_path / "e.json")])
     assert code == 3
@@ -163,7 +154,7 @@ def test_singular_basis_is_a_numerical_breakdown(tmp_path, capsys, monkeypatch):
     def singular(*args):
         raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr(simplex, "_two_phase", singular)
+    monkeypatch.setattr(simplex, "_dual_simplex", singular)
     inst_path = _generate(tmp_path)
     code = main(["exact", str(inst_path), "-o", str(tmp_path / "e.json")])
     assert code == 3

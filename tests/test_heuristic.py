@@ -537,13 +537,14 @@ class TestSolveSession:
 
     def test_only_the_two_context_roots_are_solved_cold(self, monkeypatch):
         cold = []
-        two_phase = simplex._two_phase
+        solve_prepared = simplex.solve_prepared
 
-        def counting_two_phase(*args):
-            cold.append(args)
-            return two_phase(*args)
+        def counting_solve_prepared(prep, lo, hi, basis=None):
+            if basis is None:
+                cold.append(prep)
+            return solve_prepared(prep, lo, hi, basis)
 
-        monkeypatch.setattr(simplex, "_two_phase", counting_two_phase)
+        monkeypatch.setattr(simplex, "solve_prepared", counting_solve_prepared)
         res = run(generate(DESK, 1), HeuristicParams(test_iterations=2))
         assert res.status == "feasible"
         assert len(cold) == 2

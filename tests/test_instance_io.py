@@ -136,9 +136,17 @@ class TestReport:
         text = report([ResultRow("X", 50.0, 50.0)])
         assert "0.00" in text
 
-    def test_nonpositive_reference_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            report([ResultRow("X", 0.0, 10.0)])
+    def test_negative_gap_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            report([ResultRow("X", -1.0, 10.0)])
+
+    def test_zero_reference_gap_has_no_delta(self):
+        rows = [ResultRow("X", 0.0, 10.0), ResultRow("Y", 100.0, 90.0)]
+        lines = report(rows).splitlines()
+        assert lines[2].split() == ["X", "0.00", "10.00", "n/a"]
+        assert lines[-1].split() == ["avg", "-10.00"]
+        assert report(rows, csv=True).splitlines()[1] == "X,0.00,10.00,"
+        assert report(rows[:1]).splitlines()[-1].split() == ["avg", "n/a"]
 
     def test_table_layout(self):
         rows = [ResultRow(i, r, h) for i, r, h, _ in REFERENCE_GAP_ROWS[:3]]

@@ -111,7 +111,8 @@ def test_optimal_assignment_attains_reported_objective(seed):
 def _feasible_lp(rng: np.random.Generator, dependent: bool, n_vars=4, n_cons=5) -> Model:
     """Random bounded LP built around an interior point, so its root is
     feasible.  With `dependent`, an equality row is repeated at twice the
-    scale: phase 1 cannot price both artificials out, so one stays basic."""
+    scale: no basis can drive both rows' fixed slacks out, so one stays
+    basic at 0."""
     m = Model()
     ids = [m.add_variable(f"v{i}", CONTINUOUS, 0.0, float(rng.uniform(1, 6))) for i in range(n_vars)]
     point = np.array([rng.uniform(0.2, 0.8) * m.variables[i].upper for i in ids])
@@ -145,17 +146,17 @@ def _bound_cuts(x, lo, hi):
 @pytest.mark.parametrize("dependent", [False, True])
 @pytest.mark.parametrize("seed", range(10))
 def test_warm_start_matches_cold_solve_and_oracle(seed, dependent, monkeypatch):
-    # The dual ratio test keeps every reduced cost on its side, so the primal
-    # cleanup after a warm dual simplex only confirms optimality.
+    # The dual ratio test keeps every reduced cost on its side, and every
+    # column here is boxed, so no cost is shifted: the primal cleanup after
+    # the dual simplex, warm or cold, only confirms optimality.
     cleanup_pivoted = []
     primal = simplex._simplex
 
-    def recording_simplex(a, b, c, lo, hi, basis, state, x, phase, binv=None):
+    def recording_simplex(a, b, c, lo, hi, basis, state, x, binv):
         before = basis.copy(), state.copy()
-        status = primal(a, b, c, lo, hi, basis, state, x, phase, binv=binv)
-        if binv is not None:
-            cleanup_pivoted.append(not (np.array_equal(before[0], basis)
-                                        and np.array_equal(before[1], state)))
+        status = primal(a, b, c, lo, hi, basis, state, x, binv)
+        cleanup_pivoted.append(not (np.array_equal(before[0], basis)
+                                    and np.array_equal(before[1], state)))
         return status
 
     monkeypatch.setattr(simplex, "_simplex", recording_simplex)
@@ -167,9 +168,9 @@ def test_warm_start_matches_cold_solve_and_oracle(seed, dependent, monkeypatch):
     n, m = len(lo), len(model.constraints)
     root = simplex.solve_prepared(prep, lo, hi)
     assert root.status == simplex.OPTIMAL
-    assert root.basis.basic.max() < n + m  # no artificial column survives
+    assert root.basis.basic.max() < n + m  # structurals and slacks only
     if dependent:
-        # The lingering artificial was swapped for its row's fixed slack.
+        # One of the repeated rows keeps its fixed slack basic at 0.
         assert any(col >= n and prep.is_eq[col - n] for col in root.basis.basic)
 
     x = np.array([root.assignment[j] for j in range(n)])
@@ -208,3 +209,84 @@ def test_warm_start_matches_cold_solve_and_oracle(seed, dependent, monkeypatch):
             check(warm, cold, cut_model, (g, shift))
     assert {simplex.OPTIMAL, simplex.INFEASIBLE} <= statuses
     assert cleanup_pivoted and not any(cleanup_pivoted)
+
+
+def _unboxed_lp(rng: np.random.Generator, n_vars=5, n_cons=4) -> tuple[Model, Model]:
+    """Random feasible LP with [0, inf) and (-inf, u] columns, and the same
+    LP with each infinite bound replaced by a value its last row makes
+    redundant.
+
+    The last row, the sum of the [0, inf) columns minus the sum of the
+    (-inf, u] columns <= cap, keeps the region finite.  Costs have mixed
+    signs; the first [0, inf) column costs less than 0 and the first
+    (-inf, u] column more, so both are dual infeasible in the slack basis.
+    """
+    kinds = ["up", "down"] + [str(k) for k in rng.choice(["up", "down", "box"], n_vars - 2)]
+    costs = rng.normal(size=n_vars)
+    costs[0] = -abs(costs[0]) - 0.1
+    costs[1] = abs(costs[1]) + 0.1
+    m = Model()
+    point = []
+    for j, kind in enumerate(kinds):
+        if kind == "up":
+            m.add_variable(f"v{j}", CONTINUOUS, 0.0, math.inf)
+            point.append(rng.uniform(0.0, 2.0))
+        elif kind == "down":
+            u = float(rng.uniform(-2.0, 3.0))
+            m.add_variable(f"v{j}", CONTINUOUS, -math.inf, u)
+            point.append(u - rng.uniform(0.0, 2.0))
+        else:
+            u = float(rng.uniform(1.0, 6.0))
+            m.add_variable(f"v{j}", CONTINUOUS, 0.0, u)
+            point.append(rng.uniform(0.2, 0.8) * u)
+        m.set_objective_coef(j, float(costs[j]))
+    point = np.array(point)
+    for _ in range(n_cons):
+        coefs = rng.normal(size=n_vars)
+        sense = str(rng.choice([LE, GE, EQ], p=[0.45, 0.45, 0.10]))
+        margin = {LE: 1.0, GE: -1.0, EQ: 0.0}[sense] * abs(float(rng.normal()))
+        m.add_constraint([(j, float(c)) for j, c in enumerate(coefs)], sense,
+                         float(coefs @ point) + margin)
+    sign = np.array([{"up": 1.0, "down": -1.0, "box": 0.0}[k] for k in kinds])
+    cap = float(sign @ point) + float(rng.uniform(0.5, 3.0))
+    m.add_constraint([(j, float(c)) for j, c in enumerate(sign) if c], LE, cap)
+
+    # The row bounds each [0, inf) column by reach and each (-inf, u]
+    # column from below by u - reach; one more unit keeps them redundant.
+    reach = cap + sum(v.upper for v, k in zip(m.variables, kinds) if k == "down")
+    boxed = m.copy()
+    for j, kind in enumerate(kinds):
+        v = boxed.variables[j]
+        if kind == "up":
+            boxed.variables[j] = replace(v, upper=reach + 1.0)
+        elif kind == "down":
+            boxed.variables[j] = replace(v, lower=v.upper - reach - 1.0)
+    return m, boxed
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_unboxed_columns_start_from_a_cost_shift(seed, monkeypatch):
+    # The dual simplex needs a dual feasible start: an unboxed column with a
+    # wrong-signed reduced cost cannot flip to its other bound, so its cost
+    # is shifted for the dual phase, and the primal phase restores it.
+    dual = simplex._dual_simplex
+    shifted = []
+
+    def checking_dual(a, b, c, lo, hi, basis, state, x, binv, d):
+        np.testing.assert_allclose(d, c - (c[basis] @ binv) @ a, atol=1e-9)
+        free = lo < hi
+        assert np.all(d[(state == simplex._AT_LOWER) & free] >= -1e-9)
+        assert np.all(d[(state == simplex._AT_UPPER) & free] <= 1e-9)
+        shifted.append(not np.array_equal(c[: len(costs)], costs))
+        return dual(a, b, c, lo, hi, basis, state, x, binv, d)
+
+    monkeypatch.setattr(simplex, "_dual_simplex", checking_dual)
+    model, boxed = _unboxed_lp(np.random.default_rng(1300 + seed))
+    costs = simplex.prepare(model).costs
+    got = simplex.solve_lp(model)
+    assert shifted == [True]
+    want_status, want_obj, _ = lp_vertex_optimum(boxed)
+    assert got.status == want_status == simplex.OPTIMAL
+    assert got.objective == pytest.approx(want_obj, rel=1e-9, abs=1e-9)
+    _, violations = evaluate(model, got.assignment, tol=1e-6)
+    assert violations == []
