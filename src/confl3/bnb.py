@@ -92,8 +92,6 @@ def solve_mip(prep: simplex.PreparedLp, lo: np.ndarray, hi: np.ndarray,
         res = simplex.solve_prepared(prep, node_lo, node_hi, start_basis)
         if res.status == simplex.INFEASIBLE:
             continue
-        if res.status == simplex.UNBOUNDED:
-            raise ValueError("relaxation is unbounded; model is malformed for branch and bound")
         value = res.objective
         if incumbent is not None and value >= incumbent_obj - _gap_eps(incumbent_obj):
             continue

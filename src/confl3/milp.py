@@ -58,6 +58,8 @@ class Model:
             raise ValueError(f"unknown variable kind {kind!r}")
         if name in self._names:
             raise ValueError(f"duplicate variable name {name!r}")
+        if math.isnan(lower) or math.isnan(upper):
+            raise ValueError(f"NaN bound for {name!r}")
         if lower > upper:
             raise ValueError(f"inverted bounds for {name!r}: [{lower}, {upper}]")
         if kind == BINARY and not (lower in (0.0, 1.0) and upper in (0.0, 1.0)):
@@ -78,6 +80,8 @@ class Model:
             raise ValueError(f"unknown constraint sense {sense!r}")
         if not terms:
             raise ValueError("constraint must have at least one term")
+        if not math.isfinite(rhs):
+            raise ValueError(f"non-finite right-hand side {rhs}")
         seen: set[int] = set()
         for vid, coef in terms:
             if not 0 <= vid < len(self.variables):

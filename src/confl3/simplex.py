@@ -1,9 +1,8 @@
-"""Bundled reference LP solver: bounded-variable revised simplex.
+"""Bundled reference LP solver: bounded dual simplex over boxed columns.
 
 Dense algebra throughout, sized for desk-scale models (hundreds to a few
 thousand rows).  The basis inverse is kept explicitly, updated in product
-form after each pivot, and refactorized periodically.  Dantzig pricing with
-a permanent switch to Bland's rule after a long run of degenerate pivots.
+form after each pivot, and refactorized periodically.
 
 :func:`prepare` builds the dense row data once; :func:`solve_prepared`
 solves it under caller-supplied variable bounds, which is what lets the
@@ -12,20 +11,24 @@ many bound vectors without rebuilding it.  :func:`append_rows` adds ``<=``
 rows to a prepared matrix, and :meth:`Basis.with_slacks` extends a basis of
 the original by the new rows' slacks.
 
+Every variable bound must be finite.  With every structural column boxed,
+moving a nonbasic column to its other bound fixes the sign of its reduced
+cost, so any basis whose nonbasic slacks price correctly is made dual
+feasible by bound flips alone, and the dual simplex needs neither a phase 1
+nor a primal phase after it (Koberstein, PhD thesis, Paderborn 2005).
+
 Every solve starts from a basis: the caller's, or else the slack basis, in
-which each row's slack is basic and every structural sits at a finite
-bound.  Every optimal result carries its final :class:`Basis`.  Handed back
-to :func:`solve_prepared` with other bounds, that basis is still dual
-feasible, because only the bounds changed.  The solve refactorizes the start
-basis and moves boxed nonbasic columns whose reduced cost has the wrong sign
-to their other bound.  An unboxed column cannot move, so for the dual phase
-only its cost is shifted until its reduced cost is zero (Koberstein, PhD
-thesis, Paderborn 2005).  A bounded dual simplex then runs until the basics
-are within their bounds; a row it cannot repair proves the bounds
-infeasible.  The primal simplex finishes on the true costs, to optimality or
-a proof of unboundedness; after a warm start it usually only confirms
-optimality.  Reaching the iteration cap, or a final point outside its
-bounds, raises :class:`ArithmeticError`.
+which each row's slack is basic.  Every optimal result carries its final
+:class:`Basis`; handed back to :func:`solve_prepared` with other bounds, it
+is still dual feasible, because only the bounds changed.  A solve runs
+rounds of four steps: refactorize the basis, recompute the reduced costs
+from scratch, flip each wrong-signed nonbasic column to its other bound, and
+run a bounded dual simplex until the basics are within their bounds (a row
+it cannot repair proves the bounds infeasible).  It stops after a round
+whose dual simplex makes no pivot, so the reported point and its reduced
+costs come from a fresh factorization.  Reaching the iteration cap, a
+nonbasic slack with a wrong-signed reduced cost, or a final point outside
+its bounds raises :class:`ArithmeticError`.
 """
 
 from __future__ import annotations
@@ -39,17 +42,15 @@ from .milp import BINARY, EQ, GE, Assignment, Model
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 
 _AT_LOWER = 0
 _AT_UPPER = 1
 _BASIC = 2
 
 _DTOL = 1e-9        # reduced-cost tolerance
-_PIVTOL = 1e-9      # smallest rate treated as blocking
+_PIVTOL = 1e-9      # smallest |alpha| of an entering column
 _FEASTOL = 1e-7     # final bound check
 _DUAL_FEASTOL = 1e-9  # bound violation (relative) the dual simplex repairs
-_BLAND_AFTER = 1000 # consecutive degenerate pivots before Bland's rule
 _REFACTOR_EVERY = 150
 
 
@@ -135,18 +136,23 @@ def solve_lp(model: Model) -> LpResult:
 
 def solve_prepared(prep: PreparedLp, lo: np.ndarray, hi: np.ndarray,
                    basis: Basis | None = None) -> LpResult:
-    """Solve the prepared matrix under variable bounds `lo`/`hi`.
+    """Solve the prepared matrix under the finite variable bounds `lo`/`hi`.
 
     The solve starts from `basis`, an optimal basis of the same prepared
-    matrix under other bounds as returned in :attr:`LpResult.basis`, or
-    from the slack basis when it is None (see the module docstring).
+    matrix and costs under other bounds as returned in
+    :attr:`LpResult.basis` (possibly extended by :meth:`Basis.with_slacks`),
+    or from the slack basis when it is None (see the module docstring).
+    Another basis may leave a ``<=`` row's slack nonbasic with a
+    wrong-signed reduced cost, which no bound flip can fix; that raises
+    :class:`ArithmeticError`.  An infinite or NaN bound raises
+    :class:`ValueError`.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise ValueError("the bundled simplex needs finite variable bounds")
     if np.any(lo > hi + 1e-12):
         return LpResult(INFEASIBLE)
-    if np.any((lo == -math.inf) & (hi == math.inf)):
-        raise ValueError("free variables are not supported by the bundled simplex")
     if basis is None:
         # The slack basis is the empty basis with every row's slack added.
         basis = Basis(np.empty(0, dtype=int),
@@ -174,56 +180,54 @@ def _columns(prep: PreparedLp, lo_s: np.ndarray, hi_s: np.ndarray):
 
 
 def _max_iter(a: np.ndarray) -> int:
-    """The iteration cap of the dual and of the primal simplex."""
+    """The number of dual simplex pivots one solve may make in all."""
     return 50_000 + 60 * sum(a.shape)
 
 
 def _solve(prep: PreparedLp, lo_s: np.ndarray, hi_s: np.ndarray, start: Basis):
-    """Dual simplex from `start`, then primal simplex on the true costs."""
+    """Rounds of refactorization, bound flips and dual simplex from `start`,
+    until a round makes no pivot."""
     n = prep.rows.shape[1]
     a, lo, hi, cost = _columns(prep, lo_s, hi_s)
     basis = start.basic.copy()
     state = start.state.copy()
-    nonbasic = state != _BASIC
-    # Nonbasic columns sit on the bound their state names, or on the other
-    # one when that bound is infinite under the new bounds.
-    upper = np.where(state == _AT_UPPER, hi < math.inf, lo == -math.inf)
-    state[nonbasic] = np.where(upper[nonbasic], _AT_UPPER, _AT_LOWER)
-    x = np.where(upper, hi, lo)
-
-    binv = np.linalg.inv(a[:, basis])
-    d = cost - (cost[basis] @ binv) @ a
-    wrong = nonbasic & (lo < hi) & np.where(upper, d > _DTOL, d < -_DTOL)
-    # A wrong-signed boxed column moves to its other bound; an unboxed one
-    # cannot, so the dual phase runs on costs that zero its reduced cost.
-    boxed = np.isfinite(lo) & np.isfinite(hi)
-    flip = wrong & boxed
-    state[flip] = np.where(upper[flip], _AT_LOWER, _AT_UPPER)
-    x[flip] = np.where(upper[flip], lo[flip], hi[flip])
-    shift = wrong & ~boxed
-    dual_cost = np.where(shift, cost - d, cost)
-    d[shift] = 0.0
-    _recompute_basics(a, prep.rhs, basis, state, x, binv)
-
-    status, binv = _dual_simplex(a, prep.rhs, dual_cost, lo, hi, basis, state, x, binv, d)
-    if status == INFEASIBLE:
-        return INFEASIBLE, None, None
-    if _simplex(a, prep.rhs, cost, lo, hi, basis, state, x, binv) == UNBOUNDED:
-        return UNBOUNDED, None, None
+    x = np.where(state == _AT_UPPER, hi, lo)
+    budget = _max_iter(a)
+    while True:
+        binv = np.linalg.inv(a[:, basis])
+        d = cost - (cost[basis] @ binv) @ a
+        upper = state == _AT_UPPER
+        wrong = (state != _BASIC) & (lo < hi) & np.where(upper, d > _DTOL, d < -_DTOL)
+        if wrong.any():
+            # Only the [0, inf) slack of a <= row has no other bound.
+            if np.any(wrong & (hi == math.inf)):
+                raise ArithmeticError("start basis is not dual feasible: "
+                                      "a nonbasic slack has a negative reduced cost")
+            state[wrong] = np.where(upper[wrong], _AT_LOWER, _AT_UPPER)
+            x[wrong] = np.where(upper[wrong], lo[wrong], hi[wrong])
+        _recompute_basics(a, prep.rhs, basis, state, x, binv)
+        status, pivots = _dual_simplex(a, prep.rhs, cost, lo, hi, basis, state, x, binv, d,
+                                       budget)
+        if status == INFEASIBLE:
+            return INFEASIBLE, None, None
+        if not pivots:
+            break
+        budget -= pivots
     tol = _FEASTOL * np.maximum(1.0, np.abs(x))
     if np.any(x < lo - tol) or np.any(x > hi + tol):
         raise ArithmeticError("simplex final point violates its bounds")
     return OPTIMAL, x[:n].copy(), Basis(basis, state)
 
 
-def _dual_simplex(a, b, c, lo, hi, basis, state, x, binv, d):
-    """Bounded dual simplex from a dual feasible basis with reduced costs `d`.
+def _dual_simplex(a, b, c, lo, hi, basis, state, x, binv, d, max_iter):
+    """Bounded dual simplex from a dual feasible basis with reduced costs `d`,
+    making at most `max_iter` pivots.
 
-    Returns (OPTIMAL, binv) once every basic lies within its bounds and
-    (INFEASIBLE, binv) when a violated row has no entering column.
+    Returns (OPTIMAL, pivots) once every basic lies within its bounds and
+    (INFEASIBLE, pivots) when a violated row has no entering column.
     """
     fixed = lo == hi
-    for it in range(_max_iter(a)):
+    for it in range(max_iter + 1):
         if it and it % _REFACTOR_EVERY == 0:
             binv = np.linalg.inv(a[:, basis])
             _recompute_basics(a, b, basis, state, x, binv)
@@ -235,7 +239,9 @@ def _dual_simplex(a, b, c, lo, hi, basis, state, x, binv, d):
         viol = np.maximum(below, above)
         viol[viol <= _DUAL_FEASTOL * np.maximum(1.0, np.abs(bx))] = 0.0
         if not viol.any():
-            return OPTIMAL, binv
+            return OPTIMAL, it
+        if it == max_iter:
+            break
         r = int(np.argmax(viol))
         leave = int(basis[r])
         increase = below[r] > 0
@@ -250,7 +256,7 @@ def _dual_simplex(a, b, c, lo, hi, basis, state, x, binv, d):
                                      (state == _AT_UPPER) & (s_alpha > _PIVTOL))
         cand = np.flatnonzero(eligible)
         if not len(cand):
-            return INFEASIBLE, binv
+            return INFEASIBLE, it
         slack_d = np.maximum(np.where(at_lower[cand], d[cand], -d[cand]), 0.0)
         ratios = slack_d / np.abs(alpha[cand])
         near = cand[ratios <= ratios.min() + 1e-12]
@@ -268,87 +274,6 @@ def _dual_simplex(a, b, c, lo, hi, basis, state, x, binv, d):
         state[q] = _BASIC
         binv = _replace_column(a, b, basis, state, x, binv, w, r)
     raise ArithmeticError("dual simplex iteration limit exceeded")
-
-
-def _simplex(a, b, c, lo, hi, basis, state, x, binv) -> str:
-    """Primal simplex from a primal feasible basis with inverse `binv`;
-    returns OPTIMAL or UNBOUNDED."""
-    m = a.shape[0]
-    fixed = lo == hi
-    degenerate_run = 0
-    bland = False
-
-    for it in range(_max_iter(a)):
-        if it and it % _REFACTOR_EVERY == 0:
-            binv = np.linalg.inv(a[:, basis])
-            _recompute_basics(a, b, basis, state, x, binv)
-
-        y = c[basis] @ binv
-        d = c - y @ a
-        can_up = (state == _AT_LOWER) & ~fixed & (d < -_DTOL)
-        can_dn = (state == _AT_UPPER) & ~fixed & (d > _DTOL)
-        if not (can_up.any() or can_dn.any()):
-            # Refactorize once so the reported point carries no update drift.
-            binv = np.linalg.inv(a[:, basis])
-            _recompute_basics(a, b, basis, state, x, binv)
-            return OPTIMAL
-
-        if bland:
-            candidates = np.flatnonzero(can_up | can_dn)
-            j = int(candidates[0])
-        else:
-            score = np.where(can_up, -d, 0.0) + np.where(can_dn, d, 0.0)
-            j = int(np.argmax(score))
-        direction = 1.0 if state[j] == _AT_LOWER else -1.0
-
-        w = binv @ a[:, j]
-        rate = -direction * w  # d x_B / dt
-        t_bound = hi[j] - lo[j]
-
-        limits = np.full(m, math.inf)
-        up_block = rate > _PIVTOL
-        dn_block = rate < -_PIVTOL
-        bx = x[basis]
-        with np.errstate(invalid="ignore"):
-            limits[up_block] = (hi[basis[up_block]] - bx[up_block]) / rate[up_block]
-            limits[dn_block] = (bx[dn_block] - lo[basis[dn_block]]) / (-rate[dn_block])
-        limits = np.maximum(limits, 0.0)
-        t_basic = float(limits.min()) if m else math.inf
-        t = min(t_bound, t_basic)
-
-        if t == math.inf:
-            return UNBOUNDED
-
-        if t <= 1e-12:
-            degenerate_run += 1
-            if degenerate_run > _BLAND_AFTER:
-                bland = True
-        else:
-            degenerate_run = 0
-
-        if t_bound <= t_basic:
-            # Bound flip: the entering variable traverses its whole span.
-            x[basis] = bx - direction * w * t
-            x[j] = hi[j] if direction > 0 else lo[j]
-            state[j] = _AT_UPPER if direction > 0 else _AT_LOWER
-            continue
-
-        near = np.flatnonzero(limits <= t + 1e-9)
-        if bland:
-            r = int(near[np.argmin(basis[near])])
-        else:
-            r = int(near[np.argmax(np.abs(rate[near]))])
-        leave = int(basis[r])
-
-        x[basis] = bx - direction * w * t
-        x[j] += direction * t
-        x[leave] = hi[leave] if rate[r] > 0 else lo[leave]
-        state[leave] = _AT_UPPER if rate[r] > 0 else _AT_LOWER
-        basis[r] = j
-        state[j] = _BASIC
-        binv = _replace_column(a, b, basis, state, x, binv, w, r)
-
-    raise ArithmeticError("simplex iteration limit exceeded")
 
 
 def _replace_column(a, b, basis, state, x, binv, w, r) -> np.ndarray:

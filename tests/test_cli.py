@@ -91,10 +91,6 @@ def test_report_refuses_mixed_instances(tmp_path, capsys):
     sa, sb = tmp_path / "sa.json", tmp_path / "sb.json"
     assert main(["exact", str(a_path), "-o", str(sa)]) == 0
     assert main(["solve", str(b_path), "--iters", "1", "-o", str(sb)]) == 0
-    for p in (sa, sb):
-        doc = json.loads(p.read_text())
-        doc["gap"] = 0.5
-        p.write_text(json.dumps(doc))
     code = main(["report", str(sa), str(sb)])
     assert code == 2
     assert "mix" in capsys.readouterr().err

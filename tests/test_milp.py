@@ -53,6 +53,13 @@ class TestAddVariable:
         with pytest.raises(ValueError):
             m.add_variable("x", BINARY, 0.0, 0.5)
 
+    @pytest.mark.parametrize("lower, upper", [(math.nan, 1.0), (0.0, math.nan)])
+    def test_nan_bound_rejected(self, lower, upper):
+        m = Model()
+        with pytest.raises(ValueError, match="NaN"):
+            m.add_variable("x", CONTINUOUS, lower, upper)
+        assert m.variables == []
+
 
 class TestAddConstraint:
     def test_sequential_ids(self):
@@ -71,6 +78,15 @@ class TestAddConstraint:
         x1 = m.add_variable("x1", BINARY, 0, 1)
         with pytest.raises(ValueError, match="duplicate"):
             m.add_constraint([(x1, 1.0), (x1, 1.0)], LE, 1.0)
+
+    @pytest.mark.parametrize("sense, rhs", [(GE, math.inf), (LE, -math.inf),
+                                            (GE, -math.inf), (EQ, math.nan)])
+    def test_non_finite_rhs_rejected(self, sense, rhs):
+        m = Model()
+        x = m.add_variable("x", CONTINUOUS, 0, 10)
+        with pytest.raises(ValueError, match="non-finite right-hand side"):
+            m.add_constraint([(x, 1.0)], sense, rhs)
+        assert m.constraints == []
 
 
 class TestLpRelaxation:

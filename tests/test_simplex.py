@@ -20,12 +20,14 @@ def test_simple_lower_bounded_min():
     assert r.objective == pytest.approx(3.0, abs=1e-9)
 
 
-def test_unbounded_detected():
+@pytest.mark.parametrize("lower, upper", [(0, math.inf), (-math.inf, 0), (0, math.nan)])
+def test_unboxed_columns_are_rejected(lower, upper):
     m = Model()
-    x = m.add_variable("x", CONTINUOUS, 0, math.inf)
+    x = m.add_variable("x", CONTINUOUS, 0, 1)
     m.set_objective_coef(x, -1.0)
     m.add_constraint([(x, 1.0)], GE, 0.0)
-    assert simplex.solve_lp(m).status == simplex.UNBOUNDED
+    with pytest.raises(ValueError, match="finite"):
+        simplex.solve_prepared(simplex.prepare(m), np.array([lower]), np.array([upper]))
 
 
 def test_infeasible_detected():
@@ -56,9 +58,12 @@ def test_no_constraints_box_problem():
 
 
 def test_degenerate_cycling_guard():
-    # Beale's classic cycling example for Dantzig pricing.
+    # Beale's classic cycling example for Dantzig pricing, every column boxed
+    # to [0, 1e4]: the rows give objective >= 15*x1 - 0.05*x2 >= -0.05, so
+    # the optimum stays -0.05, reached by the dual simplex through
+    # degenerate pivots.
     m = Model()
-    x = [m.add_variable(f"x{i}", CONTINUOUS, 0, math.inf) for i in range(4)]
+    x = [m.add_variable(f"x{i}", CONTINUOUS, 0, 1e4) for i in range(4)]
     for vid, c in zip(x, (-0.75, 150.0, -0.02, 6.0)):
         m.set_objective_coef(vid, c)
     m.add_constraint([(x[0], 0.25), (x[1], -60.0), (x[2], -0.04), (x[3], 9.0)], LE, 0.0)
@@ -146,20 +151,23 @@ def _bound_cuts(x, lo, hi):
 @pytest.mark.parametrize("dependent", [False, True])
 @pytest.mark.parametrize("seed", range(10))
 def test_warm_start_matches_cold_solve_and_oracle(seed, dependent, monkeypatch):
-    # The dual ratio test keeps every reduced cost on its side, and every
-    # column here is boxed, so no cost is shifted: the primal cleanup after
-    # the dual simplex, warm or cold, only confirms optimality.
-    cleanup_pivoted = []
-    primal = simplex._simplex
+    # The dual ratio test keeps every reduced cost on its side, so after the
+    # round that reaches primal feasibility, one more round on a fresh
+    # factorization only confirms optimality: no solve, warm or cold, needs
+    # more than two rounds.
+    rounds = []
+    solve, dual = simplex.solve_prepared, simplex._dual_simplex
 
-    def recording_simplex(a, b, c, lo, hi, basis, state, x, binv):
-        before = basis.copy(), state.copy()
-        status = primal(a, b, c, lo, hi, basis, state, x, binv)
-        cleanup_pivoted.append(not (np.array_equal(before[0], basis)
-                                    and np.array_equal(before[1], state)))
-        return status
+    def counting_solve(*args):
+        rounds.append(0)
+        return solve(*args)
 
-    monkeypatch.setattr(simplex, "_simplex", recording_simplex)
+    def counting_dual(*args):
+        rounds[-1] += 1
+        return dual(*args)
+
+    monkeypatch.setattr(simplex, "solve_prepared", counting_solve)
+    monkeypatch.setattr(simplex, "_dual_simplex", counting_dual)
     rng = np.random.default_rng(900 + seed)
     model = _feasible_lp(rng, dependent)
     prep = simplex.prepare(model)
@@ -208,7 +216,7 @@ def test_warm_start_matches_cold_solve_and_oracle(seed, dependent, monkeypatch):
             cut_model.add_constraint([(j, float(g[j])) for j in range(n)], LE, rhs)
             check(warm, cold, cut_model, (g, shift))
     assert {simplex.OPTIMAL, simplex.INFEASIBLE} <= statuses
-    assert cleanup_pivoted and not any(cleanup_pivoted)
+    assert rounds and max(rounds) <= 2
 
 
 def _unboxed_lp(rng: np.random.Generator, n_vars=5, n_cons=4) -> tuple[Model, Model]:
@@ -219,7 +227,8 @@ def _unboxed_lp(rng: np.random.Generator, n_vars=5, n_cons=4) -> tuple[Model, Mo
     The last row, the sum of the [0, inf) columns minus the sum of the
     (-inf, u] columns <= cap, keeps the region finite.  Costs have mixed
     signs; the first [0, inf) column costs less than 0 and the first
-    (-inf, u] column more, so both are dual infeasible in the slack basis.
+    (-inf, u] column more, so both push toward the infinite bound that the
+    last row, or in the twin a wide box, keeps finite.
     """
     kinds = ["up", "down"] + [str(k) for k in rng.choice(["up", "down", "box"], n_vars - 2)]
     costs = rng.normal(size=n_vars)
@@ -266,27 +275,54 @@ def _unboxed_lp(rng: np.random.Generator, n_vars=5, n_cons=4) -> tuple[Model, Mo
 
 @pytest.mark.parametrize("seed", range(20))
 def test_unboxed_columns_start_from_a_cost_shift(seed, monkeypatch):
-    # The dual simplex needs a dual feasible start: an unboxed column with a
-    # wrong-signed reduced cost cannot flip to its other bound, so its cost
-    # is shifted for the dual phase, and the primal phase restores it.
+    # Unboxed columns are refused.  Their boxed twin has wide boxes and
+    # negative lower bounds, and every column of negative cost is
+    # wrong-signed at its lower bound in the slack basis: bound flips alone,
+    # with the true costs and no cost shift, must make the start of the
+    # dual simplex dual feasible.
     dual = simplex._dual_simplex
-    shifted = []
+    starts = []
 
-    def checking_dual(a, b, c, lo, hi, basis, state, x, binv, d):
+    def checking_dual(a, b, c, lo, hi, basis, state, x, binv, d, max_iter):
+        np.testing.assert_allclose(c[: len(costs)], costs)
         np.testing.assert_allclose(d, c - (c[basis] @ binv) @ a, atol=1e-9)
         free = lo < hi
         assert np.all(d[(state == simplex._AT_LOWER) & free] >= -1e-9)
         assert np.all(d[(state == simplex._AT_UPPER) & free] <= 1e-9)
-        shifted.append(not np.array_equal(c[: len(costs)], costs))
-        return dual(a, b, c, lo, hi, basis, state, x, binv, d)
+        starts.append(state.copy())
+        return dual(a, b, c, lo, hi, basis, state, x, binv, d, max_iter)
 
     monkeypatch.setattr(simplex, "_dual_simplex", checking_dual)
     model, boxed = _unboxed_lp(np.random.default_rng(1300 + seed))
-    costs = simplex.prepare(model).costs
-    got = simplex.solve_lp(model)
-    assert shifted == [True]
+    with pytest.raises(ValueError, match="finite"):
+        simplex.solve_lp(model)
+    costs = simplex.prepare(boxed).costs
+    got = simplex.solve_lp(boxed)
+    # The first round starts with exactly the negative-cost columns flipped
+    # to their upper bound.
+    assert np.array_equal(starts[0][: len(costs)] == simplex._AT_UPPER, costs < 0)
     want_status, want_obj, _ = lp_vertex_optimum(boxed)
     assert got.status == want_status == simplex.OPTIMAL
     assert got.objective == pytest.approx(want_obj, rel=1e-9, abs=1e-9)
-    _, violations = evaluate(model, got.assignment, tol=1e-6)
+    _, violations = evaluate(boxed, got.assignment, tol=1e-6)
     assert violations == []
+
+
+def test_foreign_basis_with_wrong_signed_slack_is_refused():
+    # The optimal basis of min -x over x <= 5 leaves the row's slack
+    # nonbasic at 0; under min x its reduced cost is negative, and a
+    # [0, inf) slack has no other bound to flip to.
+    def lp(cost):
+        m = Model()
+        x = m.add_variable("x", CONTINUOUS, 0, 10)
+        m.set_objective_coef(x, cost)
+        m.add_constraint([(x, 1.0)], LE, 5.0)
+        return m
+
+    maximize = simplex.solve_lp(lp(-1.0))
+    assert maximize.objective == pytest.approx(-5.0)
+    model = lp(1.0)
+    with pytest.raises(ArithmeticError, match="dual feasible"):
+        simplex.solve_prepared(simplex.prepare(model), *simplex.model_bounds(model),
+                               maximize.basis)
+    assert simplex.solve_lp(model).objective == pytest.approx(0.0)
