@@ -474,11 +474,8 @@ def conflict_pairs(instance: Instance) -> set[tuple[tuple[str, str], tuple[str, 
         a2 = np.array([w.fading[f2, u] for u in users2])
         b2 = np.array([w.fading[f1, u] for u in users2])
         feasible = _pair_block_feasible(a1, b1, a2, b2, w)
-        for i, j in zip(*np.nonzero(~feasible)):
-            u1, u2 = users1[int(i)], users2[int(j)]
-            if (f1, u1) == (f2, u2):
-                continue
-            out.add(tuple(sorted(((f1, u1), (f2, u2)))))
+        # f1 < f2, so each pair is already in canonical order.
+        out.update(((f1, users1[i]), (f2, users2[j])) for i, j in zip(*np.nonzero(~feasible)))
     return out
 
 

@@ -1,8 +1,15 @@
 """Bundled reference LP solver: bounded dual simplex over boxed columns.
 
 Dense algebra throughout, sized for desk-scale models (hundreds to a few
-thousand rows).  The basis inverse is kept explicitly, updated in product
-form after each pivot, and refactorized periodically.
+thousand rows).  Each row has a slack column, but the unit columns ``I`` of
+``[rows | I]`` are never built: prices, pivot rows and entering columns are
+read off ``rows`` and the basis inverse.  That inverse is kept explicitly,
+updated in product form after each pivot (only on the entries the pivot
+changes), and refactorized periodically.  A refactorization inverts only
+the kernel of the basis, the rows whose slack is nonbasic against the basic
+structural columns, and derives the basic slacks' rows of the inverse from
+it (Koberstein, PhD thesis, Paderborn 2005; Bixby, Oper. Res. 50, 2002).
+The slack basis of a cold start has an empty kernel and factorizes nothing.
 
 :func:`prepare` builds the dense row data once; :func:`solve_prepared`
 solves it under caller-supplied variable bounds, which is what lets the
@@ -25,10 +32,14 @@ rounds of four steps: refactorize the basis, recompute the reduced costs
 from scratch, flip each wrong-signed nonbasic column to its other bound, and
 run a bounded dual simplex until the basics are within their bounds (a row
 it cannot repair proves the bounds infeasible).  It stops after a round
-whose dual simplex makes no pivot, so the reported point and its reduced
-costs come from a fresh factorization.  Reaching the iteration cap, a
-nonbasic slack with a wrong-signed reduced cost, or a final point outside
-its bounds raises :class:`ArithmeticError`.
+whose dual simplex makes no pivot, which priced a fresh factorization, or
+after a round whose updated factorization passes a certificate checked
+against the raw rows: the point satisfies ``rows x + slack = b`` to 1e-9
+relative, and the duals ``c_B B^-1`` price every basic column to zero and
+every nonbasic column that can move with the right sign.  A round that
+fails the certificate is followed by another on a fresh factorization.
+Reaching the iteration cap, a nonbasic slack with a wrong-signed reduced
+cost, or a final point outside its bounds raises :class:`ArithmeticError`.
 """
 
 from __future__ import annotations
@@ -166,72 +177,68 @@ def solve_prepared(prep: PreparedLp, lo: np.ndarray, hi: np.ndarray,
     return LpResult(OPTIMAL, objective, assignment, end)
 
 
-def _columns(prep: PreparedLp, lo_s: np.ndarray, hi_s: np.ndarray):
-    """Matrix, bounds and costs over [structural | one slack per row].
-
-    Slacks are [0, inf) for <= rows and fixed [0, 0] for = rows.
-    """
-    m = len(prep.rhs)
-    a = np.hstack([prep.rows, np.eye(m)])
-    lo = np.concatenate([lo_s, np.zeros(m)])
-    hi = np.concatenate([hi_s, np.where(prep.is_eq, 0.0, math.inf)])
-    cost = np.concatenate([prep.costs, np.zeros(m)])
-    return a, lo, hi, cost
-
-
-def _max_iter(a: np.ndarray) -> int:
-    """The number of dual simplex pivots one solve may make in all."""
-    return 50_000 + 60 * sum(a.shape)
+def _max_iter(rows: np.ndarray) -> int:
+    """The number of dual simplex pivots one solve may make in all: 60 per
+    row and column of ``[rows | I]``, plus a constant."""
+    m, n = rows.shape
+    return 50_000 + 60 * (2 * m + n)
 
 
 def _solve(prep: PreparedLp, lo_s: np.ndarray, hi_s: np.ndarray, start: Basis):
-    """Rounds of refactorization, bound flips and dual simplex from `start`,
-    until a round makes no pivot."""
-    n = prep.rows.shape[1]
-    a, lo, hi, cost = _columns(prep, lo_s, hi_s)
+    """Rounds of bound flips and dual simplex from `start`, until a round
+    makes no pivot or ends on a certified point."""
+    rows, b = prep.rows, prep.rhs
+    m, n = rows.shape
+    # Slacks are [0, inf) for <= rows and fixed [0, 0] for = rows.
+    lo = np.concatenate([lo_s, np.zeros(m)])
+    hi = np.concatenate([hi_s, np.where(prep.is_eq, 0.0, math.inf)])
+    cost = np.concatenate([prep.costs, np.zeros(m)])
     basis = start.basic.copy()
     state = start.state.copy()
     x = np.where(state == _AT_UPPER, hi, lo)
-    budget = _max_iter(a)
+    budget = _max_iter(rows)
+    binv = _invert(rows, basis)
     while True:
-        binv = np.linalg.inv(a[:, basis])
-        d = cost - (cost[basis] @ binv) @ a
-        upper = state == _AT_UPPER
-        wrong = (state != _BASIC) & (lo < hi) & np.where(upper, d > _DTOL, d < -_DTOL)
+        d = _reduced_costs(rows, cost, basis, binv)
+        wrong = _wrong_signed(d, state, lo, hi)
         if wrong.any():
             # Only the [0, inf) slack of a <= row has no other bound.
             if np.any(wrong & (hi == math.inf)):
                 raise ArithmeticError("start basis is not dual feasible: "
                                       "a nonbasic slack has a negative reduced cost")
-            state[wrong] = np.where(upper[wrong], _AT_LOWER, _AT_UPPER)
-            x[wrong] = np.where(upper[wrong], lo[wrong], hi[wrong])
-        _recompute_basics(a, prep.rhs, basis, state, x, binv)
-        status, pivots = _dual_simplex(a, prep.rhs, cost, lo, hi, basis, state, x, binv, d,
-                                       budget)
+            upper = state[wrong] == _AT_UPPER
+            state[wrong] = np.where(upper, _AT_LOWER, _AT_UPPER)
+            x[wrong] = np.where(upper, lo[wrong], hi[wrong])
+        _recompute_basics(rows, b, basis, state, x, binv)
+        status, pivots, binv = _dual_simplex(rows, b, cost, lo, hi, basis, state, x, binv, d,
+                                             budget)
         if status == INFEASIBLE:
             return INFEASIBLE, None, None
-        if not pivots:
+        if not pivots or _certified(rows, b, cost, lo, hi, basis, state, x, binv):
             break
         budget -= pivots
+        binv = _invert(rows, basis)
     tol = _FEASTOL * np.maximum(1.0, np.abs(x))
     if np.any(x < lo - tol) or np.any(x > hi + tol):
         raise ArithmeticError("simplex final point violates its bounds")
     return OPTIMAL, x[:n].copy(), Basis(basis, state)
 
 
-def _dual_simplex(a, b, c, lo, hi, basis, state, x, binv, d, max_iter):
+def _dual_simplex(rows, b, c, lo, hi, basis, state, x, binv, d, max_iter):
     """Bounded dual simplex from a dual feasible basis with reduced costs `d`,
     making at most `max_iter` pivots.
 
-    Returns (OPTIMAL, pivots) once every basic lies within its bounds and
-    (INFEASIBLE, pivots) when a violated row has no entering column.
+    Returns (OPTIMAL, pivots, binv) once every basic lies within its bounds
+    and (INFEASIBLE, pivots, binv) when a violated row has no entering
+    column; `binv` is the inverse of the final basis as updated.
     """
+    n = rows.shape[1]
     fixed = lo == hi
     for it in range(max_iter + 1):
         if it and it % _REFACTOR_EVERY == 0:
-            binv = np.linalg.inv(a[:, basis])
-            _recompute_basics(a, b, basis, state, x, binv)
-            d = c - (c[basis] @ binv) @ a
+            binv = _invert(rows, basis)
+            _recompute_basics(rows, b, basis, state, x, binv)
+            d = _reduced_costs(rows, c, basis, binv)
 
         bx = x[basis]
         below = lo[basis] - bx
@@ -239,7 +246,7 @@ def _dual_simplex(a, b, c, lo, hi, basis, state, x, binv, d, max_iter):
         viol = np.maximum(below, above)
         viol[viol <= _DUAL_FEASTOL * np.maximum(1.0, np.abs(bx))] = 0.0
         if not viol.any():
-            return OPTIMAL, it
+            return OPTIMAL, it, binv
         if it == max_iter:
             break
         r = int(np.argmax(viol))
@@ -249,20 +256,20 @@ def _dual_simplex(a, b, c, lo, hi, basis, state, x, binv, d, max_iter):
 
         # Entering columns move the leaving basic toward its violated bound
         # and keep every reduced cost on its side of zero.
-        alpha = binv[r] @ a
+        alpha = np.concatenate([binv[r] @ rows, binv[r]])
         s_alpha = alpha if increase else -alpha
         at_lower = state == _AT_LOWER
         eligible = ~fixed & np.where(at_lower, s_alpha < -_PIVTOL,
                                      (state == _AT_UPPER) & (s_alpha > _PIVTOL))
         cand = np.flatnonzero(eligible)
         if not len(cand):
-            return INFEASIBLE, it
+            return INFEASIBLE, it, binv
         slack_d = np.maximum(np.where(at_lower[cand], d[cand], -d[cand]), 0.0)
         ratios = slack_d / np.abs(alpha[cand])
         near = cand[ratios <= ratios.min() + 1e-12]
         q = int(near[np.argmax(np.abs(alpha[near]))])
 
-        w = binv @ a[:, q]
+        w = binv @ rows[:, q] if q < n else binv[:, q - n].copy()
         step = (x[leave] - target) / w[r]
         x[basis] = bx - step * w
         x[q] += step
@@ -272,25 +279,87 @@ def _dual_simplex(a, b, c, lo, hi, basis, state, x, binv, d, max_iter):
         state[leave] = _AT_LOWER if increase else _AT_UPPER
         basis[r] = q
         state[q] = _BASIC
-        binv = _replace_column(a, b, basis, state, x, binv, w, r)
+        binv = _replace_column(rows, b, basis, state, x, binv, w, r)
     raise ArithmeticError("dual simplex iteration limit exceeded")
 
 
-def _replace_column(a, b, basis, state, x, binv, w, r) -> np.ndarray:
+def _invert(rows: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The inverse of the basis `basis` over ``[rows | I]``, from the inverse
+    of its structural kernel alone.
+
+    Each row whose slack is basic is solved by that slack.  The k other rows
+    and the k basic structural columns form the kernel K.  A basic
+    structural's row of B^-1 is its row of K^-1 on the kernel rows and zero
+    elsewhere; a basic slack's row is its unit vector minus its row's
+    structural coefficients times K^-1.  The slack basis has k = 0 and
+    inverts nothing.  A singular kernel raises
+    :class:`numpy.linalg.LinAlgError`.
+    """
+    m, n = rows.shape
+    is_slack = basis >= n
+    at_l = np.flatnonzero(is_slack)     # basis positions of the slacks
+    l_rows = basis[at_l] - n
+    binv = np.zeros((m, m))
+    binv[at_l, l_rows] = 1.0
+    if len(at_l) < m:
+        k_rows = np.ones(m, dtype=bool)
+        k_rows[l_rows] = False
+        cols = rows[:, basis[~is_slack]]
+        kinv = np.linalg.inv(cols[k_rows])
+        block = np.empty((m, len(kinv)))     # B^-1 on the kernel rows
+        block[~is_slack] = kinv
+        block[at_l] = -cols[l_rows] @ kinv
+        binv[:, k_rows] = block
+    return binv
+
+
+def _replace_column(rows, b, basis, state, x, binv, w, r) -> np.ndarray:
     """B^-1 after row r's basic column was replaced by the column whose
     image under the old B^-1 is `w` (`basis` already updated): a
     product-form update, or a refactorization when the pivot is tiny."""
     piv = w[r]
     if abs(piv) < 1e-11:
-        binv = np.linalg.inv(a[:, basis])
-        _recompute_basics(a, b, basis, state, x, binv)
+        binv = _invert(rows, basis)
+        _recompute_basics(rows, b, basis, state, x, binv)
         return binv
     row = binv[r, :] / piv
-    binv -= np.outer(w, row)
+    # Only the entries in the nonzero rows of w and nonzero columns of row
+    # change; slack-heavy bases leave both sparse.
+    rw, cr = np.flatnonzero(w), np.flatnonzero(row)
+    binv[np.ix_(rw, cr)] -= np.outer(w[rw], row[cr])
     binv[r, :] = row
     return binv
 
 
-def _recompute_basics(a, b, basis, state, x, binv) -> None:
-    nonbasic = state != _BASIC
-    x[basis] = binv @ (b - a[:, nonbasic] @ x[nonbasic])
+def _reduced_costs(rows, c, basis, binv) -> np.ndarray:
+    """``c - y [rows | I]`` for the duals ``y = c_B B^-1``."""
+    y = c[basis] @ binv
+    return c - np.concatenate([y @ rows, y])
+
+
+def _wrong_signed(d, state, lo, hi) -> np.ndarray:
+    """The nonbasic columns that can move and whose reduced cost `d` has the
+    wrong sign for the bound they sit at."""
+    return ((state != _BASIC) & (lo < hi)
+            & np.where(state == _AT_UPPER, d > _DTOL, d < -_DTOL))
+
+
+def _certified(rows, b, c, lo, hi, basis, state, x, binv) -> bool:
+    """Whether the factorization `binv` and the point `x`, whose basics the
+    dual simplex has put within their bounds, prove the basis optimal when
+    checked against the raw rows: ``rows x_s + x_slack = b`` holds to 1e-9
+    relative, the duals ``c_B B^-1`` price every basic column to zero and
+    every nonbasic column that can move has the right sign."""
+    n = rows.shape[1]
+    residual = np.abs(rows @ x[:n] + x[n:] - b).max(initial=0.0)
+    if residual > 1e-9 * max(1.0, np.abs(b).max(initial=0.0)):
+        return False
+    d = _reduced_costs(rows, c, basis, binv)
+    return bool(np.all(np.abs(d[basis]) <= _DTOL)) and not _wrong_signed(d, state, lo, hi).any()
+
+
+def _recompute_basics(rows, b, basis, state, x, binv) -> None:
+    """The basics from the nonbasic structurals; nonbasic slacks are 0."""
+    n = rows.shape[1]
+    x_n = np.where(state[:n] == _BASIC, 0.0, x[:n])
+    x[basis] = binv @ (b - rows @ x_n)

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from confl3 import simplex
+from confl3.confl import build_3confl
+from confl3.instance_io import generate
 from confl3.milp import BINARY, CONTINUOUS, EQ, GE, LE, Model, evaluate
 
+from instances import DESK
 from oracles import lp_vertex_optimum
 
 
@@ -151,10 +154,10 @@ def _bound_cuts(x, lo, hi):
 @pytest.mark.parametrize("dependent", [False, True])
 @pytest.mark.parametrize("seed", range(10))
 def test_warm_start_matches_cold_solve_and_oracle(seed, dependent, monkeypatch):
-    # The dual ratio test keeps every reduced cost on its side, so after the
-    # round that reaches primal feasibility, one more round on a fresh
-    # factorization only confirms optimality: no solve, warm or cold, needs
-    # more than two rounds.
+    # The dual ratio test keeps every reduced cost on its side, so the round
+    # that reaches primal feasibility either passes the certificate or is
+    # followed by one round on a fresh factorization that only confirms
+    # optimality: no solve, warm or cold, needs more than two rounds.
     rounds = []
     solve, dual = simplex.solve_prepared, simplex._dual_simplex
 
@@ -283,14 +286,15 @@ def test_unboxed_columns_start_from_a_cost_shift(seed, monkeypatch):
     dual = simplex._dual_simplex
     starts = []
 
-    def checking_dual(a, b, c, lo, hi, basis, state, x, binv, d, max_iter):
+    def checking_dual(rows, b, c, lo, hi, basis, state, x, binv, d, max_iter):
+        a = np.hstack([rows, np.eye(len(b))])
         np.testing.assert_allclose(c[: len(costs)], costs)
         np.testing.assert_allclose(d, c - (c[basis] @ binv) @ a, atol=1e-9)
         free = lo < hi
         assert np.all(d[(state == simplex._AT_LOWER) & free] >= -1e-9)
         assert np.all(d[(state == simplex._AT_UPPER) & free] <= 1e-9)
         starts.append(state.copy())
-        return dual(a, b, c, lo, hi, basis, state, x, binv, d, max_iter)
+        return dual(rows, b, c, lo, hi, basis, state, x, binv, d, max_iter)
 
     monkeypatch.setattr(simplex, "_dual_simplex", checking_dual)
     model, boxed = _unboxed_lp(np.random.default_rng(1300 + seed))
@@ -326,3 +330,112 @@ def test_foreign_basis_with_wrong_signed_slack_is_refused():
         simplex.solve_prepared(simplex.prepare(model), *simplex.model_bounds(model),
                                maximize.basis)
     assert simplex.solve_lp(model).objective == pytest.approx(0.0)
+
+
+def _full_inverse(rows, basis):
+    return np.linalg.inv(np.hstack([rows, np.eye(len(rows))])[:, basis])
+
+
+def test_kernel_inverse_matches_the_full_basis_inverse(monkeypatch):
+    rng = np.random.default_rng(5)
+    m, n = 6, 9
+    rows = rng.normal(size=(m, n))
+
+    def refused(a):
+        raise AssertionError("the slack basis was factorized")
+
+    # k = 0: a slack basis inverts without a factorization, to the identity
+    # or, permuted, to its transpose.
+    permuted = n + rng.permutation(m)
+    want = _full_inverse(rows, permuted)
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "inv", refused)
+        np.testing.assert_array_equal(simplex._invert(rows, n + np.arange(m)), np.eye(m))
+        np.testing.assert_array_equal(simplex._invert(rows, permuted), want)
+
+    bases = [rng.choice(n, m, replace=False) for _ in range(5)]          # k = m
+    bases += [rng.choice(n + m, m, replace=False) for _ in range(30)]    # mixed
+    # The optimal basis of an LP whose repeated equality row keeps its
+    # fixed slack basic.
+    model = _feasible_lp(np.random.default_rng(900), dependent=True)
+    prep = simplex.prepare(model)
+    root = simplex.solve_lp(model)
+    n_eq = len(model.variables)
+    assert any(col >= n_eq and prep.is_eq[col - n_eq] for col in root.basis.basic)
+    cases = [(rows, basis) for basis in bases] + [(prep.rows, root.basis.basic)]
+    for case_rows, basis in cases:
+        want = _full_inverse(case_rows, basis)
+        np.testing.assert_allclose(simplex._invert(case_rows, basis), want,
+                                   rtol=1e-9, atol=1e-12 * np.abs(want).max())
+
+
+def test_singular_kernel_raises():
+    # Column 0 is zero on every row whose slack is nonbasic, so it is a
+    # multiple of row 0's basic slack and the kernel has a zero column.
+    rows = np.arange(1.0, 13.0).reshape(3, 4)
+    rows[1:, 0] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        simplex._invert(rows, np.array([4, 0, 1]))
+
+
+def test_cold_solve_factorizes_only_basic_structurals(monkeypatch):
+    # Every factorization inverts the kernel of the basic structurals and
+    # nothing larger; the first, of the slack basis, inverts nothing.  A
+    # short refactorization period makes the solve refactorize mid-way.
+    inverted, factorizations = [], []
+    inv, invert = np.linalg.inv, simplex._invert
+
+    def recording_inv(a):
+        inverted.append(len(a))
+        return inv(a)
+
+    def recording_invert(rows, basis):
+        before = len(inverted)
+        out = invert(rows, basis)
+        factorizations.append((int(np.sum(basis < rows.shape[1])), inverted[before:]))
+        return out
+
+    model = build_3confl(generate(replace(DESK, grid_width=6, grid_height=4, n_facilities=4),
+                                  seed=0)).model
+    prep = simplex.prepare(model)
+    monkeypatch.setattr(np.linalg, "inv", recording_inv)
+    monkeypatch.setattr(simplex, "_invert", recording_invert)
+    monkeypatch.setattr(simplex, "_REFACTOR_EVERY", 20)
+    lo, hi = simplex.model_bounds(model)
+    assert simplex.solve_prepared(prep, lo, hi).status == simplex.OPTIMAL
+    assert factorizations[0] == (0, [])
+    assert len(factorizations) > 3
+    assert len(inverted) == sum(len(sizes) for _, sizes in factorizations)
+    for structurals, sizes in factorizations[1:]:
+        assert sizes == [structurals] and structurals < len(prep.rhs)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_corrupted_update_is_caught_by_the_certificate(seed, monkeypatch):
+    # Throughout the first round each product-form update leaves one entry
+    # of B^-1 off by 1e-3.  The certificate checks the point and the duals
+    # against the raw rows, so it must refuse that round; the refactorized
+    # round after it must reach the vertex optimum.
+    replace_column, dual = simplex._replace_column, simplex._dual_simplex
+    rounds = []
+
+    def corrupting_replace(rows, b, basis, state, x, binv, w, r):
+        binv = replace_column(rows, b, basis, state, x, binv, w, r)
+        if len(rounds) == 1:
+            binv[r, r] += 1e-3
+        return binv
+
+    def counting_dual(*args):
+        rounds.append(0)
+        return dual(*args)
+
+    monkeypatch.setattr(simplex, "_replace_column", corrupting_replace)
+    monkeypatch.setattr(simplex, "_dual_simplex", counting_dual)
+    model = _feasible_lp(np.random.default_rng(1700 + seed), dependent=False)
+    got = simplex.solve_lp(model)
+    assert len(rounds) == 2
+    want_status, want_obj, _ = lp_vertex_optimum(model)
+    assert got.status == want_status == simplex.OPTIMAL
+    assert got.objective == pytest.approx(want_obj, rel=1e-9, abs=1e-9)
+    _, violations = evaluate(model, got.assignment, tol=1e-6)
+    assert violations == []
