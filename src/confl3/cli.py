@@ -198,9 +198,8 @@ def _cmd_solve(args) -> int:
         },
     }
     if result.status == "feasible":
-        confl = build_3confl(instance)
-        doc["assignment"] = _named_assignment(confl.model, result.assignment)
-        doc["verified"] = verify_solution(instance, confl, result.assignment).feasible
+        doc["assignment"] = _named_assignment(result.confl.model, result.assignment)
+        doc["verified"] = verify_solution(instance, result.confl, result.assignment).feasible
         if not doc["verified"]:
             logger.warning("solution failed independent verification")
     _write(args.output, json.dumps(doc, indent=1, sort_keys=True))

@@ -229,6 +229,28 @@ class ConflModel:
     strengthening_rows: int = 0
 
 
+class _RowBatch:
+    """Rows collected one by one and appended to a model with one
+    :meth:`Model.add_rows` call, which checks them all at once."""
+
+    def __init__(self):
+        self.cols: list[list[int]] = []
+        self.coefs: list[list[float]] = []
+        self.senses: list[str] = []
+        self.rhs: list[float] = []
+        self.tags: list[str] = []
+
+    def add(self, terms: list[tuple[int, float]], sense: str, rhs: float, tag: str) -> None:
+        self.cols.append([vid for vid, _ in terms])
+        self.coefs.append([coef for _, coef in terms])
+        self.senses.append(sense)
+        self.rhs.append(rhs)
+        self.tags.append(tag)
+
+    def append_to(self, model: Model) -> None:
+        model.add_rows(self.cols, self.coefs, self.senses, self.rhs, self.tags)
+
+
 def _build(instance: Instance, technologies: tuple[int, ...]) -> ConflModel:
     validate_instance(instance)
     m = Model()
@@ -266,9 +288,10 @@ def _build(instance: Instance, technologies: tuple[int, ...]) -> ConflModel:
                 f"phi_{tail}_{head}_{f.id}", CONTINUOUS, 0.0, 1.0
             )
 
+    rows = _RowBatch()
     # Facility opens on at most one technology.
     for f in instance.facilities:
-        m.add_constraint(
+        rows.add(
             [(z[f.id, t], 1.0) for t in technologies], LE, 1.0, f"SINGLE_TECH({f.id})"
         )
 
@@ -281,11 +304,11 @@ def _build(instance: Instance, technologies: tuple[int, ...]) -> ConflModel:
                 if a.user == u.id
             ]
             terms.append((v[u.id, t], -1.0))
-            m.add_constraint(terms, EQ, 0.0, f"ASSIGN({u.id},t{t})")
+            rows.add(terms, EQ, 0.0, f"ASSIGN({u.id},t{t})")
 
     # Assignment arcs only out of facilities opened on that technology.
     for (fid, uid, t), yid in y.items():
-        m.add_constraint([(yid, 1.0), (z[fid, t], -1.0)], LE, 0.0, f"LINK({fid},{uid},t{t})")
+        rows.add([(yid, 1.0), (z[fid, t], -1.0)], LE, 0.0, f"LINK({fid},{uid},t{t})")
 
     # Coverage requirement; users on a better technology tau <= t count too.
     for t in technologies:
@@ -296,7 +319,7 @@ def _build(instance: Instance, technologies: tuple[int, ...]) -> ConflModel:
             if tau <= t
         ]
         if terms:
-            m.add_constraint(terms, GE, instance.coverage_thresholds[t], f"COVER(t{t})")
+            rows.add(terms, GE, instance.coverage_thresholds[t], f"COVER(t{t})")
 
     # Unit of flow from the artificial root to each opened facility,
     # one commodity per facility.
@@ -317,17 +340,18 @@ def _build(instance: Instance, technologies: tuple[int, ...]) -> ConflModel:
                 terms += [(z[f.id, t], 1.0) for t in technologies]
             elif node == f.id:
                 terms += [(z[f.id, t], -1.0) for t in technologies]
-            m.add_constraint(terms, EQ, 0.0, f"FLOW({f.id},{node})")
+            rows.add(terms, EQ, 0.0, f"FLOW({f.id},{node})")
 
     # Flow only on installed arcs.
     for tail, head, _ in arcs:
         for f in instance.facilities:
-            m.add_constraint(
+            rows.add(
                 [(flow[tail, head, f.id], 1.0), (x[tail, head], -1.0)],
                 LE,
                 0.0,
                 f"CAP({tail},{head},{f.id})",
             )
+    rows.append_to(m)
 
     return ConflModel(instance, technologies, m, arcs, z, x, y, v, flow)
 
@@ -357,6 +381,7 @@ def build_3confl(instance: Instance) -> ConflModel:
     for f in instance.facilities:
         confl.power[f.id] = m.add_variable(f"p_{f.id}", CONTINUOUS, 0.0, w.p_max)
 
+    rows = _RowBatch()
     # SIR rows, deactivated through big-M when the assignment is off.
     for (fid, uid, t), yid in confl.y.items():
         if t != TECH_WIRELESS:
@@ -370,14 +395,15 @@ def build_3confl(instance: Instance) -> ConflModel:
             if a_ku != 0.0:
                 terms.append((confl.power[k.id], -w.delta * a_ku))
         terms.append((yid, -m_fu))
-        m.add_constraint(terms, GE, w.delta * w.eta_noise - m_fu, f"SIR({fid},{uid})")
+        rows.add(terms, GE, w.delta * w.eta_noise - m_fu, f"SIR({fid},{uid})")
 
     # Semi-continuous power: p_min z <= p <= p_max z.
     for f in instance.facilities:
         pid = confl.power[f.id]
         zid = confl.z[f.id, TECH_WIRELESS]
-        m.add_constraint([(pid, 1.0), (zid, -w.p_max)], LE, 0.0, f"PMAX({f.id})")
-        m.add_constraint([(pid, 1.0), (zid, -w.p_min)], GE, 0.0, f"PMIN({f.id})")
+        rows.add([(pid, 1.0), (zid, -w.p_max)], LE, 0.0, f"PMAX({f.id})")
+        rows.add([(pid, 1.0), (zid, -w.p_min)], GE, 0.0, f"PMIN({f.id})")
+    rows.append_to(m)
 
     return confl
 
@@ -451,60 +477,73 @@ def _pair_block_feasible(a1, b1, a2, b2, w: WirelessParams) -> np.ndarray:
     return feasible
 
 
-def conflict_pairs(instance: Instance) -> set[tuple[tuple[str, str], tuple[str, str]]]:
+def conflict_pairs(instance: Instance) -> np.ndarray:
     """Pairs of wireless service requirements that no in-bounds power vector
-    satisfies together.  Each returned pair is canonically ordered.
+    satisfies together, as a (k, 2) array of positions in
+    ``instance.assignment_arcs[TECH_WIRELESS]``.
 
-    One vectorized candidate-vertex evaluation per facility pair keeps the
-    preprocessing cheap even on full-size testpoint grids.
+    Each pair puts the arc of the smaller facility id first, and the pairs
+    are sorted by the ids (f1, u1, f2, u2) as strings: the order of sorting
+    the id tuples, in which "u10" comes before "u2".  One vectorized
+    candidate-vertex evaluation per facility pair keeps the preprocessing
+    cheap even on full-size testpoint grids.
     """
     w = instance.wireless
     if w is None:
         raise ValueError("conflict_pairs requires wireless parameters")
-    served: dict[str, list[str]] = {}
-    for a in instance.assignment_arcs.get(TECH_WIRELESS, []):
-        served.setdefault(a.facility, []).append(a.user)
-    out: set[tuple[tuple[str, str], tuple[str, str]]] = set()
+    arcs = instance.assignment_arcs.get(TECH_WIRELESS, [])
+    served: dict[str, list[int]] = {}
+    for pos, a in enumerate(arcs):
+        served.setdefault(a.facility, []).append(pos)
     fac_ids = sorted(served)
+    blocks = [np.empty((0, 2), dtype=np.int64)]
     for f1, f2 in itertools.combinations(fac_ids, 2):
-        users1 = served[f1]
-        users2 = served[f2]
+        pos1 = np.array(served[f1])
+        pos2 = np.array(served[f2])
+        users1 = [arcs[p].user for p in served[f1]]
+        users2 = [arcs[p].user for p in served[f2]]
         a1 = np.array([w.fading[f1, u] for u in users1])
         b1 = np.array([w.fading[f2, u] for u in users1])
         a2 = np.array([w.fading[f2, u] for u in users2])
         b2 = np.array([w.fading[f1, u] for u in users2])
-        feasible = _pair_block_feasible(a1, b1, a2, b2, w)
+        i, j = np.nonzero(~_pair_block_feasible(a1, b1, a2, b2, w))
         # f1 < f2, so each pair is already in canonical order.
-        out.update(((f1, users1[i]), (f2, users2[j])) for i, j in zip(*np.nonzero(~feasible)))
-    return out
+        blocks.append(np.column_stack([pos1[i], pos2[j]]))
+    pairs = np.concatenate(blocks)
+    fac_rank = {f: k for k, f in enumerate(fac_ids)}
+    user_rank = {u: k for k, u in enumerate(sorted({a.user for a in arcs}))}
+    frank = np.array([fac_rank[a.facility] for a in arcs], dtype=np.int64)
+    urank = np.array([user_rank[a.user] for a in arcs], dtype=np.int64)
+    first, second = pairs.T
+    order = np.lexsort((urank[second], frank[second], urank[first], frank[first]))
+    return pairs[order]
 
 
 def strengthen(confl: ConflModel, instance: Instance) -> ConflModel:
     """Copy of the model with lone-blocker rows (y_fu3 + z_k3 <= 1) and
-    conflict rows (y_f1u1 + y_f2u2 <= 1) appended."""
+    conflict rows (y_f1u1 + y_f2u2 <= 1) appended, one bulk append per
+    family."""
     if TECH_WIRELESS not in confl.technologies:
         raise ValueError("strengthen expects a model built by build_3confl")
     m = confl.model.copy()
-    added = 0
+    super_cols: list[tuple[int, int]] = []
+    super_tags: list[str] = []
     for (fid, uid, t), yid in confl.y.items():
         if t != TECH_WIRELESS:
             continue
         for k in sorted(superinterferers(instance, uid, fid)):
-            m.add_constraint(
-                [(yid, 1.0), (confl.z[k, TECH_WIRELESS], 1.0)],
-                LE,
-                1.0,
-                f"SUPER({fid},{uid},{k})",
-            )
-            added += 1
-    for (f1, u1), (f2, u2) in sorted(conflict_pairs(instance)):
-        m.add_constraint(
-            [(confl.y[f1, u1, TECH_WIRELESS], 1.0), (confl.y[f2, u2, TECH_WIRELESS], 1.0)],
-            LE,
-            1.0,
-            f"CONF({f1},{u1},{f2},{u2})",
-        )
-        added += 1
+            super_cols.append((yid, confl.z[k, TECH_WIRELESS]))
+            super_tags.append(f"SUPER({fid},{uid},{k})")
+    arcs = instance.assignment_arcs.get(TECH_WIRELESS, [])
+    pairs = conflict_pairs(instance)
+    y_of_arc = np.array([confl.y[a.facility, a.user, TECH_WIRELESS] for a in arcs],
+                        dtype=np.int64)
+    ids = np.array([f"{a.facility},{a.user}" for a in arcs], dtype=object)
+    conf_tags = [f"CONF({first},{second})"
+                 for first, second in zip(ids[pairs[:, 0]].tolist(), ids[pairs[:, 1]].tolist())]
+    for cols, tags in ((np.reshape(super_cols, (-1, 2)), super_tags),
+                       (y_of_arc[pairs].reshape(-1, 2), conf_tags)):
+        m.add_rows(cols, np.ones(cols.shape), LE, 1.0, tags)
     return ConflModel(
         instance,
         confl.technologies,
@@ -516,7 +555,7 @@ def strengthen(confl: ConflModel, instance: Instance) -> ConflModel:
         confl.v,
         confl.flow,
         confl.power,
-        strengthening_rows=added,
+        strengthening_rows=len(super_tags) + len(conf_tags),
     )
 
 

@@ -141,6 +141,7 @@ class RunResult:
     gap: float | None
     trace: list[dict]
     iterations: int
+    confl: ConflModel                 # the plain model the assignment's ids refer to
 
 
 class HeuristicContext:
@@ -472,8 +473,8 @@ def run(instance: Instance, params: HeuristicParams) -> RunResult:
             best = improved
 
     if best is None:
-        return RunResult("no_solution", None, None, lower, None, trace, outer)
+        return RunResult("no_solution", None, None, lower, None, trace, outer, ctx.plain)
     objective = best.objective
     gap = 0.0 if objective <= 0 else ogap(objective, min(lower, objective))
     return RunResult("feasible", best.assignment, objective,
-                     min(lower, objective), gap, trace, outer)
+                     min(lower, objective), gap, trace, outer, ctx.plain)

@@ -1,17 +1,34 @@
 """Solver-agnostic MILP intermediate representation.
 
 A :class:`Model` is a flat list of variables (binary or continuous, with
-bounds), a list of linear constraints and a minimization objective.  Models
-are built through :meth:`Model.add_variable` / :meth:`Model.add_constraint`
+bounds), a block of linear rows and a minimization objective.  The rows are
+kept in one column-oriented store, not as one object per row: CSR-style row
+starts, column ids and coefficients, plus a sense, a right-hand side and a
+tag for each row.  :meth:`Model.add_constraint` appends one row and
+:meth:`Model.add_rows` appends many rows given as arrays; both run the same
+checks, and a failed check appends nothing.
+:meth:`Model.rows` hands the arrays to the consumers (:func:`evaluate`,
+:func:`export_lp_text`, ``simplex.prepare``), and :attr:`Model.constraints`
+is a read-only sequence that builds :class:`LinearConstraint` values on
+access.
+
+Models are built through :meth:`Model.add_variable` and the two row methods
 and treated as immutable afterwards: every transformation
-(:func:`lp_relaxation`, :func:`apply_fixings`) returns a fresh copy that
-shares the untouched constraint rows.
+(:func:`lp_relaxation`, :func:`apply_fixings`) returns a fresh copy.  Copies
+share the row store.  The store is append-only and each model sees only its
+own first rows, so a copy may append (as the strengthening does) without
+changing the original: a model whose rows are no longer the last ones of the
+store copies them into a store of its own before appending.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 BINARY = "binary"
 CONTINUOUS = "continuous"
@@ -19,7 +36,9 @@ CONTINUOUS = "continuous"
 LE = "<="
 EQ = "="
 GE = ">="
-SENSES = (LE, EQ, GE)
+SENSES = (LE, EQ, GE)   # a row's sense code is its index here
+
+_SENSE_CODE = {s: k for k, s in enumerate(SENSES)}
 
 
 @dataclass(frozen=True)
@@ -46,12 +65,124 @@ class LinearConstraint:
 Assignment = dict[int, float]
 
 
-@dataclass
+@dataclass(frozen=True)
+class Rows:
+    """The rows of a model as read-only arrays.  Row ``i`` has the entries
+    ``starts[i]:starts[i + 1]`` of `cols` and `coefs`, the sense
+    ``SENSES[sense[i]]`` and the right-hand side ``rhs[i]``."""
+
+    starts: np.ndarray   # (m + 1,) int64
+    cols: np.ndarray     # (nnz,) int64 variable ids
+    coefs: np.ndarray    # (nnz,)
+    sense: np.ndarray    # (m,) int8 sense codes
+    rhs: np.ndarray      # (m,)
+
+    def entry_rows(self) -> np.ndarray:
+        """The row of each entry of `cols` and `coefs`."""
+        return np.repeat(np.arange(len(self.rhs)), np.diff(self.starts))
+
+
+def _flatten(rows, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of k rows, row after row, and the length of each row."""
+    if isinstance(rows, np.ndarray) and rows.ndim == 2:
+        return np.asarray(rows, dtype=dtype).ravel(), np.full(len(rows), rows.shape[1])
+    lengths = np.array([len(row) for row in rows], dtype=np.int64)
+    entries = np.fromiter(itertools.chain.from_iterable(rows), dtype=dtype,
+                          count=int(lengths.sum()))
+    return entries, lengths
+
+
+class _RowStore:
+    """Append-only row arrays with spare capacity, shared by a model and its
+    copies.  The first `rows` rows are filled and never change; a model
+    appends in place only when its rows are those first `rows`."""
+
+    def __init__(self, rows: int = 0, nnz: int = 0):
+        self.starts = np.zeros(rows + 1, dtype=np.int64)
+        self.cols = np.empty(nnz, dtype=np.int64)
+        self.coefs = np.empty(nnz)
+        self.sense = np.empty(rows, dtype=np.int8)
+        self.rhs = np.empty(rows)
+        self.tags: list[str] = []
+        self.rows = 0
+
+    def extend(self, m: int, cols, coefs, lengths, sense, rhs, tags) -> "_RowStore":
+        """Append rows of the given `lengths`, whose entries `cols` and
+        `coefs` hold row after row, after the first `m` rows.  Returns the
+        store that holds them: this one when its rows end at `m` and it has
+        room, else a new one with the first `m` rows copied and room to
+        spare."""
+        k = len(lengths)
+        nnz = int(self.starts[m])
+        end = nnz + len(cols)
+        store = self
+        if m != self.rows or m + k > len(self.rhs) or end > len(self.cols):
+            store = _RowStore(max(m + k, 2 * m), max(end, 2 * nnz))
+            store.starts[:m + 1] = self.starts[:m + 1]
+            store.cols[:nnz] = self.cols[:nnz]
+            store.coefs[:nnz] = self.coefs[:nnz]
+            store.sense[:m] = self.sense[:m]
+            store.rhs[:m] = self.rhs[:m]
+            store.tags = self.tags[:m]
+        store.starts[m + 1:m + k + 1] = nnz + np.cumsum(lengths)
+        store.cols[nnz:end] = cols
+        store.coefs[nnz:end] = coefs
+        store.sense[m:m + k] = sense
+        store.rhs[m:m + k] = rhs
+        store.tags.extend(tags)
+        store.rows = m + k
+        return store
+
+    def row(self, i: int) -> LinearConstraint:
+        a, b = self.starts[i], self.starts[i + 1]
+        terms = tuple(zip(self.cols[a:b].tolist(), self.coefs[a:b].tolist()))
+        return LinearConstraint(terms, SENSES[self.sense[i]], float(self.rhs[i]), self.tags[i])
+
+
+class Constraints(Sequence):
+    """Read-only sequence of the first `m` rows of a store, as
+    :class:`LinearConstraint` values built on access."""
+
+    def __init__(self, store: _RowStore, m: int):
+        self._store = store
+        self._m = m
+
+    def __len__(self) -> int:
+        return self._m
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._store.row(k) for k in range(*i.indices(self._m))]
+        if i < 0:
+            i += self._m
+        if not 0 <= i < self._m:
+            raise IndexError("constraint index out of range")
+        return self._store.row(i)
+
+    def __iter__(self):
+        return (self._store.row(k) for k in range(self._m))
+
+
 class Model:
-    variables: list[Variable] = field(default_factory=list)
-    constraints: list[LinearConstraint] = field(default_factory=list)
-    objective: dict[int, float] = field(default_factory=dict)
-    _names: set[str] = field(default_factory=set, repr=False)
+    def __init__(self):
+        self.variables: list[Variable] = []
+        self.objective: dict[int, float] = {}
+        self._names: set[str] = set()
+        self._store = _RowStore()
+        self._m = 0     # rows of `_store` that belong to this model
+
+    @property
+    def constraints(self) -> Constraints:
+        return Constraints(self._store, self._m)
+
+    def rows(self) -> Rows:
+        """This model's rows as read-only views of the store's arrays."""
+        s, m = self._store, self._m
+        nnz = s.starts[m]
+        arrays = (s.starts[:m + 1], s.cols[:nnz], s.coefs[:nnz], s.sense[:m], s.rhs[:m])
+        for a in arrays:
+            a.flags.writeable = False
+        return Rows(*arrays)
 
     def add_variable(self, name: str, kind: str, lower: float, upper: float) -> int:
         if kind not in (BINARY, CONTINUOUS):
@@ -76,28 +207,71 @@ class Model:
         rhs: float,
         tag: str = "",
     ) -> int:
-        if sense not in SENSES:
-            raise ValueError(f"unknown constraint sense {sense!r}")
-        if not terms:
-            raise ValueError("constraint must have at least one term")
-        if not math.isfinite(rhs):
-            raise ValueError(f"non-finite right-hand side {rhs}")
-        seen: set[int] = set()
-        for vid, coef in terms:
-            if not 0 <= vid < len(self.variables):
-                raise ValueError(f"constraint references unknown variable id {vid}")
-            if vid in seen:
-                raise ValueError(
-                    f"duplicate variable {self.variables[vid].name!r} in constraint terms"
-                )
-            if not math.isfinite(coef):
-                raise ValueError(f"non-finite coefficient on {self.variables[vid].name!r}")
-            seen.add(vid)
-        cid = len(self.constraints)
-        self.constraints.append(
-            LinearConstraint(tuple((v, float(c)) for v, c in terms), sense, float(rhs), tag)
-        )
-        return cid
+        cols = [[vid for vid, _ in terms]]
+        coefs = [[coef for _, coef in terms]]
+        return self.add_rows(cols, coefs, sense, rhs, [tag])[0]
+
+    def add_rows(self, cols, coefs, sense, rhs, tags) -> range:
+        """Append k rows: row i is
+        ``sum_j coefs[i][j] * x[cols[i][j]]  sense[i]  rhs[i]``.
+
+        `cols` and `coefs` hold the terms of the rows, as (k, L) arrays or as
+        k sequences of any length; `sense` is one sense for every row or k of
+        them, `rhs` one value or k, and `tags` k strings.  The checks of
+        :meth:`add_constraint` run once over all rows; when one fails,
+        nothing is appended and the error names the first offending row by
+        the id it would have had.  Returns the ids of the new rows.
+        """
+        tags = list(tags)
+        k = len(tags)
+        cols, lengths = _flatten(cols, np.int64)
+        coefs, coef_lengths = _flatten(coefs, float)
+        if isinstance(sense, str):
+            senses = [sense] * k
+            codes = np.full(k, _SENSE_CODE.get(sense, -1), dtype=np.int8)
+        else:
+            senses = list(sense)
+            codes = np.array([_SENSE_CODE.get(s, -1) for s in senses], dtype=np.int8)
+        rhs = np.asarray(rhs, dtype=float)
+        rhs = np.full(k, rhs) if rhs.ndim == 0 else rhs
+        if (len(lengths) != k or not np.array_equal(lengths, coef_lengths)
+                or len(senses) != k or rhs.shape != (k,)):
+            raise ValueError("add_rows needs cols, coefs, senses and right-hand sides "
+                             "for each of its tags")
+        self._check_rows(cols, coefs, lengths, codes, senses, rhs, tags)
+        self._store = self._store.extend(self._m, cols, coefs, lengths, codes, rhs, tags)
+        self._m += k
+        return range(self._m - k, self._m)
+
+    def _check_rows(self, cols, coefs, lengths, codes, senses, rhs, tags) -> None:
+        """Raise ValueError for the first of these faults, naming the first
+        row that has it: an unknown sense, an empty row, a non-finite
+        right-hand side, an unknown variable id, a variable repeated within
+        a row, a non-finite coefficient."""
+        n = len(self.variables)
+        row_of = np.repeat(np.arange(len(lengths)), lengths)
+        # Sorted (row, variable) keys; equal neighbours repeat a variable.
+        keys = np.sort(row_of * n + cols)
+        faults = [
+            (np.flatnonzero(codes < 0),
+             lambda i: (i, f"unknown constraint sense {senses[i]!r}")),
+            (np.flatnonzero(lengths == 0),
+             lambda i: (i, "constraint must have at least one term")),
+            (np.flatnonzero(~np.isfinite(rhs)),
+             lambda i: (i, f"non-finite right-hand side {float(rhs[i])}")),
+            (np.flatnonzero((cols < 0) | (cols >= n)),
+             lambda e: (row_of[e], f"constraint references unknown variable id {cols[e]}")),
+            (keys[1:][keys[1:] == keys[:-1]],
+             lambda key: (key // n,
+                          f"duplicate variable {self.variables[key % n].name!r} in constraint terms")),
+            (np.flatnonzero(~np.isfinite(coefs)),
+             lambda e: (row_of[e], f"non-finite coefficient on {self.variables[cols[e]].name!r}")),
+        ]
+        for hits, locate in faults:
+            if len(hits):
+                i, message = locate(hits[0])
+                tag = f", {tags[i]!r}" if tags[i] else ""
+                raise ValueError(f"{message} (row {self._m + int(i)}{tag})")
 
     def set_objective_coef(self, vid: int, cost: float) -> None:
         if not 0 <= vid < len(self.variables):
@@ -110,9 +284,10 @@ class Model:
     def copy(self) -> "Model":
         m = Model()
         m.variables = list(self.variables)
-        m.constraints = list(self.constraints)
         m.objective = dict(self.objective)
         m._names = set(self._names)
+        m._store = self._store
+        m._m = self._m
         return m
 
 
@@ -163,34 +338,54 @@ def evaluate(
     if missing:
         raise ValueError(f"partial assignment, missing {len(missing)} values (e.g. {missing[0]!r})")
     objective = sum(cost * assignment[vid] for vid, cost in model.objective.items())
-    violations: list[tuple[int, float]] = []
-    for cid, con in enumerate(model.constraints):
-        lhs = sum(coef * assignment[vid] for vid, coef in con.terms)
-        if con.sense == LE:
-            excess = lhs - con.rhs
-        elif con.sense == GE:
-            excess = con.rhs - lhs
-        else:
-            excess = abs(lhs - con.rhs)
-        if excess > tol:
-            violations.append((cid, excess))
-    return objective, violations
+    rows = model.rows()
+    x = np.array([assignment[v.id] for v in model.variables], dtype=float)
+    # bincount adds each row's products in term order, as a running sum would.
+    lhs = np.bincount(rows.entry_rows(), weights=rows.coefs * x[rows.cols],
+                      minlength=len(rows.rhs))
+    excess = np.where(rows.sense == _SENSE_CODE[LE], lhs - rows.rhs,
+                      np.where(rows.sense == _SENSE_CODE[GE], rows.rhs - lhs,
+                               np.abs(lhs - rows.rhs)))
+    return objective, [(int(cid), float(excess[cid])) for cid in np.flatnonzero(excess > tol)]
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _terms_text(terms) -> str:
-    parts: list[str] = []
-    for i, (name, coef) in enumerate(terms):
-        if i == 0:
-            parts.append(f"{_fmt(coef)} {name}")
-        elif coef < 0:
-            parts.append(f"- {_fmt(-coef)} {name}")
-        else:
-            parts.append(f"+ {_fmt(coef)} {name}")
-    return " ".join(parts)
+def _texts(values: np.ndarray, *formats) -> np.ndarray:
+    """The text of each entry of `values` under each of `formats`, as a
+    (len(values), len(formats)) object array.  Each distinct value is
+    formatted once; values are told apart by their bits, so 0.0 and -0.0
+    keep their own texts."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    table = np.array([[f(x) for f in formats] for x in bits.view(np.float64).tolist()],
+                     dtype=object).reshape(len(bits), len(formats))
+    return table[inverse]
+
+
+def _lines(names: np.ndarray, starts, cols, coefs, head, tails=()) -> list[str]:
+    """One line per row of the CSR arrays `starts`, `cols`, `coefs`: the
+    columns `head(ids)` of rows `ids`, the row's terms (``coef name``, then
+    ``+ coef name`` or ``- |coef| name`` for each further term), and the
+    row's entry of each object array in `tails`.  Rows of one length are
+    written together, with one `str.join` per row."""
+    lead, rest = _texts(coefs, lambda c: f"{_fmt(c)} ",
+                        lambda c: f" - {_fmt(-c)} " if c < 0 else f" + {_fmt(c)} ").T
+    # The first term of a row carries no sign of its own.
+    rest[starts[:-1]] = lead[starts[:-1]]
+    lengths = np.diff(starts)
+    lines = np.empty(len(lengths), dtype=object)
+    for width in np.unique(lengths).tolist():
+        ids = np.flatnonzero(lengths == width)
+        entries = starts[ids] + np.arange(width)[:, None]
+        columns = head(ids)
+        # Per term position j: the coefficient texts, then the names.
+        columns += itertools.chain.from_iterable(
+            zip(rest[entries].tolist(), names[cols[entries]].tolist()))
+        columns += [tail[ids].tolist() for tail in tails]
+        lines[ids] = list(map("".join, zip(*columns)))
+    return lines.tolist()
 
 
 def export_lp_text(model: Model) -> str:
@@ -199,13 +394,22 @@ def export_lp_text(model: Model) -> str:
     Deterministic: variables appear in insertion order, constraints are named
     ``c0, c1, ...`` in insertion order, coefficients use shortest exact reprs.
     """
+    names = np.array([v.name for v in model.variables], dtype=object)
     lines = ["Minimize"]
-    obj_terms = [(model.variables[vid].name, cost) for vid, cost in model.objective.items()]
-    lines.append(" obj: " + (_terms_text(obj_terms) if obj_terms else "0"))
+    if model.objective:
+        objective = np.fromiter(model.objective.values(), dtype=float)
+        lines += _lines(names, np.array([0, len(objective)]),
+                        np.fromiter(model.objective, dtype=np.int64), objective,
+                        lambda ids: [[" obj: "]])
+    else:
+        lines.append(" obj: 0")
     lines.append("Subject To")
-    for cid, con in enumerate(model.constraints):
-        named = [(model.variables[vid].name, coef) for vid, coef in con.terms]
-        lines.append(f" c{cid}: {_terms_text(named)} {con.sense} {_fmt(con.rhs)}")
+    rows = model.rows()
+    lines += _lines(names, rows.starts, rows.cols, rows.coefs,
+                    lambda ids: [itertools.repeat(" c"), map(str, ids.tolist()),
+                                 itertools.repeat(": ")],
+                    (np.array([f" {s} " for s in SENSES], dtype=object)[rows.sense],
+                     _texts(rows.rhs, _fmt)[:, 0]))
     lines.append("Bounds")
     for var in model.variables:
         lo = "-inf" if var.lower == -math.inf else _fmt(var.lower)

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .milp import BINARY, EQ, GE, Assignment, Model
+from .milp import BINARY, EQ, GE, SENSES, Assignment, Model
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -102,23 +102,17 @@ class PreparedLp:
 
 def prepare(model: Model) -> PreparedLp:
     n = len(model.variables)
-    m = len(model.constraints)
-    rows = np.zeros((m, n))
-    rhs = np.zeros(m)
-    is_eq = np.zeros(m, dtype=bool)
-    for i, con in enumerate(model.constraints):
-        for vid, coef in con.terms:
-            rows[i, vid] = coef
-        rhs[i] = con.rhs
-        if con.sense == GE:
-            rows[i] *= -1.0
-            rhs[i] = -rhs[i]
-        elif con.sense == EQ:
-            is_eq[i] = True
+    r = model.rows()
+    rows = np.zeros((len(r.rhs), n))
+    rows[r.entry_rows(), r.cols] = r.coefs
+    rhs = r.rhs.copy()
+    ge = r.sense == SENSES.index(GE)
+    rows[ge] *= -1.0
+    rhs[ge] *= -1.0
     costs = np.zeros(n)
     for vid, cost in model.objective.items():
         costs[vid] += cost
-    return PreparedLp(model, rows, rhs, is_eq, costs)
+    return PreparedLp(model, rows, rhs, r.sense == SENSES.index(EQ), costs)
 
 
 def append_rows(prep: PreparedLp, rows: np.ndarray, rhs: np.ndarray) -> PreparedLp:

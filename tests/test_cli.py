@@ -1,11 +1,13 @@
+import hashlib
 import json
 
 import numpy as np
+import pytest
 
 from confl3 import simplex
 from confl3.cli import main
 from confl3.confl import build_3confl, verify_solution
-from confl3.instance_io import read_instance
+from confl3.instance_io import GeneratorParams, generate, read_instance, write_instance
 
 GEN_ARGS = [
     "generate",
@@ -132,6 +134,28 @@ def test_strengthened_export_contains_extra_rows(tmp_path):
     assert main(["export-lp", str(inst_path), "-o", str(plain)]) == 0
     assert main(["export-lp", str(inst_path), "--strong", "-o", str(strong)]) == 0
     assert len(strong.read_text().splitlines()) >= len(plain.read_text().splitlines())
+
+
+# The strong exports of two generated grids, pinned byte for byte.  Both have
+# ten or more users, so the conflict rows are ordered by id string ("u10"
+# before "u2"), not by numeric index.
+PINNED_STRONG_EXPORTS = [
+    (dict(grid_width=6, grid_height=4, n_facilities=4, n_central_offices=1, n_steiner=1),
+     "eec33d9960a93628bb6d6788e447d8e1c3bdbb2dbcb94c8006ad56596319820b"),
+    (dict(grid_width=12, grid_height=8, n_facilities=10, n_central_offices=3, n_steiner=4),
+     "bca1ef5711340101c75af139ca1f8f0ff5cf5067556b1f0312afd7a0c42b7400"),
+]
+
+
+@pytest.mark.parametrize("params, digest", PINNED_STRONG_EXPORTS,
+                         ids=["6x4", "12x8"])
+def test_strong_export_bytes_are_pinned(tmp_path, params, digest):
+    inst_path, lp_path = tmp_path / "inst.json", tmp_path / "strong.lp"
+    instance = generate(GeneratorParams(**params), 0)
+    assert len(instance.users) >= 10
+    inst_path.write_text(write_instance(instance), encoding="utf-8")
+    assert main(["export-lp", str(inst_path), "--strong", "-o", str(lp_path)]) == 0
+    assert hashlib.sha256(lp_path.read_bytes()).hexdigest() == digest
 
 
 def test_numerical_breakdown_has_its_own_exit_code(tmp_path, capsys, monkeypatch):

@@ -178,11 +178,21 @@ class TestSuperinterferers:
         assert blocked == (best_ratio < delta)
 
 
+def named_pairs(inst, pairs):
+    """The ((f1, u1), (f2, u2)) ids of conflict pairs given as positions in
+    the wireless assignment arcs, in the order of `pairs`."""
+    from confl3.confl import TECH_WIRELESS
+
+    arcs = inst.assignment_arcs[TECH_WIRELESS]
+    return [tuple((arcs[p].facility, arcs[p].user) for p in pair) for pair in pairs.tolist()]
+
+
 class TestConflictPairs:
     def test_symmetric_conflict_detected(self):
         inst, _, _ = conflict_instance()
         pairs = conflict_pairs(inst)
-        assert pairs == {(("f0", "u0"), ("f1", "u1"))}
+        assert pairs.shape == (1, 2)
+        assert named_pairs(inst, pairs) == [(("f0", "u0"), ("f1", "u1"))]
 
     @given(
         st.floats(0.05, 1.0), st.floats(0.0, 1.0),
@@ -216,7 +226,7 @@ class TestConflictPairs:
             assert not strict.any()
 
     def test_decoupled_requirements_do_not_conflict(self):
-        assert conflict_pairs(calm_wireless_instance()) == set()
+        assert conflict_pairs(calm_wireless_instance()).shape == (0, 2)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_block_evaluation_matches_scalar_reference(self, seed):
@@ -251,10 +261,11 @@ class TestConflictPairs:
                         w.fading[f2, u2], w.fading[f1, u2], w,
                     ):
                         want.add(tuple(sorted(((f1, u1), (f2, u2)))))
-        got = conflict_pairs(inst)
-        # Canonical order puts the smaller facility id first.
+        got = named_pairs(inst, conflict_pairs(inst))
+        # Canonical order puts the smaller facility id first, and the pairs
+        # come in the order of sorting their id strings.
         assert all(p[0][0] < p[1][0] for p in got)
-        assert got == want
+        assert got == sorted(want)
 
     @pytest.mark.parametrize("builder", [conflict_instance, None])
     def test_rows_cut_no_integer_solution(self, builder):
@@ -285,6 +296,21 @@ class TestStrengthen:
         strong = strengthen(plain, inst)
         tags = {c.tag for c in strong.model.constraints[len(plain.model.constraints):]}
         assert "SUPER(f0,u0,f1)" in tags
+
+    @pytest.mark.parametrize("make_instance", [conflict_instance, repair_instance])
+    def test_plain_model_rows_unchanged(self, make_instance):
+        inst = make_instance()[0] if make_instance is conflict_instance else make_instance()
+        plain = build_3confl(inst)
+        before = list(plain.model.constraints)
+        strong = strengthen(plain, inst)
+        assert strong.strengthening_rows > 0
+        assert len(plain.model.constraints) == len(before)
+        assert all(plain.model.constraints[i] == row for i, row in enumerate(before))
+        assert list(strong.model.constraints)[:len(before)] == before
+        tags = [c.tag for c in strong.model.constraints[len(before):]]
+        assert len(tags) == strong.strengthening_rows
+        # SUPER rows first, then CONF rows.
+        assert tags == sorted(tags, key=lambda tag: not tag.startswith("SUPER("))
 
     def test_lp_bound_never_decreases(self):
         for inst in (conflict_instance()[0], calm_wireless_instance(), repair_instance()):

@@ -1,5 +1,7 @@
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -86,7 +88,95 @@ class TestAddConstraint:
         x = m.add_variable("x", CONTINUOUS, 0, 10)
         with pytest.raises(ValueError, match="non-finite right-hand side"):
             m.add_constraint([(x, 1.0)], sense, rhs)
-        assert m.constraints == []
+        assert list(m.constraints) == []
+
+
+# Each rejected row as (terms, sense, rhs) with the message that names its
+# fault; `x` stands for the id of variable "x1".
+REJECTED_ROWS = [
+    pytest.param(lambda x: ([(5, 1.0)], LE, 1.0),
+                 "constraint references unknown variable id 5", id="unknown-id"),
+    pytest.param(lambda x: ([(x, 1.0), (x, 1.0)], LE, 1.0),
+                 "duplicate variable 'x1' in constraint terms", id="repeated-id"),
+    pytest.param(lambda x: ([(x, math.nan)], LE, 1.0),
+                 "non-finite coefficient on 'x1'", id="non-finite-coef"),
+    pytest.param(lambda x: ([(x, 1.0)], GE, math.inf),
+                 "non-finite right-hand side inf", id="non-finite-rhs"),
+    pytest.param(lambda x: ([], LE, 1.0),
+                 "constraint must have at least one term", id="empty-row"),
+    pytest.param(lambda x: ([(x, 1.0)], "<", 1.0),
+                 "unknown constraint sense '<'", id="unknown-sense"),
+]
+
+
+class TestAddRows:
+    @pytest.mark.parametrize("row, message", REJECTED_ROWS)
+    def test_add_constraint_names_the_row(self, row, message):
+        m, (x1, _, _) = small_model()
+        before = list(m.constraints)
+        terms, sense, rhs = row(x1)
+        with pytest.raises(ValueError, match=re.escape(f"{message} (row 2)")):
+            m.add_constraint(terms, sense, rhs)
+        assert list(m.constraints) == before
+
+    @pytest.mark.parametrize("row, message", REJECTED_ROWS)
+    def test_bulk_append_names_the_row_and_appends_nothing(self, row, message):
+        m, (x1, x2, p) = small_model()
+        before = list(m.constraints)
+        terms, sense, rhs = row(x1)
+        batch = [([(x2, 1.0)], LE, 1.0), ([(p, 2.0), (x2, 1.0)], GE, 0.0),
+                 (terms, sense, rhs), ([(x1, 1.0)], EQ, 0.0)]
+        with pytest.raises(ValueError, match=re.escape(f"{message} (row 4, 'bad')")):
+            m.add_rows([[vid for vid, _ in t] for t, _, _ in batch],
+                       [[coef for _, coef in t] for t, _, _ in batch],
+                       [sense for _, sense, _ in batch], [rhs for _, _, rhs in batch],
+                       ["", "", "bad", ""])
+        assert len(m.constraints) == len(before)
+        assert list(m.constraints) == before
+
+    def test_bulk_rows_equal_single_rows(self):
+        bulk, (x1, x2, p) = small_model()
+        single, _ = small_model()
+        cols = np.array([[x1, p], [x2, x1], [p, x2]])
+        coefs = np.array([[1.0, -2.5], [0.5, 1.0], [3.0, -1.0]])
+        ids = bulk.add_rows(cols, coefs, [LE, GE, EQ], [1.0, 0.0, 2.0], ["a", "b", "c"])
+        assert ids == range(2, 5)
+        for row, sense, rhs, tag in zip(range(3), [LE, GE, EQ], [1.0, 0.0, 2.0], "abc"):
+            single.add_constraint(list(zip(cols[row].tolist(), coefs[row].tolist())),
+                                  sense, rhs, tag)
+        assert list(bulk.constraints) == list(single.constraints)
+        assert export_lp_text(bulk) == export_lp_text(single)
+
+    def test_mismatched_shapes_rejected(self):
+        m, (x1, x2, _) = small_model()
+        with pytest.raises(ValueError, match="add_rows needs"):
+            m.add_rows([[x1, x2]], [[1.0]], LE, 1.0, [""])
+        with pytest.raises(ValueError, match="add_rows needs"):
+            m.add_rows([[x1]], [[1.0]], LE, [1.0, 2.0], [""])
+        assert len(m.constraints) == 2
+
+    def test_constraints_is_a_read_only_sequence(self):
+        m, (x1, x2, p) = small_model()
+        rows = m.constraints
+        assert len(rows) == 2
+        assert rows[0].terms == ((x1, 1.0), (x2, 1.0)) and rows[0].tag == "pick-one"
+        assert rows[-1] == rows[1] == rows[1:][0]
+        assert [c.tag for c in rows] == ["pick-one", "link"]
+        with pytest.raises(IndexError):
+            rows[2]
+        with pytest.raises(ValueError, match="read-only"):
+            m.rows().coefs[0] = 5.0
+
+    def test_copies_append_without_touching_each_other(self):
+        m, (x1, x2, p) = small_model()
+        original = list(m.constraints)
+        c = m.copy()
+        c.add_constraint([(x2, 1.0)], LE, 0.0, "copy")
+        assert list(m.constraints) == original
+        m.add_constraint([(p, 1.0)], GE, 0.0, "original")
+        assert [r.tag for r in c.constraints] == ["pick-one", "link", "copy"]
+        assert [r.tag for r in m.constraints] == ["pick-one", "link", "original"]
+        assert c.constraints[2].terms == ((x2, 1.0),)
 
 
 class TestLpRelaxation:
@@ -103,7 +193,7 @@ class TestLpRelaxation:
         m.add_variable("x", CONTINUOUS, -1.0, 4.0)
         r = lp_relaxation(m)
         assert r.variables == m.variables
-        assert r.constraints == m.constraints
+        assert list(r.constraints) == list(m.constraints)
 
     def test_fixed_binary_stays_fixed(self):
         m, (x1, _, _) = small_model()
@@ -124,7 +214,7 @@ class TestApplyFixings:
         a = lp_relaxation(apply_fixings(m, fixings))
         b = apply_fixings(lp_relaxation(m), fixings)
         assert a.variables == b.variables
-        assert a.constraints == b.constraints
+        assert list(a.constraints) == list(b.constraints)
 
     def test_bounds_collapse(self):
         m, (x1, _, _) = small_model()
@@ -135,7 +225,7 @@ class TestApplyFixings:
         m, _ = small_model()
         f = apply_fixings(m, {})
         assert f.variables == m.variables
-        assert f.constraints == m.constraints
+        assert list(f.constraints) == list(m.constraints)
         assert f.objective == m.objective
 
     def test_out_of_bounds_rejected(self):
@@ -247,3 +337,83 @@ class TestExportLpText:
         got = solve_model(rebuilt, 60.0)
         assert got.status == want.status == "optimal"
         assert got.objective == pytest.approx(want.objective, abs=1e-6)
+
+
+def _loop_terms_text(terms) -> str:
+    parts = []
+    for i, (name, coef) in enumerate(terms):
+        if i == 0:
+            parts.append(f"{coef!r} {name}")
+        elif coef < 0:
+            parts.append(f"- {-coef!r} {name}")
+        else:
+            parts.append(f"+ {coef!r} {name}")
+    return " ".join(parts)
+
+
+def _loop_export(m) -> str:
+    """The LP text written one row object at a time: the reference the
+    array export must match byte for byte."""
+    lines = ["Minimize"]
+    obj = [(m.variables[vid].name, cost) for vid, cost in m.objective.items()]
+    lines.append(" obj: " + (_loop_terms_text(obj) if obj else "0"))
+    lines.append("Subject To")
+    for cid, con in enumerate(m.constraints):
+        named = [(m.variables[vid].name, coef) for vid, coef in con.terms]
+        lines.append(f" c{cid}: {_loop_terms_text(named)} {con.sense} {con.rhs!r}")
+    lines.append("Bounds")
+    for var in m.variables:
+        lo = "-inf" if var.lower == -math.inf else repr(var.lower)
+        hi = "+inf" if var.upper == math.inf else repr(var.upper)
+        lines.append(f" {lo} <= {var.name} <= {hi}")
+    binaries = [v.name for v in m.variables if v.kind == BINARY]
+    if binaries:
+        lines += ["Binaries"] + [f" {name}" for name in binaries]
+    lines.append("End")
+    return "\n".join(lines) + "\n"
+
+
+def _loop_violations(m, x, tol=1e-6):
+    out = []
+    for cid, con in enumerate(m.constraints):
+        lhs = sum(coef * x[vid] for vid, coef in con.terms)
+        excess = {LE: lhs - con.rhs, GE: con.rhs - lhs}.get(con.sense, abs(lhs - con.rhs))
+        if excess > tol:
+            out.append((cid, excess))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_array_paths_match_row_loops(seed):
+    """Export, evaluate and the prepared matrix agree exactly with loops
+    over the row objects, on random models with signed zeros, repeated
+    values and rows of mixed lengths."""
+    from confl3 import simplex
+
+    rng = np.random.default_rng(seed)
+    values = [1.0, -1.0, 0.0, -0.0, 2.5, -3.25, 1e-300, 7.0e20]
+
+    def draw():
+        return float(rng.choice(values)) if rng.random() < 0.5 else float(rng.normal())
+
+    m = Model()
+    n = int(rng.integers(1, 10))
+    for j in range(n):
+        m.add_variable(f"v{j}", BINARY if j % 3 == 0 else CONTINUOUS, 0, 1)
+    for j in rng.permutation(n)[:int(rng.integers(0, n + 1))]:
+        m.set_objective_coef(int(j), draw())
+    for r in range(int(rng.integers(0, 12))):
+        ids = rng.permutation(n)[:int(rng.integers(1, n + 1))]
+        m.add_constraint([(int(i), draw()) for i in ids], [LE, EQ, GE][r % 3], draw(), f"r{r}")
+    assert export_lp_text(m) == _loop_export(m)
+    x = {v.id: float(rng.random()) for v in m.variables}
+    assert evaluate(m, x)[1] == _loop_violations(m, x)
+    prep = simplex.prepare(m)
+    dense = np.zeros((len(m.constraints), n))
+    for i, con in enumerate(m.constraints):
+        for vid, coef in con.terms:
+            dense[i, vid] = coef
+        if con.sense == GE:
+            dense[i] *= -1.0
+    assert np.array_equal(prep.rows, dense)
+    assert np.array_equal(np.signbit(prep.rows), np.signbit(dense))
