@@ -273,15 +273,17 @@ def _cmd_report(args) -> int:
             raise SchemaError(f"solution file not found: {path}")
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: not valid JSON ({exc})")
-        if doc.get("format") != SOLUTION_FORMAT:
+        if not isinstance(doc, dict) or doc.get("format") != SOLUTION_FORMAT:
             raise SchemaError(f"{path}: not a solution document")
         kind = doc.get("kind")
         if kind not in ("exact", "heuristic"):
             raise SchemaError(f"{path}: unknown solution kind {kind!r}")
         if doc.get("objective") is None or doc.get("lower_bound") is None:
             raise SchemaError(f"{path}: no objective or lower bound recorded (infeasible run?)")
-        h = doc["instance"]["hash"]
-        slot = groups.setdefault(h, {"name": doc["instance"]["name"]})
+        inst = doc.get("instance")
+        if not (isinstance(inst, dict) and "hash" in inst and "name" in inst):
+            raise SchemaError(f"{path}: instance: expected an object with hash and name")
+        slot = groups.setdefault(inst["hash"], {"name": inst["name"]})
         if kind in slot:
             raise SchemaError(f"{path}: duplicate {kind} solution for instance {slot['name']}")
         slot[kind] = doc

@@ -11,14 +11,13 @@ the fixing.  A final improvement pass runs the same neighborhood search
 around the best solution with an objective cutoff.
 
 A :class:`HeuristicContext` is the solve session of a run: both models,
-each matrix prepared once, and the optimal bases of both root relaxations.
-Fixing relaxations only change bound vectors, start from their family's
-root basis and are memoized on the fixing set.  A pinned check collapses the
-pinned openings' bounds on the plain matrix (a bound overlay) and starts
-from the plain root basis; :func:`run` checks each distinct opening state
-once, since branch and bound is deterministic.  VLNS appends its hamming row
-(and in improve mode its cutoff row) to the plain matrix and starts from the
-plain root basis plus the new rows' slacks.
+the plain matrix prepared once and its root's optimal basis.  Fixing
+relaxations change only bounds, start from that basis and are memoized; a
+strengthened one also appends the strengthening rows its optimum violates
+and solves again until none is (cut-pool separation: Padberg & Rinaldi,
+SIAM Review 33, 1991).  Pinned checks (bound overlays) and VLNS (appended
+hamming and cutoff rows) solve the plain matrix from the root basis;
+:func:`run` checks each distinct opening state once, as B&B is deterministic.
 """
 
 from __future__ import annotations
@@ -32,13 +31,12 @@ import numpy as np
 from . import bnb, simplex
 from .confl import (ConflModel, Instance, UnattainableCoverageError, build_3confl,
                     check_attainable, strengthen, validate_instance)
-from .milp import Assignment
+from .milp import Assignment, evaluate
 # Unused here (checks overlay bounds), but perfbench/tracing.py wraps this name.
 from .milp import apply_fixings  # noqa: F401
 
 EPS_TAU = 1e-9
-
-CHECK_STATUS_OK = ("optimal", "feasible")
+_SEPARATION_TOL = 1e-7   # above the dual simplex's feasibility tolerance, 1e-9 relative
 
 
 class NoCompletableFosError(RuntimeError):
@@ -106,6 +104,8 @@ class HeuristicParams:
                 raise ValueError(f"{name} must be positive")
         if self.vlns_radius is not None and self.vlns_radius < 0:
             raise ValueError("vlns_radius must be >= 0")
+        if self.top_k < 0:
+            raise ValueError("top_k must be >= 0")
         if self.test_iterations is not None and self.test_iterations < 1:
             raise ValueError("test_iterations must be >= 1")
 
@@ -145,10 +145,9 @@ class RunResult:
 
 
 class HeuristicContext:
-    """The solve session of one instance: both models, their prepared
-    relaxations with the optimal bases of their roots (`root_basis`, keyed
-    by strengthened or not), the strengthened root bound and a memo of
-    fixing LPs."""
+    """The solve session of one instance: both models, the prepared plain
+    matrix with its root's optimal basis (`root_basis`), the strengthened
+    root bound and a memo of fixing LPs."""
 
     def __init__(self, instance: Instance):
         validate_instance(instance)
@@ -156,15 +155,13 @@ class HeuristicContext:
         self.plain = build_3confl(instance)
         self.strong = strengthen(self.plain, instance)
         self.plain_prep = simplex.prepare(self.plain.model)
-        self.strong_prep = simplex.prepare(self.strong.model)
         self.base_lo, self.base_hi = simplex.model_bounds(self.plain.model)
-        root = simplex.solve_prepared(self.strong_prep, self.base_lo, self.base_hi)
+        plain_root = simplex.solve_prepared(self.plain_prep, self.base_lo, self.base_hi)
+        root = self._separate(plain_root, self.base_lo)
         if root.status != simplex.OPTIMAL:
             raise ValueError("strengthened relaxation is infeasible; instance unsolvable")
         self.root_value = root.objective
-        # The plain model relaxes the strengthened one, so its root is feasible.
-        plain_root = simplex.solve_prepared(self.plain_prep, self.base_lo, self.base_hi)
-        self.root_basis = {True: root.basis, False: plain_root.basis}
+        self.root_basis = plain_root.basis
         weights = {u.id: u.weight for u in instance.users}
         self.potential: dict[tuple[str, int], float] = {}
         for t in instance.technologies:
@@ -175,23 +172,34 @@ class HeuristicContext:
                 self.potential[f.id, t] = reach.get(f.id, 0.0)
         self._memo: dict[tuple[bool, frozenset], float | None] = {}
 
-    def _relaxation_value(self, strong: bool, ones: tuple) -> float | None:
-        lo = self.base_lo.copy()
-        for key in ones:
-            lo[self.plain.z[key]] = 1.0
-        prep = self.strong_prep if strong else self.plain_prep
-        res = simplex.solve_prepared(prep, lo, self.base_hi, self.root_basis[strong])
-        if res.status != simplex.OPTIMAL:
-            return None
-        return res.objective
+    def _separate(self, res: simplex.LpResult, lo: np.ndarray) -> simplex.LpResult:
+        """Strengthen `res`, the plain optimum under the lower bounds `lo`:
+        append the pool rows (the strong model's `<=` rows past the plain ones)
+        it violates, each once, and re-solve until it violates none."""
+        prep, pool = self.plain_prep, self.strong.model.rows()
+        present = set(range(len(prep.rhs)))
+        while res.status == simplex.OPTIMAL:
+            _, violated = evaluate(self.strong.model, res.assignment, _SEPARATION_TOL)
+            new = [i for i, _ in violated if i not in present]
+            if not new:
+                break
+            present.update(new)
+            block = np.zeros((len(new), len(prep.costs)))
+            for k, (a, b) in enumerate(zip(pool.starts[new], pool.starts[np.add(new, 1)])):
+                block[k, pool.cols[a:b]] = pool.coefs[a:b]
+            prep = simplex.append_rows(prep, block, pool.rhs[new])
+            res = simplex.solve_prepared(prep, lo, self.base_hi, res.basis.with_slacks(len(new)))
+        return res
 
     def relaxation_value(self, strong: bool, ones: frozenset) -> float | None:
         """Optimal value of the (strengthened or plain) relaxation with the
         given (facility, technology) openings forced to 1; None if infeasible."""
-        key = (strong, ones)
-        if key not in self._memo:
-            self._memo[key] = self._relaxation_value(strong, tuple(sorted(ones)))
-        return self._memo[key]
+        if (strong, ones) not in self._memo:
+            lo = self.base_lo.copy()
+            lo[[self.plain.z[key] for key in ones]] = 1.0
+            res = simplex.solve_prepared(self.plain_prep, lo, self.base_hi, self.root_basis)
+            self._memo[strong, ones] = (self._separate(res, lo) if strong else res).objective
+        return self._memo[strong, ones]
 
     def score(self, value: float | None) -> float:
         """Invert a relaxation value into an attractiveness in (0, 1]:
@@ -319,7 +327,7 @@ def check_and_repair(instance: Instance, ctx: HeuristicContext, fos: FOS,
     for vid, value in _fos_fixings(ctx.plain, fos).items():
         lo[vid] = hi[vid] = value
     res = bnb.solve_mip(ctx.plain_prep, lo, hi, params.sub_limit(),
-                        basis=ctx.root_basis[False])
+                        basis=ctx.root_basis)
     if res.has_solution():
         return _outcome_from_mip(res, repaired=False)
     center = {
@@ -369,7 +377,7 @@ def vlns(instance: Instance, ctx: HeuristicContext, center: dict[tuple[str, int]
         simplex.append_rows(prep, np.reshape(rows, (len(rows), len(prep.costs))),
                             np.array(rhs)),
         ctx.base_lo, ctx.base_hi, params.vlns_limit(),
-        basis=ctx.root_basis[False].with_slacks(len(rows)),
+        basis=ctx.root_basis.with_slacks(len(rows)),
     )
     return _outcome_from_mip(res, repaired=(mode == "repair"))
 

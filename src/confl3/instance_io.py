@@ -264,6 +264,8 @@ def _fading_doc(instance: Instance) -> dict:
 
 
 def _need(doc: dict, key: str, kind, path: str):
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path or 'top level'}: expected an object")
     if key not in doc:
         raise SchemaError(f"missing field {path}.{key}" if path else f"missing field {key}")
     value = doc[key]
@@ -281,9 +283,6 @@ def read_instance(text: str) -> Instance:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError("top level: expected an object")
-
     meta = _need(doc, "meta", dict, "")
     name = meta.get("name", "instance")
 

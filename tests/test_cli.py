@@ -98,6 +98,38 @@ def test_report_refuses_mixed_instances(tmp_path, capsys):
     assert "mix" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, field", [([], "not a solution document"),
+                                        ("drop-instance", "instance")])
+def test_report_rejects_malformed_documents(tmp_path, capsys, doc, field):
+    inst_path = _generate(tmp_path)
+    sol = tmp_path / "sol.json"
+    assert main(["solve", str(inst_path), "--iters", "1", "-o", str(sol)]) == 0
+    if doc == "drop-instance":
+        doc = json.loads(sol.read_text())
+        del doc["instance"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["report", str(sol), str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and field in err
+
+
+def test_solve_rejects_non_object_entries(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"meta": {}, "users": ["id"]}))
+    assert main(["solve", str(bad), "-o", str(tmp_path / "s.json")]) == 2
+    assert "users[0]: expected an object" in capsys.readouterr().err
+
+
+def test_negative_top_k_is_usage_error(tmp_path, capsys):
+    inst_path = _generate(tmp_path)
+    code = main(["solve", str(inst_path), "--iters", "1", "--top-k", "-1",
+                 "-o", str(tmp_path / "s.json")])
+    assert code == 2
+    assert "top_k must be >= 0" in capsys.readouterr().err
+
+
 def test_export_lp_writes_model(tmp_path):
     inst_path = _generate(tmp_path)
     lp_path = tmp_path / "model.lp"

@@ -1,3 +1,6 @@
+import importlib.util
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +27,7 @@ from confl3.heuristic import (
     tau_update,
     vlns,
 )
-from confl3.instance_io import generate
+from confl3.instance_io import GeneratorParams, generate
 from confl3.milp import LE, apply_fixings
 
 from instances import (
@@ -536,18 +539,26 @@ class TestSolveSession:
             assert _agree(better.status, better.objective, cold), value
 
     def test_only_the_two_context_roots_are_solved_cold(self, monkeypatch):
-        cold = []
-        solve_prepared = simplex.solve_prepared
+        """The strengthened root starts warm from the plain one, so a run
+        prepares one matrix and solves one LP cold."""
+        cold, prepared = [], []
+        solve_prepared, prepare = simplex.solve_prepared, simplex.prepare
 
         def counting_solve_prepared(prep, lo, hi, basis=None):
             if basis is None:
                 cold.append(prep)
             return solve_prepared(prep, lo, hi, basis)
 
+        def counting_prepare(model):
+            prepared.append(model)
+            return prepare(model)
+
         monkeypatch.setattr(simplex, "solve_prepared", counting_solve_prepared)
+        monkeypatch.setattr(simplex, "prepare", counting_prepare)
         res = run(generate(DESK, 1), HeuristicParams(test_iterations=2))
         assert res.status == "feasible"
-        assert len(cold) == 2
+        assert len(cold) == 1
+        assert len(prepared) == 1
 
     def test_each_distinct_opening_state_is_checked_once(self, monkeypatch):
         checked = []
@@ -562,3 +573,75 @@ class TestSolveSession:
         distinct = {tuple(map(tuple, e["fos"])) for e in res.trace}
         assert len(res.trace) > len(distinct)
         assert len(checked) == len(distinct)
+
+
+def _strengthening_preset() -> GeneratorParams:
+    """The preset of scripts/strengthening_effect.py, on which the
+    strengthening rows bind at the relaxation optimum."""
+    path = pathlib.Path(__file__).parents[1] / "scripts" / "strengthening_effect.py"
+    spec = importlib.util.spec_from_file_location("strengthening_effect", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.PARAMS
+
+
+README_4X3 = GeneratorParams(grid_width=4, grid_height=3, n_facilities=3,
+                             n_central_offices=1, n_steiner=0)
+
+
+class TestSeparation:
+    """Strengthened relaxations solve the plain matrix and append only the
+    strengthening rows their optimum violates; each value must equal the
+    full strengthened model's, solved cold under the same bounds."""
+
+    @pytest.mark.parametrize("preset, seed", [("desk", s) for s in range(8)]
+                             + [("strengthening", s) for s in range(8)] + [("readme", 1)])
+    def test_values_match_the_full_row_model(self, preset, seed, monkeypatch):
+        params = {"desk": DESK, "strengthening": _strengthening_preset(),
+                  "readme": README_4X3}[preset]
+        inst = generate(params, seed)
+        appended = []
+        append_rows = simplex.append_rows
+
+        def recording_append_rows(prep, rows, rhs):
+            appended.append(len(rhs))
+            return append_rows(prep, rows, rhs)
+
+        monkeypatch.setattr(simplex, "append_rows", recording_append_rows)
+        ctx = HeuristicContext(inst)
+        full = simplex.prepare(ctx.strong.model)
+        lo, hi = simplex.model_bounds(ctx.strong.model)
+
+        def full_value(fixed):
+            lo_f = lo.copy()
+            lo_f[fixed] = 1.0
+            res = simplex.solve_prepared(full, lo_f, hi)
+            return res.objective if res.status == simplex.OPTIMAL else None
+
+        def close(a, b):
+            return a is b is None or (a is not None and b is not None
+                                      and abs(a - b) <= 1e-9 * max(1.0, abs(b)))
+
+        assert close(ctx.root_value, full_value([]))
+        for f in inst.facilities:
+            for t in inst.technologies:
+                value = ctx.relaxation_value(True, frozenset([(f.id, t)]))
+                assert close(value, full_value([ctx.plain.z[f.id, t]])), (f.id, t)
+        # The preset exists to make the rows bind: the loop must have run.
+        assert appended or preset != "strengthening"
+
+    def test_separated_rows_alone_can_prove_infeasibility(self):
+        inst = generate(_strengthening_preset(), 3)
+        ctx = HeuristicContext(inst)
+        only_strong = [
+            (f.id, t) for f in inst.facilities for t in inst.technologies
+            if ctx.relaxation_value(False, frozenset([(f.id, t)])) is not None
+            and ctx.relaxation_value(True, frozenset([(f.id, t)])) is None
+        ]
+        assert only_strong
+
+    def test_infeasible_plain_root_is_reported_before_its_basis_is_used(self, monkeypatch):
+        monkeypatch.setattr(simplex, "solve_prepared",
+                            lambda *args, **kwargs: simplex.LpResult(simplex.INFEASIBLE))
+        with pytest.raises(ValueError, match="strengthened relaxation is infeasible"):
+            HeuristicContext(generate(DESK, 1))

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -121,6 +122,18 @@ class TestSerialization:
         del doc["users"][0]["weight"]
         with pytest.raises(SchemaError, match=r"users\[0\]\.weight"):
             read_instance(json.dumps(doc))
+
+    @pytest.mark.parametrize("users, path", [(["id"], "users[0]"), (["x"], "users[0]"),
+                                             ([{"id": "u0", "weight": 1, "position": [0, 0]}, 3],
+                                              "users[1]")])
+    def test_non_object_entry_named(self, users, path):
+        text = json.dumps({"meta": {}, "users": users})
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: expected an object")):
+            read_instance(text)
+
+    def test_top_level_must_be_an_object(self):
+        with pytest.raises(SchemaError, match="top level: expected an object"):
+            read_instance("[]")
 
     def test_not_json_rejected(self):
         with pytest.raises(SchemaError, match="JSON"):
