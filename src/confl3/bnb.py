@@ -9,12 +9,14 @@ many problems over one matrix, such as the fixing heuristic, prepares it
 once and changes only the bounds.
 
 Best-bound node selection, branching on the binary whose fractional part is
-closest to 0.5 (ties broken by lowest variable id).  No cuts.  The root
-relaxation starts from the given basis, or from the slack basis without
-one; every other node, and the re-solve that polishes a near-integral
-point, starts from the optimal basis of its parent (a dual simplex warm
-start, see :mod:`confl3.simplex`).  Nodes keep that basis, never its
-inverse.
+closest to 0.5 (ties broken by lowest variable id).  Cuts come from an
+optional pool of valid ``<=`` rows: each node runs the cut loop
+:func:`confl3.simplex.separate`, and a row appended at any node stays for
+the rest of the tree.  The root relaxation starts from the given basis, or
+from the slack basis without one; every other node, and the re-solve that
+polishes a near-integral point, starts from the optimal basis of its parent
+(a dual simplex warm start, see :mod:`confl3.simplex`), extended by the
+slacks of later cuts.  Nodes keep that basis, never its inverse.
 Deterministic given its arguments: ties in the node heap fall back to
 creation order.
 """
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .milp import Assignment
+from .milp import Assignment, Model
 from . import simplex
 
 OPTIMAL = "optimal"
@@ -54,9 +56,9 @@ class MipResult:
 
 def solve_mip(prep: simplex.PreparedLp, lo: np.ndarray, hi: np.ndarray,
               time_limit: float, node_limit: int | None = None,
-              basis: simplex.Basis | None = None) -> MipResult:
+              basis: simplex.Basis | None = None, pool: Model | None = None) -> MipResult:
     """Branch and bound within `time_limit` seconds (checked once per node)
-    over `prep` under the bounds `lo`/`hi`, the root starting from `basis`.
+    over `prep` under `lo`/`hi`, the root from `basis`, cuts from `pool`.
 
     Returns the best incumbent found plus the global lower bound at
     termination; `infeasible` is reported only when the tree proves it.
@@ -65,6 +67,7 @@ def solve_mip(prep: simplex.PreparedLp, lo: np.ndarray, hi: np.ndarray,
         raise ValueError("time_limit must be positive")
     start = time.monotonic()
     bin_ids = np.array(prep.model.binary_ids(), dtype=int)
+    cut = None if pool is None else np.zeros(len(pool.constraints), dtype=bool)
 
     counter = 0
     # (bound, creation order, lower bounds, upper bounds, parent basis)
@@ -89,7 +92,11 @@ def solve_mip(prep: simplex.PreparedLp, lo: np.ndarray, hi: np.ndarray,
         _, _, node_lo, node_hi, start_basis = heapq.heappop(heap)
         nodes += 1
 
+        if pool is not None and start_basis is not None:
+            start_basis = start_basis.with_slacks(len(prep.rhs) - len(start_basis.basic))
         res = simplex.solve_prepared(prep, node_lo, node_hi, start_basis)
+        if pool is not None:
+            prep, res = simplex.separate(prep, node_lo, node_hi, res, pool, cut)
         if res.status == simplex.INFEASIBLE:
             continue
         value = res.objective

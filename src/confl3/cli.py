@@ -88,7 +88,7 @@ def _parser() -> argparse.ArgumentParser:
     exact = sub.add_parser("exact", help="run branch and bound on the full model")
     exact.add_argument("instance")
     exact.add_argument("--strong", action="store_true",
-                       help="add the strengthening inequalities first")
+                       help="add the strengthening inequalities as cuts")
     exact.add_argument("--time-limit", type=float, default=3600.0)
     exact.add_argument("-o", "--output", required=True)
 
@@ -216,10 +216,9 @@ def _cmd_solve(args) -> int:
 def _cmd_exact(args) -> int:
     instance = _load_instance(args.instance)
     confl = build_3confl(instance)
-    if args.strong:
-        confl = strengthen(confl, instance)
+    pool = strengthen(confl, instance).model if args.strong else None
     res = bnb.solve_mip(simplex.prepare(confl.model), *simplex.model_bounds(confl.model),
-                        args.time_limit)
+                        args.time_limit, pool=pool)
     gap = None
     if res.has_solution() and res.objective > 0:
         gap = ogap(res.objective, min(res.lower_bound, res.objective))
@@ -280,6 +279,9 @@ def _cmd_report(args) -> int:
             raise SchemaError(f"{path}: unknown solution kind {kind!r}")
         if doc.get("objective") is None or doc.get("lower_bound") is None:
             raise SchemaError(f"{path}: no objective or lower bound recorded (infeasible run?)")
+        for field in ("objective", "lower_bound"):
+            if not isinstance(doc[field], (int, float)) or isinstance(doc[field], bool):
+                raise SchemaError(f"{path}: {field}: expected a number")
         inst = doc.get("instance")
         if not (isinstance(inst, dict) and "hash" in inst and "name" in inst):
             raise SchemaError(f"{path}: instance: expected an object with hash and name")

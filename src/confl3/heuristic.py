@@ -13,11 +13,11 @@ around the best solution with an objective cutoff.
 A :class:`HeuristicContext` is the solve session of a run: both models,
 the plain matrix prepared once and its root's optimal basis.  Fixing
 relaxations change only bounds, start from that basis and are memoized; a
-strengthened one also appends the strengthening rows its optimum violates
-and solves again until none is (cut-pool separation: Padberg & Rinaldi,
-SIAM Review 33, 1991).  Pinned checks (bound overlays) and VLNS (appended
-hamming and cutoff rows) solve the plain matrix from the root basis;
-:func:`run` checks each distinct opening state once, as B&B is deterministic.
+strengthened one then runs the cut loop branch and bound shares
+(:func:`confl3.simplex.separate`), appending the violated strengthening
+rows.  Pinned checks (bound overlays) and VLNS (appended hamming and
+cutoff rows) solve the plain matrix from the root basis; :func:`run`
+checks each distinct opening state once, as B&B is deterministic.
 """
 
 from __future__ import annotations
@@ -31,12 +31,11 @@ import numpy as np
 from . import bnb, simplex
 from .confl import (ConflModel, Instance, UnattainableCoverageError, build_3confl,
                     check_attainable, strengthen, validate_instance)
-from .milp import Assignment, evaluate
+from .milp import Assignment
 # Unused here (checks overlay bounds), but perfbench/tracing.py wraps this name.
 from .milp import apply_fixings  # noqa: F401
 
 EPS_TAU = 1e-9
-_SEPARATION_TOL = 1e-7   # above the dual simplex's feasibility tolerance, 1e-9 relative
 
 
 class NoCompletableFosError(RuntimeError):
@@ -157,7 +156,8 @@ class HeuristicContext:
         self.plain_prep = simplex.prepare(self.plain.model)
         self.base_lo, self.base_hi = simplex.model_bounds(self.plain.model)
         plain_root = simplex.solve_prepared(self.plain_prep, self.base_lo, self.base_hi)
-        root = self._separate(plain_root, self.base_lo)
+        _, root = simplex.separate(self.plain_prep, self.base_lo, self.base_hi, plain_root,
+                                   self.strong.model)
         if root.status != simplex.OPTIMAL:
             raise ValueError("strengthened relaxation is infeasible; instance unsolvable")
         self.root_value = root.objective
@@ -172,25 +172,6 @@ class HeuristicContext:
                 self.potential[f.id, t] = reach.get(f.id, 0.0)
         self._memo: dict[tuple[bool, frozenset], float | None] = {}
 
-    def _separate(self, res: simplex.LpResult, lo: np.ndarray) -> simplex.LpResult:
-        """Strengthen `res`, the plain optimum under the lower bounds `lo`:
-        append the pool rows (the strong model's `<=` rows past the plain ones)
-        it violates, each once, and re-solve until it violates none."""
-        prep, pool = self.plain_prep, self.strong.model.rows()
-        present = set(range(len(prep.rhs)))
-        while res.status == simplex.OPTIMAL:
-            _, violated = evaluate(self.strong.model, res.assignment, _SEPARATION_TOL)
-            new = [i for i, _ in violated if i not in present]
-            if not new:
-                break
-            present.update(new)
-            block = np.zeros((len(new), len(prep.costs)))
-            for k, (a, b) in enumerate(zip(pool.starts[new], pool.starts[np.add(new, 1)])):
-                block[k, pool.cols[a:b]] = pool.coefs[a:b]
-            prep = simplex.append_rows(prep, block, pool.rhs[new])
-            res = simplex.solve_prepared(prep, lo, self.base_hi, res.basis.with_slacks(len(new)))
-        return res
-
     def relaxation_value(self, strong: bool, ones: frozenset) -> float | None:
         """Optimal value of the (strengthened or plain) relaxation with the
         given (facility, technology) openings forced to 1; None if infeasible."""
@@ -198,7 +179,10 @@ class HeuristicContext:
             lo = self.base_lo.copy()
             lo[[self.plain.z[key] for key in ones]] = 1.0
             res = simplex.solve_prepared(self.plain_prep, lo, self.base_hi, self.root_basis)
-            self._memo[strong, ones] = (self._separate(res, lo) if strong else res).objective
+            if strong:
+                _, res = simplex.separate(self.plain_prep, lo, self.base_hi, res,
+                                          self.strong.model)
+            self._memo[strong, ones] = res.objective
         return self._memo[strong, ones]
 
     def score(self, value: float | None) -> float:

@@ -263,6 +263,19 @@ def _fading_doc(instance: Instance) -> dict:
     return out
 
 
+def _number(value, path: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise SchemaError(f"{path}: expected a number")
+    return float(value)
+
+
+def _technology(key: str, path: str) -> int:
+    try:
+        return int(key)
+    except ValueError:
+        raise SchemaError(f"{path}: technology key {key!r} is not an integer") from None
+
+
 def _need(doc: dict, key: str, kind, path: str):
     if not isinstance(doc, dict):
         raise SchemaError(f"{path or 'top level'}: expected an object")
@@ -270,9 +283,7 @@ def _need(doc: dict, key: str, kind, path: str):
         raise SchemaError(f"missing field {path}.{key}" if path else f"missing field {key}")
     value = doc[key]
     if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise SchemaError(f"{path + '.' if path else ''}{key}: expected a number")
-        return float(value)
+        return _number(value, f"{path + '.' if path else ''}{key}")
     if not isinstance(value, kind):
         raise SchemaError(f"{path + '.' if path else ''}{key}: expected {kind.__name__}")
     return value
@@ -300,7 +311,8 @@ def read_instance(text: str) -> Instance:
     for i, f in enumerate(_need(doc, "facilities", list, "")):
         path = f"facilities[{i}]"
         costs = {
-            int(t): float(c) for t, c in _need(f, "open_cost", dict, path).items()
+            _technology(t, f"{path}.open_cost"): _number(c, f"{path}.open_cost.{t}")
+            for t, c in _need(f, "open_cost", dict, path).items()
         }
         facilities.append(
             Facility(_need(f, "id", str, path), tuple(_need(f, "position", list, path)), costs)
@@ -328,7 +340,7 @@ def read_instance(text: str) -> Instance:
     for t, arcs in _need(doc, "assignment_arcs", dict, "").items():
         if not isinstance(arcs, list):
             raise SchemaError(f"assignment_arcs.{t}: expected list")
-        assignment_arcs[int(t)] = [
+        assignment_arcs[_technology(t, "assignment_arcs")] = [
             AssignmentArc(
                 _need(a, "facility", str, f"assignment_arcs.{t}[{i}]"),
                 _need(a, "user", str, f"assignment_arcs.{t}[{i}]"),
@@ -337,7 +349,7 @@ def read_instance(text: str) -> Instance:
             for i, a in enumerate(arcs)
         ]
     thresholds = {
-        int(t): float(w)
+        _technology(t, "coverage_thresholds"): _number(w, f"coverage_thresholds.{t}")
         for t, w in _need(doc, "coverage_thresholds", dict, "").items()
     }
 
@@ -352,9 +364,7 @@ def read_instance(text: str) -> Instance:
             if not isinstance(row, dict):
                 raise SchemaError(f"wireless.fading.{fid}: expected object")
             for uid, value in row.items():
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    raise SchemaError(f"wireless.fading.{fid}.{uid}: expected a number")
-                fading[fid, uid] = float(value)
+                fading[fid, uid] = _number(value, f"wireless.fading.{fid}.{uid}")
         wireless = WirelessParams(
             p_min=_need(raw, "p_min", float, "wireless"),
             p_max=_need(raw, "p_max", float, "wireless"),

@@ -12,11 +12,11 @@ it (Koberstein, PhD thesis, Paderborn 2005; Bixby, Oper. Res. 50, 2002).
 The slack basis of a cold start has an empty kernel and factorizes nothing.
 
 :func:`prepare` builds the dense row data once; :func:`solve_prepared`
-solves it under caller-supplied variable bounds, which is what lets the
-branch-and-bound and the fixing heuristic re-solve the same matrix under
-many bound vectors without rebuilding it.  :func:`append_rows` adds ``<=``
-rows to a prepared matrix, and :meth:`Basis.with_slacks` extends a basis of
-the original by the new rows' slacks.
+solves it under caller-supplied variable bounds, so that branch and bound
+and the heuristic re-solve one matrix under many bound vectors.
+:func:`append_rows` adds ``<=`` rows to a prepared matrix,
+:meth:`Basis.with_slacks` extends a basis by the new rows' slacks, and
+:func:`separate`, the cut loop of both, appends violated pool rows.
 
 Every variable bound must be finite.  With every structural column boxed,
 moving a nonbasic column to its other bound fixes the sign of its reduced
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .milp import BINARY, EQ, GE, SENSES, Assignment, Model
+from .milp import BINARY, EQ, GE, SENSES, Assignment, Model, evaluate
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -59,7 +59,7 @@ _AT_UPPER = 1
 _BASIC = 2
 
 _DTOL = 1e-9        # reduced-cost tolerance
-_PIVTOL = 1e-9      # smallest |alpha| of an entering column
+_PIVTOL = 1e-7      # smallest |alpha| of an entering column; a smaller one is noise
 _FEASTOL = 1e-7     # final bound check
 _DUAL_FEASTOL = 1e-9  # bound violation (relative) the dual simplex repairs
 _REFACTOR_EVERY = 150
@@ -122,6 +122,30 @@ def append_rows(prep: PreparedLp, rows: np.ndarray, rhs: np.ndarray) -> Prepared
                       np.concatenate([prep.rhs, rhs]),
                       np.concatenate([prep.is_eq, np.zeros(len(rhs), dtype=bool)]),
                       prep.costs)
+
+
+def separate(prep: PreparedLp, lo: np.ndarray, hi: np.ndarray, res: LpResult, pool: Model,
+             cut: np.ndarray | None = None) -> tuple[PreparedLp, LpResult]:
+    """The cut loop (Padberg & Rinaldi, SIAM Review 33, 1991) over the ``<=``
+    rows of `pool` past those of ``prep.model``: while `res`, an optimum of
+    `prep` under `lo`/`hi`, violates some by over 1e-7 that the mask `cut`
+    (one flag per row of `pool`; fresh if None) leaves unmarked, append and
+    mark them and re-solve from its basis plus their slacks.  Returns the
+    last matrix and result; no row is appended twice, so the loop ends."""
+    r, m0 = pool.rows(), len(prep.model.constraints)
+    cut = np.zeros(len(r.rhs), dtype=bool) if cut is None else cut
+    while res.status == OPTIMAL:
+        _, violated = evaluate(pool, res.assignment, 1e-7)
+        new = [i for i, _ in violated if i >= m0 and not cut[i]]
+        if not new:
+            break
+        cut[new] = True
+        block = np.zeros((len(new), len(prep.costs)))
+        for k, (a, b) in enumerate(zip(r.starts[new], r.starts[np.add(new, 1)])):
+            block[k, r.cols[a:b]] = r.coefs[a:b]
+        prep = append_rows(prep, block, r.rhs[new])
+        res = solve_prepared(prep, lo, hi, res.basis.with_slacks(len(new)))
+    return prep, res
 
 
 def model_bounds(model: Model) -> tuple[np.ndarray, np.ndarray]:

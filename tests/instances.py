@@ -6,6 +6,9 @@ tests can freeze them without consulting the code under test.
 
 from __future__ import annotations
 
+import importlib.util
+import pathlib
+
 # Published benchmark rows: (id, reference gap %, heuristic gap %, printed
 # delta %).  Rows I6, I7, I10 and I14 are internally inconsistent in the
 # source table (the printed delta does not match the two gap columns, I7 by
@@ -320,3 +323,13 @@ DESK = GeneratorParams(
     coverage_fractions={1: 0.2, 2: 0.4, 3: 0.5}, delta=1.8, eta_noise=0.05,
     max_retries=1,
 )
+
+
+def strengthening_preset() -> GeneratorParams:
+    """The preset of scripts/strengthening_effect.py, on which the
+    strengthening rows bind at the relaxation optimum."""
+    path = pathlib.Path(__file__).parents[1] / "scripts" / "strengthening_effect.py"
+    spec = importlib.util.spec_from_file_location("strengthening_effect", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.PARAMS

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from confl3 import bnb, simplex
-from confl3.confl import build_3confl
-from confl3.instance_io import generate
+from confl3.confl import build_3confl, strengthen
+from confl3.instance_io import GeneratorParams, generate
 from confl3.milp import (
     BINARY,
     CONTINUOUS,
@@ -15,7 +15,7 @@ from confl3.milp import (
     lp_relaxation,
 )
 
-from instances import DESK
+from instances import DESK, conflict_instance, strengthening_preset
 from oracles import mip_enumeration_optimum
 from solve import solve_model
 
@@ -145,3 +145,94 @@ def test_only_the_root_relaxation_is_solved_cold(monkeypatch):
     assert r.status == bnb.OPTIMAL
     assert r.nodes > 10
     assert len(cold) == 1
+
+
+# The instance that tests/test_cli.py's GEN_ARGS generate with --seed 4.
+CLI_PARAMS = GeneratorParams(
+    grid_width=3, grid_height=2, n_facilities=2, n_central_offices=1, n_steiner=0,
+    users_per_pixel=0.5, knn=1, radii={1: 1.5, 2: 2.2, 3: 3.0},
+    coverage_fractions={1: 0.2, 2: 0.4, 3: 0.5}, eta_noise=0.05, delta=1.8,
+)
+
+
+def _pool_case(case):
+    name, seed = case
+    if name == "conflict":
+        return conflict_instance()[0]
+    params = {"desk": DESK, "strengthening": strengthening_preset(), "cli": CLI_PARAMS}[name]
+    return generate(params, seed)
+
+
+@pytest.mark.parametrize("case", [("desk", s) for s in range(8)]
+                         + [("strengthening", s) for s in range(4)]
+                         + [("cli", 4), ("conflict", 0)], ids=str)
+def test_pool_cuts_match_the_full_row_model(case, monkeypatch):
+    """Branch and bound on the plain matrix with the strengthening rows as
+    a cut pool gives the status and optimum of branch and bound on the
+    strengthened model, and its root the full-row root LP value."""
+    inst = _pool_case(case)
+    plain = build_3confl(inst)
+    strong = strengthen(plain, inst).model
+    lo, hi = simplex.model_bounds(plain.model)
+    appended = []
+    append_rows = simplex.append_rows
+
+    def recording_append_rows(prep, rows, rhs):
+        appended.append(len(rhs))
+        return append_rows(prep, rows, rhs)
+
+    def close(a, b):
+        return abs(a - b) <= 1e-9 * max(1.0, abs(b))
+
+    prep = simplex.prepare(plain.model)
+    full_root = simplex.solve_prepared(simplex.prepare(strong), lo, hi)
+    with monkeypatch.context() as m:
+        m.setattr(simplex, "append_rows", recording_append_rows)
+        _, root = simplex.separate(prep, lo, hi, simplex.solve_prepared(prep, lo, hi), strong)
+        got = bnb.solve_mip(prep, lo, hi, 120.0, pool=strong)
+    want = solve_model(strong, 120.0)
+    assert root.status == full_root.status == simplex.OPTIMAL
+    assert close(root.objective, full_root.objective)
+    assert got.status == want.status == bnb.OPTIMAL
+    assert close(got.objective, want.objective)
+    _, violations = evaluate(strong, got.incumbent, tol=1e-6)
+    assert violations == []
+    # The preset exists to make the rows bind: the cut loop must have run.
+    assert appended or case[0] != "strengthening"
+
+
+def test_pool_rows_are_appended_once_for_the_whole_tree(monkeypatch):
+    """Every node's cut loop shares one mask of appended pool rows."""
+    inst = generate(strengthening_preset(), 2)
+    plain = build_3confl(inst)
+    strong = strengthen(plain, inst).model
+    prep = simplex.prepare(plain.model)
+    lo, hi = simplex.model_bounds(plain.model)
+    appended, masks = [], []
+    append_rows, separate = simplex.append_rows, simplex.separate
+
+    def recording_append_rows(prep, rows, rhs):
+        appended.append(rows)
+        return append_rows(prep, rows, rhs)
+
+    def recording_separate(prep, lo, hi, res, pool, cut=None):
+        masks.append(cut)
+        return separate(prep, lo, hi, res, pool, cut)
+
+    monkeypatch.setattr(simplex, "append_rows", recording_append_rows)
+    monkeypatch.setattr(simplex, "separate", recording_separate)
+    res = bnb.solve_mip(prep, lo, hi, 120.0, pool=strong)
+    assert res.status == bnb.OPTIMAL
+    assert len(masks) == res.nodes and masks[0] is not None
+    assert all(mask is masks[0] for mask in masks)
+    rows = np.vstack(appended)
+    assert len(appended) > 1
+    assert len(np.unique(rows, axis=0)) == len(rows)
+    assert masks[0].sum() == len(rows)
+
+
+def test_no_pool_appends_nothing(monkeypatch):
+    monkeypatch.setattr(simplex, "separate", None)
+    monkeypatch.setattr(simplex, "append_rows", None)
+    r = solve_model(build_3confl(generate(DESK, 2)).model, 60.0)
+    assert r.status == bnb.OPTIMAL

@@ -9,6 +9,8 @@ from confl3.cli import main
 from confl3.confl import build_3confl, verify_solution
 from confl3.instance_io import GeneratorParams, generate, read_instance, write_instance
 
+from instances import strengthening_preset
+
 GEN_ARGS = [
     "generate",
     "--grid-width", "3", "--grid-height", "2",
@@ -86,6 +88,43 @@ def test_exact_and_report_pipeline(tmp_path, capsys):
     assert out.splitlines()[2].split()[1:] == [f"{gap_ref:.2f}", f"{gap_heu:.2f}", delta]
 
 
+def test_exact_strong_prepares_only_the_plain_matrix(tmp_path, capsys, monkeypatch):
+    """`--strong` passes the strengthening rows as a cut pool: one plain
+    matrix is prepared, one LP is solved cold, and the cuts re-solve warm."""
+    instance = generate(strengthening_preset(), 0)
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(write_instance(instance), encoding="utf-8")
+    prepared, cold, appended = [], [], []
+    prepare, solve_prepared, append_rows = (simplex.prepare, simplex.solve_prepared,
+                                            simplex.append_rows)
+
+    def counting_prepare(model):
+        prepared.append(prepare(model))
+        return prepared[-1]
+
+    def counting_solve_prepared(prep, lo, hi, basis=None):
+        if basis is None:
+            cold.append(prep)
+        return solve_prepared(prep, lo, hi, basis)
+
+    def counting_append_rows(prep, rows, rhs):
+        appended.append(len(rhs))
+        return append_rows(prep, rows, rhs)
+
+    monkeypatch.setattr(simplex, "prepare", counting_prepare)
+    monkeypatch.setattr(simplex, "solve_prepared", counting_solve_prepared)
+    monkeypatch.setattr(simplex, "append_rows", counting_append_rows)
+    out = tmp_path / "exact.json"
+    assert main(["exact", str(inst_path), "--strong", "-o", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "optimal" and doc["verified"] is True
+    assert doc["params"]["strong"] is True
+    assert len(prepared) == 1
+    assert len(prepared[0].rhs) == len(build_3confl(instance).model.constraints)
+    assert len(cold) == 1
+    assert appended
+
+
 def test_report_refuses_mixed_instances(tmp_path, capsys):
     a_path = _generate(tmp_path, seed=4)
     b_path = tmp_path / "other.json"
@@ -99,14 +138,19 @@ def test_report_refuses_mixed_instances(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("doc, field", [([], "not a solution document"),
-                                        ("drop-instance", "instance")])
+                                        ("drop-instance", "instance"),
+                                        ("string-objective", "objective: expected a number"),
+                                        ("list-bound", "lower_bound: expected a number")])
 def test_report_rejects_malformed_documents(tmp_path, capsys, doc, field):
     inst_path = _generate(tmp_path)
     sol = tmp_path / "sol.json"
     assert main(["solve", str(inst_path), "--iters", "1", "-o", str(sol)]) == 0
-    if doc == "drop-instance":
+    if isinstance(doc, str):
+        edit = {"drop-instance": lambda d: d.pop("instance"),
+                "string-objective": lambda d: d.update(objective="12"),
+                "list-bound": lambda d: d.update(lower_bound=[1])}[doc]
         doc = json.loads(sol.read_text())
-        del doc["instance"]
+        edit(doc)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     capsys.readouterr()

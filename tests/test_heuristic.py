@@ -1,6 +1,3 @@
-import importlib.util
-import pathlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,6 +33,7 @@ from instances import (
     calm_wireless_instance,
     conflict_instance,
     repair_instance,
+    strengthening_preset,
     super_instance,
 )
 from solve import solve_model
@@ -575,16 +573,6 @@ class TestSolveSession:
         assert len(checked) == len(distinct)
 
 
-def _strengthening_preset() -> GeneratorParams:
-    """The preset of scripts/strengthening_effect.py, on which the
-    strengthening rows bind at the relaxation optimum."""
-    path = pathlib.Path(__file__).parents[1] / "scripts" / "strengthening_effect.py"
-    spec = importlib.util.spec_from_file_location("strengthening_effect", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.PARAMS
-
-
 README_4X3 = GeneratorParams(grid_width=4, grid_height=3, n_facilities=3,
                              n_central_offices=1, n_steiner=0)
 
@@ -597,7 +585,7 @@ class TestSeparation:
     @pytest.mark.parametrize("preset, seed", [("desk", s) for s in range(8)]
                              + [("strengthening", s) for s in range(8)] + [("readme", 1)])
     def test_values_match_the_full_row_model(self, preset, seed, monkeypatch):
-        params = {"desk": DESK, "strengthening": _strengthening_preset(),
+        params = {"desk": DESK, "strengthening": strengthening_preset(),
                   "readme": README_4X3}[preset]
         inst = generate(params, seed)
         appended = []
@@ -631,7 +619,7 @@ class TestSeparation:
         assert appended or preset != "strengthening"
 
     def test_separated_rows_alone_can_prove_infeasibility(self):
-        inst = generate(_strengthening_preset(), 3)
+        inst = generate(strengthening_preset(), 3)
         ctx = HeuristicContext(inst)
         only_strong = [
             (f.id, t) for f in inst.facilities for t in inst.technologies

@@ -131,6 +131,29 @@ class TestSerialization:
         with pytest.raises(SchemaError, match=re.escape(f"{path}: expected an object")):
             read_instance(text)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["coverage_thresholds"].update({"1": None}),
+         "coverage_thresholds.1: expected a number"),
+        (lambda d: d["coverage_thresholds"].update({"1": "12"}),
+         "coverage_thresholds.1: expected a number"),
+        (lambda d: d["facilities"][0]["open_cost"].update({"1": None}),
+         "facilities[0].open_cost.1: expected a number"),
+        (lambda d: d["facilities"][0]["open_cost"].update({"2": True}),
+         "facilities[0].open_cost.2: expected a number"),
+        (lambda d: d["coverage_thresholds"].update({"one": 1.0}),
+         "coverage_thresholds: technology key 'one' is not an integer"),
+        (lambda d: d["facilities"][1]["open_cost"].update({"1.5": 1.0}),
+         "facilities[1].open_cost: technology key '1.5' is not an integer"),
+        (lambda d: d["assignment_arcs"].update({"t3": []}),
+         "assignment_arcs: technology key 't3' is not an integer"),
+    ], ids=["threshold-null", "threshold-string", "cost-null", "cost-bool",
+            "threshold-key", "cost-key", "arcs-key"])
+    def test_malformed_number_or_technology_named(self, edit, message):
+        doc = json.loads(write_instance(generate(GeneratorParams(**TINY), 7)))
+        edit(doc)
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            read_instance(json.dumps(doc))
+
     def test_top_level_must_be_an_object(self):
         with pytest.raises(SchemaError, match="top level: expected an object"):
             read_instance("[]")

@@ -439,3 +439,34 @@ def test_corrupted_update_is_caught_by_the_certificate(seed, monkeypatch):
     assert got.objective == pytest.approx(want_obj, rel=1e-9, abs=1e-9)
     _, violations = evaluate(model, got.assignment, tol=1e-6)
     assert violations == []
+
+
+def test_cut_loop_appends_each_pool_row_once(monkeypatch):
+    """A re-solve whose point still violates an appended pool row (as a
+    tolerance-level miss would) ends the loop instead of appending the row
+    again; a mask shared between calls keeps it out of later calls too."""
+    m = Model()
+    a = m.add_variable("a", BINARY, 0, 1)
+    b = m.add_variable("b", BINARY, 0, 1)
+    m.set_objective_coef(a, -1.0)
+    m.set_objective_coef(b, -1.0)
+    pool = m.copy()
+    pool.add_constraint([(a, 1.0), (b, 1.0)], LE, 1.0)
+    prep = simplex.prepare(m)
+    lo, hi = simplex.model_bounds(m)
+    res = simplex.solve_prepared(prep, lo, hi)
+    assert res.assignment == {a: 1.0, b: 1.0}
+    calls = []
+
+    def stale_solve(prep, lo, hi, basis=None):
+        calls.append(len(prep.rhs))
+        assert len(calls) < 5, "the cut loop does not end"
+        return res
+
+    monkeypatch.setattr(simplex, "solve_prepared", stale_solve)
+    cut = np.zeros(len(pool.constraints), dtype=bool)
+    cuts, _ = simplex.separate(prep, lo, hi, res, pool, cut)
+    assert len(cuts.rhs) == 1 and calls == [1]
+    assert cut.tolist() == [True]
+    again, _ = simplex.separate(prep, lo, hi, res, pool, cut)
+    assert again is prep and calls == [1]
