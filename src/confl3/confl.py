@@ -238,17 +238,15 @@ class _RowBatch:
         self.coefs: list[list[float]] = []
         self.senses: list[str] = []
         self.rhs: list[float] = []
-        self.tags: list[str] = []
 
-    def add(self, terms: list[tuple[int, float]], sense: str, rhs: float, tag: str) -> None:
+    def add(self, terms: list[tuple[int, float]], sense: str, rhs: float) -> None:
         self.cols.append([vid for vid, _ in terms])
         self.coefs.append([coef for _, coef in terms])
         self.senses.append(sense)
         self.rhs.append(rhs)
-        self.tags.append(tag)
 
     def append_to(self, model: Model) -> None:
-        model.add_rows(self.cols, self.coefs, self.senses, self.rhs, self.tags)
+        model.add_rows(self.cols, self.coefs, self.senses, self.rhs)
 
 
 def _build(instance: Instance, technologies: tuple[int, ...]) -> ConflModel:
@@ -291,9 +289,7 @@ def _build(instance: Instance, technologies: tuple[int, ...]) -> ConflModel:
     rows = _RowBatch()
     # Facility opens on at most one technology.
     for f in instance.facilities:
-        rows.add(
-            [(z[f.id, t], 1.0) for t in technologies], LE, 1.0, f"SINGLE_TECH({f.id})"
-        )
+        rows.add([(z[f.id, t], 1.0) for t in technologies], LE, 1.0)
 
     # A served user has exactly one active assignment arc on its technology.
     for u in instance.users:
@@ -304,11 +300,11 @@ def _build(instance: Instance, technologies: tuple[int, ...]) -> ConflModel:
                 if a.user == u.id
             ]
             terms.append((v[u.id, t], -1.0))
-            rows.add(terms, EQ, 0.0, f"ASSIGN({u.id},t{t})")
+            rows.add(terms, EQ, 0.0)
 
     # Assignment arcs only out of facilities opened on that technology.
     for (fid, uid, t), yid in y.items():
-        rows.add([(yid, 1.0), (z[fid, t], -1.0)], LE, 0.0, f"LINK({fid},{uid},t{t})")
+        rows.add([(yid, 1.0), (z[fid, t], -1.0)], LE, 0.0)
 
     # Coverage requirement; users on a better technology tau <= t count too.
     for t in technologies:
@@ -319,7 +315,7 @@ def _build(instance: Instance, technologies: tuple[int, ...]) -> ConflModel:
             if tau <= t
         ]
         if terms:
-            rows.add(terms, GE, instance.coverage_thresholds[t], f"COVER(t{t})")
+            rows.add(terms, GE, instance.coverage_thresholds[t])
 
     # Unit of flow from the artificial root to each opened facility,
     # one commodity per facility.
@@ -340,17 +336,12 @@ def _build(instance: Instance, technologies: tuple[int, ...]) -> ConflModel:
                 terms += [(z[f.id, t], 1.0) for t in technologies]
             elif node == f.id:
                 terms += [(z[f.id, t], -1.0) for t in technologies]
-            rows.add(terms, EQ, 0.0, f"FLOW({f.id},{node})")
+            rows.add(terms, EQ, 0.0)
 
     # Flow only on installed arcs.
     for tail, head, _ in arcs:
         for f in instance.facilities:
-            rows.add(
-                [(flow[tail, head, f.id], 1.0), (x[tail, head], -1.0)],
-                LE,
-                0.0,
-                f"CAP({tail},{head},{f.id})",
-            )
+            rows.add([(flow[tail, head, f.id], 1.0), (x[tail, head], -1.0)], LE, 0.0)
     rows.append_to(m)
 
     return ConflModel(instance, technologies, m, arcs, z, x, y, v, flow)
@@ -395,14 +386,14 @@ def build_3confl(instance: Instance) -> ConflModel:
             if a_ku != 0.0:
                 terms.append((confl.power[k.id], -w.delta * a_ku))
         terms.append((yid, -m_fu))
-        rows.add(terms, GE, w.delta * w.eta_noise - m_fu, f"SIR({fid},{uid})")
+        rows.add(terms, GE, w.delta * w.eta_noise - m_fu)
 
     # Semi-continuous power: p_min z <= p <= p_max z.
     for f in instance.facilities:
         pid = confl.power[f.id]
         zid = confl.z[f.id, TECH_WIRELESS]
-        rows.add([(pid, 1.0), (zid, -w.p_max)], LE, 0.0, f"PMAX({f.id})")
-        rows.add([(pid, 1.0), (zid, -w.p_min)], GE, 0.0, f"PMIN({f.id})")
+        rows.add([(pid, 1.0), (zid, -w.p_max)], LE, 0.0)
+        rows.add([(pid, 1.0), (zid, -w.p_min)], GE, 0.0)
     rows.append_to(m)
 
     return confl
@@ -527,23 +518,17 @@ def strengthen(confl: ConflModel, instance: Instance) -> ConflModel:
         raise ValueError("strengthen expects a model built by build_3confl")
     m = confl.model.copy()
     super_cols: list[tuple[int, int]] = []
-    super_tags: list[str] = []
     for (fid, uid, t), yid in confl.y.items():
         if t != TECH_WIRELESS:
             continue
         for k in sorted(superinterferers(instance, uid, fid)):
             super_cols.append((yid, confl.z[k, TECH_WIRELESS]))
-            super_tags.append(f"SUPER({fid},{uid},{k})")
     arcs = instance.assignment_arcs.get(TECH_WIRELESS, [])
     pairs = conflict_pairs(instance)
     y_of_arc = np.array([confl.y[a.facility, a.user, TECH_WIRELESS] for a in arcs],
                         dtype=np.int64)
-    ids = np.array([f"{a.facility},{a.user}" for a in arcs], dtype=object)
-    conf_tags = [f"CONF({first},{second})"
-                 for first, second in zip(ids[pairs[:, 0]].tolist(), ids[pairs[:, 1]].tolist())]
-    for cols, tags in ((np.reshape(super_cols, (-1, 2)), super_tags),
-                       (y_of_arc[pairs].reshape(-1, 2), conf_tags)):
-        m.add_rows(cols, np.ones(cols.shape), LE, 1.0, tags)
+    for cols in (np.reshape(super_cols, (-1, 2)), y_of_arc[pairs].reshape(-1, 2)):
+        m.add_rows(cols, np.ones(cols.shape), LE, 1.0)
     return ConflModel(
         instance,
         confl.technologies,
@@ -555,7 +540,7 @@ def strengthen(confl: ConflModel, instance: Instance) -> ConflModel:
         confl.v,
         confl.flow,
         confl.power,
-        strengthening_rows=len(super_tags) + len(conf_tags),
+        strengthening_rows=len(super_cols) + len(pairs),
     )
 
 

@@ -266,14 +266,24 @@ def _fading_doc(instance: Instance) -> dict:
 def _number(value, path: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise SchemaError(f"{path}: expected a number")
+    if not math.isfinite(value):
+        raise SchemaError(f"{path}: expected a finite number, got {value}")
     return float(value)
 
 
-def _technology(key: str, path: str) -> int:
-    try:
-        return int(key)
-    except ValueError:
-        raise SchemaError(f"{path}: technology key {key!r} is not an integer") from None
+def _by_technology(doc: dict, path: str, read) -> dict:
+    """``read(value, key)`` for each entry of `doc`, keyed by technology.
+    Each key must be an integer that names no technology named before."""
+    out = {}
+    for key, value in doc.items():
+        try:
+            t = int(key)
+        except ValueError:
+            raise SchemaError(f"{path}: technology key {key!r} is not an integer") from None
+        if t in out:
+            raise SchemaError(f"{path}: technology key {key!r} repeats technology {t}")
+        out[t] = read(value, key)
+    return out
 
 
 def _need(doc: dict, key: str, kind, path: str):
@@ -310,10 +320,8 @@ def read_instance(text: str) -> Instance:
     facilities = []
     for i, f in enumerate(_need(doc, "facilities", list, "")):
         path = f"facilities[{i}]"
-        costs = {
-            _technology(t, f"{path}.open_cost"): _number(c, f"{path}.open_cost.{t}")
-            for t, c in _need(f, "open_cost", dict, path).items()
-        }
+        costs = _by_technology(_need(f, "open_cost", dict, path), f"{path}.open_cost",
+                               lambda c, t: _number(c, f"{path}.open_cost.{t}"))
         facilities.append(
             Facility(_need(f, "id", str, path), tuple(_need(f, "position", list, path)), costs)
         )
@@ -336,11 +344,11 @@ def read_instance(text: str) -> Instance:
         )
         for i, a in enumerate(_need(doc, "core_arcs", list, ""))
     ]
-    assignment_arcs = {}
-    for t, arcs in _need(doc, "assignment_arcs", dict, "").items():
+
+    def read_arcs(arcs, t):
         if not isinstance(arcs, list):
             raise SchemaError(f"assignment_arcs.{t}: expected list")
-        assignment_arcs[_technology(t, "assignment_arcs")] = [
+        return [
             AssignmentArc(
                 _need(a, "facility", str, f"assignment_arcs.{t}[{i}]"),
                 _need(a, "user", str, f"assignment_arcs.{t}[{i}]"),
@@ -348,10 +356,12 @@ def read_instance(text: str) -> Instance:
             )
             for i, a in enumerate(arcs)
         ]
-    thresholds = {
-        _technology(t, "coverage_thresholds"): _number(w, f"coverage_thresholds.{t}")
-        for t, w in _need(doc, "coverage_thresholds", dict, "").items()
-    }
+
+    assignment_arcs = _by_technology(_need(doc, "assignment_arcs", dict, ""),
+                                     "assignment_arcs", read_arcs)
+    thresholds = _by_technology(_need(doc, "coverage_thresholds", dict, ""),
+                                "coverage_thresholds",
+                                lambda w, t: _number(w, f"coverage_thresholds.{t}"))
 
     wireless = None
     if 3 in thresholds:

@@ -2,23 +2,21 @@
 
 A :class:`Model` is a flat list of variables (binary or continuous, with
 bounds), a block of linear rows and a minimization objective.  The rows are
-kept in one column-oriented store, not as one object per row: CSR-style row
-starts, column ids and coefficients, plus a sense, a right-hand side and a
-tag for each row.  :meth:`Model.add_constraint` appends one row and
-:meth:`Model.add_rows` appends many rows given as arrays; both run the same
-checks, and a failed check appends nothing.
-:meth:`Model.rows` hands the arrays to the consumers (:func:`evaluate`,
-:func:`export_lp_text`, ``simplex.prepare``), and :attr:`Model.constraints`
-is a read-only sequence that builds :class:`LinearConstraint` values on
-access.
+one immutable :class:`Rows` value, not one object per row: CSR-style row
+starts, column ids and coefficients, plus a sense and a right-hand side for
+each row, all read-only arrays.  :meth:`Model.add_constraint` appends one
+row and :meth:`Model.add_rows` appends many rows given as arrays; both run
+the same checks, a failed check appends nothing, and an append replaces the
+model's `Rows` value by a new one.  :meth:`Model.rows` hands that value to
+the consumers (:func:`evaluate`, :func:`export_lp_text`,
+``simplex.prepare``), and :attr:`Model.constraints` is a read-only sequence
+that builds :class:`LinearConstraint` values on access.
 
 Models are built through :meth:`Model.add_variable` and the two row methods
 and treated as immutable afterwards: every transformation
 (:func:`lp_relaxation`, :func:`apply_fixings`) returns a fresh copy.  Copies
-share the row store.  The store is append-only and each model sees only its
-own first rows, so a copy may append (as the strengthening does) without
-changing the original: a model whose rows are no longer the last ones of the
-store copies them into a store of its own before appending.
+share the `Rows` value, so a copy may append (as the strengthening does)
+without changing the original.
 """
 
 from __future__ import annotations
@@ -52,13 +50,11 @@ class Variable:
 
 @dataclass(frozen=True)
 class LinearConstraint:
-    """`sum(coef * var) sense rhs`; tag records which model family the row
-    came from (e.g. ``"SIR(f0,u3)"``) for diagnostics."""
+    """`sum(coef * var) sense rhs`."""
 
     terms: tuple[tuple[int, float], ...]
     sense: str
     rhs: float
-    tag: str = ""
 
 
 # Total map variable id -> value, as returned by the solvers.
@@ -77,9 +73,23 @@ class Rows:
     sense: np.ndarray    # (m,) int8 sense codes
     rhs: np.ndarray      # (m,)
 
+    def __post_init__(self):
+        for a in (self.starts, self.cols, self.coefs, self.sense, self.rhs):
+            a.flags.writeable = False
+
     def entry_rows(self) -> np.ndarray:
         """The row of each entry of `cols` and `coefs`."""
         return np.repeat(np.arange(len(self.rhs)), np.diff(self.starts))
+
+    def row(self, i: int) -> LinearConstraint:
+        """Row `i` as a :class:`LinearConstraint`."""
+        a, b = self.starts[i], self.starts[i + 1]
+        terms = tuple(zip(self.cols[a:b].tolist(), self.coefs[a:b].tolist()))
+        return LinearConstraint(terms, SENSES[self.sense[i]], float(self.rhs[i]))
+
+
+_NO_ROWS = Rows(np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0),
+                np.empty(0, dtype=np.int8), np.empty(0))
 
 
 def _flatten(rows, dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -92,75 +102,27 @@ def _flatten(rows, dtype) -> tuple[np.ndarray, np.ndarray]:
     return entries, lengths
 
 
-class _RowStore:
-    """Append-only row arrays with spare capacity, shared by a model and its
-    copies.  The first `rows` rows are filled and never change; a model
-    appends in place only when its rows are those first `rows`."""
-
-    def __init__(self, rows: int = 0, nnz: int = 0):
-        self.starts = np.zeros(rows + 1, dtype=np.int64)
-        self.cols = np.empty(nnz, dtype=np.int64)
-        self.coefs = np.empty(nnz)
-        self.sense = np.empty(rows, dtype=np.int8)
-        self.rhs = np.empty(rows)
-        self.tags: list[str] = []
-        self.rows = 0
-
-    def extend(self, m: int, cols, coefs, lengths, sense, rhs, tags) -> "_RowStore":
-        """Append rows of the given `lengths`, whose entries `cols` and
-        `coefs` hold row after row, after the first `m` rows.  Returns the
-        store that holds them: this one when its rows end at `m` and it has
-        room, else a new one with the first `m` rows copied and room to
-        spare."""
-        k = len(lengths)
-        nnz = int(self.starts[m])
-        end = nnz + len(cols)
-        store = self
-        if m != self.rows or m + k > len(self.rhs) or end > len(self.cols):
-            store = _RowStore(max(m + k, 2 * m), max(end, 2 * nnz))
-            store.starts[:m + 1] = self.starts[:m + 1]
-            store.cols[:nnz] = self.cols[:nnz]
-            store.coefs[:nnz] = self.coefs[:nnz]
-            store.sense[:m] = self.sense[:m]
-            store.rhs[:m] = self.rhs[:m]
-            store.tags = self.tags[:m]
-        store.starts[m + 1:m + k + 1] = nnz + np.cumsum(lengths)
-        store.cols[nnz:end] = cols
-        store.coefs[nnz:end] = coefs
-        store.sense[m:m + k] = sense
-        store.rhs[m:m + k] = rhs
-        store.tags.extend(tags)
-        store.rows = m + k
-        return store
-
-    def row(self, i: int) -> LinearConstraint:
-        a, b = self.starts[i], self.starts[i + 1]
-        terms = tuple(zip(self.cols[a:b].tolist(), self.coefs[a:b].tolist()))
-        return LinearConstraint(terms, SENSES[self.sense[i]], float(self.rhs[i]), self.tags[i])
-
-
 class Constraints(Sequence):
-    """Read-only sequence of the first `m` rows of a store, as
+    """Read-only sequence of the rows of a :class:`Rows` value, as
     :class:`LinearConstraint` values built on access."""
 
-    def __init__(self, store: _RowStore, m: int):
-        self._store = store
-        self._m = m
+    def __init__(self, rows: Rows):
+        self._rows = rows
 
     def __len__(self) -> int:
-        return self._m
+        return len(self._rows.rhs)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [self._store.row(k) for k in range(*i.indices(self._m))]
+            return [self._rows.row(k) for k in range(*i.indices(len(self)))]
         if i < 0:
-            i += self._m
-        if not 0 <= i < self._m:
+            i += len(self)
+        if not 0 <= i < len(self):
             raise IndexError("constraint index out of range")
-        return self._store.row(i)
+        return self._rows.row(i)
 
     def __iter__(self):
-        return (self._store.row(k) for k in range(self._m))
+        return (self._rows.row(k) for k in range(len(self)))
 
 
 class Model:
@@ -168,21 +130,15 @@ class Model:
         self.variables: list[Variable] = []
         self.objective: dict[int, float] = {}
         self._names: set[str] = set()
-        self._store = _RowStore()
-        self._m = 0     # rows of `_store` that belong to this model
+        self._rows = _NO_ROWS
 
     @property
     def constraints(self) -> Constraints:
-        return Constraints(self._store, self._m)
+        return Constraints(self._rows)
 
     def rows(self) -> Rows:
-        """This model's rows as read-only views of the store's arrays."""
-        s, m = self._store, self._m
-        nnz = s.starts[m]
-        arrays = (s.starts[:m + 1], s.cols[:nnz], s.coefs[:nnz], s.sense[:m], s.rhs[:m])
-        for a in arrays:
-            a.flags.writeable = False
-        return Rows(*arrays)
+        """This model's rows as read-only arrays."""
+        return self._rows
 
     def add_variable(self, name: str, kind: str, lower: float, upper: float) -> int:
         if kind not in (BINARY, CONTINUOUS):
@@ -205,27 +161,26 @@ class Model:
         terms: list[tuple[int, float]] | tuple[tuple[int, float], ...],
         sense: str,
         rhs: float,
-        tag: str = "",
     ) -> int:
         cols = [[vid for vid, _ in terms]]
         coefs = [[coef for _, coef in terms]]
-        return self.add_rows(cols, coefs, sense, rhs, [tag])[0]
+        return self.add_rows(cols, coefs, sense, rhs)[0]
 
-    def add_rows(self, cols, coefs, sense, rhs, tags) -> range:
+    def add_rows(self, cols, coefs, sense, rhs) -> range:
         """Append k rows: row i is
         ``sum_j coefs[i][j] * x[cols[i][j]]  sense[i]  rhs[i]``.
 
         `cols` and `coefs` hold the terms of the rows, as (k, L) arrays or as
         k sequences of any length; `sense` is one sense for every row or k of
-        them, `rhs` one value or k, and `tags` k strings.  The checks of
-        :meth:`add_constraint` run once over all rows; when one fails,
-        nothing is appended and the error names the first offending row by
-        the id it would have had.  Returns the ids of the new rows.
+        them, and `rhs` one value or k.  The checks of :meth:`add_constraint`
+        run once over all rows; when one fails, nothing is appended and the
+        error names the first offending row by the id it would have had.
+        The new rows and the old ones go into fresh arrays, so copies of
+        this model keep their rows.  Returns the ids of the new rows.
         """
-        tags = list(tags)
-        k = len(tags)
         cols, lengths = _flatten(cols, np.int64)
         coefs, coef_lengths = _flatten(coefs, float)
+        k = len(lengths)
         if isinstance(sense, str):
             senses = [sense] * k
             codes = np.full(k, _SENSE_CODE.get(sense, -1), dtype=np.int8)
@@ -234,16 +189,20 @@ class Model:
             codes = np.array([_SENSE_CODE.get(s, -1) for s in senses], dtype=np.int8)
         rhs = np.asarray(rhs, dtype=float)
         rhs = np.full(k, rhs) if rhs.ndim == 0 else rhs
-        if (len(lengths) != k or not np.array_equal(lengths, coef_lengths)
-                or len(senses) != k or rhs.shape != (k,)):
-            raise ValueError("add_rows needs cols, coefs, senses and right-hand sides "
-                             "for each of its tags")
-        self._check_rows(cols, coefs, lengths, codes, senses, rhs, tags)
-        self._store = self._store.extend(self._m, cols, coefs, lengths, codes, rhs, tags)
-        self._m += k
-        return range(self._m - k, self._m)
+        if not np.array_equal(lengths, coef_lengths) or len(senses) != k or rhs.shape != (k,):
+            raise ValueError("add_rows needs coefs, a sense and a right-hand side "
+                             "for each row of cols")
+        self._check_rows(cols, coefs, lengths, codes, senses, rhs)
+        old = self._rows
+        m = len(old.rhs)
+        self._rows = Rows(np.concatenate([old.starts, old.starts[-1] + np.cumsum(lengths)]),
+                          np.concatenate([old.cols, cols]),
+                          np.concatenate([old.coefs, coefs]),
+                          np.concatenate([old.sense, codes]),
+                          np.concatenate([old.rhs, rhs]))
+        return range(m, m + k)
 
-    def _check_rows(self, cols, coefs, lengths, codes, senses, rhs, tags) -> None:
+    def _check_rows(self, cols, coefs, lengths, codes, senses, rhs) -> None:
         """Raise ValueError for the first of these faults, naming the first
         row that has it: an unknown sense, an empty row, a non-finite
         right-hand side, an unknown variable id, a variable repeated within
@@ -270,8 +229,7 @@ class Model:
         for hits, locate in faults:
             if len(hits):
                 i, message = locate(hits[0])
-                tag = f", {tags[i]!r}" if tags[i] else ""
-                raise ValueError(f"{message} (row {self._m + int(i)}{tag})")
+                raise ValueError(f"{message} (row {len(self._rows.rhs) + int(i)})")
 
     def set_objective_coef(self, vid: int, cost: float) -> None:
         if not 0 <= vid < len(self.variables):
@@ -286,8 +244,7 @@ class Model:
         m.variables = list(self.variables)
         m.objective = dict(self.objective)
         m._names = set(self._names)
-        m._store = self._store
-        m._m = self._m
+        m._rows = self._rows
         return m
 
 

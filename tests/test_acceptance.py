@@ -126,7 +126,7 @@ def test_strengthening_validity_and_effect(acceptance_set, acceptance_strong):
             for _, res in enumerate_binary_patterns(plain.model):
                 for row in extra:
                     lhs = sum(coef * res.assignment[vid] for vid, coef in row.terms)
-                    assert lhs <= row.rhs + 1e-8, row.tag
+                    assert lhs <= row.rhs + 1e-8, row
             # (b) the strengthened bound never drops
             lp_plain = simplex.solve_lp(lp_relaxation(plain.model))
             lp_strong = simplex.solve_lp(lp_relaxation(strong.model))

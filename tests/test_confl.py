@@ -27,6 +27,16 @@ from oracles import enumerate_binary_patterns, mip_enumeration_optimum
 from solve import solve_model
 
 
+def _is_sir_row(confl, row, fid=None, uid=None) -> bool:
+    """Whether `row` is an SIR row, the one of (fid, uid) when they are
+    given: a row that holds a wireless assignment column and a power
+    column."""
+    cols = {vid for vid, _ in row.terms}
+    ys = {yid for (f, u, t), yid in confl.y.items()
+          if t == 3 and fid in (None, f) and uid in (None, u)}
+    return bool(cols & ys) and bool(cols & set(confl.power.values()))
+
+
 class TestBuildCounts:
     def test_variable_families_have_closed_form_sizes(self):
         inst = repair_instance()
@@ -36,9 +46,7 @@ class TestBuildCounts:
         assert len(confl.z) == n_f * n_t
         assert len(confl.x) == n_arcs
         assert len(confl.flow) == n_arcs * n_f
-        n_sir = sum(
-            1 for c in confl.model.constraints if c.tag.startswith("SIR(")
-        )
+        n_sir = sum(1 for c in confl.model.constraints if _is_sir_row(confl, c))
         assert n_sir == len(inst.assignment_arcs[3])
         assert len(confl.y) == sum(len(a) for a in inst.assignment_arcs.values())
 
@@ -101,7 +109,7 @@ class TestBuild3Confl:
     def test_inactive_assignment_silences_sir_row(self):
         inst, _, _ = conflict_instance()
         confl = build_3confl(inst)
-        sir_rows = [c for c in confl.model.constraints if c.tag == "SIR(f0,u0)"]
+        sir_rows = [c for c in confl.model.constraints if _is_sir_row(confl, c, "f0", "u0")]
         assert len(sir_rows) == 1
         row = sir_rows[0]
         rng = np.random.default_rng(0)
@@ -278,7 +286,7 @@ class TestConflictPairs:
             count += 1
             for row in extra:
                 lhs = sum(coef * res.assignment[vid] for vid, coef in row.terms)
-                assert lhs <= row.rhs + 1e-9, row.tag
+                assert lhs <= row.rhs + 1e-9, row
         assert count > 0
 
 
@@ -294,8 +302,9 @@ class TestStrengthen:
         inst = repair_instance()
         plain = build_3confl(inst)
         strong = strengthen(plain, inst)
-        tags = {c.tag for c in strong.model.constraints[len(plain.model.constraints):]}
-        assert "SUPER(f0,u0,f1)" in tags
+        extra = strong.model.constraints[len(plain.model.constraints):]
+        want = {plain.y["f0", "u0", 3], plain.z["f1", 3]}
+        assert any({vid for vid, _ in c.terms} == want for c in extra)
 
     @pytest.mark.parametrize("make_instance", [conflict_instance, repair_instance])
     def test_plain_model_rows_unchanged(self, make_instance):
@@ -307,10 +316,12 @@ class TestStrengthen:
         assert len(plain.model.constraints) == len(before)
         assert all(plain.model.constraints[i] == row for i, row in enumerate(before))
         assert list(strong.model.constraints)[:len(before)] == before
-        tags = [c.tag for c in strong.model.constraints[len(before):]]
-        assert len(tags) == strong.strengthening_rows
-        # SUPER rows first, then CONF rows.
-        assert tags == sorted(tags, key=lambda tag: not tag.startswith("SUPER("))
+        extra = strong.model.constraints[len(before):]
+        assert len(extra) == strong.strengthening_rows
+        # SUPER rows (the ones with a z column) first, then CONF rows.
+        z3 = {plain.z[f.id, 3] for f in inst.facilities}
+        has_z = [any(vid in z3 for vid, _ in c.terms) for c in extra]
+        assert has_z == sorted(has_z, reverse=True)
 
     def test_lp_bound_never_decreases(self):
         for inst in (conflict_instance()[0], calm_wireless_instance(), repair_instance()):
@@ -337,7 +348,7 @@ class TestSirAlgebra:
         inst, _, _ = conflict_instance()
         confl = build_3confl(inst)
         w = inst.wireless
-        row = next(c for c in confl.model.constraints if c.tag == "SIR(f0,u0)")
+        row = next(c for c in confl.model.constraints if _is_sir_row(confl, c, "f0", "u0"))
         rng = np.random.default_rng(3)
         for _ in range(50):
             p = {f.id: rng.uniform(0, w.p_max) for f in inst.facilities}

@@ -146,8 +146,24 @@ class TestSerialization:
          "facilities[1].open_cost: technology key '1.5' is not an integer"),
         (lambda d: d["assignment_arcs"].update({"t3": []}),
          "assignment_arcs: technology key 't3' is not an integer"),
+        (lambda d: d["core_arcs"][0].update({"cost": math.nan}),
+         "core_arcs[0].cost: expected a finite number, got nan"),
+        (lambda d: d["facilities"][0]["open_cost"].update({"1": math.inf}),
+         "facilities[0].open_cost.1: expected a finite number, got inf"),
+        (lambda d: d["wireless"].update({"delta": math.nan}),
+         "wireless.delta: expected a finite number, got nan"),
+        (lambda d: d["wireless"]["fading"]["f0"].update({"u0": -math.inf}),
+         "wireless.fading.f0.u0: expected a finite number, got -inf"),
+        (lambda d: d["coverage_thresholds"].update({"01": 0.0}),
+         "coverage_thresholds: technology key '01' repeats technology 1"),
+        (lambda d: d["facilities"][0]["open_cost"].update({"+2": 0.0}),
+         "facilities[0].open_cost: technology key '+2' repeats technology 2"),
+        (lambda d: d["assignment_arcs"].update({" 3": []}),
+         "assignment_arcs: technology key ' 3' repeats technology 3"),
     ], ids=["threshold-null", "threshold-string", "cost-null", "cost-bool",
-            "threshold-key", "cost-key", "arcs-key"])
+            "threshold-key", "cost-key", "arcs-key", "arc-cost-nan", "open-cost-inf",
+            "delta-nan", "fading-minus-inf", "threshold-repeated", "cost-repeated",
+            "arcs-repeated"])
     def test_malformed_number_or_technology_named(self, edit, message):
         doc = json.loads(write_instance(generate(GeneratorParams(**TINY), 7)))
         edit(doc)

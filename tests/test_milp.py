@@ -26,8 +26,8 @@ def small_model():
     p = m.add_variable("p", CONTINUOUS, 0.0, 1.0)
     m.set_objective_coef(x1, 2.0)
     m.set_objective_coef(p, 0.5)
-    m.add_constraint([(x1, 1.0), (x2, 1.0)], LE, 1.0, "pick-one")
-    m.add_constraint([(p, 1.0), (x1, -1.0)], LE, 0.0, "link")
+    m.add_constraint([(x1, 1.0), (x2, 1.0)], LE, 1.0)
+    m.add_constraint([(p, 1.0), (x1, -1.0)], LE, 0.0)
     return m, (x1, x2, p)
 
 
@@ -126,11 +126,10 @@ class TestAddRows:
         terms, sense, rhs = row(x1)
         batch = [([(x2, 1.0)], LE, 1.0), ([(p, 2.0), (x2, 1.0)], GE, 0.0),
                  (terms, sense, rhs), ([(x1, 1.0)], EQ, 0.0)]
-        with pytest.raises(ValueError, match=re.escape(f"{message} (row 4, 'bad')")):
+        with pytest.raises(ValueError, match=re.escape(f"{message} (row 4)")):
             m.add_rows([[vid for vid, _ in t] for t, _, _ in batch],
                        [[coef for _, coef in t] for t, _, _ in batch],
-                       [sense for _, sense, _ in batch], [rhs for _, _, rhs in batch],
-                       ["", "", "bad", ""])
+                       [sense for _, sense, _ in batch], [rhs for _, _, rhs in batch])
         assert len(m.constraints) == len(before)
         assert list(m.constraints) == before
 
@@ -139,29 +138,33 @@ class TestAddRows:
         single, _ = small_model()
         cols = np.array([[x1, p], [x2, x1], [p, x2]])
         coefs = np.array([[1.0, -2.5], [0.5, 1.0], [3.0, -1.0]])
-        ids = bulk.add_rows(cols, coefs, [LE, GE, EQ], [1.0, 0.0, 2.0], ["a", "b", "c"])
+        ids = bulk.add_rows(cols, coefs, [LE, GE, EQ], [1.0, 0.0, 2.0])
         assert ids == range(2, 5)
-        for row, sense, rhs, tag in zip(range(3), [LE, GE, EQ], [1.0, 0.0, 2.0], "abc"):
+        for row, sense, rhs in zip(range(3), [LE, GE, EQ], [1.0, 0.0, 2.0]):
             single.add_constraint(list(zip(cols[row].tolist(), coefs[row].tolist())),
-                                  sense, rhs, tag)
+                                  sense, rhs)
         assert list(bulk.constraints) == list(single.constraints)
         assert export_lp_text(bulk) == export_lp_text(single)
 
     def test_mismatched_shapes_rejected(self):
         m, (x1, x2, _) = small_model()
         with pytest.raises(ValueError, match="add_rows needs"):
-            m.add_rows([[x1, x2]], [[1.0]], LE, 1.0, [""])
+            m.add_rows([[x1, x2]], [[1.0]], LE, 1.0)
         with pytest.raises(ValueError, match="add_rows needs"):
-            m.add_rows([[x1]], [[1.0]], LE, [1.0, 2.0], [""])
+            m.add_rows([[x1]], [[1.0]], LE, [1.0, 2.0])
+        with pytest.raises(ValueError, match="add_rows needs"):
+            m.add_rows([[x1]], [[1.0], [1.0]], LE, 1.0)
+        with pytest.raises(ValueError, match="add_rows needs"):
+            m.add_rows([[x1]], [[1.0]], [LE, GE], 1.0)
         assert len(m.constraints) == 2
 
     def test_constraints_is_a_read_only_sequence(self):
         m, (x1, x2, p) = small_model()
         rows = m.constraints
         assert len(rows) == 2
-        assert rows[0].terms == ((x1, 1.0), (x2, 1.0)) and rows[0].tag == "pick-one"
+        assert rows[0].terms == ((x1, 1.0), (x2, 1.0)) and rows[0].sense == LE
         assert rows[-1] == rows[1] == rows[1:][0]
-        assert [c.tag for c in rows] == ["pick-one", "link"]
+        assert [c.terms for c in rows] == [((x1, 1.0), (x2, 1.0)), ((p, 1.0), (x1, -1.0))]
         with pytest.raises(IndexError):
             rows[2]
         with pytest.raises(ValueError, match="read-only"):
@@ -171,12 +174,17 @@ class TestAddRows:
         m, (x1, x2, p) = small_model()
         original = list(m.constraints)
         c = m.copy()
-        c.add_constraint([(x2, 1.0)], LE, 0.0, "copy")
+        assert c.rows() is m.rows()
+        c.add_constraint([(x2, 1.0)], LE, 0.0)
         assert list(m.constraints) == original
-        m.add_constraint([(p, 1.0)], GE, 0.0, "original")
-        assert [r.tag for r in c.constraints] == ["pick-one", "link", "copy"]
-        assert [r.tag for r in m.constraints] == ["pick-one", "link", "original"]
-        assert c.constraints[2].terms == ((x2, 1.0),)
+        m.add_constraint([(p, 1.0)], GE, 0.0)
+        head = [((x1, 1.0), (x2, 1.0)), ((p, 1.0), (x1, -1.0))]
+        assert [r.terms for r in c.constraints] == head + [((x2, 1.0),)]
+        assert [r.terms for r in m.constraints] == head + [((p, 1.0),)]
+        assert c.constraints[2].sense == LE and m.constraints[2].sense == GE
+        for rows in (c.rows(), m.rows()):
+            for array in (rows.starts, rows.cols, rows.coefs, rows.sense, rows.rhs):
+                assert not array.flags.writeable
 
 
 class TestLpRelaxation:
@@ -404,7 +412,7 @@ def test_array_paths_match_row_loops(seed):
         m.set_objective_coef(int(j), draw())
     for r in range(int(rng.integers(0, 12))):
         ids = rng.permutation(n)[:int(rng.integers(1, n + 1))]
-        m.add_constraint([(int(i), draw()) for i in ids], [LE, EQ, GE][r % 3], draw(), f"r{r}")
+        m.add_constraint([(int(i), draw()) for i in ids], [LE, EQ, GE][r % 3], draw())
     assert export_lp_text(m) == _loop_export(m)
     x = {v.id: float(rng.random()) for v in m.variables}
     assert evaluate(m, x)[1] == _loop_violations(m, x)
