@@ -15,8 +15,9 @@ optional pool of valid ``<=`` rows: each node runs the cut loop
 the rest of the tree.  The root relaxation starts from the given basis, or
 from the slack basis without one; every other node, and the re-solve that
 polishes a near-integral point, starts from the optimal basis of its parent
-(a dual simplex warm start, see :mod:`confl3.simplex`), extended by the
-slacks of later cuts.  Nodes keep that basis, never its inverse.
+(a dual simplex warm start, see :mod:`confl3.simplex`, which extends it over
+the rows cut since).  Nodes keep that basis, never its inverse.  An
+incumbent is one float array indexed by variable id.
 Deterministic given its arguments: ties in the node heap fall back to
 creation order.
 """
@@ -92,8 +93,6 @@ def solve_mip(prep: simplex.PreparedLp, lo: np.ndarray, hi: np.ndarray,
         _, _, node_lo, node_hi, start_basis = heapq.heappop(heap)
         nodes += 1
 
-        if pool is not None and start_basis is not None:
-            start_basis = start_basis.with_slacks(len(prep.rhs) - len(start_basis.basic))
         res = simplex.solve_prepared(prep, node_lo, node_hi, start_basis)
         if pool is not None:
             prep, res = simplex.separate(prep, node_lo, node_hi, res, pool, cut)
@@ -103,15 +102,14 @@ def solve_mip(prep: simplex.PreparedLp, lo: np.ndarray, hi: np.ndarray,
         if incumbent is not None and value >= incumbent_obj - _gap_eps(incumbent_obj):
             continue
 
-        frac = np.array([res.assignment[int(j)] for j in bin_ids])
+        frac = res.assignment[bin_ids]
         dist = np.abs(frac - np.round(frac))
         fractional = dist > _INT_TOL
         if not len(bin_ids) or not fractional.any():
             # Near-integral point: pin the binaries to exact 0/1 and re-solve
             # so incumbents carry no integrality drift in their objective.
             pin_lo, pin_hi = node_lo.copy(), node_hi.copy()
-            for j, v in zip(bin_ids, np.round(frac)):
-                pin_lo[int(j)] = pin_hi[int(j)] = v
+            pin_lo[bin_ids] = pin_hi[bin_ids] = np.round(frac)
             polished = simplex.solve_prepared(prep, pin_lo, pin_hi, res.basis)
             if polished.status == simplex.OPTIMAL:
                 if polished.objective < incumbent_obj - 0.0:

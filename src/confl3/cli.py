@@ -123,7 +123,7 @@ def _write(path: str, text: str) -> None:
 
 
 def _named_assignment(model, assignment) -> dict:
-    return {v.name: assignment[v.id] for v in model.variables}
+    return dict(zip((v.name for v in model.variables), assignment.tolist()))
 
 
 def _cmd_generate(args) -> int:

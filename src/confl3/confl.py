@@ -570,18 +570,21 @@ def verify_solution(
 
     Deliberately independent of the Model rows: coverage, flow balance and
     SIR ratios are recomputed from users, arcs and fading coefficients.
+    `assignment` is an array of one value per variable id.
     """
-    missing = [vid for vid in range(len(confl.model.variables)) if vid not in assignment]
-    if missing:
-        raise ValueError(f"partial assignment: missing {len(missing)} variable values")
+    n = len(confl.model.variables)
+    if not isinstance(assignment, np.ndarray) or assignment.shape != (n,):
+        raise ValueError(f"partial assignment: expected {n} variable values, got shape "
+                         f"{np.shape(assignment)}")
 
     techs = confl.technologies
-    zval = {key: assignment[vid] for key, vid in confl.z.items()}
-    xval = {key: assignment[vid] for key, vid in confl.x.items()}
-    yval = {key: assignment[vid] for key, vid in confl.y.items()}
-    vval = {key: assignment[vid] for key, vid in confl.v.items()}
-    fval = {key: assignment[vid] for key, vid in confl.flow.items()}
-    pval = {key: assignment[vid] for key, vid in confl.power.items()}
+    values = assignment.tolist()
+    zval = {key: values[vid] for key, vid in confl.z.items()}
+    xval = {key: values[vid] for key, vid in confl.x.items()}
+    yval = {key: values[vid] for key, vid in confl.y.items()}
+    vval = {key: values[vid] for key, vid in confl.v.items()}
+    fval = {key: values[vid] for key, vid in confl.flow.items()}
+    pval = {key: values[vid] for key, vid in confl.power.items()}
 
     single_tech = []
     for f in instance.facilities:

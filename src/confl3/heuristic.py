@@ -16,8 +16,10 @@ relaxations change only bounds, start from that basis and are memoized; a
 strengthened one then runs the cut loop branch and bound shares
 (:func:`confl3.simplex.separate`), appending the violated strengthening
 rows.  Pinned checks (bound overlays) and VLNS (appended hamming and
-cutoff rows) solve the plain matrix from the root basis; :func:`run`
-checks each distinct opening state once, as B&B is deterministic.
+cutoff rows) solve the plain matrix from the root basis, which the solver
+extends over appended rows; :func:`run` checks each distinct opening state
+once, as B&B is deterministic.  Solutions are the solvers' arrays, one
+float per variable id of the plain model.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 from . import bnb, simplex
 from .confl import (ConflModel, Instance, UnattainableCoverageError, build_3confl,
-                    check_attainable, strengthen, validate_instance)
+                    check_attainable, strengthen)
 from .milp import Assignment
 # Unused here (checks overlay bounds), but perfbench/tracing.py wraps this name.
 from .milp import apply_fixings  # noqa: F401
@@ -76,7 +78,6 @@ class FOS:
 class AttractivenessTable:
     tau: dict[tuple[str, int], float]
     tau0: dict[tuple[str, int], float]
-    iteration: int = 0
 
 
 @dataclass
@@ -122,7 +123,7 @@ class HeuristicParams:
 
 @dataclass
 class SolveOutcome:
-    status: str                       # optimal | feasible | infeasible | timeout
+    status: str                       # a bnb status
     assignment: Assignment | None
     objective: float | None
     repaired: bool = False
@@ -149,7 +150,6 @@ class HeuristicContext:
     root bound and a memo of fixing LPs."""
 
     def __init__(self, instance: Instance):
-        validate_instance(instance)
         self.instance = instance
         self.plain = build_3confl(instance)
         self.strong = strengthen(self.plain, instance)
@@ -292,16 +292,6 @@ def _fos_fixings(confl: ConflModel, fos: FOS) -> dict[int, float]:
     return fixings
 
 
-def _outcome_from_mip(res: bnb.MipResult, repaired: bool) -> SolveOutcome:
-    status = {
-        bnb.OPTIMAL: "optimal",
-        bnb.FEASIBLE: "feasible",
-        bnb.INFEASIBLE: "infeasible",
-        bnb.TIMEOUT_NO_INCUMBENT: "timeout",
-    }[res.status]
-    return SolveOutcome(status, res.incumbent, res.objective, repaired)
-
-
 def check_and_repair(instance: Instance, ctx: HeuristicContext, fos: FOS,
                      params: HeuristicParams) -> SolveOutcome:
     """Solve the plain model with the opening state pinned; on proved
@@ -313,14 +303,13 @@ def check_and_repair(instance: Instance, ctx: HeuristicContext, fos: FOS,
     res = bnb.solve_mip(ctx.plain_prep, lo, hi, params.sub_limit(),
                         basis=ctx.root_basis)
     if res.has_solution():
-        return _outcome_from_mip(res, repaired=False)
+        return SolveOutcome(res.status, res.incumbent, res.objective)
     center = {
         (fid, t): 1.0 if (fid, t) in fos.entries else 0.0
         for fid in fos.facilities()
         for t in ctx.plain.technologies
     }
-    repaired = vlns(instance, ctx, center, params, mode="repair")
-    return SolveOutcome(repaired.status, repaired.assignment, repaired.objective, True)
+    return vlns(instance, ctx, center, params, mode="repair")
 
 
 def vlns(instance: Instance, ctx: HeuristicContext, center: dict[tuple[str, int], float],
@@ -361,9 +350,9 @@ def vlns(instance: Instance, ctx: HeuristicContext, center: dict[tuple[str, int]
         simplex.append_rows(prep, np.reshape(rows, (len(rows), len(prep.costs))),
                             np.array(rhs)),
         ctx.base_lo, ctx.base_hi, params.vlns_limit(),
-        basis=ctx.root_basis.with_slacks(len(rows)),
+        basis=ctx.root_basis,
     )
-    return _outcome_from_mip(res, repaired=(mode == "repair"))
+    return SolveOutcome(res.status, res.incumbent, res.objective, mode == "repair")
 
 
 def tau_update(tau: AttractivenessTable, sigma_solutions: list[tuple[FOS, float]],
@@ -383,7 +372,7 @@ def tau_update(tau: AttractivenessTable, sigma_solutions: list[tuple[FOS, float]
         rel = (base_gap - ogap(value, min(lower, value))) / base_gap
         for key in fos.entries:
             new_tau[key] = max(EPS_TAU, new_tau[key] + tau.tau0[key] * rel)
-    return AttractivenessTable(tau=new_tau, tau0=dict(tau.tau0), iteration=tau.iteration + 1)
+    return AttractivenessTable(tau=new_tau, tau0=dict(tau.tau0))
 
 
 def run(instance: Instance, params: HeuristicParams) -> RunResult:

@@ -266,9 +266,14 @@ def _fading_doc(instance: Instance) -> dict:
 def _number(value, path: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise SchemaError(f"{path}: expected a number")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:   # a JSON integer beyond the float range
+        raise SchemaError(f"{path}: expected a finite number, "
+                          "got an integer too large for a float") from None
+    if not math.isfinite(number):
         raise SchemaError(f"{path}: expected a finite number, got {value}")
-    return float(value)
+    return number
 
 
 def _by_technology(doc: dict, path: str, read) -> dict:

@@ -57,8 +57,8 @@ class LinearConstraint:
     rhs: float
 
 
-# Total map variable id -> value, as returned by the solvers.
-Assignment = dict[int, float]
+# A point: one float per variable id, indexed by id, as the solvers return it.
+Assignment = np.ndarray
 
 
 @dataclass(frozen=True)
@@ -289,16 +289,17 @@ def evaluate(
     """Exact objective plus every constraint violated by more than `tol`.
 
     Returns ``(objective, [(constraint id, violation amount), ...])``.
-    The assignment must be total.
+    The assignment must be an array of one value per variable.
     """
-    missing = [v.name for v in model.variables if v.id not in assignment]
-    if missing:
-        raise ValueError(f"partial assignment, missing {len(missing)} values (e.g. {missing[0]!r})")
-    objective = sum(cost * assignment[vid] for vid, cost in model.objective.items())
+    n = len(model.variables)
+    if not isinstance(assignment, np.ndarray) or assignment.shape != (n,):
+        raise ValueError(f"partial assignment: expected {n} values, got shape "
+                         f"{np.shape(assignment)}")
+    values = assignment.tolist()
+    objective = sum(cost * values[vid] for vid, cost in model.objective.items())
     rows = model.rows()
-    x = np.array([assignment[v.id] for v in model.variables], dtype=float)
     # bincount adds each row's products in term order, as a running sum would.
-    lhs = np.bincount(rows.entry_rows(), weights=rows.coefs * x[rows.cols],
+    lhs = np.bincount(rows.entry_rows(), weights=rows.coefs * assignment[rows.cols],
                       minlength=len(rows.rhs))
     excess = np.where(rows.sense == _SENSE_CODE[LE], lhs - rows.rhs,
                       np.where(rows.sense == _SENSE_CODE[GE], rows.rhs - lhs,

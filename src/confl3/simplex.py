@@ -14,9 +14,9 @@ The slack basis of a cold start has an empty kernel and factorizes nothing.
 :func:`prepare` builds the dense row data once; :func:`solve_prepared`
 solves it under caller-supplied variable bounds, so that branch and bound
 and the heuristic re-solve one matrix under many bound vectors.
-:func:`append_rows` adds ``<=`` rows to a prepared matrix,
-:meth:`Basis.with_slacks` extends a basis by the new rows' slacks, and
-:func:`separate`, the cut loop of both, appends violated pool rows.
+:func:`append_rows` adds ``<=`` rows to a prepared matrix, and
+:func:`separate`, the cut loop of both, appends violated pool rows.  An
+optimal point is one float array indexed by variable id.
 
 Every variable bound must be finite.  With every structural column boxed,
 moving a nonbasic column to its other bound fixes the sign of its reduced
@@ -25,18 +25,21 @@ feasible by bound flips alone, and the dual simplex needs neither a phase 1
 nor a primal phase after it (Koberstein, PhD thesis, Paderborn 2005).
 
 Every solve starts from a basis: the caller's, or else the slack basis, in
-which each row's slack is basic.  Every optimal result carries its final
-:class:`Basis`; handed back to :func:`solve_prepared` with other bounds, it
-is still dual feasible, because only the bounds changed.  A solve runs
-rounds of four steps: refactorize the basis, recompute the reduced costs
-from scratch, flip each wrong-signed nonbasic column to its other bound, and
-run a bounded dual simplex until the basics are within their bounds (a row
-it cannot repair proves the bounds infeasible).  It stops after a round
-whose dual simplex makes no pivot, which priced a fresh factorization, or
-after a round whose updated factorization passes a certificate checked
-against the raw rows: the point satisfies ``rows x + slack = b`` to 1e-9
-relative, and the duals ``c_B B^-1`` price every basic column to zero and
-every nonbasic column that can move with the right sign.  A round that
+which each row's slack is basic.  A basis taken before rows were appended
+gets a basic slack in each appended row; the slack basis is the empty basis
+extended that way.  Every optimal result carries its final :class:`Basis`;
+handed back to :func:`solve_prepared` with other bounds or more rows, it is
+still dual feasible, because only the bounds changed and each appended row
+has a zero dual.  A solve runs rounds of four steps: refactorize the basis,
+recompute the reduced costs from scratch, flip each wrong-signed nonbasic
+column to its other bound, and run a bounded dual simplex until the basics
+are within their bounds (a row it cannot repair proves the bounds
+infeasible).  It stops after a round whose dual simplex makes no pivot,
+which priced a fresh factorization, or after a round whose updated
+factorization passes a certificate checked against the raw rows: the point
+satisfies ``rows x + slack = b`` to 1e-9 relative, and the duals
+``c_B B^-1`` price every basic column to zero and every nonbasic column
+that can move with the right sign.  A round that
 fails the certificate is followed by another on a fresh factorization.
 Reaching the iteration cap, a nonbasic slack with a wrong-signed reduced
 cost, or a final point outside its bounds raises :class:`ArithmeticError`.
@@ -73,14 +76,6 @@ class Basis:
 
     basic: np.ndarray    # (m,) column index basic in each row
     state: np.ndarray    # (n + m,) int8: _AT_LOWER, _AT_UPPER or _BASIC
-
-    def with_slacks(self, k: int) -> "Basis":
-        """This basis for the matrix with `k` rows appended (see
-        :func:`append_rows`): each new row's slack is basic.  The new rows
-        have zero duals, so a dual feasible basis stays dual feasible."""
-        new = np.arange(len(self.state), len(self.state) + k)
-        return Basis(np.concatenate([self.basic, new]),
-                     np.concatenate([self.state, np.full(k, _BASIC, dtype=np.int8)]))
 
 
 @dataclass(frozen=True)
@@ -130,8 +125,8 @@ def separate(prep: PreparedLp, lo: np.ndarray, hi: np.ndarray, res: LpResult, po
     rows of `pool` past those of ``prep.model``: while `res`, an optimum of
     `prep` under `lo`/`hi`, violates some by over 1e-7 that the mask `cut`
     (one flag per row of `pool`; fresh if None) leaves unmarked, append and
-    mark them and re-solve from its basis plus their slacks.  Returns the
-    last matrix and result; no row is appended twice, so the loop ends."""
+    mark them and re-solve from its basis.  Returns the last matrix and
+    result; no row is appended twice, so the loop ends."""
     r, m0 = pool.rows(), len(prep.model.constraints)
     cut = np.zeros(len(r.rhs), dtype=bool) if cut is None else cut
     while res.status == OPTIMAL:
@@ -144,7 +139,7 @@ def separate(prep: PreparedLp, lo: np.ndarray, hi: np.ndarray, res: LpResult, po
         for k, (a, b) in enumerate(zip(r.starts[new], r.starts[np.add(new, 1)])):
             block[k, r.cols[a:b]] = r.coefs[a:b]
         prep = append_rows(prep, block, r.rhs[new])
-        res = solve_prepared(prep, lo, hi, res.basis.with_slacks(len(new)))
+        res = solve_prepared(prep, lo, hi, res.basis)
     return prep, res
 
 
@@ -167,32 +162,36 @@ def solve_prepared(prep: PreparedLp, lo: np.ndarray, hi: np.ndarray,
                    basis: Basis | None = None) -> LpResult:
     """Solve the prepared matrix under the finite variable bounds `lo`/`hi`.
 
-    The solve starts from `basis`, an optimal basis of the same prepared
-    matrix and costs under other bounds as returned in
-    :attr:`LpResult.basis` (possibly extended by :meth:`Basis.with_slacks`),
-    or from the slack basis when it is None (see the module docstring).
-    Another basis may leave a ``<=`` row's slack nonbasic with a
-    wrong-signed reduced cost, which no bound flip can fix; that raises
-    :class:`ArithmeticError`.  An infinite or NaN bound raises
-    :class:`ValueError`.
+    The solve starts from `basis`, an optimal basis as returned in
+    :attr:`LpResult.basis` for this matrix and costs under other bounds,
+    possibly before rows were appended (:func:`append_rows`): each row past
+    the basis gets a basic slack.  None is the empty basis, so each row's
+    slack is basic (see the module docstring).  Another basis may leave a
+    ``<=`` row's slack nonbasic with a wrong-signed reduced cost, which no
+    bound flip can fix; that raises :class:`ArithmeticError`.  An infinite
+    or NaN bound, or a basis with more rows than the matrix, raises
+    :class:`ValueError`.  The optimal point is the array of the variables'
+    values, clipped to `lo`/`hi`.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         raise ValueError("the bundled simplex needs finite variable bounds")
+    if basis is None:
+        basis = Basis(np.empty(0, dtype=int), np.full(len(prep.costs), _AT_LOWER, dtype=np.int8))
+    k = len(prep.rhs) - len(basis.basic)
+    if k < 0:
+        raise ValueError(f"basis of {len(basis.basic)} rows for a matrix of {len(prep.rhs)}")
     if np.any(lo > hi + 1e-12):
         return LpResult(INFEASIBLE)
-    if basis is None:
-        # The slack basis is the empty basis with every row's slack added.
-        basis = Basis(np.empty(0, dtype=int),
-                      np.full(len(lo), _AT_LOWER, dtype=np.int8)).with_slacks(len(prep.rhs))
+    new = np.arange(len(basis.state), len(basis.state) + k)
+    basis = Basis(np.concatenate([basis.basic, new]),
+                  np.concatenate([basis.state, np.full(k, _BASIC, dtype=np.int8)]))
     status, x, end = _solve(prep, lo, hi, basis)
     if status != OPTIMAL:
         return LpResult(status)
     x = np.clip(x, lo, hi)
-    objective = float(prep.costs @ x)
-    assignment: Assignment = {i: float(x[i]) for i in range(len(x))}
-    return LpResult(OPTIMAL, objective, assignment, end)
+    return LpResult(OPTIMAL, float(prep.costs @ x), x, end)
 
 
 def _max_iter(rows: np.ndarray) -> int:

@@ -133,15 +133,15 @@ def enumerate_binary_patterns(model: Model):
                 yield pattern, res
 
 
-def mip_enumeration_optimum(model: Model) -> tuple[str, float | None, dict | None]:
+def mip_enumeration_optimum(model: Model) -> tuple[str, float | None, np.ndarray | None]:
     """Exhaustive optimum over binary patterns, continuous part LP-completed."""
     best = None
     best_assignment = None
     for pattern, res in enumerate_binary_patterns(model):
         if best is None or res.objective < best - 1e-12:
             best = res.objective
-            best_assignment = dict(res.assignment)
-            best_assignment.update(pattern)
+            best_assignment = res.assignment.copy()
+            best_assignment[list(pattern)] = list(pattern.values())
     if best is None:
         return "infeasible", None, None
     return "optimal", best, best_assignment

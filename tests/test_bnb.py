@@ -102,7 +102,7 @@ def test_determinism_across_runs():
     assert r1.status == r2.status
     assert r1.nodes == r2.nodes
     assert r1.objective == r2.objective
-    assert r1.incumbent == r2.incumbent
+    assert np.array_equal(r1.incumbent, r2.incumbent)
     assert r1.lower_bound == r2.lower_bound
 
 

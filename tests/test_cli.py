@@ -40,7 +40,7 @@ def test_generate_solve_roundtrip(tmp_path, capsys):
 
     instance = read_instance(inst_path.read_text())
     confl = build_3confl(instance)
-    assignment = {v.id: doc["assignment"][v.name] for v in confl.model.variables}
+    assignment = np.array([doc["assignment"][v.name] for v in confl.model.variables])
     assert verify_solution(instance, confl, assignment).feasible
 
 

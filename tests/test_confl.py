@@ -364,7 +364,7 @@ class TestVerifySolution:
     def test_all_zero_fails_coverage(self):
         inst, _ = wired_tiny()
         confl = build_2confl(inst)
-        zero = {v.id: 0.0 for v in confl.model.variables}
+        zero = np.zeros(len(confl.model.variables))
         report = verify_solution(inst, confl, zero)
         assert not report.feasible
         assert report.coverage and not report.single_tech
@@ -402,7 +402,9 @@ class TestVerifySolution:
         inst, _ = wired_tiny()
         confl = build_2confl(inst)
         with pytest.raises(ValueError, match="partial"):
-            verify_solution(inst, confl, {0: 1.0})
+            verify_solution(inst, confl, np.array([1.0]))
+        with pytest.raises(ValueError, match="partial"):
+            verify_solution(inst, confl, dict(enumerate([0.0] * len(confl.model.variables))))
 
 
 def _extractable_flow(confl, assignment, fid: str) -> float:

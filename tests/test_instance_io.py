@@ -148,6 +148,8 @@ class TestSerialization:
          "assignment_arcs: technology key 't3' is not an integer"),
         (lambda d: d["core_arcs"][0].update({"cost": math.nan}),
          "core_arcs[0].cost: expected a finite number, got nan"),
+        (lambda d: d["core_arcs"][0].update({"cost": 10 ** 400}),
+         "core_arcs[0].cost: expected a finite number, got an integer too large for a float"),
         (lambda d: d["facilities"][0]["open_cost"].update({"1": math.inf}),
          "facilities[0].open_cost.1: expected a finite number, got inf"),
         (lambda d: d["wireless"].update({"delta": math.nan}),
@@ -161,9 +163,9 @@ class TestSerialization:
         (lambda d: d["assignment_arcs"].update({" 3": []}),
          "assignment_arcs: technology key ' 3' repeats technology 3"),
     ], ids=["threshold-null", "threshold-string", "cost-null", "cost-bool",
-            "threshold-key", "cost-key", "arcs-key", "arc-cost-nan", "open-cost-inf",
-            "delta-nan", "fading-minus-inf", "threshold-repeated", "cost-repeated",
-            "arcs-repeated"])
+            "threshold-key", "cost-key", "arcs-key", "arc-cost-nan", "arc-cost-huge-int",
+            "open-cost-inf", "delta-nan", "fading-minus-inf", "threshold-repeated",
+            "cost-repeated", "arcs-repeated"])
     def test_malformed_number_or_technology_named(self, edit, message):
         doc = json.loads(write_instance(generate(GeneratorParams(**TINY), 7)))
         edit(doc)

@@ -257,27 +257,29 @@ class TestEvaluate:
         m = Model()
         x = m.add_variable("x1", CONTINUOUS, 0, 10)
         cid = m.add_constraint([(x, 1.0)], GE, 1.0)
-        obj, violations = evaluate(m, {x: 0.0})
+        obj, violations = evaluate(m, np.array([0.0]))
         assert violations == [(cid, 1.0)]
 
     def test_zero_cost_objective(self):
         m = Model()
         x = m.add_variable("x1", CONTINUOUS, 0, 10)
         m.add_constraint([(x, 1.0)], LE, 10.0)
-        obj, violations = evaluate(m, {x: 3.0})
+        obj, violations = evaluate(m, np.array([3.0]))
         assert obj == 0.0 and violations == []
 
     def test_partial_assignment_rejected(self):
         m, _ = small_model()
         with pytest.raises(ValueError, match="partial"):
-            evaluate(m, {0: 1.0})
+            evaluate(m, np.array([1.0]))
+        with pytest.raises(ValueError, match="partial"):
+            evaluate(m, dict(enumerate([1.0] * len(m.variables))))
 
     @given(st.floats(-5, 5), st.floats(-5, 5))
     def test_equality_violation_is_absolute_residual(self, a, b):
         m = Model()
         x = m.add_variable("x", CONTINUOUS, -10, 10)
         m.add_constraint([(x, 1.0)], EQ, a)
-        _, violations = evaluate(m, {x: b}, tol=1e-9)
+        _, violations = evaluate(m, np.array([b]), tol=1e-9)
         if abs(a - b) > 1e-9:
             assert violations and violations[0][1] == pytest.approx(abs(a - b))
         else:
@@ -414,7 +416,7 @@ def test_array_paths_match_row_loops(seed):
         ids = rng.permutation(n)[:int(rng.integers(1, n + 1))]
         m.add_constraint([(int(i), draw()) for i in ids], [LE, EQ, GE][r % 3], draw())
     assert export_lp_text(m) == _loop_export(m)
-    x = {v.id: float(rng.random()) for v in m.variables}
+    x = np.array([rng.random() for _ in m.variables])
     assert evaluate(m, x)[1] == _loop_violations(m, x)
     prep = simplex.prepare(m)
     dense = np.zeros((len(m.constraints), n))

@@ -184,7 +184,7 @@ def test_warm_start_matches_cold_solve_and_oracle(seed, dependent, monkeypatch):
         # One of the repeated rows keeps its fixed slack basic at 0.
         assert any(col >= n and prep.is_eq[col - n] for col in root.basis.basic)
 
-    x = np.array([root.assignment[j] for j in range(n)])
+    x = root.assignment
     statuses = set()
 
     def check(warm, cold, cut_model, label):
@@ -207,14 +207,18 @@ def test_warm_start_matches_cold_solve_and_oracle(seed, dependent, monkeypatch):
         check(warm, cold, cut_model, (j, new_lo, new_hi))
 
     # Appended rows that cut the root point off, a random one and an
-    # objective cutoff, each a little and far: the root basis plus the new
-    # row's slack starts the dual simplex.
+    # objective cutoff, each a little and far: the root basis, extended by
+    # the new row's slack, starts the dual simplex.  A basis of the longer
+    # matrix is refused on the shorter one.
     for g in (rng.normal(size=n), prep.costs):
         for shift in (0.5, 50.0):
             rhs = float(g @ x) - shift
             cut_prep = simplex.append_rows(prep, g[None, :], np.array([rhs]))
-            warm = simplex.solve_prepared(cut_prep, lo, hi, root.basis.with_slacks(1))
+            warm = simplex.solve_prepared(cut_prep, lo, hi, root.basis)
             cold = simplex.solve_prepared(cut_prep, lo, hi)
+            if cold.status == simplex.OPTIMAL:
+                with pytest.raises(ValueError, match="rows for a matrix of"):
+                    simplex.solve_prepared(prep, lo, hi, cold.basis)
             cut_model = model.copy()
             cut_model.add_constraint([(j, float(g[j])) for j in range(n)], LE, rhs)
             check(warm, cold, cut_model, (g, shift))
@@ -455,7 +459,7 @@ def test_cut_loop_appends_each_pool_row_once(monkeypatch):
     prep = simplex.prepare(m)
     lo, hi = simplex.model_bounds(m)
     res = simplex.solve_prepared(prep, lo, hi)
-    assert res.assignment == {a: 1.0, b: 1.0}
+    assert res.assignment.tolist() == [1.0, 1.0]
     calls = []
 
     def stale_solve(prep, lo, hi, basis=None):
