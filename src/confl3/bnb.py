@@ -4,13 +4,14 @@
 prepared matrix (:func:`confl3.simplex.prepare`, possibly with rows
 appended), the variable bounds of the problem as two vectors, and
 optionally an optimal basis of the same matrix under other bounds.  The
-binaries are those of the prepared matrix's model.  So a caller that solves
+binaries are the prepared matrix's binary ids.  So a caller that solves
 many problems over one matrix, such as the fixing heuristic, prepares it
 once and changes only the bounds.
 
 Best-bound node selection, branching on the binary whose fractional part is
 closest to 0.5 (ties broken by lowest variable id).  Cuts come from an
-optional pool of valid ``<=`` rows: each node runs the cut loop
+optional pool of valid rows ``x_a + x_b <= 1``, a (k, 2) array of variable
+ids such as :attr:`confl3.confl.ConflModel.cuts`: each node runs the cut loop
 :func:`confl3.simplex.separate`, and a row appended at any node stays for
 the rest of the tree.  The root relaxation starts from the given basis, or
 from the slack basis without one; every other node, and the re-solve that
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .milp import Assignment, Model
+from .milp import Assignment
 from . import simplex
 
 OPTIMAL = "optimal"
@@ -57,7 +58,7 @@ class MipResult:
 
 def solve_mip(prep: simplex.PreparedLp, lo: np.ndarray, hi: np.ndarray,
               time_limit: float, node_limit: int | None = None,
-              basis: simplex.Basis | None = None, pool: Model | None = None) -> MipResult:
+              basis: simplex.Basis | None = None, pool: np.ndarray | None = None) -> MipResult:
     """Branch and bound within `time_limit` seconds (checked once per node)
     over `prep` under `lo`/`hi`, the root from `basis`, cuts from `pool`.
 
@@ -67,8 +68,8 @@ def solve_mip(prep: simplex.PreparedLp, lo: np.ndarray, hi: np.ndarray,
     if not time_limit > 0:
         raise ValueError("time_limit must be positive")
     start = time.monotonic()
-    bin_ids = np.array(prep.model.binary_ids(), dtype=int)
-    cut = None if pool is None else np.zeros(len(pool.constraints), dtype=bool)
+    bin_ids = prep.binaries
+    cut = None if pool is None else np.zeros(len(pool), dtype=bool)
 
     counter = 0
     # (bound, creation order, lower bounds, upper bounds, parent basis)

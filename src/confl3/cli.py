@@ -216,7 +216,7 @@ def _cmd_solve(args) -> int:
 def _cmd_exact(args) -> int:
     instance = _load_instance(args.instance)
     confl = build_3confl(instance)
-    pool = strengthen(confl, instance).model if args.strong else None
+    pool = strengthen(confl, instance).cuts if args.strong else None
     res = bnb.solve_mip(simplex.prepare(confl.model), *simplex.model_bounds(confl.model),
                         args.time_limit, pool=pool)
     gap = None
@@ -285,6 +285,9 @@ def _cmd_report(args) -> int:
         inst = doc.get("instance")
         if not (isinstance(inst, dict) and "hash" in inst and "name" in inst):
             raise SchemaError(f"{path}: instance: expected an object with hash and name")
+        for field in ("hash", "name"):
+            if not isinstance(inst[field], str):
+                raise SchemaError(f"{path}: instance.{field}: expected str")
         slot = groups.setdefault(inst["hash"], {"name": inst["name"]})
         if kind in slot:
             raise SchemaError(f"{path}: duplicate {kind} solution for instance {slot['name']}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -227,6 +227,13 @@ class ConflModel:
     flow: dict[tuple[str, str, str], int]
     power: dict[str, int] = field(default_factory=dict)
     strengthening_rows: int = 0
+
+    @property
+    def cuts(self) -> np.ndarray:
+        """The strengthening rows as a read-only (k, 2) view of variable ids,
+        row ``[a, b]`` for ``x_a + x_b <= 1``; (0, 2) for a plain model."""
+        cols = self.model.rows().cols
+        return cols[len(cols) - 2 * self.strengthening_rows:].reshape(-1, 2)
 
 
 class _RowBatch:
@@ -513,7 +520,7 @@ def conflict_pairs(instance: Instance) -> np.ndarray:
 def strengthen(confl: ConflModel, instance: Instance) -> ConflModel:
     """Copy of the model with lone-blocker rows (y_fu3 + z_k3 <= 1) and
     conflict rows (y_f1u1 + y_f2u2 <= 1) appended, one bulk append per
-    family."""
+    family; its :attr:`ConflModel.cuts` are those rows as variable pairs."""
     if TECH_WIRELESS not in confl.technologies:
         raise ValueError("strengthen expects a model built by build_3confl")
     m = confl.model.copy()
@@ -529,19 +536,7 @@ def strengthen(confl: ConflModel, instance: Instance) -> ConflModel:
                         dtype=np.int64)
     for cols in (np.reshape(super_cols, (-1, 2)), y_of_arc[pairs].reshape(-1, 2)):
         m.add_rows(cols, np.ones(cols.shape), LE, 1.0)
-    return ConflModel(
-        instance,
-        confl.technologies,
-        m,
-        confl.arcs,
-        confl.z,
-        confl.x,
-        confl.y,
-        confl.v,
-        confl.flow,
-        confl.power,
-        strengthening_rows=len(super_cols) + len(pairs),
-    )
+    return replace(confl, model=m, strengthening_rows=len(super_cols) + len(pairs))
 
 
 @dataclass

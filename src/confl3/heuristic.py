@@ -10,16 +10,17 @@ ones go through a repair pass that re-solves inside a hamming ball around
 the fixing.  A final improvement pass runs the same neighborhood search
 around the best solution with an objective cutoff.
 
-A :class:`HeuristicContext` is the solve session of a run: both models,
-the plain matrix prepared once and its root's optimal basis.  Fixing
+A :class:`HeuristicContext` is the solve session of a run: the plain
+model, its matrix prepared once with its root's optimal basis, and the
+strengthening rows as variable pairs (:attr:`ConflModel.cuts`).  Fixing
 relaxations change only bounds, start from that basis and are memoized; a
 strengthened one then runs the cut loop branch and bound shares
-(:func:`confl3.simplex.separate`), appending the violated strengthening
-rows.  Pinned checks (bound overlays) and VLNS (appended hamming and
-cutoff rows) solve the plain matrix from the root basis, which the solver
-extends over appended rows; :func:`run` checks each distinct opening state
-once, as B&B is deterministic.  Solutions are the solvers' arrays, one
-float per variable id of the plain model.
+(:func:`confl3.simplex.separate`), appending the violated pairs.  Pinned
+checks (bound overlays) and VLNS (appended hamming and cutoff rows) solve
+the plain matrix from the root basis, which the solver extends over
+appended rows; :func:`run` checks each distinct opening state once, as B&B
+is deterministic.  Solutions are the solvers' arrays, one float per
+variable id of the plain model.
 """
 
 from __future__ import annotations
@@ -145,19 +146,19 @@ class RunResult:
 
 
 class HeuristicContext:
-    """The solve session of one instance: both models, the prepared plain
-    matrix with its root's optimal basis (`root_basis`), the strengthened
-    root bound and a memo of fixing LPs."""
+    """The solve session of one instance: the plain model, its prepared
+    matrix with its root's optimal basis (`root_basis`), the strengthening
+    pairs (`cuts`), the strengthened root bound and a memo of fixing LPs."""
 
     def __init__(self, instance: Instance):
         self.instance = instance
         self.plain = build_3confl(instance)
-        self.strong = strengthen(self.plain, instance)
+        self.cuts = strengthen(self.plain, instance).cuts
         self.plain_prep = simplex.prepare(self.plain.model)
         self.base_lo, self.base_hi = simplex.model_bounds(self.plain.model)
         plain_root = simplex.solve_prepared(self.plain_prep, self.base_lo, self.base_hi)
         _, root = simplex.separate(self.plain_prep, self.base_lo, self.base_hi, plain_root,
-                                   self.strong.model)
+                                   self.cuts)
         if root.status != simplex.OPTIMAL:
             raise ValueError("strengthened relaxation is infeasible; instance unsolvable")
         self.root_value = root.objective
@@ -180,8 +181,7 @@ class HeuristicContext:
             lo[[self.plain.z[key] for key in ones]] = 1.0
             res = simplex.solve_prepared(self.plain_prep, lo, self.base_hi, self.root_basis)
             if strong:
-                _, res = simplex.separate(self.plain_prep, lo, self.base_hi, res,
-                                          self.strong.model)
+                _, res = simplex.separate(self.plain_prep, lo, self.base_hi, res, self.cuts)
             self._memo[strong, ones] = res.objective
         return self._memo[strong, ones]
 
@@ -282,33 +282,21 @@ def build_fos(instance: Instance, tau: AttractivenessTable, params: HeuristicPar
     return fos
 
 
-def _fos_fixings(confl: ConflModel, fos: FOS) -> dict[int, float]:
-    """Pin opened couples to 1 and the other technologies of those
-    facilities to 0; facilities outside the state stay free."""
-    fixings: dict[int, float] = {}
-    for fid, tech in fos.entries:
-        for t in confl.technologies:
-            fixings[confl.z[fid, t]] = 1.0 if t == tech else 0.0
-    return fixings
-
-
 def check_and_repair(instance: Instance, ctx: HeuristicContext, fos: FOS,
                      params: HeuristicParams) -> SolveOutcome:
-    """Solve the plain model with the opening state pinned; on proved
+    """Solve the plain model with the opening state pinned (opened couples
+    to 1, the other technologies of their facilities to 0); on proved
     infeasibility or a bound-out with no incumbent, retry inside a hamming
-    ball around it.  `instance` is the context's instance."""
+    ball around the same pins.  `instance` is the context's instance."""
+    center = {(fid, t): 1.0 if (fid, t) in fos.entries else 0.0
+              for fid in fos.facilities() for t in ctx.plain.technologies}
     lo, hi = ctx.base_lo.copy(), ctx.base_hi.copy()
-    for vid, value in _fos_fixings(ctx.plain, fos).items():
-        lo[vid] = hi[vid] = value
+    pinned = [ctx.plain.z[key] for key in center]
+    lo[pinned] = hi[pinned] = list(center.values())
     res = bnb.solve_mip(ctx.plain_prep, lo, hi, params.sub_limit(),
                         basis=ctx.root_basis)
     if res.has_solution():
         return SolveOutcome(res.status, res.incumbent, res.objective)
-    center = {
-        (fid, t): 1.0 if (fid, t) in fos.entries else 0.0
-        for fid in fos.facilities()
-        for t in ctx.plain.technologies
-    }
     return vlns(instance, ctx, center, params, mode="repair")
 
 

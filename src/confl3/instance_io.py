@@ -276,6 +276,13 @@ def _number(value, path: str) -> float:
     return number
 
 
+def _position(doc: dict, path: str) -> tuple[float, float]:
+    pos = _need(doc, "position", list, path)
+    if len(pos) != 2:
+        raise SchemaError(f"{path}.position: expected two numbers, got {len(pos)} entries")
+    return tuple(_number(p, f"{path}.position[{k}]") for k, p in enumerate(pos))
+
+
 def _by_technology(doc: dict, path: str, read) -> dict:
     """``read(value, key)`` for each entry of `doc`, keyed by technology.
     Each key must be an integer that names no technology named before."""
@@ -311,6 +318,8 @@ def read_instance(text: str) -> Instance:
         raise SchemaError(f"not valid JSON: {exc}") from exc
     meta = _need(doc, "meta", dict, "")
     name = meta.get("name", "instance")
+    if not isinstance(name, str):
+        raise SchemaError("meta.name: expected str")
 
     users = []
     for i, u in enumerate(_need(doc, "users", list, "")):
@@ -319,7 +328,7 @@ def read_instance(text: str) -> Instance:
             User(
                 _need(u, "id", str, path),
                 _need(u, "weight", float, path),
-                tuple(_need(u, "position", list, path)),
+                _position(u, path),
             )
         )
     facilities = []
@@ -328,7 +337,7 @@ def read_instance(text: str) -> Instance:
         costs = _by_technology(_need(f, "open_cost", dict, path), f"{path}.open_cost",
                                lambda c, t: _number(c, f"{path}.open_cost.{t}"))
         facilities.append(
-            Facility(_need(f, "id", str, path), tuple(_need(f, "position", list, path)), costs)
+            Facility(_need(f, "id", str, path), _position(f, path), costs)
         )
     offices = [
         CentralOffice(

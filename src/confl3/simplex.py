@@ -15,8 +15,10 @@ The slack basis of a cold start has an empty kernel and factorizes nothing.
 solves it under caller-supplied variable bounds, so that branch and bound
 and the heuristic re-solve one matrix under many bound vectors.
 :func:`append_rows` adds ``<=`` rows to a prepared matrix, and
-:func:`separate`, the cut loop of both, appends violated pool rows.  An
-optimal point is one float array indexed by variable id.
+:func:`separate`, the cut loop of both, appends the violated rows of a
+pool of variable pairs ``x_a + x_b <= 1``.  Past :func:`prepare` nothing
+reads the model: a :class:`PreparedLp` is arrays, its binary ids included.
+An optimal point is one float array indexed by variable id.
 
 Every variable bound must be finite.  With every structural column boxed,
 moving a nonbasic column to its other bound fixes the sign of its reduced
@@ -52,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .milp import BINARY, EQ, GE, SENSES, Assignment, Model, evaluate
+from .milp import BINARY, EQ, GE, SENSES, Assignment, Model
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -88,11 +90,11 @@ class LpResult:
 
 @dataclass
 class PreparedLp:
-    model: Model         # the variables; rows appended later are not in it
     rows: np.ndarray     # (m, n) dense, >= rows negated to <=
     rhs: np.ndarray      # (m,)
     is_eq: np.ndarray    # (m,) bool
     costs: np.ndarray    # (n,)
+    binaries: np.ndarray  # ids of the binary variables
 
 
 def prepare(model: Model) -> PreparedLp:
@@ -107,38 +109,38 @@ def prepare(model: Model) -> PreparedLp:
     costs = np.zeros(n)
     for vid, cost in model.objective.items():
         costs[vid] += cost
-    return PreparedLp(model, rows, rhs, r.sense == SENSES.index(EQ), costs)
+    return PreparedLp(rows, rhs, r.sense == SENSES.index(EQ), costs,
+                      np.array(model.binary_ids(), dtype=int))
 
 
 def append_rows(prep: PreparedLp, rows: np.ndarray, rhs: np.ndarray) -> PreparedLp:
     """`prep` with the rows ``rows @ x <= rhs`` appended; the original's
     arrays are left as they are."""
-    return PreparedLp(prep.model, np.vstack([prep.rows, rows]),
-                      np.concatenate([prep.rhs, rhs]),
+    return PreparedLp(np.vstack([prep.rows, rows]), np.concatenate([prep.rhs, rhs]),
                       np.concatenate([prep.is_eq, np.zeros(len(rhs), dtype=bool)]),
-                      prep.costs)
+                      prep.costs, prep.binaries)
 
 
-def separate(prep: PreparedLp, lo: np.ndarray, hi: np.ndarray, res: LpResult, pool: Model,
+def separate(prep: PreparedLp, lo: np.ndarray, hi: np.ndarray, res: LpResult, pool: np.ndarray,
              cut: np.ndarray | None = None) -> tuple[PreparedLp, LpResult]:
-    """The cut loop (Padberg & Rinaldi, SIAM Review 33, 1991) over the ``<=``
-    rows of `pool` past those of ``prep.model``: while `res`, an optimum of
-    `prep` under `lo`/`hi`, violates some by over 1e-7 that the mask `cut`
-    (one flag per row of `pool`; fresh if None) leaves unmarked, append and
-    mark them and re-solve from its basis.  Returns the last matrix and
-    result; no row is appended twice, so the loop ends."""
-    r, m0 = pool.rows(), len(prep.model.constraints)
-    cut = np.zeros(len(r.rhs), dtype=bool) if cut is None else cut
+    """The cut loop (Padberg & Rinaldi, SIAM Review 33, 1991) over `pool`, a
+    (k, 2) array of variable ids whose row ``[a, b]`` is the cut
+    ``x_a + x_b <= 1``: while `res`, an optimum of `prep` under `lo`/`hi`,
+    violates some by over 1e-7 that the mask `cut` (one flag per pool row;
+    fresh if None) leaves unmarked, append and mark them and re-solve from
+    its basis.  Returns the last matrix and result; no row is appended
+    twice, so the loop ends."""
+    cut = np.zeros(len(pool), dtype=bool) if cut is None else cut
     while res.status == OPTIMAL:
-        _, violated = evaluate(pool, res.assignment, 1e-7)
-        new = [i for i, _ in violated if i >= m0 and not cut[i]]
-        if not new:
+        x = res.assignment
+        # The float test milp.evaluate makes of a row, so the same rows are cut.
+        new = np.flatnonzero((x[pool[:, 0]] + x[pool[:, 1]] - 1.0 > 1e-7) & ~cut)
+        if not len(new):
             break
         cut[new] = True
         block = np.zeros((len(new), len(prep.costs)))
-        for k, (a, b) in enumerate(zip(r.starts[new], r.starts[np.add(new, 1)])):
-            block[k, r.cols[a:b]] = r.coefs[a:b]
-        prep = append_rows(prep, block, r.rhs[new])
+        block[np.arange(len(new))[:, None], pool[new]] = 1.0
+        prep = append_rows(prep, block, np.ones(len(new)))
         res = solve_prepared(prep, lo, hi, res.basis)
     return prep, res
 

@@ -172,7 +172,8 @@ def test_pool_cuts_match_the_full_row_model(case, monkeypatch):
     strengthened model, and its root the full-row root LP value."""
     inst = _pool_case(case)
     plain = build_3confl(inst)
-    strong = strengthen(plain, inst).model
+    strengthened = strengthen(plain, inst)
+    strong, pool = strengthened.model, strengthened.cuts
     lo, hi = simplex.model_bounds(plain.model)
     appended = []
     append_rows = simplex.append_rows
@@ -188,8 +189,8 @@ def test_pool_cuts_match_the_full_row_model(case, monkeypatch):
     full_root = simplex.solve_prepared(simplex.prepare(strong), lo, hi)
     with monkeypatch.context() as m:
         m.setattr(simplex, "append_rows", recording_append_rows)
-        _, root = simplex.separate(prep, lo, hi, simplex.solve_prepared(prep, lo, hi), strong)
-        got = bnb.solve_mip(prep, lo, hi, 120.0, pool=strong)
+        _, root = simplex.separate(prep, lo, hi, simplex.solve_prepared(prep, lo, hi), pool)
+        got = bnb.solve_mip(prep, lo, hi, 120.0, pool=pool)
     want = solve_model(strong, 120.0)
     assert root.status == full_root.status == simplex.OPTIMAL
     assert close(root.objective, full_root.objective)
@@ -205,7 +206,7 @@ def test_pool_rows_are_appended_once_for_the_whole_tree(monkeypatch):
     """Every node's cut loop shares one mask of appended pool rows."""
     inst = generate(strengthening_preset(), 2)
     plain = build_3confl(inst)
-    strong = strengthen(plain, inst).model
+    pool = strengthen(plain, inst).cuts
     prep = simplex.prepare(plain.model)
     lo, hi = simplex.model_bounds(plain.model)
     appended, masks = [], []
@@ -221,7 +222,7 @@ def test_pool_rows_are_appended_once_for_the_whole_tree(monkeypatch):
 
     monkeypatch.setattr(simplex, "append_rows", recording_append_rows)
     monkeypatch.setattr(simplex, "separate", recording_separate)
-    res = bnb.solve_mip(prep, lo, hi, 120.0, pool=strong)
+    res = bnb.solve_mip(prep, lo, hi, 120.0, pool=pool)
     assert res.status == bnb.OPTIMAL
     assert len(masks) == res.nodes and masks[0] is not None
     assert all(mask is masks[0] for mask in masks)

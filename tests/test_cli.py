@@ -140,7 +140,9 @@ def test_report_refuses_mixed_instances(tmp_path, capsys):
 @pytest.mark.parametrize("doc, field", [([], "not a solution document"),
                                         ("drop-instance", "instance"),
                                         ("string-objective", "objective: expected a number"),
-                                        ("list-bound", "lower_bound: expected a number")])
+                                        ("list-bound", "lower_bound: expected a number"),
+                                        ("list-name", "instance.name: expected str"),
+                                        ("list-hash", "instance.hash: expected str")])
 def test_report_rejects_malformed_documents(tmp_path, capsys, doc, field):
     inst_path = _generate(tmp_path)
     sol = tmp_path / "sol.json"
@@ -148,7 +150,9 @@ def test_report_rejects_malformed_documents(tmp_path, capsys, doc, field):
     if isinstance(doc, str):
         edit = {"drop-instance": lambda d: d.pop("instance"),
                 "string-objective": lambda d: d.update(objective="12"),
-                "list-bound": lambda d: d.update(lower_bound=[1])}[doc]
+                "list-bound": lambda d: d.update(lower_bound=[1]),
+                "list-name": lambda d: d["instance"].update(name=["x"]),
+                "list-hash": lambda d: d["instance"].update(hash=["x"])}[doc]
         doc = json.loads(sol.read_text())
         edit(doc)
     bad = tmp_path / "bad.json"

@@ -13,7 +13,7 @@ from confl3.confl import (
     validate_instance,
     verify_solution,
 )
-from confl3.milp import apply_fixings, evaluate, lp_relaxation
+from confl3.milp import LE, LinearConstraint, apply_fixings, evaluate, lp_relaxation
 
 from instances import (
     calm_wireless_instance,
@@ -322,6 +322,13 @@ class TestStrengthen:
         z3 = {plain.z[f.id, 3] for f in inst.facilities}
         has_z = [any(vid in z3 for vid, _ in c.terms) for c in extra]
         assert has_z == sorted(has_z, reverse=True)
+        # The cut pool is exactly those rows, in order, as a read-only view
+        # of the model's column ids; a plain model has none.
+        assert list(extra) == [LinearConstraint(((a, 1.0), (b, 1.0)), LE, 1.0)
+                               for a, b in strong.cuts.tolist()]
+        assert np.shares_memory(strong.cuts, strong.model.rows().cols)
+        assert not strong.cuts.flags.writeable
+        assert plain.cuts.shape == (0, 2)
 
     def test_lp_bound_never_decreases(self):
         for inst in (conflict_instance()[0], calm_wireless_instance(), repair_instance()):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from confl3 import bnb, heuristic, simplex
-from confl3.confl import AssignmentArc
+from confl3.confl import AssignmentArc, strengthen
 from confl3.heuristic import (
     EPS_TAU,
     FOS,
@@ -596,8 +596,9 @@ class TestSeparation:
 
         monkeypatch.setattr(simplex, "append_rows", recording_append_rows)
         ctx = HeuristicContext(inst)
-        full = simplex.prepare(ctx.strong.model)
-        lo, hi = simplex.model_bounds(ctx.strong.model)
+        strong = strengthen(ctx.plain, inst).model
+        full = simplex.prepare(strong)
+        lo, hi = simplex.model_bounds(strong)
 
         def full_value(fixed):
             lo_f = lo.copy()

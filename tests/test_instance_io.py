@@ -162,10 +162,25 @@ class TestSerialization:
          "facilities[0].open_cost: technology key '+2' repeats technology 2"),
         (lambda d: d["assignment_arcs"].update({" 3": []}),
          "assignment_arcs: technology key ' 3' repeats technology 3"),
+        (lambda d: d["users"][0].update({"position": ["a", None, 3]}),
+         "users[0].position: expected two numbers, got 3 entries"),
+        (lambda d: d["users"][0].update({"position": ["a", 1.0]}),
+         "users[0].position[0]: expected a number"),
+        (lambda d: d["users"][1].update({"position": [0.5, None]}),
+         "users[1].position[1]: expected a number"),
+        (lambda d: d["facilities"][0].update({"position": [1.0]}),
+         "facilities[0].position: expected two numbers, got 1 entries"),
+        (lambda d: d["facilities"][1].update({"position": [math.inf, 0.0]}),
+         "facilities[1].position[0]: expected a finite number, got inf"),
+        (lambda d: d["facilities"][0].update({"position": [0.0, True]}),
+         "facilities[0].position[1]: expected a number"),
+        (lambda d: d["meta"].update({"name": ["x"]}), "meta.name: expected str"),
     ], ids=["threshold-null", "threshold-string", "cost-null", "cost-bool",
             "threshold-key", "cost-key", "arcs-key", "arc-cost-nan", "arc-cost-huge-int",
             "open-cost-inf", "delta-nan", "fading-minus-inf", "threshold-repeated",
-            "cost-repeated", "arcs-repeated"])
+            "cost-repeated", "arcs-repeated", "user-position-length",
+            "user-position-string", "user-position-null", "facility-position-length",
+            "facility-position-inf", "facility-position-bool", "name-list"])
     def test_malformed_number_or_technology_named(self, edit, message):
         doc = json.loads(write_instance(generate(GeneratorParams(**TINY), 7)))
         edit(doc)

@@ -454,8 +454,7 @@ def test_cut_loop_appends_each_pool_row_once(monkeypatch):
     b = m.add_variable("b", BINARY, 0, 1)
     m.set_objective_coef(a, -1.0)
     m.set_objective_coef(b, -1.0)
-    pool = m.copy()
-    pool.add_constraint([(a, 1.0), (b, 1.0)], LE, 1.0)
+    pool = np.array([[a, b]])
     prep = simplex.prepare(m)
     lo, hi = simplex.model_bounds(m)
     res = simplex.solve_prepared(prep, lo, hi)
@@ -468,7 +467,7 @@ def test_cut_loop_appends_each_pool_row_once(monkeypatch):
         return res
 
     monkeypatch.setattr(simplex, "solve_prepared", stale_solve)
-    cut = np.zeros(len(pool.constraints), dtype=bool)
+    cut = np.zeros(len(pool), dtype=bool)
     cuts, _ = simplex.separate(prep, lo, hi, res, pool, cut)
     assert len(cuts.rhs) == 1 and calls == [1]
     assert cut.tolist() == [True]
