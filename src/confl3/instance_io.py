@@ -317,6 +317,8 @@ def read_instance(text: str) -> Instance:
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
     meta = _need(doc, "meta", dict, "")
+    if meta.get("format", FORMAT_TAG) != FORMAT_TAG:
+        raise SchemaError(f"meta.format: expected {FORMAT_TAG!r}, got {meta['format']!r}")
     name = meta.get("name", "instance")
     if not isinstance(name, str):
         raise SchemaError("meta.name: expected str")

@@ -32,7 +32,13 @@ gets a basic slack in each appended row; the slack basis is the empty basis
 extended that way.  Every optimal result carries its final :class:`Basis`;
 handed back to :func:`solve_prepared` with other bounds or more rows, it is
 still dual feasible, because only the bounds changed and each appended row
-has a zero dual.  A solve runs rounds of four steps: refactorize the basis,
+has a zero dual.  A prepared matrix keeps one slot: the caller's
+:class:`Basis` object of its last warm solve and that basis's fresh
+factorization.  A solve from the same object (by identity) under other
+bounds, as branch and bound's sibling nodes and the heuristic's fixing LPs
+make, starts from a copy of it, which is the array a new factorization
+would compute, so no result changes.  A solve runs rounds of four steps:
+refactorize the basis (in the first round the slot may supply it),
 recompute the reduced costs from scratch, flip each wrong-signed nonbasic
 column to its other bound, and run a bounded dual simplex until the basics
 are within their bounds (a row it cannot repair proves the bounds
@@ -50,7 +56,7 @@ cost, or a final point outside its bounds raises :class:`ArithmeticError`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,7 +80,9 @@ _REFACTOR_EVERY = 150
 class Basis:
     """A simplex basis over the columns ``[structural | slack]``: the basic
     column of each row and the state of every column (at lower, at upper or
-    basic).  It never holds the inverse, so it is cheap to keep per node."""
+    basic).  It never holds the inverse, so it is cheap to keep per node.
+    Its arrays must not change: a prepared matrix keys the factorization it
+    remembers on the object."""
 
     basic: np.ndarray    # (m,) column index basic in each row
     state: np.ndarray    # (n + m,) int8: _AT_LOWER, _AT_UPPER or _BASIC
@@ -95,6 +103,10 @@ class PreparedLp:
     is_eq: np.ndarray    # (m,) bool
     costs: np.ndarray    # (n,)
     binaries: np.ndarray  # ids of the binary variables
+    # The caller's Basis object of the last warm solve and the inverse of
+    # that basis extended over every row, as _invert built it; never handed
+    # to _solve itself, which updates its inverse in place.
+    warm: tuple[Basis, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
 
 def prepare(model: Model) -> PreparedLp:
@@ -179,7 +191,8 @@ def solve_prepared(prep: PreparedLp, lo: np.ndarray, hi: np.ndarray,
     hi = np.asarray(hi, dtype=float)
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         raise ValueError("the bundled simplex needs finite variable bounds")
-    if basis is None:
+    cold = basis is None
+    if cold:
         basis = Basis(np.empty(0, dtype=int), np.full(len(prep.costs), _AT_LOWER, dtype=np.int8))
     k = len(prep.rhs) - len(basis.basic)
     if k < 0:
@@ -187,9 +200,15 @@ def solve_prepared(prep: PreparedLp, lo: np.ndarray, hi: np.ndarray,
     if np.any(lo > hi + 1e-12):
         return LpResult(INFEASIBLE)
     new = np.arange(len(basis.state), len(basis.state) + k)
-    basis = Basis(np.concatenate([basis.basic, new]),
+    start = Basis(np.concatenate([basis.basic, new]),
                   np.concatenate([basis.state, np.full(k, _BASIC, dtype=np.int8)]))
-    status, x, end = _solve(prep, lo, hi, basis)
+    if cold:
+        binv = _invert(prep.rows, start.basic)
+    else:
+        if prep.warm is None or prep.warm[0] is not basis:
+            prep.warm = (basis, _invert(prep.rows, start.basic))
+        binv = prep.warm[1].copy()
+    status, x, end = _solve(prep, lo, hi, start, binv)
     if status != OPTIMAL:
         return LpResult(status)
     x = np.clip(x, lo, hi)
@@ -203,9 +222,11 @@ def _max_iter(rows: np.ndarray) -> int:
     return 50_000 + 60 * (2 * m + n)
 
 
-def _solve(prep: PreparedLp, lo_s: np.ndarray, hi_s: np.ndarray, start: Basis):
-    """Rounds of bound flips and dual simplex from `start`, until a round
-    makes no pivot or ends on a certified point."""
+def _solve(prep: PreparedLp, lo_s: np.ndarray, hi_s: np.ndarray, start: Basis,
+           binv: np.ndarray):
+    """Rounds of bound flips and dual simplex from `start`, whose inverse
+    `binv` it updates in place, until a round makes no pivot or ends on a
+    certified point."""
     rows, b = prep.rows, prep.rhs
     m, n = rows.shape
     # Slacks are [0, inf) for <= rows and fixed [0, 0] for = rows.
@@ -216,7 +237,6 @@ def _solve(prep: PreparedLp, lo_s: np.ndarray, hi_s: np.ndarray, start: Basis):
     state = start.state.copy()
     x = np.where(state == _AT_UPPER, hi, lo)
     budget = _max_iter(rows)
-    binv = _invert(rows, basis)
     while True:
         d = _reduced_costs(rows, cost, basis, binv)
         wrong = _wrong_signed(d, state, lo, hi)

@@ -232,6 +232,29 @@ def test_pool_rows_are_appended_once_for_the_whole_tree(monkeypatch):
     assert masks[0].sum() == len(rows)
 
 
+@pytest.mark.parametrize("with_pool", [False, True], ids=["plain", "pool"])
+def test_a_remembered_start_factorization_changes_no_tree(with_pool):
+    """Two trees on one prepared matrix, the second starting with the
+    root's start basis already in the matrix's slot, both build the tree of
+    a run on a fresh `prepare`: the same nodes, optimum and incumbent."""
+    inst = generate(DESK, 2)
+    plain = build_3confl(inst)
+    pool = strengthen(plain, inst).cuts if with_pool else None
+    lo, hi = simplex.model_bounds(plain.model)
+    prep = simplex.prepare(plain.model)
+    root = simplex.solve_prepared(prep, lo, hi).basis
+    want = bnb.solve_mip(simplex.prepare(plain.model), lo, hi, 120.0, basis=root, pool=pool)
+    assert want.status == bnb.OPTIMAL and want.nodes > 50
+    first = bnb.solve_mip(prep, lo, hi, 120.0, basis=root, pool=pool)
+    simplex.solve_prepared(prep, lo, hi, root)
+    assert prep.warm[0] is root
+    second = bnb.solve_mip(prep, lo, hi, 120.0, basis=root, pool=pool)
+    for got in (first, second):
+        assert ((got.status, got.nodes, got.objective, got.lower_bound)
+                == (want.status, want.nodes, want.objective, want.lower_bound))
+        assert np.array_equal(got.incumbent, want.incumbent)
+
+
 def test_no_pool_appends_nothing(monkeypatch):
     monkeypatch.setattr(simplex, "separate", None)
     monkeypatch.setattr(simplex, "append_rows", None)

@@ -6,6 +6,7 @@ import pytest
 
 from confl3.confl import build_3confl, validate_instance
 from confl3.instance_io import (
+    FORMAT_TAG,
     GeneratorParams,
     ResultRow,
     SchemaError,
@@ -175,17 +176,30 @@ class TestSerialization:
         (lambda d: d["facilities"][0].update({"position": [0.0, True]}),
          "facilities[0].position[1]: expected a number"),
         (lambda d: d["meta"].update({"name": ["x"]}), "meta.name: expected str"),
+        (lambda d: d["meta"].update({"format": "x"}),
+         "meta.format: expected 'confl3-instance/1', got 'x'"),
+        (lambda d: d["meta"].update({"format": "confl3-instance/2"}),
+         "meta.format: expected 'confl3-instance/1', got 'confl3-instance/2'"),
+        (lambda d: d["meta"].update({"format": 1}),
+         "meta.format: expected 'confl3-instance/1', got 1"),
     ], ids=["threshold-null", "threshold-string", "cost-null", "cost-bool",
             "threshold-key", "cost-key", "arcs-key", "arc-cost-nan", "arc-cost-huge-int",
             "open-cost-inf", "delta-nan", "fading-minus-inf", "threshold-repeated",
             "cost-repeated", "arcs-repeated", "user-position-length",
             "user-position-string", "user-position-null", "facility-position-length",
-            "facility-position-inf", "facility-position-bool", "name-list"])
+            "facility-position-inf", "facility-position-bool", "name-list", "format-x",
+            "format-next-version", "format-number"])
     def test_malformed_number_or_technology_named(self, edit, message):
         doc = json.loads(write_instance(generate(GeneratorParams(**TINY), 7)))
         edit(doc)
         with pytest.raises(SchemaError, match=re.escape(message)):
             read_instance(json.dumps(doc))
+
+    def test_missing_format_tag_is_read(self):
+        inst = generate(GeneratorParams(**TINY), 7)
+        doc = json.loads(write_instance(inst))
+        assert doc["meta"].pop("format") == FORMAT_TAG
+        assert write_instance(read_instance(json.dumps(doc))) == write_instance(inst)
 
     def test_top_level_must_be_an_object(self):
         with pytest.raises(SchemaError, match="top level: expected an object"):

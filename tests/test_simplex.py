@@ -473,3 +473,87 @@ def test_cut_loop_appends_each_pool_row_once(monkeypatch):
     assert cut.tolist() == [True]
     again, _ = simplex.separate(prep, lo, hi, res, pool, cut)
     assert again is prep and calls == [1]
+
+
+def _same_result(got, want):
+    assert got.status == want.status
+    if want.status == simplex.OPTIMAL:
+        assert got.objective == want.objective
+        assert np.array_equal(got.assignment, want.assignment)
+        assert np.array_equal(got.basis.basic, want.basis.basic)
+        assert np.array_equal(got.basis.state, want.basis.state)
+
+
+def test_a_remembered_start_factorization_changes_no_result(monkeypatch):
+    """A prepared matrix keeps the factorization of its last warm start
+    basis and reuses it for a solve from the same Basis object.  Solves
+    from the same basis under other bounds, interleaved with other bases, a
+    cold solve, appended rows and a raising solve, each return bitwise what
+    the same call returns on a fresh `prepare(model)`."""
+    model = build_3confl(generate(DESK, seed=1)).model
+    prep = simplex.prepare(model)
+    lo, hi = simplex.model_bounds(model)
+    root = simplex.solve_prepared(prep, lo, hi)
+    assert prep.warm is None   # a cold solve remembers nothing
+    x = root.assignment
+    bins = prep.binaries
+    frac = bins[np.abs(x[bins] - np.round(x[bins])) > 1e-6][:4]
+    assert len(frac) == 4
+    bounds = []
+    for j in frac:
+        for value in (0.0, 1.0):
+            b_lo, b_hi = lo.copy(), hi.copy()
+            b_lo[j] = b_hi[j] = value
+            bounds.append((b_lo, b_hi))
+    a = root.basis
+    first = simplex.solve_prepared(prep, *bounds[0], a)
+    assert first.status == simplex.OPTIMAL and prep.warm[0] is a
+    b = first.basis
+    shared = []
+    invert = simplex._invert
+
+    def counting_invert(rows, basis):
+        shared.append(rows is prep.rows)
+        return invert(rows, basis)
+
+    monkeypatch.setattr(simplex, "_invert", counting_invert)
+    # The slot holds `a`: the 1st, 2nd and 6th solves reuse `a`'s inverse and
+    # the 8th `b`'s; the cold 5th factorizes the slack basis and leaves the
+    # slot alone.
+    calls = [(a, 1), (a, 2), (b, 3), (a, 4), (None, 5), (a, 6), (b, 7), (b, 2)]
+    for basis, k in calls:
+        got = simplex.solve_prepared(prep, *bounds[k], basis)
+        _same_result(got, simplex.solve_prepared(simplex.prepare(model), *bounds[k], basis))
+        if basis is not None:
+            assert prep.warm[0] is basis
+        np.testing.assert_array_equal(prep.warm[1], invert(prep.rows, prep.warm[0].basic))
+    assert sum(shared) == 4 and len(shared) == 4 + len(calls)
+
+    # Rows appended past the basis: the new matrix starts with an empty
+    # slot, extends the old basis and remembers the extended inverse.
+    cut = -prep.costs[None, :]
+    cut_prep = simplex.append_rows(prep, cut, np.array([-(root.objective + 0.5)]))
+    assert cut_prep.warm is None
+    for k in (0, 3):
+        got = simplex.solve_prepared(cut_prep, *bounds[k], a)
+        fresh = simplex.append_rows(simplex.prepare(model), cut, cut_prep.rhs[-1:])
+        _same_result(got, simplex.solve_prepared(fresh, *bounds[k], a))
+        assert cut_prep.warm[1].shape == (len(cut_prep.rhs),) * 2
+    assert prep.warm[0] is b
+
+    # A solve that scribbles over the inverse it is handed and then raises
+    # leaves the remembered one intact.
+    dual = simplex._dual_simplex
+
+    def failing_dual(rows, b, c, lo, hi, basis, state, x, binv, d, max_iter):
+        binv[:] = np.nan
+        raise ArithmeticError("dual simplex iteration limit exceeded")
+
+    monkeypatch.setattr(simplex, "_dual_simplex", failing_dual)
+    with pytest.raises(ArithmeticError):
+        simplex.solve_prepared(prep, *bounds[5], a)
+    monkeypatch.setattr(simplex, "_dual_simplex", dual)
+    assert prep.warm[0] is a
+    np.testing.assert_array_equal(prep.warm[1], invert(prep.rows, a.basic))
+    got = simplex.solve_prepared(prep, *bounds[6], a)
+    _same_result(got, simplex.solve_prepared(simplex.prepare(model), *bounds[6], a))
