@@ -12,11 +12,10 @@ import sys
 import time
 
 from confl3 import bnb
-from confl3.confl import build_3confl, strengthen, verify_solution
-from confl3.heuristic import HeuristicParams, run
+from confl3.confl import build_3confl, strengthening_pairs, verify_solution
+from confl3.heuristic import HeuristicParams, ogap, run
 from confl3.instance_io import GeneratorParams, ResultRow, generate, report
-from confl3.milp import lp_relaxation
-from confl3.simplex import model_bounds, prepare, solve_lp
+from confl3.simplex import model_bounds, prepare, separate, solve_prepared
 
 PARAMS = GeneratorParams(
     grid_width=4,
@@ -49,13 +48,16 @@ def main() -> int:
             seed += 1
             continue
         confl = build_3confl(instance)
-        strong = strengthen(confl, instance)
-        root = solve_lp(lp_relaxation(strong.model))
+        prep = prepare(confl.model)
+        lo, hi = model_bounds(confl.model)
+        # The strengthened root: the plain LP, then the cut loop over the pairs.
+        _, root = separate(prep, lo, hi, solve_prepared(prep, lo, hi),
+                           strengthening_pairs(confl, instance))
         if root.status != "optimal":
             seed += 1
             continue
 
-        exact = bnb.solve_mip(prepare(confl.model), *model_bounds(confl.model), 120.0)
+        exact = bnb.solve_mip(prep, lo, hi, 120.0)
         heur = run(instance, HeuristicParams(test_iterations=outer_iterations, rng_seed=done))
         if exact.status != "optimal" or heur.status != "feasible":
             print(f"seed {seed}: exact={exact.status}, heuristic={heur.status}; skipped")
@@ -64,13 +66,11 @@ def main() -> int:
 
         assert verify_solution(instance, confl, heur.assignment).feasible
         lower = min(root.objective, exact.objective)
-        gap_exact = 100.0 * (exact.objective - lower) / max(exact.objective, 1e-12)
-        gap_heur = 100.0 * (heur.objective - lower) / max(heur.objective, 1e-12)
         rows.append(
             ResultRow(
                 instance_id=f"S{seed}",
-                gap_reference=gap_exact,
-                gap_heuristic=gap_heur,
+                gap_reference=100.0 * ogap(exact.objective, lower),
+                gap_heuristic=100.0 * ogap(heur.objective, lower),
             )
         )
         marker = "=" if abs(heur.objective - exact.objective) <= 1e-6 else ">"

@@ -12,10 +12,10 @@ from .bnb import MipResult, solve_mip
 from .confl import (
     Instance,
     big_m,
-    build_2confl,
     build_3confl,
     conflict_pairs,
     strengthen,
+    strengthening_pairs,
     superinterferers,
     verify_solution,
 )
@@ -41,7 +41,6 @@ __all__ = [
     "RunResult",
     "apply_fixings",
     "big_m",
-    "build_2confl",
     "build_3confl",
     "conflict_pairs",
     "evaluate",
@@ -55,6 +54,7 @@ __all__ = [
     "solve_lp",
     "solve_mip",
     "strengthen",
+    "strengthening_pairs",
     "superinterferers",
     "verify_solution",
     "write_instance",

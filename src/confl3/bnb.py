@@ -11,14 +11,14 @@ once and changes only the bounds.
 Best-bound node selection, branching on the binary whose fractional part is
 closest to 0.5 (ties broken by lowest variable id).  Cuts come from an
 optional pool of valid rows ``x_a + x_b <= 1``, a (k, 2) array of variable
-ids such as :attr:`confl3.confl.ConflModel.cuts`: each node runs the cut loop
-:func:`confl3.simplex.separate`, and a row appended at any node stays for
-the rest of the tree.  The root relaxation starts from the given basis, or
-from the slack basis without one; every other node, and the re-solve that
-polishes a near-integral point, starts from the optimal basis of its parent
-(a dual simplex warm start, see :mod:`confl3.simplex`, which extends it over
-the rows cut since).  Nodes keep that basis, never its inverse.  An
-incumbent is one float array indexed by variable id.
+ids such as :func:`confl3.confl.strengthening_pairs` returns: each node runs
+the cut loop :func:`confl3.simplex.separate`, and a row appended at any node
+stays for the rest of the tree.  The root relaxation starts from the given
+basis, or from the slack basis without one; every other node, and the
+re-solve that polishes a near-integral point, starts from the optimal basis
+of its parent (a dual simplex warm start, see :mod:`confl3.simplex`, which
+extends it over the rows cut since).  Nodes keep that basis, never its
+inverse.  An incumbent is one float array indexed by variable id.
 Deterministic given its arguments: ties in the node heap fall back to
 creation order.
 """

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import bnb, simplex
-from .confl import build_3confl, strengthen, verify_solution
+from .confl import build_3confl, strengthen, strengthening_pairs, verify_solution
 from .heuristic import HeuristicParams, UnattainableCoverageError, ogap, run
 from .instance_io import (
     GeneratorParams,
@@ -216,14 +216,12 @@ def _cmd_solve(args) -> int:
 def _cmd_exact(args) -> int:
     instance = _load_instance(args.instance)
     confl = build_3confl(instance)
-    pool = strengthen(confl, instance).cuts if args.strong else None
+    pool = strengthening_pairs(confl, instance) if args.strong else None
     res = bnb.solve_mip(simplex.prepare(confl.model), *simplex.model_bounds(confl.model),
                         args.time_limit, pool=pool)
     gap = None
-    if res.has_solution() and res.objective > 0:
+    if res.has_solution():
         gap = ogap(res.objective, min(res.lower_bound, res.objective))
-    elif res.has_solution():
-        gap = 0.0
     doc = {
         "format": SOLUTION_FORMAT,
         "kind": "exact",

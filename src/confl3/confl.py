@@ -228,13 +228,6 @@ class ConflModel:
     power: dict[str, int] = field(default_factory=dict)
     strengthening_rows: int = 0
 
-    @property
-    def cuts(self) -> np.ndarray:
-        """The strengthening rows as a read-only (k, 2) view of variable ids,
-        row ``[a, b]`` for ``x_a + x_b <= 1``; (0, 2) for a plain model."""
-        cols = self.model.rows().cols
-        return cols[len(cols) - 2 * self.strengthening_rows:].reshape(-1, 2)
-
 
 class _RowBatch:
     """Rows collected one by one and appended to a model with one
@@ -352,15 +345,6 @@ def _build(instance: Instance, technologies: tuple[int, ...]) -> ConflModel:
     rows.append_to(m)
 
     return ConflModel(instance, technologies, m, arcs, z, x, y, v, flow)
-
-
-def build_2confl(instance: Instance) -> ConflModel:
-    """Wired-only model over technologies {1, 2}."""
-    if instance.technologies != (TECH_FIBER, TECH_COPPER):
-        raise ValueError(
-            f"build_2confl requires technologies (1, 2), got {instance.technologies}"
-        )
-    return _build(instance, (TECH_FIBER, TECH_COPPER))
 
 
 def build_3confl(instance: Instance) -> ConflModel:
@@ -517,26 +501,32 @@ def conflict_pairs(instance: Instance) -> np.ndarray:
     return pairs[order]
 
 
-def strengthen(confl: ConflModel, instance: Instance) -> ConflModel:
-    """Copy of the model with lone-blocker rows (y_fu3 + z_k3 <= 1) and
-    conflict rows (y_f1u1 + y_f2u2 <= 1) appended, one bulk append per
-    family; its :attr:`ConflModel.cuts` are those rows as variable pairs."""
+def strengthening_pairs(confl: ConflModel, instance: Instance) -> np.ndarray:
+    """The strengthening inequalities of the model as an int64 (k, 2) array
+    of variable ids, row ``[a, b]`` for ``x_a + x_b <= 1``: first the
+    lone-blocker rows ``y_fu3 + z_k3 <= 1``, then the conflict rows
+    ``y_f1u1 + y_f2u2 <= 1`` in the order of :func:`conflict_pairs`.  Both
+    are edges of a conflict graph (Atamtürk, Nemhauser & Savelsbergh,
+    EJOR 121, 2000)."""
     if TECH_WIRELESS not in confl.technologies:
-        raise ValueError("strengthen expects a model built by build_3confl")
-    m = confl.model.copy()
-    super_cols: list[tuple[int, int]] = []
-    for (fid, uid, t), yid in confl.y.items():
-        if t != TECH_WIRELESS:
-            continue
-        for k in sorted(superinterferers(instance, uid, fid)):
-            super_cols.append((yid, confl.z[k, TECH_WIRELESS]))
+        raise ValueError("strengthening_pairs expects a model built by build_3confl")
+    lone = [(yid, confl.z[k, TECH_WIRELESS])
+            for (fid, uid, t), yid in confl.y.items() if t == TECH_WIRELESS
+            for k in sorted(superinterferers(instance, uid, fid))]
     arcs = instance.assignment_arcs.get(TECH_WIRELESS, [])
-    pairs = conflict_pairs(instance)
     y_of_arc = np.array([confl.y[a.facility, a.user, TECH_WIRELESS] for a in arcs],
                         dtype=np.int64)
-    for cols in (np.reshape(super_cols, (-1, 2)), y_of_arc[pairs].reshape(-1, 2)):
-        m.add_rows(cols, np.ones(cols.shape), LE, 1.0)
-    return replace(confl, model=m, strengthening_rows=len(super_cols) + len(pairs))
+    return np.concatenate([np.array(lone, dtype=np.int64).reshape(-1, 2),
+                           y_of_arc[conflict_pairs(instance)]])
+
+
+def strengthen(confl: ConflModel, instance: Instance) -> ConflModel:
+    """Copy of the model with its :func:`strengthening_pairs` appended as
+    rows ``x_a + x_b <= 1`` by one bulk append."""
+    pairs = strengthening_pairs(confl, instance)
+    m = confl.model.copy()
+    m.add_rows(pairs, np.ones(pairs.shape), LE, 1.0)
+    return replace(confl, model=m, strengthening_rows=len(pairs))
 
 
 @dataclass

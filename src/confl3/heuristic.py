@@ -12,9 +12,10 @@ around the best solution with an objective cutoff.
 
 A :class:`HeuristicContext` is the solve session of a run: the plain
 model, its matrix prepared once with its root's optimal basis, and the
-strengthening rows as variable pairs (:attr:`ConflModel.cuts`).  Fixing
-relaxations change only bounds, start from that basis and are memoized; a
-strengthened one then runs the cut loop branch and bound shares
+strengthening rows as variable pairs, straight from
+:func:`confl3.confl.strengthening_pairs`.  Fixing relaxations change only
+bounds, start from that basis and are memoized; a strengthened one then
+runs the cut loop branch and bound shares
 (:func:`confl3.simplex.separate`), appending the violated pairs.  Pinned
 checks (bound overlays) and VLNS (appended hamming and cutoff rows) solve
 the plain matrix from the root basis, which the solver extends over
@@ -33,9 +34,11 @@ import numpy as np
 
 from . import bnb, simplex
 from .confl import (ConflModel, Instance, UnattainableCoverageError, build_3confl,
-                    check_attainable, strengthen)
+                    check_attainable, strengthening_pairs)
 from .milp import Assignment
-# Unused here (checks overlay bounds), but perfbench/tracing.py wraps this name.
+# Unused here (checks overlay bounds, the cut pool comes from
+# strengthening_pairs), but perfbench/tracing.py wraps these names.
+from .confl import strengthen  # noqa: F401
 from .milp import apply_fixings  # noqa: F401
 
 EPS_TAU = 1e-9
@@ -148,17 +151,17 @@ class RunResult:
 class HeuristicContext:
     """The solve session of one instance: the plain model, its prepared
     matrix with its root's optimal basis (`root_basis`), the strengthening
-    pairs (`cuts`), the strengthened root bound and a memo of fixing LPs."""
+    pairs (`pool`), the strengthened root bound and a memo of fixing LPs."""
 
     def __init__(self, instance: Instance):
         self.instance = instance
         self.plain = build_3confl(instance)
-        self.cuts = strengthen(self.plain, instance).cuts
+        self.pool = strengthening_pairs(self.plain, instance)
         self.plain_prep = simplex.prepare(self.plain.model)
         self.base_lo, self.base_hi = simplex.model_bounds(self.plain.model)
         plain_root = simplex.solve_prepared(self.plain_prep, self.base_lo, self.base_hi)
         _, root = simplex.separate(self.plain_prep, self.base_lo, self.base_hi, plain_root,
-                                   self.cuts)
+                                   self.pool)
         if root.status != simplex.OPTIMAL:
             raise ValueError("strengthened relaxation is infeasible; instance unsolvable")
         self.root_value = root.objective
@@ -181,7 +184,7 @@ class HeuristicContext:
             lo[[self.plain.z[key] for key in ones]] = 1.0
             res = simplex.solve_prepared(self.plain_prep, lo, self.base_hi, self.root_basis)
             if strong:
-                _, res = simplex.separate(self.plain_prep, lo, self.base_hi, res, self.cuts)
+                _, res = simplex.separate(self.plain_prep, lo, self.base_hi, res, self.pool)
             self._memo[strong, ones] = res.objective
         return self._memo[strong, ones]
 
@@ -196,7 +199,10 @@ class HeuristicContext:
 
 
 def ogap(v: float, lower: float) -> float:
-    """Optimality gap (v - L) / v of a feasible value against a lower bound."""
+    """Optimality gap (v - L) / v of a feasible value against a lower bound;
+    0 when they are equal, a zero-cost optimum included."""
+    if v == lower:
+        return 0.0
     if not v > 0:
         raise ValueError(f"ogap needs a positive feasible value, got {v}")
     if lower > v:
@@ -444,6 +450,6 @@ def run(instance: Instance, params: HeuristicParams) -> RunResult:
     if best is None:
         return RunResult("no_solution", None, None, lower, None, trace, outer, ctx.plain)
     objective = best.objective
-    gap = 0.0 if objective <= 0 else ogap(objective, min(lower, objective))
-    return RunResult("feasible", best.assignment, objective,
-                     min(lower, objective), gap, trace, outer, ctx.plain)
+    lower = min(lower, objective)
+    return RunResult("feasible", best.assignment, objective, lower,
+                     ogap(objective, lower), trace, outer, ctx.plain)

@@ -8,6 +8,8 @@ wireless fading from a capped power-law path-loss model.
 
 from __future__ import annotations
 
+import csv as csvlib
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -436,7 +438,8 @@ def report(rows: list[ResultRow], csv: bool = False) -> str:
     """Aligned text table (or CSV) of reference vs heuristic gaps with the
     relative gap change per row and its average in the footer.  A row
     without a relative change shows ``n/a`` (an empty CSV field) and is
-    left out of the average."""
+    left out of the average.  The CSV is the stdlib writer's, so a name
+    holding a comma or a quote stays one quoted field."""
     for row in rows:
         if row.gap_reference < 0 or row.gap_heuristic < 0:
             raise ValueError(
@@ -448,13 +451,12 @@ def report(rows: list[ResultRow], csv: bool = False) -> str:
         return missing if row.delta_gap is None else f"{row.delta_gap:.2f}"
 
     if csv:
-        lines = ["id,gap_reference,gap_heuristic,delta_gap"]
-        for row in rows:
-            lines.append(
-                f"{row.instance_id},{row.gap_reference:.2f},"
-                f"{row.gap_heuristic:.2f},{delta(row, '')}"
-            )
-        return "\n".join(lines) + "\n"
+        out = io.StringIO()
+        writer = csvlib.writer(out, lineterminator="\n")
+        writer.writerow(["id", "gap_reference", "gap_heuristic", "delta_gap"])
+        writer.writerows([row.instance_id, f"{row.gap_reference:.2f}",
+                          f"{row.gap_heuristic:.2f}", delta(row, "")] for row in rows)
+        return out.getvalue()
 
     header = ("ID", "Gap-Ref%", "Gap-Heu%", "ΔGap%")
     body = [

@@ -32,15 +32,28 @@ REFERENCE_GAP_ROWS = [
 ]
 
 from confl3.confl import (
+    TECH_COPPER,
+    TECH_FIBER,
     AssignmentArc,
     CentralOffice,
+    ConflModel,
     CoreArc,
     Facility,
     Instance,
     User,
     WirelessParams,
+    _build,
 )
 from confl3.instance_io import GeneratorParams
+
+
+def build_2confl(instance: Instance) -> ConflModel:
+    """The wired-only model over technologies {1, 2}."""
+    if instance.technologies != (TECH_FIBER, TECH_COPPER):
+        raise ValueError(
+            f"build_2confl requires technologies (1, 2), got {instance.technologies}"
+        )
+    return _build(instance, (TECH_FIBER, TECH_COPPER))
 
 
 def full_fading(pairs: dict[tuple[str, str], float], facilities, users) -> dict:

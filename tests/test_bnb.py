@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from confl3 import bnb, simplex
-from confl3.confl import build_3confl, strengthen
+from confl3.confl import build_3confl, strengthen, strengthening_pairs
 from confl3.instance_io import GeneratorParams, generate
 from confl3.milp import (
     BINARY,
@@ -172,8 +172,7 @@ def test_pool_cuts_match_the_full_row_model(case, monkeypatch):
     strengthened model, and its root the full-row root LP value."""
     inst = _pool_case(case)
     plain = build_3confl(inst)
-    strengthened = strengthen(plain, inst)
-    strong, pool = strengthened.model, strengthened.cuts
+    strong, pool = strengthen(plain, inst).model, strengthening_pairs(plain, inst)
     lo, hi = simplex.model_bounds(plain.model)
     appended = []
     append_rows = simplex.append_rows
@@ -206,7 +205,7 @@ def test_pool_rows_are_appended_once_for_the_whole_tree(monkeypatch):
     """Every node's cut loop shares one mask of appended pool rows."""
     inst = generate(strengthening_preset(), 2)
     plain = build_3confl(inst)
-    pool = strengthen(plain, inst).cuts
+    pool = strengthening_pairs(plain, inst)
     prep = simplex.prepare(plain.model)
     lo, hi = simplex.model_bounds(plain.model)
     appended, masks = [], []
@@ -239,7 +238,7 @@ def test_a_remembered_start_factorization_changes_no_tree(with_pool):
     a run on a fresh `prepare`: the same nodes, optimum and incumbent."""
     inst = generate(DESK, 2)
     plain = build_3confl(inst)
-    pool = strengthen(plain, inst).cuts if with_pool else None
+    pool = strengthening_pairs(plain, inst) if with_pool else None
     lo, hi = simplex.model_bounds(plain.model)
     prep = simplex.prepare(plain.model)
     root = simplex.solve_prepared(prep, lo, hi).basis

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from confl3 import simplex
+from confl3 import cli, confl, heuristic, simplex
 from confl3.cli import main
 from confl3.confl import build_3confl, verify_solution
 from confl3.instance_io import GeneratorParams, generate, read_instance, write_instance
@@ -123,6 +123,48 @@ def test_exact_strong_prepares_only_the_plain_matrix(tmp_path, capsys, monkeypat
     assert len(prepared[0].rhs) == len(build_3confl(instance).model.constraints)
     assert len(cold) == 1
     assert appended
+
+
+def test_zero_cost_pipeline_reports_zero_gaps(tmp_path, capsys):
+    """With every coverage threshold at 0 the optimum costs nothing: exact
+    and solve record a zero gap, and report reads them back."""
+    inst_path = tmp_path / "zero.json"
+    # The last --fractions wins.
+    assert main(GEN_ARGS + ["--fractions", "0,0,0", "--seed", "4", "-o", str(inst_path)]) == 0
+    exact_path, heu_path = tmp_path / "exact.json", tmp_path / "heu.json"
+    assert main(["exact", str(inst_path), "-o", str(exact_path)]) == 0
+    assert main(["solve", str(inst_path), "--iters", "1", "-o", str(heu_path)]) == 0
+    for path in (exact_path, heu_path):
+        doc = json.loads(path.read_text())
+        assert doc["objective"] == doc["gap"] == 0.0
+    capsys.readouterr()
+    assert main(["report", str(exact_path), str(heu_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[2].split()[1:] == ["0.00", "0.00", "n/a"]
+
+
+def test_solve_and_exact_strong_never_build_a_strengthened_model(tmp_path, monkeypatch):
+    """The cut pool comes straight from `strengthening_pairs`: with
+    `strengthen` refusing to run, both commands write the same documents."""
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(write_instance(generate(strengthening_preset(), 0)), encoding="utf-8")
+    commands = [["solve", str(inst_path), "--iters", "2"], ["exact", str(inst_path), "--strong"]]
+
+    def documents(tag):
+        out = []
+        for k, argv in enumerate(commands):
+            path = tmp_path / f"{tag}{k}.json"
+            assert main(argv + ["-o", str(path)]) == 0
+            out.append(path.read_bytes())
+        return out
+
+    want = documents("want")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("strengthen was called")
+
+    for owner in (cli, confl, heuristic):
+        monkeypatch.setattr(owner, "strengthen", refuse)
+    assert documents("got") == want
 
 
 def test_report_refuses_mixed_instances(tmp_path, capsys):

@@ -5,10 +5,10 @@ from hypothesis import assume, given, settings, strategies as st
 from confl3 import bnb, simplex
 from confl3.confl import (
     big_m,
-    build_2confl,
     build_3confl,
     conflict_pairs,
     strengthen,
+    strengthening_pairs,
     superinterferers,
     validate_instance,
     verify_solution,
@@ -16,6 +16,7 @@ from confl3.confl import (
 from confl3.milp import LE, LinearConstraint, apply_fixings, evaluate, lp_relaxation
 
 from instances import (
+    build_2confl,
     calm_wireless_instance,
     conflict_instance,
     pair_instance as _pair_instance,
@@ -294,9 +295,16 @@ class TestStrengthen:
     def test_calm_instance_gets_zero_rows(self):
         inst = calm_wireless_instance()
         plain = build_3confl(inst)
+        pairs = strengthening_pairs(plain, inst)
+        assert pairs.shape == (0, 2) and pairs.dtype == np.int64
         strong = strengthen(plain, inst)
         assert strong.strengthening_rows == 0
         assert len(strong.model.constraints) == len(plain.model.constraints)
+
+    def test_wired_model_rejected(self):
+        inst, _ = wired_tiny()
+        with pytest.raises(ValueError, match="build_3confl"):
+            strengthening_pairs(build_2confl(inst), inst)
 
     def test_super_rows_added(self):
         inst = repair_instance()
@@ -311,24 +319,21 @@ class TestStrengthen:
         inst = make_instance()[0] if make_instance is conflict_instance else make_instance()
         plain = build_3confl(inst)
         before = list(plain.model.constraints)
+        pairs = strengthening_pairs(plain, inst)
+        assert pairs.dtype == np.int64 and pairs.ndim == 2 and pairs.shape[1] == 2
         strong = strengthen(plain, inst)
-        assert strong.strengthening_rows > 0
+        assert strong.strengthening_rows == len(pairs) > 0
         assert len(plain.model.constraints) == len(before)
         assert all(plain.model.constraints[i] == row for i, row in enumerate(before))
         assert list(strong.model.constraints)[:len(before)] == before
+        # The appended rows are exactly x_a + x_b <= 1 over the pairs, in order.
         extra = strong.model.constraints[len(before):]
-        assert len(extra) == strong.strengthening_rows
-        # SUPER rows (the ones with a z column) first, then CONF rows.
-        z3 = {plain.z[f.id, 3] for f in inst.facilities}
-        has_z = [any(vid in z3 for vid, _ in c.terms) for c in extra]
-        assert has_z == sorted(has_z, reverse=True)
-        # The cut pool is exactly those rows, in order, as a read-only view
-        # of the model's column ids; a plain model has none.
         assert list(extra) == [LinearConstraint(((a, 1.0), (b, 1.0)), LE, 1.0)
-                               for a, b in strong.cuts.tolist()]
-        assert np.shares_memory(strong.cuts, strong.model.rows().cols)
-        assert not strong.cuts.flags.writeable
-        assert plain.cuts.shape == (0, 2)
+                               for a, b in pairs.tolist()]
+        # Lone-blocker pairs (the ones with a z column) first, then conflict pairs.
+        z3 = {plain.z[f.id, 3] for f in inst.facilities}
+        has_z = [bool(z3 & set(pair)) for pair in pairs.tolist()]
+        assert has_z == sorted(has_z, reverse=True)
 
     def test_lp_bound_never_decreases(self):
         for inst in (conflict_instance()[0], calm_wireless_instance(), repair_instance()):

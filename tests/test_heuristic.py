@@ -43,6 +43,9 @@ class TestOgap:
     def test_proven_optimal_is_zero(self):
         assert ogap(7.0, 7.0) == 0.0
 
+    def test_zero_cost_optimum_is_zero(self):
+        assert ogap(0.0, 0.0) == 0.0
+
     def test_half_gap(self):
         assert ogap(10.0, 5.0) == pytest.approx(0.5, abs=1e-12)
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import re
@@ -246,6 +248,11 @@ class TestReport:
             "id,gap_reference,gap_heuristic,delta_gap",
             "I1,148.57,131.23,-11.67",
         ]
+
+    def test_csv_quotes_a_name_with_a_comma_and_a_quote(self):
+        text = report([ResultRow('a,b"c', 38.37, 38.37)], csv=True)
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows[1] == ['a,b"c', "38.37", "38.37", "0.00"]
 
     def test_average_footer_value(self):
         rows = [ResultRow("A", 100.0, 90.0), ResultRow("B", 100.0, 70.0)]
