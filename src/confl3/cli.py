@@ -24,6 +24,7 @@ from .instance_io import (
     GeneratorParams,
     ResultRow,
     SchemaError,
+    _number,
     generate,
     read_instance,
     report,
@@ -278,8 +279,8 @@ def _cmd_report(args) -> int:
         if doc.get("objective") is None or doc.get("lower_bound") is None:
             raise SchemaError(f"{path}: no objective or lower bound recorded (infeasible run?)")
         for field in ("objective", "lower_bound"):
-            if not isinstance(doc[field], (int, float)) or isinstance(doc[field], bool):
-                raise SchemaError(f"{path}: {field}: expected a number")
+            # Python's json reads Infinity, -Infinity, NaN and huge integers.
+            doc[field] = _number(doc[field], f"{path}: {field}")
         inst = doc.get("instance")
         if not (isinstance(inst, dict) and "hash" in inst and "name" in inst):
             raise SchemaError(f"{path}: instance: expected an object with hash and name")

@@ -12,6 +12,7 @@ data.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass, field, replace
 
@@ -120,6 +121,11 @@ def check_attainable(instance: Instance) -> None:
             raise UnattainableCoverageError(t, needed, available)
 
 
+def _finite(value: float, path: str) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{path}: expected a finite number, got {value}")
+
+
 def validate_instance(instance: Instance) -> None:
     """Raise ValueError naming the offending field when an invariant fails."""
     ids: list[str] = []
@@ -140,6 +146,7 @@ def validate_instance(instance: Instance) -> None:
         raise ValueError(f"duplicate node id {dup!r}")
 
     for u in instance.users:
+        _finite(u.weight, f"users[{u.id}].weight")
         if u.weight < 0:
             raise ValueError(f"users[{u.id}].weight must be >= 0")
     techs = instance.technologies
@@ -149,9 +156,11 @@ def validate_instance(instance: Instance) -> None:
         for t in techs:
             if t not in f.open_cost:
                 raise ValueError(f"facilities[{f.id}].open_cost missing technology {t}")
+            _finite(f.open_cost[t], f"facilities[{f.id}].open_cost[{t}]")
             if f.open_cost[t] < 0:
                 raise ValueError(f"facilities[{f.id}].open_cost[{t}] must be >= 0")
     for co in instance.central_offices:
+        _finite(co.open_cost, f"central_offices[{co.id}].open_cost")
         if co.open_cost < 0:
             raise ValueError(f"central_offices[{co.id}].open_cost must be >= 0")
 
@@ -162,6 +171,7 @@ def validate_instance(instance: Instance) -> None:
     for a in instance.core_arcs:
         if a.tail not in core_ids or a.head not in core_ids:
             raise ValueError(f"core_arcs: ({a.tail!r}, {a.head!r}) must join core nodes")
+        _finite(a.cost, f"core_arcs[{a.tail}->{a.head}].cost")
         if a.cost < 0:
             raise ValueError(f"core_arcs[{a.tail}->{a.head}].cost must be >= 0")
         if (a.tail, a.head) in seen_arcs:
@@ -179,6 +189,7 @@ def validate_instance(instance: Instance) -> None:
                 raise ValueError(f"assignment_arcs[{t}]: unknown facility {a.facility!r}")
             if a.user not in user_ids:
                 raise ValueError(f"assignment_arcs[{t}]: unknown user {a.user!r}")
+            _finite(a.cost, f"assignment_arcs[{t}][{a.facility}->{a.user}].cost")
             if a.cost < 0:
                 raise ValueError(f"assignment_arcs[{t}][{a.facility}->{a.user}].cost must be >= 0")
             if (a.facility, a.user) in seen:
@@ -199,6 +210,8 @@ def validate_instance(instance: Instance) -> None:
         w = instance.wireless
         if w is None:
             raise ValueError("wireless: parameters required when technology 3 is present")
+        for key in ("p_min", "p_max", "delta", "eta_noise"):
+            _finite(getattr(w, key), f"wireless.{key}")
         if not 0 <= w.p_min <= w.p_max:
             raise ValueError("wireless: 0 <= p_min <= p_max required")
         if w.delta <= 0:

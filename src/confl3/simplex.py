@@ -3,13 +3,13 @@
 Dense algebra throughout, sized for desk-scale models (hundreds to a few
 thousand rows).  Each row has a slack column, but the unit columns ``I`` of
 ``[rows | I]`` are never built: prices, pivot rows and entering columns are
-read off ``rows`` and the basis inverse.  That inverse is kept explicitly,
-updated in product form after each pivot (only on the entries the pivot
-changes), and refactorized periodically.  A refactorization inverts only
-the kernel of the basis, the rows whose slack is nonbasic against the basic
-structural columns, and derives the basic slacks' rows of the inverse from
-it (Koberstein, PhD thesis, Paderborn 2005; Bixby, Oper. Res. 50, 2002).
-The slack basis of a cold start has an empty kernel and factorizes nothing.
+read off ``rows`` and the basis inverse.  That inverse is kept explicitly
+and updated in product form after each pivot (only on the entries the pivot
+changes).  A factorization inverts only the kernel of the basis, the rows
+whose slack is nonbasic against the basic structural columns, and derives
+the basic slacks' rows of the inverse from it (Koberstein, PhD thesis,
+Paderborn 2005; Bixby, Oper. Res. 50, 2002).  The slack basis of a cold
+start has an empty kernel and factorizes nothing.
 
 :func:`prepare` builds the dense row data once; :func:`solve_prepared`
 solves it under caller-supplied variable bounds, so that branch and bound
@@ -37,20 +37,22 @@ has a zero dual.  A prepared matrix keeps one slot: the caller's
 factorization.  A solve from the same object (by identity) under other
 bounds, as branch and bound's sibling nodes and the heuristic's fixing LPs
 make, starts from a copy of it, which is the array a new factorization
-would compute, so no result changes.  A solve runs rounds of four steps:
-refactorize the basis (in the first round the slot may supply it),
-recompute the reduced costs from scratch, flip each wrong-signed nonbasic
-column to its other bound, and run a bounded dual simplex until the basics
-are within their bounds (a row it cannot repair proves the bounds
-infeasible).  It stops after a round whose dual simplex makes no pivot,
-which priced a fresh factorization, or after a round whose updated
-factorization passes a certificate checked against the raw rows: the point
-satisfies ``rows x + slack = b`` to 1e-9 relative, and the duals
-``c_B B^-1`` price every basic column to zero and every nonbasic column
-that can move with the right sign.  A round that
-fails the certificate is followed by another on a fresh factorization.
-Reaching the iteration cap, a nonbasic slack with a wrong-signed reduced
-cost, or a final point outside its bounds raises :class:`ArithmeticError`.
+would compute, so no result changes.  A solve runs rounds, and the start of
+a round is the only place that factorizes.  A round is one fresh
+factorization of the basis (in the first round the slot may supply it),
+reduced costs recomputed from scratch, a flip of each wrong-signed nonbasic
+column to its other bound, and a bounded dual simplex of at most
+``_REFACTOR_EVERY`` (150) product-form pivots toward basics within their
+bounds (a row it cannot repair proves the bounds infeasible).  A round that
+ends on that cap starts the next.  A solve stops after a round whose dual
+simplex reaches feasibility with no pivot, which priced a fresh
+factorization, or with an updated factorization that passes a certificate
+checked against the raw rows: the point satisfies ``rows x + slack = b`` to
+1e-9 relative, and the duals ``c_B B^-1`` price every basic column to zero
+and every nonbasic column that can move with the right sign.  A round that
+fails the certificate is followed by another.  Spending the pivot budget of
+all rounds, a nonbasic slack with a wrong-signed reduced cost, or a final
+point outside its bounds raises :class:`ArithmeticError`.
 """
 
 from __future__ import annotations
@@ -224,9 +226,10 @@ def _max_iter(rows: np.ndarray) -> int:
 
 def _solve(prep: PreparedLp, lo_s: np.ndarray, hi_s: np.ndarray, start: Basis,
            binv: np.ndarray):
-    """Rounds of bound flips and dual simplex from `start`, whose inverse
-    `binv` it updates in place, until a round makes no pivot or ends on a
-    certified point."""
+    """Rounds from `start`, whose inverse `binv` the first round updates in
+    place: each a fresh factorization, bound flips and at most
+    ``_REFACTOR_EVERY`` dual simplex pivots, until a round reaches
+    feasibility with no pivot or on a certified point."""
     rows, b = prep.rows, prep.rhs
     m, n = rows.shape
     # Slacks are [0, inf) for <= rows and fixed [0, 0] for = rows.
@@ -249,13 +252,16 @@ def _solve(prep: PreparedLp, lo_s: np.ndarray, hi_s: np.ndarray, start: Basis,
             state[wrong] = np.where(upper, _AT_LOWER, _AT_UPPER)
             x[wrong] = np.where(upper, lo[wrong], hi[wrong])
         _recompute_basics(rows, b, basis, state, x, binv)
-        status, pivots, binv = _dual_simplex(rows, b, cost, lo, hi, basis, state, x, binv, d,
-                                             budget)
+        status, pivots = _dual_simplex(rows, lo, hi, basis, state, x, binv, d,
+                                       min(budget, _REFACTOR_EVERY))
         if status == INFEASIBLE:
             return INFEASIBLE, None, None
-        if not pivots or _certified(rows, b, cost, lo, hi, basis, state, x, binv):
+        if status == OPTIMAL and (not pivots
+                                  or _certified(rows, b, cost, lo, hi, basis, state, x, binv)):
             break
         budget -= pivots
+        if status is None and not budget:
+            raise ArithmeticError("dual simplex iteration limit exceeded")
         binv = _invert(rows, basis)
     tol = _FEASTOL * np.maximum(1.0, np.abs(x))
     if np.any(x < lo - tol) or np.any(x > hi + tol):
@@ -263,31 +269,27 @@ def _solve(prep: PreparedLp, lo_s: np.ndarray, hi_s: np.ndarray, start: Basis,
     return OPTIMAL, x[:n].copy(), Basis(basis, state)
 
 
-def _dual_simplex(rows, b, c, lo, hi, basis, state, x, binv, d, max_iter):
-    """Bounded dual simplex from a dual feasible basis with reduced costs `d`,
-    making at most `max_iter` pivots.
+def _dual_simplex(rows, lo, hi, basis, state, x, binv, d, max_iter):
+    """Bounded dual simplex from a dual feasible basis with inverse `binv`
+    and reduced costs `d`, all updated in place, making at most `max_iter`
+    pivots.
 
-    Returns (OPTIMAL, pivots, binv) once every basic lies within its bounds
-    and (INFEASIBLE, pivots, binv) when a violated row has no entering
-    column; `binv` is the inverse of the final basis as updated.
+    Returns (OPTIMAL, pivots) once every basic lies within its bounds,
+    (INFEASIBLE, pivots) when a violated row has no entering column, and
+    (None, max_iter) when the pivots run out first.
     """
     n = rows.shape[1]
     fixed = lo == hi
     for it in range(max_iter + 1):
-        if it and it % _REFACTOR_EVERY == 0:
-            binv = _invert(rows, basis)
-            _recompute_basics(rows, b, basis, state, x, binv)
-            d = _reduced_costs(rows, c, basis, binv)
-
         bx = x[basis]
         below = lo[basis] - bx
         above = bx - hi[basis]
         viol = np.maximum(below, above)
         viol[viol <= _DUAL_FEASTOL * np.maximum(1.0, np.abs(bx))] = 0.0
         if not viol.any():
-            return OPTIMAL, it, binv
+            return OPTIMAL, it
         if it == max_iter:
-            break
+            return None, it
         r = int(np.argmax(viol))
         leave = int(basis[r])
         increase = below[r] > 0
@@ -302,7 +304,7 @@ def _dual_simplex(rows, b, c, lo, hi, basis, state, x, binv, d, max_iter):
                                      (state == _AT_UPPER) & (s_alpha > _PIVTOL))
         cand = np.flatnonzero(eligible)
         if not len(cand):
-            return INFEASIBLE, it, binv
+            return INFEASIBLE, it
         slack_d = np.maximum(np.where(at_lower[cand], d[cand], -d[cand]), 0.0)
         ratios = slack_d / np.abs(alpha[cand])
         near = cand[ratios <= ratios.min() + 1e-12]
@@ -318,8 +320,7 @@ def _dual_simplex(rows, b, c, lo, hi, basis, state, x, binv, d, max_iter):
         state[leave] = _AT_LOWER if increase else _AT_UPPER
         basis[r] = q
         state[q] = _BASIC
-        binv = _replace_column(rows, b, basis, state, x, binv, w, r)
-    raise ArithmeticError("dual simplex iteration limit exceeded")
+        _replace_column(binv, w, r)
 
 
 def _invert(rows: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -352,22 +353,17 @@ def _invert(rows: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return binv
 
 
-def _replace_column(rows, b, basis, state, x, binv, w, r) -> np.ndarray:
-    """B^-1 after row r's basic column was replaced by the column whose
-    image under the old B^-1 is `w` (`basis` already updated): a
-    product-form update, or a refactorization when the pivot is tiny."""
-    piv = w[r]
-    if abs(piv) < 1e-11:
-        binv = _invert(rows, basis)
-        _recompute_basics(rows, b, basis, state, x, binv)
-        return binv
-    row = binv[r, :] / piv
+def _replace_column(binv, w, r) -> None:
+    """Update `binv` in place to the inverse after row r's basic column was
+    replaced by the column whose image under the old inverse is `w`: a
+    product-form update.  The pivot ``w[r]`` is the entering column's
+    ``alpha``, which the ratio test admits only above ``_PIVTOL``."""
+    row = binv[r, :] / w[r]
     # Only the entries in the nonzero rows of w and nonzero columns of row
     # change; slack-heavy bases leave both sparse.
     rw, cr = np.flatnonzero(w), np.flatnonzero(row)
     binv[np.ix_(rw, cr)] -= np.outer(w[rw], row[cr])
     binv[r, :] = row
-    return binv
 
 
 def _reduced_costs(rows, c, basis, binv) -> np.ndarray:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -184,7 +185,14 @@ def test_report_refuses_mixed_instances(tmp_path, capsys):
                                         ("string-objective", "objective: expected a number"),
                                         ("list-bound", "lower_bound: expected a number"),
                                         ("list-name", "instance.name: expected str"),
-                                        ("list-hash", "instance.hash: expected str")])
+                                        ("list-hash", "instance.hash: expected str"),
+                                        ("infinite-objective",
+                                         "objective: expected a finite number, got inf"),
+                                        ("nan-objective",
+                                         "objective: expected a finite number, got nan"),
+                                        ("huge-objective", "objective: expected a finite number"),
+                                        ("exact-minus-infinite-bound",
+                                         "lower_bound: expected a finite number, got -inf")])
 def test_report_rejects_malformed_documents(tmp_path, capsys, doc, field):
     inst_path = _generate(tmp_path)
     sol = tmp_path / "sol.json"
@@ -194,7 +202,12 @@ def test_report_rejects_malformed_documents(tmp_path, capsys, doc, field):
                 "string-objective": lambda d: d.update(objective="12"),
                 "list-bound": lambda d: d.update(lower_bound=[1]),
                 "list-name": lambda d: d["instance"].update(name=["x"]),
-                "list-hash": lambda d: d["instance"].update(hash=["x"])}[doc]
+                "list-hash": lambda d: d["instance"].update(hash=["x"]),
+                "infinite-objective": lambda d: d.update(objective=math.inf),
+                "nan-objective": lambda d: d.update(objective=math.nan),
+                "huge-objective": lambda d: d.update(objective=10 ** 400),
+                "exact-minus-infinite-bound": lambda d: d.update(kind="exact",
+                                                                 lower_bound=-math.inf)}[doc]
         doc = json.loads(sol.read_text())
         edit(doc)
     bad = tmp_path / "bad.json"
@@ -203,6 +216,17 @@ def test_report_rejects_malformed_documents(tmp_path, capsys, doc, field):
     assert main(["report", str(sol), str(bad)]) == 2
     err = capsys.readouterr().err
     assert str(bad) in err and field in err
+
+
+@pytest.mark.parametrize("flag, value, field", [("--delta", "nan", "wireless.delta"),
+                                                 ("--delta", "inf", "wireless.delta"),
+                                                 ("--eta-noise", "nan", "wireless.eta_noise"),
+                                                 ("--p-max", "inf", "wireless.p_max")])
+def test_generate_rejects_non_finite_radio_parameters(tmp_path, capsys, flag, value, field):
+    out = tmp_path / "inst.json"
+    assert main(GEN_ARGS + [flag, value, "--seed", "4", "-o", str(out)]) == 2
+    assert f"{field}: expected a finite number, got {value}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solve_rejects_non_object_entries(tmp_path, capsys):

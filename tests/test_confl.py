@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -479,3 +481,30 @@ class TestValidation:
         inst.steiner_nodes = [SteinerNode("r")]
         with pytest.raises(ValueError, match="reserved"):
             validate_instance(inst)
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda i: setattr(i.users[0], "weight", np.nan), "users[u0].weight"),
+        (lambda i: i.facilities[0].open_cost.update({3: np.nan}), "facilities[f0].open_cost[3]"),
+        (lambda i: setattr(i.central_offices[0], "open_cost", np.inf),
+         "central_offices[g0].open_cost"),
+        (lambda i: setattr(i.core_arcs[0], "cost", np.nan), "core_arcs[g0->f0].cost"),
+        (lambda i: setattr(i.assignment_arcs[3][0], "cost", np.inf),
+         "assignment_arcs[3][f0->u0].cost"),
+        (lambda i: setattr(i.wireless, "p_min", np.nan), "wireless.p_min"),
+        (lambda i: setattr(i.wireless, "p_max", np.inf), "wireless.p_max"),
+        (lambda i: setattr(i.wireless, "delta", np.nan), "wireless.delta"),
+        (lambda i: setattr(i.wireless, "delta", np.inf), "wireless.delta"),
+        (lambda i: setattr(i.wireless, "eta_noise", np.nan), "wireless.eta_noise"),
+    ], ids=["weight-nan", "open-cost-nan", "office-cost-inf", "core-cost-nan",
+            "assign-cost-inf", "p-min-nan", "p-max-inf", "delta-nan", "delta-inf", "eta-nan"])
+    def test_non_finite_number_rejected(self, edit, field):
+        # Each of these used to pass validation, and a NaN opening cost
+        # reached branch and bound before anything failed.
+        inst = wireless_single()
+        validate_instance(inst)
+        edit(inst)
+        message = f"{field}: expected a finite number"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            validate_instance(inst)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_3confl(inst)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -248,6 +250,77 @@ class TestBuildFos:
         table = attractiveness_init(inst, ctx)
         with pytest.raises(NoCompletableFosError, match="technology 2"):
             build_fos(inst, table, HeuristicParams(), np.random.default_rng(0), ctx)
+
+
+def _sampling_steps(monkeypatch):
+    """Record the candidates and the pick of each sampling step of
+    `build_fos`, as ``[candidates, pick]``."""
+    steps = []
+    probabilities, with_entry = heuristic.fixing_probabilities, FOS.with_entry
+
+    def recording(candidates, *args):
+        steps.append([list(candidates), None])
+        return probabilities(candidates, *args)
+
+    def picking(fos, fid, tech):
+        steps[-1][1] = (fid, tech)
+        return with_entry(fos, fid, tech)
+
+    monkeypatch.setattr(heuristic, "fixing_probabilities", recording)
+    monkeypatch.setattr(FOS, "with_entry", picking)
+    return steps
+
+
+class TestTopK:
+    # Five facilities on the desk grid: most steps have several admissible
+    # openings with distinct a-priori scores.
+    @pytest.fixture(scope="class")
+    def setting(self):
+        inst = generate(replace(DESK, n_facilities=5), 0)
+        ctx = HeuristicContext(inst)
+        return inst, ctx, attractiveness_init(inst, ctx)
+
+    @staticmethod
+    def _admissible(inst, ctx, fos, tech):
+        return [(f.id, tech) for f in inst.facilities
+                if f.id not in fos.facilities() and ctx.potential[f.id, tech] > 0]
+
+    def test_one_takes_the_best_a_priori_candidate(self, setting, monkeypatch):
+        inst, ctx, table = setting
+        flat = AttractivenessTable(tau=dict.fromkeys(table.tau, 1.0), tau0=dict(table.tau0))
+        steps = _sampling_steps(monkeypatch)
+        choices = 0
+        for scores in (table, flat):
+            for seed in range(5):
+                steps.clear()
+                fos = build_fos(inst, scores, HeuristicParams(top_k=1),
+                                np.random.default_rng(seed), ctx)
+                replay = FOS()
+                for candidates, pick in steps:
+                    assert candidates == [pick]
+                    admissible = self._admissible(inst, ctx, replay, pick[1])
+                    choices += len(admissible) > 1
+                    # Highest score first; ties go to the lower facility id.
+                    assert pick == min(admissible, key=lambda c: (-scores.tau[c], c[0]))
+                    replay = FOS(replay.entries | {pick})
+                assert replay.entries == fos.entries
+        assert choices
+
+    def test_zero_samples_from_all_candidates(self, setting, monkeypatch):
+        inst, ctx, table = setting
+        steps = _sampling_steps(monkeypatch)
+        states = set()
+        for seed in range(5):
+            steps.clear()
+            fos = build_fos(inst, table, HeuristicParams(top_k=0), np.random.default_rng(seed),
+                            ctx)
+            replay = FOS()
+            for candidates, pick in steps:
+                assert candidates == self._admissible(inst, ctx, replay, pick[1])
+                replay = FOS(replay.entries | {pick})
+            assert replay.entries == fos.entries
+            states.add(fos.entries)
+        assert len(states) > 1
 
 
 class TestCheckAndRepair:

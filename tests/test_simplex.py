@@ -290,15 +290,15 @@ def test_unboxed_columns_start_from_a_cost_shift(seed, monkeypatch):
     dual = simplex._dual_simplex
     starts = []
 
-    def checking_dual(rows, b, c, lo, hi, basis, state, x, binv, d, max_iter):
-        a = np.hstack([rows, np.eye(len(b))])
-        np.testing.assert_allclose(c[: len(costs)], costs)
+    def checking_dual(rows, lo, hi, basis, state, x, binv, d, max_iter):
+        a = np.hstack([rows, np.eye(len(rows))])
+        c = np.concatenate([costs, np.zeros(len(rows))])
         np.testing.assert_allclose(d, c - (c[basis] @ binv) @ a, atol=1e-9)
         free = lo < hi
         assert np.all(d[(state == simplex._AT_LOWER) & free] >= -1e-9)
         assert np.all(d[(state == simplex._AT_UPPER) & free] <= 1e-9)
         starts.append(state.copy())
-        return dual(rows, b, c, lo, hi, basis, state, x, binv, d, max_iter)
+        return dual(rows, lo, hi, basis, state, x, binv, d, max_iter)
 
     monkeypatch.setattr(simplex, "_dual_simplex", checking_dual)
     model, boxed = _unboxed_lp(np.random.default_rng(1300 + seed))
@@ -414,6 +414,96 @@ def test_cold_solve_factorizes_only_basic_structurals(monkeypatch):
         assert sizes == [structurals] and structurals < len(prep.rhs)
 
 
+def _grid_6x4():
+    model = build_3confl(generate(replace(DESK, grid_width=6, grid_height=4, n_facilities=4),
+                                  seed=0)).model
+    return simplex.prepare(model), *simplex.model_bounds(model)
+
+
+def test_the_iteration_cap_falls_across_rounds(monkeypatch):
+    # A budget of 25 pivots in rounds of at most 10 runs out in the third
+    # round, which the 6x4 root LP reaches with bounds still violated: the
+    # solve raises right there, after exactly 25 pivots.  The dual simplex
+    # calls are bounded, so a budget that is not kept fails, not hangs.
+    prep, lo, hi = _grid_6x4()
+    replace_column, dual = simplex._replace_column, simplex._dual_simplex
+    pivots, calls = [], []
+
+    def counting_replace(binv, w, r):
+        pivots.append(r)
+        replace_column(binv, w, r)
+
+    def bounded_dual(*args):
+        calls.append(args[-1])
+        assert len(calls) <= 10, "the iteration budget is not kept"
+        return dual(*args)
+
+    monkeypatch.setattr(simplex, "_replace_column", counting_replace)
+    assert simplex.solve_prepared(prep, lo, hi).status == simplex.OPTIMAL
+    assert len(pivots) > 25
+    pivots.clear()
+    monkeypatch.setattr(simplex, "_dual_simplex", bounded_dual)
+    monkeypatch.setattr(simplex, "_max_iter", lambda rows: 25)
+    monkeypatch.setattr(simplex, "_REFACTOR_EVERY", 10)
+    with pytest.raises(ArithmeticError, match="dual simplex iteration limit exceeded"):
+        simplex.solve_prepared(prep, lo, hi)
+    assert len(pivots) == 25 and calls == [10, 10, 5]
+
+
+def test_each_round_starts_on_a_fresh_factorization(monkeypatch):
+    # With rounds of at most 20 pivots the 6x4 root LP, and a warm re-solve
+    # under one fixed binary, take several rounds.  Each dual simplex call
+    # is handed exactly the inverse a fresh factorization of its basis
+    # gives, makes at most 20 pivots, and factorizes and prices nothing
+    # itself.
+    prep, lo, hi = _grid_6x4()
+    want = simplex.solve_prepared(prep, lo, hi)
+    invert, replace_column, dual = simplex._invert, simplex._replace_column, simplex._dual_simplex
+    inside, made = [], []
+
+    def guarded(name, fn):
+        def call(*args):
+            assert not inside, f"{name} called inside the dual simplex"
+            return fn(*args)
+        return call
+
+    def counting_replace(binv, w, r):
+        made[-1] += 1
+        replace_column(binv, w, r)
+
+    def checking_dual(rows, lo, hi, basis, state, x, binv, d, max_iter):
+        np.testing.assert_array_equal(binv, invert(rows, basis))
+        assert max_iter <= 20
+        made.append(0)
+        inside.append(True)
+        status, pivots = dual(rows, lo, hi, basis, state, x, binv, d, max_iter)
+        inside.pop()
+        assert pivots == made[-1] <= max_iter
+        return status, pivots
+
+    for name in ("_invert", "_recompute_basics", "_reduced_costs"):
+        monkeypatch.setattr(simplex, name, guarded(name, getattr(simplex, name)))
+    monkeypatch.setattr(simplex, "_replace_column", counting_replace)
+    monkeypatch.setattr(simplex, "_dual_simplex", checking_dual)
+    monkeypatch.setattr(simplex, "_REFACTOR_EVERY", 20)
+    root = simplex.solve_prepared(prep, lo, hi)
+    assert root.status == simplex.OPTIMAL
+    assert root.objective == pytest.approx(want.objective, rel=1e-9)
+    assert len(made) > 3 and max(made) == 20
+    x = root.assignment
+    j = next(j for j in prep.binaries if 1e-6 < x[j] < 1 - 1e-6)
+    lo_j, hi_j = lo.copy(), hi.copy()
+    lo_j[j] = 1.0
+    del made[:]
+    child = simplex.solve_prepared(prep, lo_j, hi_j, root.basis)
+    monkeypatch.undo()
+    fresh = simplex.solve_prepared(prep, lo_j, hi_j, want.basis)
+    assert child.status == fresh.status
+    if fresh.status == simplex.OPTIMAL:
+        assert child.objective == pytest.approx(fresh.objective, rel=1e-9)
+    assert len(made) > 1 and max(made) <= 20
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_corrupted_update_is_caught_by_the_certificate(seed, monkeypatch):
     # Throughout the first round each product-form update leaves one entry
@@ -423,11 +513,10 @@ def test_corrupted_update_is_caught_by_the_certificate(seed, monkeypatch):
     replace_column, dual = simplex._replace_column, simplex._dual_simplex
     rounds = []
 
-    def corrupting_replace(rows, b, basis, state, x, binv, w, r):
-        binv = replace_column(rows, b, basis, state, x, binv, w, r)
+    def corrupting_replace(binv, w, r):
+        replace_column(binv, w, r)
         if len(rounds) == 1:
             binv[r, r] += 1e-3
-        return binv
 
     def counting_dual(*args):
         rounds.append(0)
@@ -545,7 +634,7 @@ def test_a_remembered_start_factorization_changes_no_result(monkeypatch):
     # leaves the remembered one intact.
     dual = simplex._dual_simplex
 
-    def failing_dual(rows, b, c, lo, hi, basis, state, x, binv, d, max_iter):
+    def failing_dual(rows, lo, hi, basis, state, x, binv, d, max_iter):
         binv[:] = np.nan
         raise ArithmeticError("dual simplex iteration limit exceeded")
 
