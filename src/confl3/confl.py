@@ -107,10 +107,14 @@ class UnattainableCoverageError(ValueError):
 
 
 def check_attainable(instance: Instance) -> None:
-    """Raise when some coverage threshold exceeds the total reachable weight
-    of its technology, double counting users reachable from several
-    facilities as the heuristic's completeness measure does (which can then
-    never be met)."""
+    """Raise when some coverage threshold exceeds the reachable weight of
+    its own technology's assignment arcs, a user counted once per arc.
+
+    A screen, not a feasibility test: the coverage rows also count users
+    served on a better technology, so an instance it refuses can be
+    feasible and one it passes can be infeasible.  `generate` retries on it
+    and the heuristic's `run` refuses what it refuses, so it stays per
+    technology and every generated instance stays the same."""
     weights = {u.id: u.weight for u in instance.users}
     for t in instance.technologies:
         available = sum(

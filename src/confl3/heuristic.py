@@ -4,11 +4,15 @@ The construction phase opens facilities technology by technology (fiber,
 copper, wireless), sampling each opening from a distribution that blends an
 a-priori score (relaxation of the strengthened model with that opening
 forced, computed once up front) with an a-posteriori score (relaxation of
-the plain model under the current partial fixing).  Completed opening
-states are checked by an exact solve with the openings pinned; infeasible
-ones go through a repair pass that re-solves inside a hamming ball around
-the fixing.  A final improvement pass runs the same neighborhood search
-around the best solution with an objective cutoff.
+the plain model under the current partial fixing).  It stops when the
+opening state meets every coverage threshold, counted as the model's
+coverage rows count it (an opening on technology t also covers every
+technology after t), or when the current technology has no admissible
+opening left.  Each opening state is checked by an exact solve with the
+openings pinned; infeasible ones go through a repair pass that re-solves
+inside a hamming ball around the fixing.  A final improvement pass runs
+the same neighborhood search around the best solution with an objective
+cutoff.
 
 A :class:`HeuristicContext` is the solve session of a run: the plain
 model, its matrix prepared once with its root's optimal basis, and the
@@ -42,18 +46,6 @@ from .confl import strengthen  # noqa: F401
 from .milp import apply_fixings  # noqa: F401
 
 EPS_TAU = 1e-9
-
-
-class NoCompletableFosError(RuntimeError):
-    """Construction ran out of admissible openings while still partial.
-
-    Carries the partial opening state built so far: the driver can still
-    hand it to the repair search, which accepts incomplete fixings.
-    """
-
-    def __init__(self, message: str, partial: "FOS"):
-        super().__init__(message)
-        self.partial = partial
 
 
 @dataclass(frozen=True)
@@ -212,12 +204,14 @@ def ogap(v: float, lower: float) -> float:
 
 def is_complete(fos: FOS, instance: Instance, tech: int,
                 ctx: HeuristicContext) -> bool:
-    """Whether the opening state reaches the coverage threshold of `tech`.
+    """Whether the opening state reaches the coverage threshold of `tech`,
+    counting openings on every technology ``t <= tech`` as the model's
+    coverage rows do.
 
     Users reachable from several opened facilities count once per facility;
     the measure is an optimistic potential, not a service plan.
     """
-    total = sum(ctx.potential[f, t] for f, t in fos.entries if t == tech)
+    total = sum(ctx.potential[f, t] for f, t in fos.entries if t <= tech)
     return total >= instance.coverage_thresholds[tech] - 1e-9
 
 
@@ -259,7 +253,9 @@ def fixing_probabilities(candidates: list, tau: np.ndarray | list,
 
 def build_fos(instance: Instance, tau: AttractivenessTable, params: HeuristicParams,
               rng: np.random.Generator, ctx: HeuristicContext) -> FOS:
-    """Sample a fully complete opening state, fiber first, wireless last."""
+    """Sample an opening state, fiber first, wireless last, until every
+    threshold is met; returns the state built so far as soon as the current
+    technology has no admissible opening left."""
     fos = FOS()
     for tech in instance.technologies:
         while not is_complete(fos, instance, tech, ctx):
@@ -272,9 +268,7 @@ def build_fos(instance: Instance, tau: AttractivenessTable, params: HeuristicPar
                 if f.id not in used and ctx.potential[f.id, tech] > 0
             ]
             if not candidates:
-                raise NoCompletableFosError(
-                    f"no admissible opening left for technology {tech}", fos
-                )
+                return fos
             if params.top_k and len(candidates) > params.top_k:
                 candidates.sort(key=lambda c: (-tau.tau[c], c[0]))
                 candidates = candidates[: params.top_k]
@@ -404,17 +398,12 @@ def run(instance: Instance, params: HeuristicParams) -> RunResult:
         inner_best: SolveOutcome | None = None
         solutions: list[tuple[FOS, float]] = []
         for sigma in range(1, params.sigma_count + 1):
-            entry = {"outer": outer, "sigma": sigma, "fos": None, "partial": False,
+            fos = build_fos(instance, tau, params, rng, ctx)
+            entry = {"outer": outer, "sigma": sigma,
+                     "fos": [list(e) for e in fos.sorted_entries()],
+                     "partial": not all(is_complete(fos, instance, t, ctx)
+                                        for t in instance.technologies),
                      "repaired": False, "objective": None, "best": None}
-            try:
-                fos = build_fos(instance, tau, params, rng, ctx)
-            except NoCompletableFosError as exc:
-                # Coverage already satisfiable through better technologies can
-                # deadlock the per-technology completeness measure; fall back
-                # to repairing the partial fixing built so far.
-                fos = exc.partial
-                entry["partial"] = True
-            entry["fos"] = [list(e) for e in fos.sorted_entries()]
             if fos not in checked:
                 checked[fos] = check_and_repair(instance, ctx, fos, params)
             outcome = checked[fos]

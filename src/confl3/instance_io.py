@@ -81,6 +81,9 @@ class GeneratorParams:
                 raise ValueError(f"coverage_fractions[{t}] must be in [0, 1]")
         if 1 in fr and 2 in fr and fr[1] > fr[2]:
             raise ValueError("coverage_fractions: fraction_1 <= fraction_2 required")
+        for t, r in self.radii.items():
+            if not (math.isfinite(r) and r > 0):
+                raise ValueError(f"radii[{t}] must be a finite positive number, got {r}")
         if self.pathloss_exponent <= 0:
             raise ValueError("pathloss_exponent must be > 0")
         if self.knn < 1:

@@ -229,6 +229,16 @@ def test_generate_rejects_non_finite_radio_parameters(tmp_path, capsys, flag, va
     assert not out.exists()
 
 
+@pytest.mark.parametrize("radii, name", [("nan,2.2,3.0", "radii[1]"),
+                                         ("1.5,inf,3.0", "radii[2]"),
+                                         ("1.5,2.2,0", "radii[3]")])
+def test_generate_rejects_bad_radii(tmp_path, capsys, radii, name):
+    out = tmp_path / "inst.json"
+    assert main(GEN_ARGS + ["--radii", radii, "--seed", "4", "-o", str(out)]) == 2
+    assert f"{name} must be a finite positive number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_rejects_non_object_entries(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"meta": {}, "users": ["id"]}))

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from confl3 import bnb, heuristic, simplex
-from confl3.confl import AssignmentArc, strengthen
+from confl3.confl import AssignmentArc, strengthen, verify_solution
 from confl3.heuristic import (
     EPS_TAU,
     FOS,
     AttractivenessTable,
     HeuristicContext,
     HeuristicParams,
-    NoCompletableFosError,
     SolveOutcome,
     UnattainableCoverageError,
     attractiveness_init,
@@ -212,13 +211,14 @@ class TestBuildFos:
         assert fos.entries == frozenset()
 
     def test_unique_completion_is_deterministic(self):
-        # f0 is the only t1 candidate with reach, f1 the only one for t2.
+        # f0 is the only t1 candidate with reach, and its fiber user also
+        # counts toward the t2 threshold, as in the model's coverage rows.
         inst = attractiveness_instance()
         ctx = HeuristicContext(inst)
         table = attractiveness_init(inst, ctx)
         for seed in range(5):
             fos = build_fos(inst, table, HeuristicParams(), np.random.default_rng(seed), ctx)
-            assert fos.entries == frozenset({("f0", 1), ("f1", 2)})
+            assert fos.entries == frozenset({("f0", 1)})
 
     def test_seeded_rng_reproduces_state(self):
         inst = repair_instance()
@@ -238,18 +238,25 @@ class TestBuildFos:
             for t in inst.technologies:
                 assert is_complete(fos, inst, t, ctx)
 
-    def test_uncompletable_technology_raises(self):
+    def test_stuck_construction_returns_its_state(self):
         # f0 is forced onto t1 first, and the only t2 reach is f0's, so the
-        # t2 requirement deadlocks even though the relaxation is feasible
-        # (its coverage counts better technologies cumulatively).
+        # construction stops with t2 short even though the relaxation is
+        # feasible; the run then finds no solution.
         inst = calm_wireless_instance()
+        inst.users[1].weight = 2.0
         inst.assignment_arcs[1] = [AssignmentArc("f0", "u0", 1.0)]
-        inst.assignment_arcs[2] = [AssignmentArc("f0", "u0", 1.0)]
-        inst.coverage_thresholds = {1: 1.0, 2: 1.0, 3: 0.0}
+        inst.assignment_arcs[2] = [AssignmentArc("f0", "u1", 1.0)]
+        inst.coverage_thresholds = {1: 0.5, 2: 1.5, 3: 0.0}
         ctx = HeuristicContext(inst)
+        assert ctx.root_value == pytest.approx(103.0)
         table = attractiveness_init(inst, ctx)
-        with pytest.raises(NoCompletableFosError, match="technology 2"):
-            build_fos(inst, table, HeuristicParams(), np.random.default_rng(0), ctx)
+        fos = build_fos(inst, table, HeuristicParams(), np.random.default_rng(0), ctx)
+        assert fos.entries == frozenset({("f0", 1)})
+        assert not is_complete(fos, inst, 2, ctx)
+        result = run(inst, HeuristicParams(test_iterations=1, sigma_count=2))
+        assert result.status == "no_solution"
+        assert [e["fos"] for e in result.trace] == [[["f0", 1]]] * 2
+        assert all(e["partial"] for e in result.trace)
 
 
 def _sampling_steps(monkeypatch):
@@ -518,6 +525,19 @@ class TestRun:
         res = run(inst, p)
         assert len(res.trace) == 2 * 3
         assert {e["outer"] for e in res.trace} == {1, 2}
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_reaches_the_optimum_on_desk_instances(self, seed):
+        # Each opening state counts coverage as the model's rows do, so none
+        # of these constructions stops short of a threshold.
+        inst = generate(DESK, seed)
+        res = run(inst, HeuristicParams(test_iterations=2, rng_seed=seed))
+        exact = solve_model(res.confl.model, 120.0)
+        assert exact.status == bnb.OPTIMAL
+        assert res.status == "feasible"
+        assert res.objective == pytest.approx(exact.objective, rel=1e-6)
+        assert verify_solution(inst, res.confl, res.assignment).feasible
+        assert not any(e["partial"] for e in res.trace)
 
 
 def _agree(got_status, got_obj, want: bnb.MipResult) -> bool:

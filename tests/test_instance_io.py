@@ -90,6 +90,13 @@ class TestGenerate:
         with pytest.raises(ValueError, match="fraction_1"):
             GeneratorParams(coverage_fractions={1: 0.9, 2: 0.3, 3: 0.5}).validate()
 
+    @pytest.mark.parametrize("tech, radius", [(1, math.nan), (2, math.inf), (3, -math.inf),
+                                              (1, 0.0), (3, -1.0)])
+    def test_bad_radius_rejected(self, tech, radius):
+        radii = {**TINY["radii"], tech: radius}
+        with pytest.raises(ValueError, match=rf"radii\[{tech}\] must be a finite positive"):
+            GeneratorParams(**{**TINY, "radii": radii}).validate()
+
 
 class TestSerialization:
     def test_roundtrip_identity(self):
