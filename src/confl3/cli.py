@@ -222,7 +222,7 @@ def _cmd_exact(args) -> int:
                         args.time_limit, pool=pool)
     gap = None
     if res.has_solution():
-        gap = ogap(res.objective, min(res.lower_bound, res.objective))
+        gap = ogap(res.objective, res.lower_bound)
     doc = {
         "format": SOLUTION_FORMAT,
         "kind": "exact",

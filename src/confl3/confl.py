@@ -98,31 +98,48 @@ class Instance:
 
 
 class UnattainableCoverageError(ValueError):
-    def __init__(self, technology: int, needed: float, available: float):
-        self.technology = technology
-        super().__init__(
-            f"coverage threshold for technology {technology} is unattainable: "
-            f"needs {needed}, reachable weight {available}"
-        )
+    """No solution meets the coverage thresholds; the message says why."""
+
+
+def opening_reach(instance: Instance) -> dict[tuple[str, int], float]:
+    """Weight each (facility, technology) opening reaches: the summed
+    weight of the users its assignment arcs on that technology serve."""
+    weights = {u.id: u.weight for u in instance.users}
+    reach = {(f.id, t): 0.0 for f in instance.facilities for t in instance.technologies}
+    for t in instance.technologies:
+        for a in instance.assignment_arcs.get(t, []):
+            reach[a.facility, t] += weights[a.user]
+    return reach
+
+
+def reached_weight(reach: dict[tuple[str, int], float], openings, tech: int) -> float:
+    """Weight `openings`, (facility, technology) pairs, reach toward the
+    threshold of `tech`: openings on every technology ``t <= tech`` count,
+    as in the model's coverage rows, and a user once per opening that
+    reaches it, so this is an optimistic potential, not a service plan."""
+    return sum(reach[f, t] for f, t in openings if t <= tech)
+
+
+def covers(instance: Instance, reach: dict[tuple[str, int], float], openings,
+           tech: int) -> bool:
+    """Whether `openings` reach the coverage threshold of `tech`."""
+    return reached_weight(reach, openings, tech) >= instance.coverage_thresholds[tech] - 1e-9
 
 
 def check_attainable(instance: Instance) -> None:
-    """Raise when some coverage threshold exceeds the reachable weight of
-    its own technology's assignment arcs, a user counted once per arc.
+    """Raise :class:`UnattainableCoverageError` naming the first technology
+    whose threshold every opening at once does not reach.
 
-    A screen, not a feasibility test: the coverage rows also count users
-    served on a better technology, so an instance it refuses can be
-    feasible and one it passes can be infeasible.  `generate` retries on it
-    and the heuristic's `run` refuses what it refuses, so it stays per
-    technology and every generated instance stays the same."""
-    weights = {u.id: u.weight for u in instance.users}
+    A screen, not a feasibility test: it ignores that a facility opens on
+    one technology only and that a user is served once, so an instance it
+    passes can be infeasible.  One it refuses has no solution."""
+    reach = opening_reach(instance)
     for t in instance.technologies:
-        available = sum(
-            weights[a.user] for a in instance.assignment_arcs.get(t, [])
-        )
-        needed = instance.coverage_thresholds[t]
-        if available < needed - 1e-9:
-            raise UnattainableCoverageError(t, needed, available)
+        if not covers(instance, reach, reach, t):
+            raise UnattainableCoverageError(
+                f"coverage threshold for technology {t} is unattainable: needs "
+                f"{instance.coverage_thresholds[t]}, every opening on technologies "
+                f"<= {t} reaches weight {reached_weight(reach, reach, t)}")
 
 
 def _finite(value: float, path: str) -> None:

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import bnb, simplex
 from .confl import (ConflModel, Instance, UnattainableCoverageError, build_3confl,
-                    check_attainable, strengthening_pairs)
+                    check_attainable, covers, opening_reach, strengthening_pairs)
 from .milp import Assignment
 # Unused here (checks overlay bounds, the cut pool comes from
 # strengthening_pairs), but perfbench/tracing.py wraps these names.
@@ -143,11 +143,16 @@ class RunResult:
 class HeuristicContext:
     """The solve session of one instance: the plain model, its prepared
     matrix with its root's optimal basis (`root_basis`), the strengthening
-    pairs (`pool`), the strengthened root bound and a memo of fixing LPs."""
+    pairs (`pool`), the strengthened root bound and a memo of fixing LPs.
+
+    Raises :class:`UnattainableCoverageError` for an instance with no
+    solution: first the :func:`check_attainable` screen, which names the
+    technology, then a strengthened root relaxation proved infeasible."""
 
     def __init__(self, instance: Instance):
         self.instance = instance
         self.plain = build_3confl(instance)
+        check_attainable(instance)
         self.pool = strengthening_pairs(self.plain, instance)
         self.plain_prep = simplex.prepare(self.plain.model)
         self.base_lo, self.base_hi = simplex.model_bounds(self.plain.model)
@@ -155,17 +160,11 @@ class HeuristicContext:
         _, root = simplex.separate(self.plain_prep, self.base_lo, self.base_hi, plain_root,
                                    self.pool)
         if root.status != simplex.OPTIMAL:
-            raise ValueError("strengthened relaxation is infeasible; instance unsolvable")
+            raise UnattainableCoverageError(
+                "coverage thresholds are unattainable: the strengthened relaxation is infeasible")
         self.root_value = root.objective
         self.root_basis = plain_root.basis
-        weights = {u.id: u.weight for u in instance.users}
-        self.potential: dict[tuple[str, int], float] = {}
-        for t in instance.technologies:
-            reach: dict[str, float] = {}
-            for a in instance.assignment_arcs.get(t, []):
-                reach[a.facility] = reach.get(a.facility, 0.0) + weights[a.user]
-            for f in instance.facilities:
-                self.potential[f.id, t] = reach.get(f.id, 0.0)
+        self.potential = opening_reach(instance)
         self._memo: dict[tuple[bool, frozenset], float | None] = {}
 
     def relaxation_value(self, strong: bool, ones: frozenset) -> float | None:
@@ -204,15 +203,9 @@ def ogap(v: float, lower: float) -> float:
 
 def is_complete(fos: FOS, instance: Instance, tech: int,
                 ctx: HeuristicContext) -> bool:
-    """Whether the opening state reaches the coverage threshold of `tech`,
-    counting openings on every technology ``t <= tech`` as the model's
-    coverage rows do.
-
-    Users reachable from several opened facilities count once per facility;
-    the measure is an optimistic potential, not a service plan.
-    """
-    total = sum(ctx.potential[f, t] for f, t in fos.entries if t <= tech)
-    return total >= instance.coverage_thresholds[tech] - 1e-9
+    """Whether the opening state reaches the coverage threshold of `tech`
+    by :func:`confl3.confl.covers`, the rule of the model's coverage rows."""
+    return covers(instance, ctx.potential, fos.entries, tech)
 
 
 def attractiveness_init(instance: Instance, ctx: HeuristicContext) -> AttractivenessTable:
@@ -302,8 +295,7 @@ def check_and_repair(instance: Instance, ctx: HeuristicContext, fos: FOS,
 
 def vlns(instance: Instance, ctx: HeuristicContext, center: dict[tuple[str, int], float],
          params: HeuristicParams, mode: str = "improve",
-         incumbent_value: float | None = None,
-         radius: int | None = None) -> SolveOutcome:
+         incumbent_value: float | None = None) -> SolveOutcome:
     """Exact very-large-neighborhood search: re-solve the plain model under
     a hamming-distance cap around `center` on the opening variables.
 
@@ -317,7 +309,7 @@ def vlns(instance: Instance, ctx: HeuristicContext, center: dict[tuple[str, int]
         raise ValueError(f"unknown vlns mode {mode!r}")
     if mode == "improve" and incumbent_value is None:
         raise ValueError("improve mode needs the incumbent objective")
-    n = params.radius(len(instance.facilities)) if radius is None else radius
+    n = params.radius(len(instance.facilities))
 
     prep = ctx.plain_prep
     rows, rhs = [], []
@@ -372,7 +364,6 @@ def run(instance: Instance, params: HeuristicParams) -> RunResult:
     once; repeats reuse its outcome, a timed-out one included.
     """
     params.validate()
-    check_attainable(instance)
     ctx = HeuristicContext(instance)
     lower = ctx.root_value
     tau = attractiveness_init(instance, ctx)

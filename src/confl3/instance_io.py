@@ -91,8 +91,10 @@ class GeneratorParams:
 
 
 def generate(params: GeneratorParams, seed: int) -> Instance:
-    """Deterministic instance for (params, seed); regenerates up to
-    `max_retries` times when a coverage threshold comes out unattainable."""
+    """Deterministic instance for (params, seed); draws again, up to
+    `max_retries` draws in all, while :func:`confl3.confl.check_attainable`
+    finds a coverage threshold that every opening at once does not reach,
+    counting openings on better technologies as the coverage rows do."""
     params.validate()
     rng = np.random.default_rng(seed)
     last_error = None
@@ -101,13 +103,13 @@ def generate(params: GeneratorParams, seed: int) -> Instance:
         try:
             check_attainable(instance)
         except UnattainableCoverageError as exc:
-            last_error = exc.technology
+            last_error = exc
             continue
         validate_instance(instance)
         return instance
     raise ValueError(
         f"could not generate an attainable instance after {params.max_retries} tries; "
-        f"technology {last_error} lacks reachable user weight"
+        f"the last: {last_error}"
     )
 
 

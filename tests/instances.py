@@ -337,6 +337,14 @@ DESK = GeneratorParams(
     max_retries=1,
 )
 
+# The preset of tests/test_cli.py's GEN_ARGS; with --seed 4 they write the
+# instance the CLI tests use.
+CLI_PARAMS = GeneratorParams(
+    grid_width=3, grid_height=2, n_facilities=2, n_central_offices=1, n_steiner=0,
+    users_per_pixel=0.5, knn=1, radii={1: 1.5, 2: 2.2, 3: 3.0},
+    coverage_fractions={1: 0.2, 2: 0.4, 3: 0.5}, eta_noise=0.05, delta=1.8,
+)
+
 
 def strengthening_preset() -> GeneratorParams:
     """The preset of scripts/strengthening_effect.py, on which the

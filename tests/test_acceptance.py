@@ -240,7 +240,8 @@ def test_vlns_contract(acceptance_set, acceptance_exact):
         ctx = HeuristicContext(inst)
         exact = solve_model(ctx.plain.model, 60.0)
         center = {key: exact.incumbent[zid] for key, zid in ctx.plain.z.items()}
-        pinned = vlns(inst, ctx, center, params, mode="repair", radius=0)
+        pinned = vlns(inst, ctx, center, HeuristicParams(test_iterations=1, vlns_radius=0),
+                      mode="repair")
         assert pinned.objective == pytest.approx(exact.objective, abs=1e-6)
 
         # radius |F| * |T|: the hamming row is vacuous
@@ -248,8 +249,8 @@ def test_vlns_contract(acceptance_set, acceptance_exact):
         cctx = HeuristicContext(crafted)
         free = solve_model(cctx.plain.model, 60.0)
         n_full = len(crafted.facilities) * len(cctx.plain.technologies)
-        wide = vlns(crafted, cctx, {k: 0.0 for k in cctx.plain.z}, params,
-                    mode="repair", radius=n_full)
+        wide = vlns(crafted, cctx, {k: 0.0 for k in cctx.plain.z},
+                    HeuristicParams(test_iterations=1, vlns_radius=n_full), mode="repair")
         assert wide.objective == pytest.approx(free.objective, abs=1e-6)
 
         # improve mode never returns a non-improving solution

@@ -3,7 +3,7 @@ import pytest
 
 from confl3 import bnb, simplex
 from confl3.confl import build_3confl, strengthen, strengthening_pairs
-from confl3.instance_io import GeneratorParams, generate
+from confl3.instance_io import generate
 from confl3.milp import (
     BINARY,
     CONTINUOUS,
@@ -15,7 +15,7 @@ from confl3.milp import (
     lp_relaxation,
 )
 
-from instances import DESK, conflict_instance, strengthening_preset
+from instances import CLI_PARAMS, DESK, conflict_instance, strengthening_preset
 from oracles import mip_enumeration_optimum
 from solve import solve_model
 
@@ -145,14 +145,6 @@ def test_only_the_root_relaxation_is_solved_cold(monkeypatch):
     assert r.status == bnb.OPTIMAL
     assert r.nodes > 10
     assert len(cold) == 1
-
-
-# The instance that tests/test_cli.py's GEN_ARGS generate with --seed 4.
-CLI_PARAMS = GeneratorParams(
-    grid_width=3, grid_height=2, n_facilities=2, n_central_offices=1, n_steiner=0,
-    users_per_pixel=0.5, knn=1, radii={1: 1.5, 2: 2.2, 3: 3.0},
-    coverage_fractions={1: 0.2, 2: 0.4, 3: 0.5}, eta_noise=0.05, delta=1.8,
-)
 
 
 def _pool_case(case):

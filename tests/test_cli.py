@@ -10,7 +10,7 @@ from confl3.cli import main
 from confl3.confl import build_3confl, verify_solution
 from confl3.instance_io import GeneratorParams, generate, read_instance, write_instance
 
-from instances import strengthening_preset
+from instances import conflict_instance, strengthening_preset
 
 GEN_ARGS = [
     "generate",
@@ -53,16 +53,57 @@ def test_solve_is_byte_deterministic_in_test_mode(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def _stripped(tmp_path, techs, w3_is_w2=False):
+    """The GEN_ARGS seed-4 instance with the assignment arcs of `techs`
+    removed and, if asked, the wireless threshold lowered to copper's."""
+    doc = json.loads(_generate(tmp_path).read_text())
+    for t in techs:
+        doc["assignment_arcs"][str(t)] = []
+    if w3_is_w2:
+        doc["coverage_thresholds"]["3"] = doc["coverage_thresholds"]["2"]
+    path = tmp_path / "stripped.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
 def test_solve_unattainable_names_technology(tmp_path, capsys):
-    inst_path = _generate(tmp_path)
-    doc = json.loads(inst_path.read_text())
-    doc["assignment_arcs"]["3"] = []
-    doc["coverage_thresholds"]["3"] = doc["coverage_thresholds"]["2"]
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    bad = _stripped(tmp_path, (1, 2, 3), w3_is_w2=True)
     code = main(["solve", str(bad), "--iters", "1", "-o", str(tmp_path / "s.json")])
     assert code == 1
-    assert "technology 3" in capsys.readouterr().err
+    assert "technology 1" in capsys.readouterr().err
+    assert main(["exact", str(bad), "-o", str(tmp_path / "x.json")]) == 1
+    assert json.loads((tmp_path / "x.json").read_text())["status"] == "infeasible"
+
+
+@pytest.mark.parametrize("tech, w3_is_w2", [(2, False), (3, True)], ids=["copper", "wireless"])
+def test_solve_counts_better_technologies_toward_coverage(tmp_path, capsys, tech, w3_is_w2):
+    """With copper or wireless arcs gone, users on better technologies
+    still meet the later thresholds, so `solve` finds the optimum `exact`
+    proves."""
+    inst = _stripped(tmp_path, (tech,), w3_is_w2)
+    assert main(["exact", str(inst), "-o", str(tmp_path / "x.json")]) == 0
+    assert main(["solve", str(inst), "--iters", "2", "-o", str(tmp_path / "s.json")]) == 0
+    exact = json.loads((tmp_path / "x.json").read_text())
+    heur = json.loads((tmp_path / "s.json").read_text())
+    assert exact["status"] == "optimal"
+    assert heur["verified"] is True
+    assert heur["objective"] == pytest.approx(exact["objective"], abs=1e-9)
+
+
+def test_strengthened_root_infeasibility_exits_1(tmp_path, capsys):
+    """The screen passes the conflict instance when wireless must cover all
+    the weight, but its conflict row makes the strengthened root infeasible:
+    `solve` refuses it as `exact` does, with exit 1 and the reason."""
+    inst, _, _ = conflict_instance()
+    inst.coverage_thresholds = {1: 0.0, 2: 0.0, 3: inst.total_weight()}
+    confl.check_attainable(inst)
+    path = tmp_path / "conflict.json"
+    path.write_text(write_instance(inst))
+    assert main(["exact", str(path), "-o", str(tmp_path / "x.json")]) == 1
+    assert json.loads((tmp_path / "x.json").read_text())["status"] == "infeasible"
+    capsys.readouterr()
+    assert main(["solve", str(path), "--iters", "1", "-o", str(tmp_path / "s.json")]) == 1
+    assert "strengthened relaxation is infeasible" in capsys.readouterr().err
 
 
 def test_exact_and_report_pipeline(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from confl3 import bnb, simplex
 from confl3.confl import (
+    UnattainableCoverageError,
     big_m,
     build_3confl,
+    check_attainable,
     conflict_pairs,
     strengthen,
     strengthening_pairs,
@@ -15,9 +18,11 @@ from confl3.confl import (
     validate_instance,
     verify_solution,
 )
+from confl3.instance_io import generate
 from confl3.milp import LE, LinearConstraint, apply_fixings, evaluate, lp_relaxation
 
 from instances import (
+    CLI_PARAMS,
     build_2confl,
     calm_wireless_instance,
     conflict_instance,
@@ -453,6 +458,28 @@ def _extractable_flow(confl, assignment, fid: str) -> float:
         for arc in path:
             residual[arc] -= bottleneck
         total += bottleneck
+
+
+class TestCheckAttainable:
+    def test_refuses_only_infeasible_instances(self):
+        """The screen counts openings on better technologies as the coverage
+        rows do, so each instance it refuses has no solution: over the CLI
+        preset with one technology's arcs removed, bnb proves every refused
+        one infeasible, and the preset gives both refusals and passes."""
+        refused = passed = 0
+        for seed in range(20):
+            base = generate(CLI_PARAMS, seed)
+            for t in base.technologies:
+                inst = replace(base, assignment_arcs={**base.assignment_arcs, t: []})
+                try:
+                    check_attainable(inst)
+                except UnattainableCoverageError as exc:
+                    refused += 1
+                    res = solve_model(build_3confl(inst).model, 60.0)
+                    assert res.status == bnb.INFEASIBLE, (seed, t, str(exc))
+                else:
+                    passed += 1
+        assert refused and passed
 
 
 class TestValidation:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from confl3 import bnb, heuristic, simplex
-from confl3.confl import AssignmentArc, strengthen, verify_solution
+from confl3.confl import AssignmentArc, build_3confl, strengthen, verify_solution
 from confl3.heuristic import (
     EPS_TAU,
     FOS,
@@ -392,8 +392,8 @@ class TestVlns:
         ctx = HeuristicContext(inst)
         exact = solve_model(ctx.plain.model, 60.0)
         center = {key: exact.incumbent[zid] for key, zid in ctx.plain.z.items()}
-        out = vlns(inst, ctx, center, HeuristicParams(test_iterations=1),
-                   mode="repair", radius=0)
+        out = vlns(inst, ctx, center, HeuristicParams(test_iterations=1, vlns_radius=0),
+                   mode="repair")
         assert out.status == "optimal"
         assert out.objective == pytest.approx(exact.objective, abs=1e-6)
 
@@ -403,8 +403,8 @@ class TestVlns:
         exact = solve_model(ctx.plain.model, 60.0)
         center = {key: 0.0 for key in ctx.plain.z}
         n = len(inst.facilities) * len(ctx.plain.technologies)
-        out = vlns(inst, ctx, center, HeuristicParams(test_iterations=1),
-                   mode="repair", radius=n)
+        out = vlns(inst, ctx, center, HeuristicParams(test_iterations=1, vlns_radius=n),
+                   mode="repair")
         assert out.objective == pytest.approx(exact.objective, abs=1e-6)
 
     def test_improve_from_optimum_finds_nothing(self):
@@ -412,8 +412,8 @@ class TestVlns:
         ctx = HeuristicContext(inst)
         exact = solve_model(ctx.plain.model, 60.0)
         center = {key: exact.incumbent[zid] for key, zid in ctx.plain.z.items()}
-        out = vlns(inst, ctx, center, HeuristicParams(test_iterations=1),
-                   mode="improve", incumbent_value=exact.objective, radius=6)
+        out = vlns(inst, ctx, center, HeuristicParams(test_iterations=1, vlns_radius=6),
+                   mode="improve", incumbent_value=exact.objective)
         assert out.status == "infeasible"
         assert not out.has_solution()
 
@@ -423,8 +423,8 @@ class TestVlns:
         exact = solve_model(ctx.plain.model, 60.0)
         bad_value = exact.objective + 3.0
         center = {key: 0.0 for key in ctx.plain.z}
-        out = vlns(inst, ctx, center, HeuristicParams(test_iterations=1),
-                   mode="improve", incumbent_value=bad_value, radius=6)
+        out = vlns(inst, ctx, center, HeuristicParams(test_iterations=1, vlns_radius=6),
+                   mode="improve", incumbent_value=bad_value)
         assert out.has_solution()
         assert out.objective < bad_value
 
@@ -519,6 +519,17 @@ class TestRun:
         with pytest.raises(UnattainableCoverageError, match="technology 3"):
             run(inst, HeuristicParams(test_iterations=1))
 
+    def test_better_technology_covers_an_arcless_one(self):
+        """Without copper arcs, f0 on fiber still meets the copper threshold,
+        so the screen passes and the run reaches the bnb optimum 4."""
+        inst = attractiveness_instance()
+        inst.assignment_arcs[2] = []
+        exact = solve_model(build_3confl(inst).model, 60.0)
+        res = run(inst, HeuristicParams(test_iterations=1))
+        assert exact.objective == pytest.approx(4.0, abs=1e-9)
+        assert res.status == "feasible"
+        assert res.objective == pytest.approx(exact.objective, abs=1e-9)
+
     def test_trace_records_every_construction(self):
         inst = calm_wireless_instance()
         p = HeuristicParams(test_iterations=2, sigma_count=3, rng_seed=0)
@@ -601,6 +612,7 @@ class TestSolveSession:
 
         # Radius 1 keeps the neighbourhood trees small; the rows are the same.
         radius = 1
+        params = HeuristicParams(test_iterations=1, vlns_radius=radius)
         improve_center = None
         for fos, warm in zip(states, warm_checks):
             fixings = {
@@ -614,7 +626,7 @@ class TestSolveSession:
                 (fid, t): 1.0 if (fid, t) in fos.entries else 0.0
                 for fid in fos.facilities() for t in confl.technologies
             }
-            out = vlns(inst, ctx, center, params, mode="repair", radius=radius)
+            out = vlns(inst, ctx, center, params, mode="repair")
             cold = solve_model(_vlns_model(confl, center, radius), 60.0)
             assert _agree(out.status, out.objective, cold), (fos, cold)
             if improve_center is None and out.has_solution():
@@ -626,7 +638,7 @@ class TestSolveSession:
         assert improve_center is not None
         for value in (improve_value, 1.2 * improve_value):
             better = vlns(inst, ctx, improve_center, params, mode="improve",
-                          incumbent_value=value, radius=radius)
+                          incumbent_value=value)
             cutoff = value - 1e-4 * max(1.0, abs(value))
             cold = solve_model(_vlns_model(confl, improve_center, radius, cutoff), 60.0)
             assert _agree(better.status, better.objective, cold), value
@@ -727,5 +739,6 @@ class TestSeparation:
     def test_infeasible_plain_root_is_reported_before_its_basis_is_used(self, monkeypatch):
         monkeypatch.setattr(simplex, "solve_prepared",
                             lambda *args, **kwargs: simplex.LpResult(simplex.INFEASIBLE))
-        with pytest.raises(ValueError, match="strengthened relaxation is infeasible"):
+        with pytest.raises(UnattainableCoverageError,
+                           match="strengthened relaxation is infeasible"):
             HeuristicContext(generate(DESK, 1))
