@@ -13,8 +13,8 @@ import time
 
 from confl3 import bnb
 from confl3.confl import build_3confl, strengthening_pairs, verify_solution
-from confl3.heuristic import HeuristicParams, ogap, run
-from confl3.instance_io import GeneratorParams, ResultRow, generate, report
+from confl3.heuristic import HeuristicParams, run
+from confl3.instance_io import GeneratorParams, gap_row, generate, report
 from confl3.simplex import model_bounds, prepare, separate, solve_prepared
 
 PARAMS = GeneratorParams(
@@ -65,14 +65,8 @@ def main() -> int:
             continue
 
         assert verify_solution(instance, confl, heur.assignment).feasible
-        lower = min(root.objective, exact.objective)
-        rows.append(
-            ResultRow(
-                instance_id=f"S{seed}",
-                gap_reference=100.0 * ogap(exact.objective, lower),
-                gap_heuristic=100.0 * ogap(heur.objective, lower),
-            )
-        )
+        rows.append(gap_row(f"S{seed}", exact.objective, heur.objective,
+                            root.objective, exact.objective))
         marker = "=" if abs(heur.objective - exact.objective) <= 1e-6 else ">"
         print(
             f"seed {seed}: exact {exact.objective:.4f} {marker} heuristic "

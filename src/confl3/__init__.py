@@ -24,7 +24,6 @@ from .instance_io import GeneratorParams, generate, read_instance, report, write
 from .milp import (
     Model,
     apply_fixings,
-    evaluate,
     export_lp_text,
     lp_relaxation,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "big_m",
     "build_3confl",
     "conflict_pairs",
-    "evaluate",
     "export_lp_text",
     "generate",
     "lp_relaxation",

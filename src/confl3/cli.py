@@ -22,9 +22,9 @@ from .confl import build_3confl, strengthen, strengthening_pairs, verify_solutio
 from .heuristic import HeuristicParams, UnattainableCoverageError, ogap, run
 from .instance_io import (
     GeneratorParams,
-    ResultRow,
     SchemaError,
     _number,
+    gap_row,
     generate,
     read_instance,
     report,
@@ -299,16 +299,9 @@ def _cmd_report(args) -> int:
                 f"instance {slot['name']} ({h[:12]}...) needs one exact and one "
                 "heuristic solution; report refuses to mix instances"
             )
-        # Both gaps against one lower bound: the smaller, which neither
-        # objective lies below.
-        lower = min(slot["exact"]["lower_bound"], slot["heuristic"]["lower_bound"])
-        rows.append(
-            ResultRow(
-                instance_id=slot["name"],
-                gap_reference=100.0 * ogap(slot["exact"]["objective"], lower),
-                gap_heuristic=100.0 * ogap(slot["heuristic"]["objective"], lower),
-            )
-        )
+        exact, heur = slot["exact"], slot["heuristic"]
+        rows.append(gap_row(slot["name"], exact["objective"], heur["objective"],
+                            exact["lower_bound"], heur["lower_bound"]))
     text = report(rows, csv=args.csv)
     if args.output:
         _write(args.output, text)

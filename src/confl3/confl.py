@@ -1,12 +1,13 @@
-"""Connected facility location models for 2- and 3-architecture networks.
+"""The 3-architecture connected facility location model.
 
-Builds the flow-based MILP for wired-only (technologies 1-2) and
-wired+wireless (technologies 1-2-3) network design from an
-:class:`Instance`, including the big-M signal-to-interference rows and the
-semi-continuous power bounds for the wireless tier, detects the two
-families of strengthening inequalities (lone-blocker and pairwise-conflict
-rows), and re-verifies full solutions directly against the raw instance
-data.
+An :class:`Instance` has exactly the three technologies of
+:data:`TECHNOLOGIES`, fiber, copper and wireless, and the wireless
+parameters; :func:`validate_instance` refuses any other shape.  This module
+builds the flow-based MILP of an instance, including the big-M
+signal-to-interference rows and the semi-continuous power bounds for the
+wireless tier, detects the two families of strengthening inequalities
+(lone-blocker and pairwise-conflict rows), and re-verifies full solutions
+directly against the raw instance data.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .milp import BINARY, CONTINUOUS, EQ, GE, LE, Assignment, Model
 TECH_FIBER = 1
 TECH_COPPER = 2
 TECH_WIRELESS = 3
+TECHNOLOGIES = (TECH_FIBER, TECH_COPPER, TECH_WIRELESS)
 
 ROOT_ID = "r"
 
@@ -86,12 +88,8 @@ class Instance:
     core_arcs: list[CoreArc]
     assignment_arcs: dict[int, list[AssignmentArc]]  # technology -> arcs
     coverage_thresholds: dict[int, float]            # technology -> W_t
-    wireless: WirelessParams | None = None
+    wireless: WirelessParams
     name: str = "instance"
-
-    @property
-    def technologies(self) -> tuple[int, ...]:
-        return tuple(sorted(self.coverage_thresholds))
 
     def total_weight(self) -> float:
         return sum(u.weight for u in self.users)
@@ -105,8 +103,8 @@ def opening_reach(instance: Instance) -> dict[tuple[str, int], float]:
     """Weight each (facility, technology) opening reaches: the summed
     weight of the users its assignment arcs on that technology serve."""
     weights = {u.id: u.weight for u in instance.users}
-    reach = {(f.id, t): 0.0 for f in instance.facilities for t in instance.technologies}
-    for t in instance.technologies:
+    reach = {(f.id, t): 0.0 for f in instance.facilities for t in TECHNOLOGIES}
+    for t in TECHNOLOGIES:
         for a in instance.assignment_arcs.get(t, []):
             reach[a.facility, t] += weights[a.user]
     return reach
@@ -134,7 +132,7 @@ def check_attainable(instance: Instance) -> None:
     one technology only and that a user is served once, so an instance it
     passes can be infeasible.  One it refuses has no solution."""
     reach = opening_reach(instance)
-    for t in instance.technologies:
+    for t in TECHNOLOGIES:
         if not covers(instance, reach, reach, t):
             raise UnattainableCoverageError(
                 f"coverage threshold for technology {t} is unattainable: needs "
@@ -148,7 +146,14 @@ def _finite(value: float, path: str) -> None:
 
 
 def validate_instance(instance: Instance) -> None:
-    """Raise ValueError naming the offending field when an invariant fails."""
+    """Raise ValueError naming the offending field when an invariant fails;
+    first that the instance has the one shape the model has: thresholds for
+    exactly the technologies 1, 2 and 3, and wireless parameters."""
+    if set(instance.coverage_thresholds) != set(TECHNOLOGIES):
+        raise ValueError(f"coverage_thresholds: technologies 1, 2 and 3 required, got "
+                         f"{sorted(instance.coverage_thresholds)}")
+    if instance.wireless is None:
+        raise ValueError("wireless: parameters required")
     ids: list[str] = []
     for kind, items in (
         ("users", instance.users),
@@ -170,13 +175,11 @@ def validate_instance(instance: Instance) -> None:
         _finite(u.weight, f"users[{u.id}].weight")
         if u.weight < 0:
             raise ValueError(f"users[{u.id}].weight must be >= 0")
-    techs = instance.technologies
-    if not techs:
-        raise ValueError("coverage_thresholds: at least one technology required")
     for f in instance.facilities:
-        for t in techs:
-            if t not in f.open_cost:
-                raise ValueError(f"facilities[{f.id}].open_cost missing technology {t}")
+        if set(f.open_cost) != set(TECHNOLOGIES):
+            raise ValueError(f"facilities[{f.id}].open_cost: technologies 1, 2 and 3 "
+                             f"required, got {sorted(f.open_cost)}")
+        for t in TECHNOLOGIES:
             _finite(f.open_cost[t], f"facilities[{f.id}].open_cost[{t}]")
             if f.open_cost[t] < 0:
                 raise ValueError(f"facilities[{f.id}].open_cost[{t}] must be >= 0")
@@ -202,7 +205,7 @@ def validate_instance(instance: Instance) -> None:
     user_ids = {u.id for u in instance.users}
     fac_ids = {f.id for f in instance.facilities}
     for t, arcs in instance.assignment_arcs.items():
-        if t not in techs:
+        if t not in TECHNOLOGIES:
             raise ValueError(f"assignment_arcs: unknown technology {t}")
         seen: set[tuple[str, str]] = set()
         for a in arcs:
@@ -223,35 +226,30 @@ def validate_instance(instance: Instance) -> None:
     for t, w_t in instance.coverage_thresholds.items():
         if not 0 <= w_t <= total + 1e-9:
             raise ValueError(f"coverage_thresholds[{t}]={w_t} outside [0, W={total}]")
-    if TECH_FIBER in techs and TECH_COPPER in techs:
-        if instance.coverage_thresholds[TECH_FIBER] > instance.coverage_thresholds[TECH_COPPER]:
-            raise ValueError("coverage_thresholds: W_1 <= W_2 required")
+    if instance.coverage_thresholds[TECH_FIBER] > instance.coverage_thresholds[TECH_COPPER]:
+        raise ValueError("coverage_thresholds: W_1 <= W_2 required")
 
-    if TECH_WIRELESS in techs:
-        w = instance.wireless
-        if w is None:
-            raise ValueError("wireless: parameters required when technology 3 is present")
-        for key in ("p_min", "p_max", "delta", "eta_noise"):
-            _finite(getattr(w, key), f"wireless.{key}")
-        if not 0 <= w.p_min <= w.p_max:
-            raise ValueError("wireless: 0 <= p_min <= p_max required")
-        if w.delta <= 0:
-            raise ValueError("wireless.delta must be > 0")
-        if w.eta_noise <= 0:
-            raise ValueError("wireless.eta_noise must be > 0")
-        for f in instance.facilities:
-            for u in instance.users:
-                a = w.fading.get((f.id, u.id))
-                if a is None:
-                    raise ValueError(f"wireless.fading missing ({f.id!r}, {u.id!r})")
-                if not 0.0 <= a <= 1.0:
-                    raise ValueError(f"wireless.fading[({f.id!r}, {u.id!r})]={a} outside [0, 1]")
+    w = instance.wireless
+    for key in ("p_min", "p_max", "delta", "eta_noise"):
+        _finite(getattr(w, key), f"wireless.{key}")
+    if not 0 <= w.p_min <= w.p_max:
+        raise ValueError("wireless: 0 <= p_min <= p_max required")
+    if w.delta <= 0:
+        raise ValueError("wireless.delta must be > 0")
+    if w.eta_noise <= 0:
+        raise ValueError("wireless.eta_noise must be > 0")
+    for f in instance.facilities:
+        for u in instance.users:
+            a = w.fading.get((f.id, u.id))
+            if a is None:
+                raise ValueError(f"wireless.fading missing ({f.id!r}, {u.id!r})")
+            if not 0.0 <= a <= 1.0:
+                raise ValueError(f"wireless.fading[({f.id!r}, {u.id!r})]={a} outside [0, 1]")
 
 
 @dataclass
 class ConflModel:
     instance: Instance
-    technologies: tuple[int, ...]
     model: Model
     arcs: list[tuple[str, str, float]]              # root arcs first, then core arcs
     z: dict[tuple[str, int], int]
@@ -259,7 +257,7 @@ class ConflModel:
     y: dict[tuple[str, str, int], int]
     v: dict[tuple[str, int], int]
     flow: dict[tuple[str, str, str], int]
-    power: dict[str, int] = field(default_factory=dict)
+    power: dict[str, int]
     strengthening_rows: int = 0
 
 
@@ -283,15 +281,18 @@ class _RowBatch:
         model.add_rows(self.cols, self.coefs, self.senses, self.rhs)
 
 
-def _build(instance: Instance, technologies: tuple[int, ...]) -> ConflModel:
+def build_3confl(instance: Instance) -> ConflModel:
+    """The model over technologies {1, 2, 3}: wired tiers plus wireless with
+    per-(facility, user) big-M SIR rows and semi-continuous power bounds."""
     validate_instance(instance)
+    w = instance.wireless
     m = Model()
     arcs = [(ROOT_ID, co.id, co.open_cost) for co in instance.central_offices]
     arcs += [(a.tail, a.head, a.cost) for a in instance.core_arcs]
 
     z: dict[tuple[str, int], int] = {}
     for f in instance.facilities:
-        for t in technologies:
+        for t in TECHNOLOGIES:
             z[f.id, t] = m.add_variable(f"z_{f.id}_t{t}", BINARY, 0, 1)
             m.set_objective_coef(z[f.id, t], f.open_cost[t])
 
@@ -301,7 +302,7 @@ def _build(instance: Instance, technologies: tuple[int, ...]) -> ConflModel:
         m.set_objective_coef(x[tail, head], cost)
 
     y: dict[tuple[str, str, int], int] = {}
-    for t in technologies:
+    for t in TECHNOLOGIES:
         for a in instance.assignment_arcs.get(t, []):
             y[a.facility, a.user, t] = m.add_variable(
                 f"y_{a.facility}_{a.user}_t{t}", BINARY, 0, 1
@@ -310,7 +311,7 @@ def _build(instance: Instance, technologies: tuple[int, ...]) -> ConflModel:
 
     v: dict[tuple[str, int], int] = {}
     for u in instance.users:
-        for t in technologies:
+        for t in TECHNOLOGIES:
             v[u.id, t] = m.add_variable(f"v_{u.id}_t{t}", BINARY, 0, 1)
 
     flow: dict[tuple[str, str, str], int] = {}
@@ -320,14 +321,17 @@ def _build(instance: Instance, technologies: tuple[int, ...]) -> ConflModel:
                 f"phi_{tail}_{head}_{f.id}", CONTINUOUS, 0.0, 1.0
             )
 
+    power = {f.id: m.add_variable(f"p_{f.id}", CONTINUOUS, 0.0, w.p_max)
+             for f in instance.facilities}
+
     rows = _RowBatch()
     # Facility opens on at most one technology.
     for f in instance.facilities:
-        rows.add([(z[f.id, t], 1.0) for t in technologies], LE, 1.0)
+        rows.add([(z[f.id, t], 1.0) for t in TECHNOLOGIES], LE, 1.0)
 
     # A served user has exactly one active assignment arc on its technology.
     for u in instance.users:
-        for t in technologies:
+        for t in TECHNOLOGIES:
             terms = [
                 (y[a.facility, u.id, t], 1.0)
                 for a in instance.assignment_arcs.get(t, [])
@@ -341,11 +345,11 @@ def _build(instance: Instance, technologies: tuple[int, ...]) -> ConflModel:
         rows.add([(yid, 1.0), (z[fid, t], -1.0)], LE, 0.0)
 
     # Coverage requirement; users on a better technology tau <= t count too.
-    for t in technologies:
+    for t in TECHNOLOGIES:
         terms = [
             (v[u.id, tau], u.weight)
             for u in instance.users
-            for tau in technologies
+            for tau in TECHNOLOGIES
             if tau <= t
         ]
         if terms:
@@ -367,61 +371,39 @@ def _build(instance: Instance, technologies: tuple[int, ...]) -> ConflModel:
             terms = [(flow[t_, h_, f.id], 1.0) for (t_, h_) in in_arcs[node]]
             terms += [(flow[t_, h_, f.id], -1.0) for (t_, h_) in out_arcs[node]]
             if node == ROOT_ID:
-                terms += [(z[f.id, t], 1.0) for t in technologies]
+                terms += [(z[f.id, t], 1.0) for t in TECHNOLOGIES]
             elif node == f.id:
-                terms += [(z[f.id, t], -1.0) for t in technologies]
+                terms += [(z[f.id, t], -1.0) for t in TECHNOLOGIES]
             rows.add(terms, EQ, 0.0)
 
     # Flow only on installed arcs.
     for tail, head, _ in arcs:
         for f in instance.facilities:
             rows.add([(flow[tail, head, f.id], 1.0), (x[tail, head], -1.0)], LE, 0.0)
-    rows.append_to(m)
 
-    return ConflModel(instance, technologies, m, arcs, z, x, y, v, flow)
-
-
-def build_3confl(instance: Instance) -> ConflModel:
-    """Full model over technologies {1, 2, 3}: wired tiers plus wireless with
-    per-(facility, user) big-M SIR rows and semi-continuous power bounds."""
-    if instance.technologies != (TECH_FIBER, TECH_COPPER, TECH_WIRELESS):
-        raise ValueError(
-            f"build_3confl requires technologies (1, 2, 3), got {instance.technologies}"
-        )
-    if instance.wireless is None:
-        raise ValueError("build_3confl requires wireless parameters")
-    confl = _build(instance, (TECH_FIBER, TECH_COPPER, TECH_WIRELESS))
-    m = confl.model
-    w = instance.wireless
-
-    for f in instance.facilities:
-        confl.power[f.id] = m.add_variable(f"p_{f.id}", CONTINUOUS, 0.0, w.p_max)
-
-    rows = _RowBatch()
     # SIR rows, deactivated through big-M when the assignment is off.
-    for (fid, uid, t), yid in confl.y.items():
+    for (fid, uid, t), yid in y.items():
         if t != TECH_WIRELESS:
             continue
         m_fu = big_m(instance, fid, uid)
-        terms = [(confl.power[fid], w.fading[fid, uid])]
+        terms = [(power[fid], w.fading[fid, uid])]
         for k in instance.facilities:
             if k.id == fid:
                 continue
             a_ku = w.fading[k.id, uid]
             if a_ku != 0.0:
-                terms.append((confl.power[k.id], -w.delta * a_ku))
+                terms.append((power[k.id], -w.delta * a_ku))
         terms.append((yid, -m_fu))
         rows.add(terms, GE, w.delta * w.eta_noise - m_fu)
 
     # Semi-continuous power: p_min z <= p <= p_max z.
     for f in instance.facilities:
-        pid = confl.power[f.id]
-        zid = confl.z[f.id, TECH_WIRELESS]
+        pid, zid = power[f.id], z[f.id, TECH_WIRELESS]
         rows.add([(pid, 1.0), (zid, -w.p_max)], LE, 0.0)
         rows.add([(pid, 1.0), (zid, -w.p_min)], GE, 0.0)
     rows.append_to(m)
 
-    return confl
+    return ConflModel(instance, m, arcs, z, x, y, v, flow, power)
 
 
 def big_m(instance: Instance, fid: str, uid: str) -> float:
@@ -505,8 +487,6 @@ def conflict_pairs(instance: Instance) -> np.ndarray:
     cheap even on full-size testpoint grids.
     """
     w = instance.wireless
-    if w is None:
-        raise ValueError("conflict_pairs requires wireless parameters")
     arcs = instance.assignment_arcs.get(TECH_WIRELESS, [])
     served: dict[str, list[int]] = {}
     for pos, a in enumerate(arcs):
@@ -542,8 +522,6 @@ def strengthening_pairs(confl: ConflModel, instance: Instance) -> np.ndarray:
     ``y_f1u1 + y_f2u2 <= 1`` in the order of :func:`conflict_pairs`.  Both
     are edges of a conflict graph (Atamtürk, Nemhauser & Savelsbergh,
     EJOR 121, 2000)."""
-    if TECH_WIRELESS not in confl.technologies:
-        raise ValueError("strengthening_pairs expects a model built by build_3confl")
     lone = [(yid, confl.z[k, TECH_WIRELESS])
             for (fid, uid, t), yid in confl.y.items() if t == TECH_WIRELESS
             for k in sorted(superinterferers(instance, uid, fid))]
@@ -596,7 +574,6 @@ def verify_solution(
         raise ValueError(f"partial assignment: expected {n} variable values, got shape "
                          f"{np.shape(assignment)}")
 
-    techs = confl.technologies
     values = assignment.tolist()
     zval = {key: values[vid] for key, vid in confl.z.items()}
     xval = {key: values[vid] for key, vid in confl.x.items()}
@@ -607,13 +584,13 @@ def verify_solution(
 
     single_tech = []
     for f in instance.facilities:
-        total = sum(zval[f.id, t] for t in techs)
+        total = sum(zval[f.id, t] for t in TECHNOLOGIES)
         if total > 1.0 + tol:
             single_tech.append((f.id, total - 1.0))
 
     assignment_viol = []
     for u in instance.users:
-        for t in techs:
+        for t in TECHNOLOGIES:
             lhs = sum(
                 yval[a.facility, u.id, t]
                 for a in instance.assignment_arcs.get(t, [])
@@ -629,9 +606,9 @@ def verify_solution(
             linking.append(((fid, uid, t), value - zval[fid, t]))
 
     coverage = []
-    for t in techs:
+    for t in TECHNOLOGIES:
         got = sum(
-            u.weight * vval[u.id, tau] for u in instance.users for tau in techs if tau <= t
+            u.weight * vval[u.id, tau] for u in instance.users for tau in TECHNOLOGIES if tau <= t
         )
         if got < instance.coverage_thresholds[t] - tol:
             coverage.append((t, instance.coverage_thresholds[t] - got))
@@ -642,7 +619,7 @@ def verify_solution(
     nodes += [f.id for f in instance.facilities]
     nodes += [s.id for s in instance.steiner_nodes]
     for f in instance.facilities:
-        demand = sum(zval[f.id, t] for t in techs)
+        demand = sum(zval[f.id, t] for t in TECHNOLOGIES)
         for node in nodes:
             balance = 0.0
             for tail, head, _ in confl.arcs:
@@ -667,35 +644,34 @@ def verify_solution(
             capacity.append(((tail, head, fid), value))
 
     sir = []
+    w = instance.wireless
+    for (fid, uid, t), value in yval.items():
+        if t != TECH_WIRELESS or value < 0.5:
+            continue
+        interference = w.eta_noise + sum(
+            w.fading[k.id, uid] * pval[k.id]
+            for k in instance.facilities
+            if k.id != fid
+        )
+        ratio = w.fading[fid, uid] * pval[fid] / interference
+        if ratio < w.delta - sir_tol:
+            sir.append(((fid, uid), w.delta - ratio))
     power_bounds = []
-    if TECH_WIRELESS in techs:
-        w = instance.wireless
-        for (fid, uid, t), value in yval.items():
-            if t != TECH_WIRELESS or value < 0.5:
-                continue
-            interference = w.eta_noise + sum(
-                w.fading[k.id, uid] * pval[k.id]
-                for k in instance.facilities
-                if k.id != fid
-            )
-            ratio = w.fading[fid, uid] * pval[fid] / interference
-            if ratio < w.delta - sir_tol:
-                sir.append(((fid, uid), w.delta - ratio))
-        for f in instance.facilities:
-            z3 = zval[f.id, TECH_WIRELESS]
-            p = pval[f.id]
-            if p < w.p_min * z3 - tol:
-                power_bounds.append((f.id, w.p_min * z3 - p))
-            if p > w.p_max * z3 + tol:
-                power_bounds.append((f.id, p - w.p_max * z3))
+    for f in instance.facilities:
+        z3 = zval[f.id, TECH_WIRELESS]
+        p = pval[f.id]
+        if p < w.p_min * z3 - tol:
+            power_bounds.append((f.id, w.p_min * z3 - p))
+        if p > w.p_max * z3 + tol:
+            power_bounds.append((f.id, p - w.p_max * z3))
 
     objective = 0.0
     for (tail, head, cost) in confl.arcs:
         objective += cost * xval[tail, head]
     for f in instance.facilities:
-        for t in techs:
+        for t in TECHNOLOGIES:
             objective += f.open_cost[t] * zval[f.id, t]
-    for t in techs:
+    for t in TECHNOLOGIES:
         for a in instance.assignment_arcs.get(t, []):
             objective += a.cost * yval[a.facility, a.user, t]
 

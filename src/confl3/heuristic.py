@@ -37,8 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bnb, simplex
-from .confl import (ConflModel, Instance, UnattainableCoverageError, build_3confl,
-                    check_attainable, covers, opening_reach, strengthening_pairs)
+from .confl import (TECHNOLOGIES, ConflModel, Instance, UnattainableCoverageError,
+                    build_3confl, check_attainable, covers, opening_reach,
+                    strengthening_pairs)
 from .milp import Assignment
 # Unused here (checks overlay bounds, the cut pool comes from
 # strengthening_pairs), but perfbench/tracing.py wraps these names.
@@ -201,19 +202,12 @@ def ogap(v: float, lower: float) -> float:
     return (v - lower) / v
 
 
-def is_complete(fos: FOS, instance: Instance, tech: int,
-                ctx: HeuristicContext) -> bool:
-    """Whether the opening state reaches the coverage threshold of `tech`
-    by :func:`confl3.confl.covers`, the rule of the model's coverage rows."""
-    return covers(instance, ctx.potential, fos.entries, tech)
-
-
 def attractiveness_init(instance: Instance, ctx: HeuristicContext) -> AttractivenessTable:
     """One strengthened-relaxation solve per (facility, technology) opening;
     scores are the root value over the fixed value, floored when infeasible."""
     tau: dict[tuple[str, int], float] = {}
     for f in instance.facilities:
-        for t in instance.technologies:
+        for t in TECHNOLOGIES:
             value = ctx.relaxation_value(True, frozenset([(f.id, t)]))
             tau[f.id, t] = ctx.score(value)
     return AttractivenessTable(tau=dict(tau), tau0=dict(tau))
@@ -250,8 +244,8 @@ def build_fos(instance: Instance, tau: AttractivenessTable, params: HeuristicPar
     threshold is met; returns the state built so far as soon as the current
     technology has no admissible opening left."""
     fos = FOS()
-    for tech in instance.technologies:
-        while not is_complete(fos, instance, tech, ctx):
+    for tech in TECHNOLOGIES:
+        while not covers(instance, ctx.potential, fos.entries, tech):
             used = fos.facilities()
             # Admissible: not clashing with the state and actually able to
             # move the completeness measure for this technology.
@@ -282,7 +276,7 @@ def check_and_repair(instance: Instance, ctx: HeuristicContext, fos: FOS,
     infeasibility or a bound-out with no incumbent, retry inside a hamming
     ball around the same pins.  `instance` is the context's instance."""
     center = {(fid, t): 1.0 if (fid, t) in fos.entries else 0.0
-              for fid in fos.facilities() for t in ctx.plain.technologies}
+              for fid in fos.facilities() for t in TECHNOLOGIES}
     lo, hi = ctx.base_lo.copy(), ctx.base_hi.copy()
     pinned = [ctx.plain.z[key] for key in center]
     lo[pinned] = hi[pinned] = list(center.values())
@@ -392,8 +386,8 @@ def run(instance: Instance, params: HeuristicParams) -> RunResult:
             fos = build_fos(instance, tau, params, rng, ctx)
             entry = {"outer": outer, "sigma": sigma,
                      "fos": [list(e) for e in fos.sorted_entries()],
-                     "partial": not all(is_complete(fos, instance, t, ctx)
-                                        for t in instance.technologies),
+                     "partial": not all(covers(instance, ctx.potential, fos.entries, t)
+                                        for t in TECHNOLOGIES),
                      "repaired": False, "objective": None, "best": None}
             if fos not in checked:
                 checked[fos] = check_and_repair(instance, ctx, fos, params)

@@ -23,14 +23,23 @@ from .confl import (
     Facility,
     Instance,
     SteinerNode,
+    TECHNOLOGIES,
     UnattainableCoverageError,
     User,
     WirelessParams,
     check_attainable,
     validate_instance,
 )
+from .heuristic import ogap
 
 FORMAT_TAG = "confl3-instance/1"
+
+# Cost model of generated instances: opening cost ranges per technology,
+# the central-office cost range, and arc costs per pixel of length.
+FACILITY_COST_RANGES = {1: (8.0, 16.0), 2: (5.0, 10.0), 3: (3.0, 8.0)}
+OFFICE_COST_RANGE = (10.0, 20.0)
+CORE_COST_PER_PX = 1.0
+ASSIGN_COST_PER_PX = {1: 1.0, 2: 0.7, 3: 0.4}
 
 
 class SchemaError(ValueError):
@@ -45,14 +54,6 @@ class GeneratorParams:
     n_central_offices: int = 5
     n_steiner: int = 8
     users_per_pixel: float = 1.0   # probability that a pixel hosts a user
-    facility_cost_ranges: dict[int, tuple[float, float]] = field(
-        default_factory=lambda: {1: (8.0, 16.0), 2: (5.0, 10.0), 3: (3.0, 8.0)}
-    )
-    office_cost_range: tuple[float, float] = (10.0, 20.0)
-    core_cost_per_px: float = 1.0
-    assign_cost_per_px: dict[int, float] = field(
-        default_factory=lambda: {1: 1.0, 2: 0.7, 3: 0.4}
-    )
     radii: dict[int, float] = field(default_factory=lambda: {1: 4.0, 2: 6.0, 3: 8.0})
     knn: int = 4
     coverage_fractions: dict[int, float] = field(
@@ -75,11 +76,15 @@ class GeneratorParams:
             raise ValueError("n_steiner must be >= 0")
         if not 0 < self.users_per_pixel <= 1:
             raise ValueError("users_per_pixel must be in (0, 1]")
+        for name in ("radii", "coverage_fractions"):
+            if set(getattr(self, name)) != set(TECHNOLOGIES):
+                raise ValueError(f"{name}: technologies 1, 2 and 3 required, got "
+                                 f"{sorted(getattr(self, name))}")
         fr = self.coverage_fractions
         for t, f in fr.items():
             if not 0 <= f <= 1:
                 raise ValueError(f"coverage_fractions[{t}] must be in [0, 1]")
-        if 1 in fr and 2 in fr and fr[1] > fr[2]:
+        if fr[1] > fr[2]:
             raise ValueError("coverage_fractions: fraction_1 <= fraction_2 required")
         for t, r in self.radii.items():
             if not (math.isfinite(r) and r > 0):
@@ -136,12 +141,12 @@ def _generate_once(params: GeneratorParams, rng: np.random.Generator, seed: int)
     for i in range(params.n_facilities):
         costs = {
             t: float(rng.uniform(lo, hi))
-            for t, (lo, hi) in sorted(params.facility_cost_ranges.items())
+            for t, (lo, hi) in sorted(FACILITY_COST_RANGES.items())
         }
         facilities.append(Facility(f"f{i}", positions[i], costs))
     offices = [
         CentralOffice(
-            f"g{i}", float(rng.uniform(*params.office_cost_range))
+            f"g{i}", float(rng.uniform(*OFFICE_COST_RANGE))
         )
         for i in range(params.n_central_offices)
     ]
@@ -166,7 +171,7 @@ def _generate_once(params: GeneratorParams, rng: np.random.Generator, seed: int)
             edges.add((f.id, office.id))
     pos_by_id = dict(zip(core_ids, core_pos))
     core_arcs = [
-        CoreArc(tail, head, params.core_cost_per_px * _dist(pos_by_id[tail], pos_by_id[head]))
+        CoreArc(tail, head, CORE_COST_PER_PX * _dist(pos_by_id[tail], pos_by_id[head]))
         for tail, head in sorted(edges)
     ]
 
@@ -177,7 +182,7 @@ def _generate_once(params: GeneratorParams, rng: np.random.Generator, seed: int)
             for u in users:
                 d = _dist(f.position, u.position)
                 if d <= radius:
-                    arcs.append(AssignmentArc(f.id, u.id, params.assign_cost_per_px[t] * d))
+                    arcs.append(AssignmentArc(f.id, u.id, ASSIGN_COST_PER_PX[t] * d))
         assignment_arcs[t] = arcs
 
     total = sum(u.weight for u in users)
@@ -250,9 +255,7 @@ def write_instance(instance: Instance) -> str:
         "coverage_thresholds": {
             str(t): w for t, w in sorted(instance.coverage_thresholds.items())
         },
-        "wireless": None
-        if instance.wireless is None
-        else {
+        "wireless": {
             "p_min": instance.wireless.p_min,
             "p_max": instance.wireless.p_max,
             "delta": instance.wireless.delta,
@@ -386,25 +389,20 @@ def read_instance(text: str) -> Instance:
                                 "coverage_thresholds",
                                 lambda w, t: _number(w, f"coverage_thresholds.{t}"))
 
-    wireless = None
-    if 3 in thresholds:
-        raw = doc.get("wireless")
-        if raw is None:
-            raise SchemaError("missing field wireless (technology 3 is present)")
-        fading = {}
-        fading_doc = _need(raw, "fading", dict, "wireless")
-        for fid, row in fading_doc.items():
-            if not isinstance(row, dict):
-                raise SchemaError(f"wireless.fading.{fid}: expected object")
-            for uid, value in row.items():
-                fading[fid, uid] = _number(value, f"wireless.fading.{fid}.{uid}")
-        wireless = WirelessParams(
-            p_min=_need(raw, "p_min", float, "wireless"),
-            p_max=_need(raw, "p_max", float, "wireless"),
-            delta=_need(raw, "delta", float, "wireless"),
-            eta_noise=_need(raw, "eta_noise", float, "wireless"),
-            fading=fading,
-        )
+    raw = _need(doc, "wireless", dict, "")
+    fading = {}
+    for fid, row in _need(raw, "fading", dict, "wireless").items():
+        if not isinstance(row, dict):
+            raise SchemaError(f"wireless.fading.{fid}: expected object")
+        for uid, value in row.items():
+            fading[fid, uid] = _number(value, f"wireless.fading.{fid}.{uid}")
+    wireless = WirelessParams(
+        p_min=_need(raw, "p_min", float, "wireless"),
+        p_max=_need(raw, "p_max", float, "wireless"),
+        delta=_need(raw, "delta", float, "wireless"),
+        eta_noise=_need(raw, "eta_noise", float, "wireless"),
+        fading=fading,
+    )
 
     instance = Instance(
         users=users,
@@ -437,6 +435,16 @@ class ResultRow:
         if self.gap_reference == 0:
             return None
         return 100.0 * (self.gap_heuristic - self.gap_reference) / self.gap_reference
+
+
+def gap_row(instance_id: str, reference: float, heuristic: float,
+            *lower_bounds: float) -> ResultRow:
+    """The row of one instance: the reference and the heuristic objective's
+    gaps, each by :func:`ogap` in percent, against the smallest of
+    `lower_bounds`, which neither objective lies below."""
+    lower = min(lower_bounds)
+    return ResultRow(instance_id, 100.0 * ogap(reference, lower),
+                     100.0 * ogap(heuristic, lower))
 
 
 def report(rows: list[ResultRow], csv: bool = False) -> str:

@@ -8,9 +8,9 @@ each row, all read-only arrays.  :meth:`Model.add_constraint` appends one
 row and :meth:`Model.add_rows` appends many rows given as arrays; both run
 the same checks, a failed check appends nothing, and an append replaces the
 model's `Rows` value by a new one.  :meth:`Model.rows` hands that value to
-the consumers (:func:`evaluate`, :func:`export_lp_text`,
-``simplex.prepare``), and :attr:`Model.constraints` is a read-only sequence
-that builds :class:`LinearConstraint` values on access.
+the consumers (:func:`export_lp_text`, ``simplex.prepare``), and
+:attr:`Model.constraints` is a read-only sequence that builds
+:class:`LinearConstraint` values on access.
 
 Models are built through :meth:`Model.add_variable` and the two row methods
 and treated as immutable afterwards: every transformation
@@ -281,30 +281,6 @@ def apply_fixings(model: Model, fixings: dict[int, float]) -> Model:
         variables[vid] = replace(var, lower=float(value), upper=float(value))
     fixed.variables = variables
     return fixed
-
-
-def evaluate(
-    model: Model, assignment: Assignment, tol: float = 1e-6
-) -> tuple[float, list[tuple[int, float]]]:
-    """Exact objective plus every constraint violated by more than `tol`.
-
-    Returns ``(objective, [(constraint id, violation amount), ...])``.
-    The assignment must be an array of one value per variable.
-    """
-    n = len(model.variables)
-    if not isinstance(assignment, np.ndarray) or assignment.shape != (n,):
-        raise ValueError(f"partial assignment: expected {n} values, got shape "
-                         f"{np.shape(assignment)}")
-    values = assignment.tolist()
-    objective = sum(cost * values[vid] for vid, cost in model.objective.items())
-    rows = model.rows()
-    # bincount adds each row's products in term order, as a running sum would.
-    lhs = np.bincount(rows.entry_rows(), weights=rows.coefs * assignment[rows.cols],
-                      minlength=len(rows.rhs))
-    excess = np.where(rows.sense == _SENSE_CODE[LE], lhs - rows.rhs,
-                      np.where(rows.sense == _SENSE_CODE[GE], rows.rhs - lhs,
-                               np.abs(lhs - rows.rhs)))
-    return objective, [(int(cid), float(excess[cid])) for cid in np.flatnonzero(excess > tol)]
 
 
 def _fmt(x: float) -> str:

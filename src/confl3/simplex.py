@@ -147,7 +147,8 @@ def separate(prep: PreparedLp, lo: np.ndarray, hi: np.ndarray, res: LpResult, po
     cut = np.zeros(len(pool), dtype=bool) if cut is None else cut
     while res.status == OPTIMAL:
         x = res.assignment
-        # The float test milp.evaluate makes of a row, so the same rows are cut.
+        # The float test that evaluate in tests/oracles.py makes of a row, so the
+        # rows it finds violated are the rows cut.
         new = np.flatnonzero((x[pool[:, 0]] + x[pool[:, 1]] - 1.0 > 1e-7) & ~cut)
         if not len(new):
             break

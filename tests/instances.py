@@ -32,28 +32,15 @@ REFERENCE_GAP_ROWS = [
 ]
 
 from confl3.confl import (
-    TECH_COPPER,
-    TECH_FIBER,
     AssignmentArc,
     CentralOffice,
-    ConflModel,
     CoreArc,
     Facility,
     Instance,
     User,
     WirelessParams,
-    _build,
 )
 from confl3.instance_io import GeneratorParams
-
-
-def build_2confl(instance: Instance) -> ConflModel:
-    """The wired-only model over technologies {1, 2}."""
-    if instance.technologies != (TECH_FIBER, TECH_COPPER):
-        raise ValueError(
-            f"build_2confl requires technologies (1, 2), got {instance.technologies}"
-        )
-    return _build(instance, (TECH_FIBER, TECH_COPPER))
 
 
 def full_fading(pairs: dict[tuple[str, str], float], facilities, users) -> dict:
@@ -90,20 +77,24 @@ def pair_instance(a_fu, a_ku, p_min, p_max, delta, eta) -> Instance:
 
 
 def wired_tiny() -> tuple[Instance, float]:
-    """One facility, one central office, one user on technology 1.
+    """One facility, one central office, one user with one fiber arc, and no
+    copper or wireless arcs.
 
-    The only solution opens the facility and the office and routes one flow
+    W_1 = W_2 = W_3 = 1, and a fiber user counts toward all three.  The only
+    solution opens the facility on fiber and the office and routes one flow
     unit root->office->facility, so the optimum is
     c_office + c_open + c_core + c_assign = 3 + 2 + 4 + 1 = 10.
     """
     inst = Instance(
         users=[User("u0", 1.0, (1.0, 0.0))],
-        facilities=[Facility("f0", (0.0, 0.0), {1: 2.0, 2: 50.0})],
+        facilities=[Facility("f0", (0.0, 0.0), {1: 2.0, 2: 50.0, 3: 50.0})],
         central_offices=[CentralOffice("g0", 3.0)],
         steiner_nodes=[],
         core_arcs=[CoreArc("g0", "f0", 4.0)],
-        assignment_arcs={1: [AssignmentArc("f0", "u0", 1.0)], 2: []},
-        coverage_thresholds={1: 1.0, 2: 1.0},
+        assignment_arcs={1: [AssignmentArc("f0", "u0", 1.0)], 2: [], 3: []},
+        coverage_thresholds={1: 1.0, 2: 1.0, 3: 1.0},
+        wireless=WirelessParams(p_min=0.1, p_max=1.0, delta=2.0, eta_noise=0.1,
+                                fading={("f0", "u0"): 0.5}),
         name="wired-tiny",
     )
     return inst, 10.0

@@ -5,7 +5,8 @@ scratch with dense linear algebra (no simplex involved), and the MIP oracle
 enumerates every 0/1 pattern of the binaries, completing the continuous
 part with an LP solve per surviving pattern.  The pairwise power-feasibility
 oracle decides one pair of wireless services at a time by enumerating the
-vertices of its power polygon.
+vertices of its power polygon, and :func:`evaluate` recomputes a point's
+objective and row violations from a model's rows.
 """
 
 from __future__ import annotations
@@ -15,10 +16,33 @@ import itertools
 import numpy as np
 
 from confl3.confl import WirelessParams
-from confl3.milp import EQ, GE, LE, Model, apply_fixings, lp_relaxation
+from confl3.milp import EQ, GE, LE, SENSES, Model, apply_fixings, lp_relaxation
 from confl3 import simplex
 
 _FEAS = 1e-7
+
+
+def evaluate(model: Model, assignment: np.ndarray,
+             tol: float = 1e-6) -> tuple[float, list[tuple[int, float]]]:
+    """Exact objective plus every constraint violated by more than `tol`.
+
+    Returns ``(objective, [(constraint id, violation amount), ...])``.
+    The assignment must be an array of one value per variable.
+    """
+    n = len(model.variables)
+    if not isinstance(assignment, np.ndarray) or assignment.shape != (n,):
+        raise ValueError(f"partial assignment: expected {n} values, got shape "
+                         f"{np.shape(assignment)}")
+    values = assignment.tolist()
+    objective = sum(cost * values[vid] for vid, cost in model.objective.items())
+    rows = model.rows()
+    # bincount adds each row's products in term order, as a running sum would.
+    lhs = np.bincount(rows.entry_rows(), weights=rows.coefs * assignment[rows.cols],
+                      minlength=len(rows.rhs))
+    excess = np.where(rows.sense == SENSES.index(LE), lhs - rows.rhs,
+                      np.where(rows.sense == SENSES.index(GE), rows.rhs - lhs,
+                               np.abs(lhs - rows.rhs)))
+    return objective, [(int(cid), float(excess[cid])) for cid in np.flatnonzero(excess > tol)]
 
 
 def lp_vertex_optimum(model: Model) -> tuple[str, float | None, np.ndarray | None]:

@@ -13,14 +13,13 @@ import pytest
 
 from confl3 import bnb, simplex
 from confl3.cli import main as cli_main
-from confl3.confl import big_m, build_3confl, strengthen, verify_solution
+from confl3.confl import TECHNOLOGIES, big_m, build_3confl, covers, strengthen, verify_solution
 from confl3.heuristic import (
     FOS,
     AttractivenessTable,
     HeuristicContext,
     HeuristicParams,
     fixing_probabilities,
-    is_complete,
     ogap,
     run,
     tau_update,
@@ -188,8 +187,8 @@ def test_formula_unit_checks():
         inst.coverage_thresholds = {1: 0.0, 2: 0.0, 3: 3.0}
         ctx = HeuristicContext(inst)  # a threshold above the real weight fails validation
         inst.coverage_thresholds[3] = 5.0
-        assert is_complete(FOS(frozenset({("f0", 3), ("f1", 3)})), inst, 3, ctx)
-        assert not is_complete(FOS(frozenset({("f0", 3)})), inst, 3, ctx)
+        assert covers(inst, ctx.potential, FOS(frozenset({("f0", 3), ("f1", 3)})).entries, 3)
+        assert not covers(inst, ctx.potential, FOS(frozenset({("f0", 3)})).entries, 3)
         # probability blend
         probs = fixing_probabilities(["a", "b"], [0.6, 0.2], [0.2, 0.2], 0.5)
         assert np.allclose(probs, [2 / 3, 1 / 3], atol=1e-12)
@@ -248,7 +247,7 @@ def test_vlns_contract(acceptance_set, acceptance_exact):
         crafted, _, _ = conflict_instance()
         cctx = HeuristicContext(crafted)
         free = solve_model(cctx.plain.model, 60.0)
-        n_full = len(crafted.facilities) * len(cctx.plain.technologies)
+        n_full = len(crafted.facilities) * len(TECHNOLOGIES)
         wide = vlns(crafted, cctx, {k: 0.0 for k in cctx.plain.z},
                     HeuristicParams(test_iterations=1, vlns_radius=n_full), mode="repair")
         assert wide.objective == pytest.approx(free.objective, abs=1e-6)

@@ -11,12 +11,11 @@ from confl3.milp import (
     LE,
     Model,
     apply_fixings,
-    evaluate,
     lp_relaxation,
 )
 
 from instances import CLI_PARAMS, DESK, conflict_instance, strengthening_preset
-from oracles import mip_enumeration_optimum
+from oracles import evaluate, mip_enumeration_optimum
 from solve import solve_model
 
 

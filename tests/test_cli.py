@@ -287,6 +287,26 @@ def test_solve_rejects_non_object_entries(tmp_path, capsys):
     assert "users[0]: expected an object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["solve", "--iters", "1"], ["exact"], ["export-lp"]])
+def test_two_technology_instance_refused_when_read(tmp_path, capsys, monkeypatch, command):
+    """A document without technology 3's threshold is an input error
+    before any model is built."""
+    doc = json.loads(_generate(tmp_path).read_text())
+    del doc["coverage_thresholds"]["3"]
+    bad = tmp_path / "two.json"
+    bad.write_text(json.dumps(doc))
+
+    def refuse(*args):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(cli, "build_3confl", refuse)
+    monkeypatch.setattr(heuristic, "build_3confl", refuse)
+    argv = [command[0], str(bad), *command[1:], "-o", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "coverage_thresholds: technologies 1, 2 and 3 required" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_negative_top_k_is_usage_error(tmp_path, capsys):
     inst_path = _generate(tmp_path)
     code = main(["solve", str(inst_path), "--iters", "1", "--top-k", "-1",

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from confl3 import bnb, simplex
 from confl3.confl import (
+    TECHNOLOGIES,
     UnattainableCoverageError,
     big_m,
     build_3confl,
@@ -19,11 +20,10 @@ from confl3.confl import (
     verify_solution,
 )
 from confl3.instance_io import generate
-from confl3.milp import LE, LinearConstraint, apply_fixings, evaluate, lp_relaxation
+from confl3.milp import LE, LinearConstraint, apply_fixings, lp_relaxation
 
 from instances import (
     CLI_PARAMS,
-    build_2confl,
     calm_wireless_instance,
     conflict_instance,
     pair_instance as _pair_instance,
@@ -31,7 +31,7 @@ from instances import (
     wired_tiny,
     wireless_single,
 )
-from oracles import enumerate_binary_patterns, mip_enumeration_optimum
+from oracles import enumerate_binary_patterns, evaluate, mip_enumeration_optimum
 from solve import solve_model
 
 
@@ -60,15 +60,17 @@ class TestBuildCounts:
 
     def test_root_arc_costs_equal_office_costs(self):
         inst, _ = wired_tiny()
-        confl = build_2confl(inst)
+        confl = build_3confl(inst)
         root_arcs = [a for a in confl.arcs if a[0] == "r"]
         assert [(h, c) for _, h, c in root_arcs] == [("g0", 3.0)]
 
 
 class TestBuild2Confl:
+    """The wired tiers, on an instance without copper or wireless arcs."""
+
     def test_hand_solved_tiny_instance(self):
         inst, want = wired_tiny()
-        confl = build_2confl(inst)
+        confl = build_3confl(inst)
         got = solve_model(confl.model, 30.0)
         assert got.status == bnb.OPTIMAL
         assert got.objective == pytest.approx(want, abs=1e-6)
@@ -77,22 +79,18 @@ class TestBuild2Confl:
 
     def test_zero_thresholds_mean_zero_cost(self):
         inst, _ = wired_tiny()
-        inst.coverage_thresholds = {1: 0.0, 2: 0.0}
-        confl = build_2confl(inst)
+        inst.coverage_thresholds = {1: 0.0, 2: 0.0, 3: 0.0}
+        confl = build_3confl(inst)
         got = solve_model(confl.model, 30.0)
         assert got.objective == pytest.approx(0.0, abs=1e-9)
 
     def test_served_user_has_exactly_one_assignment_arc(self):
         inst, _ = wired_tiny()
-        confl = build_2confl(inst)
+        confl = build_3confl(inst)
         for pattern, _ in enumerate_binary_patterns(confl.model):
             v = pattern[confl.v["u0", 1]]
             ys = sum(pattern[yid] for (f, u, t), yid in confl.y.items() if u == "u0" and t == 1)
             assert ys == pytest.approx(v)
-
-    def test_wrong_technology_set_rejected(self):
-        with pytest.raises(ValueError, match="technologies"):
-            build_2confl(wireless_single())
 
 
 class TestBuild3Confl:
@@ -308,11 +306,6 @@ class TestStrengthen:
         assert strong.strengthening_rows == 0
         assert len(strong.model.constraints) == len(plain.model.constraints)
 
-    def test_wired_model_rejected(self):
-        inst, _ = wired_tiny()
-        with pytest.raises(ValueError, match="build_3confl"):
-            strengthening_pairs(build_2confl(inst), inst)
-
     def test_super_rows_added(self):
         inst = repair_instance()
         plain = build_3confl(inst)
@@ -382,7 +375,7 @@ class TestSirAlgebra:
 class TestVerifySolution:
     def test_all_zero_fails_coverage(self):
         inst, _ = wired_tiny()
-        confl = build_2confl(inst)
+        confl = build_3confl(inst)
         zero = np.zeros(len(confl.model.variables))
         report = verify_solution(inst, confl, zero)
         assert not report.feasible
@@ -394,7 +387,7 @@ class TestVerifySolution:
     )
     def test_incumbents_verify_clean(self, builder):
         inst = builder()
-        confl = build_2confl(inst) if 3 not in inst.technologies else build_3confl(inst)
+        confl = build_3confl(inst)
         got = solve_model(confl.model, 60.0)
         assert got.status == bnb.OPTIMAL
         report = verify_solution(inst, confl, got.incumbent)
@@ -404,10 +397,10 @@ class TestVerifySolution:
 
     def test_flow_decomposes_into_root_paths(self):
         inst, _ = wired_tiny()
-        confl = build_2confl(inst)
+        confl = build_3confl(inst)
         got = solve_model(confl.model, 30.0)
         for f in inst.facilities:
-            demand = sum(got.incumbent[confl.z[f.id, t]] for t in confl.technologies)
+            demand = sum(got.incumbent[confl.z[f.id, t]] for t in TECHNOLOGIES)
             if demand < 0.5:
                 continue
             for (tail, head, fid), vid in confl.flow.items():
@@ -419,7 +412,7 @@ class TestVerifySolution:
 
     def test_partial_assignment_rejected(self):
         inst, _ = wired_tiny()
-        confl = build_2confl(inst)
+        confl = build_3confl(inst)
         with pytest.raises(ValueError, match="partial"):
             verify_solution(inst, confl, np.array([1.0]))
         with pytest.raises(ValueError, match="partial"):
@@ -469,7 +462,7 @@ class TestCheckAttainable:
         refused = passed = 0
         for seed in range(20):
             base = generate(CLI_PARAMS, seed)
-            for t in base.technologies:
+            for t in TECHNOLOGIES:
                 inst = replace(base, assignment_arcs={**base.assignment_arcs, t: []})
                 try:
                     check_attainable(inst)
@@ -485,14 +478,38 @@ class TestCheckAttainable:
 class TestValidation:
     def test_w1_le_w2_enforced(self):
         inst, _ = wired_tiny()
-        inst.coverage_thresholds = {1: 1.0, 2: 0.5}
+        inst.coverage_thresholds = {1: 1.0, 2: 0.5, 3: 1.0}
         with pytest.raises(ValueError, match="W_1 <= W_2"):
             validate_instance(inst)
 
     def test_threshold_above_total_weight_rejected(self):
         inst, _ = wired_tiny()
-        inst.coverage_thresholds = {1: 1.0, 2: 5.0}
+        inst.coverage_thresholds = {1: 1.0, 2: 5.0, 3: 5.0}
         with pytest.raises(ValueError, match="outside"):
+            validate_instance(inst)
+
+    @pytest.mark.parametrize("techs", [(1, 2), (1, 2, 3, 4)])
+    def test_other_technology_sets_rejected(self, techs):
+        inst, _ = wired_tiny()
+        inst.coverage_thresholds = {t: 1.0 for t in techs}
+        message = f"coverage_thresholds: technologies 1, 2 and 3 required, got {list(techs)}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            validate_instance(inst)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_3confl(inst)
+
+    def test_missing_wireless_rejected(self):
+        inst = replace(wired_tiny()[0], wireless=None)
+        with pytest.raises(ValueError, match="wireless: parameters required"):
+            validate_instance(inst)
+
+    @pytest.mark.parametrize("edit", [lambda c: c.pop(3), lambda c: c.update({4: 1.0})],
+                             ids=["without-3", "with-4"])
+    def test_other_opening_technologies_rejected(self, edit):
+        inst, _ = wired_tiny()
+        edit(inst.facilities[0].open_cost)
+        message = "facilities[f0].open_cost: technologies 1, 2 and 3 required, got "
+        with pytest.raises(ValueError, match=re.escape(message)):
             validate_instance(inst)
 
     def test_fading_out_of_range_rejected(self):

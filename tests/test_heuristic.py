@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from confl3 import bnb, heuristic, simplex
-from confl3.confl import AssignmentArc, build_3confl, strengthen, verify_solution
+from confl3.confl import (TECHNOLOGIES, AssignmentArc, build_3confl, covers, strengthen,
+                          verify_solution)
 from confl3.heuristic import (
     EPS_TAU,
     FOS,
@@ -18,7 +19,6 @@ from confl3.heuristic import (
     build_fos,
     check_and_repair,
     fixing_probabilities,
-    is_complete,
     ogap,
     posterior_attractiveness,
     run,
@@ -60,10 +60,12 @@ class TestOgap:
 
 
 class TestIsComplete:
+    """confl.covers on opening states, as the construction calls it."""
+
     def test_zero_threshold_with_empty_state(self):
         inst = calm_wireless_instance()
         inst.coverage_thresholds = {1: 0.0, 2: 0.0, 3: 0.0}
-        assert is_complete(FOS(), inst, 3, HeuristicContext(inst))
+        assert covers(inst, HeuristicContext(inst).potential, FOS().entries, 3)
 
     def test_shared_user_counts_twice(self):
         # Two facilities reach the same weight-3 user; the double sum gives
@@ -78,17 +80,17 @@ class TestIsComplete:
         ctx = HeuristicContext(inst)  # a threshold above the real weight fails validation
         fos = FOS(frozenset({("f0", 3), ("f1", 3)}))
         inst.coverage_thresholds[3] = 5.0  # exceeds real weight 4, not the double sum
-        assert is_complete(fos, inst, 3, ctx)
+        assert covers(inst, ctx.potential, fos.entries, 3)
 
     def test_unreachable_threshold_never_complete(self):
         inst = calm_wireless_instance()
         fos = FOS(frozenset({("f0", 3), ("f1", 3)}))
         inst.coverage_thresholds = {1: 0.0, 2: 0.0, 3: inst.total_weight()}
-        assert is_complete(fos, inst, 3, HeuristicContext(inst))
+        assert covers(inst, HeuristicContext(inst).potential, fos.entries, 3)
         inst.assignment_arcs[3] = inst.assignment_arcs[3][:1]  # u1 now unreachable
         # ...on wireless; fiber keeps the instance solvable, so a context exists.
         inst.assignment_arcs[1] = [AssignmentArc("f1", "u1", 1.0)]
-        assert not is_complete(fos, inst, 3, HeuristicContext(inst))
+        assert not covers(inst, HeuristicContext(inst).potential, fos.entries, 3)
 
 
 class TestFosInvariant:
@@ -235,8 +237,8 @@ class TestBuildFos:
         table = attractiveness_init(inst, ctx)
         for seed in range(10):
             fos = build_fos(inst, table, HeuristicParams(), np.random.default_rng(seed), ctx)
-            for t in inst.technologies:
-                assert is_complete(fos, inst, t, ctx)
+            for t in TECHNOLOGIES:
+                assert covers(inst, ctx.potential, fos.entries, t)
 
     def test_stuck_construction_returns_its_state(self):
         # f0 is forced onto t1 first, and the only t2 reach is f0's, so the
@@ -252,7 +254,7 @@ class TestBuildFos:
         table = attractiveness_init(inst, ctx)
         fos = build_fos(inst, table, HeuristicParams(), np.random.default_rng(0), ctx)
         assert fos.entries == frozenset({("f0", 1)})
-        assert not is_complete(fos, inst, 2, ctx)
+        assert not covers(inst, ctx.potential, fos.entries, 2)
         result = run(inst, HeuristicParams(test_iterations=1, sigma_count=2))
         assert result.status == "no_solution"
         assert [e["fos"] for e in result.trace] == [[["f0", 1]]] * 2
@@ -402,7 +404,7 @@ class TestVlns:
         ctx = HeuristicContext(inst)
         exact = solve_model(ctx.plain.model, 60.0)
         center = {key: 0.0 for key in ctx.plain.z}
-        n = len(inst.facilities) * len(ctx.plain.technologies)
+        n = len(inst.facilities) * len(TECHNOLOGIES)
         out = vlns(inst, ctx, center, HeuristicParams(test_iterations=1, vlns_radius=n),
                    mode="repair")
         assert out.objective == pytest.approx(exact.objective, abs=1e-6)
@@ -562,9 +564,8 @@ def _agree(got_status, got_obj, want: bnb.MipResult) -> bool:
 def _opening_states(ctx):
     """Every facility on one technology, and one facility per technology."""
     fids = [f.id for f in ctx.instance.facilities]
-    techs = ctx.plain.technologies
-    states = [FOS(frozenset((f, t) for f in fids)) for t in techs]
-    states.append(FOS(frozenset(zip(fids, techs))))
+    states = [FOS(frozenset((f, t) for f in fids)) for t in TECHNOLOGIES]
+    states.append(FOS(frozenset(zip(fids, TECHNOLOGIES))))
     return states
 
 
@@ -617,14 +618,14 @@ class TestSolveSession:
         for fos, warm in zip(states, warm_checks):
             fixings = {
                 confl.z[fid, t]: 1.0 if t == tech else 0.0
-                for fid, tech in fos.entries for t in confl.technologies
+                for fid, tech in fos.entries for t in TECHNOLOGIES
             }
             cold = solve_model(apply_fixings(confl.model, fixings), 60.0)
             assert _agree(warm.status, warm.objective, cold), (fos, cold)
 
             center = {
                 (fid, t): 1.0 if (fid, t) in fos.entries else 0.0
-                for fid in fos.facilities() for t in confl.technologies
+                for fid in fos.facilities() for t in TECHNOLOGIES
             }
             out = vlns(inst, ctx, center, params, mode="repair")
             cold = solve_model(_vlns_model(confl, center, radius), 60.0)
@@ -720,7 +721,7 @@ class TestSeparation:
 
         assert close(ctx.root_value, full_value([]))
         for f in inst.facilities:
-            for t in inst.technologies:
+            for t in TECHNOLOGIES:
                 value = ctx.relaxation_value(True, frozenset([(f.id, t)]))
                 assert close(value, full_value([ctx.plain.z[f.id, t]])), (f.id, t)
         # The preset exists to make the rows bind: the loop must have run.
@@ -730,7 +731,7 @@ class TestSeparation:
         inst = generate(strengthening_preset(), 3)
         ctx = HeuristicContext(inst)
         only_strong = [
-            (f.id, t) for f in inst.facilities for t in inst.technologies
+            (f.id, t) for f in inst.facilities for t in TECHNOLOGIES
             if ctx.relaxation_value(False, frozenset([(f.id, t)])) is not None
             and ctx.relaxation_value(True, frozenset([(f.id, t)])) is None
         ]

@@ -38,7 +38,7 @@ class TestGenerate:
         assert len(inst.facilities) == 30
         assert len(inst.central_offices) == 5
         assert len(inst.users) == 25 * 18  # density 1: one user per pixel
-        assert inst.technologies == (1, 2, 3)
+        assert set(inst.coverage_thresholds) == set(inst.assignment_arcs) == {1, 2, 3}
 
     def test_byte_identical_under_same_seed(self):
         a = write_instance(generate(GeneratorParams(), 1))
@@ -90,6 +90,14 @@ class TestGenerate:
         with pytest.raises(ValueError, match="fraction_1"):
             GeneratorParams(coverage_fractions={1: 0.9, 2: 0.3, 3: 0.5}).validate()
 
+    @pytest.mark.parametrize("name, value", [("radii", {1: 1.0, 2: 2.0}),
+                                             ("radii", {1: 1.0, 2: 2.0, 3: 3.0, 4: 4.0}),
+                                             ("coverage_fractions", {1: 0.2, 2: 0.4})])
+    def test_other_technology_sets_rejected(self, name, value):
+        message = f"{name}: technologies 1, 2 and 3 required, got {sorted(value)}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            GeneratorParams(**{name: value}).validate()
+
     @pytest.mark.parametrize("tech, radius", [(1, math.nan), (2, math.inf), (3, -math.inf),
                                               (1, 0.0), (3, -1.0)])
     def test_bad_radius_rejected(self, tech, radius):
@@ -114,7 +122,16 @@ class TestSerialization:
         inst = generate(GeneratorParams(**TINY), 7)
         doc = json.loads(write_instance(inst))
         del doc["wireless"]
-        with pytest.raises(SchemaError, match="wireless"):
+        with pytest.raises(SchemaError, match="missing field wireless"):
+            read_instance(json.dumps(doc))
+
+    @pytest.mark.parametrize("techs", [("1", "2"), ("1", "2", "3", "4")])
+    def test_other_technology_sets_rejected(self, techs):
+        doc = json.loads(write_instance(generate(GeneratorParams(**TINY), 7)))
+        doc["coverage_thresholds"] = {t: 0.0 for t in techs}
+        message = ("coverage_thresholds: technologies 1, 2 and 3 required, got "
+                   f"{[int(t) for t in techs]}")
+        with pytest.raises(ValueError, match=re.escape(message)):
             read_instance(json.dumps(doc))
 
     def test_out_of_range_fading_rejected(self):

@@ -13,10 +13,11 @@ from confl3.milp import (
     LE,
     Model,
     apply_fixings,
-    evaluate,
     export_lp_text,
     lp_relaxation,
 )
+
+from oracles import evaluate
 
 
 def small_model():

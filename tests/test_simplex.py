@@ -7,10 +7,10 @@ import pytest
 from confl3 import simplex
 from confl3.confl import build_3confl
 from confl3.instance_io import generate
-from confl3.milp import BINARY, CONTINUOUS, EQ, GE, LE, Model, evaluate
+from confl3.milp import BINARY, CONTINUOUS, EQ, GE, LE, Model
 
 from instances import DESK
-from oracles import lp_vertex_optimum
+from oracles import evaluate, lp_vertex_optimum
 
 
 def test_simple_lower_bounded_min():
