@@ -255,9 +255,17 @@ def _cmd_export_lp(args) -> int:
     confl = build_3confl(instance)
     if args.strong:
         confl = strengthen(confl, instance)
-    _write(args.output, export_lp_text(confl.model))
+    # Opened only now, so that an input error leaves no file; a failed
+    # write removes the partial one.
+    fh = open(args.output, "w", encoding="utf-8")
+    try:
+        with fh:
+            export_lp_text(confl.model, fh)
+    except BaseException:
+        os.remove(args.output)
+        raise
     logger.info("wrote %s (%d variables, %d rows)", args.output,
-                len(confl.model.variables), len(confl.model.constraints))
+                len(confl.model.variables), len(confl.model.rows().rhs))
     return 0
 
 

@@ -25,6 +25,7 @@ import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from typing import TextIO
 
 import numpy as np
 
@@ -322,11 +323,32 @@ def _lines(names: np.ndarray, starts, cols, coefs, head, tails=()) -> list[str]:
     return lines.tolist()
 
 
-def export_lp_text(model: Model) -> str:
-    """Emit the de-facto LP text format (Minimize / Subject To / Bounds / Binaries).
+# Rows rendered and written at a time by export_lp_text, which holds the
+# text of one block, not of the file.  On the 12x8 strong export, blocks of
+# 1,024 rows were slower and blocks of 65,536 slower and larger.
+_EXPORT_BLOCK_ROWS = 8192
+
+_SENSE_TEXTS = np.array([f" {s} " for s in SENSES], dtype=object)
+
+
+def _row_lines(names: np.ndarray, rows: Rows, a: int, b: int) -> list[str]:
+    """The lines ``c<i>: terms sense rhs`` of rows ``a:b`` of `rows`."""
+    starts = rows.starts[a:b + 1]
+    entries = slice(starts[0], starts[-1])
+    return _lines(names, starts - starts[0], rows.cols[entries], rows.coefs[entries],
+                  lambda ids: [itertools.repeat(" c"), map(str, (ids + a).tolist()),
+                               itertools.repeat(": ")],
+                  (_SENSE_TEXTS[rows.sense[a:b]], _texts(rows.rhs[a:b], _fmt)[:, 0]))
+
+
+def export_lp_text(model: Model, out: TextIO) -> None:
+    """Write `model` to the text stream `out` in the de-facto LP text format
+    (Minimize / Subject To / Bounds / Binaries).
 
     Deterministic: variables appear in insertion order, constraints are named
     ``c0, c1, ...`` in insertion order, coefficients use shortest exact reprs.
+    The rows are written in blocks of ``_EXPORT_BLOCK_ROWS``, so the export
+    never holds the text of the whole file.
     """
     names = np.array([v.name for v in model.variables], dtype=object)
     lines = ["Minimize"]
@@ -338,13 +360,12 @@ def export_lp_text(model: Model) -> str:
     else:
         lines.append(" obj: 0")
     lines.append("Subject To")
+    out.write("\n".join(lines) + "\n")
     rows = model.rows()
-    lines += _lines(names, rows.starts, rows.cols, rows.coefs,
-                    lambda ids: [itertools.repeat(" c"), map(str, ids.tolist()),
-                                 itertools.repeat(": ")],
-                    (np.array([f" {s} " for s in SENSES], dtype=object)[rows.sense],
-                     _texts(rows.rhs, _fmt)[:, 0]))
-    lines.append("Bounds")
+    m = len(rows.rhs)
+    for a in range(0, m, _EXPORT_BLOCK_ROWS):
+        out.write("\n".join(_row_lines(names, rows, a, min(a + _EXPORT_BLOCK_ROWS, m))) + "\n")
+    lines = ["Bounds"]
     for var in model.variables:
         lo = "-inf" if var.lower == -math.inf else _fmt(var.lower)
         hi = "+inf" if var.upper == math.inf else _fmt(var.upper)
@@ -355,4 +376,4 @@ def export_lp_text(model: Model) -> str:
         for name in binaries:
             lines.append(f" {name}")
     lines.append("End")
-    return "\n".join(lines) + "\n"
+    out.write("\n".join(lines) + "\n")

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from confl3 import cli, confl, heuristic, simplex
+from confl3 import cli, confl, heuristic, milp, simplex
 from confl3.cli import main
 from confl3.confl import build_3confl, verify_solution
 from confl3.instance_io import GeneratorParams, generate, read_instance, write_instance
@@ -322,6 +322,48 @@ def test_export_lp_writes_model(tmp_path):
     text = lp_path.read_text()
     for section in ("Minimize", "Subject To", "Bounds", "Binaries", "End"):
         assert section in text
+
+
+def test_export_lp_logs_the_rows_it_wrote(tmp_path, caplog):
+    inst_path = _generate(tmp_path)
+    lp_path = tmp_path / "model.lp"
+    with caplog.at_level("INFO", logger="confl3"):
+        assert main(["export-lp", str(inst_path), "--strong", "-o", str(lp_path)]) == 0
+    lines = lp_path.read_text().splitlines()
+    rows = lines.index("Bounds") - lines.index("Subject To") - 1
+    assert f"variables, {rows} rows)" in caplog.text
+
+
+def test_failed_export_leaves_no_file(tmp_path, monkeypatch):
+    """A write that fails after the first block of rows propagates, and the
+    partial file is removed."""
+    inst_path = _generate(tmp_path)
+    lp_path = tmp_path / "model.lp"
+    render = milp._row_lines
+    calls = []
+
+    def fail_after_first_block(*args):
+        calls.append(lp_path.exists())
+        if len(calls) > 1:
+            raise OSError("no space left on device")
+        return render(*args)
+
+    monkeypatch.setattr(milp, "_EXPORT_BLOCK_ROWS", 1)
+    monkeypatch.setattr(milp, "_row_lines", fail_after_first_block)
+    with pytest.raises(OSError, match="no space left"):
+        main(["export-lp", str(inst_path), "-o", str(lp_path)])
+    assert calls == [True, True]
+    assert not lp_path.exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["--strong"]], ids=["plain", "strong"])
+def test_export_of_an_invalid_instance_creates_no_file(tmp_path, capsys, flags):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"meta": {}, "users": ["id"]}))
+    lp_path = tmp_path / "model.lp"
+    assert main(["export-lp", str(bad), *flags, "-o", str(lp_path)]) == 2
+    assert "users[0]: expected an object" in capsys.readouterr().err
+    assert not lp_path.exists()
 
 
 def test_missing_instance_file_is_usage_error(tmp_path, capsys):

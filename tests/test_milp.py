@@ -1,10 +1,13 @@
+import io
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from confl3 import milp
 from confl3.milp import (
     BINARY,
     CONTINUOUS,
@@ -18,6 +21,13 @@ from confl3.milp import (
 )
 
 from oracles import evaluate
+
+
+def _export(m) -> str:
+    """The LP text of `m`, rendered into a string."""
+    out = io.StringIO()
+    export_lp_text(m, out)
+    return out.getvalue()
 
 
 def small_model():
@@ -145,7 +155,7 @@ class TestAddRows:
             single.add_constraint(list(zip(cols[row].tolist(), coefs[row].tolist())),
                                   sense, rhs)
         assert list(bulk.constraints) == list(single.constraints)
-        assert export_lp_text(bulk) == export_lp_text(single)
+        assert _export(bulk) == _export(single)
 
     def test_mismatched_shapes_rejected(self):
         m, (x1, x2, _) = small_model()
@@ -293,25 +303,25 @@ class TestExportLpText:
         x = m.add_variable("x", CONTINUOUS, 0, 2)
         m.set_objective_coef(x, 1.0)
         m.add_constraint([(x, 1.0)], GE, 1.0)
-        text = export_lp_text(m)
+        text = _export(m)
         for section in ("Minimize", "Subject To", "Bounds", "End"):
             assert section in text
 
     def test_empty_model_is_valid(self):
-        text = export_lp_text(Model())
+        text = _export(Model())
         assert text.startswith("Minimize")
         assert "End" in text
 
     def test_deterministic_bytes(self):
         a, _ = small_model()
         b, _ = small_model()
-        assert export_lp_text(a) == export_lp_text(b)
+        assert _export(a) == _export(b)
 
     def test_roundtrip_through_reference_parser(self):
         from lp_text import parse_lp_text
 
         m, _ = small_model()
-        parsed = parse_lp_text(export_lp_text(m))
+        parsed = parse_lp_text(_export(m))
         assert parsed.names == [v.name for v in m.variables]
         assert parsed.binaries == {"x1", "x2"}
         assert parsed.objective == {"x1": 2.0, "p": 0.5}
@@ -323,7 +333,7 @@ class TestExportLpText:
     def test_infinite_bound_rendering(self):
         m = Model()
         m.add_variable("x", CONTINUOUS, 0, math.inf)
-        assert "0.0 <= x <= +inf" in export_lp_text(m)
+        assert "0.0 <= x <= +inf" in _export(m)
 
     def test_reimported_model_solves_to_same_optimum(self):
         from lp_text import parse_lp_text
@@ -332,7 +342,7 @@ class TestExportLpText:
         from instances import conflict_instance
 
         source = build_3confl(conflict_instance()[0]).model
-        parsed = parse_lp_text(export_lp_text(source))
+        parsed = parse_lp_text(_export(source))
         rebuilt = Model()
         ids = {}
         for name, (lo, hi) in parsed.bounds.items():
@@ -394,11 +404,16 @@ def _loop_violations(m, x, tol=1e-6):
     return out
 
 
+# Row blocks of the export: one row, a few rows, and the default.
+BLOCK_SIZES = [1, 3, milp._EXPORT_BLOCK_ROWS]
+
+
 @pytest.mark.parametrize("seed", range(20))
-def test_array_paths_match_row_loops(seed):
+def test_array_paths_match_row_loops(seed, monkeypatch):
     """Export, evaluate and the prepared matrix agree exactly with loops
     over the row objects, on random models with signed zeros, repeated
-    values and rows of mixed lengths."""
+    values and rows of mixed lengths.  The export does so in blocks of any
+    size."""
     from confl3 import simplex
 
     rng = np.random.default_rng(seed)
@@ -416,7 +431,9 @@ def test_array_paths_match_row_loops(seed):
     for r in range(int(rng.integers(0, 12))):
         ids = rng.permutation(n)[:int(rng.integers(1, n + 1))]
         m.add_constraint([(int(i), draw()) for i in ids], [LE, EQ, GE][r % 3], draw())
-    assert export_lp_text(m) == _loop_export(m)
+    for block in BLOCK_SIZES:
+        monkeypatch.setattr(milp, "_EXPORT_BLOCK_ROWS", block)
+        assert _export(m) == _loop_export(m)
     x = np.array([rng.random() for _ in m.variables])
     assert evaluate(m, x)[1] == _loop_violations(m, x)
     prep = simplex.prepare(m)
@@ -428,3 +445,69 @@ def test_array_paths_match_row_loops(seed):
             dense[i] *= -1.0
     assert np.array_equal(prep.rows, dense)
     assert np.array_equal(np.signbit(prep.rows), np.signbit(dense))
+
+
+def _mixed_width_model() -> Model:
+    """50 rows of widths 1 to 7, in no order, over 12 variables."""
+    rng = np.random.default_rng(7)
+    m = Model()
+    for j in range(12):
+        m.add_variable(f"v{j}", BINARY if j % 2 else CONTINUOUS, 0, 1)
+        m.set_objective_coef(j, float(rng.normal()))
+    for r in range(50):
+        ids = rng.permutation(12)[:int(rng.integers(1, 8))]
+        m.add_constraint([(int(i), float(rng.normal())) for i in ids],
+                         [LE, EQ, GE][r % 3], float(rng.integers(-3, 4)))
+    return m
+
+
+def _rowless_model() -> Model:
+    m = Model()
+    m.add_variable("x", BINARY, 0, 1)
+    m.add_variable("y", CONTINUOUS, -math.inf, 2.5)
+    return m
+
+
+@pytest.mark.parametrize("make", [_mixed_width_model, _rowless_model, Model],
+                         ids=["mixed-width", "no-rows", "empty"])
+def test_export_bytes_do_not_depend_on_the_block_size(make, monkeypatch):
+    m = make()
+    for block in BLOCK_SIZES:
+        monkeypatch.setattr(milp, "_EXPORT_BLOCK_ROWS", block)
+        assert _export(m) == _loop_export(m)
+
+
+class _CountingSink:
+    """A text stream that keeps only the number of characters written."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text: str) -> int:
+        self.chars += len(text)
+        return len(text)
+
+
+def test_export_streams_its_rows():
+    """The export holds one block of text at a time, never the file: its
+    traced peak is a small share of what it writes."""
+    m = Model()
+    n = 3000
+    for j in range(n):
+        m.add_variable(f"w_u{j // 30}_f{j % 30}_t3", BINARY, 0, 1)
+    rng = np.random.default_rng(0)
+    k = 300_000
+    first = rng.integers(0, n - 1, size=k)
+    m.add_rows(np.stack([first, first + rng.integers(1, n - first)], axis=1),
+               np.ones((k, 2)), LE, 1.0)
+    # The first export imports what numpy loads lazily; that is no text.
+    export_lp_text(small_model()[0], _CountingSink())
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        export_lp_text(m, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.chars > 40 * k
+    assert peak < sink.chars / 4, (peak, sink.chars)
