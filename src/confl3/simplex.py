@@ -1,17 +1,23 @@
 """Bundled reference LP solver: bounded dual simplex over boxed columns.
 
-Dense algebra throughout, sized for desk-scale models (hundreds to a few
-thousand rows).  Each row has a slack column, but the unit columns ``I`` of
-``[rows | I]`` are never built: prices, pivot rows and entering columns are
-read off ``rows`` and the basis inverse.  That inverse is kept explicitly
-and updated in product form after each pivot (only on the entries the pivot
-changes).  A factorization inverts only the kernel of the basis, the rows
-whose slack is nonbasic against the basic structural columns, and derives
-the basic slacks' rows of the inverse from it (Koberstein, PhD thesis,
-Paderborn 2005; Bixby, Oper. Res. 50, 2002).  The slack basis of a cold
-start has an empty kernel and factorizes nothing.
+Sized for desk-scale models (hundreds to a few thousand rows).  The rows
+are stored dense, and each :class:`PreparedLp` derives from them a
+column-major index of their nonzeros.  Each row has a slack column, but the
+unit columns ``I`` of ``[rows | I]`` are never built: prices, pivot rows
+and entering columns are read off the rows and the basis inverse.  A pivot
+reads only the nonzeros, through the index: its pivot row is one row of the
+inverse scatter-added over them, and its entering column combines the
+inverse's columns at the entering column's nonzero rows.  The once-per-round
+work (factorization, prices, basics, certificate) reads the dense rows.
+The basis inverse is kept explicitly, dense, and updated in product form
+after each pivot (only on the entries the pivot changes).  A factorization
+inverts only the kernel of the basis, the rows whose slack is nonbasic
+against the basic structural columns, and derives the basic slacks' rows
+of the inverse from it (Koberstein, PhD thesis, Paderborn 2005; Bixby,
+Oper. Res. 50, 2002).  The slack basis of a cold start has an empty kernel
+and factorizes nothing.
 
-:func:`prepare` builds the dense row data once; :func:`solve_prepared`
+:func:`prepare` builds the row data once; :func:`solve_prepared`
 solves it under caller-supplied variable bounds, so that branch and bound
 and the heuristic re-solve one matrix under many bound vectors.
 :func:`append_rows` adds ``<=`` rows to a prepared matrix, and
@@ -109,6 +115,18 @@ class PreparedLp:
     # that basis extended over every row, as _invert built it; never handed
     # to _solve itself, which updates its inverse in place.
     warm: tuple[Basis, np.ndarray] | None = field(default=None, repr=False, compare=False)
+    # The nonzeros of `rows` column by column, derived from it: column j's
+    # row ids and values are row_ids[starts[j]:starts[j + 1]] and the same
+    # slice of vals, and col_ids holds each nonzero's column.
+    starts: np.ndarray = field(init=False, repr=False, compare=False)
+    row_ids: np.ndarray = field(init=False, repr=False, compare=False)
+    col_ids: np.ndarray = field(init=False, repr=False, compare=False)
+    vals: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.col_ids, self.row_ids = np.nonzero(self.rows.T)
+        self.vals = self.rows[self.row_ids, self.col_ids]
+        self.starts = np.searchsorted(self.col_ids, np.arange(self.rows.shape[1] + 1))
 
 
 def prepare(model: Model) -> PreparedLp:
@@ -253,7 +271,7 @@ def _solve(prep: PreparedLp, lo_s: np.ndarray, hi_s: np.ndarray, start: Basis,
             state[wrong] = np.where(upper, _AT_LOWER, _AT_UPPER)
             x[wrong] = np.where(upper, lo[wrong], hi[wrong])
         _recompute_basics(rows, b, basis, state, x, binv)
-        status, pivots = _dual_simplex(rows, lo, hi, basis, state, x, binv, d,
+        status, pivots = _dual_simplex(prep, lo, hi, basis, state, x, binv, d,
                                        min(budget, _REFACTOR_EVERY))
         if status == INFEASIBLE:
             return INFEASIBLE, None, None
@@ -270,21 +288,27 @@ def _solve(prep: PreparedLp, lo_s: np.ndarray, hi_s: np.ndarray, start: Basis,
     return OPTIMAL, x[:n].copy(), Basis(basis, state)
 
 
-def _dual_simplex(rows, lo, hi, basis, state, x, binv, d, max_iter):
-    """Bounded dual simplex from a dual feasible basis with inverse `binv`
-    and reduced costs `d`, all updated in place, making at most `max_iter`
-    pivots.
+def _dual_simplex(prep, lo, hi, basis, state, x, binv, d, max_iter):
+    """Bounded dual simplex on the matrix `prep` from a dual feasible basis
+    with inverse `binv` and reduced costs `d`, all updated in place, making
+    at most `max_iter` pivots.  The pivot row and the entering column are
+    computed from the nonzeros of the rows alone.
 
     Returns (OPTIMAL, pivots) once every basic lies within its bounds,
     (INFEASIBLE, pivots) when a violated row has no entering column, and
     (None, max_iter) when the pivots run out first.
     """
-    n = rows.shape[1]
+    n = len(prep.costs)
     fixed = lo == hi
+    # The way each column may move off its bound: +1 up from its lower, -1
+    # down from its upper, 0 for basic and fixed columns.
+    move = np.where(state == _AT_LOWER, 1.0, -1.0)
+    move[(state == _BASIC) | fixed] = 0.0
+    lo_b, hi_b = lo[basis], hi[basis]
     for it in range(max_iter + 1):
         bx = x[basis]
-        below = lo[basis] - bx
-        above = bx - hi[basis]
+        below = lo_b - bx
+        above = bx - hi_b
         viol = np.maximum(below, above)
         viol[viol <= _DUAL_FEASTOL * np.maximum(1.0, np.abs(bx))] = 0.0
         if not viol.any():
@@ -298,20 +322,16 @@ def _dual_simplex(rows, lo, hi, basis, state, x, binv, d, max_iter):
 
         # Entering columns move the leaving basic toward its violated bound
         # and keep every reduced cost on its side of zero.
-        alpha = np.concatenate([binv[r] @ rows, binv[r]])
-        s_alpha = alpha if increase else -alpha
-        at_lower = state == _AT_LOWER
-        eligible = ~fixed & np.where(at_lower, s_alpha < -_PIVTOL,
-                                     (state == _AT_UPPER) & (s_alpha > _PIVTOL))
-        cand = np.flatnonzero(eligible)
+        alpha = np.concatenate([_row_times(prep, binv[r]), binv[r]])
+        m_alpha = move * alpha
+        cand = np.flatnonzero(m_alpha < -_PIVTOL if increase else m_alpha > _PIVTOL)
         if not len(cand):
             return INFEASIBLE, it
-        slack_d = np.maximum(np.where(at_lower[cand], d[cand], -d[cand]), 0.0)
-        ratios = slack_d / np.abs(alpha[cand])
+        ratios = np.maximum(move[cand] * d[cand], 0.0) / np.abs(alpha[cand])
         near = cand[ratios <= ratios.min() + 1e-12]
         q = int(near[np.argmax(np.abs(alpha[near]))])
 
-        w = binv @ rows[:, q] if q < n else binv[:, q - n].copy()
+        w = _times_column(prep, binv, q) if q < n else binv[:, q - n].copy()
         step = (x[leave] - target) / w[r]
         x[basis] = bx - step * w
         x[q] += step
@@ -319,9 +339,23 @@ def _dual_simplex(rows, lo, hi, basis, state, x, binv, d, max_iter):
         d -= (d[q] / alpha[q]) * alpha
         d[q] = 0.0
         state[leave] = _AT_LOWER if increase else _AT_UPPER
+        move[leave] = 0.0 if fixed[leave] else 1.0 if increase else -1.0
         basis[r] = q
         state[q] = _BASIC
+        move[q] = 0.0
+        lo_b[r], hi_b[r] = lo[q], hi[q]
         _replace_column(binv, w, r)
+
+
+def _row_times(prep: PreparedLp, y: np.ndarray) -> np.ndarray:
+    """``y @ prep.rows``, a scatter-add over the nonzeros of the rows."""
+    return np.bincount(prep.col_ids, y[prep.row_ids] * prep.vals, minlength=len(prep.costs))
+
+
+def _times_column(prep: PreparedLp, binv: np.ndarray, q: int) -> np.ndarray:
+    """``binv @ prep.rows[:, q]`` from the nonzeros of column q."""
+    nz = slice(prep.starts[q], prep.starts[q + 1])
+    return binv[:, prep.row_ids[nz]] @ prep.vals[nz]
 
 
 def _invert(rows: np.ndarray, basis: np.ndarray) -> np.ndarray:

@@ -6,7 +6,9 @@ enumerates every 0/1 pattern of the binaries, completing the continuous
 part with an LP solve per surviving pattern.  The pairwise power-feasibility
 oracle decides one pair of wireless services at a time by enumerating the
 vertices of its power polygon, and :func:`evaluate` recomputes a point's
-objective and row violations from a model's rows.
+objective and row violations from a model's rows.  For LPs too large to
+enumerate, :func:`highs_lp_optimum` asks scipy's HiGHS, which shares no code
+with the bundled solvers.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from scipy.optimize import linprog
+from scipy.sparse import csr_array
 
 from confl3.confl import WirelessParams
 from confl3.milp import EQ, GE, LE, SENSES, Model, apply_fixings, lp_relaxation
@@ -106,6 +110,28 @@ def lp_vertex_optimum(model: Model) -> tuple[str, float | None, np.ndarray | Non
     if best is None:
         return "infeasible", None, None
     return "optimal", best, best_x
+
+
+def highs_lp_optimum(model: Model) -> tuple[str, float | None]:
+    """Status and optimal objective of the LP relaxation of `model` under its
+    own bounds, by scipy's HiGHS on the model's rows (``>=`` rows negated
+    here, not by :func:`simplex.prepare`)."""
+    r = model.rows()
+    n = len(model.variables)
+    a = csr_array((r.coefs, (r.entry_rows(), r.cols)), shape=(len(r.rhs), n))
+    cost = np.zeros(n)
+    for vid, c in model.objective.items():
+        cost[vid] += c
+    eq = r.sense == SENSES.index(EQ)
+    sign = np.where(r.sense == SENSES.index(GE), -1.0, 1.0)
+    ub = np.flatnonzero(~eq)
+    bounds = [(v.lower, v.upper) for v in model.variables]
+    res = linprog(cost, A_ub=a[ub] * sign[ub, None], b_ub=r.rhs[ub] * sign[ub],
+                  A_eq=a[np.flatnonzero(eq)], b_eq=r.rhs[eq], bounds=bounds, method="highs")
+    if res.status == 2:
+        return "infeasible", None
+    assert res.status == 0, res.message
+    return "optimal", float(res.fun)
 
 
 def enumerate_binary_patterns(model: Model):

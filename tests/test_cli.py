@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +14,7 @@ from confl3.cli import main
 from confl3.confl import build_3confl, verify_solution
 from confl3.instance_io import GeneratorParams, generate, read_instance, write_instance
 
-from instances import conflict_instance, strengthening_preset
+from instances import DESK, conflict_instance, strengthening_preset
 
 GEN_ARGS = [
     "generate",
@@ -439,3 +443,21 @@ def test_singular_basis_is_a_numerical_breakdown(tmp_path, capsys, monkeypatch):
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Singular matrix" in err
+
+
+def test_a_bundled_run_leaves_scipy_unloaded(tmp_path):
+    # The tests load scipy as an LP oracle; `exact` on a desk instance, in
+    # a process of its own, must not load it, or the memory and start-up of
+    # every bundled run would carry it.
+    inst_path, out = tmp_path / "desk.json", tmp_path / "e.json"
+    inst_path.write_text(write_instance(generate(DESK, 0)), encoding="utf-8")
+    script = ("import sys\n"
+              "from confl3 import cli\n"
+              f"assert cli.main(['exact', {str(inst_path)!r}, '-o', {str(out)!r}]) == 0\n"
+              "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n")
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(out.read_text())["status"] == "optimal"

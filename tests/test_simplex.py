@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from confl3 import simplex
-from confl3.confl import build_3confl
+from confl3.confl import build_3confl, strengthen
 from confl3.instance_io import generate
-from confl3.milp import BINARY, CONTINUOUS, EQ, GE, LE, Model
+from confl3.milp import BINARY, CONTINUOUS, EQ, GE, LE, Model, lp_relaxation
 
 from instances import DESK
-from oracles import evaluate, lp_vertex_optimum
+from oracles import evaluate, highs_lp_optimum, lp_vertex_optimum
 
 
 def test_simple_lower_bounded_min():
@@ -290,7 +290,8 @@ def test_unboxed_columns_start_from_a_cost_shift(seed, monkeypatch):
     dual = simplex._dual_simplex
     starts = []
 
-    def checking_dual(rows, lo, hi, basis, state, x, binv, d, max_iter):
+    def checking_dual(prep, lo, hi, basis, state, x, binv, d, max_iter):
+        rows = prep.rows
         a = np.hstack([rows, np.eye(len(rows))])
         c = np.concatenate([costs, np.zeros(len(rows))])
         np.testing.assert_allclose(d, c - (c[basis] @ binv) @ a, atol=1e-9)
@@ -298,7 +299,7 @@ def test_unboxed_columns_start_from_a_cost_shift(seed, monkeypatch):
         assert np.all(d[(state == simplex._AT_LOWER) & free] >= -1e-9)
         assert np.all(d[(state == simplex._AT_UPPER) & free] <= 1e-9)
         starts.append(state.copy())
-        return dual(rows, lo, hi, basis, state, x, binv, d, max_iter)
+        return dual(prep, lo, hi, basis, state, x, binv, d, max_iter)
 
     monkeypatch.setattr(simplex, "_dual_simplex", checking_dual)
     model, boxed = _unboxed_lp(np.random.default_rng(1300 + seed))
@@ -414,9 +415,13 @@ def test_cold_solve_factorizes_only_basic_structurals(monkeypatch):
         assert sizes == [structurals] and structurals < len(prep.rhs)
 
 
+def _grid_6x4_model() -> Model:
+    return build_3confl(generate(replace(DESK, grid_width=6, grid_height=4, n_facilities=4),
+                                 seed=0)).model
+
+
 def _grid_6x4():
-    model = build_3confl(generate(replace(DESK, grid_width=6, grid_height=4, n_facilities=4),
-                                  seed=0)).model
+    model = _grid_6x4_model()
     return simplex.prepare(model), *simplex.model_bounds(model)
 
 
@@ -473,12 +478,12 @@ def test_each_round_starts_on_a_fresh_factorization(monkeypatch):
         made[-1] += 1
         replace_column(binv, w, r)
 
-    def checking_dual(rows, lo, hi, basis, state, x, binv, d, max_iter):
-        np.testing.assert_array_equal(binv, invert(rows, basis))
+    def checking_dual(prep, lo, hi, basis, state, x, binv, d, max_iter):
+        np.testing.assert_array_equal(binv, invert(prep.rows, basis))
         assert max_iter <= simplex._REFACTOR_EVERY
         made.append(0)
         inside.append(True)
-        status, pivots = dual(rows, lo, hi, basis, state, x, binv, d, max_iter)
+        status, pivots = dual(prep, lo, hi, basis, state, x, binv, d, max_iter)
         inside.pop()
         assert pivots == made[-1] <= max_iter
         return status, pivots
@@ -637,7 +642,7 @@ def test_a_remembered_start_factorization_changes_no_result(monkeypatch):
     # leaves the remembered one intact.
     dual = simplex._dual_simplex
 
-    def failing_dual(rows, lo, hi, basis, state, x, binv, d, max_iter):
+    def failing_dual(prep, lo, hi, basis, state, x, binv, d, max_iter):
         binv[:] = np.nan
         raise ArithmeticError("dual simplex iteration limit exceeded")
 
@@ -649,3 +654,115 @@ def test_a_remembered_start_factorization_changes_no_result(monkeypatch):
     np.testing.assert_array_equal(prep.warm[1], invert(prep.rows, a.basic))
     got = simplex.solve_prepared(prep, *bounds[6], a)
     _same_result(got, simplex.solve_prepared(simplex.prepare(model), *bounds[6], a))
+
+
+def _sparse_lp(rng: np.random.Generator, n_cons: int, n_vars: int, density: float) -> Model:
+    """Random sparse LP built around a point inside its boxes, so it is
+    feasible: <=, >= and = rows with about `density` of the columns each,
+    and every fifth column in no row."""
+    m = Model()
+    lo = rng.uniform(-3.0, 1.0, size=n_vars)
+    hi = lo + rng.uniform(0.5, 5.0, size=n_vars)
+    for j in range(n_vars):
+        m.add_variable(f"v{j}", CONTINUOUS, float(lo[j]), float(hi[j]))
+        m.set_objective_coef(j, float(rng.normal()))
+    point = lo + rng.uniform(0.2, 0.8, size=n_vars) * (hi - lo)
+    used = np.flatnonzero(np.arange(n_vars) % 5)
+    for _ in range(n_cons):
+        cols = rng.choice(used, size=max(1, rng.binomial(len(used), density)), replace=False)
+        coefs = rng.normal(size=len(cols))
+        sense = str(rng.choice([LE, GE, EQ], p=[0.45, 0.45, 0.10]))
+        margin = {LE: 1.0, GE: -1.0, EQ: 0.0}[sense] * abs(float(rng.normal()))
+        m.add_constraint([(int(j), float(c)) for j, c in zip(cols, coefs)], sense,
+                         float(coefs @ point[cols]) + margin)
+    return m
+
+
+def _random_basis(rng: np.random.Generator, rows: np.ndarray) -> np.ndarray | None:
+    """A basis over ``[rows | I]``: the slack basis with a random matching of
+    rows to structural nonzeros swapped in, or None if its kernel is
+    singular."""
+    m, n = rows.shape
+    basis = n + np.arange(m)
+    taken = set()
+    for i in rng.permutation(m)[: m // 2]:
+        free = [j for j in np.flatnonzero(rows[i]) if j not in taken]
+        if free:
+            basis[i] = j = int(rng.choice(free))
+            taken.add(j)
+    try:
+        simplex._invert(rows, basis)
+    except np.linalg.LinAlgError:
+        return None
+    return basis
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_column_index_is_the_dense_rows(seed):
+    # The column-major index of a prepared matrix holds its nonzeros:
+    # scattered back it gives the dense rows exactly, with empty columns,
+    # >= rows negated (their zeros become -0.0, which it leaves out),
+    # equality rows, and pool rows appended as the cut loop appends them.
+    # The pivot row and the entering column read from it match the dense
+    # products under random bases, to 1e-12 of the sum of the terms'
+    # magnitudes.
+    rng = np.random.default_rng(2300 + seed)
+    model = _sparse_lp(rng, n_cons=40, n_vars=30, density=0.15)
+    prep = simplex.prepare(model)
+    n = len(prep.costs)
+    assert prep.is_eq.any() and np.any((prep.rows == 0) & np.signbit(prep.rows))
+    pool = np.array([rng.choice(n, 2, replace=False) for _ in range(6)])
+    block = np.zeros((len(pool), n))
+    block[np.arange(len(pool))[:, None], pool] = 1.0
+    cut = simplex.append_rows(prep, block, np.ones(len(pool)))
+    for p in (prep, cut):
+        m = len(p.rhs)
+        dense = np.zeros((m, n))
+        dense[p.row_ids, p.col_ids] = p.vals
+        np.testing.assert_array_equal(dense, p.rows)
+        assert np.all(p.vals != 0) and len(p.vals) == np.count_nonzero(p.rows)
+        assert p.starts[0] == 0 and p.starts[-1] == len(p.vals)
+        empty = ~p.rows.any(axis=0)
+        assert empty.any()
+        for j in range(n):
+            span = slice(p.starts[j], p.starts[j + 1])
+            assert np.all(p.col_ids[span] == j)
+            np.testing.assert_array_equal(p.row_ids[span], np.flatnonzero(p.rows[:, j]))
+        bases = [b for b in (_random_basis(rng, p.rows) for _ in range(8)) if b is not None]
+        assert len(bases) >= 4
+        for basis in bases:
+            binv = simplex._invert(p.rows, basis)
+            for r in range(m):
+                want = binv[r] @ p.rows
+                bound = 1e-12 * (np.abs(binv[r]) @ np.abs(p.rows))
+                assert np.all(np.abs(simplex._row_times(p, binv[r]) - want) <= bound)
+            for q in range(n):
+                want = binv @ p.rows[:, q]
+                bound = 1e-12 * (np.abs(binv) @ np.abs(p.rows[:, q]))
+                assert np.all(np.abs(simplex._times_column(p, binv, q) - want) <= bound)
+
+
+def _strong_8x6_root() -> Model:
+    instance = generate(replace(DESK, grid_width=8, grid_height=6, n_facilities=6), seed=1)
+    return lp_relaxation(strengthen(build_3confl(instance), instance).model)
+
+
+@pytest.mark.parametrize("case", ["strong-8x6", "plain-6x4"] + [f"sparse-{k}" for k in range(10)])
+def test_bundled_lp_matches_highs(case):
+    # LPs far beyond vertex enumeration, against scipy's HiGHS: the
+    # strengthened 8x6 root LP of the benchmark's scale workload, the 6x4
+    # root LP, and random sparse boxed LPs of 200-400 rows.
+    if case == "strong-8x6":
+        model = _strong_8x6_root()
+    elif case == "plain-6x4":
+        model = _grid_6x4_model()
+    else:
+        rng = np.random.default_rng(2400 + int(case.split("-")[1]))
+        n_cons = int(rng.integers(200, 401))
+        model = _sparse_lp(rng, n_cons, n_vars=int(rng.integers(150, 300)), density=0.03)
+    want_status, want_obj = highs_lp_optimum(model)
+    got = simplex.solve_prepared(simplex.prepare(model), *simplex.model_bounds(model))
+    assert got.status == want_status == simplex.OPTIMAL
+    assert got.objective == pytest.approx(want_obj, rel=1e-9, abs=1e-9)
+    _, violations = evaluate(model, got.assignment, tol=1e-6)
+    assert violations == []
