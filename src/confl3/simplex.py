@@ -17,7 +17,9 @@ of the inverse from it (Koberstein, PhD thesis, Paderborn 2005; Bixby,
 Oper. Res. 50, 2002).  The slack basis of a cold start has an empty kernel
 and factorizes nothing.
 
-:func:`prepare` builds the row data once; :func:`solve_prepared`
+:func:`prepare` builds the row data once, and refuses with
+:class:`ProblemTooLargeError`, before it allocates, a model whose dense rows
+and basis inverse would pass 2 GiB; :func:`solve_prepared`
 solves it under caller-supplied variable bounds, so that branch and bound
 and the heuristic re-solve one matrix under many bound vectors.
 :func:`append_rows` adds ``<=`` rows to a prepared matrix, and
@@ -82,6 +84,20 @@ _PIVTOL = 1e-7      # smallest |alpha| of an entering column; a smaller one is n
 _FEASTOL = 1e-7     # final bound check
 _DUAL_FEASTOL = 1e-9  # bound violation (relative) the dual simplex repairs
 _REFACTOR_EVERY = 150
+# The most bytes `prepare` lets the dense rows and the dense basis inverse
+# take: 8 m (n + m) for m rows and n columns.
+_MAX_DENSE_BYTES = 2 * 1024**3
+
+
+class ProblemTooLargeError(ValueError):
+    """A model whose dense rows and basis inverse would pass
+    ``_MAX_DENSE_BYTES``; raised by :func:`prepare` before it allocates."""
+
+    def __init__(self, m: int, n: int, size: int):
+        super().__init__(f"{m} rows x {n} columns need {size:,} bytes of dense rows and "
+                         f"basis inverse, past the bundled solver's cap of "
+                         f"{_MAX_DENSE_BYTES:,} bytes")
+        self.m, self.n, self.size = m, n, size
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,9 +146,15 @@ class PreparedLp:
 
 
 def prepare(model: Model) -> PreparedLp:
+    """The dense row data of `model`; :class:`ProblemTooLargeError` when
+    its rows and basis inverse would take more than ``_MAX_DENSE_BYTES``."""
     n = len(model.variables)
     r = model.rows()
-    rows = np.zeros((len(r.rhs), n))
+    m = len(r.rhs)
+    size = 8 * m * (n + m)
+    if size > _MAX_DENSE_BYTES:
+        raise ProblemTooLargeError(m, n, size)
+    rows = np.zeros((m, n))
     rows[r.entry_rows(), r.cols] = r.coefs
     rhs = r.rhs.copy()
     ge = r.sense == SENSES.index(GE)

@@ -7,8 +7,8 @@ part with an LP solve per surviving pattern.  The pairwise power-feasibility
 oracle decides one pair of wireless services at a time by enumerating the
 vertices of its power polygon, and :func:`evaluate` recomputes a point's
 objective and row violations from a model's rows.  For LPs too large to
-enumerate, :func:`highs_lp_optimum` asks scipy's HiGHS, which shares no code
-with the bundled solvers.
+enumerate, :func:`highs_lp_optimum` and :func:`highs_mip_optimum` ask scipy's
+HiGHS, which shares no code with the bundled solvers.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 from scipy.sparse import csr_array
 
 from confl3.confl import WirelessParams
@@ -112,22 +112,47 @@ def lp_vertex_optimum(model: Model) -> tuple[str, float | None, np.ndarray | Non
     return "optimal", best, best_x
 
 
+def _highs_arrays(model: Model) -> tuple[np.ndarray, csr_array]:
+    """The cost vector and the sparse rows of `model`, built from the model
+    itself, not by :func:`simplex.prepare`."""
+    r = model.rows()
+    n = len(model.variables)
+    cost = np.zeros(n)
+    for vid, c in model.objective.items():
+        cost[vid] += c
+    return cost, csr_array((r.coefs, (r.entry_rows(), r.cols)), shape=(len(r.rhs), n))
+
+
 def highs_lp_optimum(model: Model) -> tuple[str, float | None]:
     """Status and optimal objective of the LP relaxation of `model` under its
     own bounds, by scipy's HiGHS on the model's rows (``>=`` rows negated
     here, not by :func:`simplex.prepare`)."""
     r = model.rows()
-    n = len(model.variables)
-    a = csr_array((r.coefs, (r.entry_rows(), r.cols)), shape=(len(r.rhs), n))
-    cost = np.zeros(n)
-    for vid, c in model.objective.items():
-        cost[vid] += c
+    cost, a = _highs_arrays(model)
     eq = r.sense == SENSES.index(EQ)
     sign = np.where(r.sense == SENSES.index(GE), -1.0, 1.0)
     ub = np.flatnonzero(~eq)
     bounds = [(v.lower, v.upper) for v in model.variables]
     res = linprog(cost, A_ub=a[ub] * sign[ub, None], b_ub=r.rhs[ub] * sign[ub],
                   A_eq=a[np.flatnonzero(eq)], b_eq=r.rhs[eq], bounds=bounds, method="highs")
+    if res.status == 2:
+        return "infeasible", None
+    assert res.status == 0, res.message
+    return "optimal", float(res.fun)
+
+
+def highs_mip_optimum(model: Model) -> tuple[str, float | None]:
+    """Status and optimal objective of `model` as a MIP under its own
+    bounds, by scipy's HiGHS branch and cut with no relative gap allowed."""
+    r = model.rows()
+    cost, a = _highs_arrays(model)
+    le, ge = r.sense == SENSES.index(LE), r.sense == SENSES.index(GE)
+    rows = LinearConstraint(a, np.where(le, -np.inf, r.rhs), np.where(ge, np.inf, r.rhs))
+    integrality = np.zeros(len(cost))
+    integrality[model.binary_ids()] = 1
+    bounds = Bounds([v.lower for v in model.variables], [v.upper for v in model.variables])
+    res = milp(cost, integrality=integrality, bounds=bounds, constraints=rows,
+               options={"mip_rel_gap": 0.0})
     if res.status == 2:
         return "infeasible", None
     assert res.status == 0, res.message

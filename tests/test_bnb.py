@@ -15,7 +15,7 @@ from confl3.milp import (
 )
 
 from instances import CLI_PARAMS, DESK, conflict_instance, strengthening_preset
-from oracles import evaluate, mip_enumeration_optimum
+from oracles import evaluate, highs_mip_optimum, mip_enumeration_optimum
 from solve import solve_model
 
 
@@ -40,6 +40,73 @@ def test_contradictory_fixing_proved_infeasible():
     r = solve_model(apply_fixings(m, {v: 0.0}), 10.0)
     assert r.status == bnb.INFEASIBLE
     assert r.incumbent is None
+
+
+def _first_branch(model: Model, monkeypatch) -> tuple[simplex.LpResult, int]:
+    """The root relaxation of branch and bound on `model` and the one column
+    whose bounds its first child changes."""
+    calls = []
+    solve_prepared = simplex.solve_prepared
+
+    def recording_solve_prepared(prep, lo, hi, basis=None):
+        res = solve_prepared(prep, lo, hi, basis)
+        calls.append((lo.copy(), hi.copy(), res))
+        return res
+
+    monkeypatch.setattr(simplex, "solve_prepared", recording_solve_prepared)
+    solve_model(model, 60.0, node_limit=2)
+    (root_lo, root_hi, root), (lo, hi, _) = calls[:2]
+    changed = np.flatnonzero((lo != root_lo) | (hi != root_hi))
+    assert len(changed) == 1
+    return root, int(changed[0])
+
+
+def test_branches_on_the_highest_weighted_fractionality(monkeypatch):
+    """z (cost 0) and a (cost 1) sit at 0.5 and b (cost 10) at 0.25: the
+    binary closest to 0.5 with the lowest id is z, but b has the highest
+    |c| * min(f, 1 - f), so the first child bounds b."""
+    m = Model()
+    z = m.add_variable("z", BINARY, 0, 1)
+    a = m.add_variable("a", BINARY, 0, 1)
+    b = m.add_variable("b", BINARY, 0, 1)
+    for vid, cost, scale in ((z, 0.0, 2.0), (a, 1.0, 2.0), (b, 10.0, 4.0)):
+        m.set_objective_coef(vid, cost)
+        m.add_constraint([(vid, scale)], GE, 1.0)
+    root, j = _first_branch(m, monkeypatch)
+    frac = root.assignment[[z, a, b]]
+    assert frac == pytest.approx([0.5, 0.5, 0.25])
+    dist = np.minimum(frac, 1.0 - frac)
+    assert int(np.argmin(np.abs(dist - 0.5))) == z
+    assert j == b == int(np.argmax(np.array([0.0, 1.0, 10.0]) * dist))
+
+
+def test_a_zero_cost_binary_is_branched_on_when_no_costed_one_is_fractional(monkeypatch):
+    m = Model()
+    x = m.add_variable("x", BINARY, 0, 1)
+    z = m.add_variable("z", BINARY, 0, 1)
+    m.set_objective_coef(x, 1.0)
+    m.add_constraint([(z, 2.0)], GE, 1.0)
+    root, j = _first_branch(m, monkeypatch)
+    assert root.assignment == pytest.approx([0.0, 0.5])
+    assert j == z
+
+
+def test_desk_seed_11_closes_within_30_nodes():
+    """A tree of 303 nodes under branching on the binary closest to 0.5."""
+    model = build_3confl(generate(DESK, 11)).model
+    r = solve_model(model, 60.0, node_limit=30)
+    status, want = highs_mip_optimum(model)
+    assert r.status == bnb.OPTIMAL and status == "optimal"
+    assert r.objective == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_desk_optimum_matches_highs(seed):
+    model = build_3confl(generate(DESK, seed)).model
+    got = solve_model(model, 60.0)
+    status, want = highs_mip_optimum(model)
+    assert got.status == bnb.OPTIMAL and status == "optimal"
+    assert got.objective == pytest.approx(want, rel=1e-9)
 
 
 def _random_milp(rng: np.random.Generator, n_bin=8, n_cont=3, n_cons=8) -> Model:

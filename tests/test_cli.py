@@ -171,6 +171,16 @@ def test_exact_strong_prepares_only_the_plain_matrix(tmp_path, capsys, monkeypat
     assert appended
 
 
+@pytest.mark.parametrize("command", [["exact"], ["solve", "--iters", "1"]])
+def test_a_model_past_the_dense_cap_exits_2(tmp_path, capsys, monkeypatch, command):
+    inst_path = _generate(tmp_path)
+    monkeypatch.setattr(simplex, "_MAX_DENSE_BYTES", 1000)
+    out = tmp_path / "out.json"
+    assert main([command[0], str(inst_path), *command[1:], "-o", str(out)]) == 2
+    assert "bytes of dense rows and basis inverse" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_zero_cost_pipeline_reports_zero_gaps(tmp_path, capsys):
     """With every coverage threshold at 0 the optimum costs nothing: exact
     and solve record a zero gap, and report reads them back."""

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -31,6 +32,31 @@ def test_unboxed_columns_are_rejected(lower, upper):
     m.add_constraint([(x, 1.0)], GE, 0.0)
     with pytest.raises(ValueError, match="finite"):
         simplex.solve_prepared(simplex.prepare(m), np.array([lower]), np.array([upper]))
+
+
+@pytest.mark.parametrize("m", [16_383, 16_384])
+def test_prepare_refuses_rows_and_inverse_past_2_gib(m):
+    """One column and m rows need 8 m (1 + m) bytes of dense rows and
+    inverse: 16,383 rows fit under 2 GiB and 16,384 do not.  The refusal
+    names the sizes and comes before the (m, 1) rows are allocated."""
+    model = Model()
+    x = model.add_variable("x", CONTINUOUS, 0, 1)
+    model.add_rows(np.full((m, 1), x), np.ones((m, 1)), LE, np.ones(m))
+    size = 8 * m * (1 + m)
+    if size <= 2 * 1024**3:
+        assert simplex.prepare(model).rows.shape == (m, 1)
+        return
+    tracemalloc.start()
+    try:
+        with pytest.raises(simplex.ProblemTooLargeError) as err:
+            simplex.prepare(model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert isinstance(err.value, ValueError)
+    assert (err.value.m, err.value.n, err.value.size) == (m, 1, size)
+    assert f"{m} rows x 1 columns need {size:,} bytes" in str(err.value)
+    assert peak < 8 * m
 
 
 def test_infeasible_detected():
