@@ -126,7 +126,7 @@ def solve_mip(prep: simplex.PreparedLp, lo: np.ndarray, hi: np.ndarray,
             pin_lo[bin_ids] = pin_hi[bin_ids] = np.round(frac)
             polished = simplex.solve_prepared(prep, pin_lo, pin_hi, res.basis)
             if polished.status == simplex.OPTIMAL:
-                if polished.objective < incumbent_obj - 0.0:
+                if polished.objective < incumbent_obj:
                     incumbent = polished.assignment
                     incumbent_obj = polished.objective
                 continue

@@ -1,25 +1,22 @@
 """Bundled reference LP solver: bounded dual simplex over boxed columns.
 
-Sized for desk-scale models (hundreds to a few thousand rows).  The rows
-are stored dense, and each :class:`PreparedLp` derives from them a
-column-major index of their nonzeros.  Each row has a slack column, but the
-unit columns ``I`` of ``[rows | I]`` are never built: prices, pivot rows
-and entering columns are read off the rows and the basis inverse.  A pivot
-reads only the nonzeros, through the index: its pivot row is one row of the
-inverse scatter-added over them, and its entering column combines the
-inverse's columns at the entering column's nonzero rows.  The once-per-round
-work (factorization, prices, basics, certificate) reads the dense rows.
-The basis inverse is kept explicitly, dense, and updated in product form
-after each pivot (only on the entries the pivot changes).  A factorization
-inverts only the kernel of the basis, the rows whose slack is nonbasic
-against the basic structural columns, and derives the basic slacks' rows
-of the inverse from it (Koberstein, PhD thesis, Paderborn 2005; Bixby,
-Oper. Res. 50, 2002).  The slack basis of a cold start has an empty kernel
-and factorizes nothing.
+Sized for desk-scale models (hundreds to a few thousand rows).  A
+:class:`PreparedLp` holds the matrix ``A`` of its rows only as their
+nonzeros, column by column, and every product reads them: ``y A`` (prices,
+pivot rows) and ``A x`` (basics, the certificate) are scatter-adds, an
+entering column ``B^-1 a_j`` combines the inverse's columns at column j's
+nonzero rows, and a factorization gathers the basic structural columns.
+The slack columns ``I`` of ``[A | I]`` are never built.  The basis inverse
+is kept explicitly, dense, and updated in product form after each pivot
+(only on the entries the pivot changes).  A factorization inverts only the
+kernel of the basis, the rows whose slack is nonbasic against the basic
+structural columns, and derives the basic slacks' rows of the inverse from
+it (Koberstein, PhD thesis, Paderborn 2005; Bixby, Oper. Res. 50, 2002).
+The slack basis of a cold start has an empty kernel and factorizes nothing.
 
-:func:`prepare` builds the row data once, and refuses with
-:class:`ProblemTooLargeError`, before it allocates, a model whose dense rows
-and basis inverse would pass 2 GiB; :func:`solve_prepared`
+:func:`prepare` builds the nonzeros once, and refuses with
+:class:`ProblemTooLargeError`, before it allocates, a model whose dense
+basis inverse, 8 m² bytes for m rows, would pass 2 GiB.  :func:`solve_prepared`
 solves it under caller-supplied variable bounds, so that branch and bound
 and the heuristic re-solve one matrix under many bound vectors.
 :func:`append_rows` adds ``<=`` rows to a prepared matrix, and
@@ -54,13 +51,11 @@ column to its other bound, and a bounded dual simplex of at most
 bounds (a row it cannot repair proves the bounds infeasible).  A round that
 ends on that cap starts the next.  A solve stops after a round whose dual
 simplex reaches feasibility with no pivot, which priced a fresh
-factorization, or with an updated factorization that passes a certificate
-checked against the raw rows: the point satisfies ``rows x + slack = b`` to
-1e-9 relative, and the duals ``c_B B^-1`` price every basic column to zero
-and every nonbasic column that can move with the right sign.  A round that
-fails the certificate is followed by another.  Spending the pivot budget of
-all rounds, a nonbasic slack with a wrong-signed reduced cost, or a final
-point outside its bounds raises :class:`ArithmeticError`.
+factorization, or with an updated factorization that passes the
+certificate of :func:`_certified`, checked against the raw rows; a round
+that fails it is followed by another.  Spending the pivot budget of all
+rounds, a nonbasic slack with a wrong-signed reduced cost, or a final point
+outside its bounds raises :class:`ArithmeticError`.
 """
 
 from __future__ import annotations
@@ -84,18 +79,18 @@ _PIVTOL = 1e-7      # smallest |alpha| of an entering column; a smaller one is n
 _FEASTOL = 1e-7     # final bound check
 _DUAL_FEASTOL = 1e-9  # bound violation (relative) the dual simplex repairs
 _REFACTOR_EVERY = 150
-# The most bytes `prepare` lets the dense rows and the dense basis inverse
-# take: 8 m (n + m) for m rows and n columns.
+# The most bytes `prepare` lets the dense basis inverse take: 8 m² bytes
+# for m rows.
 _MAX_DENSE_BYTES = 2 * 1024**3
 
 
 class ProblemTooLargeError(ValueError):
-    """A model whose dense rows and basis inverse would pass
+    """A model whose dense basis inverse, 8 m² bytes, would pass
     ``_MAX_DENSE_BYTES``; raised by :func:`prepare` before it allocates."""
 
     def __init__(self, m: int, n: int, size: int):
-        super().__init__(f"{m} rows x {n} columns need {size:,} bytes of dense rows and "
-                         f"basis inverse, past the bundled solver's cap of "
+        super().__init__(f"{m} rows x {n} columns need {size:,} bytes of dense basis inverse "
+                         f"(8 m² bytes), past the bundled solver's cap of "
                          f"{_MAX_DENSE_BYTES:,} bytes")
         self.m, self.n, self.size = m, n, size
 
@@ -122,7 +117,12 @@ class LpResult:
 
 @dataclass
 class PreparedLp:
-    rows: np.ndarray     # (m, n) dense, >= rows negated to <=
+    # The nonzeros of the rows, >= rows negated, by column and then by row:
+    # column j's are row_ids[starts[j]:starts[j + 1]] and that slice of vals.
+    row_ids: np.ndarray  # (nnz,)
+    col_ids: np.ndarray  # (nnz,) the column of each nonzero
+    vals: np.ndarray     # (nnz,)
+    starts: np.ndarray   # (n + 1,)
     rhs: np.ndarray      # (m,)
     is_eq: np.ndarray    # (m,) bool
     costs: np.ndarray    # (n,)
@@ -131,46 +131,45 @@ class PreparedLp:
     # that basis extended over every row, as _invert built it; never handed
     # to _solve itself, which updates its inverse in place.
     warm: tuple[Basis, np.ndarray] | None = field(default=None, repr=False, compare=False)
-    # The nonzeros of `rows` column by column, derived from it: column j's
-    # row ids and values are row_ids[starts[j]:starts[j + 1]] and the same
-    # slice of vals, and col_ids holds each nonzero's column.
-    starts: np.ndarray = field(init=False, repr=False, compare=False)
-    row_ids: np.ndarray = field(init=False, repr=False, compare=False)
-    col_ids: np.ndarray = field(init=False, repr=False, compare=False)
-    vals: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        self.col_ids, self.row_ids = np.nonzero(self.rows.T)
-        self.vals = self.rows[self.row_ids, self.col_ids]
-        self.starts = np.searchsorted(self.col_ids, np.arange(self.rows.shape[1] + 1))
+
+def _by_column(row_ids, col_ids, vals, n):
+    """The first four fields of a :class:`PreparedLp`: the nonzero entries
+    of a matrix of `n` columns, stably sorted by column, and column starts."""
+    nz = np.flatnonzero(vals)
+    order = nz[np.argsort(col_ids[nz], kind="stable")]
+    cols = col_ids[order]
+    return row_ids[order], cols, vals[order], np.searchsorted(cols, np.arange(n + 1))
 
 
 def prepare(model: Model) -> PreparedLp:
-    """The dense row data of `model`; :class:`ProblemTooLargeError` when
-    its rows and basis inverse would take more than ``_MAX_DENSE_BYTES``."""
+    """The nonzeros of the rows of `model`; :class:`ProblemTooLargeError`
+    when its basis inverse would take more than ``_MAX_DENSE_BYTES``."""
     n = len(model.variables)
     r = model.rows()
     m = len(r.rhs)
-    size = 8 * m * (n + m)
+    size = 8 * m * m
     if size > _MAX_DENSE_BYTES:
         raise ProblemTooLargeError(m, n, size)
-    rows = np.zeros((m, n))
-    rows[r.entry_rows(), r.cols] = r.coefs
-    rhs = r.rhs.copy()
-    ge = r.sense == SENSES.index(GE)
-    rows[ge] *= -1.0
-    rhs[ge] *= -1.0
+    sign = np.where(r.sense == SENSES.index(GE), -1.0, 1.0)
+    entry_rows = r.entry_rows()
     costs = np.zeros(n)
     for vid, cost in model.objective.items():
         costs[vid] += cost
-    return PreparedLp(rows, rhs, r.sense == SENSES.index(EQ), costs,
+    return PreparedLp(*_by_column(entry_rows, r.cols, sign[entry_rows] * r.coefs, n),
+                      sign * r.rhs, r.sense == SENSES.index(EQ), costs,
                       np.array(model.binary_ids(), dtype=int))
 
 
 def append_rows(prep: PreparedLp, rows: np.ndarray, rhs: np.ndarray) -> PreparedLp:
-    """`prep` with the rows ``rows @ x <= rhs`` appended; the original's
-    arrays are left as they are."""
-    return PreparedLp(np.vstack([prep.rows, rows]), np.concatenate([prep.rhs, rhs]),
+    """`prep` with the ``<=`` rows of the dense (k, n) block `rows`, of
+    right-hand sides `rhs`, appended as nonzeros; the original's arrays are
+    left as they are."""
+    new_rows, new_cols = np.nonzero(rows)
+    nonzeros = _by_column(np.concatenate([prep.row_ids, len(prep.rhs) + new_rows]),
+                          np.concatenate([prep.col_ids, new_cols]),
+                          np.concatenate([prep.vals, rows[new_rows, new_cols]]), len(prep.costs))
+    return PreparedLp(*nonzeros, np.concatenate([prep.rhs, rhs]),
                       np.concatenate([prep.is_eq, np.zeros(len(rhs), dtype=bool)]),
                       prep.costs, prep.binaries)
 
@@ -246,10 +245,10 @@ def solve_prepared(prep: PreparedLp, lo: np.ndarray, hi: np.ndarray,
     start = Basis(np.concatenate([basis.basic, new]),
                   np.concatenate([basis.state, np.full(k, _BASIC, dtype=np.int8)]))
     if cold:
-        binv = _invert(prep.rows, start.basic)
+        binv = _invert(prep, start.basic)
     else:
         if prep.warm is None or prep.warm[0] is not basis:
-            prep.warm = (basis, _invert(prep.rows, start.basic))
+            prep.warm = (basis, _invert(prep, start.basic))
         binv = prep.warm[1].copy()
     status, x, end = _solve(prep, lo, hi, start, binv)
     if status != OPTIMAL:
@@ -258,11 +257,10 @@ def solve_prepared(prep: PreparedLp, lo: np.ndarray, hi: np.ndarray,
     return LpResult(OPTIMAL, float(prep.costs @ x), x, end)
 
 
-def _max_iter(rows: np.ndarray) -> int:
+def _max_iter(prep: PreparedLp) -> int:
     """The number of dual simplex pivots one solve may make in all: 60 per
-    row and column of ``[rows | I]``, plus a constant."""
-    m, n = rows.shape
-    return 50_000 + 60 * (2 * m + n)
+    row and column of ``[A | I]``, plus a constant."""
+    return 50_000 + 60 * (2 * len(prep.rhs) + len(prep.costs))
 
 
 def _solve(prep: PreparedLp, lo_s: np.ndarray, hi_s: np.ndarray, start: Basis,
@@ -271,8 +269,7 @@ def _solve(prep: PreparedLp, lo_s: np.ndarray, hi_s: np.ndarray, start: Basis,
     place: each a fresh factorization, bound flips and at most
     ``_REFACTOR_EVERY`` dual simplex pivots, until a round reaches
     feasibility with no pivot or on a certified point."""
-    rows, b = prep.rows, prep.rhs
-    m, n = rows.shape
+    m, n = len(prep.rhs), len(prep.costs)
     # Slacks are [0, inf) for <= rows and fixed [0, 0] for = rows.
     lo = np.concatenate([lo_s, np.zeros(m)])
     hi = np.concatenate([hi_s, np.where(prep.is_eq, 0.0, math.inf)])
@@ -280,9 +277,9 @@ def _solve(prep: PreparedLp, lo_s: np.ndarray, hi_s: np.ndarray, start: Basis,
     basis = start.basic.copy()
     state = start.state.copy()
     x = np.where(state == _AT_UPPER, hi, lo)
-    budget = _max_iter(rows)
+    budget = _max_iter(prep)
     while True:
-        d = _reduced_costs(rows, cost, basis, binv)
+        d = _reduced_costs(prep, cost, basis, binv)
         wrong = _wrong_signed(d, state, lo, hi)
         if wrong.any():
             # Only the [0, inf) slack of a <= row has no other bound.
@@ -292,18 +289,18 @@ def _solve(prep: PreparedLp, lo_s: np.ndarray, hi_s: np.ndarray, start: Basis,
             upper = state[wrong] == _AT_UPPER
             state[wrong] = np.where(upper, _AT_LOWER, _AT_UPPER)
             x[wrong] = np.where(upper, lo[wrong], hi[wrong])
-        _recompute_basics(rows, b, basis, state, x, binv)
+        _recompute_basics(prep, basis, state, x, binv)
         status, pivots = _dual_simplex(prep, lo, hi, basis, state, x, binv, d,
                                        min(budget, _REFACTOR_EVERY))
         if status == INFEASIBLE:
             return INFEASIBLE, None, None
         if status == OPTIMAL and (not pivots
-                                  or _certified(rows, b, cost, lo, hi, basis, state, x, binv)):
+                                  or _certified(prep, cost, lo, hi, basis, state, x, binv)):
             break
         budget -= pivots
         if status is None and not budget:
             raise ArithmeticError("dual simplex iteration limit exceeded")
-        binv = _invert(rows, basis)
+        binv = _invert(prep, basis)
     tol = _FEASTOL * np.maximum(1.0, np.abs(x))
     if np.any(x < lo - tol) or np.any(x > hi + tol):
         raise ArithmeticError("simplex final point violates its bounds")
@@ -313,8 +310,7 @@ def _solve(prep: PreparedLp, lo_s: np.ndarray, hi_s: np.ndarray, start: Basis,
 def _dual_simplex(prep, lo, hi, basis, state, x, binv, d, max_iter):
     """Bounded dual simplex on the matrix `prep` from a dual feasible basis
     with inverse `binv` and reduced costs `d`, all updated in place, making
-    at most `max_iter` pivots.  The pivot row and the entering column are
-    computed from the nonzeros of the rows alone.
+    at most `max_iter` pivots.
 
     Returns (OPTIMAL, pivots) once every basic lies within its bounds,
     (INFEASIBLE, pivots) when a violated row has no entering column, and
@@ -370,18 +366,23 @@ def _dual_simplex(prep, lo, hi, basis, state, x, binv, d, max_iter):
 
 
 def _row_times(prep: PreparedLp, y: np.ndarray) -> np.ndarray:
-    """``y @ prep.rows``, a scatter-add over the nonzeros of the rows."""
+    """``y A``, a scatter-add over the nonzeros of the rows."""
     return np.bincount(prep.col_ids, y[prep.row_ids] * prep.vals, minlength=len(prep.costs))
 
 
+def _times_point(prep: PreparedLp, x: np.ndarray) -> np.ndarray:
+    """``A x`` for the structural values `x`, a scatter-add over the nonzeros."""
+    return np.bincount(prep.row_ids, prep.vals * x[prep.col_ids], minlength=len(prep.rhs))
+
+
 def _times_column(prep: PreparedLp, binv: np.ndarray, q: int) -> np.ndarray:
-    """``binv @ prep.rows[:, q]`` from the nonzeros of column q."""
+    """``binv @ a_q`` from the nonzeros of column q."""
     nz = slice(prep.starts[q], prep.starts[q + 1])
     return binv[:, prep.row_ids[nz]] @ prep.vals[nz]
 
 
-def _invert(rows: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """The inverse of the basis `basis` over ``[rows | I]``, from the inverse
+def _invert(prep: PreparedLp, basis: np.ndarray) -> np.ndarray:
+    """The inverse of the basis `basis` over ``[A | I]``, from the inverse
     of its structural kernel alone.
 
     Each row whose slack is basic is solved by that slack.  The k other rows
@@ -392,7 +393,7 @@ def _invert(rows: np.ndarray, basis: np.ndarray) -> np.ndarray:
     inverts nothing.  A singular kernel raises
     :class:`numpy.linalg.LinAlgError`.
     """
-    m, n = rows.shape
+    m, n = len(prep.rhs), len(prep.costs)
     is_slack = basis >= n
     at_l = np.flatnonzero(is_slack)     # basis positions of the slacks
     l_rows = basis[at_l] - n
@@ -401,7 +402,11 @@ def _invert(rows: np.ndarray, basis: np.ndarray) -> np.ndarray:
     if len(at_l) < m:
         k_rows = np.ones(m, dtype=bool)
         k_rows[l_rows] = False
-        cols = rows[:, basis[~is_slack]]
+        pos = np.full(n, -1)    # each basic structural's place in `cols`
+        pos[basis[~is_slack]] = np.arange(m - len(at_l))
+        on = pos[prep.col_ids] >= 0
+        cols = np.zeros((m, m - len(at_l)))   # the basic structural columns
+        cols[prep.row_ids[on], pos[prep.col_ids[on]]] = prep.vals[on]
         kinv = np.linalg.inv(cols[k_rows])
         block = np.empty((m, len(kinv)))     # B^-1 on the kernel rows
         block[~is_slack] = kinv
@@ -423,10 +428,10 @@ def _replace_column(binv, w, r) -> None:
     binv[r, :] = row
 
 
-def _reduced_costs(rows, c, basis, binv) -> np.ndarray:
-    """``c - y [rows | I]`` for the duals ``y = c_B B^-1``."""
+def _reduced_costs(prep, c, basis, binv) -> np.ndarray:
+    """``c - y [A | I]`` for the duals ``y = c_B B^-1``."""
     y = c[basis] @ binv
-    return c - np.concatenate([y @ rows, y])
+    return c - np.concatenate([_row_times(prep, y), y])
 
 
 def _wrong_signed(d, state, lo, hi) -> np.ndarray:
@@ -436,22 +441,22 @@ def _wrong_signed(d, state, lo, hi) -> np.ndarray:
             & np.where(state == _AT_UPPER, d > _DTOL, d < -_DTOL))
 
 
-def _certified(rows, b, c, lo, hi, basis, state, x, binv) -> bool:
+def _certified(prep, c, lo, hi, basis, state, x, binv) -> bool:
     """Whether the factorization `binv` and the point `x`, whose basics the
     dual simplex has put within their bounds, prove the basis optimal when
-    checked against the raw rows: ``rows x_s + x_slack = b`` holds to 1e-9
+    checked against the raw rows: ``A x_s + x_slack = b`` holds to 1e-9
     relative, the duals ``c_B B^-1`` price every basic column to zero and
     every nonbasic column that can move has the right sign."""
-    n = rows.shape[1]
-    residual = np.abs(rows @ x[:n] + x[n:] - b).max(initial=0.0)
+    n, b = len(prep.costs), prep.rhs
+    residual = np.abs(_times_point(prep, x[:n]) + x[n:] - b).max(initial=0.0)
     if residual > 1e-9 * max(1.0, np.abs(b).max(initial=0.0)):
         return False
-    d = _reduced_costs(rows, c, basis, binv)
+    d = _reduced_costs(prep, c, basis, binv)
     return bool(np.all(np.abs(d[basis]) <= _DTOL)) and not _wrong_signed(d, state, lo, hi).any()
 
 
-def _recompute_basics(rows, b, basis, state, x, binv) -> None:
+def _recompute_basics(prep, basis, state, x, binv) -> None:
     """The basics from the nonbasic structurals; nonbasic slacks are 0."""
-    n = rows.shape[1]
+    n = len(prep.costs)
     x_n = np.where(state[:n] == _BASIC, 0.0, x[:n])
-    x[basis] = binv @ (b - rows @ x_n)
+    x[basis] = binv @ (prep.rhs - _times_point(prep, x_n))

@@ -177,7 +177,7 @@ def test_a_model_past_the_dense_cap_exits_2(tmp_path, capsys, monkeypatch, comma
     monkeypatch.setattr(simplex, "_MAX_DENSE_BYTES", 1000)
     out = tmp_path / "out.json"
     assert main([command[0], str(inst_path), *command[1:], "-o", str(out)]) == 2
-    assert "bytes of dense rows and basis inverse" in capsys.readouterr().err
+    assert "bytes of dense basis inverse (8 m² bytes)" in capsys.readouterr().err
     assert not out.exists()
 
 

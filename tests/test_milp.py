@@ -410,10 +410,10 @@ BLOCK_SIZES = [1, 3, milp._EXPORT_BLOCK_ROWS]
 
 @pytest.mark.parametrize("seed", range(20))
 def test_array_paths_match_row_loops(seed, monkeypatch):
-    """Export, evaluate and the prepared matrix agree exactly with loops
-    over the row objects, on random models with signed zeros, repeated
-    values and rows of mixed lengths.  The export does so in blocks of any
-    size."""
+    """Export, evaluate and the nonzeros of the prepared matrix agree
+    exactly with loops over the row objects, on random models with signed
+    zeros, repeated values and rows of mixed lengths.  The export does so in
+    blocks of any size."""
     from confl3 import simplex
 
     rng = np.random.default_rng(seed)
@@ -443,8 +443,11 @@ def test_array_paths_match_row_loops(seed, monkeypatch):
             dense[i, vid] = coef
         if con.sense == GE:
             dense[i] *= -1.0
-    assert np.array_equal(prep.rows, dense)
-    assert np.array_equal(np.signbit(prep.rows), np.signbit(dense))
+    scattered = np.zeros_like(dense)
+    scattered[prep.row_ids, prep.col_ids] = prep.vals
+    assert np.array_equal(scattered, dense)
+    assert np.all(prep.vals != 0) and len(prep.vals) == np.count_nonzero(dense)
+    assert np.array_equal(np.signbit(prep.vals), np.signbit(dense[prep.row_ids, prep.col_ids]))
 
 
 def _mixed_width_model() -> Model:

@@ -34,17 +34,18 @@ def test_unboxed_columns_are_rejected(lower, upper):
         simplex.solve_prepared(simplex.prepare(m), np.array([lower]), np.array([upper]))
 
 
-@pytest.mark.parametrize("m", [16_383, 16_384])
+@pytest.mark.parametrize("m", [16_384, 16_385])
 def test_prepare_refuses_rows_and_inverse_past_2_gib(m):
-    """One column and m rows need 8 m (1 + m) bytes of dense rows and
-    inverse: 16,383 rows fit under 2 GiB and 16,384 do not.  The refusal
-    names the sizes and comes before the (m, 1) rows are allocated."""
+    """m rows need 8 m² bytes of dense basis inverse: 16,384 rows fit in
+    2 GiB and 16,385 do not.  The refusal names the sizes and comes before
+    anything of m entries is allocated."""
     model = Model()
     x = model.add_variable("x", CONTINUOUS, 0, 1)
     model.add_rows(np.full((m, 1), x), np.ones((m, 1)), LE, np.ones(m))
-    size = 8 * m * (1 + m)
+    size = 8 * m * m
     if size <= 2 * 1024**3:
-        assert simplex.prepare(model).rows.shape == (m, 1)
+        prep = simplex.prepare(model)
+        assert (len(prep.rhs), len(prep.costs), len(prep.vals)) == (m, 1, m)
         return
     tracemalloc.start()
     try:
@@ -57,6 +58,40 @@ def test_prepare_refuses_rows_and_inverse_past_2_gib(m):
     assert (err.value.m, err.value.n, err.value.size) == (m, 1, size)
     assert f"{m} rows x 1 columns need {size:,} bytes" in str(err.value)
     assert peak < 8 * m
+
+
+def test_prepare_allocates_nothing_of_size_m_by_n(monkeypatch):
+    """A wide sparse LP, 500 rows over 50,000 columns with 3 nonzeros each,
+    whose dense rows would take 200 MB: `prepare` and a cold solve together
+    allocate under 20 MB at their peak.  Its 40 >= rows pull some 60
+    structurals into the basis, and rounds of at most 5 pivots make the
+    solve gather them from the nonzeros at each refactorization."""
+    rng = np.random.default_rng(31)
+    m, n = 500, 50_000
+    model = Model()
+    for j in range(n):
+        model.add_variable(f"x{j}", CONTINUOUS, 0, 1)
+        model.set_objective_coef(j, 1.0)
+    # Column j has rows r_j, r_j + 167 and r_j + 334 (mod m), all distinct.
+    row_of = (rng.integers(0, m, size=(n, 1)) + np.array([0, 167, 334])) % m
+    order = np.argsort(row_of.ravel(), kind="stable")
+    cuts = np.cumsum(np.bincount(row_of.ravel(), minlength=m))[:-1]
+    cols = np.split(np.repeat(np.arange(n), 3)[order], cuts)
+    coefs = np.split(rng.uniform(0.5, 1.5, size=3 * n)[order], cuts)
+    model.add_rows(cols, coefs, [GE] * 40 + [LE] * (m - 40), np.ones(m))
+    lo, hi = simplex.model_bounds(model)
+    monkeypatch.setattr(simplex, "_REFACTOR_EVERY", 5)
+    tracemalloc.start()
+    try:
+        res = simplex.solve_prepared(simplex.prepare(model), lo, hi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 1024**2
+    assert res.status == simplex.OPTIMAL and np.sum(res.basis.basic < n) >= 40
+    assert res.objective == pytest.approx(highs_lp_optimum(model)[1], rel=1e-9)
+    _, violations = evaluate(model, res.assignment, tol=1e-6)
+    assert violations == []
 
 
 def test_infeasible_detected():
@@ -317,7 +352,6 @@ def test_unboxed_columns_start_from_a_cost_shift(seed, monkeypatch):
     starts = []
 
     def checking_dual(prep, lo, hi, basis, state, x, binv, d, max_iter):
-        rows = prep.rows
         a = np.hstack([rows, np.eye(len(rows))])
         c = np.concatenate([costs, np.zeros(len(rows))])
         np.testing.assert_allclose(d, c - (c[basis] @ binv) @ a, atol=1e-9)
@@ -331,7 +365,7 @@ def test_unboxed_columns_start_from_a_cost_shift(seed, monkeypatch):
     model, boxed = _unboxed_lp(np.random.default_rng(1300 + seed))
     with pytest.raises(ValueError, match="finite"):
         simplex.solve_lp(model)
-    costs = simplex.prepare(boxed).costs
+    costs, rows = simplex.prepare(boxed).costs, _dense_rows(boxed)
     got = simplex.solve_lp(boxed)
     # The first round starts with exactly the negative-cost columns flipped
     # to their upper bound.
@@ -363,6 +397,27 @@ def test_foreign_basis_with_wrong_signed_slack_is_refused():
     assert simplex.solve_lp(model).objective == pytest.approx(0.0)
 
 
+def _dense_rows(model: Model) -> np.ndarray:
+    """The dense reference of a prepared matrix, built from the constraint
+    objects of `model`: its rows with >= rows negated, so that their zeros
+    become -0.0."""
+    dense = np.zeros((len(model.constraints), len(model.variables)))
+    for i, con in enumerate(model.constraints):
+        for vid, coef in con.terms:
+            dense[i, vid] = coef
+        if con.sense == GE:
+            dense[i] *= -1.0
+    return dense
+
+
+def _prep_of(rows: np.ndarray) -> simplex.PreparedLp:
+    """A prepared matrix whose <= rows are the dense `rows`."""
+    model = Model()
+    for j in range(rows.shape[1]):
+        model.add_variable(f"x{j}", CONTINUOUS, 0, 1)
+    return simplex.append_rows(simplex.prepare(model), rows, np.zeros(len(rows)))
+
+
 def _full_inverse(rows, basis):
     return np.linalg.inv(np.hstack([rows, np.eye(len(rows))])[:, basis])
 
@@ -371,6 +426,7 @@ def test_kernel_inverse_matches_the_full_basis_inverse(monkeypatch):
     rng = np.random.default_rng(5)
     m, n = 6, 9
     rows = rng.normal(size=(m, n))
+    prep = _prep_of(rows)
 
     def refused(a):
         raise AssertionError("the slack basis was factorized")
@@ -381,22 +437,23 @@ def test_kernel_inverse_matches_the_full_basis_inverse(monkeypatch):
     want = _full_inverse(rows, permuted)
     with monkeypatch.context() as patch:
         patch.setattr(np.linalg, "inv", refused)
-        np.testing.assert_array_equal(simplex._invert(rows, n + np.arange(m)), np.eye(m))
-        np.testing.assert_array_equal(simplex._invert(rows, permuted), want)
+        np.testing.assert_array_equal(simplex._invert(prep, n + np.arange(m)), np.eye(m))
+        np.testing.assert_array_equal(simplex._invert(prep, permuted), want)
 
     bases = [rng.choice(n, m, replace=False) for _ in range(5)]          # k = m
     bases += [rng.choice(n + m, m, replace=False) for _ in range(30)]    # mixed
     # The optimal basis of an LP whose repeated equality row keeps its
     # fixed slack basic.
     model = _feasible_lp(np.random.default_rng(900), dependent=True)
-    prep = simplex.prepare(model)
+    eq_prep = simplex.prepare(model)
     root = simplex.solve_lp(model)
     n_eq = len(model.variables)
-    assert any(col >= n_eq and prep.is_eq[col - n_eq] for col in root.basis.basic)
-    cases = [(rows, basis) for basis in bases] + [(prep.rows, root.basis.basic)]
-    for case_rows, basis in cases:
+    assert any(col >= n_eq and eq_prep.is_eq[col - n_eq] for col in root.basis.basic)
+    cases = ([(rows, prep, basis) for basis in bases]
+             + [(_dense_rows(model), eq_prep, root.basis.basic)])
+    for case_rows, case_prep, basis in cases:
         want = _full_inverse(case_rows, basis)
-        np.testing.assert_allclose(simplex._invert(case_rows, basis), want,
+        np.testing.assert_allclose(simplex._invert(case_prep, basis), want,
                                    rtol=1e-9, atol=1e-12 * np.abs(want).max())
 
 
@@ -406,7 +463,7 @@ def test_singular_kernel_raises():
     rows = np.arange(1.0, 13.0).reshape(3, 4)
     rows[1:, 0] = 0.0
     with pytest.raises(np.linalg.LinAlgError):
-        simplex._invert(rows, np.array([4, 0, 1]))
+        simplex._invert(_prep_of(rows), np.array([4, 0, 1]))
 
 
 def test_cold_solve_factorizes_only_basic_structurals(monkeypatch):
@@ -420,10 +477,10 @@ def test_cold_solve_factorizes_only_basic_structurals(monkeypatch):
         inverted.append(len(a))
         return inv(a)
 
-    def recording_invert(rows, basis):
+    def recording_invert(prep, basis):
         before = len(inverted)
-        out = invert(rows, basis)
-        factorizations.append((int(np.sum(basis < rows.shape[1])), inverted[before:]))
+        out = invert(prep, basis)
+        factorizations.append((int(np.sum(basis < len(prep.costs))), inverted[before:]))
         return out
 
     model = build_3confl(generate(replace(DESK, grid_width=6, grid_height=4, n_facilities=4),
@@ -474,7 +531,7 @@ def test_the_iteration_cap_falls_across_rounds(monkeypatch):
     assert len(pivots) > 25
     pivots.clear()
     monkeypatch.setattr(simplex, "_dual_simplex", bounded_dual)
-    monkeypatch.setattr(simplex, "_max_iter", lambda rows: 25)
+    monkeypatch.setattr(simplex, "_max_iter", lambda prep: 25)
     monkeypatch.setattr(simplex, "_REFACTOR_EVERY", 10)
     with pytest.raises(ArithmeticError, match="dual simplex iteration limit exceeded"):
         simplex.solve_prepared(prep, lo, hi)
@@ -505,7 +562,7 @@ def test_each_round_starts_on_a_fresh_factorization(monkeypatch):
         replace_column(binv, w, r)
 
     def checking_dual(prep, lo, hi, basis, state, x, binv, d, max_iter):
-        np.testing.assert_array_equal(binv, invert(prep.rows, basis))
+        np.testing.assert_array_equal(binv, invert(prep, basis))
         assert max_iter <= simplex._REFACTOR_EVERY
         made.append(0)
         inside.append(True)
@@ -635,9 +692,9 @@ def test_a_remembered_start_factorization_changes_no_result(monkeypatch):
     shared = []
     invert = simplex._invert
 
-    def counting_invert(rows, basis):
-        shared.append(rows is prep.rows)
-        return invert(rows, basis)
+    def counting_invert(p, basis):
+        shared.append(p is prep)
+        return invert(p, basis)
 
     monkeypatch.setattr(simplex, "_invert", counting_invert)
     # The slot holds `a`: the 1st, 2nd and 6th solves reuse `a`'s inverse and
@@ -649,7 +706,7 @@ def test_a_remembered_start_factorization_changes_no_result(monkeypatch):
         _same_result(got, simplex.solve_prepared(simplex.prepare(model), *bounds[k], basis))
         if basis is not None:
             assert prep.warm[0] is basis
-        np.testing.assert_array_equal(prep.warm[1], invert(prep.rows, prep.warm[0].basic))
+        np.testing.assert_array_equal(prep.warm[1], invert(prep, prep.warm[0].basic))
     assert sum(shared) == 4 and len(shared) == 4 + len(calls)
 
     # Rows appended past the basis: the new matrix starts with an empty
@@ -677,7 +734,7 @@ def test_a_remembered_start_factorization_changes_no_result(monkeypatch):
         simplex.solve_prepared(prep, *bounds[5], a)
     monkeypatch.setattr(simplex, "_dual_simplex", dual)
     assert prep.warm[0] is a
-    np.testing.assert_array_equal(prep.warm[1], invert(prep.rows, a.basic))
+    np.testing.assert_array_equal(prep.warm[1], invert(prep, a.basic))
     got = simplex.solve_prepared(prep, *bounds[6], a)
     _same_result(got, simplex.solve_prepared(simplex.prepare(model), *bounds[6], a))
 
@@ -704,10 +761,11 @@ def _sparse_lp(rng: np.random.Generator, n_cons: int, n_vars: int, density: floa
     return m
 
 
-def _random_basis(rng: np.random.Generator, rows: np.ndarray) -> np.ndarray | None:
-    """A basis over ``[rows | I]``: the slack basis with a random matching of
-    rows to structural nonzeros swapped in, or None if its kernel is
-    singular."""
+def _random_basis(rng: np.random.Generator, rows: np.ndarray,
+                  prep: simplex.PreparedLp) -> np.ndarray | None:
+    """A basis over ``[rows | I]``, `rows` the dense reference of `prep`:
+    the slack basis with a random matching of rows to structural nonzeros
+    swapped in, or None if its kernel is singular."""
     m, n = rows.shape
     basis = n + np.arange(m)
     taken = set()
@@ -717,7 +775,7 @@ def _random_basis(rng: np.random.Generator, rows: np.ndarray) -> np.ndarray | No
             basis[i] = j = int(rng.choice(free))
             taken.add(j)
     try:
-        simplex._invert(rows, basis)
+        simplex._invert(prep, basis)
     except np.linalg.LinAlgError:
         return None
     return basis
@@ -725,46 +783,65 @@ def _random_basis(rng: np.random.Generator, rows: np.ndarray) -> np.ndarray | No
 
 @pytest.mark.parametrize("seed", range(6))
 def test_column_index_is_the_dense_rows(seed):
-    # The column-major index of a prepared matrix holds its nonzeros:
-    # scattered back it gives the dense rows exactly, with empty columns,
-    # >= rows negated (their zeros become -0.0, which it leaves out),
+    # The nonzeros of a prepared matrix are the model's rows: scattered
+    # back they give the dense reference built from the constraint objects
+    # exactly, with empty columns, >= rows negated (their zeros become -0.0,
+    # which the nonzeros leave out) along with their right-hand sides,
     # equality rows, and pool rows appended as the cut loop appends them.
-    # The pivot row and the entering column read from it match the dense
-    # products under random bases, to 1e-12 of the sum of the terms'
-    # magnitudes.
+    # The products read from them (the pivot row y A, the point's row
+    # values A x and the entering column B^-1 a_q) match the reference's
+    # dense products under random bases, to 1e-12 of the sum of the terms'
+    # magnitudes, and so does the basis inverse gathered from them.
     rng = np.random.default_rng(2300 + seed)
     model = _sparse_lp(rng, n_cons=40, n_vars=30, density=0.15)
     prep = simplex.prepare(model)
     n = len(prep.costs)
-    assert prep.is_eq.any() and np.any((prep.rows == 0) & np.signbit(prep.rows))
+    ref = _dense_rows(model)
+    senses = [con.sense for con in model.constraints]
+    rhs = np.array([-con.rhs if con.sense == GE else con.rhs for con in model.constraints])
+    assert EQ in senses and np.any((ref == 0) & np.signbit(ref))
     pool = np.array([rng.choice(n, 2, replace=False) for _ in range(6)])
     block = np.zeros((len(pool), n))
     block[np.arange(len(pool))[:, None], pool] = 1.0
     cut = simplex.append_rows(prep, block, np.ones(len(pool)))
-    for p in (prep, cut):
+    cut_ref = np.vstack([ref, block])
+    for p, dense, is_eq, want_rhs in ((prep, ref, np.equal(senses, EQ), rhs),
+                                      (cut, cut_ref, np.equal(senses + [LE] * len(pool), EQ),
+                                       np.concatenate([rhs, np.ones(len(pool))]))):
         m = len(p.rhs)
-        dense = np.zeros((m, n))
-        dense[p.row_ids, p.col_ids] = p.vals
-        np.testing.assert_array_equal(dense, p.rows)
-        assert np.all(p.vals != 0) and len(p.vals) == np.count_nonzero(p.rows)
+        assert dense.shape == (m, n)
+        np.testing.assert_array_equal(p.is_eq, is_eq)
+        np.testing.assert_array_equal(p.rhs, want_rhs)
+        scattered = np.zeros((m, n))
+        scattered[p.row_ids, p.col_ids] = p.vals
+        np.testing.assert_array_equal(scattered, dense)
+        assert np.all(p.vals != 0) and len(p.vals) == np.count_nonzero(dense)
         assert p.starts[0] == 0 and p.starts[-1] == len(p.vals)
-        empty = ~p.rows.any(axis=0)
+        empty = ~dense.any(axis=0)
         assert empty.any()
         for j in range(n):
             span = slice(p.starts[j], p.starts[j + 1])
             assert np.all(p.col_ids[span] == j)
-            np.testing.assert_array_equal(p.row_ids[span], np.flatnonzero(p.rows[:, j]))
-        bases = [b for b in (_random_basis(rng, p.rows) for _ in range(8)) if b is not None]
+            np.testing.assert_array_equal(p.row_ids[span], np.flatnonzero(dense[:, j]))
+        bases = [b for b in (_random_basis(rng, dense, p) for _ in range(8)) if b is not None]
         assert len(bases) >= 4
         for basis in bases:
-            binv = simplex._invert(p.rows, basis)
+            binv = simplex._invert(p, basis)
+            want = _full_inverse(dense, basis)
+            np.testing.assert_allclose(binv, want, rtol=1e-9, atol=1e-12 * np.abs(want).max())
             for r in range(m):
-                want = binv[r] @ p.rows
-                bound = 1e-12 * (np.abs(binv[r]) @ np.abs(p.rows))
+                want = binv[r] @ dense
+                bound = 1e-12 * (np.abs(binv[r]) @ np.abs(dense))
                 assert np.all(np.abs(simplex._row_times(p, binv[r]) - want) <= bound)
+            x = rng.normal(size=n + m)
+            x[basis] = binv @ want_rhs
+            x = x[:n]
+            want = dense @ x
+            bound = 1e-12 * (np.abs(dense) @ np.abs(x))
+            assert np.all(np.abs(simplex._times_point(p, x) - want) <= bound)
             for q in range(n):
-                want = binv @ p.rows[:, q]
-                bound = 1e-12 * (np.abs(binv) @ np.abs(p.rows[:, q]))
+                want = binv @ dense[:, q]
+                bound = 1e-12 * (np.abs(binv) @ np.abs(dense[:, q]))
                 assert np.all(np.abs(simplex._times_column(p, binv, q) - want) <= bound)
 
 
