@@ -16,7 +16,6 @@ from .confl import (
     conflict_pairs,
     strengthen,
     strengthening_pairs,
-    superinterferers,
     verify_solution,
 )
 from .heuristic import FOS, HeuristicParams, RunResult, ogap, run
@@ -53,7 +52,6 @@ __all__ = [
     "solve_mip",
     "strengthen",
     "strengthening_pairs",
-    "superinterferers",
     "verify_solution",
     "write_instance",
 ]

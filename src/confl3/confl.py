@@ -12,7 +12,6 @@ directly against the raw instance data.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from dataclasses import dataclass, replace
@@ -330,13 +329,12 @@ def build_3confl(instance: Instance) -> ConflModel:
         rows.add([(z[f.id, t], 1.0) for t in TECHNOLOGIES], LE, 1.0)
 
     # A served user has exactly one active assignment arc on its technology.
+    arcs_of: dict[tuple[str, int], list[int]] = {}
+    for (fid, uid, t), yid in y.items():
+        arcs_of.setdefault((uid, t), []).append(yid)
     for u in instance.users:
         for t in TECHNOLOGIES:
-            terms = [
-                (y[a.facility, u.id, t], 1.0)
-                for a in instance.assignment_arcs.get(t, [])
-                if a.user == u.id
-            ]
+            terms = [(yid, 1.0) for yid in arcs_of.get((u.id, t), [])]
             terms.append((v[u.id, t], -1.0))
             rows.add(terms, EQ, 0.0)
 
@@ -417,35 +415,38 @@ def big_m(instance: Instance, fid: str, uid: str) -> float:
     return w.delta * w.eta_noise + w.delta * interference
 
 
-def superinterferers(instance: Instance, uid: str, fid: str) -> set[str]:
-    """Facilities that alone deny wireless service of `uid` by `fid` even at
-    their minimum power against the server's maximum power."""
+def _wireless_ranks(instance: Instance) -> tuple[list[str], np.ndarray, np.ndarray,
+                                                 np.ndarray]:
+    """The sorted facility ids; the ranks of each wireless arc's facility and
+    user among the sorted facility and user ids; and the (facilities x
+    users) fading array over those ranks."""
     w = instance.wireless
-    a_fu = w.fading[fid, uid]
-    out = set()
-    for k in instance.facilities:
-        if k.id == fid:
-            continue
-        if a_fu * w.p_max - w.delta * w.fading[k.id, uid] * w.p_min < w.delta * w.eta_noise:
-            out.add(k.id)
-    return out
+    arcs = instance.assignment_arcs.get(TECH_WIRELESS, [])
+    fac_ids = sorted(f.id for f in instance.facilities)
+    user_ids = sorted(u.id for u in instance.users)
+    fac_rank = {f: k for k, f in enumerate(fac_ids)}
+    user_rank = {u: k for k, u in enumerate(user_ids)}
+    frank = np.array([fac_rank[a.facility] for a in arcs], dtype=np.int64)
+    urank = np.array([user_rank[a.user] for a in arcs], dtype=np.int64)
+    fading = np.array([[w.fading[f, u] for u in user_ids] for f in fac_ids],
+                      dtype=float).reshape(len(fac_ids), len(user_ids))
+    return fac_ids, frank, urank, fading
 
 
 def _pair_block_feasible(a1, b1, a2, b2, w: WirelessParams) -> np.ndarray:
-    """Exact feasibility of the 2-facility power systems of many user pairs.
+    """Exact feasibility of the 2-facility power systems of many pairs of
+    wireless services.
 
-    a1, b1 are the serving/interfering fadings of the users of the first
-    facility (shape n1), a2, b2 those of the second (shape n2); returns an
-    (n1, n2) feasibility mask by evaluating the candidate vertices of each
-    pair's power polygon in closed form.
+    a1, b1 are the serving/interfering fadings of the first service of each
+    pair, a2, b2 those of the second; the four arrays broadcast together to
+    the shape of the returned mask.  :func:`conflict_pairs` passes one block
+    per facility: its services down the rows against every service of a
+    later facility across the columns.  Each pair's candidate vertices of
+    its power polygon are evaluated in closed form.
     """
     rhs = w.delta * w.eta_noise
     tol = 1e-9
     lo, hi = w.p_min, w.p_max
-    a1 = a1[:, None]
-    b1 = b1[:, None]
-    a2 = a2[None, :]
-    b2 = b2[None, :]
 
     def in_box(p):
         return (p >= lo - tol) & (p <= hi + tol)
@@ -455,80 +456,76 @@ def _pair_block_feasible(a1, b1, a2, b2, w: WirelessParams) -> np.ndarray:
         c2 = a2 * p2 - w.delta * b2 * p1 >= rhs - tol
         return in_box(p1) & in_box(p2) & c1 & c2
 
-    feasible = np.zeros((a1.shape[0], a2.shape[1]), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         # both requirement lines
         det = a1 * a2 - w.delta**2 * b1 * b2
         p1 = rhs * (a2 + w.delta * b1) / det
         p2 = rhs * (a1 + w.delta * b2) / det
-        feasible |= np.where(np.abs(det) > 1e-14, ok(p1, p2), False)
+        feasible = np.where(np.abs(det) > 1e-14, ok(p1, p2), False)
         for c in (lo, hi):
             # first line against the box edges
-            feasible |= ok(np.broadcast_to(c, p1.shape), (a1 * c - rhs) / (w.delta * b1))
-            feasible |= ok((rhs + w.delta * b1 * c) / a1, np.broadcast_to(c, p1.shape))
+            feasible |= ok(c, (a1 * c - rhs) / (w.delta * b1))
+            feasible |= ok((rhs + w.delta * b1 * c) / a1, c)
             # second line against the box edges
-            feasible |= ok(np.broadcast_to(c, p1.shape), (rhs + w.delta * b2 * c) / a2)
-            feasible |= ok((a2 * c - rhs) / (w.delta * b2), np.broadcast_to(c, p1.shape))
+            feasible |= ok(c, (rhs + w.delta * b2 * c) / a2)
+            feasible |= ok((a2 * c - rhs) / (w.delta * b2), c)
         for c1 in (lo, hi):
             for c2 in (lo, hi):
-                feasible |= ok(np.broadcast_to(c1, p1.shape), np.broadcast_to(c2, p1.shape))
+                feasible |= ok(c1, c2)
     return feasible
 
 
 def conflict_pairs(instance: Instance) -> np.ndarray:
     """Pairs of wireless service requirements that no in-bounds power vector
-    satisfies together, as a (k, 2) array of positions in
+    satisfies together, as an int64 (k, 2) array of positions in
     ``instance.assignment_arcs[TECH_WIRELESS]``.
 
     Each pair puts the arc of the smaller facility id first, and the pairs
     are sorted by the ids (f1, u1, f2, u2) as strings: the order of sorting
-    the id tuples, in which "u10" comes before "u2".  One vectorized
-    candidate-vertex evaluation per facility pair keeps the preprocessing
-    cheap even on full-size testpoint grids.
+    the id tuples, in which "u10" comes before "u2".  With the arcs ordered
+    by their (facility, user) ids, one block per facility decides its arcs
+    against every arc of the later facilities, and the block's row-major
+    nonzeros already come in that order, so no sort runs over the pairs.
     """
-    w = instance.wireless
-    arcs = instance.assignment_arcs.get(TECH_WIRELESS, [])
-    served: dict[str, list[int]] = {}
-    for pos, a in enumerate(arcs):
-        served.setdefault(a.facility, []).append(pos)
-    fac_ids = sorted(served)
+    _, frank, urank, fading = _wireless_ranks(instance)
+    order = np.lexsort((urank, frank))
+    f, u = frank[order], urank[order]
+    bounds = np.searchsorted(f, np.arange(len(fading) + 1))
     blocks = [np.empty((0, 2), dtype=np.int64)]
-    for f1, f2 in itertools.combinations(fac_ids, 2):
-        pos1 = np.array(served[f1])
-        pos2 = np.array(served[f2])
-        users1 = [arcs[p].user for p in served[f1]]
-        users2 = [arcs[p].user for p in served[f2]]
-        a1 = np.array([w.fading[f1, u] for u in users1])
-        b1 = np.array([w.fading[f2, u] for u in users1])
-        a2 = np.array([w.fading[f2, u] for u in users2])
-        b2 = np.array([w.fading[f1, u] for u in users2])
-        i, j = np.nonzero(~_pair_block_feasible(a1, b1, a2, b2, w))
-        # f1 < f2, so each pair is already in canonical order.
-        blocks.append(np.column_stack([pos1[i], pos2[j]]))
-    pairs = np.concatenate(blocks)
-    fac_rank = {f: k for k, f in enumerate(fac_ids)}
-    user_rank = {u: k for k, u in enumerate(sorted({a.user for a in arcs}))}
-    frank = np.array([fac_rank[a.facility] for a in arcs], dtype=np.int64)
-    urank = np.array([user_rank[a.user] for a in arcs], dtype=np.int64)
-    first, second = pairs.T
-    order = np.lexsort((urank[second], frank[second], urank[first], frank[first]))
-    return pairs[order]
+    for k in range(len(fading)):
+        first, later = bounds[k], bounds[k + 1]
+        u1, f2, u2 = u[first:later], f[later:], u[later:]
+        feasible = _pair_block_feasible(fading[k, u1][:, None], fading[f2, u1[:, None]],
+                                        fading[f2, u2][None], fading[k, u2][None],
+                                        instance.wireless)
+        i, j = np.nonzero(~feasible)
+        blocks.append(np.column_stack([order[first + i], order[later + j]]))
+    return np.concatenate(blocks)
 
 
 def strengthening_pairs(confl: ConflModel, instance: Instance) -> np.ndarray:
     """The strengthening inequalities of the model as an int64 (k, 2) array
     of variable ids, row ``[a, b]`` for ``x_a + x_b <= 1``: first the
-    lone-blocker rows ``y_fu3 + z_k3 <= 1``, then the conflict rows
+    lone-blocker rows ``y_fu3 + z_k3 <= 1``, for each wireless arc in turn
+    and its blockers k in id order, then the conflict rows
     ``y_f1u1 + y_f2u2 <= 1`` in the order of :func:`conflict_pairs`.  Both
     are edges of a conflict graph (Atamtürk, Nemhauser & Savelsbergh,
-    EJOR 121, 2000)."""
-    lone = [(yid, confl.z[k, TECH_WIRELESS])
-            for (fid, uid, t), yid in confl.y.items() if t == TECH_WIRELESS
-            for k in sorted(superinterferers(instance, uid, fid))]
+    EJOR 121, 2000).
+
+    A facility k != f is a lone blocker of the service of u by f when it
+    alone denies that service even at its minimum power against the
+    server's maximum power."""
+    w = instance.wireless
+    fac_ids, frank, urank, fading = _wireless_ranks(instance)
+    a_fu, a_ku = fading[frank, urank][:, None], fading.T[urank]
+    blocked = ((a_fu * w.p_max - w.delta * a_ku * w.p_min < w.delta * w.eta_noise)
+               & (frank[:, None] != np.arange(len(fac_ids))))
+    arc, k = np.nonzero(blocked)
     arcs = instance.assignment_arcs.get(TECH_WIRELESS, [])
     y_of_arc = np.array([confl.y[a.facility, a.user, TECH_WIRELESS] for a in arcs],
                         dtype=np.int64)
-    return np.concatenate([np.array(lone, dtype=np.int64).reshape(-1, 2),
+    z_of_fac = np.array([confl.z[f, TECH_WIRELESS] for f in fac_ids], dtype=np.int64)
+    return np.concatenate([np.column_stack([y_of_arc[arc], z_of_fac[k]]),
                            y_of_arc[conflict_pairs(instance)]])
 
 

@@ -5,10 +5,11 @@ scratch with dense linear algebra (no simplex involved), and the MIP oracle
 enumerates every 0/1 pattern of the binaries, completing the continuous
 part with an LP solve per surviving pattern.  The pairwise power-feasibility
 oracle decides one pair of wireless services at a time by enumerating the
-vertices of its power polygon, and :func:`evaluate` recomputes a point's
-objective and row violations from a model's rows.  For LPs too large to
-enumerate, :func:`highs_lp_optimum` and :func:`highs_mip_optimum` ask scipy's
-HiGHS, which shares no code with the bundled solvers.
+vertices of its power polygon, the lone-blocker oracle tests one interferer
+at a time, and :func:`evaluate` recomputes a point's objective and row
+violations from a model's rows.  For LPs too large to enumerate,
+:func:`highs_lp_optimum` and :func:`highs_mip_optimum` ask scipy's HiGHS,
+which shares no code with the bundled solvers.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 from scipy.sparse import csr_array
 
-from confl3.confl import WirelessParams
+from confl3.confl import Instance, WirelessParams
 from confl3.milp import EQ, GE, LE, SENSES, Model, apply_fixings, lp_relaxation
 from confl3 import simplex
 
@@ -255,3 +256,17 @@ def _two_sir_feasible(
             continue
         return True
     return False
+
+
+def superinterferers(instance: Instance, uid: str, fid: str) -> set[str]:
+    """Facilities that alone deny wireless service of `uid` by `fid` even at
+    their minimum power against the server's maximum power."""
+    w = instance.wireless
+    a_fu = w.fading[fid, uid]
+    out = set()
+    for k in instance.facilities:
+        if k.id == fid:
+            continue
+        if a_fu * w.p_max - w.delta * w.fading[k.id, uid] * w.p_min < w.delta * w.eta_noise:
+            out.add(k.id)
+    return out

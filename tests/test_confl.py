@@ -15,11 +15,10 @@ from confl3.confl import (
     conflict_pairs,
     strengthen,
     strengthening_pairs,
-    superinterferers,
     validate_instance,
     verify_solution,
 )
-from confl3.instance_io import generate
+from confl3.instance_io import GeneratorParams, generate
 from confl3.milp import LE, LinearConstraint, apply_fixings, lp_relaxation
 
 from instances import (
@@ -31,7 +30,13 @@ from instances import (
     wired_tiny,
     wireless_single,
 )
-from oracles import enumerate_binary_patterns, evaluate, mip_enumeration_optimum
+from oracles import (
+    _two_sir_feasible,
+    enumerate_binary_patterns,
+    evaluate,
+    mip_enumeration_optimum,
+    superinterferers,
+)
 from solve import solve_model
 
 
@@ -175,6 +180,19 @@ class TestSuperinterferers:
         inst = _pair_instance(a_fu=0.8, a_ku=1.0, p_min=0.0, p_max=1.0, delta=2.0, eta=0.1)
         assert superinterferers(inst, "u0", "f0") == set()
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("case", ["permuted", "silent-facility"])
+    def test_lone_blocker_rows_match_the_scalar_loop(self, case, seed):
+        inst = wireless_case(case, seed)
+        plain = build_3confl(inst)
+        want = [[yid, plain.z[k, 3]]
+                for (fid, uid, t), yid in plain.y.items() if t == 3
+                for k in sorted(superinterferers(inst, uid, fid))]
+        assert len(want) > 0
+        pairs = strengthening_pairs(plain, inst)
+        assert pairs[:len(want)].tolist() == want
+        assert len(pairs) == len(want) + len(conflict_pairs(inst))
+
     @given(
         st.floats(0.05, 1.0), st.floats(0.0, 1.0),
         st.floats(0.0, 0.6), st.floats(0.6, 1.5), st.floats(1.1, 4.0),
@@ -201,6 +219,79 @@ def named_pairs(inst, pairs):
     return [tuple((arcs[p].facility, arcs[p].user) for p in pair) for pair in pairs.tolist()]
 
 
+# Five facilities, more than ten users (so "u10" sorts before "u2"),
+# frequent conflicts and, with p_min > 0, lone blockers.
+WIRELESS_PARAMS = GeneratorParams(
+    grid_width=5, grid_height=4, n_facilities=5, n_central_offices=1, n_steiner=0,
+    users_per_pixel=0.6, knn=2, radii={1: 1.5, 2: 2.0, 3: 4.0},
+    coverage_fractions={1: 0.0, 2: 0.2, 3: 0.4}, delta=2.0, eta_noise=0.05, p_min=0.3,
+    max_retries=3,
+)
+
+
+def wireless_case(case, seed):
+    """A `WIRELESS_PARAMS` instance with the ids permuted within users and
+    within facilities, so that its lists, and the wireless arcs, are not in
+    id order; then, by `case`, the wireless arcs of the second facility in
+    id order are dropped, or those of all facilities but one, or all."""
+    inst = generate(WIRELESS_PARAMS, seed)
+    rng = np.random.default_rng(seed)
+    names = {}
+    for nodes in (inst.users, inst.facilities):
+        ids = [n.id for n in nodes]
+        names.update(zip(ids, (ids[k] for k in rng.permutation(len(ids)))))
+    arcs = {t: [replace(a, facility=names[a.facility], user=names[a.user]) for a in arcs_t]
+            for t, arcs_t in inst.assignment_arcs.items()}
+    wireless_ids = sorted({a.facility for a in arcs[3]})
+    keep = {
+        "permuted": wireless_ids,
+        "silent-facility": wireless_ids[:1] + wireless_ids[2:],
+        "one-wireless-facility": wireless_ids[:1],
+        "no-wireless-arcs": [],
+    }[case]
+    arcs[3] = [a for a in arcs[3] if a.facility in keep]
+    return replace(
+        inst,
+        users=[replace(u, id=names[u.id]) for u in inst.users],
+        facilities=[replace(f, id=names[f.id]) for f in inst.facilities],
+        core_arcs=[replace(a, tail=names.get(a.tail, a.tail), head=names.get(a.head, a.head))
+                   for a in inst.core_arcs],
+        assignment_arcs=arcs,
+        wireless=replace(inst.wireless, fading={
+            (names[f], names[u]): v for (f, u), v in inst.wireless.fading.items()}),
+    )
+
+
+def sorted_all_pairs(inst):
+    """The conflict pairs found the long way: every pair of wireless arcs
+    with the smaller facility id first, decided as one flat array, then
+    ordered by a 4-key lexsort over the ranks of the ids."""
+    from confl3.confl import _pair_block_feasible
+
+    arcs = inst.assignment_arcs[3]
+    w = inst.wireless
+    pairs = np.array([(p, q) for p, a in enumerate(arcs) for q, b in enumerate(arcs)
+                      if a.facility < b.facility], dtype=np.int64).reshape(-1, 2)
+    first, second = pairs.T
+
+    def fading(fac_of, user_of):
+        return np.array([w.fading[arcs[f].facility, arcs[u].user]
+                         for f, u in zip(fac_of, user_of)], dtype=float)
+
+    feasible = _pair_block_feasible(fading(first, first), fading(second, first),
+                                    fading(second, second), fading(first, second), w)
+    pairs = pairs[~feasible]
+
+    def ranks(ids):
+        rank = {x: k for k, x in enumerate(sorted(set(ids)))}
+        return np.array([rank[x] for x in ids], dtype=np.int64)
+
+    frank = ranks([a.facility for a in arcs])
+    urank = ranks([a.user for a in arcs])
+    first, second = pairs.T
+    return pairs[np.lexsort((urank[second], frank[second], urank[first], frank[first]))]
+
+
 class TestConflictPairs:
     def test_symmetric_conflict_detected(self):
         inst, _, _ = conflict_instance()
@@ -216,7 +307,6 @@ class TestConflictPairs:
     @settings(max_examples=120, deadline=None)
     def test_pair_test_agrees_with_grid_sampling(self, a1, b1, a2, b2, p_min, p_max, delta):
         from confl3.confl import WirelessParams
-        from oracles import _two_sir_feasible
 
         eta = 0.05
         w = WirelessParams(p_min, p_max, delta, eta, {})
@@ -245,8 +335,6 @@ class TestConflictPairs:
     @pytest.mark.parametrize("seed", range(6))
     def test_block_evaluation_matches_scalar_reference(self, seed):
         from confl3.confl import TECH_WIRELESS
-        from oracles import _two_sir_feasible
-        from confl3.instance_io import GeneratorParams, generate
 
         inst = generate(
             GeneratorParams(
@@ -280,6 +368,46 @@ class TestConflictPairs:
         # come in the order of sorting their id strings.
         assert all(p[0][0] < p[1][0] for p in got)
         assert got == sorted(want)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("case", ["permuted", "silent-facility"])
+    def test_canonical_order_when_arcs_are_not_in_id_order(self, case, seed):
+        inst = wireless_case(case, seed)
+        arcs = inst.assignment_arcs[3]
+        keys = [(a.facility, a.user) for a in arcs]
+        assert keys != sorted(keys)
+        assert {"u2", "u10"} <= {u.id for u in inst.users}
+        assert len({a.facility for a in arcs}) >= 4
+        got = conflict_pairs(inst)
+        assert got.dtype == np.int64 and len(got) > 0
+        np.testing.assert_array_equal(got, sorted_all_pairs(inst))
+        w = inst.wireless
+        want = sorted(
+            ((a.facility, a.user), (b.facility, b.user))
+            for a in arcs for b in arcs
+            if a.facility < b.facility and not _two_sir_feasible(
+                w.fading[a.facility, a.user], w.fading[b.facility, a.user],
+                w.fading[b.facility, b.user], w.fading[a.facility, b.user], w)
+        )
+        assert named_pairs(inst, got) == want
+
+    @pytest.mark.parametrize("case", ["one-wireless-facility", "no-wireless-arcs"])
+    def test_no_pairs_without_two_wireless_facilities(self, case):
+        got = conflict_pairs(wireless_case(case, 1))
+        assert got.shape == (0, 2) and got.dtype == np.int64
+
+    def test_peak_memory_stays_below_three_outputs(self):
+        import tracemalloc
+
+        inst = generate(GeneratorParams(grid_width=12, grid_height=8, n_facilities=10,
+                                        n_central_offices=3, n_steiner=4), 0)
+        tracemalloc.start()
+        try:
+            pairs = conflict_pairs(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * pairs.nbytes, (peak, pairs.nbytes)
 
     @pytest.mark.parametrize("builder", [conflict_instance, None])
     def test_rows_cut_no_integer_solution(self, builder):
