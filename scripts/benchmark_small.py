@@ -12,10 +12,10 @@ import sys
 import time
 
 from confl3 import bnb
-from confl3.confl import build_3confl, strengthening_pairs, verify_solution
-from confl3.heuristic import HeuristicParams, run
+from confl3.confl import verify_solution
+from confl3.heuristic import HeuristicParams, UnattainableCoverageError, run
 from confl3.instance_io import GeneratorParams, gap_row, generate, report
-from confl3.simplex import model_bounds, prepare, separate, solve_prepared
+from confl3.simplex import model_bounds, prepare
 
 PARAMS = GeneratorParams(
     grid_width=4,
@@ -47,18 +47,15 @@ def main() -> int:
         except ValueError:
             seed += 1
             continue
-        confl = build_3confl(instance)
-        prep = prepare(confl.model)
-        lo, hi = model_bounds(confl.model)
-        # The strengthened root: the plain LP, then the cut loop over the pairs.
-        _, root = separate(prep, lo, hi, solve_prepared(prep, lo, hi),
-                           strengthening_pairs(confl, instance))
-        if root.status != "optimal":
+        try:
+            heur = run(instance, HeuristicParams(test_iterations=outer_iterations, rng_seed=done))
+        except UnattainableCoverageError:
             seed += 1
             continue
 
-        exact = bnb.solve_mip(prep, lo, hi, 120.0)
-        heur = run(instance, HeuristicParams(test_iterations=outer_iterations, rng_seed=done))
+        # The heuristic's bound is its strengthened root, and its model the plain one.
+        confl = heur.confl
+        exact = bnb.solve_mip(prepare(confl.model), *model_bounds(confl.model), 120.0)
         if exact.status != "optimal" or heur.status != "feasible":
             print(f"seed {seed}: exact={exact.status}, heuristic={heur.status}; skipped")
             seed += 1
@@ -66,11 +63,11 @@ def main() -> int:
 
         assert verify_solution(instance, confl, heur.assignment).feasible
         rows.append(gap_row(f"S{seed}", exact.objective, heur.objective,
-                            root.objective, exact.objective))
+                            heur.lower_bound, exact.objective))
         marker = "=" if abs(heur.objective - exact.objective) <= 1e-6 else ">"
         print(
             f"seed {seed}: exact {exact.objective:.4f} {marker} heuristic "
-            f"{heur.objective:.4f} (root bound {root.objective:.4f})"
+            f"{heur.objective:.4f} (root bound {heur.lower_bound:.4f})"
         )
         done += 1
         seed += 1

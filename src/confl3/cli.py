@@ -74,7 +74,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--sigma", type=int, default=5)
         p.add_argument("--vlns-radius", type=int, default=None)
         p.add_argument("--time-limit", type=float, default=3600.0)
-        p.add_argument("--outer-limit", type=float, default=3000.0)
         p.add_argument("--sub-limit", type=float, default=60.0)
         p.add_argument("--vlns-limit", type=float, default=600.0)
         p.add_argument("--top-k", type=int, default=10)
@@ -164,7 +163,6 @@ def _cmd_solve(args) -> int:
         sigma_count=args.sigma,
         vlns_radius=args.vlns_radius,
         global_time_limit=args.time_limit,
-        outer_loop_limit=args.outer_limit,
         subproblem_time_limit=args.sub_limit,
         vlns_time_limit=args.vlns_limit,
         rng_seed=args.seed,

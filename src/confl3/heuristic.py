@@ -12,7 +12,7 @@ opening left.  Each opening state is checked by an exact solve with the
 openings pinned; infeasible ones go through a repair pass that re-solves
 inside a hamming ball around the fixing.  A final improvement pass runs
 the same neighborhood search around the best solution with an objective
-cutoff.
+cutoff.  All of it runs under one deadline (see :func:`run`).
 
 A :class:`HeuristicContext` is the solve session of a run: the plain
 model, its matrix prepared once with its root's optimal basis, and the
@@ -82,10 +82,9 @@ class HeuristicParams:
     alpha: float = 0.5
     sigma_count: int = 5
     vlns_radius: int | None = None        # None: max(2, ceil(0.2 |F|))
-    global_time_limit: float = 3600.0
-    outer_loop_limit: float = 3000.0
-    subproblem_time_limit: float = 60.0
-    vlns_time_limit: float = 600.0
+    global_time_limit: float = 3600.0     # the run's deadline, counted from entry to run
+    subproblem_time_limit: float = 60.0   # cap per pinned check
+    vlns_time_limit: float = 600.0        # cap per VLNS, and what the outer phase leaves
     rng_seed: int = 0
     top_k: int = 10                       # candidate pool cap per step; 0 = unlimited
     test_iterations: int | None = None    # outer-loop cap replacing wall clocks
@@ -95,10 +94,12 @@ class HeuristicParams:
             raise ValueError("alpha must be in [0, 1]")
         if self.sigma_count < 1:
             raise ValueError("sigma_count must be >= 1")
-        for name in ("global_time_limit", "outer_loop_limit",
-                     "subproblem_time_limit", "vlns_time_limit"):
+        for name in ("global_time_limit", "subproblem_time_limit", "vlns_time_limit"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        if self.vlns_time_limit >= self.global_time_limit:
+            raise ValueError("vlns_time_limit (--vlns-limit) must be below "
+                             "global_time_limit (--time-limit)")
         if self.vlns_radius is not None and self.vlns_radius < 0:
             raise ValueError("vlns_radius must be >= 0")
         if self.top_k < 0:
@@ -110,12 +111,6 @@ class HeuristicParams:
         if self.vlns_radius is not None:
             return self.vlns_radius
         return max(2, math.ceil(0.2 * n_facilities))
-
-    def sub_limit(self) -> float:
-        return math.inf if self.test_iterations is not None else self.subproblem_time_limit
-
-    def vlns_limit(self) -> float:
-        return math.inf if self.test_iterations is not None else self.vlns_time_limit
 
 
 @dataclass
@@ -144,14 +139,16 @@ class RunResult:
 class HeuristicContext:
     """The solve session of one instance: the plain model, its prepared
     matrix with its root's optimal basis (`root_basis`), the strengthening
-    pairs (`pool`), the strengthened root bound and a memo of fixing LPs.
+    pairs (`pool`), the strengthened root bound, a memo of fixing LPs and
+    the `deadline` (a :func:`time.monotonic` value) its sub-solves share.
 
     Raises :class:`UnattainableCoverageError` for an instance with no
     solution: first the :func:`check_attainable` screen, which names the
     technology, then a strengthened root relaxation proved infeasible."""
 
-    def __init__(self, instance: Instance):
+    def __init__(self, instance: Instance, deadline: float = math.inf):
         self.instance = instance
+        self.deadline = deadline
         self.plain = build_3confl(instance)
         check_attainable(instance)
         self.pool = strengthening_pairs(self.plain, instance)
@@ -280,8 +277,7 @@ def check_and_repair(instance: Instance, ctx: HeuristicContext, fos: FOS,
     lo, hi = ctx.base_lo.copy(), ctx.base_hi.copy()
     pinned = [ctx.plain.z[key] for key in center]
     lo[pinned] = hi[pinned] = list(center.values())
-    res = bnb.solve_mip(ctx.plain_prep, lo, hi, params.sub_limit(),
-                        basis=ctx.root_basis)
+    res = _sub_mip(ctx, params, params.subproblem_time_limit, ctx.plain_prep, lo, hi)
     if res.has_solution():
         return SolveOutcome(res.status, res.incumbent, res.objective)
     return vlns(instance, ctx, center, params, mode="repair")
@@ -320,13 +316,21 @@ def vlns(instance: Instance, ctx: HeuristicContext, center: dict[tuple[str, int]
         # tolerance-accept points sitting on the cutoff plane.
         rows.append(prep.costs)
         rhs.append(incumbent_value - 1e-4 * max(1.0, abs(incumbent_value)))
-    res = bnb.solve_mip(
-        simplex.append_rows(prep, np.reshape(rows, (len(rows), len(prep.costs))),
-                            np.array(rhs)),
-        ctx.base_lo, ctx.base_hi, params.vlns_limit(),
-        basis=ctx.root_basis,
-    )
+    res = _sub_mip(ctx, params, params.vlns_time_limit,
+                   simplex.append_rows(prep, np.reshape(rows, (len(rows), len(prep.costs))),
+                                       np.array(rhs)),
+                   ctx.base_lo, ctx.base_hi)
     return SolveOutcome(res.status, res.incumbent, res.objective, mode == "repair")
+
+
+def _sub_mip(ctx: HeuristicContext, params: HeuristicParams, cap: float,
+             prep: simplex.PreparedLp, lo: np.ndarray, hi: np.ndarray) -> bnb.MipResult:
+    """Branch and bound from the root basis within `cap` seconds and the
+    context's deadline (no limit in test mode); not started with no time left."""
+    budget = math.inf if params.test_iterations else min(cap, ctx.deadline - time.monotonic())
+    if budget <= 0:
+        return bnb.MipResult(bnb.TIMEOUT_NO_INCUMBENT, None, None, -math.inf, 0.0, 0)
+    return bnb.solve_mip(prep, lo, hi, budget, basis=ctx.root_basis)
 
 
 def tau_update(tau: AttractivenessTable, sigma_solutions: list[tuple[FOS, float]],
@@ -352,13 +356,14 @@ def tau_update(tau: AttractivenessTable, sigma_solutions: list[tuple[FOS, float]
 def run(instance: Instance, params: HeuristicParams) -> RunResult:
     """Full two-loop driver; see the module docstring for the shape.
 
-    Wall-clock limits govern the outer loop and the final improvement pass
-    unless `params.test_iterations` is set, which swaps every clock for
-    deterministic iteration caps.  Each distinct opening state is checked
-    once; repeats reuse its outcome, a timed-out one included.
+    The deadline, `params.global_time_limit` seconds from entry, covers the
+    context and the a-priori scores too, and each sub-solve gets its cap or
+    the time left (none starts without); `params.test_iterations` swaps the
+    clock for an iteration cap and unlimited sub-solves.  Each distinct
+    opening state is checked once; repeats reuse its outcome, timed out or not.
     """
     params.validate()
-    ctx = HeuristicContext(instance)
+    ctx = HeuristicContext(instance, time.monotonic() + params.global_time_limit)
     lower = ctx.root_value
     tau = attractiveness_init(instance, ctx)
     rng = np.random.default_rng(params.rng_seed)
@@ -367,22 +372,19 @@ def run(instance: Instance, params: HeuristicParams) -> RunResult:
     checked: dict[FOS, SolveOutcome] = {}
     trace: list[dict] = []
     prev_values: list[float] = []
-    start = time.monotonic()
     outer = 0
+    # The outer phase leaves a final VLNS its cap; test mode counts instead.
+    outer_end = math.inf if params.test_iterations else ctx.deadline - params.vlns_time_limit
 
-    while True:
-        if params.test_iterations is not None:
-            if outer >= params.test_iterations:
-                break
-        else:
-            elapsed = time.monotonic() - start
-            if elapsed >= min(params.outer_loop_limit, params.global_time_limit):
-                break
+    while ((params.test_iterations is None or outer < params.test_iterations)
+           and time.monotonic() < outer_end):
         outer += 1
 
         inner_best: SolveOutcome | None = None
         solutions: list[tuple[FOS, float]] = []
         for sigma in range(1, params.sigma_count + 1):
+            if time.monotonic() >= outer_end:
+                break
             fos = build_fos(instance, tau, params, rng, ctx)
             entry = {"outer": outer, "sigma": sigma,
                      "fos": [list(e) for e in fos.sorted_entries()],

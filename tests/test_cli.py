@@ -329,6 +329,16 @@ def test_negative_top_k_is_usage_error(tmp_path, capsys):
     assert "top_k must be >= 0" in capsys.readouterr().err
 
 
+def test_vlns_limit_must_be_below_time_limit(tmp_path, capsys):
+    inst_path = _generate(tmp_path)
+    code = main(["solve", str(inst_path), "--time-limit", "60", "--vlns-limit", "60",
+                 "-o", str(tmp_path / "s.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--vlns-limit" in err and "--time-limit" in err
+    assert not (tmp_path / "s.json").exists()
+
+
 def test_export_lp_writes_model(tmp_path):
     inst_path = _generate(tmp_path)
     lp_path = tmp_path / "model.lp"
@@ -395,8 +405,9 @@ def test_solve_flag_defaults_match_experiment_settings():
 
     args = _parser().parse_args(["solve", "x.json", "-o", "y.json"])
     assert args.time_limit == 3600.0
-    assert args.outer_limit == 3000.0
     assert args.vlns_limit == 600.0
+    # Constructions stop once no more than a final VLNS's cap is left.
+    assert args.time_limit - args.vlns_limit == 3000.0
     assert args.alpha == 0.5
     assert args.sigma == 5
 

@@ -1,4 +1,7 @@
+import math
+import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -551,6 +554,80 @@ class TestRun:
         assert res.objective == pytest.approx(exact.objective, rel=1e-6)
         assert verify_solution(inst, res.confl, res.assignment).feasible
         assert not any(e["partial"] for e in res.trace)
+
+
+class TestOneClock:
+    """`global_time_limit` is the deadline of the whole run."""
+
+    def test_vlns_limit_must_be_below_time_limit(self):
+        for vlns_limit in (60.0, 61.0):
+            with pytest.raises(ValueError, match="vlns_time_limit.*global_time_limit"):
+                HeuristicParams(global_time_limit=60.0, vlns_time_limit=vlns_limit).validate()
+        HeuristicParams(global_time_limit=60.0, vlns_time_limit=59.0).validate()
+
+    def test_ci_grid_run_ends_near_its_deadline(self):
+        # The 6x4 CI instance: its context and a-priori scores alone take
+        # over a second, and they count against the deadline too.
+        inst = generate(GeneratorParams(grid_width=6, grid_height=4, n_facilities=4,
+                                        n_central_offices=1, n_steiner=1), 0)
+        params = HeuristicParams(global_time_limit=3.0, subproblem_time_limit=1.0,
+                                 vlns_time_limit=1.0)
+        start = time.monotonic()
+        run(inst, params)
+        assert time.monotonic() - start <= 3.0 + 3.0
+
+    def test_no_sub_solve_starts_after_the_deadline(self, monkeypatch):
+        inst = calm_wireless_instance()
+        ctx = HeuristicContext(inst, deadline=time.monotonic() - 1.0)
+
+        def never(*args, **kwargs):
+            raise AssertionError("a sub-solve started with no time left")
+
+        monkeypatch.setattr(heuristic.bnb, "solve_mip", never)
+        fos = FOS(frozenset({("f0", 3), ("f1", 3)}))
+        out = check_and_repair(inst, ctx, fos, HeuristicParams())
+        assert out.status == bnb.TIMEOUT_NO_INCUMBENT and not out.has_solution()
+        assert out.repaired
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_each_sub_solve_gets_its_cap_or_the_time_left(self, seed, monkeypatch):
+        """Under a fake clock that ticks 0.25 s a reading, with every
+        sub-solve spending its whole budget, no budget exceeds its cap or
+        the time left when it was taken, and none is started without time."""
+        params = HeuristicParams(global_time_limit=10.0, subproblem_time_limit=3.0,
+                                 vlns_time_limit=1.0, rng_seed=seed)
+        now, readings = [1000.0], []
+        deadline = now[0] + params.global_time_limit
+
+        def tick():
+            readings.append(now[0])
+            now[0] += 0.25
+            return readings[-1]
+
+        budgets = []  # (budget, cap, time left at the last reading)
+        caps = [params.subproblem_time_limit]
+        real_solve, real_vlns = bnb.solve_mip, heuristic.vlns
+
+        def spending_solve(prep, lo, hi, time_limit, node_limit=None, basis=None):
+            budgets.append((time_limit, caps[-1], deadline - readings[-1]))
+            now[0] += time_limit
+            return real_solve(prep, lo, hi, math.inf, node_limit, basis=basis)
+
+        def vlns_capped(*args, **kwargs):
+            caps.append(params.vlns_time_limit)
+            try:
+                return real_vlns(*args, **kwargs)
+            finally:
+                caps.pop()
+
+        monkeypatch.setattr(heuristic, "time", SimpleNamespace(monotonic=tick))
+        monkeypatch.setattr(heuristic.bnb, "solve_mip", spending_solve)
+        monkeypatch.setattr(heuristic, "vlns", vlns_capped)
+        res = run(generate(DESK, seed), params)
+        assert budgets and res.trace
+        for budget, cap, left in budgets:
+            assert 0 < budget <= min(cap, left)
+        assert any(budget < cap for budget, cap, _ in budgets)
 
 
 def _agree(got_status, got_obj, want: bnb.MipResult) -> bool:
