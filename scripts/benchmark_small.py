@@ -55,7 +55,8 @@ def main() -> int:
 
         # The heuristic's bound is its strengthened root, and its model the plain one.
         confl = heur.confl
-        exact = bnb.solve_mip(prepare(confl.model), *model_bounds(confl.model), 120.0)
+        exact = bnb.solve_mip(prepare(confl.model), *model_bounds(confl.model),
+                              deadline=time.monotonic() + 120.0)
         if exact.status != "optimal" or heur.status != "feasible":
             print(f"seed {seed}: exact={exact.status}, heuristic={heur.status}; skipped")
             seed += 1

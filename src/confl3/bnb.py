@@ -6,7 +6,9 @@ appended), the variable bounds of the problem as two vectors, and
 optionally an optimal basis of the same matrix under other bounds.  The
 binaries are the prepared matrix's binary ids.  So a caller that solves
 many problems over one matrix, such as the fixing heuristic, prepares it
-once and changes only the bounds.
+once and changes only the bounds.  Time is one absolute
+:func:`time.monotonic` deadline that the caller takes once and hands down;
+the tree checks it before each node, never inside an LP.
 
 Best-bound node selection, branching on the fractional binary j of highest
 score ``|c_j| * min(f_j, 1 - f_j)``, its objective coefficient times the
@@ -56,18 +58,19 @@ class MipResult:
     incumbent: Assignment | None
     objective: float | None
     lower_bound: float
-    elapsed: float
     nodes: int
 
     def has_solution(self) -> bool:
         return self.incumbent is not None
 
 
-def solve_mip(prep: simplex.PreparedLp, lo: np.ndarray, hi: np.ndarray,
-              time_limit: float, node_limit: int | None = None,
+def solve_mip(prep: simplex.PreparedLp, lo: np.ndarray, hi: np.ndarray, *,
+              deadline: float = math.inf, node_limit: int | None = None,
               basis: simplex.Basis | None = None, pool: np.ndarray | None = None) -> MipResult:
-    """Branch and bound within `time_limit` seconds (checked once per node)
-    over `prep` under `lo`/`hi`, the root from `basis`, cuts from `pool`.
+    """Branch and bound until `deadline`, a :func:`time.monotonic` value
+    checked once per node, over `prep` under `lo`/`hi`, the root from
+    `basis`, cuts from `pool`.  A deadline already passed solves no LP and
+    returns `timeout_no_incumbent` after 0 nodes with lower bound -inf.
 
     Branches on the fractional binary of highest ``|c_j| * min(f_j, 1 - f_j)``
     (lowest id on ties), where c_j is its objective coefficient in `prep`
@@ -76,9 +79,6 @@ def solve_mip(prep: simplex.PreparedLp, lo: np.ndarray, hi: np.ndarray,
     Returns the best incumbent found plus the global lower bound at
     termination; `infeasible` is reported only when the tree proves it.
     """
-    if not time_limit > 0:
-        raise ValueError("time_limit must be positive")
-    start = time.monotonic()
     bin_ids = prep.binaries
     # Appended cut rows never change the costs, so the weights hold for the tree.
     weight = np.abs(prep.costs[bin_ids])
@@ -98,7 +98,7 @@ def solve_mip(prep: simplex.PreparedLp, lo: np.ndarray, hi: np.ndarray,
         node_bound = heap[0][0]
         if incumbent is not None and node_bound >= incumbent_obj - _gap_eps(incumbent_obj):
             break  # best-bound order: every open node is fathomed
-        if time.monotonic() - start > time_limit:
+        if time.monotonic() >= deadline:
             hit_limit = True
             break
         if node_limit is not None and nodes >= node_limit:
@@ -150,17 +150,16 @@ def solve_mip(prep: simplex.PreparedLp, lo: np.ndarray, hi: np.ndarray,
         counter += 1
         heapq.heappush(heap, (value, counter, up_lo, up_hi, res.basis))
 
-    elapsed = time.monotonic() - start
     open_bound = heap[0][0] if heap else math.inf
     if incumbent is not None:
         lower = min(incumbent_obj, open_bound)
         if hit_limit and heap:
-            return MipResult(FEASIBLE, incumbent, incumbent_obj, lower, elapsed, nodes)
-        return MipResult(OPTIMAL, incumbent, incumbent_obj, lower, elapsed, nodes)
+            return MipResult(FEASIBLE, incumbent, incumbent_obj, lower, nodes)
+        return MipResult(OPTIMAL, incumbent, incumbent_obj, lower, nodes)
     if hit_limit:
         bound = open_bound if heap else -math.inf
-        return MipResult(TIMEOUT_NO_INCUMBENT, None, None, bound, elapsed, nodes)
-    return MipResult(INFEASIBLE, None, None, math.inf, elapsed, nodes)
+        return MipResult(TIMEOUT_NO_INCUMBENT, None, None, bound, nodes)
+    return MipResult(INFEASIBLE, None, None, math.inf, nodes)
 
 
 def _gap_eps(obj: float) -> float:

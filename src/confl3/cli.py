@@ -14,6 +14,7 @@ import logging
 import math
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -68,21 +69,19 @@ def _parser() -> argparse.ArgumentParser:
     gen.add_argument("--p-max", type=float, default=1.0)
     gen.add_argument("-o", "--output", required=True)
 
-    def _heuristic_flags(p):
-        p.add_argument("--seed", type=int, default=0, help="sampling seed")
-        p.add_argument("--alpha", type=float, default=0.5)
-        p.add_argument("--sigma", type=int, default=5)
-        p.add_argument("--vlns-radius", type=int, default=None)
-        p.add_argument("--time-limit", type=float, default=3600.0)
-        p.add_argument("--sub-limit", type=float, default=60.0)
-        p.add_argument("--vlns-limit", type=float, default=600.0)
-        p.add_argument("--top-k", type=int, default=10)
-        p.add_argument("--iters", type=int, default=None,
-                       help="test mode: outer-loop iteration cap replacing wall clocks")
-
     solve = sub.add_parser("solve", help="run the fixing heuristic")
     solve.add_argument("instance")
-    _heuristic_flags(solve)
+    defaults = HeuristicParams()
+    solve.add_argument("--seed", type=int, default=defaults.rng_seed, help="sampling seed")
+    solve.add_argument("--alpha", type=float, default=defaults.alpha)
+    solve.add_argument("--sigma", type=int, default=defaults.sigma_count)
+    solve.add_argument("--vlns-radius", type=int, default=defaults.vlns_radius)
+    solve.add_argument("--time-limit", type=float, default=defaults.global_time_limit)
+    solve.add_argument("--sub-limit", type=float, default=defaults.subproblem_time_limit)
+    solve.add_argument("--vlns-limit", type=float, default=defaults.vlns_time_limit)
+    solve.add_argument("--top-k", type=int, default=defaults.top_k)
+    solve.add_argument("--iters", type=int, default=defaults.test_iterations,
+                       help="test mode: outer-loop iteration cap replacing wall clocks")
     solve.add_argument("-o", "--output", required=True)
 
     exact = sub.add_parser("exact", help="run branch and bound on the full model")
@@ -122,8 +121,31 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _named_assignment(model, assignment) -> dict:
-    return dict(zip((v.name for v in model.variables), assignment.tolist()))
+def _write_solution(path: str, kind: str, instance, confl, status: str,
+                    objective: float | None, lower_bound: float, assignment,
+                    **fields) -> None:
+    """Write the solution document of `solve` or `exact`: the fields both
+    share, the assignment named by `confl`'s variables and verified against
+    the raw instance, then the command's own `fields`."""
+    doc = {
+        "format": SOLUTION_FORMAT,
+        "kind": kind,
+        "instance": _instance_ref(instance),
+        "status": status,
+        "objective": objective,
+        "lower_bound": None if math.isinf(lower_bound) else lower_bound,
+        "gap": None if objective is None else ogap(objective, lower_bound),
+        "assignment": None,
+        "verified": False,
+        **fields,
+    }
+    if assignment is not None:
+        doc["assignment"] = dict(zip((v.name for v in confl.model.variables),
+                                     assignment.tolist()))
+        doc["verified"] = verify_solution(instance, confl, assignment).feasible
+        if not doc["verified"]:
+            logger.warning("solution failed independent verification")
+    _write(path, json.dumps(doc, indent=1, sort_keys=True))
 
 
 def _cmd_generate(args) -> int:
@@ -175,19 +197,12 @@ def _cmd_solve(args) -> int:
         print(f"no solution possible: {exc}", file=sys.stderr)
         return 1
 
-    doc = {
-        "format": SOLUTION_FORMAT,
-        "kind": "heuristic",
-        "instance": _instance_ref(instance),
-        "status": result.status,
-        "objective": result.objective,
-        "lower_bound": result.lower_bound,
-        "gap": result.gap,
-        "assignment": None,
-        "verified": False,
-        "iterations": result.iterations,
-        "trace": result.trace,
-        "params": {
+    _write_solution(
+        args.output, "heuristic", instance, result.confl, result.status, result.objective,
+        result.lower_bound, result.assignment,
+        iterations=result.iterations,
+        trace=result.trace,
+        params={
             "alpha": params.alpha,
             "sigma": params.sigma_count,
             "vlns_radius": params.radius(len(instance.facilities)),
@@ -195,13 +210,7 @@ def _cmd_solve(args) -> int:
             "top_k": params.top_k,
             "test_iterations": params.test_iterations,
         },
-    }
-    if result.status == "feasible":
-        doc["assignment"] = _named_assignment(result.confl.model, result.assignment)
-        doc["verified"] = verify_solution(instance, result.confl, result.assignment).feasible
-        if not doc["verified"]:
-            logger.warning("solution failed independent verification")
-    _write(args.output, json.dumps(doc, indent=1, sort_keys=True))
+    )
     if result.status != "feasible":
         print(f"no feasible solution found; lower bound {result.lower_bound:.6g}")
         return 1
@@ -213,31 +222,21 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_exact(args) -> int:
+    if not args.time_limit > 0:
+        raise ValueError("time_limit must be positive")
     instance = _load_instance(args.instance)
+    # The deadline covers the model build, the pool and `prepare` too.
+    deadline = time.monotonic() + args.time_limit
     confl = build_3confl(instance)
     pool = strengthening_pairs(confl, instance) if args.strong else None
     res = bnb.solve_mip(simplex.prepare(confl.model), *simplex.model_bounds(confl.model),
-                        args.time_limit, pool=pool)
-    gap = None
-    if res.has_solution():
-        gap = ogap(res.objective, res.lower_bound)
-    doc = {
-        "format": SOLUTION_FORMAT,
-        "kind": "exact",
-        "instance": _instance_ref(instance),
-        "status": res.status,
-        "objective": res.objective,
-        "lower_bound": None if math.isinf(res.lower_bound) else res.lower_bound,
-        "gap": gap,
-        "assignment": None,
-        "verified": False,
-        "nodes": res.nodes,
-        "params": {"strong": args.strong, "time_limit": args.time_limit},
-    }
-    if res.has_solution():
-        doc["assignment"] = _named_assignment(confl.model, res.incumbent)
-        doc["verified"] = verify_solution(instance, confl, res.incumbent).feasible
-    _write(args.output, json.dumps(doc, indent=1, sort_keys=True))
+                        deadline=deadline, pool=pool)
+    _write_solution(
+        args.output, "exact", instance, confl, res.status, res.objective, res.lower_bound,
+        res.incumbent,
+        nodes=res.nodes,
+        params={"strong": args.strong, "time_limit": args.time_limit},
+    )
     if not res.has_solution():
         print(f"exact solve: {res.status} after {res.nodes} nodes")
         return 1

@@ -280,25 +280,21 @@ def check_and_repair(instance: Instance, ctx: HeuristicContext, fos: FOS,
     res = _sub_mip(ctx, params, params.subproblem_time_limit, ctx.plain_prep, lo, hi)
     if res.has_solution():
         return SolveOutcome(res.status, res.incumbent, res.objective)
-    return vlns(instance, ctx, center, params, mode="repair")
+    return vlns(instance, ctx, center, params)
 
 
 def vlns(instance: Instance, ctx: HeuristicContext, center: dict[tuple[str, int], float],
-         params: HeuristicParams, mode: str = "improve",
-         incumbent_value: float | None = None) -> SolveOutcome:
+         params: HeuristicParams, cutoff: float | None = None) -> SolveOutcome:
     """Exact very-large-neighborhood search: re-solve the plain model under
     a hamming-distance cap around `center` on the opening variables.
 
     `center` maps (facility, technology) to 0/1 over the coordinates it
-    pins; other opening variables do not enter the distance.  In improve
-    mode an objective cutoff strictly below `incumbent_value` is added, so
-    only improving solutions can come back.  Both are ``<=`` rows appended
+    pins; other opening variables do not enter the distance.  With a
+    `cutoff` (an incumbent objective) it is an improve search: an objective
+    row strictly below the cutoff is added, so only improving solutions can
+    come back.  Without one it is a repair.  Both are ``<=`` rows appended
     to the context's plain matrix; `instance` is the context's instance.
     """
-    if mode not in ("repair", "improve"):
-        raise ValueError(f"unknown vlns mode {mode!r}")
-    if mode == "improve" and incumbent_value is None:
-        raise ValueError("improve mode needs the incumbent objective")
     n = params.radius(len(instance.facilities))
 
     prep = ctx.plain_prep
@@ -311,26 +307,27 @@ def vlns(instance: Instance, ctx: HeuristicContext, center: dict[tuple[str, int]
             ones += value >= 0.5
         rows.append(hamming)
         rhs.append(float(n - ones))
-    if mode == "improve":
+    if cutoff is not None:
         # Margin well above the LP feasibility tolerance, or the solver can
         # tolerance-accept points sitting on the cutoff plane.
         rows.append(prep.costs)
-        rhs.append(incumbent_value - 1e-4 * max(1.0, abs(incumbent_value)))
+        rhs.append(cutoff - 1e-4 * max(1.0, abs(cutoff)))
     res = _sub_mip(ctx, params, params.vlns_time_limit,
                    simplex.append_rows(prep, np.reshape(rows, (len(rows), len(prep.costs))),
                                        np.array(rhs)),
                    ctx.base_lo, ctx.base_hi)
-    return SolveOutcome(res.status, res.incumbent, res.objective, mode == "repair")
+    return SolveOutcome(res.status, res.incumbent, res.objective, cutoff is None)
 
 
 def _sub_mip(ctx: HeuristicContext, params: HeuristicParams, cap: float,
              prep: simplex.PreparedLp, lo: np.ndarray, hi: np.ndarray) -> bnb.MipResult:
-    """Branch and bound from the root basis within `cap` seconds and the
-    context's deadline (no limit in test mode); not started with no time left."""
-    budget = math.inf if params.test_iterations else min(cap, ctx.deadline - time.monotonic())
-    if budget <= 0:
-        return bnb.MipResult(bnb.TIMEOUT_NO_INCUMBENT, None, None, -math.inf, 0.0, 0)
-    return bnb.solve_mip(prep, lo, hi, budget, basis=ctx.root_basis)
+    """Branch and bound from the root basis until `cap` seconds from now or
+    the context's deadline, whichever comes first (the deadline alone in
+    test mode, where it is infinite)."""
+    deadline = ctx.deadline
+    if not params.test_iterations:
+        deadline = min(time.monotonic() + cap, deadline)
+    return bnb.solve_mip(prep, lo, hi, deadline=deadline, basis=ctx.root_basis)
 
 
 def tau_update(tau: AttractivenessTable, sigma_solutions: list[tuple[FOS, float]],
@@ -358,12 +355,14 @@ def run(instance: Instance, params: HeuristicParams) -> RunResult:
 
     The deadline, `params.global_time_limit` seconds from entry, covers the
     context and the a-priori scores too, and each sub-solve gets its cap or
-    the time left (none starts without); `params.test_iterations` swaps the
-    clock for an iteration cap and unlimited sub-solves.  Each distinct
-    opening state is checked once; repeats reuse its outcome, timed out or not.
+    the time left (with none left it solves no LP); `params.test_iterations`
+    swaps the clock for an iteration cap and an infinite deadline.  Each
+    distinct opening state is checked once; repeats reuse its outcome, timed
+    out or not.
     """
     params.validate()
-    ctx = HeuristicContext(instance, time.monotonic() + params.global_time_limit)
+    deadline = math.inf if params.test_iterations else time.monotonic() + params.global_time_limit
+    ctx = HeuristicContext(instance, deadline)
     lower = ctx.root_value
     tau = attractiveness_init(instance, ctx)
     rng = np.random.default_rng(params.rng_seed)
@@ -374,7 +373,7 @@ def run(instance: Instance, params: HeuristicParams) -> RunResult:
     prev_values: list[float] = []
     outer = 0
     # The outer phase leaves a final VLNS its cap; test mode counts instead.
-    outer_end = math.inf if params.test_iterations else ctx.deadline - params.vlns_time_limit
+    outer_end = ctx.deadline - params.vlns_time_limit
 
     while ((params.test_iterations is None or outer < params.test_iterations)
            and time.monotonic() < outer_end):
@@ -418,8 +417,7 @@ def run(instance: Instance, params: HeuristicParams) -> RunResult:
         center = {
             key: best.assignment[zid] for key, zid in ctx.plain.z.items()
         }
-        improved = vlns(instance, ctx, center, params, mode="improve",
-                        incumbent_value=best.objective)
+        improved = vlns(instance, ctx, center, params, best.objective)
         if improved.has_solution() and improved.objective < best.objective:
             best = improved
 

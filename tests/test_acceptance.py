@@ -239,8 +239,7 @@ def test_vlns_contract(acceptance_set, acceptance_exact):
         ctx = HeuristicContext(inst)
         exact = solve_model(ctx.plain.model, 60.0)
         center = {key: exact.incumbent[zid] for key, zid in ctx.plain.z.items()}
-        pinned = vlns(inst, ctx, center, HeuristicParams(test_iterations=1, vlns_radius=0),
-                      mode="repair")
+        pinned = vlns(inst, ctx, center, HeuristicParams(test_iterations=1, vlns_radius=0))
         assert pinned.objective == pytest.approx(exact.objective, abs=1e-6)
 
         # radius |F| * |T|: the hamming row is vacuous
@@ -249,20 +248,18 @@ def test_vlns_contract(acceptance_set, acceptance_exact):
         free = solve_model(cctx.plain.model, 60.0)
         n_full = len(crafted.facilities) * len(TECHNOLOGIES)
         wide = vlns(crafted, cctx, {k: 0.0 for k in cctx.plain.z},
-                    HeuristicParams(test_iterations=1, vlns_radius=n_full), mode="repair")
+                    HeuristicParams(test_iterations=1, vlns_radius=n_full))
         assert wide.objective == pytest.approx(free.objective, abs=1e-6)
 
-        # improve mode never returns a non-improving solution
+        # an improve search never returns a non-improving solution
         for (seed, instance, confl), exact in list(zip(acceptance_set, acceptance_exact))[:6]:
             if exact.status != bnb.OPTIMAL:
                 continue
             ictx = HeuristicContext(instance)
             center = {key: exact.incumbent[zid] for key, zid in ictx.plain.z.items()}
-            none_better = vlns(instance, ictx, center, params, mode="improve",
-                               incumbent_value=exact.objective)
+            none_better = vlns(instance, ictx, center, params, cutoff=exact.objective)
             assert not none_better.has_solution(), seed
             inflated = exact.objective + 5.0
-            maybe = vlns(instance, ictx, center, params, mode="improve",
-                         incumbent_value=inflated)
+            maybe = vlns(instance, ictx, center, params, cutoff=inflated)
             if maybe.has_solution():
                 assert maybe.objective < inflated

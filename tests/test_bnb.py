@@ -1,3 +1,6 @@
+import math
+import time
+
 import numpy as np
 import pytest
 
@@ -176,9 +179,32 @@ def test_time_limit_respected():
     rng = np.random.default_rng(7)
     m = _random_milp(rng, n_bin=18, n_cont=6, n_cons=24)
     limit = 0.05
+    start = time.monotonic()
     r = solve_model(m, limit)
-    assert r.elapsed < limit + 2.0  # within one node's overhead at this scale
+    assert time.monotonic() - start < limit + 2.0  # within one node's overhead at this scale
     assert r.status in (bnb.OPTIMAL, bnb.FEASIBLE, bnb.INFEASIBLE, bnb.TIMEOUT_NO_INCUMBENT)
+
+
+def test_a_passed_deadline_solves_no_lp(monkeypatch):
+    m = _random_milp(np.random.default_rng(7), n_bin=6)
+    prep = simplex.prepare(m)
+    lo, hi = simplex.model_bounds(m)
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP was solved after the deadline")
+
+    monkeypatch.setattr(simplex, "solve_prepared", no_lp)
+    r = bnb.solve_mip(prep, lo, hi, deadline=time.monotonic() - 1.0)
+    assert r.status == bnb.TIMEOUT_NO_INCUMBENT
+    assert r.incumbent is None and r.objective is None
+    assert r.nodes == 0
+    assert r.lower_bound == -math.inf
+
+
+def test_the_deadline_is_keyword_only():
+    m = _random_milp(np.random.default_rng(7), n_bin=6)
+    with pytest.raises(TypeError):
+        bnb.solve_mip(simplex.prepare(m), *simplex.model_bounds(m), 120.0)
 
 
 def test_node_limit():
@@ -247,7 +273,7 @@ def test_pool_cuts_match_the_full_row_model(case, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(simplex, "append_rows", recording_append_rows)
         _, root = simplex.separate(prep, lo, hi, simplex.solve_prepared(prep, lo, hi), pool)
-        got = bnb.solve_mip(prep, lo, hi, 120.0, pool=pool)
+        got = bnb.solve_mip(prep, lo, hi, deadline=time.monotonic() + 120.0, pool=pool)
     want = solve_model(strong, 120.0)
     assert root.status == full_root.status == simplex.OPTIMAL
     assert close(root.objective, full_root.objective)
@@ -279,7 +305,7 @@ def test_pool_rows_are_appended_once_for_the_whole_tree(monkeypatch):
 
     monkeypatch.setattr(simplex, "append_rows", recording_append_rows)
     monkeypatch.setattr(simplex, "separate", recording_separate)
-    res = bnb.solve_mip(prep, lo, hi, 120.0, pool=pool)
+    res = bnb.solve_mip(prep, lo, hi, deadline=time.monotonic() + 120.0, pool=pool)
     assert res.status == bnb.OPTIMAL
     assert len(masks) == res.nodes and masks[0] is not None
     assert all(mask is masks[0] for mask in masks)
@@ -300,12 +326,15 @@ def test_a_remembered_start_factorization_changes_no_tree(with_pool):
     lo, hi = simplex.model_bounds(plain.model)
     prep = simplex.prepare(plain.model)
     root = simplex.solve_prepared(prep, lo, hi).basis
-    want = bnb.solve_mip(simplex.prepare(plain.model), lo, hi, 120.0, basis=root, pool=pool)
+    want = bnb.solve_mip(simplex.prepare(plain.model), lo, hi, deadline=time.monotonic() + 120.0,
+                         basis=root, pool=pool)
     assert want.status == bnb.OPTIMAL and want.nodes > 50
-    first = bnb.solve_mip(prep, lo, hi, 120.0, basis=root, pool=pool)
+    first = bnb.solve_mip(prep, lo, hi, deadline=time.monotonic() + 120.0, basis=root,
+                          pool=pool)
     simplex.solve_prepared(prep, lo, hi, root)
     assert prep.warm[0] is root
-    second = bnb.solve_mip(prep, lo, hi, 120.0, basis=root, pool=pool)
+    second = bnb.solve_mip(prep, lo, hi, deadline=time.monotonic() + 120.0, basis=root,
+                          pool=pool)
     for got in (first, second):
         assert ((got.status, got.nodes, got.objective, got.lower_bound)
                 == (want.status, want.nodes, want.objective, want.lower_bound))

@@ -1,10 +1,13 @@
 import hashlib
 import json
+import logging
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -179,6 +182,47 @@ def test_a_model_past_the_dense_cap_exits_2(tmp_path, capsys, monkeypatch, comma
     assert main([command[0], str(inst_path), *command[1:], "-o", str(out)]) == 2
     assert "bytes of dense basis inverse (8 m² bytes)" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("limit", ["0", "-1", "nan"])
+def test_exact_refuses_a_time_limit_that_is_not_positive(tmp_path, capsys, limit):
+    inst_path = _generate(tmp_path)
+    out = tmp_path / "out.json"
+    assert main(["exact", str(inst_path), "--time-limit", limit, "-o", str(out)]) == 2
+    assert "time_limit must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_the_exact_deadline_covers_the_model_build(tmp_path, capsys, monkeypatch):
+    """`exact --time-limit` counts from the read instance on, as for
+    `solve`: a build that outlasts the limit leaves branch and bound no node."""
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(write_instance(generate(DESK, 0)), encoding="utf-8")
+    build = cli.build_3confl
+
+    def slow_build(instance):
+        time.sleep(0.2)
+        return build(instance)
+
+    monkeypatch.setattr(cli, "build_3confl", slow_build)
+    out = tmp_path / "out.json"
+    assert main(["exact", str(inst_path), "--time-limit", "0.1", "-o", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "timeout_no_incumbent" and doc["nodes"] == 0
+    assert doc["lower_bound"] is None and doc["assignment"] is None
+    assert "timeout_no_incumbent after 0 nodes" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [["exact"], ["solve", "--iters", "1"]])
+def test_a_failed_verification_is_recorded_and_logged(tmp_path, caplog, monkeypatch, command):
+    inst_path = _generate(tmp_path)
+    monkeypatch.setattr(cli, "verify_solution", lambda *args: SimpleNamespace(feasible=False))
+    out = tmp_path / "out.json"
+    with caplog.at_level(logging.WARNING, logger="confl3"):
+        assert main([command[0], str(inst_path), *command[1:], "-o", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["assignment"] is not None and doc["verified"] is False
+    assert "solution failed independent verification" in caplog.text
 
 
 def test_zero_cost_pipeline_reports_zero_gaps(tmp_path, capsys):

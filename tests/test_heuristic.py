@@ -379,11 +379,12 @@ class TestCheckAndRepair:
         real_solve = heur_mod.bnb.solve_mip
         calls = {"n": 0}
 
-        def starving_solve(prep, lo, hi, time_limit, node_limit=None, basis=None):
+        def starving_solve(prep, lo, hi, *, deadline, node_limit=None, basis=None):
             calls["n"] += 1
             if calls["n"] == 1:
-                return real_solve(prep, lo, hi, time_limit, node_limit=0, basis=basis)
-            return real_solve(prep, lo, hi, time_limit, node_limit, basis=basis)
+                return real_solve(prep, lo, hi, deadline=deadline, node_limit=0, basis=basis)
+            return real_solve(prep, lo, hi, deadline=deadline, node_limit=node_limit,
+                              basis=basis)
 
         monkeypatch.setattr(heur_mod.bnb, "solve_mip", starving_solve)
         out = check_and_repair(inst, ctx, fos, HeuristicParams(test_iterations=1))
@@ -397,8 +398,7 @@ class TestVlns:
         ctx = HeuristicContext(inst)
         exact = solve_model(ctx.plain.model, 60.0)
         center = {key: exact.incumbent[zid] for key, zid in ctx.plain.z.items()}
-        out = vlns(inst, ctx, center, HeuristicParams(test_iterations=1, vlns_radius=0),
-                   mode="repair")
+        out = vlns(inst, ctx, center, HeuristicParams(test_iterations=1, vlns_radius=0))
         assert out.status == "optimal"
         assert out.objective == pytest.approx(exact.objective, abs=1e-6)
 
@@ -408,8 +408,7 @@ class TestVlns:
         exact = solve_model(ctx.plain.model, 60.0)
         center = {key: 0.0 for key in ctx.plain.z}
         n = len(inst.facilities) * len(TECHNOLOGIES)
-        out = vlns(inst, ctx, center, HeuristicParams(test_iterations=1, vlns_radius=n),
-                   mode="repair")
+        out = vlns(inst, ctx, center, HeuristicParams(test_iterations=1, vlns_radius=n))
         assert out.objective == pytest.approx(exact.objective, abs=1e-6)
 
     def test_improve_from_optimum_finds_nothing(self):
@@ -418,7 +417,7 @@ class TestVlns:
         exact = solve_model(ctx.plain.model, 60.0)
         center = {key: exact.incumbent[zid] for key, zid in ctx.plain.z.items()}
         out = vlns(inst, ctx, center, HeuristicParams(test_iterations=1, vlns_radius=6),
-                   mode="improve", incumbent_value=exact.objective)
+                   cutoff=exact.objective)
         assert out.status == "infeasible"
         assert not out.has_solution()
 
@@ -429,15 +428,18 @@ class TestVlns:
         bad_value = exact.objective + 3.0
         center = {key: 0.0 for key in ctx.plain.z}
         out = vlns(inst, ctx, center, HeuristicParams(test_iterations=1, vlns_radius=6),
-                   mode="improve", incumbent_value=bad_value)
+                   cutoff=bad_value)
         assert out.has_solution()
         assert out.objective < bad_value
 
-    def test_improve_requires_incumbent(self):
+    def test_a_cutoff_makes_an_improve_search_and_none_a_repair(self):
         inst = calm_wireless_instance()
         ctx = HeuristicContext(inst)
-        with pytest.raises(ValueError, match="incumbent"):
-            vlns(inst, ctx, {}, HeuristicParams(), mode="improve")
+        exact = solve_model(ctx.plain.model, 60.0)
+        params = HeuristicParams(test_iterations=1)
+        assert vlns(inst, ctx, {}, params).repaired
+        improve = vlns(inst, ctx, {}, params, cutoff=exact.objective + 1.0)
+        assert not improve.repaired and improve.has_solution()
 
 
 class TestTauUpdate:
@@ -581,9 +583,9 @@ class TestOneClock:
         ctx = HeuristicContext(inst, deadline=time.monotonic() - 1.0)
 
         def never(*args, **kwargs):
-            raise AssertionError("a sub-solve started with no time left")
+            raise AssertionError("a sub-solve solved an LP with no time left")
 
-        monkeypatch.setattr(heuristic.bnb, "solve_mip", never)
+        monkeypatch.setattr(simplex, "solve_prepared", never)
         fos = FOS(frozenset({("f0", 3), ("f1", 3)}))
         out = check_and_repair(inst, ctx, fos, HeuristicParams())
         assert out.status == bnb.TIMEOUT_NO_INCUMBENT and not out.has_solution()
@@ -593,11 +595,12 @@ class TestOneClock:
     def test_each_sub_solve_gets_its_cap_or_the_time_left(self, seed, monkeypatch):
         """Under a fake clock that ticks 0.25 s a reading, with every
         sub-solve spending its whole budget, no budget exceeds its cap or
-        the time left when it was taken, and none is started without time."""
+        the time left when it was taken, and one gets no time only when
+        none is left (branch and bound then solves no LP)."""
         params = HeuristicParams(global_time_limit=10.0, subproblem_time_limit=3.0,
                                  vlns_time_limit=1.0, rng_seed=seed)
         now, readings = [1000.0], []
-        deadline = now[0] + params.global_time_limit
+        run_deadline = now[0] + params.global_time_limit
 
         def tick():
             readings.append(now[0])
@@ -608,10 +611,14 @@ class TestOneClock:
         caps = [params.subproblem_time_limit]
         real_solve, real_vlns = bnb.solve_mip, heuristic.vlns
 
-        def spending_solve(prep, lo, hi, time_limit, node_limit=None, basis=None):
-            budgets.append((time_limit, caps[-1], deadline - readings[-1]))
-            now[0] += time_limit
-            return real_solve(prep, lo, hi, math.inf, node_limit, basis=basis)
+        def spending_solve(prep, lo, hi, *, deadline, node_limit=None, basis=None):
+            # The sub-solve's deadline less the reading `_sub_mip` took.
+            budget = deadline - readings[-1]
+            budgets.append((budget, caps[-1], run_deadline - readings[-1]))
+            if budget <= 0:
+                return real_solve(prep, lo, hi, deadline=-math.inf, basis=basis)
+            now[0] += budget
+            return real_solve(prep, lo, hi, node_limit=node_limit, basis=basis)
 
         def vlns_capped(*args, **kwargs):
             caps.append(params.vlns_time_limit)
@@ -626,7 +633,8 @@ class TestOneClock:
         res = run(generate(DESK, seed), params)
         assert budgets and res.trace
         for budget, cap, left in budgets:
-            assert 0 < budget <= min(cap, left)
+            assert budget <= min(cap, left)
+            assert budget > 0 or left <= 0
         assert any(budget < cap for budget, cap, _ in budgets)
 
 
@@ -704,7 +712,7 @@ class TestSolveSession:
                 (fid, t): 1.0 if (fid, t) in fos.entries else 0.0
                 for fid in fos.facilities() for t in TECHNOLOGIES
             }
-            out = vlns(inst, ctx, center, params, mode="repair")
+            out = vlns(inst, ctx, center, params)
             cold = solve_model(_vlns_model(confl, center, radius), 60.0)
             assert _agree(out.status, out.objective, cold), (fos, cold)
             if improve_center is None and out.has_solution():
@@ -715,8 +723,7 @@ class TestSolveSession:
         # strictly better point) and at a worse value.
         assert improve_center is not None
         for value in (improve_value, 1.2 * improve_value):
-            better = vlns(inst, ctx, improve_center, params, mode="improve",
-                          incumbent_value=value)
+            better = vlns(inst, ctx, improve_center, params, cutoff=value)
             cutoff = value - 1e-4 * max(1.0, abs(value))
             cold = solve_model(_vlns_model(confl, improve_center, radius, cutoff), 60.0)
             assert _agree(better.status, better.objective, cold), value
