@@ -295,7 +295,7 @@ def _cmd_report(args) -> int:
         slot = groups.setdefault(inst["hash"], {"name": inst["name"]})
         if kind in slot:
             raise SchemaError(f"{path}: duplicate {kind} solution for instance {slot['name']}")
-        slot[kind] = doc
+        slot[kind] = path, doc
 
     rows = []
     for h, slot in groups.items():
@@ -304,9 +304,12 @@ def _cmd_report(args) -> int:
                 f"instance {slot['name']} ({h[:12]}...) needs one exact and one "
                 "heuristic solution; report refuses to mix instances"
             )
-        exact, heur = slot["exact"], slot["heuristic"]
-        rows.append(gap_row(slot["name"], exact["objective"], heur["objective"],
-                            exact["lower_bound"], heur["lower_bound"]))
+        (exact_path, exact), (heur_path, heur) = slot["exact"], slot["heuristic"]
+        try:
+            rows.append(gap_row(slot["name"], exact["objective"], heur["objective"],
+                                exact["lower_bound"], heur["lower_bound"]))
+        except ValueError as exc:
+            raise ValueError(f"{exact_path} and {heur_path}: {exc}") from None
     text = report(rows, csv=args.csv)
     if args.output:
         _write(args.output, text)

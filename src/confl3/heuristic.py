@@ -201,11 +201,14 @@ def ogap(v: float, lower: float) -> float:
 
 def attractiveness_init(instance: Instance, ctx: HeuristicContext) -> AttractivenessTable:
     """One strengthened-relaxation solve per (facility, technology) opening;
-    scores are the root value over the fixed value, floored when infeasible."""
+    scores are the root value over the fixed value, floored when infeasible.
+    Once the context's deadline has passed, each opening left scores the
+    floor ``EPS_TAU`` without a solve."""
     tau: dict[tuple[str, int], float] = {}
     for f in instance.facilities:
         for t in TECHNOLOGIES:
-            value = ctx.relaxation_value(True, frozenset([(f.id, t)]))
+            value = (ctx.relaxation_value(True, frozenset([(f.id, t)]))
+                     if time.monotonic() < ctx.deadline else None)
             tau[f.id, t] = ctx.score(value)
     return AttractivenessTable(tau=dict(tau), tau0=dict(tau))
 

@@ -30,6 +30,7 @@ from .confl import (
     check_attainable,
     validate_instance,
 )
+from .bnb import _gap_eps
 from .heuristic import ogap
 
 FORMAT_TAG = "confl3-instance/1"
@@ -440,16 +441,24 @@ class ResultRow:
 def gap_row(instance_id: str, reference: float, heuristic: float,
             *lower_bounds: float) -> ResultRow:
     """The row of one instance: the reference and the heuristic objective's
-    gaps, each by :func:`ogap` in percent, against the smallest of
-    `lower_bounds`, which neither objective lies below."""
-    lower = min(lower_bounds)
-    return ResultRow(instance_id, 100.0 * ogap(reference, lower),
-                     100.0 * ogap(heuristic, lower))
+    gaps, each by :func:`ogap` in percent, against the largest of
+    `lower_bounds`.  Each is a valid bound on the same optimum, so the
+    largest is too, and it is the tightest.  A bound above an objective by
+    at most ``_gap_eps`` gives that objective gap 0; a larger excess means
+    one of the documents is wrong, and raises ``ValueError``."""
+    lower = max(lower_bounds)
+
+    def gap(v: float) -> float:
+        return 100.0 * ogap(v, v if 0 < lower - v <= _gap_eps(v) else lower)
+
+    return ResultRow(instance_id, gap(reference), gap(heuristic))
 
 
 def report(rows: list[ResultRow], csv: bool = False) -> str:
     """Aligned text table (or CSV) of reference vs heuristic gaps with the
-    relative gap change per row and its average in the footer.  A row
+    relative gap change per row and its average in the footer.  The rows
+    come from :func:`gap_row`, so both gaps of a row are measured against
+    the larger of the two documents' lower bounds.  A row
     without a relative change shows ``n/a`` (an empty CSV field) and is
     left out of the average.  The CSV is the stdlib writer's, so a name
     holding a comma or a quote stays one quoted field."""

@@ -7,11 +7,16 @@ pivot rows) and ``A x`` (basics, the certificate) are scatter-adds, an
 entering column ``B^-1 a_j`` combines the inverse's columns at column j's
 nonzero rows, and a factorization gathers the basic structural columns.
 The slack columns ``I`` of ``[A | I]`` are never built.  The basis inverse
-is kept explicitly, dense, and updated in product form after each pivot
-(only on the entries the pivot changes).  A factorization inverts only the
-kernel of the basis, the rows whose slack is nonbasic against the basic
-structural columns, and derives the basic slacks' rows of the inverse from
-it (Koberstein, PhD thesis, Paderborn 2005; Bixby, Oper. Res. 50, 2002).
+is kept explicitly, dense, and updated in product form after each pivot,
+only on the entries the pivot changes: the rows where the entering column's
+image ``B^-1 a_q`` is nonzero by the columns where the pivot row is
+nonzero, in one broadcast product.  Across the pivots of a call the dual
+simplex keeps the basics' values in one array, written back into the point
+when it returns, and the pivot row ``[y A | y]`` in one buffer.  A
+factorization inverts only the kernel of the basis, the rows whose slack is
+nonbasic against the basic structural columns, and derives the basic
+slacks' rows of the inverse from it (Koberstein, PhD thesis, Paderborn
+2005; Bixby, Oper. Res. 50, 2002).
 The slack basis of a cold start has an empty kernel and factorizes nothing.
 
 :func:`prepare` builds the nonzeros once, and refuses with
@@ -316,6 +321,8 @@ def _dual_simplex(prep, lo, hi, basis, state, x, binv, d, max_iter):
     (INFEASIBLE, pivots) when a violated row has no entering column, and
     (None, max_iter) when the pivots run out first.
     """
+    if not len(basis):
+        return OPTIMAL, 0
     n = len(prep.costs)
     fixed = lo == hi
     # The way each column may move off its bound: +1 up from its lower, -1
@@ -323,46 +330,53 @@ def _dual_simplex(prep, lo, hi, basis, state, x, binv, d, max_iter):
     move = np.where(state == _AT_LOWER, 1.0, -1.0)
     move[(state == _BASIC) | fixed] = 0.0
     lo_b, hi_b = lo[basis], hi[basis]
-    for it in range(max_iter + 1):
-        bx = x[basis]
-        below = lo_b - bx
-        above = bx - hi_b
-        viol = np.maximum(below, above)
-        viol[viol <= _DUAL_FEASTOL * np.maximum(1.0, np.abs(bx))] = 0.0
-        if not viol.any():
-            return OPTIMAL, it
-        if it == max_iter:
-            return None, it
-        r = int(np.argmax(viol))
-        leave = int(basis[r])
-        increase = below[r] > 0
-        target = lo[leave] if increase else hi[leave]
+    bx = x[basis]              # the basics' values, written back to x on return
+    alpha = np.empty(n + len(basis))  # the pivot row [y A | y] of y = binv[r]
+    try:
+        for it in range(max_iter + 1):
+            viol = np.maximum(lo_b - bx, bx - hi_b)
+            viol[viol <= _DUAL_FEASTOL * np.maximum(1.0, np.abs(bx))] = 0.0
+            # Every entry is now 0, a violation above its tolerance, or NaN.
+            r = int(viol.argmax())
+            if viol[r] == 0.0:
+                return OPTIMAL, it
+            if it == max_iter:
+                return None, it
+            leave = int(basis[r])
+            increase = lo_b[r] - bx[r] > 0
+            target = lo[leave] if increase else hi[leave]
 
-        # Entering columns move the leaving basic toward its violated bound
-        # and keep every reduced cost on its side of zero.
-        alpha = np.concatenate([_row_times(prep, binv[r]), binv[r]])
-        m_alpha = move * alpha
-        cand = np.flatnonzero(m_alpha < -_PIVTOL if increase else m_alpha > _PIVTOL)
-        if not len(cand):
-            return INFEASIBLE, it
-        ratios = np.maximum(move[cand] * d[cand], 0.0) / np.abs(alpha[cand])
-        near = cand[ratios <= ratios.min() + 1e-12]
-        q = int(near[np.argmax(np.abs(alpha[near]))])
+            # Entering columns move the leaving basic toward its violated
+            # bound and keep every reduced cost on its side of zero.
+            np.concatenate([_row_times(prep, binv[r]), binv[r]], out=alpha)
+            m_alpha = move * alpha
+            cand = (m_alpha < -_PIVTOL if increase else m_alpha > _PIVTOL).nonzero()[0]
+            if not len(cand):
+                return INFEASIBLE, it
+            ratios = np.maximum(move[cand] * d[cand], 0.0) / np.abs(alpha[cand])
+            near = cand[ratios <= ratios.min() + 1e-12]
+            q = int(near[np.abs(alpha[near]).argmax()])
 
-        w = _times_column(prep, binv, q) if q < n else binv[:, q - n].copy()
-        step = (x[leave] - target) / w[r]
-        x[basis] = bx - step * w
-        x[q] += step
-        x[leave] = target
-        d -= (d[q] / alpha[q]) * alpha
-        d[q] = 0.0
-        state[leave] = _AT_LOWER if increase else _AT_UPPER
-        move[leave] = 0.0 if fixed[leave] else 1.0 if increase else -1.0
-        basis[r] = q
-        state[q] = _BASIC
-        move[q] = 0.0
-        lo_b[r], hi_b[r] = lo[q], hi[q]
-        _replace_column(binv, w, r)
+            if q < n:
+                nz = slice(prep.starts[q], prep.starts[q + 1])
+                w = binv[:, prep.row_ids[nz]] @ prep.vals[nz]
+            else:
+                w = binv[:, q - n].copy()
+            step = (bx[r] - target) / w[r]
+            bx -= step * w
+            bx[r] = x[q] + step
+            x[leave] = target
+            d -= (d[q] / alpha[q]) * alpha
+            d[q] = 0.0
+            state[leave] = _AT_LOWER if increase else _AT_UPPER
+            move[leave] = 0.0 if fixed[leave] else 1.0 if increase else -1.0
+            basis[r] = q
+            state[q] = _BASIC
+            move[q] = 0.0
+            lo_b[r], hi_b[r] = lo[q], hi[q]
+            _replace_column(binv, w, r)
+    finally:
+        x[basis] = bx
 
 
 def _row_times(prep: PreparedLp, y: np.ndarray) -> np.ndarray:
@@ -373,12 +387,6 @@ def _row_times(prep: PreparedLp, y: np.ndarray) -> np.ndarray:
 def _times_point(prep: PreparedLp, x: np.ndarray) -> np.ndarray:
     """``A x`` for the structural values `x`, a scatter-add over the nonzeros."""
     return np.bincount(prep.row_ids, prep.vals * x[prep.col_ids], minlength=len(prep.rhs))
-
-
-def _times_column(prep: PreparedLp, binv: np.ndarray, q: int) -> np.ndarray:
-    """``binv @ a_q`` from the nonzeros of column q."""
-    nz = slice(prep.starts[q], prep.starts[q + 1])
-    return binv[:, prep.row_ids[nz]] @ prep.vals[nz]
 
 
 def _invert(prep: PreparedLp, basis: np.ndarray) -> np.ndarray:
@@ -420,12 +428,12 @@ def _replace_column(binv, w, r) -> None:
     replaced by the column whose image under the old inverse is `w`: a
     product-form update.  The pivot ``w[r]`` is the entering column's
     ``alpha``, which the ratio test admits only above ``_PIVTOL``."""
-    row = binv[r, :] / w[r]
+    row = binv[r] / w[r]
     # Only the entries in the nonzero rows of w and nonzero columns of row
     # change; slack-heavy bases leave both sparse.
-    rw, cr = np.flatnonzero(w), np.flatnonzero(row)
-    binv[np.ix_(rw, cr)] -= np.outer(w[rw], row[cr])
-    binv[r, :] = row
+    rw, cr = w.nonzero()[0], row.nonzero()[0]
+    binv[rw[:, None], cr] -= w[rw, None] * row[cr]
+    binv[r] = row
 
 
 def _reduced_costs(prep, c, basis, binv) -> np.ndarray:

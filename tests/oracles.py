@@ -9,7 +9,9 @@ vertices of its power polygon, the lone-blocker oracle tests one interferer
 at a time, and :func:`evaluate` recomputes a point's objective and row
 violations from a model's rows.  For LPs too large to enumerate,
 :func:`highs_lp_optimum` and :func:`highs_mip_optimum` ask scipy's HiGHS,
-which shares no code with the bundled solvers.
+which shares no code with the bundled solvers.  :func:`dual_simplex` is
+the bundled pivot loop in its plainer first form, the reference that the
+kernel must match bit for bit.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from scipy.sparse import csr_array
 from confl3.confl import Instance, WirelessParams
 from confl3.milp import EQ, GE, LE, SENSES, Model, apply_fixings, lp_relaxation
 from confl3 import simplex
+from confl3.simplex import (_AT_LOWER, _AT_UPPER, _BASIC, _DUAL_FEASTOL, _PIVTOL, INFEASIBLE,
+                            OPTIMAL, PreparedLp, _row_times)
 
 _FEAS = 1e-7
 
@@ -270,3 +274,91 @@ def superinterferers(instance: Instance, uid: str, fid: str) -> set[str]:
         if a_fu * w.p_max - w.delta * w.fading[k.id, uid] * w.p_min < w.delta * w.eta_noise:
             out.add(k.id)
     return out
+
+
+# The bundled dual simplex's pivot loop in its first, plainer form: one
+# gather and scatter of the basics, one concatenated pivot row and an
+# np.ix_/np.outer update per pivot.  The kernel in confl3.simplex must make
+# the same pivots and the same floating-point operations, so the two agree
+# bit for bit from identical inputs.
+
+
+def dual_simplex(prep, lo, hi, basis, state, x, binv, d, max_iter):
+    """The reference pivot loop: :func:`simplex._dual_simplex` as it was
+    written before its numpy calls were trimmed, kept so that the kernel can
+    be checked against it bit for bit.
+
+    Bounded dual simplex on the matrix `prep` from a dual feasible basis
+    with inverse `binv` and reduced costs `d`, all updated in place, making
+    at most `max_iter` pivots.
+
+    Returns (OPTIMAL, pivots) once every basic lies within its bounds,
+    (INFEASIBLE, pivots) when a violated row has no entering column, and
+    (None, max_iter) when the pivots run out first.
+    """
+    n = len(prep.costs)
+    fixed = lo == hi
+    # The way each column may move off its bound: +1 up from its lower, -1
+    # down from its upper, 0 for basic and fixed columns.
+    move = np.where(state == _AT_LOWER, 1.0, -1.0)
+    move[(state == _BASIC) | fixed] = 0.0
+    lo_b, hi_b = lo[basis], hi[basis]
+    for it in range(max_iter + 1):
+        bx = x[basis]
+        below = lo_b - bx
+        above = bx - hi_b
+        viol = np.maximum(below, above)
+        viol[viol <= _DUAL_FEASTOL * np.maximum(1.0, np.abs(bx))] = 0.0
+        if not viol.any():
+            return OPTIMAL, it
+        if it == max_iter:
+            return None, it
+        r = int(np.argmax(viol))
+        leave = int(basis[r])
+        increase = below[r] > 0
+        target = lo[leave] if increase else hi[leave]
+
+        # Entering columns move the leaving basic toward its violated bound
+        # and keep every reduced cost on its side of zero.
+        alpha = np.concatenate([_row_times(prep, binv[r]), binv[r]])
+        m_alpha = move * alpha
+        cand = np.flatnonzero(m_alpha < -_PIVTOL if increase else m_alpha > _PIVTOL)
+        if not len(cand):
+            return INFEASIBLE, it
+        ratios = np.maximum(move[cand] * d[cand], 0.0) / np.abs(alpha[cand])
+        near = cand[ratios <= ratios.min() + 1e-12]
+        q = int(near[np.argmax(np.abs(alpha[near]))])
+
+        w = times_column(prep, binv, q) if q < n else binv[:, q - n].copy()
+        step = (x[leave] - target) / w[r]
+        x[basis] = bx - step * w
+        x[q] += step
+        x[leave] = target
+        d -= (d[q] / alpha[q]) * alpha
+        d[q] = 0.0
+        state[leave] = _AT_LOWER if increase else _AT_UPPER
+        move[leave] = 0.0 if fixed[leave] else 1.0 if increase else -1.0
+        basis[r] = q
+        state[q] = _BASIC
+        move[q] = 0.0
+        lo_b[r], hi_b[r] = lo[q], hi[q]
+        replace_column(binv, w, r)
+
+
+def times_column(prep: PreparedLp, binv: np.ndarray, q: int) -> np.ndarray:
+    """``binv @ a_q`` from the nonzeros of column q."""
+    nz = slice(prep.starts[q], prep.starts[q + 1])
+    return binv[:, prep.row_ids[nz]] @ prep.vals[nz]
+
+
+def replace_column(binv, w, r) -> None:
+    """Update `binv` in place to the inverse after row r's basic column was
+    replaced by the column whose image under the old inverse is `w`: a
+    product-form update.  The pivot ``w[r]`` is the entering column's
+    ``alpha``, which the ratio test admits only above ``_PIVTOL``."""
+    row = binv[r, :] / w[r]
+    # Only the entries in the nonzero rows of w and nonzero columns of row
+    # change; slack-heavy bases leave both sparse.
+    rw, cr = np.flatnonzero(w), np.flatnonzero(row)
+    binv[np.ix_(rw, cr)] -= np.outer(w[rw], row[cr])
+    binv[r, :] = row

@@ -129,8 +129,8 @@ def test_exact_and_report_pipeline(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "ΔGap%" in out
-    # Both gaps are measured against the smaller of the two lower bounds.
-    lower = min(exact_doc["lower_bound"], heu_doc["lower_bound"])
+    # Both gaps are measured against the larger of the two lower bounds.
+    lower = max(exact_doc["lower_bound"], heu_doc["lower_bound"])
     gap_ref = 100.0 * (exact_doc["objective"] - lower) / exact_doc["objective"]
     gap_heu = 100.0 * (heu_doc["objective"] - lower) / heu_doc["objective"]
     delta = "n/a" if gap_ref == 0 else f"{100.0 * (gap_heu - gap_ref) / gap_ref:.2f}"
@@ -265,6 +265,40 @@ def test_solve_and_exact_strong_never_build_a_strengthened_model(tmp_path, monke
     for owner in (cli, confl, heuristic):
         monkeypatch.setattr(owner, "strengthen", refuse)
     assert documents("got") == want
+
+
+def test_report_measures_both_gaps_against_the_larger_bound(tmp_path, capsys):
+    """A timed-out exact document, whose bound lies between the heuristic's
+    root bound and both objectives, sets both gaps.  A bound above the
+    heuristic objective by at most 1e-9 relative gives that gap 0; by more,
+    one of the documents is wrong, and report exits 2 naming both."""
+    inst_path = _generate(tmp_path)
+    exact_path, heu_path = tmp_path / "exact.json", tmp_path / "heu.json"
+    assert main(["exact", str(inst_path), "-o", str(exact_path)]) == 0
+    assert main(["solve", str(inst_path), "--iters", "2", "-o", str(heu_path)]) == 0
+    heu = json.loads(heu_path.read_text())
+    v, root = heu["objective"], heu["lower_bound"]
+    assert root < v
+
+    def report_with(objective, lower_bound):
+        doc = json.loads(exact_path.read_text())
+        doc.update(objective=objective, lower_bound=lower_bound)
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(doc))
+        capsys.readouterr()
+        return main(["report", str(edited), str(heu_path)]), capsys.readouterr(), edited
+
+    timed_out, bound = 1.25 * v, 0.5 * (root + v)
+    code, out, _ = report_with(timed_out, bound)
+    assert code == 0
+    gap_ref, gap_heu = 100.0 * (timed_out - bound) / timed_out, 100.0 * (v - bound) / v
+    assert out.out.splitlines()[2].split()[1:] == [
+        f"{gap_ref:.2f}", f"{gap_heu:.2f}", f"{100.0 * (gap_heu - gap_ref) / gap_ref:.2f}"]
+    code, out, _ = report_with(v, v * (1 + 5e-10))
+    assert code == 0 and out.out.splitlines()[2].split()[1:] == ["0.00", "0.00", "n/a"]
+    code, out, edited = report_with(timed_out, v + 1e-3)
+    assert code == 2
+    assert str(edited) in out.err and str(heu_path) in out.err and "bound inconsistency" in out.err
 
 
 def test_report_refuses_mixed_instances(tmp_path, capsys):

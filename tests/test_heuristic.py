@@ -591,6 +591,32 @@ class TestOneClock:
         assert out.status == bnb.TIMEOUT_NO_INCUMBENT and not out.has_solution()
         assert out.repaired
 
+    @pytest.mark.parametrize("k", [0, 1, 4, 9])
+    def test_a_priori_scores_stop_at_the_deadline(self, k, monkeypatch):
+        """Under a clock that passes the deadline once k strengthened fixing
+        LPs are solved, exactly k are, their scores are the ones an
+        unhurried run gives, and every (facility, technology) opening left
+        scores the floor."""
+        inst = generate(DESK, 1)
+        want = attractiveness_init(inst, HeuristicContext(inst)).tau
+        assert len(want) == 9 and min(want.values()) > EPS_TAU
+        ctx = HeuristicContext(inst, deadline=100.0)
+        solved = []
+        relaxation_value = ctx.relaxation_value
+
+        def counting(strong, ones):
+            solved.append(ones)
+            return relaxation_value(strong, ones)
+
+        monkeypatch.setattr(ctx, "relaxation_value", counting)
+        monkeypatch.setattr(heuristic, "time",
+                            SimpleNamespace(monotonic=lambda: 0.0 if len(solved) < k else 100.0))
+        got = attractiveness_init(inst, ctx).tau
+        assert len(solved) == k
+        assert list(got) == list(want)
+        for i, key in enumerate(want):
+            assert got[key] == (want[key] if i < k else EPS_TAU)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_each_sub_solve_gets_its_cap_or_the_time_left(self, seed, monkeypatch):
         """Under a fake clock that ticks 0.25 s a reading, with every

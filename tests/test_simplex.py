@@ -11,7 +11,7 @@ from confl3.instance_io import generate
 from confl3.milp import BINARY, CONTINUOUS, EQ, GE, LE, Model, lp_relaxation
 
 from instances import DESK
-from oracles import evaluate, highs_lp_optimum, lp_vertex_optimum
+from oracles import dual_simplex, evaluate, highs_lp_optimum, lp_vertex_optimum, times_column
 
 
 def test_simple_lower_bounded_min():
@@ -625,6 +625,75 @@ def test_corrupted_update_is_caught_by_the_certificate(seed, monkeypatch):
     assert violations == []
 
 
+def _checked_against_the_reference(monkeypatch) -> list:
+    """Make every dual simplex call first run the reference pivot loop of
+    oracles.py on copies of the basis, states, point, inverse and reduced
+    costs, then check that the kernel returns the same status and pivot
+    count and leaves the same bits in all five arrays.  Returns the list of
+    the calls' results."""
+    kernel = simplex._dual_simplex
+    seen = []
+
+    def checked(prep, lo, hi, basis, state, x, binv, d, max_iter):
+        arrays = (basis, state, x, binv, d)
+        copies = [a.copy() for a in arrays]
+        want = dual_simplex(prep, lo, hi, *copies, max_iter)
+        got = kernel(prep, lo, hi, *arrays, max_iter)
+        assert got == want
+        for a, b in zip(arrays, copies):
+            assert np.array_equal(a, b) and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        seen.append(got)
+        return got
+
+    monkeypatch.setattr(simplex, "_dual_simplex", checked)
+    return seen
+
+
+@pytest.mark.parametrize("case", [f"random-{k}" for k in range(20)]
+                         + ["root-6x4", "desk-child", "no-rows"])
+def test_kernel_matches_the_reference_bit_for_bit(case, monkeypatch):
+    # The pivot loop makes the pivots and the floating-point operations of
+    # its plainer reference, call by call.  Random boxed LPs are solved cold,
+    # then warm and cold under each tightened bound; the 6x4 root LP runs in
+    # rounds of at most 20 pivots, so some rounds end on the cap; a desk
+    # branch-and-bound child starts from its parent's optimal basis; and an
+    # LP with no rows has no basics.
+    seen = _checked_against_the_reference(monkeypatch)
+    if case.startswith("random-"):
+        k = int(case.split("-")[1])
+        model = _feasible_lp(np.random.default_rng(3100 + k), dependent=k % 2 == 1)
+        prep, (lo, hi) = simplex.prepare(model), simplex.model_bounds(model)
+        root = simplex.solve_prepared(prep, lo, hi)
+        assert root.status == simplex.OPTIMAL
+        for j, new_lo, new_hi in _bound_cuts(root.assignment, lo, hi):
+            cut_lo, cut_hi = lo.copy(), hi.copy()
+            cut_lo[j], cut_hi[j] = new_lo, new_hi
+            simplex.solve_prepared(prep, cut_lo, cut_hi, root.basis)
+            simplex.solve_prepared(prep, cut_lo, cut_hi)
+        assert {simplex.OPTIMAL} < {status for status, _ in seen}
+    elif case == "root-6x4":
+        monkeypatch.setattr(simplex, "_REFACTOR_EVERY", 20)
+        prep, lo, hi = _grid_6x4()
+        assert simplex.solve_prepared(prep, lo, hi).status == simplex.OPTIMAL
+        assert (None, 20) in seen
+    elif case == "desk-child":
+        model = build_3confl(generate(DESK, seed=0)).model
+        prep, (lo, hi) = simplex.prepare(model), simplex.model_bounds(model)
+        root = simplex.solve_prepared(prep, lo, hi)
+        x = root.assignment
+        j = next(j for j in prep.binaries if 1e-6 < x[j] < 1 - 1e-6)
+        lo[j] = 1.0
+        del seen[:]
+        assert simplex.solve_prepared(prep, lo, hi, root.basis).status == simplex.OPTIMAL
+    else:
+        m = Model()
+        for name, lower, upper, cost in (("x", -2, 5, 1.0), ("y", 1, 3, -2.0)):
+            m.set_objective_coef(m.add_variable(name, CONTINUOUS, lower, upper), cost)
+        assert simplex.solve_lp(m).objective == -8.0
+        assert seen == [(simplex.OPTIMAL, 0)]
+    assert case == "no-rows" or sum(pivots for _, pivots in seen) > 0
+
+
 def test_cut_loop_appends_each_pool_row_once(monkeypatch):
     """A re-solve whose point still violates an appended pool row (as a
     tolerance-level miss would) ends the loop instead of appending the row
@@ -791,7 +860,9 @@ def test_column_index_is_the_dense_rows(seed):
     # The products read from them (the pivot row y A, the point's row
     # values A x and the entering column B^-1 a_q) match the reference's
     # dense products under random bases, to 1e-12 of the sum of the terms'
-    # magnitudes, and so does the basis inverse gathered from them.
+    # magnitudes, and so does the basis inverse gathered from them.  The
+    # kernel computes B^-1 a_q inline, as oracles.times_column does; the
+    # bit-for-bit kernel test ties the two together.
     rng = np.random.default_rng(2300 + seed)
     model = _sparse_lp(rng, n_cons=40, n_vars=30, density=0.15)
     prep = simplex.prepare(model)
@@ -842,7 +913,7 @@ def test_column_index_is_the_dense_rows(seed):
             for q in range(n):
                 want = binv @ dense[:, q]
                 bound = 1e-12 * (np.abs(binv) @ np.abs(dense[:, q]))
-                assert np.all(np.abs(simplex._times_column(p, binv, q) - want) <= bound)
+                assert np.all(np.abs(times_column(p, binv, q) - want) <= bound)
 
 
 def _strong_8x6_root() -> Model:
