@@ -1,6 +1,7 @@
 """Command-line entry point: generate, solve, exact, export-lp, report.
 
-Exit codes: 0 success, 1 infeasible / no solution, 2 usage or input error,
+Exit codes: 0 success, 1 infeasible / no solution, 2 usage or input error
+(a file that cannot be read or written included),
 3 numerical breakdown in the bundled solver.
 `CONFL3_LOG` selects verbosity (debug, info, quiet).
 """
@@ -262,7 +263,7 @@ def _cmd_export_lp(args) -> int:
         os.remove(args.output)
         raise
     logger.info("wrote %s (%d variables, %d rows)", args.output,
-                len(confl.model.variables), len(confl.model.rows().rhs))
+                len(confl.model.variables), len(confl.model.constraints))
     return 0
 
 
@@ -340,7 +341,9 @@ def main(argv=None) -> int:
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"error: numerical breakdown: {exc}", file=sys.stderr)
         return 3
-    except (SchemaError, ValueError) as exc:
+    # An unreadable input or an unwritable output (a directory, a missing
+    # parent) is an input error too, not "no solution".
+    except (SchemaError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -552,14 +552,15 @@ class VerificationReport:
     objective: float
 
 
-def verify_solution(
-    instance: Instance,
-    confl: ConflModel,
-    assignment: Assignment,
-    sir_tol: float = 1e-6,
-    flow_tol: float = 1e-9,
-    tol: float = 1e-6,
-) -> VerificationReport:
+# The tolerances of verify_solution: SIR ratios, flow balance and capacity,
+# and every other family.
+_SIR_TOL = 1e-6
+_FLOW_TOL = 1e-9
+_TOL = 1e-6
+
+
+def verify_solution(instance: Instance, confl: ConflModel,
+                    assignment: Assignment) -> VerificationReport:
     """Re-check every constraint family straight from the instance data.
 
     Deliberately independent of the Model rows: coverage, flow balance and
@@ -582,7 +583,7 @@ def verify_solution(
     single_tech = []
     for f in instance.facilities:
         total = sum(zval[f.id, t] for t in TECHNOLOGIES)
-        if total > 1.0 + tol:
+        if total > 1.0 + _TOL:
             single_tech.append((f.id, total - 1.0))
 
     assignment_viol = []
@@ -594,12 +595,12 @@ def verify_solution(
                 if a.user == u.id
             )
             residual = lhs - vval[u.id, t]
-            if abs(residual) > tol:
+            if abs(residual) > _TOL:
                 assignment_viol.append(((u.id, t), residual))
 
     linking = []
     for (fid, uid, t), value in yval.items():
-        if value > zval[fid, t] + tol:
+        if value > zval[fid, t] + _TOL:
             linking.append(((fid, uid, t), value - zval[fid, t]))
 
     coverage = []
@@ -607,7 +608,7 @@ def verify_solution(
         got = sum(
             u.weight * vval[u.id, tau] for u in instance.users for tau in TECHNOLOGIES if tau <= t
         )
-        if got < instance.coverage_thresholds[t] - tol:
+        if got < instance.coverage_thresholds[t] - _TOL:
             coverage.append((t, instance.coverage_thresholds[t] - got))
 
     flow_viol = []
@@ -630,14 +631,14 @@ def verify_solution(
                 target = demand
             else:
                 target = 0.0
-            if abs(balance - target) > flow_tol:
+            if abs(balance - target) > _FLOW_TOL:
                 flow_viol.append(((f.id, node), balance - target))
 
     capacity = []
     for (tail, head, fid), value in fval.items():
-        if value > xval[tail, head] + flow_tol:
+        if value > xval[tail, head] + _FLOW_TOL:
             capacity.append(((tail, head, fid), value - xval[tail, head]))
-        if value < -flow_tol:
+        if value < -_FLOW_TOL:
             capacity.append(((tail, head, fid), value))
 
     sir = []
@@ -651,15 +652,15 @@ def verify_solution(
             if k.id != fid
         )
         ratio = w.fading[fid, uid] * pval[fid] / interference
-        if ratio < w.delta - sir_tol:
+        if ratio < w.delta - _SIR_TOL:
             sir.append(((fid, uid), w.delta - ratio))
     power_bounds = []
     for f in instance.facilities:
         z3 = zval[f.id, TECH_WIRELESS]
         p = pval[f.id]
-        if p < w.p_min * z3 - tol:
+        if p < w.p_min * z3 - _TOL:
             power_bounds.append((f.id, w.p_min * z3 - p))
-        if p > w.p_max * z3 + tol:
+        if p > w.p_max * z3 + _TOL:
             power_bounds.append((f.id, p - w.p_max * z3))
 
     objective = 0.0

@@ -189,8 +189,11 @@ class HeuristicContext:
 
 def ogap(v: float, lower: float) -> float:
     """Optimality gap (v - L) / v of a feasible value against a lower bound;
-    0 when they are equal, a zero-cost optimum included."""
-    if v == lower:
+    0 when they are equal, a zero-cost optimum included, and when the bound
+    exceeds the value by at most branch and bound's pruning tolerance (1e-9,
+    relative above 1).  A larger excess means the bound or the value is
+    wrong, and raises ``ValueError``."""
+    if v == lower or 0 < lower - v <= bnb._gap_eps(v):
         return 0.0
     if not v > 0:
         raise ValueError(f"ogap needs a positive feasible value, got {v}")
@@ -213,8 +216,8 @@ def attractiveness_init(instance: Instance, ctx: HeuristicContext) -> Attractive
     return AttractivenessTable(tau=dict(tau), tau0=dict(tau))
 
 
-def posterior_attractiveness(instance: Instance, current_fos: FOS,
-                             candidate: tuple[str, int], ctx: HeuristicContext) -> float:
+def posterior_attractiveness(current_fos: FOS, candidate: tuple[str, int],
+                             ctx: HeuristicContext) -> float:
     """Plain-relaxation score of extending the opening state by `candidate`."""
     fid, tech = candidate
     if fid in current_fos.facilities() and (fid, tech) not in current_fos.entries:
@@ -260,9 +263,7 @@ def build_fos(instance: Instance, tau: AttractivenessTable, params: HeuristicPar
                 candidates.sort(key=lambda c: (-tau.tau[c], c[0]))
                 candidates = candidates[: params.top_k]
             tau_vals = [tau.tau[c] for c in candidates]
-            eta_vals = [
-                posterior_attractiveness(instance, fos, c, ctx) for c in candidates
-            ]
+            eta_vals = [posterior_attractiveness(fos, c, ctx) for c in candidates]
             probs = fixing_probabilities(candidates, tau_vals, eta_vals, params.alpha)
             pick = int(rng.choice(len(candidates), p=probs))
             fos = fos.with_entry(*candidates[pick])
@@ -301,23 +302,20 @@ def vlns(instance: Instance, ctx: HeuristicContext, center: dict[tuple[str, int]
     n = params.radius(len(instance.facilities))
 
     prep = ctx.plain_prep
-    rows, rhs = [], []
+    cols, coefs, rhs = [], [], []
     if center:
-        hamming = np.zeros(len(prep.costs))
-        ones = 0
-        for key, value in center.items():
-            hamming[ctx.plain.z[key]] = -1.0 if value >= 0.5 else 1.0
-            ones += value >= 0.5
-        rows.append(hamming)
-        rhs.append(float(n - ones))
+        cols.append([ctx.plain.z[key] for key in center])
+        coefs.append([-1.0 if value >= 0.5 else 1.0 for value in center.values()])
+        rhs.append(float(n - sum(value >= 0.5 for value in center.values())))
     if cutoff is not None:
         # Margin well above the LP feasibility tolerance, or the solver can
         # tolerance-accept points sitting on the cutoff plane.
-        rows.append(prep.costs)
+        priced = np.flatnonzero(prep.costs)
+        cols.append(priced)
+        coefs.append(prep.costs[priced])
         rhs.append(cutoff - 1e-4 * max(1.0, abs(cutoff)))
     res = _sub_mip(ctx, params, params.vlns_time_limit,
-                   simplex.append_rows(prep, np.reshape(rows, (len(rows), len(prep.costs))),
-                                       np.array(rhs)),
+                   simplex.append_rows(prep, cols, coefs, np.array(rhs)),
                    ctx.base_lo, ctx.base_hi)
     return SolveOutcome(res.status, res.incumbent, res.objective, cutoff is None)
 

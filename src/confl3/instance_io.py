@@ -30,7 +30,6 @@ from .confl import (
     check_attainable,
     validate_instance,
 )
-from .bnb import _gap_eps
 from .heuristic import ogap
 
 FORMAT_TAG = "confl3-instance/1"
@@ -444,14 +443,11 @@ def gap_row(instance_id: str, reference: float, heuristic: float,
     gaps, each by :func:`ogap` in percent, against the largest of
     `lower_bounds`.  Each is a valid bound on the same optimum, so the
     largest is too, and it is the tightest.  A bound above an objective by
-    at most ``_gap_eps`` gives that objective gap 0; a larger excess means
-    one of the documents is wrong, and raises ``ValueError``."""
+    more than :func:`ogap` forgives means one of the documents is wrong,
+    and raises ``ValueError``."""
     lower = max(lower_bounds)
-
-    def gap(v: float) -> float:
-        return 100.0 * ogap(v, v if 0 < lower - v <= _gap_eps(v) else lower)
-
-    return ResultRow(instance_id, gap(reference), gap(heuristic))
+    return ResultRow(instance_id, 100.0 * ogap(reference, lower),
+                     100.0 * ogap(heuristic, lower))
 
 
 def report(rows: list[ResultRow], csv: bool = False) -> str:

@@ -1,18 +1,17 @@
 """Solver-agnostic MILP intermediate representation.
 
 A :class:`Model` is a flat list of variables (binary or continuous, with
-bounds), a block of linear rows and a minimization objective.  The rows are
-one immutable :class:`Rows` value, not one object per row: CSR-style row
-starts, column ids and coefficients, plus a sense and a right-hand side for
-each row, all read-only arrays.  :meth:`Model.add_constraint` appends one
-row and :meth:`Model.add_rows` appends many rows given as arrays; both run
-the same checks, a failed check appends nothing, and an append replaces the
-model's `Rows` value by a new one.  :meth:`Model.rows` hands that value to
-the consumers (:func:`export_lp_text`, ``simplex.prepare``), and
-:attr:`Model.constraints` is a read-only sequence that builds
-:class:`LinearConstraint` values on access.
+bounds), a block of linear rows and a minimization objective.  A row is its
+column ids and its coefficients, nothing else: the rows are one immutable
+:class:`Rows` value of CSR-style row starts, column ids and coefficients,
+plus a sense and a right-hand side for each row, all read-only arrays.
+:meth:`Model.add_rows` appends rows given in that form, as (k, L) arrays
+or as k sequences (:func:`flatten_rows` reads both); its checks run over
+all of them, a failed check appends nothing, and an append replaces the
+model's `Rows` value by a new one.  :attr:`Model.constraints` hands that
+value to the consumers (:func:`export_lp_text`, ``simplex.prepare``).
 
-Models are built through :meth:`Model.add_variable` and the two row methods
+Models are built through :meth:`Model.add_variable` and :meth:`Model.add_rows`
 and treated as immutable afterwards: every transformation
 (:func:`lp_relaxation`, :func:`apply_fixings`) returns a fresh copy.  Copies
 share the `Rows` value, so a copy may append (as the strengthening does)
@@ -23,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from typing import TextIO
 
@@ -49,15 +47,6 @@ class Variable:
     upper: float
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
-    """`sum(coef * var) sense rhs`."""
-
-    terms: tuple[tuple[int, float], ...]
-    sense: str
-    rhs: float
-
-
 # A point: one float per variable id, indexed by id, as the solvers return it.
 Assignment = np.ndarray
 
@@ -78,52 +67,27 @@ class Rows:
         for a in (self.starts, self.cols, self.coefs, self.sense, self.rhs):
             a.flags.writeable = False
 
+    def __len__(self) -> int:
+        return len(self.rhs)
+
     def entry_rows(self) -> np.ndarray:
         """The row of each entry of `cols` and `coefs`."""
         return np.repeat(np.arange(len(self.rhs)), np.diff(self.starts))
-
-    def row(self, i: int) -> LinearConstraint:
-        """Row `i` as a :class:`LinearConstraint`."""
-        a, b = self.starts[i], self.starts[i + 1]
-        terms = tuple(zip(self.cols[a:b].tolist(), self.coefs[a:b].tolist()))
-        return LinearConstraint(terms, SENSES[self.sense[i]], float(self.rhs[i]))
 
 
 _NO_ROWS = Rows(np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0),
                 np.empty(0, dtype=np.int8), np.empty(0))
 
 
-def _flatten(rows, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """The entries of k rows, row after row, and the length of each row."""
+def flatten_rows(rows, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of k rows, given as a (k, L) array or as k sequences of
+    any length, row after row as one `dtype` array, and each row's length."""
     if isinstance(rows, np.ndarray) and rows.ndim == 2:
         return np.asarray(rows, dtype=dtype).ravel(), np.full(len(rows), rows.shape[1])
     lengths = np.array([len(row) for row in rows], dtype=np.int64)
     entries = np.fromiter(itertools.chain.from_iterable(rows), dtype=dtype,
                           count=int(lengths.sum()))
     return entries, lengths
-
-
-class Constraints(Sequence):
-    """Read-only sequence of the rows of a :class:`Rows` value, as
-    :class:`LinearConstraint` values built on access."""
-
-    def __init__(self, rows: Rows):
-        self._rows = rows
-
-    def __len__(self) -> int:
-        return len(self._rows.rhs)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self._rows.row(k) for k in range(*i.indices(len(self)))]
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError("constraint index out of range")
-        return self._rows.row(i)
-
-    def __iter__(self):
-        return (self._rows.row(k) for k in range(len(self)))
 
 
 class Model:
@@ -134,10 +98,7 @@ class Model:
         self._rows = _NO_ROWS
 
     @property
-    def constraints(self) -> Constraints:
-        return Constraints(self._rows)
-
-    def rows(self) -> Rows:
+    def constraints(self) -> Rows:
         """This model's rows as read-only arrays."""
         return self._rows
 
@@ -157,30 +118,20 @@ class Model:
         self._names.add(name)
         return vid
 
-    def add_constraint(
-        self,
-        terms: list[tuple[int, float]] | tuple[tuple[int, float], ...],
-        sense: str,
-        rhs: float,
-    ) -> int:
-        cols = [[vid for vid, _ in terms]]
-        coefs = [[coef for _, coef in terms]]
-        return self.add_rows(cols, coefs, sense, rhs)[0]
-
     def add_rows(self, cols, coefs, sense, rhs) -> range:
         """Append k rows: row i is
         ``sum_j coefs[i][j] * x[cols[i][j]]  sense[i]  rhs[i]``.
 
         `cols` and `coefs` hold the terms of the rows, as (k, L) arrays or as
         k sequences of any length; `sense` is one sense for every row or k of
-        them, and `rhs` one value or k.  The checks of :meth:`add_constraint`
+        them, and `rhs` one value or k.  The checks of :meth:`_check_rows`
         run once over all rows; when one fails, nothing is appended and the
         error names the first offending row by the id it would have had.
         The new rows and the old ones go into fresh arrays, so copies of
         this model keep their rows.  Returns the ids of the new rows.
         """
-        cols, lengths = _flatten(cols, np.int64)
-        coefs, coef_lengths = _flatten(coefs, float)
+        cols, lengths = flatten_rows(cols, np.int64)
+        coefs, coef_lengths = flatten_rows(coefs, float)
         k = len(lengths)
         if isinstance(sense, str):
             senses = [sense] * k
@@ -361,7 +312,7 @@ def export_lp_text(model: Model, out: TextIO) -> None:
         lines.append(" obj: 0")
     lines.append("Subject To")
     out.write("\n".join(lines) + "\n")
-    rows = model.rows()
+    rows = model.constraints
     m = len(rows.rhs)
     for a in range(0, m, _EXPORT_BLOCK_ROWS):
         out.write("\n".join(_row_lines(names, rows, a, min(a + _EXPORT_BLOCK_ROWS, m))) + "\n")

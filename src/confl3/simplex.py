@@ -24,11 +24,13 @@ The slack basis of a cold start has an empty kernel and factorizes nothing.
 basis inverse, 8 m² bytes for m rows, would pass 2 GiB.  :func:`solve_prepared`
 solves it under caller-supplied variable bounds, so that branch and bound
 and the heuristic re-solve one matrix under many bound vectors.
-:func:`append_rows` adds ``<=`` rows to a prepared matrix, and
-:func:`separate`, the cut loop of both, appends the violated rows of a
-pool of variable pairs ``x_a + x_b <= 1``.  Past :func:`prepare` nothing
-reads the model: a :class:`PreparedLp` is arrays, its binary ids included.
-An optimal point is one float array indexed by variable id.
+:func:`append_rows` adds ``<=`` rows to a prepared matrix, given as
+:meth:`Model.add_rows <confl3.milp.Model.add_rows>` takes them: the column
+ids and the coefficients of each row.  :func:`separate`, the cut loop of
+both, appends the violated rows of a pool of variable pairs
+``x_a + x_b <= 1``.  Past :func:`prepare` nothing reads the model: a
+:class:`PreparedLp` is arrays, its binary ids included.  An optimal point
+is one float array indexed by variable id.
 
 Every variable bound must be finite.  With every structural column boxed,
 moving a nonbasic column to its other bound fixes the sign of its reduced
@@ -70,7 +72,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .milp import BINARY, EQ, GE, SENSES, Assignment, Model
+from .milp import BINARY, EQ, GE, SENSES, Assignment, Model, flatten_rows
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -151,7 +153,7 @@ def prepare(model: Model) -> PreparedLp:
     """The nonzeros of the rows of `model`; :class:`ProblemTooLargeError`
     when its basis inverse would take more than ``_MAX_DENSE_BYTES``."""
     n = len(model.variables)
-    r = model.rows()
+    r = model.constraints
     m = len(r.rhs)
     size = 8 * m * m
     if size > _MAX_DENSE_BYTES:
@@ -166,14 +168,18 @@ def prepare(model: Model) -> PreparedLp:
                       np.array(model.binary_ids(), dtype=int))
 
 
-def append_rows(prep: PreparedLp, rows: np.ndarray, rhs: np.ndarray) -> PreparedLp:
-    """`prep` with the ``<=`` rows of the dense (k, n) block `rows`, of
-    right-hand sides `rhs`, appended as nonzeros; the original's arrays are
-    left as they are."""
-    new_rows, new_cols = np.nonzero(rows)
-    nonzeros = _by_column(np.concatenate([prep.row_ids, len(prep.rhs) + new_rows]),
-                          np.concatenate([prep.col_ids, new_cols]),
-                          np.concatenate([prep.vals, rows[new_rows, new_cols]]), len(prep.costs))
+def append_rows(prep: PreparedLp, cols, coefs, rhs: np.ndarray) -> PreparedLp:
+    """`prep` with k ``<=`` rows appended as nonzeros: row i has the
+    coefficients ``coefs[i]`` on the columns ``cols[i]``, given as
+    :meth:`Model.add_rows <confl3.milp.Model.add_rows>` takes them ((k, L)
+    arrays or k sequences), and the right-hand side ``rhs[i]``.  The
+    original's arrays are left as they are."""
+    cols, lengths = flatten_rows(cols, np.int64)
+    coefs, _ = flatten_rows(coefs, float)
+    new_rows = len(prep.rhs) + np.repeat(np.arange(len(lengths)), lengths)
+    nonzeros = _by_column(np.concatenate([prep.row_ids, new_rows]),
+                          np.concatenate([prep.col_ids, cols]),
+                          np.concatenate([prep.vals, coefs]), len(prep.costs))
     return PreparedLp(*nonzeros, np.concatenate([prep.rhs, rhs]),
                       np.concatenate([prep.is_eq, np.zeros(len(rhs), dtype=bool)]),
                       prep.costs, prep.binaries)
@@ -197,9 +203,8 @@ def separate(prep: PreparedLp, lo: np.ndarray, hi: np.ndarray, res: LpResult, po
         if not len(new):
             break
         cut[new] = True
-        block = np.zeros((len(new), len(prep.costs)))
-        block[np.arange(len(new))[:, None], pool[new]] = 1.0
-        prep = append_rows(prep, block, np.ones(len(new)))
+        pairs = pool[new]
+        prep = append_rows(prep, pairs, np.ones(pairs.shape), np.ones(len(new)))
         res = solve_prepared(prep, lo, hi, res.basis)
     return prep, res
 

@@ -27,6 +27,7 @@ from confl3.milp import EQ, GE, LE, SENSES, Model, apply_fixings, lp_relaxation
 from confl3 import simplex
 from confl3.simplex import (_AT_LOWER, _AT_UPPER, _BASIC, _DUAL_FEASTOL, _PIVTOL, INFEASIBLE,
                             OPTIMAL, PreparedLp, _row_times)
+from rows import row_list
 
 _FEAS = 1e-7
 
@@ -44,7 +45,7 @@ def evaluate(model: Model, assignment: np.ndarray,
                          f"{np.shape(assignment)}")
     values = assignment.tolist()
     objective = sum(cost * values[vid] for vid, cost in model.objective.items())
-    rows = model.rows()
+    rows = model.constraints
     # bincount adds each row's products in term order, as a running sum would.
     lhs = np.bincount(rows.entry_rows(), weights=rows.coefs * assignment[rows.cols],
                       minlength=len(rows.rhs))
@@ -68,14 +69,14 @@ def lp_vertex_optimum(model: Model) -> tuple[str, float | None, np.ndarray | Non
     rows = []
     senses = []
     rhs = []
-    for con in model.constraints:
+    for terms, sense, row_rhs in row_list(model.constraints):
         row = np.zeros(n)
-        for vid, coef in con.terms:
+        for vid, coef in terms:
             row[vid] = coef
         rows.append(row)
-        senses.append(con.sense)
-        rhs.append(con.rhs)
-        planes.append((row, con.rhs))
+        senses.append(sense)
+        rhs.append(row_rhs)
+        planes.append((row, row_rhs))
     for j in range(n):
         ej = np.zeros(n)
         ej[j] = 1.0
@@ -120,7 +121,7 @@ def lp_vertex_optimum(model: Model) -> tuple[str, float | None, np.ndarray | Non
 def _highs_arrays(model: Model) -> tuple[np.ndarray, csr_array]:
     """The cost vector and the sparse rows of `model`, built from the model
     itself, not by :func:`simplex.prepare`."""
-    r = model.rows()
+    r = model.constraints
     n = len(model.variables)
     cost = np.zeros(n)
     for vid, c in model.objective.items():
@@ -132,7 +133,7 @@ def highs_lp_optimum(model: Model) -> tuple[str, float | None]:
     """Status and optimal objective of the LP relaxation of `model` under its
     own bounds, by scipy's HiGHS on the model's rows (``>=`` rows negated
     here, not by :func:`simplex.prepare`)."""
-    r = model.rows()
+    r = model.constraints
     cost, a = _highs_arrays(model)
     eq = r.sense == SENSES.index(EQ)
     sign = np.where(r.sense == SENSES.index(GE), -1.0, 1.0)
@@ -149,7 +150,7 @@ def highs_lp_optimum(model: Model) -> tuple[str, float | None]:
 def highs_mip_optimum(model: Model) -> tuple[str, float | None]:
     """Status and optimal objective of `model` as a MIP under its own
     bounds, by scipy's HiGHS branch and cut with no relative gap allowed."""
-    r = model.rows()
+    r = model.constraints
     cost, a = _highs_arrays(model)
     le, ge = r.sense == SENSES.index(LE), r.sense == SENSES.index(GE)
     rows = LinearConstraint(a, np.where(le, -np.inf, r.rhs), np.where(ge, np.inf, r.rhs))
@@ -178,14 +179,14 @@ def enumerate_binary_patterns(model: Model):
     assert b <= 22, "enumeration oracle is meant for tiny models"
     pos = {vid: k for k, vid in enumerate(bin_ids)}
     pure_rows, pure_rhs, pure_sense = [], [], []
-    for con in model.constraints:
-        if all(vid in pos for vid, _ in con.terms):
+    for terms, sense, row_rhs in row_list(model.constraints):
+        if all(vid in pos for vid, _ in terms):
             row = np.zeros(b)
-            for vid, coef in con.terms:
+            for vid, coef in terms:
                 row[pos[vid]] = coef
             pure_rows.append(row)
-            pure_rhs.append(con.rhs)
-            pure_sense.append(con.sense)
+            pure_rhs.append(row_rhs)
+            pure_sense.append(sense)
 
     relaxed = lp_relaxation(model)
     bin_lo = np.array([model.variables[vid].lower for vid in bin_ids])

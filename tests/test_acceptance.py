@@ -35,6 +35,7 @@ from instances import (
     pair_instance,
 )
 from oracles import enumerate_binary_patterns, mip_enumeration_optimum
+from rows import row_list
 from solve import solve_model
 
 
@@ -98,9 +99,7 @@ def test_heuristic_quality(acceptance_set, acceptance_exact):
             feasible_total += 1
             result = run(instance, params)
             assert result.status == "feasible", f"seed {seed}: no solution"
-            rep = verify_solution(
-                instance, confl, result.assignment, sir_tol=1e-6, flow_tol=1e-9
-            )
+            rep = verify_solution(instance, confl, result.assignment)
             assert rep.feasible, f"seed {seed}: verification failed: {rep}"
             if result.objective <= exact.objective + 1e-6:
                 matched += 1
@@ -120,12 +119,13 @@ def test_strengthening_validity_and_effect(acceptance_set, acceptance_strong):
         cases.append((crafted, crafted_plain, crafted_strong))
 
         for instance, plain, strong in cases:
-            extra = strong.model.constraints[len(plain.model.constraints):]
+            extra = row_list(strong.model.constraints)[len(plain.model.constraints):]
             # (a) every integer-feasible solution satisfies every added row
             for _, res in enumerate_binary_patterns(plain.model):
                 for row in extra:
-                    lhs = sum(coef * res.assignment[vid] for vid, coef in row.terms)
-                    assert lhs <= row.rhs + 1e-8, row
+                    terms, _, rhs = row
+                    lhs = sum(coef * res.assignment[vid] for vid, coef in terms)
+                    assert lhs <= rhs + 1e-8, row
             # (b) the strengthened bound never drops
             lp_plain = simplex.solve_lp(lp_relaxation(plain.model))
             lp_strong = simplex.solve_lp(lp_relaxation(strong.model))

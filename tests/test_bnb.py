@@ -19,6 +19,7 @@ from confl3.milp import (
 
 from instances import CLI_PARAMS, DESK, conflict_instance, strengthening_preset
 from oracles import evaluate, highs_mip_optimum, mip_enumeration_optimum
+from rows import add_row
 from solve import solve_model
 
 
@@ -28,7 +29,7 @@ def test_cover_pair():
     b = m.add_variable("x2", BINARY, 0, 1)
     m.set_objective_coef(a, 1.0)
     m.set_objective_coef(b, 1.0)
-    m.add_constraint([(a, 1.0), (b, 1.0)], GE, 1.0)
+    add_row(m, [(a, 1.0), (b, 1.0)], GE, 1.0)
     r = solve_model(m, 10.0)
     assert r.status == bnb.OPTIMAL
     assert r.objective == pytest.approx(1.0)
@@ -39,7 +40,7 @@ def test_contradictory_fixing_proved_infeasible():
     m = Model()
     v = m.add_variable("x1", BINARY, 0, 1)
     m.set_objective_coef(v, 1.0)
-    m.add_constraint([(v, 1.0)], GE, 1.0)
+    add_row(m, [(v, 1.0)], GE, 1.0)
     r = solve_model(apply_fixings(m, {v: 0.0}), 10.0)
     assert r.status == bnb.INFEASIBLE
     assert r.incumbent is None
@@ -74,7 +75,7 @@ def test_branches_on_the_highest_weighted_fractionality(monkeypatch):
     b = m.add_variable("b", BINARY, 0, 1)
     for vid, cost, scale in ((z, 0.0, 2.0), (a, 1.0, 2.0), (b, 10.0, 4.0)):
         m.set_objective_coef(vid, cost)
-        m.add_constraint([(vid, scale)], GE, 1.0)
+        add_row(m, [(vid, scale)], GE, 1.0)
     root, j = _first_branch(m, monkeypatch)
     frac = root.assignment[[z, a, b]]
     assert frac == pytest.approx([0.5, 0.5, 0.25])
@@ -88,7 +89,7 @@ def test_a_zero_cost_binary_is_branched_on_when_no_costed_one_is_fractional(monk
     x = m.add_variable("x", BINARY, 0, 1)
     z = m.add_variable("z", BINARY, 0, 1)
     m.set_objective_coef(x, 1.0)
-    m.add_constraint([(z, 2.0)], GE, 1.0)
+    add_row(m, [(z, 2.0)], GE, 1.0)
     root, j = _first_branch(m, monkeypatch)
     assert root.assignment == pytest.approx([0.0, 0.5])
     assert j == z
@@ -123,7 +124,7 @@ def _random_milp(rng: np.random.Generator, n_bin=8, n_cont=3, n_cons=8) -> Model
         terms = [(i, float(rng.normal())) for i in everything if rng.random() < 0.6]
         if not terms:
             terms = [(everything[0], 1.0)]
-        m.add_constraint(terms, str(rng.choice([LE, GE])), float(rng.normal() * 2))
+        add_row(m, terms, str(rng.choice([LE, GE])), float(rng.normal() * 2))
     return m
 
 
@@ -261,9 +262,9 @@ def test_pool_cuts_match_the_full_row_model(case, monkeypatch):
     appended = []
     append_rows = simplex.append_rows
 
-    def recording_append_rows(prep, rows, rhs):
+    def recording_append_rows(prep, cols, coefs, rhs):
         appended.append(len(rhs))
-        return append_rows(prep, rows, rhs)
+        return append_rows(prep, cols, coefs, rhs)
 
     def close(a, b):
         return abs(a - b) <= 1e-9 * max(1.0, abs(b))
@@ -295,9 +296,9 @@ def test_pool_rows_are_appended_once_for_the_whole_tree(monkeypatch):
     appended, masks = [], []
     append_rows, separate = simplex.append_rows, simplex.separate
 
-    def recording_append_rows(prep, rows, rhs):
-        appended.append(rows)
-        return append_rows(prep, rows, rhs)
+    def recording_append_rows(prep, cols, coefs, rhs):
+        appended.append(cols)
+        return append_rows(prep, cols, coefs, rhs)
 
     def recording_separate(prep, lo, hi, res, pool, cut=None):
         masks.append(cut)
@@ -309,7 +310,8 @@ def test_pool_rows_are_appended_once_for_the_whole_tree(monkeypatch):
     assert res.status == bnb.OPTIMAL
     assert len(masks) == res.nodes and masks[0] is not None
     assert all(mask is masks[0] for mask in masks)
-    rows = np.vstack(appended)
+    # Each appended row as its sorted pair of column ids.
+    rows = np.sort(np.vstack(appended), axis=1)
     assert len(appended) > 1
     assert len(np.unique(rows, axis=0)) == len(rows)
     assert masks[0].sum() == len(rows)

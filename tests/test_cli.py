@@ -156,9 +156,9 @@ def test_exact_strong_prepares_only_the_plain_matrix(tmp_path, capsys, monkeypat
             cold.append(prep)
         return solve_prepared(prep, lo, hi, basis)
 
-    def counting_append_rows(prep, rows, rhs):
+    def counting_append_rows(prep, cols, coefs, rhs):
         appended.append(len(rhs))
-        return append_rows(prep, rows, rhs)
+        return append_rows(prep, cols, coefs, rhs)
 
     monkeypatch.setattr(simplex, "prepare", counting_prepare)
     monkeypatch.setattr(simplex, "solve_prepared", counting_solve_prepared)
@@ -436,9 +436,9 @@ def test_export_lp_logs_the_rows_it_wrote(tmp_path, caplog):
     assert f"variables, {rows} rows)" in caplog.text
 
 
-def test_failed_export_leaves_no_file(tmp_path, monkeypatch):
-    """A write that fails after the first block of rows propagates, and the
-    partial file is removed."""
+def test_failed_export_leaves_no_file(tmp_path, capsys, monkeypatch):
+    """A write that fails after the first block of rows exits 2 with its
+    error, and the partial file is removed."""
     inst_path = _generate(tmp_path)
     lp_path = tmp_path / "model.lp"
     render = milp._row_lines
@@ -452,8 +452,8 @@ def test_failed_export_leaves_no_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(milp, "_EXPORT_BLOCK_ROWS", 1)
     monkeypatch.setattr(milp, "_row_lines", fail_after_first_block)
-    with pytest.raises(OSError, match="no space left"):
-        main(["export-lp", str(inst_path), "-o", str(lp_path)])
+    assert main(["export-lp", str(inst_path), "-o", str(lp_path)]) == 2
+    assert "error: no space left on device" in capsys.readouterr().err
     assert calls == [True, True]
     assert not lp_path.exists()
 
@@ -472,6 +472,23 @@ def test_missing_instance_file_is_usage_error(tmp_path, capsys):
     code = main(["solve", str(tmp_path / "nope.json"), "-o", str(tmp_path / "s.json")])
     assert code == 2
     assert "not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "exact", "generate", "report"])
+def test_an_unreadable_input_or_unwritable_output_exits_2(tmp_path, capsys, command):
+    """A directory given as an instance or a solution document, or an output
+    in a missing directory, is an input error: exit 2 with one error line,
+    not exit 1 with a traceback."""
+    inst_path = _generate(tmp_path)
+    missing = str(tmp_path / "missing-dir" / "x.json")
+    argv = {"solve": ["solve", str(tmp_path), "-o", str(tmp_path / "s.json")],
+            "exact": ["exact", str(inst_path), "-o", missing],
+            "generate": GEN_ARGS + ["--seed", "4", "-o", missing],
+            "report": ["report", str(tmp_path)]}[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_unknown_flag_is_usage_error(tmp_path, capsys):

@@ -19,7 +19,7 @@ from confl3.confl import (
     verify_solution,
 )
 from confl3.instance_io import GeneratorParams, generate
-from confl3.milp import LE, LinearConstraint, apply_fixings, lp_relaxation
+from confl3.milp import LE, apply_fixings, lp_relaxation
 
 from instances import (
     CLI_PARAMS,
@@ -37,14 +37,15 @@ from oracles import (
     mip_enumeration_optimum,
     superinterferers,
 )
+from rows import row_list
 from solve import solve_model
 
 
 def _is_sir_row(confl, row, fid=None, uid=None) -> bool:
-    """Whether `row` is an SIR row, the one of (fid, uid) when they are
-    given: a row that holds a wireless assignment column and a power
-    column."""
-    cols = {vid for vid, _ in row.terms}
+    """Whether `row`, a (terms, sense, rhs) triple, is an SIR row, the one
+    of (fid, uid) when they are given: a row that holds a wireless
+    assignment column and a power column."""
+    cols = {vid for vid, _ in row[0]}
     ys = {yid for (f, u, t), yid in confl.y.items()
           if t == 3 and fid in (None, f) and uid in (None, u)}
     return bool(cols & ys) and bool(cols & set(confl.power.values()))
@@ -59,7 +60,7 @@ class TestBuildCounts:
         assert len(confl.z) == n_f * n_t
         assert len(confl.x) == n_arcs
         assert len(confl.flow) == n_arcs * n_f
-        n_sir = sum(1 for c in confl.model.constraints if _is_sir_row(confl, c))
+        n_sir = sum(1 for c in row_list(confl.model.constraints) if _is_sir_row(confl, c))
         assert n_sir == len(inst.assignment_arcs[3])
         assert len(confl.y) == sum(len(a) for a in inst.assignment_arcs.values())
 
@@ -120,16 +121,17 @@ class TestBuild3Confl:
     def test_inactive_assignment_silences_sir_row(self):
         inst, _, _ = conflict_instance()
         confl = build_3confl(inst)
-        sir_rows = [c for c in confl.model.constraints if _is_sir_row(confl, c, "f0", "u0")]
+        sir_rows = [c for c in row_list(confl.model.constraints)
+                    if _is_sir_row(confl, c, "f0", "u0")]
         assert len(sir_rows) == 1
-        row = sir_rows[0]
+        terms, _, rhs = sir_rows[0]
         rng = np.random.default_rng(0)
         w = inst.wireless
         for _ in range(100):
             values = {confl.power[f.id]: rng.uniform(0, w.p_max) for f in inst.facilities}
             values[confl.y["f0", "u0", 3]] = 0.0
-            lhs = sum(coef * values[vid] for vid, coef in row.terms)
-            assert lhs >= row.rhs - 1e-12
+            lhs = sum(coef * values[vid] for vid, coef in terms)
+            assert lhs >= rhs - 1e-12
 
     def test_missing_wireless_params_rejected(self):
         inst = wireless_single()
@@ -414,13 +416,14 @@ class TestConflictPairs:
         inst = conflict_instance()[0] if builder else calm_wireless_instance()
         plain = build_3confl(inst)
         strong = strengthen(plain, inst)
-        extra = strong.model.constraints[len(plain.model.constraints):]
+        extra = row_list(strong.model.constraints)[len(plain.model.constraints):]
         count = 0
         for pattern, res in enumerate_binary_patterns(plain.model):
             count += 1
             for row in extra:
-                lhs = sum(coef * res.assignment[vid] for vid, coef in row.terms)
-                assert lhs <= row.rhs + 1e-9, row
+                terms, _, rhs = row
+                lhs = sum(coef * res.assignment[vid] for vid, coef in terms)
+                assert lhs <= rhs + 1e-9, row
         assert count > 0
 
 
@@ -438,26 +441,25 @@ class TestStrengthen:
         inst = repair_instance()
         plain = build_3confl(inst)
         strong = strengthen(plain, inst)
-        extra = strong.model.constraints[len(plain.model.constraints):]
+        extra = row_list(strong.model.constraints)[len(plain.model.constraints):]
         want = {plain.y["f0", "u0", 3], plain.z["f1", 3]}
-        assert any({vid for vid, _ in c.terms} == want for c in extra)
+        assert any({vid for vid, _ in terms} == want for terms, _, _ in extra)
 
     @pytest.mark.parametrize("make_instance", [conflict_instance, repair_instance])
     def test_plain_model_rows_unchanged(self, make_instance):
         inst = make_instance()[0] if make_instance is conflict_instance else make_instance()
         plain = build_3confl(inst)
-        before = list(plain.model.constraints)
+        before = row_list(plain.model.constraints)
         pairs = strengthening_pairs(plain, inst)
         assert pairs.dtype == np.int64 and pairs.ndim == 2 and pairs.shape[1] == 2
         strong = strengthen(plain, inst)
         assert strong.strengthening_rows == len(pairs) > 0
         assert len(plain.model.constraints) == len(before)
-        assert all(plain.model.constraints[i] == row for i, row in enumerate(before))
-        assert list(strong.model.constraints)[:len(before)] == before
+        assert row_list(plain.model.constraints) == before
+        assert row_list(strong.model.constraints)[:len(before)] == before
         # The appended rows are exactly x_a + x_b <= 1 over the pairs, in order.
-        extra = strong.model.constraints[len(before):]
-        assert list(extra) == [LinearConstraint(((a, 1.0), (b, 1.0)), LE, 1.0)
-                               for a, b in pairs.tolist()]
+        extra = row_list(strong.model.constraints)[len(before):]
+        assert extra == [(((a, 1.0), (b, 1.0)), LE, 1.0) for a, b in pairs.tolist()]
         # Lone-blocker pairs (the ones with a z column) first, then conflict pairs.
         z3 = {plain.z[f.id, 3] for f in inst.facilities}
         has_z = [bool(z3 & set(pair)) for pair in pairs.tolist()]
@@ -488,16 +490,17 @@ class TestSirAlgebra:
         inst, _, _ = conflict_instance()
         confl = build_3confl(inst)
         w = inst.wireless
-        row = next(c for c in confl.model.constraints if _is_sir_row(confl, c, "f0", "u0"))
+        terms, _, rhs = next(c for c in row_list(confl.model.constraints)
+                             if _is_sir_row(confl, c, "f0", "u0"))
         rng = np.random.default_rng(3)
         for _ in range(50):
             p = {f.id: rng.uniform(0, w.p_max) for f in inst.facilities}
             values = {confl.power[fid]: val for fid, val in p.items()}
             values[confl.y["f0", "u0", 3]] = 1.0
-            lhs = sum(coef * values[vid] for vid, coef in row.terms)
+            lhs = sum(coef * values[vid] for vid, coef in terms)
             direct = w.fading["f0", "u0"] * p["f0"] - w.delta * w.fading["f1", "u0"] * p["f1"]
             # wipe the big-M part: with y = 1 the row must equal the raw inequality
-            assert lhs - row.rhs == pytest.approx(direct - w.delta * w.eta_noise, abs=1e-12)
+            assert lhs - rhs == pytest.approx(direct - w.delta * w.eta_noise, abs=1e-12)
 
 
 class TestVerifySolution:

@@ -40,6 +40,7 @@ from instances import (
     strengthening_preset,
     super_instance,
 )
+from rows import add_row
 from solve import solve_model
 
 
@@ -60,6 +61,16 @@ class TestOgap:
     def test_bound_above_value_rejected(self):
         with pytest.raises(ValueError, match="inconsistency"):
             ogap(10.0, 11.0)
+
+    @pytest.mark.parametrize("v", [0.0, 1e-3, 10.0, 1e6])
+    def test_bound_above_value_within_the_tolerance_is_zero(self, v):
+        # bnb._gap_eps: 1e-9 relative, 1e-9 absolute below 1.
+        assert ogap(v, v + 0.5e-9 * max(1.0, v)) == 0.0
+
+    @pytest.mark.parametrize("v", [0.0, 1e-3, 10.0, 1e6])
+    def test_bound_just_past_the_tolerance_rejected(self, v):
+        with pytest.raises(ValueError):
+            ogap(v, v + 1.01e-9 * max(1.0, v))
 
 
 class TestIsComplete:
@@ -127,9 +138,7 @@ class TestPosteriorAttractiveness:
     def test_neutral_candidate_scores_one(self):
         inst = attractiveness_instance()
         ctx = HeuristicContext(inst)
-        assert posterior_attractiveness(inst, FOS(), ("f0", 1), ctx) == pytest.approx(
-            1.0, abs=1e-9
-        )
+        assert posterior_attractiveness(FOS(), ("f0", 1), ctx) == pytest.approx(1.0, abs=1e-9)
 
     def test_monotone_nonincreasing_in_fixing_set(self):
         inst = repair_instance()
@@ -137,20 +146,20 @@ class TestPosteriorAttractiveness:
         candidate = ("f2", 3)
         small = FOS(frozenset({("f0", 3)}))
         large = small.with_entry("f1", 3)
-        eta_small = posterior_attractiveness(inst, small, candidate, ctx)
-        eta_large = posterior_attractiveness(inst, large, candidate, ctx)
+        eta_small = posterior_attractiveness(small, candidate, ctx)
+        eta_large = posterior_attractiveness(large, candidate, ctx)
         assert eta_large <= eta_small + 1e-9
 
     def test_infeasible_partial_fixing_hits_floor(self):
         inst = super_instance()
         ctx = HeuristicContext(inst)
-        assert posterior_attractiveness(inst, FOS(), ("f1", 3), ctx) == EPS_TAU
+        assert posterior_attractiveness(FOS(), ("f1", 3), ctx) == EPS_TAU
 
     def test_clashing_candidate_rejected(self):
         inst = repair_instance()
         ctx = HeuristicContext(inst)
         with pytest.raises(ValueError, match="clash"):
-            posterior_attractiveness(inst, FOS(frozenset({("f0", 1)})), ("f0", 3), ctx)
+            posterior_attractiveness(FOS(frozenset({("f0", 1)})), ("f0", 3), ctx)
 
 
 class TestFixingProbabilities:
@@ -685,12 +694,10 @@ def _vlns_model(confl, center, radius, cutoff=None):
     objective row, as separate constraints of a model copy."""
     model = confl.model.copy()
     ones = sum(v >= 0.5 for v in center.values())
-    model.add_constraint(
-        [(confl.z[k], -1.0 if v >= 0.5 else 1.0) for k, v in sorted(center.items())],
-        LE, float(radius - ones),
-    )
+    add_row(model, [(confl.z[k], -1.0 if v >= 0.5 else 1.0) for k, v in sorted(center.items())],
+            LE, float(radius - ones))
     if cutoff is not None:
-        model.add_constraint(list(model.objective.items()), LE, cutoff)
+        add_row(model, list(model.objective.items()), LE, cutoff)
     return model
 
 
@@ -809,9 +816,9 @@ class TestSeparation:
         appended = []
         append_rows = simplex.append_rows
 
-        def recording_append_rows(prep, rows, rhs):
+        def recording_append_rows(prep, cols, coefs, rhs):
             appended.append(len(rhs))
-            return append_rows(prep, rows, rhs)
+            return append_rows(prep, cols, coefs, rhs)
 
         monkeypatch.setattr(simplex, "append_rows", recording_append_rows)
         ctx = HeuristicContext(inst)

@@ -21,6 +21,7 @@ from confl3.milp import (
 )
 
 from oracles import evaluate
+from rows import add_row, row, row_list
 
 
 def _export(m) -> str:
@@ -37,8 +38,8 @@ def small_model():
     p = m.add_variable("p", CONTINUOUS, 0.0, 1.0)
     m.set_objective_coef(x1, 2.0)
     m.set_objective_coef(p, 0.5)
-    m.add_constraint([(x1, 1.0), (x2, 1.0)], LE, 1.0)
-    m.add_constraint([(p, 1.0), (x1, -1.0)], LE, 0.0)
+    add_row(m, [(x1, 1.0), (x2, 1.0)], LE, 1.0)
+    add_row(m, [(p, 1.0), (x1, -1.0)], LE, 0.0)
     return m, (x1, x2, p)
 
 
@@ -77,20 +78,20 @@ class TestAddVariable:
 class TestAddConstraint:
     def test_sequential_ids(self):
         m, (x1, x2, _) = small_model()
-        cid = m.add_constraint([(x1, 1.0)], GE, 0.0)
+        cid = add_row(m, [(x1, 1.0)], GE, 0.0)
         assert cid == 2
 
     def test_unknown_variable_rejected(self):
         m = Model()
         m.add_variable("x1", BINARY, 0, 1)
         with pytest.raises(ValueError, match="unknown"):
-            m.add_constraint([(5, 1.0)], LE, 1.0)
+            add_row(m, [(5, 1.0)], LE, 1.0)
 
     def test_duplicate_term_rejected(self):
         m = Model()
         x1 = m.add_variable("x1", BINARY, 0, 1)
         with pytest.raises(ValueError, match="duplicate"):
-            m.add_constraint([(x1, 1.0), (x1, 1.0)], LE, 1.0)
+            add_row(m, [(x1, 1.0), (x1, 1.0)], LE, 1.0)
 
     @pytest.mark.parametrize("sense, rhs", [(GE, math.inf), (LE, -math.inf),
                                             (GE, -math.inf), (EQ, math.nan)])
@@ -98,8 +99,8 @@ class TestAddConstraint:
         m = Model()
         x = m.add_variable("x", CONTINUOUS, 0, 10)
         with pytest.raises(ValueError, match="non-finite right-hand side"):
-            m.add_constraint([(x, 1.0)], sense, rhs)
-        assert list(m.constraints) == []
+            add_row(m, [(x, 1.0)], sense, rhs)
+        assert len(m.constraints) == 0
 
 
 # Each rejected row as (terms, sense, rhs) with the message that names its
@@ -121,20 +122,20 @@ REJECTED_ROWS = [
 
 
 class TestAddRows:
-    @pytest.mark.parametrize("row, message", REJECTED_ROWS)
-    def test_add_constraint_names_the_row(self, row, message):
+    @pytest.mark.parametrize("bad_row, message", REJECTED_ROWS)
+    def test_add_constraint_names_the_row(self, bad_row, message):
         m, (x1, _, _) = small_model()
-        before = list(m.constraints)
-        terms, sense, rhs = row(x1)
+        before = row_list(m.constraints)
+        terms, sense, rhs = bad_row(x1)
         with pytest.raises(ValueError, match=re.escape(f"{message} (row 2)")):
-            m.add_constraint(terms, sense, rhs)
-        assert list(m.constraints) == before
+            add_row(m, terms, sense, rhs)
+        assert row_list(m.constraints) == before
 
-    @pytest.mark.parametrize("row, message", REJECTED_ROWS)
-    def test_bulk_append_names_the_row_and_appends_nothing(self, row, message):
+    @pytest.mark.parametrize("bad_row, message", REJECTED_ROWS)
+    def test_bulk_append_names_the_row_and_appends_nothing(self, bad_row, message):
         m, (x1, x2, p) = small_model()
-        before = list(m.constraints)
-        terms, sense, rhs = row(x1)
+        before = row_list(m.constraints)
+        terms, sense, rhs = bad_row(x1)
         batch = [([(x2, 1.0)], LE, 1.0), ([(p, 2.0), (x2, 1.0)], GE, 0.0),
                  (terms, sense, rhs), ([(x1, 1.0)], EQ, 0.0)]
         with pytest.raises(ValueError, match=re.escape(f"{message} (row 4)")):
@@ -142,7 +143,7 @@ class TestAddRows:
                        [[coef for _, coef in t] for t, _, _ in batch],
                        [sense for _, sense, _ in batch], [rhs for _, _, rhs in batch])
         assert len(m.constraints) == len(before)
-        assert list(m.constraints) == before
+        assert row_list(m.constraints) == before
 
     def test_bulk_rows_equal_single_rows(self):
         bulk, (x1, x2, p) = small_model()
@@ -151,10 +152,9 @@ class TestAddRows:
         coefs = np.array([[1.0, -2.5], [0.5, 1.0], [3.0, -1.0]])
         ids = bulk.add_rows(cols, coefs, [LE, GE, EQ], [1.0, 0.0, 2.0])
         assert ids == range(2, 5)
-        for row, sense, rhs in zip(range(3), [LE, GE, EQ], [1.0, 0.0, 2.0]):
-            single.add_constraint(list(zip(cols[row].tolist(), coefs[row].tolist())),
-                                  sense, rhs)
-        assert list(bulk.constraints) == list(single.constraints)
+        for i, sense, rhs in zip(range(3), [LE, GE, EQ], [1.0, 0.0, 2.0]):
+            add_row(single, list(zip(cols[i].tolist(), coefs[i].tolist())), sense, rhs)
+        assert row_list(bulk.constraints) == row_list(single.constraints)
         assert _export(bulk) == _export(single)
 
     def test_mismatched_shapes_rejected(self):
@@ -169,31 +169,29 @@ class TestAddRows:
             m.add_rows([[x1]], [[1.0]], [LE, GE], 1.0)
         assert len(m.constraints) == 2
 
-    def test_constraints_is_a_read_only_sequence(self):
+    def test_constraints_are_read_only_rows(self):
         m, (x1, x2, p) = small_model()
         rows = m.constraints
         assert len(rows) == 2
-        assert rows[0].terms == ((x1, 1.0), (x2, 1.0)) and rows[0].sense == LE
-        assert rows[-1] == rows[1] == rows[1:][0]
-        assert [c.terms for c in rows] == [((x1, 1.0), (x2, 1.0)), ((p, 1.0), (x1, -1.0))]
-        with pytest.raises(IndexError):
-            rows[2]
+        assert row(rows, 0) == (((x1, 1.0), (x2, 1.0)), LE, 1.0)
+        assert [terms for terms, _, _ in row_list(rows)] == [((x1, 1.0), (x2, 1.0)),
+                                                             ((p, 1.0), (x1, -1.0))]
         with pytest.raises(ValueError, match="read-only"):
-            m.rows().coefs[0] = 5.0
+            rows.coefs[0] = 5.0
 
     def test_copies_append_without_touching_each_other(self):
         m, (x1, x2, p) = small_model()
-        original = list(m.constraints)
+        original = row_list(m.constraints)
         c = m.copy()
-        assert c.rows() is m.rows()
-        c.add_constraint([(x2, 1.0)], LE, 0.0)
-        assert list(m.constraints) == original
-        m.add_constraint([(p, 1.0)], GE, 0.0)
+        assert c.constraints is m.constraints
+        add_row(c, [(x2, 1.0)], LE, 0.0)
+        assert row_list(m.constraints) == original
+        add_row(m, [(p, 1.0)], GE, 0.0)
         head = [((x1, 1.0), (x2, 1.0)), ((p, 1.0), (x1, -1.0))]
-        assert [r.terms for r in c.constraints] == head + [((x2, 1.0),)]
-        assert [r.terms for r in m.constraints] == head + [((p, 1.0),)]
-        assert c.constraints[2].sense == LE and m.constraints[2].sense == GE
-        for rows in (c.rows(), m.rows()):
+        assert [terms for terms, _, _ in row_list(c.constraints)] == head + [((x2, 1.0),)]
+        assert [terms for terms, _, _ in row_list(m.constraints)] == head + [((p, 1.0),)]
+        assert row(c.constraints, 2)[1] == LE and row(m.constraints, 2)[1] == GE
+        for rows in (c.constraints, m.constraints):
             for array in (rows.starts, rows.cols, rows.coefs, rows.sense, rows.rhs):
                 assert not array.flags.writeable
 
@@ -212,7 +210,7 @@ class TestLpRelaxation:
         m.add_variable("x", CONTINUOUS, -1.0, 4.0)
         r = lp_relaxation(m)
         assert r.variables == m.variables
-        assert list(r.constraints) == list(m.constraints)
+        assert row_list(r.constraints) == row_list(m.constraints)
 
     def test_fixed_binary_stays_fixed(self):
         m, (x1, _, _) = small_model()
@@ -233,7 +231,7 @@ class TestApplyFixings:
         a = lp_relaxation(apply_fixings(m, fixings))
         b = apply_fixings(lp_relaxation(m), fixings)
         assert a.variables == b.variables
-        assert list(a.constraints) == list(b.constraints)
+        assert row_list(a.constraints) == row_list(b.constraints)
 
     def test_bounds_collapse(self):
         m, (x1, _, _) = small_model()
@@ -244,7 +242,7 @@ class TestApplyFixings:
         m, _ = small_model()
         f = apply_fixings(m, {})
         assert f.variables == m.variables
-        assert list(f.constraints) == list(m.constraints)
+        assert row_list(f.constraints) == row_list(m.constraints)
         assert f.objective == m.objective
 
     def test_out_of_bounds_rejected(self):
@@ -267,14 +265,14 @@ class TestEvaluate:
     def test_violation_reported_with_slack(self):
         m = Model()
         x = m.add_variable("x1", CONTINUOUS, 0, 10)
-        cid = m.add_constraint([(x, 1.0)], GE, 1.0)
+        cid = add_row(m, [(x, 1.0)], GE, 1.0)
         obj, violations = evaluate(m, np.array([0.0]))
         assert violations == [(cid, 1.0)]
 
     def test_zero_cost_objective(self):
         m = Model()
         x = m.add_variable("x1", CONTINUOUS, 0, 10)
-        m.add_constraint([(x, 1.0)], LE, 10.0)
+        add_row(m, [(x, 1.0)], LE, 10.0)
         obj, violations = evaluate(m, np.array([3.0]))
         assert obj == 0.0 and violations == []
 
@@ -289,7 +287,7 @@ class TestEvaluate:
     def test_equality_violation_is_absolute_residual(self, a, b):
         m = Model()
         x = m.add_variable("x", CONTINUOUS, -10, 10)
-        m.add_constraint([(x, 1.0)], EQ, a)
+        add_row(m, [(x, 1.0)], EQ, a)
         _, violations = evaluate(m, np.array([b]), tol=1e-9)
         if abs(a - b) > 1e-9:
             assert violations and violations[0][1] == pytest.approx(abs(a - b))
@@ -302,7 +300,7 @@ class TestExportLpText:
         m = Model()
         x = m.add_variable("x", CONTINUOUS, 0, 2)
         m.set_objective_coef(x, 1.0)
-        m.add_constraint([(x, 1.0)], GE, 1.0)
+        add_row(m, [(x, 1.0)], GE, 1.0)
         text = _export(m)
         for section in ("Minimize", "Subject To", "Bounds", "End"):
             assert section in text
@@ -350,10 +348,9 @@ class TestExportLpText:
             ids[name] = rebuilt.add_variable(name, kind, lo, hi)
         for name, cost in parsed.objective.items():
             rebuilt.set_objective_coef(ids[name], cost)
-        for row in parsed.rows:
-            rebuilt.add_constraint(
-                [(ids[n], c) for n, c in row.coefs.items()], row.sense, row.rhs
-            )
+        for parsed_row in parsed.rows:
+            add_row(rebuilt, [(ids[n], c) for n, c in parsed_row.coefs.items()],
+                    parsed_row.sense, parsed_row.rhs)
         want = solve_model(source, 60.0)
         got = solve_model(rebuilt, 60.0)
         assert got.status == want.status == "optimal"
@@ -373,15 +370,15 @@ def _loop_terms_text(terms) -> str:
 
 
 def _loop_export(m) -> str:
-    """The LP text written one row object at a time: the reference the
+    """The LP text written one row at a time: the reference the
     array export must match byte for byte."""
     lines = ["Minimize"]
     obj = [(m.variables[vid].name, cost) for vid, cost in m.objective.items()]
     lines.append(" obj: " + (_loop_terms_text(obj) if obj else "0"))
     lines.append("Subject To")
-    for cid, con in enumerate(m.constraints):
-        named = [(m.variables[vid].name, coef) for vid, coef in con.terms]
-        lines.append(f" c{cid}: {_loop_terms_text(named)} {con.sense} {con.rhs!r}")
+    for cid, (terms, sense, rhs) in enumerate(row_list(m.constraints)):
+        named = [(m.variables[vid].name, coef) for vid, coef in terms]
+        lines.append(f" c{cid}: {_loop_terms_text(named)} {sense} {rhs!r}")
     lines.append("Bounds")
     for var in m.variables:
         lo = "-inf" if var.lower == -math.inf else repr(var.lower)
@@ -396,9 +393,9 @@ def _loop_export(m) -> str:
 
 def _loop_violations(m, x, tol=1e-6):
     out = []
-    for cid, con in enumerate(m.constraints):
-        lhs = sum(coef * x[vid] for vid, coef in con.terms)
-        excess = {LE: lhs - con.rhs, GE: con.rhs - lhs}.get(con.sense, abs(lhs - con.rhs))
+    for cid, (terms, sense, rhs) in enumerate(row_list(m.constraints)):
+        lhs = sum(coef * x[vid] for vid, coef in terms)
+        excess = {LE: lhs - rhs, GE: rhs - lhs}.get(sense, abs(lhs - rhs))
         if excess > tol:
             out.append((cid, excess))
     return out
@@ -411,7 +408,7 @@ BLOCK_SIZES = [1, 3, milp._EXPORT_BLOCK_ROWS]
 @pytest.mark.parametrize("seed", range(20))
 def test_array_paths_match_row_loops(seed, monkeypatch):
     """Export, evaluate and the nonzeros of the prepared matrix agree
-    exactly with loops over the row objects, on random models with signed
+    exactly with loops over the rows, one at a time, on random models with signed
     zeros, repeated values and rows of mixed lengths.  The export does so in
     blocks of any size."""
     from confl3 import simplex
@@ -430,7 +427,7 @@ def test_array_paths_match_row_loops(seed, monkeypatch):
         m.set_objective_coef(int(j), draw())
     for r in range(int(rng.integers(0, 12))):
         ids = rng.permutation(n)[:int(rng.integers(1, n + 1))]
-        m.add_constraint([(int(i), draw()) for i in ids], [LE, EQ, GE][r % 3], draw())
+        add_row(m, [(int(i), draw()) for i in ids], [LE, EQ, GE][r % 3], draw())
     for block in BLOCK_SIZES:
         monkeypatch.setattr(milp, "_EXPORT_BLOCK_ROWS", block)
         assert _export(m) == _loop_export(m)
@@ -438,10 +435,10 @@ def test_array_paths_match_row_loops(seed, monkeypatch):
     assert evaluate(m, x)[1] == _loop_violations(m, x)
     prep = simplex.prepare(m)
     dense = np.zeros((len(m.constraints), n))
-    for i, con in enumerate(m.constraints):
-        for vid, coef in con.terms:
+    for i, (terms, sense, _) in enumerate(row_list(m.constraints)):
+        for vid, coef in terms:
             dense[i, vid] = coef
-        if con.sense == GE:
+        if sense == GE:
             dense[i] *= -1.0
     scattered = np.zeros_like(dense)
     scattered[prep.row_ids, prep.col_ids] = prep.vals
@@ -459,8 +456,8 @@ def _mixed_width_model() -> Model:
         m.set_objective_coef(j, float(rng.normal()))
     for r in range(50):
         ids = rng.permutation(12)[:int(rng.integers(1, 8))]
-        m.add_constraint([(int(i), float(rng.normal())) for i in ids],
-                         [LE, EQ, GE][r % 3], float(rng.integers(-3, 4)))
+        add_row(m, [(int(i), float(rng.normal())) for i in ids],
+                [LE, EQ, GE][r % 3], float(rng.integers(-3, 4)))
     return m
 
 

@@ -6,19 +6,20 @@ import numpy as np
 import pytest
 
 from confl3 import simplex
-from confl3.confl import build_3confl, strengthen
+from confl3.confl import build_3confl, strengthen, strengthening_pairs
 from confl3.instance_io import generate
 from confl3.milp import BINARY, CONTINUOUS, EQ, GE, LE, Model, lp_relaxation
 
-from instances import DESK
+from instances import DESK, strengthening_preset
 from oracles import dual_simplex, evaluate, highs_lp_optimum, lp_vertex_optimum, times_column
+from rows import add_row, row_list
 
 
 def test_simple_lower_bounded_min():
     m = Model()
     x = m.add_variable("x", CONTINUOUS, 0, 10)
     m.set_objective_coef(x, 1.0)
-    m.add_constraint([(x, 1.0)], GE, 3.0)
+    add_row(m, [(x, 1.0)], GE, 3.0)
     r = simplex.solve_lp(m)
     assert r.status == simplex.OPTIMAL
     assert r.objective == pytest.approx(3.0, abs=1e-9)
@@ -29,7 +30,7 @@ def test_unboxed_columns_are_rejected(lower, upper):
     m = Model()
     x = m.add_variable("x", CONTINUOUS, 0, 1)
     m.set_objective_coef(x, -1.0)
-    m.add_constraint([(x, 1.0)], GE, 0.0)
+    add_row(m, [(x, 1.0)], GE, 0.0)
     with pytest.raises(ValueError, match="finite"):
         simplex.solve_prepared(simplex.prepare(m), np.array([lower]), np.array([upper]))
 
@@ -97,8 +98,8 @@ def test_prepare_allocates_nothing_of_size_m_by_n(monkeypatch):
 def test_infeasible_detected():
     m = Model()
     x = m.add_variable("x", CONTINUOUS, 0, 10)
-    m.add_constraint([(x, 1.0)], LE, 1.0)
-    m.add_constraint([(x, 1.0)], GE, 2.0)
+    add_row(m, [(x, 1.0)], LE, 1.0)
+    add_row(m, [(x, 1.0)], GE, 2.0)
     m.set_objective_coef(x, 1.0)
     assert simplex.solve_lp(m).status == simplex.INFEASIBLE
 
@@ -130,9 +131,9 @@ def test_degenerate_cycling_guard():
     x = [m.add_variable(f"x{i}", CONTINUOUS, 0, 1e4) for i in range(4)]
     for vid, c in zip(x, (-0.75, 150.0, -0.02, 6.0)):
         m.set_objective_coef(vid, c)
-    m.add_constraint([(x[0], 0.25), (x[1], -60.0), (x[2], -0.04), (x[3], 9.0)], LE, 0.0)
-    m.add_constraint([(x[0], 0.5), (x[1], -90.0), (x[2], -0.02), (x[3], 3.0)], LE, 0.0)
-    m.add_constraint([(x[2], 1.0)], LE, 1.0)
+    add_row(m, [(x[0], 0.25), (x[1], -60.0), (x[2], -0.04), (x[3], 9.0)], LE, 0.0)
+    add_row(m, [(x[0], 0.5), (x[1], -90.0), (x[2], -0.02), (x[3], 3.0)], LE, 0.0)
+    add_row(m, [(x[2], 1.0)], LE, 1.0)
     r = simplex.solve_lp(m)
     assert r.status == simplex.OPTIMAL
     assert r.objective == pytest.approx(-0.05, abs=1e-9)
@@ -148,7 +149,7 @@ def _random_lp(rng: np.random.Generator, n_vars=5, n_cons=8) -> Model:
         if not terms:
             terms = [(ids[0], 1.0)]
         sense = rng.choice([LE, GE, EQ], p=[0.45, 0.45, 0.10])
-        m.add_constraint(terms, str(sense), float(rng.normal() * 2))
+        add_row(m, terms, str(sense), float(rng.normal() * 2))
     return m
 
 
@@ -191,12 +192,12 @@ def _feasible_lp(rng: np.random.Generator, dependent: bool, n_vars=4, n_cons=5) 
         coefs = rng.normal(size=n_vars)
         lhs = float(coefs @ point)
         margin = {LE: 1.0, GE: -1.0, EQ: 0.0}[sense] * abs(float(rng.normal()))
-        m.add_constraint([(i, float(c)) for i, c in zip(ids, coefs)], sense, lhs + margin)
+        add_row(m, [(i, float(c)) for i, c in zip(ids, coefs)], sense, lhs + margin)
     if dependent:
         coefs = rng.normal(size=n_vars)
         lhs = float(coefs @ point)
-        m.add_constraint([(i, float(c)) for i, c in zip(ids, coefs)], EQ, lhs)
-        m.add_constraint([(i, 2.0 * float(c)) for i, c in zip(ids, coefs)], EQ, 2.0 * lhs)
+        add_row(m, [(i, float(c)) for i, c in zip(ids, coefs)], EQ, lhs)
+        add_row(m, [(i, 2.0 * float(c)) for i, c in zip(ids, coefs)], EQ, 2.0 * lhs)
     return m
 
 
@@ -274,14 +275,14 @@ def test_warm_start_matches_cold_solve_and_oracle(seed, dependent, monkeypatch):
     for g in (rng.normal(size=n), prep.costs):
         for shift in (0.5, 50.0):
             rhs = float(g @ x) - shift
-            cut_prep = simplex.append_rows(prep, g[None, :], np.array([rhs]))
+            cut_prep = simplex.append_rows(prep, [range(n)], [g], np.array([rhs]))
             warm = simplex.solve_prepared(cut_prep, lo, hi, root.basis)
             cold = simplex.solve_prepared(cut_prep, lo, hi)
             if cold.status == simplex.OPTIMAL:
                 with pytest.raises(ValueError, match="rows for a matrix of"):
                     simplex.solve_prepared(prep, lo, hi, cold.basis)
             cut_model = model.copy()
-            cut_model.add_constraint([(j, float(g[j])) for j in range(n)], LE, rhs)
+            add_row(cut_model, [(j, float(g[j])) for j in range(n)], LE, rhs)
             check(warm, cold, cut_model, (g, shift))
     assert {simplex.OPTIMAL, simplex.INFEASIBLE} <= statuses
     assert rounds and max(rounds) <= 2
@@ -322,11 +323,11 @@ def _unboxed_lp(rng: np.random.Generator, n_vars=5, n_cons=4) -> tuple[Model, Mo
         coefs = rng.normal(size=n_vars)
         sense = str(rng.choice([LE, GE, EQ], p=[0.45, 0.45, 0.10]))
         margin = {LE: 1.0, GE: -1.0, EQ: 0.0}[sense] * abs(float(rng.normal()))
-        m.add_constraint([(j, float(c)) for j, c in enumerate(coefs)], sense,
-                         float(coefs @ point) + margin)
+        add_row(m, [(j, float(c)) for j, c in enumerate(coefs)], sense,
+                float(coefs @ point) + margin)
     sign = np.array([{"up": 1.0, "down": -1.0, "box": 0.0}[k] for k in kinds])
     cap = float(sign @ point) + float(rng.uniform(0.5, 3.0))
-    m.add_constraint([(j, float(c)) for j, c in enumerate(sign) if c], LE, cap)
+    add_row(m, [(j, float(c)) for j, c in enumerate(sign) if c], LE, cap)
 
     # The row bounds each [0, inf) column by reach and each (-inf, u]
     # column from below by u - reach; one more unit keeps them redundant.
@@ -385,7 +386,7 @@ def test_foreign_basis_with_wrong_signed_slack_is_refused():
         m = Model()
         x = m.add_variable("x", CONTINUOUS, 0, 10)
         m.set_objective_coef(x, cost)
-        m.add_constraint([(x, 1.0)], LE, 5.0)
+        add_row(m, [(x, 1.0)], LE, 5.0)
         return m
 
     maximize = simplex.solve_lp(lp(-1.0))
@@ -398,24 +399,53 @@ def test_foreign_basis_with_wrong_signed_slack_is_refused():
 
 
 def _dense_rows(model: Model) -> np.ndarray:
-    """The dense reference of a prepared matrix, built from the constraint
-    objects of `model`: its rows with >= rows negated, so that their zeros
-    become -0.0."""
+    """The dense reference of a prepared matrix, built one row of `model`
+    at a time: its rows with >= rows negated, so that their zeros become
+    -0.0."""
     dense = np.zeros((len(model.constraints), len(model.variables)))
-    for i, con in enumerate(model.constraints):
-        for vid, coef in con.terms:
+    for i, (terms, sense, _) in enumerate(row_list(model.constraints)):
+        for vid, coef in terms:
             dense[i, vid] = coef
-        if con.sense == GE:
+        if sense == GE:
             dense[i] *= -1.0
     return dense
 
 
 def _prep_of(rows: np.ndarray) -> simplex.PreparedLp:
-    """A prepared matrix whose <= rows are the dense `rows`."""
+    """A prepared matrix whose <= rows are the dense `rows`: each row's
+    coefficients on every column, of which append_rows keeps the nonzeros."""
+    k, n = rows.shape
     model = Model()
-    for j in range(rows.shape[1]):
+    for j in range(n):
         model.add_variable(f"x{j}", CONTINUOUS, 0, 1)
-    return simplex.append_rows(simplex.prepare(model), rows, np.zeros(len(rows)))
+    return simplex.append_rows(simplex.prepare(model), np.broadcast_to(np.arange(n), (k, n)),
+                               rows, np.zeros(k))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_append_rows_matches_prepare_of_the_model_with_those_rows(seed):
+    """Rows appended by append_rows, in the form Model.add_rows takes, give
+    the arrays that prepare gives for the model with the same rows added by
+    add_rows, dtypes included: the cut loop's pool pairs as a (k, 2) array,
+    and a ragged pair of rows like VLNS's hamming and cutoff rows."""
+    inst = generate(strengthening_preset(), seed)
+    plain = build_3confl(inst)
+    prep = simplex.prepare(plain.model)
+    pool = strengthening_pairs(plain, inst)
+    assert len(pool)
+    z = list(plain.z.values())[::2]
+    priced = np.flatnonzero(prep.costs)
+    ragged = ([z, priced], [[(-1.0) ** k for k in range(len(z))], prep.costs[priced]],
+              np.array([2.0, 40.0]))
+    for cols, coefs, rhs in ((pool, np.ones(pool.shape), np.ones(len(pool))), ragged):
+        model = plain.model.copy()
+        model.add_rows(cols, coefs, LE, rhs)
+        want = simplex.prepare(model)
+        got = simplex.append_rows(prep, cols, coefs, rhs)
+        for name in ("row_ids", "col_ids", "vals", "starts", "rhs", "is_eq", "costs",
+                     "binaries"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 def _full_inverse(rows, basis):
@@ -780,12 +810,12 @@ def test_a_remembered_start_factorization_changes_no_result(monkeypatch):
 
     # Rows appended past the basis: the new matrix starts with an empty
     # slot, extends the old basis and remembers the extended inverse.
-    cut = -prep.costs[None, :]
-    cut_prep = simplex.append_rows(prep, cut, np.array([-(root.objective + 0.5)]))
+    cut = [range(len(prep.costs))], [-prep.costs]
+    cut_prep = simplex.append_rows(prep, *cut, np.array([-(root.objective + 0.5)]))
     assert cut_prep.warm is None
     for k in (0, 3):
         got = simplex.solve_prepared(cut_prep, *bounds[k], a)
-        fresh = simplex.append_rows(simplex.prepare(model), cut, cut_prep.rhs[-1:])
+        fresh = simplex.append_rows(simplex.prepare(model), *cut, cut_prep.rhs[-1:])
         _same_result(got, simplex.solve_prepared(fresh, *bounds[k], a))
         assert cut_prep.warm[1].shape == (len(cut_prep.rhs),) * 2
     assert prep.warm[0] is b
@@ -825,8 +855,8 @@ def _sparse_lp(rng: np.random.Generator, n_cons: int, n_vars: int, density: floa
         coefs = rng.normal(size=len(cols))
         sense = str(rng.choice([LE, GE, EQ], p=[0.45, 0.45, 0.10]))
         margin = {LE: 1.0, GE: -1.0, EQ: 0.0}[sense] * abs(float(rng.normal()))
-        m.add_constraint([(int(j), float(c)) for j, c in zip(cols, coefs)], sense,
-                         float(coefs @ point[cols]) + margin)
+        add_row(m, [(int(j), float(c)) for j, c in zip(cols, coefs)], sense,
+                float(coefs @ point[cols]) + margin)
     return m
 
 
@@ -868,13 +898,13 @@ def test_column_index_is_the_dense_rows(seed):
     prep = simplex.prepare(model)
     n = len(prep.costs)
     ref = _dense_rows(model)
-    senses = [con.sense for con in model.constraints]
-    rhs = np.array([-con.rhs if con.sense == GE else con.rhs for con in model.constraints])
+    senses = [sense for _, sense, _ in row_list(model.constraints)]
+    rhs = np.array([-b if sense == GE else b for _, sense, b in row_list(model.constraints)])
     assert EQ in senses and np.any((ref == 0) & np.signbit(ref))
     pool = np.array([rng.choice(n, 2, replace=False) for _ in range(6)])
     block = np.zeros((len(pool), n))
     block[np.arange(len(pool))[:, None], pool] = 1.0
-    cut = simplex.append_rows(prep, block, np.ones(len(pool)))
+    cut = simplex.append_rows(prep, pool, np.ones(pool.shape), np.ones(len(pool)))
     cut_ref = np.vstack([ref, block])
     for p, dense, is_eq, want_rhs in ((prep, ref, np.equal(senses, EQ), rhs),
                                       (cut, cut_ref, np.equal(senses + [LE] * len(pool), EQ),
