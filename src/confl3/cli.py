@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from . import bnb, simplex
-from .confl import build_3confl, strengthen, strengthening_pairs, verify_solution
+from .confl import TECHNOLOGIES, build_3confl, strengthen, strengthening_pairs, verify_solution
 from .heuristic import HeuristicParams, UnattainableCoverageError, ogap, run
 from .instance_io import (
     GeneratorParams,
@@ -46,28 +46,38 @@ def _setup_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(message)s")
 
 
+# The flags of `generate` after --seed, each with the GeneratorParams field
+# it sets and its help; a per-technology field is one comma-separated value
+# per technology.
+_GENERATOR_FLAGS = [
+    ("--grid-width", "grid_width", None),
+    ("--grid-height", "grid_height", None),
+    ("--facilities", "n_facilities", None),
+    ("--central-offices", "n_central_offices", None),
+    ("--steiner", "n_steiner", None),
+    ("--density", "users_per_pixel", "probability that a pixel hosts a user"),
+    ("--radii", "radii", "assignment radii for technologies 1,2,3 (pixels)"),
+    ("--fractions", "coverage_fractions", "coverage thresholds as fractions of total weight"),
+    ("--knn", "knn", None),
+    ("--delta", "delta", None),
+    ("--eta-noise", "eta_noise", None),
+    ("--p-min", "p_min", None),
+    ("--p-max", "p_max", None),
+]
+
+
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="confl3", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a generated instance JSON")
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--grid-width", type=int, default=25)
-    gen.add_argument("--grid-height", type=int, default=18)
-    gen.add_argument("--facilities", type=int, default=30)
-    gen.add_argument("--central-offices", type=int, default=5)
-    gen.add_argument("--steiner", type=int, default=8)
-    gen.add_argument("--density", type=float, default=1.0,
-                     help="probability that a pixel hosts a user")
-    gen.add_argument("--radii", type=str, default="4,6,8",
-                     help="assignment radii for technologies 1,2,3 (pixels)")
-    gen.add_argument("--fractions", type=str, default="0.2,0.5,0.8",
-                     help="coverage thresholds as fractions of total weight")
-    gen.add_argument("--knn", type=int, default=4)
-    gen.add_argument("--delta", type=float, default=2.0)
-    gen.add_argument("--eta-noise", type=float, default=0.05)
-    gen.add_argument("--p-min", type=float, default=0.1)
-    gen.add_argument("--p-max", type=float, default=1.0)
+    gen_defaults = GeneratorParams()
+    for flag, field, text in _GENERATOR_FLAGS:
+        default = getattr(gen_defaults, field)
+        if isinstance(default, dict):
+            default = ",".join(f"{default[t]:g}" for t in TECHNOLOGIES)
+        gen.add_argument(flag, type=type(default), default=default, help=text)
     gen.add_argument("-o", "--output", required=True)
 
     solve = sub.add_parser("solve", help="run the fixing heuristic")
@@ -117,6 +127,17 @@ def _instance_ref(instance) -> dict:
     return {"name": instance.name, "hash": hashlib.sha256(canonical).hexdigest()}
 
 
+def _check_output(path: str) -> None:
+    """Raise OSError when `path` cannot be written: it is a directory, or
+    its parent directory is missing or not writable.  `solve` and `exact`
+    call this before any work, so a bad path costs no solve."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"output is a directory: {path}")
+    if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+        raise OSError(f"output directory missing or not writable: {parent}")
+
+
 def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -150,25 +171,14 @@ def _write_solution(path: str, kind: str, instance, confl, status: str,
 
 
 def _cmd_generate(args) -> int:
-    radii = [float(x) for x in args.radii.split(",")]
-    fractions = [float(x) for x in args.fractions.split(",")]
-    if len(radii) != 3 or len(fractions) != 3:
-        raise SchemaError("--radii and --fractions need exactly three comma-separated values")
-    params = GeneratorParams(
-        grid_width=args.grid_width,
-        grid_height=args.grid_height,
-        n_facilities=args.facilities,
-        n_central_offices=args.central_offices,
-        n_steiner=args.steiner,
-        users_per_pixel=args.density,
-        radii={1: radii[0], 2: radii[1], 3: radii[2]},
-        coverage_fractions={1: fractions[0], 2: fractions[1], 3: fractions[2]},
-        knn=args.knn,
-        delta=args.delta,
-        eta_noise=args.eta_noise,
-        p_min=args.p_min,
-        p_max=args.p_max,
-    )
+    values = {field: getattr(args, flag[2:].replace("-", "_"))
+              for flag, field, _ in _GENERATOR_FLAGS}
+    for field in ("radii", "coverage_fractions"):
+        per_tech = [float(x) for x in values[field].split(",")]
+        if len(per_tech) != len(TECHNOLOGIES):
+            raise SchemaError("--radii and --fractions need exactly three comma-separated values")
+        values[field] = dict(zip(TECHNOLOGIES, per_tech))
+    params = GeneratorParams(**values)
     instance = generate(params, args.seed)
     _write(args.output, write_instance(instance))
     logger.info(
@@ -180,6 +190,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    _check_output(args.output)
     instance = _load_instance(args.instance)
     params = HeuristicParams(
         alpha=args.alpha,
@@ -225,6 +236,7 @@ def _cmd_solve(args) -> int:
 def _cmd_exact(args) -> int:
     if not args.time_limit > 0:
         raise ValueError("time_limit must be positive")
+    _check_output(args.output)
     instance = _load_instance(args.instance)
     # The deadline covers the model build, the pool and `prepare` too.
     deadline = time.monotonic() + args.time_limit

@@ -7,7 +7,9 @@ builds the flow-based MILP of an instance, including the big-M
 signal-to-interference rows and the semi-continuous power bounds for the
 wireless tier, detects the two families of strengthening inequalities
 (lone-blocker and pairwise-conflict rows), and re-verifies full solutions
-directly against the raw instance data.
+directly against the raw instance data.  Rows are written as
+:class:`~confl3.milp.Model` takes them, column ids and coefficients: the
+builder appends each row family with one :meth:`Model.add_rows` call.
 """
 
 from __future__ import annotations
@@ -194,6 +196,8 @@ def validate_instance(instance: Instance) -> None:
     for a in instance.core_arcs:
         if a.tail not in core_ids or a.head not in core_ids:
             raise ValueError(f"core_arcs: ({a.tail!r}, {a.head!r}) must join core nodes")
+        if a.tail == a.head:
+            raise ValueError(f"core_arcs: ({a.tail!r}, {a.head!r}) is a loop")
         _finite(a.cost, f"core_arcs[{a.tail}->{a.head}].cost")
         if a.cost < 0:
             raise ValueError(f"core_arcs[{a.tail}->{a.head}].cost must be >= 0")
@@ -260,26 +264,6 @@ class ConflModel:
     strengthening_rows: int = 0
 
 
-class _RowBatch:
-    """Rows collected one by one and appended to a model with one
-    :meth:`Model.add_rows` call, which checks them all at once."""
-
-    def __init__(self):
-        self.cols: list[list[int]] = []
-        self.coefs: list[list[float]] = []
-        self.senses: list[str] = []
-        self.rhs: list[float] = []
-
-    def add(self, terms: list[tuple[int, float]], sense: str, rhs: float) -> None:
-        self.cols.append([vid for vid, _ in terms])
-        self.coefs.append([coef for _, coef in terms])
-        self.senses.append(sense)
-        self.rhs.append(rhs)
-
-    def append_to(self, model: Model) -> None:
-        model.add_rows(self.cols, self.coefs, self.senses, self.rhs)
-
-
 def build_3confl(instance: Instance) -> ConflModel:
     """The model over technologies {1, 2, 3}: wired tiers plus wireless with
     per-(facility, user) big-M SIR rows and semi-continuous power bounds."""
@@ -323,38 +307,35 @@ def build_3confl(instance: Instance) -> ConflModel:
     power = {f.id: m.add_variable(f"p_{f.id}", CONTINUOUS, 0.0, w.p_max)
              for f in instance.facilities}
 
-    rows = _RowBatch()
     # Facility opens on at most one technology.
-    for f in instance.facilities:
-        rows.add([(z[f.id, t], 1.0) for t in TECHNOLOGIES], LE, 1.0)
+    single = np.array([[z[f.id, t] for t in TECHNOLOGIES] for f in instance.facilities])
+    m.add_rows(single, np.ones(single.shape), LE, 1.0)
 
     # A served user has exactly one active assignment arc on its technology.
     arcs_of: dict[tuple[str, int], list[int]] = {}
     for (fid, uid, t), yid in y.items():
         arcs_of.setdefault((uid, t), []).append(yid)
-    for u in instance.users:
-        for t in TECHNOLOGIES:
-            terms = [(yid, 1.0) for yid in arcs_of.get((u.id, t), [])]
-            terms.append((v[u.id, t], -1.0))
-            rows.add(terms, EQ, 0.0)
+    served = [(arcs_of.get((u.id, t), []), v[u.id, t])
+              for u in instance.users for t in TECHNOLOGIES]
+    m.add_rows([yids + [vid] for yids, vid in served],
+               [[1.0] * len(yids) + [-1.0] for yids, _ in served], EQ, 0.0)
 
     # Assignment arcs only out of facilities opened on that technology.
-    for (fid, uid, t), yid in y.items():
-        rows.add([(yid, 1.0), (z[fid, t], -1.0)], LE, 0.0)
+    linking = np.array([(yid, z[fid, t]) for (fid, uid, t), yid in y.items()])
+    m.add_rows(linking, np.tile([1.0, -1.0], (len(linking), 1)), LE, 0.0)
 
     # Coverage requirement; users on a better technology tau <= t count too.
-    for t in TECHNOLOGIES:
-        terms = [
-            (v[u.id, tau], u.weight)
-            for u in instance.users
-            for tau in TECHNOLOGIES
-            if tau <= t
-        ]
-        if terms:
-            rows.add(terms, GE, instance.coverage_thresholds[t])
+    if instance.users:
+        m.add_rows(
+            [[v[u.id, tau] for u in instance.users for tau in TECHNOLOGIES if tau <= t]
+             for t in TECHNOLOGIES],
+            [[u.weight for u in instance.users for tau in TECHNOLOGIES if tau <= t]
+             for t in TECHNOLOGIES],
+            GE, [instance.coverage_thresholds[t] for t in TECHNOLOGIES])
 
     # Unit of flow from the artificial root to each opened facility,
-    # one commodity per facility.
+    # one commodity per facility.  A node with no arcs and no demand, such
+    # as an isolated Steiner node, has an empty row (0 = 0) and gets none.
     core_nodes = [ROOT_ID]
     core_nodes += [c.id for c in instance.central_offices]
     core_nodes += [f.id for f in instance.facilities]
@@ -364,42 +345,43 @@ def build_3confl(instance: Instance) -> ConflModel:
     for tail, head, _ in arcs:
         out_arcs[tail].append((tail, head))
         in_arcs[head].append((tail, head))
+    balance_cols, balance_coefs = [], []
     for f in instance.facilities:
         for node in core_nodes:
-            terms = [(flow[t_, h_, f.id], 1.0) for (t_, h_) in in_arcs[node]]
-            terms += [(flow[t_, h_, f.id], -1.0) for (t_, h_) in out_arcs[node]]
-            if node == ROOT_ID:
-                terms += [(z[f.id, t], 1.0) for t in TECHNOLOGIES]
-            elif node == f.id:
-                terms += [(z[f.id, t], -1.0) for t in TECHNOLOGIES]
-            rows.add(terms, EQ, 0.0)
+            cols = [flow[t_, h_, f.id] for t_, h_ in in_arcs[node] + out_arcs[node]]
+            coefs = [1.0] * len(in_arcs[node]) + [-1.0] * len(out_arcs[node])
+            if node in (ROOT_ID, f.id):
+                cols += [z[f.id, t] for t in TECHNOLOGIES]
+                coefs += [1.0 if node == ROOT_ID else -1.0] * len(TECHNOLOGIES)
+            if cols:
+                balance_cols.append(cols)
+                balance_coefs.append(coefs)
+    m.add_rows(balance_cols, balance_coefs, EQ, 0.0)
 
     # Flow only on installed arcs.
-    for tail, head, _ in arcs:
-        for f in instance.facilities:
-            rows.add([(flow[tail, head, f.id], 1.0), (x[tail, head], -1.0)], LE, 0.0)
+    capacity = np.array([(flow[tail, head, f.id], x[tail, head])
+                         for tail, head, _ in arcs for f in instance.facilities])
+    m.add_rows(capacity, np.tile([1.0, -1.0], (len(capacity), 1)), LE, 0.0)
 
     # SIR rows, deactivated through big-M when the assignment is off.
+    sir_cols, sir_coefs, sir_rhs = [], [], []
     for (fid, uid, t), yid in y.items():
         if t != TECH_WIRELESS:
             continue
         m_fu = big_m(instance, fid, uid)
-        terms = [(power[fid], w.fading[fid, uid])]
-        for k in instance.facilities:
-            if k.id == fid:
-                continue
-            a_ku = w.fading[k.id, uid]
-            if a_ku != 0.0:
-                terms.append((power[k.id], -w.delta * a_ku))
-        terms.append((yid, -m_fu))
-        rows.add(terms, GE, w.delta * w.eta_noise - m_fu)
+        interferers = [k.id for k in instance.facilities
+                       if k.id != fid and w.fading[k.id, uid] != 0.0]
+        sir_cols.append([power[fid]] + [power[k] for k in interferers] + [yid])
+        sir_coefs.append([w.fading[fid, uid]]
+                         + [-w.delta * w.fading[k, uid] for k in interferers] + [-m_fu])
+        sir_rhs.append(w.delta * w.eta_noise - m_fu)
+    m.add_rows(sir_cols, sir_coefs, GE, sir_rhs)
 
-    # Semi-continuous power: p_min z <= p <= p_max z.
-    for f in instance.facilities:
-        pid, zid = power[f.id], z[f.id, TECH_WIRELESS]
-        rows.add([(pid, 1.0), (zid, -w.p_max)], LE, 0.0)
-        rows.add([(pid, 1.0), (zid, -w.p_min)], GE, 0.0)
-    rows.append_to(m)
+    # Semi-continuous power: p_min z <= p <= p_max z, each facility's two
+    # rows in turn.
+    pz = np.array([(power[f.id], z[f.id, TECH_WIRELESS]) for f in instance.facilities])
+    m.add_rows(np.repeat(pz, 2, axis=0),
+               np.tile([[1.0, -w.p_max], [1.0, -w.p_min]], (len(pz), 1)), [LE, GE] * len(pz), 0.0)
 
     return ConflModel(instance, m, arcs, z, x, y, v, flow, power)
 

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from confl3 import cli, confl, heuristic, milp, simplex
+from confl3 import bnb, cli, confl, heuristic, milp, simplex
 from confl3.cli import main
 from confl3.confl import build_3confl, verify_solution
 from confl3.instance_io import GeneratorParams, generate, read_instance, write_instance
@@ -489,6 +489,30 @@ def test_an_unreadable_input_or_unwritable_output_exits_2(tmp_path, capsys, comm
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("output", ["missing-dir/x.json", "."], ids=["missing-dir", "directory"])
+@pytest.mark.parametrize("command", ["solve", "exact"])
+def test_a_bad_output_path_fails_before_any_solve(tmp_path, capsys, monkeypatch, command,
+                                                   output):
+    inst_path = _generate(tmp_path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved before the output path was checked")
+
+    monkeypatch.setattr(bnb, "solve_mip", refuse)
+    monkeypatch.setattr(cli, "run", refuse)
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main([command, str(inst_path), "-o", output]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: output ") and err.count("\n") == 1, err
+
+
+def test_generate_defaults_are_the_generator_defaults(tmp_path):
+    out = tmp_path / "g.json"
+    assert main(["generate", "--seed", "3", "-o", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == write_instance(generate(GeneratorParams(), 3))
 
 
 def test_unknown_flag_is_usage_error(tmp_path, capsys):

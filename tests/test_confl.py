@@ -8,6 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 from confl3 import bnb, simplex
 from confl3.confl import (
     TECHNOLOGIES,
+    CoreArc,
+    SteinerNode,
     UnattainableCoverageError,
     big_m,
     build_3confl,
@@ -132,6 +134,18 @@ class TestBuild3Confl:
             values[confl.y["f0", "u0", 3]] = 0.0
             lhs = sum(coef * values[vid] for vid, coef in terms)
             assert lhs >= rhs - 1e-12
+
+    def test_an_isolated_steiner_node_changes_no_optimum(self):
+        # Its flow-balance rows have no terms (0 = 0); the builder used to
+        # refuse them as empty rows.
+        inst = generate(CLI_PARAMS, 4)
+        lonely = replace(inst, steiner_nodes=inst.steiner_nodes + [SteinerNode("lonely")])
+        plain, confl = build_3confl(inst), build_3confl(lonely)
+        assert np.array_equal(confl.model.constraints.cols, plain.model.constraints.cols)
+        want, got = solve_model(plain.model, 30.0), solve_model(confl.model, 30.0)
+        assert got.status == want.status == bnb.OPTIMAL
+        assert got.objective == want.objective
+        assert verify_solution(lonely, confl, got.incumbent).feasible
 
     def test_missing_wireless_params_rejected(self):
         inst = wireless_single()
@@ -650,12 +664,21 @@ class TestValidation:
             validate_instance(inst)
 
     def test_reserved_root_id_rejected(self):
-        from confl3.confl import SteinerNode
-
         inst, _ = wired_tiny()
         inst.steiner_nodes = [SteinerNode("r")]
         with pytest.raises(ValueError, match="reserved"):
             validate_instance(inst)
+
+    def test_loop_core_arc_rejected(self):
+        # A loop used to pass validation and fail in the build as a duplicate
+        # flow variable in its facility's balance row.
+        inst = wireless_single()
+        inst.core_arcs.append(CoreArc("f0", "f0", 1.0))
+        message = "core_arcs: ('f0', 'f0') is a loop"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            validate_instance(inst)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_3confl(inst)
 
     @pytest.mark.parametrize("edit, field", [
         (lambda i: setattr(i.users[0], "weight", np.nan), "users[u0].weight"),
