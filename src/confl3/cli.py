@@ -20,8 +20,9 @@ import time
 import numpy as np
 
 from . import bnb, simplex
-from .confl import TECHNOLOGIES, build_3confl, strengthen, strengthening_pairs, verify_solution
-from .heuristic import HeuristicParams, UnattainableCoverageError, ogap, run
+from .confl import (TECHNOLOGIES, UnattainableCoverageError, build_3confl, strengthen,
+                    strengthening_pairs, verify_solution)
+from .heuristic import HeuristicParams, ogap, run
 from .instance_io import (
     GeneratorParams,
     SchemaError,
@@ -65,6 +66,26 @@ _GENERATOR_FLAGS = [
     ("--p-max", "p_max", None),
 ]
 
+# The flags of `solve` after the instance, each with the HeuristicParams
+# field it sets, its type (two fields default to None) and its help.
+_SOLVE_FLAGS = [
+    ("--seed", "rng_seed", int, "sampling seed"),
+    ("--alpha", "alpha", float, None),
+    ("--sigma", "sigma_count", int, None),
+    ("--vlns-radius", "vlns_radius", int, None),
+    ("--time-limit", "global_time_limit", float, None),
+    ("--sub-limit", "subproblem_time_limit", float, None),
+    ("--vlns-limit", "vlns_time_limit", float, None),
+    ("--top-k", "top_k", int, None),
+    ("--iters", "test_iterations", int,
+     "test mode: outer-loop iteration cap replacing wall clocks"),
+]
+
+
+def _flag_values(args, flags) -> dict:
+    """The parsed value of each flag in `flags`, keyed by the field it sets."""
+    return {field: getattr(args, flag[2:].replace("-", "_")) for flag, field, *_ in flags}
+
 
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="confl3", description=__doc__)
@@ -82,17 +103,9 @@ def _parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="run the fixing heuristic")
     solve.add_argument("instance")
-    defaults = HeuristicParams()
-    solve.add_argument("--seed", type=int, default=defaults.rng_seed, help="sampling seed")
-    solve.add_argument("--alpha", type=float, default=defaults.alpha)
-    solve.add_argument("--sigma", type=int, default=defaults.sigma_count)
-    solve.add_argument("--vlns-radius", type=int, default=defaults.vlns_radius)
-    solve.add_argument("--time-limit", type=float, default=defaults.global_time_limit)
-    solve.add_argument("--sub-limit", type=float, default=defaults.subproblem_time_limit)
-    solve.add_argument("--vlns-limit", type=float, default=defaults.vlns_time_limit)
-    solve.add_argument("--top-k", type=int, default=defaults.top_k)
-    solve.add_argument("--iters", type=int, default=defaults.test_iterations,
-                       help="test mode: outer-loop iteration cap replacing wall clocks")
+    solve_defaults = HeuristicParams()
+    for flag, field, kind, text in _SOLVE_FLAGS:
+        solve.add_argument(flag, type=kind, default=getattr(solve_defaults, field), help=text)
     solve.add_argument("-o", "--output", required=True)
 
     exact = sub.add_parser("exact", help="run branch and bound on the full model")
@@ -148,7 +161,8 @@ def _write_solution(path: str, kind: str, instance, confl, status: str,
                     **fields) -> None:
     """Write the solution document of `solve` or `exact`: the fields both
     share, the assignment named by `confl`'s variables and verified against
-    the raw instance, then the command's own `fields`."""
+    the raw instance (feasible, and the recomputed objective agrees with
+    `objective` to a relative 1e-9), then the command's own `fields`."""
     doc = {
         "format": SOLUTION_FORMAT,
         "kind": kind,
@@ -164,15 +178,16 @@ def _write_solution(path: str, kind: str, instance, confl, status: str,
     if assignment is not None:
         doc["assignment"] = dict(zip((v.name for v in confl.model.variables),
                                      assignment.tolist()))
-        doc["verified"] = verify_solution(instance, confl, assignment).feasible
+        check = verify_solution(instance, confl, assignment)
+        doc["verified"] = (check.feasible and abs(check.objective - objective)
+                           <= 1e-9 * max(1.0, abs(objective)))
         if not doc["verified"]:
             logger.warning("solution failed independent verification")
     _write(path, json.dumps(doc, indent=1, sort_keys=True))
 
 
 def _cmd_generate(args) -> int:
-    values = {field: getattr(args, flag[2:].replace("-", "_"))
-              for flag, field, _ in _GENERATOR_FLAGS}
+    values = _flag_values(args, _GENERATOR_FLAGS)
     for field in ("radii", "coverage_fractions"):
         per_tech = [float(x) for x in values[field].split(",")]
         if len(per_tech) != len(TECHNOLOGIES):
@@ -192,17 +207,7 @@ def _cmd_generate(args) -> int:
 def _cmd_solve(args) -> int:
     _check_output(args.output)
     instance = _load_instance(args.instance)
-    params = HeuristicParams(
-        alpha=args.alpha,
-        sigma_count=args.sigma,
-        vlns_radius=args.vlns_radius,
-        global_time_limit=args.time_limit,
-        subproblem_time_limit=args.sub_limit,
-        vlns_time_limit=args.vlns_limit,
-        rng_seed=args.seed,
-        top_k=args.top_k,
-        test_iterations=args.iters,
-    )
+    params = HeuristicParams(**_flag_values(args, _SOLVE_FLAGS))
     try:
         result = run(instance, params)
     except UnattainableCoverageError as exc:

@@ -29,7 +29,7 @@ TECHNOLOGIES = (TECH_FIBER, TECH_COPPER, TECH_WIRELESS)
 
 ROOT_ID = "r"
 
-_ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+_ID_RE = re.compile(r"[A-Za-z0-9]+\Z")
 
 
 @dataclass
@@ -164,7 +164,7 @@ def validate_instance(instance: Instance) -> None:
     ):
         for item in items:
             if not _ID_RE.match(item.id):
-                raise ValueError(f"{kind}: id {item.id!r} must match [A-Za-z0-9_]+")
+                raise ValueError(f"{kind}: id {item.id!r} must match [A-Za-z0-9]+")
             if item.id == ROOT_ID:
                 raise ValueError(f"{kind}: id {ROOT_ID!r} is reserved for the artificial root")
             ids.append(item.id)
@@ -252,7 +252,6 @@ def validate_instance(instance: Instance) -> None:
 
 @dataclass
 class ConflModel:
-    instance: Instance
     model: Model
     arcs: list[tuple[str, str, float]]              # root arcs first, then core arcs
     z: dict[tuple[str, int], int]
@@ -266,7 +265,9 @@ class ConflModel:
 
 def build_3confl(instance: Instance) -> ConflModel:
     """The model over technologies {1, 2, 3}: wired tiers plus wireless with
-    per-(facility, user) big-M SIR rows and semi-continuous power bounds."""
+    per-(facility, user) big-M SIR rows and semi-continuous power bounds.
+    The one gate of an instance, read or built by hand: :func:`validate_instance`
+    runs first, so an instance of another shape raises before a model exists."""
     validate_instance(instance)
     w = instance.wireless
     m = Model()
@@ -383,7 +384,7 @@ def build_3confl(instance: Instance) -> ConflModel:
     m.add_rows(np.repeat(pz, 2, axis=0),
                np.tile([[1.0, -w.p_max], [1.0, -w.p_min]], (len(pz), 1)), [LE, GE] * len(pz), 0.0)
 
-    return ConflModel(instance, m, arcs, z, x, y, v, flow, power)
+    return ConflModel(m, arcs, z, x, y, v, flow, power)
 
 
 def big_m(instance: Instance, fid: str, uid: str) -> float:

@@ -147,7 +147,6 @@ class HeuristicContext:
     technology, then a strengthened root relaxation proved infeasible."""
 
     def __init__(self, instance: Instance, deadline: float = math.inf):
-        self.instance = instance
         self.deadline = deadline
         self.plain = build_3confl(instance)
         check_attainable(instance)

@@ -322,6 +322,9 @@ def _need(doc: dict, key: str, kind, path: str):
 
 
 def read_instance(text: str) -> Instance:
+    """The instance of a document, checked against the schema only: types,
+    finite numbers and technology keys (:class:`SchemaError` names the
+    field).  :func:`confl3.confl.build_3confl` checks the instance's shape."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -404,7 +407,7 @@ def read_instance(text: str) -> Instance:
         fading=fading,
     )
 
-    instance = Instance(
+    return Instance(
         users=users,
         facilities=facilities,
         central_offices=offices,
@@ -415,8 +418,6 @@ def read_instance(text: str) -> Instance:
         wireless=wireless,
         name=name,
     )
-    validate_instance(instance)
-    return instance
 
 
 # --- gap report -------------------------------------------------------------

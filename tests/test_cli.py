@@ -12,9 +12,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from confl3 import bnb, cli, confl, heuristic, milp, simplex
+from confl3 import bnb, cli, confl, heuristic, instance_io, milp, simplex
 from confl3.cli import main
-from confl3.confl import build_3confl, verify_solution
+from confl3.confl import UnattainableCoverageError, build_3confl, verify_solution
+from confl3.heuristic import HeuristicParams
 from confl3.instance_io import GeneratorParams, generate, read_instance, write_instance
 
 from instances import DESK, conflict_instance, strengthening_preset
@@ -225,6 +226,22 @@ def test_a_failed_verification_is_recorded_and_logged(tmp_path, caplog, monkeypa
     assert "solution failed independent verification" in caplog.text
 
 
+def test_a_wrong_objective_is_not_verified(tmp_path, caplog):
+    """A feasible point whose written objective is not the one the verifier
+    recomputes from the instance is not verified."""
+    instance = read_instance(_generate(tmp_path).read_text())
+    model = build_3confl(instance)
+    res = bnb.solve_mip(simplex.prepare(model.model), *simplex.model_bounds(model.model))
+    out = tmp_path / "out.json"
+    for objective, verified in [(res.objective, True), (res.objective + 1.0, False)]:
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="confl3"):
+            cli._write_solution(str(out), "exact", instance, model, res.status, objective,
+                                res.lower_bound, res.incumbent)
+        assert json.loads(out.read_text())["verified"] is verified
+        assert ("solution failed independent verification" in caplog.text) is not verified
+
+
 def test_zero_cost_pipeline_reports_zero_gaps(tmp_path, capsys):
     """With every coverage threshold at 0 the optimum costs nothing: exact
     and solve record a zero gap, and report reads them back."""
@@ -382,7 +399,7 @@ def test_solve_rejects_non_object_entries(tmp_path, capsys):
 @pytest.mark.parametrize("command", [["solve", "--iters", "1"], ["exact"], ["export-lp"]])
 def test_two_technology_instance_refused_when_read(tmp_path, capsys, monkeypatch, command):
     """A document without technology 3's threshold is an input error
-    before any model is built."""
+    before any model is built: `build_3confl` refuses it first."""
     doc = json.loads(_generate(tmp_path).read_text())
     del doc["coverage_thresholds"]["3"]
     bad = tmp_path / "two.json"
@@ -391,12 +408,29 @@ def test_two_technology_instance_refused_when_read(tmp_path, capsys, monkeypatch
     def refuse(*args):
         raise AssertionError("a model was built")
 
-    monkeypatch.setattr(cli, "build_3confl", refuse)
-    monkeypatch.setattr(heuristic, "build_3confl", refuse)
+    monkeypatch.setattr(confl, "Model", refuse)
     argv = [command[0], str(bad), *command[1:], "-o", str(tmp_path / "out")]
     assert main(argv) == 2
     assert "coverage_thresholds: technologies 1, 2 and 3 required" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [["solve", "--iters", "1"], ["exact"], ["export-lp"],
+                                     ["export-lp", "--strong"]])
+def test_each_command_validates_the_instance_once(tmp_path, monkeypatch, command):
+    inst_path = tmp_path / "desk.json"
+    inst_path.write_text(write_instance(generate(DESK, 0)), encoding="utf-8")
+    real, calls = confl.validate_instance, []
+
+    def counting(instance):
+        calls.append(instance)
+        real(instance)
+
+    for module in (confl, instance_io):
+        monkeypatch.setattr(module, "validate_instance", counting)
+    argv = [command[0], str(inst_path), *command[1:], "-o", str(tmp_path / "out")]
+    assert main(argv) == 0
+    assert len(calls) == 1
 
 
 def test_negative_top_k_is_usage_error(tmp_path, capsys):
@@ -515,6 +549,18 @@ def test_generate_defaults_are_the_generator_defaults(tmp_path):
     assert out.read_text(encoding="utf-8") == write_instance(generate(GeneratorParams(), 3))
 
 
+def test_solve_defaults_are_the_heuristic_defaults(tmp_path, monkeypatch):
+    seen = []
+
+    def capture(instance, params):
+        seen.append(params)
+        raise UnattainableCoverageError("captured")
+
+    monkeypatch.setattr(cli, "run", capture)
+    assert main(["solve", str(_generate(tmp_path)), "-o", str(tmp_path / "s.json")]) == 1
+    assert seen == [HeuristicParams()]
+
+
 def test_unknown_flag_is_usage_error(tmp_path, capsys):
     assert main(["generate", "--does-not-exist", "-o", "x.json"]) == 2
 
@@ -595,9 +641,24 @@ def test_a_bundled_run_leaves_scipy_unloaded(tmp_path):
               "from confl3 import cli\n"
               f"assert cli.main(['exact', {str(inst_path)!r}, '-o', {str(out)!r}]) == 0\n"
               "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n")
-    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=300)
+    done = _python(script)
     assert done.returncode == 0, done.stderr
     assert json.loads(out.read_text())["status"] == "optimal"
+
+
+def test_importing_the_package_loads_no_module():
+    # Each name is imported from the module that defines it; the package
+    # root re-exports nothing, so importing it loads nothing more.
+    script = ("import sys, confl3\n"
+              "print(sorted(m for m in sys.modules if m.startswith('confl3.')))\n")
+    done = _python(script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+def _python(script: str) -> subprocess.CompletedProcess:
+    """`script` run by a new interpreter that imports confl3 from this tree."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)

@@ -669,6 +669,18 @@ class TestValidation:
         with pytest.raises(ValueError, match="reserved"):
             validate_instance(inst)
 
+    def test_underscore_id_rejected(self):
+        # Variable names join ids with "_", so with "_" in ids the arcs a_b->c
+        # and a->b_c would both be named x_a_b_c.
+        inst = wireless_single()
+        inst.steiner_nodes = [SteinerNode(i) for i in ("a_b", "c", "a", "b_c")]
+        inst.core_arcs += [CoreArc("a_b", "c", 1.0), CoreArc("a", "b_c", 1.0)]
+        message = "steiner_nodes: id 'a_b' must match [A-Za-z0-9]+"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            validate_instance(inst)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_3confl(inst)
+
     def test_loop_core_arc_rejected(self):
         # A loop used to pass validation and fail in the build as a duplicate
         # flow variable in its facility's balance row.

@@ -681,9 +681,9 @@ def _agree(got_status, got_obj, want: bnb.MipResult) -> bool:
     return abs(got_obj - want.objective) <= 1e-9 * max(1.0, abs(want.objective))
 
 
-def _opening_states(ctx):
+def _opening_states(inst):
     """Every facility on one technology, and one facility per technology."""
-    fids = [f.id for f in ctx.instance.facilities]
+    fids = [f.id for f in inst.facilities]
     states = [FOS(frozenset((f, t) for f in fids)) for t in TECHNOLOGIES]
     states.append(FOS(frozenset(zip(fids, TECHNOLOGIES))))
     return states
@@ -712,7 +712,7 @@ class TestSolveSession:
         ctx = HeuristicContext(inst)
         confl = ctx.plain
         params = HeuristicParams(test_iterations=1)
-        states = _opening_states(ctx)
+        states = _opening_states(inst)
         real_solve = bnb.solve_mip
         warm_checks = []
 

@@ -131,8 +131,9 @@ class TestSerialization:
         doc["coverage_thresholds"] = {t: 0.0 for t in techs}
         message = ("coverage_thresholds: technologies 1, 2 and 3 required, got "
                    f"{[int(t) for t in techs]}")
+        inst = read_instance(json.dumps(doc))   # the shape is the builder's to check
         with pytest.raises(ValueError, match=re.escape(message)):
-            read_instance(json.dumps(doc))
+            build_3confl(inst)
 
     def test_out_of_range_fading_rejected(self):
         inst = generate(GeneratorParams(**TINY), 7)
@@ -140,8 +141,9 @@ class TestSerialization:
         fid = inst.facilities[0].id
         uid = inst.users[0].id
         doc["wireless"]["fading"][fid][uid] = 1.5
+        back = read_instance(json.dumps(doc))
         with pytest.raises(ValueError, match="fading"):
-            read_instance(json.dumps(doc))
+            build_3confl(back)
 
     def test_missing_field_path_reported(self):
         inst = generate(GeneratorParams(**TINY), 7)
