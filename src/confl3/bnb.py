@@ -74,7 +74,11 @@ def solve_mip(prep: simplex.PreparedLp, lo: np.ndarray, hi: np.ndarray, *,
 
     Branches on the fractional binary of highest ``|c_j| * min(f_j, 1 - f_j)``
     (lowest id on ties), where c_j is its objective coefficient in `prep`
-    and f_j its fractional part; see the module docstring.
+    and f_j its fractional part; see the module docstring.  The two
+    children of a node share the parent's bound vector that branching
+    leaves as it is (the down child its lower bounds, the up child its upper
+    bounds) and copy only the other; every node's vectors are read-only
+    views, which no solve writes.
 
     Returns the best incumbent found plus the global lower bound at
     termination; `infeasible` is reported only when the tree proves it.
@@ -85,9 +89,11 @@ def solve_mip(prep: simplex.PreparedLp, lo: np.ndarray, hi: np.ndarray, *,
     cut = None if pool is None else np.zeros(len(pool), dtype=bool)
 
     counter = 0
-    # (bound, creation order, lower bounds, upper bounds, parent basis)
+    # (bound, creation order, lower bounds, upper bounds, parent basis); the
+    # bound vectors are read-only, as siblings share them.
     heap: list[tuple[float, int, np.ndarray, np.ndarray, simplex.Basis | None]] = [
-        (-math.inf, counter, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), basis)
+        (-math.inf, counter, _frozen(np.asarray(lo, dtype=float)),
+         _frozen(np.asarray(hi, dtype=float)), basis)
     ]
     incumbent: Assignment | None = None
     incumbent_obj = math.inf
@@ -141,14 +147,14 @@ def solve_mip(prep: simplex.PreparedLp, lo: np.ndarray, hi: np.ndarray, *,
         # Highest |c_j| * min(f_j, 1 - f_j); argmax keeps the lowest id on ties.
         scores = np.where(fractional, weight * dist, -math.inf)
         j = int(bin_ids[int(np.argmax(scores))])
-        down_lo, down_hi = node_lo.copy(), node_hi.copy()
+        down_hi = node_hi.copy()
         down_hi[j] = 0.0
         counter += 1
-        heapq.heappush(heap, (value, counter, down_lo, down_hi, res.basis))
-        up_lo, up_hi = node_lo.copy(), node_hi.copy()
+        heapq.heappush(heap, (value, counter, node_lo, _frozen(down_hi), res.basis))
+        up_lo = node_lo.copy()
         up_lo[j] = 1.0
         counter += 1
-        heapq.heappush(heap, (value, counter, up_lo, up_hi, res.basis))
+        heapq.heappush(heap, (value, counter, _frozen(up_lo), node_hi, res.basis))
 
     open_bound = heap[0][0] if heap else math.inf
     if incumbent is not None:
@@ -160,6 +166,13 @@ def solve_mip(prep: simplex.PreparedLp, lo: np.ndarray, hi: np.ndarray, *,
         bound = open_bound if heap else -math.inf
         return MipResult(TIMEOUT_NO_INCUMBENT, None, None, bound, nodes)
     return MipResult(INFEASIBLE, None, None, math.inf, nodes)
+
+
+def _frozen(bounds: np.ndarray) -> np.ndarray:
+    """A read-only view of `bounds`; the caller's array keeps its flags."""
+    view = bounds.view()
+    view.flags.writeable = False
+    return view
 
 
 def _gap_eps(obj: float) -> float:

@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 infeasible / no solution, 2 usage or input error
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
@@ -87,7 +88,10 @@ def _flag_values(args, flags) -> dict:
     return {field: getattr(args, flag[2:].replace("-", "_")) for flag, field, *_ in flags}
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process; each
+    :func:`main` call parses into a fresh namespace."""
     top = argparse.ArgumentParser(prog="confl3", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -347,9 +351,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -125,8 +125,9 @@ def covers(instance: Instance, reach: dict[tuple[str, int], float], openings,
     return reached_weight(reach, openings, tech) >= instance.coverage_thresholds[tech] - 1e-9
 
 
-def check_attainable(instance: Instance) -> None:
-    """Raise :class:`UnattainableCoverageError` naming the first technology
+def check_attainable(instance: Instance) -> dict[tuple[str, int], float]:
+    """The :func:`opening_reach` of `instance`, once it has checked it:
+    raise :class:`UnattainableCoverageError` naming the first technology
     whose threshold every opening at once does not reach.
 
     A screen, not a feasibility test: it ignores that a facility opens on
@@ -139,6 +140,7 @@ def check_attainable(instance: Instance) -> None:
                 f"coverage threshold for technology {t} is unattainable: needs "
                 f"{instance.coverage_thresholds[t]}, every opening on technologies "
                 f"<= {t} reaches weight {reached_weight(reach, reach, t)}")
+    return reach
 
 
 def _finite(value: float, path: str) -> None:
@@ -458,6 +460,43 @@ def _pair_block_feasible(a1, b1, a2, b2, w: WirelessParams) -> np.ndarray:
     return feasible
 
 
+def _conflict_masks(w: WirelessParams, frank: np.ndarray, urank: np.ndarray,
+                    fading: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Conflict detection over the wireless arcs of :func:`_wireless_ranks`:
+    the arcs' positions in (facility, user) id order, each facility's first
+    place in that order (and the arc count last), and one mask per
+    facility, True where a pair conflicts, of its arcs down the rows against
+    every arc of the later facilities across the columns."""
+    order = np.lexsort((urank, frank))
+    f, u = frank[order], urank[order]
+    bounds = np.searchsorted(f, np.arange(len(fading) + 1))
+    masks = []
+    for k in range(len(fading)):
+        first, later = bounds[k], bounds[k + 1]
+        u1, f2, u2 = u[first:later], f[later:], u[later:]
+        masks.append(~_pair_block_feasible(fading[k, u1][:, None], fading[f2, u1[:, None]],
+                                           fading[f2, u2][None], fading[k, u2][None], w))
+    return order, bounds, masks
+
+
+def _pair_rows(head: np.ndarray, ids: np.ndarray, bounds: np.ndarray,
+               masks: list[np.ndarray]) -> np.ndarray:
+    """The int64 rows `head`, then one row ``[ids[a], ids[b]]`` per True
+    entry of the masks of :func:`_conflict_masks`, where a and b are the two
+    arcs' places in id order, block by block in row-major order: one
+    (k, 2) array, allocated once k is known."""
+    per_row = [np.count_nonzero(mask, axis=1) for mask in masks]
+    out = np.empty((len(head) + sum(int(c.sum()) for c in per_row), 2), dtype=np.int64)
+    out[:len(head)] = head
+    row = len(head)
+    for first, later, mask, count in zip(bounds, bounds[1:], masks, per_row):
+        end = row + int(count.sum())
+        out[row:end, 0] = np.repeat(ids[first:later], count)
+        out[row:end, 1] = np.broadcast_to(ids[later:], mask.shape)[mask]
+        row = end
+    return out
+
+
 def conflict_pairs(instance: Instance) -> np.ndarray:
     """Pairs of wireless service requirements that no in-bounds power vector
     satisfies together, as an int64 (k, 2) array of positions in
@@ -471,19 +510,8 @@ def conflict_pairs(instance: Instance) -> np.ndarray:
     nonzeros already come in that order, so no sort runs over the pairs.
     """
     _, frank, urank, fading = _wireless_ranks(instance)
-    order = np.lexsort((urank, frank))
-    f, u = frank[order], urank[order]
-    bounds = np.searchsorted(f, np.arange(len(fading) + 1))
-    blocks = [np.empty((0, 2), dtype=np.int64)]
-    for k in range(len(fading)):
-        first, later = bounds[k], bounds[k + 1]
-        u1, f2, u2 = u[first:later], f[later:], u[later:]
-        feasible = _pair_block_feasible(fading[k, u1][:, None], fading[f2, u1[:, None]],
-                                        fading[f2, u2][None], fading[k, u2][None],
-                                        instance.wireless)
-        i, j = np.nonzero(~feasible)
-        blocks.append(np.column_stack([order[first + i], order[later + j]]))
-    return np.concatenate(blocks)
+    order, bounds, masks = _conflict_masks(instance.wireless, frank, urank, fading)
+    return _pair_rows(np.empty((0, 2), dtype=np.int64), order, bounds, masks)
 
 
 def strengthening_pairs(confl: ConflModel, instance: Instance) -> np.ndarray:
@@ -493,7 +521,8 @@ def strengthening_pairs(confl: ConflModel, instance: Instance) -> np.ndarray:
     and its blockers k in id order, then the conflict rows
     ``y_f1u1 + y_f2u2 <= 1`` in the order of :func:`conflict_pairs`.  Both
     are edges of a conflict graph (Atamtürk, Nemhauser & Savelsbergh,
-    EJOR 121, 2000).
+    EJOR 121, 2000).  Both kinds are written into one array, allocated
+    once the conflicts are known.
 
     A facility k != f is a lone blocker of the service of u by f when it
     alone denies that service even at its minimum power against the
@@ -508,8 +537,9 @@ def strengthening_pairs(confl: ConflModel, instance: Instance) -> np.ndarray:
     y_of_arc = np.array([confl.y[a.facility, a.user, TECH_WIRELESS] for a in arcs],
                         dtype=np.int64)
     z_of_fac = np.array([confl.z[f, TECH_WIRELESS] for f in fac_ids], dtype=np.int64)
-    return np.concatenate([np.column_stack([y_of_arc[arc], z_of_fac[k]]),
-                           y_of_arc[conflict_pairs(instance)]])
+    order, bounds, masks = _conflict_masks(w, frank, urank, fading)
+    return _pair_rows(np.column_stack([y_of_arc[arc], z_of_fac[k]]), y_of_arc[order],
+                      bounds, masks)
 
 
 def strengthen(confl: ConflModel, instance: Instance) -> ConflModel:

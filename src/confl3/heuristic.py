@@ -38,8 +38,7 @@ import numpy as np
 
 from . import bnb, simplex
 from .confl import (TECHNOLOGIES, ConflModel, Instance, UnattainableCoverageError,
-                    build_3confl, check_attainable, covers, opening_reach,
-                    strengthening_pairs)
+                    build_3confl, check_attainable, covers, strengthening_pairs)
 from .milp import Assignment
 # Unused here (checks overlay bounds, the cut pool comes from
 # strengthening_pairs), but perfbench/tracing.py wraps these names.
@@ -139,8 +138,9 @@ class RunResult:
 class HeuristicContext:
     """The solve session of one instance: the plain model, its prepared
     matrix with its root's optimal basis (`root_basis`), the strengthening
-    pairs (`pool`), the strengthened root bound, a memo of fixing LPs and
-    the `deadline` (a :func:`time.monotonic` value) its sub-solves share.
+    pairs (`pool`), the strengthened root bound, the opening reach its
+    screen checked (`potential`), a memo of fixing LPs and the `deadline`
+    (a :func:`time.monotonic` value) its sub-solves share.
 
     Raises :class:`UnattainableCoverageError` for an instance with no
     solution: first the :func:`check_attainable` screen, which names the
@@ -149,7 +149,7 @@ class HeuristicContext:
     def __init__(self, instance: Instance, deadline: float = math.inf):
         self.deadline = deadline
         self.plain = build_3confl(instance)
-        check_attainable(instance)
+        self.potential = check_attainable(instance)
         self.pool = strengthening_pairs(self.plain, instance)
         self.plain_prep = simplex.prepare(self.plain.model)
         self.base_lo, self.base_hi = simplex.model_bounds(self.plain.model)
@@ -161,7 +161,6 @@ class HeuristicContext:
                 "coverage thresholds are unattainable: the strengthened relaxation is infeasible")
         self.root_value = root.objective
         self.root_basis = plain_root.basis
-        self.potential = opening_reach(instance)
         self._memo: dict[tuple[bool, frozenset], float | None] = {}
 
     def relaxation_value(self, strong: bool, ones: frozenset) -> float | None:

@@ -41,10 +41,13 @@ nor a primal phase after it (Koberstein, PhD thesis, Paderborn 2005).
 Every solve starts from a basis: the caller's, or else the slack basis, in
 which each row's slack is basic.  A basis taken before rows were appended
 gets a basic slack in each appended row; the slack basis is the empty basis
-extended that way.  Every optimal result carries its final :class:`Basis`;
-handed back to :func:`solve_prepared` with other bounds or more rows, it is
-still dual feasible, because only the bounds changed and each appended row
-has a zero dual.  A prepared matrix keeps one slot: the caller's
+extended that way.  A basis with no row appended since is used as it is.
+The slack columns' bounds and the costs over ``[A | I]`` are built once
+per :class:`PreparedLp`, by :func:`prepare` or :func:`append_rows`.
+Every optimal result carries its final :class:`Basis`; handed back to
+:func:`solve_prepared` with other bounds or more rows, it is still dual
+feasible, because only the bounds changed and each appended row has a
+zero dual.  A prepared matrix keeps one slot: the caller's
 :class:`Basis` object of its last warm solve and that basis's fresh
 factorization.  A solve from the same object (by identity) under other
 bounds, as branch and bound's sibling nodes and the heuristic's fixing LPs
@@ -56,7 +59,16 @@ reduced costs recomputed from scratch, a flip of each wrong-signed nonbasic
 column to its other bound, and a bounded dual simplex of at most
 ``_REFACTOR_EVERY`` (150) product-form pivots toward basics within their
 bounds (a row it cannot repair proves the bounds infeasible).  A round that
-ends on that cap starts the next.  A solve stops after a round whose dual
+ends on that cap starts the next.  Each pivot's leaving row is the first
+of the rows whose bound violation is largest among those above their own
+tolerance, ``_DUAL_FEASTOL * max(1, |x|)`` of the basic's value x.  The
+pivot loop takes the first argmax of the raw violations and keeps it when
+that violation exceeds its own tolerance, as then no row has a larger one;
+only when it does not, or is NaN, does it zero every violation within its
+tolerance and take the first argmax again (NaN, which no comparison zeroes,
+is taken as before).  The entering column has the least ratio of reduced
+cost to pivot-row entry, and among ratios within 1e-12 of it the entry of
+largest magnitude.  A solve stops after a round whose dual
 simplex reaches feasibility with no pivot, which priced a fresh
 factorization, or with an updated factorization that passes the
 certificate of :func:`_certified`, checked against the raw rows; a round
@@ -134,10 +146,24 @@ class PreparedLp:
     is_eq: np.ndarray    # (m,) bool
     costs: np.ndarray    # (n,)
     binaries: np.ndarray  # ids of the binary variables
+    # Derived once from the above, read-only: the slack columns' bounds,
+    # [0, inf) for <= rows and [0, 0] for = rows, and the costs over
+    # [structural | slack], [c | 0].
+    slack_lo: np.ndarray = field(init=False, repr=False, compare=False)
+    slack_hi: np.ndarray = field(init=False, repr=False, compare=False)
+    cost: np.ndarray = field(init=False, repr=False, compare=False)
     # The caller's Basis object of the last warm solve and the inverse of
     # that basis extended over every row, as _invert built it; never handed
     # to _solve itself, which updates its inverse in place.
     warm: tuple[Basis, np.ndarray] | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        m = len(self.rhs)
+        self.slack_lo = np.zeros(m)
+        self.slack_hi = np.where(self.is_eq, 0.0, math.inf)
+        self.cost = np.concatenate([self.costs, np.zeros(m)])
+        for a in (self.slack_lo, self.slack_hi, self.cost):
+            a.flags.writeable = False
 
 
 def _by_column(row_ids, col_ids, vals, n):
@@ -251,9 +277,11 @@ def solve_prepared(prep: PreparedLp, lo: np.ndarray, hi: np.ndarray,
         raise ValueError(f"basis of {len(basis.basic)} rows for a matrix of {len(prep.rhs)}")
     if np.any(lo > hi + 1e-12):
         return LpResult(INFEASIBLE)
-    new = np.arange(len(basis.state), len(basis.state) + k)
-    start = Basis(np.concatenate([basis.basic, new]),
-                  np.concatenate([basis.state, np.full(k, _BASIC, dtype=np.int8)]))
+    start = basis
+    if k:
+        new = np.arange(len(basis.state), len(basis.state) + k)
+        start = Basis(np.concatenate([basis.basic, new]),
+                      np.concatenate([basis.state, np.full(k, _BASIC, dtype=np.int8)]))
     if cold:
         binv = _invert(prep, start.basic)
     else:
@@ -279,17 +307,15 @@ def _solve(prep: PreparedLp, lo_s: np.ndarray, hi_s: np.ndarray, start: Basis,
     place: each a fresh factorization, bound flips and at most
     ``_REFACTOR_EVERY`` dual simplex pivots, until a round reaches
     feasibility with no pivot or on a certified point."""
-    m, n = len(prep.rhs), len(prep.costs)
-    # Slacks are [0, inf) for <= rows and fixed [0, 0] for = rows.
-    lo = np.concatenate([lo_s, np.zeros(m)])
-    hi = np.concatenate([hi_s, np.where(prep.is_eq, 0.0, math.inf)])
-    cost = np.concatenate([prep.costs, np.zeros(m)])
+    n = len(prep.costs)
+    lo = np.concatenate([lo_s, prep.slack_lo])
+    hi = np.concatenate([hi_s, prep.slack_hi])
     basis = start.basic.copy()
     state = start.state.copy()
     x = np.where(state == _AT_UPPER, hi, lo)
     budget = _max_iter(prep)
     while True:
-        d = _reduced_costs(prep, cost, basis, binv)
+        d = _reduced_costs(prep, basis, binv)
         wrong = _wrong_signed(d, state, lo, hi)
         if wrong.any():
             # Only the [0, inf) slack of a <= row has no other bound.
@@ -305,7 +331,7 @@ def _solve(prep: PreparedLp, lo_s: np.ndarray, hi_s: np.ndarray, start: Basis,
         if status == INFEASIBLE:
             return INFEASIBLE, None, None
         if status == OPTIMAL and (not pivots
-                                  or _certified(prep, cost, lo, hi, basis, state, x, binv)):
+                                  or _certified(prep, lo, hi, basis, state, x, binv)):
             break
         budget -= pivots
         if status is None and not budget:
@@ -340,11 +366,15 @@ def _dual_simplex(prep, lo, hi, basis, state, x, binv, d, max_iter):
     try:
         for it in range(max_iter + 1):
             viol = np.maximum(lo_b - bx, bx - hi_b)
-            viol[viol <= _DUAL_FEASTOL * np.maximum(1.0, np.abs(bx))] = 0.0
-            # Every entry is now 0, a violation above its tolerance, or NaN.
             r = int(viol.argmax())
-            if viol[r] == 0.0:
-                return OPTIMAL, it
+            if not viol[r] > _DUAL_FEASTOL * max(1.0, abs(bx[r])):
+                # The largest violation lies within its own tolerance, or is
+                # NaN: zero every violation within its tolerance, so that
+                # each entry is 0, a violation above its tolerance, or NaN.
+                viol[viol <= _DUAL_FEASTOL * np.maximum(1.0, np.abs(bx))] = 0.0
+                r = int(viol.argmax())
+                if viol[r] == 0.0:
+                    return OPTIMAL, it
             if it == max_iter:
                 return None, it
             leave = int(basis[r])
@@ -358,9 +388,10 @@ def _dual_simplex(prep, lo, hi, basis, state, x, binv, d, max_iter):
             cand = (m_alpha < -_PIVTOL if increase else m_alpha > _PIVTOL).nonzero()[0]
             if not len(cand):
                 return INFEASIBLE, it
-            ratios = np.maximum(move[cand] * d[cand], 0.0) / np.abs(alpha[cand])
-            near = cand[ratios <= ratios.min() + 1e-12]
-            q = int(near[np.abs(alpha[near]).argmax()])
+            size = np.abs(alpha[cand])
+            ratios = np.maximum(move[cand] * d[cand], 0.0) / size
+            near = ratios <= ratios.min() + 1e-12
+            q = int(cand[near][size[near].argmax()])
 
             if q < n:
                 nz = slice(prep.starts[q], prep.starts[q + 1])
@@ -441,8 +472,10 @@ def _replace_column(binv, w, r) -> None:
     binv[r] = row
 
 
-def _reduced_costs(prep, c, basis, binv) -> np.ndarray:
-    """``c - y [A | I]`` for the duals ``y = c_B B^-1``."""
+def _reduced_costs(prep, basis, binv) -> np.ndarray:
+    """``c - y [A | I]`` for the costs ``c`` over ``[A | I]`` and the duals
+    ``y = c_B B^-1``."""
+    c = prep.cost
     y = c[basis] @ binv
     return c - np.concatenate([_row_times(prep, y), y])
 
@@ -454,7 +487,7 @@ def _wrong_signed(d, state, lo, hi) -> np.ndarray:
             & np.where(state == _AT_UPPER, d > _DTOL, d < -_DTOL))
 
 
-def _certified(prep, c, lo, hi, basis, state, x, binv) -> bool:
+def _certified(prep, lo, hi, basis, state, x, binv) -> bool:
     """Whether the factorization `binv` and the point `x`, whose basics the
     dual simplex has put within their bounds, prove the basis optimal when
     checked against the raw rows: ``A x_s + x_slack = b`` holds to 1e-9
@@ -464,7 +497,7 @@ def _certified(prep, c, lo, hi, basis, state, x, binv) -> bool:
     residual = np.abs(_times_point(prep, x[:n]) + x[n:] - b).max(initial=0.0)
     if residual > 1e-9 * max(1.0, np.abs(b).max(initial=0.0)):
         return False
-    d = _reduced_costs(prep, c, basis, binv)
+    d = _reduced_costs(prep, basis, binv)
     return bool(np.all(np.abs(d[basis]) <= _DTOL)) and not _wrong_signed(d, state, lo, hi).any()
 
 

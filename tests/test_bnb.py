@@ -1,3 +1,4 @@
+import heapq
 import math
 import time
 
@@ -238,6 +239,41 @@ def test_only_the_root_relaxation_is_solved_cold(monkeypatch):
     assert r.status == bnb.OPTIMAL
     assert r.nodes > 10
     assert len(cold) == 1
+
+
+def test_children_share_the_bound_vector_branching_leaves(monkeypatch):
+    # The down child keeps its parent's lower bounds and the up child its
+    # upper bounds, as the same read-only arrays; the caller's arrays keep
+    # their values and flags.
+    model = build_3confl(generate(DESK, 1)).model
+    prep, (lo, hi) = simplex.prepare(model), simplex.model_bounds(model)
+    given = lo.copy(), hi.copy()
+    events = []   # ("pop" | "push", heap entry), in order
+    push, pop = heapq.heappush, heapq.heappop
+
+    def recording_push(heap, node):
+        events.append(("push", node))
+        push(heap, node)
+
+    def recording_pop(heap):
+        events.append(("pop", pop(heap)))
+        return events[-1][1]
+
+    monkeypatch.setattr(heapq, "heappush", recording_push)
+    monkeypatch.setattr(heapq, "heappop", recording_pop)
+    r = bnb.solve_mip(prep, lo, hi)
+    assert r.status == bnb.OPTIMAL and r.nodes > 10
+    assert np.array_equal(lo, given[0]) and np.array_equal(hi, given[1])
+    assert lo.flags.writeable and hi.flags.writeable
+    # A branching is a pop followed by its two children's pushes.
+    branchings = 0
+    for (a, parent), (b, down), (c, up) in zip(events, events[1:], events[2:]):
+        if (a, b, c) == ("pop", "push", "push"):
+            assert down[2] is parent[2] and up[3] is parent[3]
+            assert down[3] is not parent[3] and up[2] is not parent[2]
+            branchings += 1
+    assert branchings > 5
+    assert not any(a.flags.writeable for _, node in events for a in node[2:4])
 
 
 def _pool_case(case):

@@ -561,6 +561,29 @@ def test_solve_defaults_are_the_heuristic_defaults(tmp_path, monkeypatch):
     assert seen == [HeuristicParams()]
 
 
+def test_the_cached_parser_parses_each_call_afresh(tmp_path):
+    """`main` builds its parser once per process, and a flag given to one
+    call leaves no trace in the next: each second document equals the one
+    a single call writes with a freshly built parser."""
+    inst = str(_generate(tmp_path))
+
+    def document(name, command, *flags):
+        out = tmp_path / name
+        assert main([command, inst, *flags, "-o", str(out)]) == 0
+        return out.read_bytes()
+
+    assert cli._parser() is cli._parser()
+    for command, flag, param, default in (("solve", ["--alpha", "0.3"], "alpha", 0.5),
+                                          ("exact", ["--strong"], "strong", False)):
+        tail = ["--iters", "1"] if command == "solve" else []
+        first = json.loads(document("first.json", command, *flag, *tail))
+        second = document("second.json", command, *tail)
+        assert first["params"][param] != default
+        assert json.loads(second)["params"][param] == default
+        cli._parser.cache_clear()
+        assert second == document("single.json", command, *tail)
+
+
 def test_unknown_flag_is_usage_error(tmp_path, capsys):
     assert main(["generate", "--does-not-exist", "-o", "x.json"]) == 2
 

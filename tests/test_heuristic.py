@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from confl3 import bnb, heuristic, simplex
+from confl3 import bnb, confl, heuristic, simplex
 from confl3.confl import (TECHNOLOGIES, AssignmentArc, build_3confl, covers, strengthen,
                           verify_solution)
 from confl3.heuristic import (
@@ -105,6 +105,24 @@ class TestIsComplete:
         # ...on wireless; fiber keeps the instance solvable, so a context exists.
         inst.assignment_arcs[1] = [AssignmentArc("f1", "u1", 1.0)]
         assert not covers(inst, HeuristicContext(inst).potential, fos.entries, 3)
+
+
+def test_a_context_computes_the_opening_reach_once(monkeypatch):
+    # The attainability screen hands back the reach it checked, and the
+    # context keeps that one as its potential.
+    inst = generate(DESK, 0)
+    reach = confl.opening_reach
+    calls = []
+
+    def counting(instance):
+        calls.append(instance)
+        return reach(instance)
+
+    monkeypatch.setattr(confl, "opening_reach", counting)
+    monkeypatch.setattr(heuristic, "opening_reach", counting, raising=False)
+    ctx = HeuristicContext(inst)
+    assert calls == [inst]
+    assert ctx.potential == reach(inst)
 
 
 class TestFosInvariant:

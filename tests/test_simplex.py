@@ -680,14 +680,16 @@ def _checked_against_the_reference(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("case", [f"random-{k}" for k in range(20)]
-                         + ["root-6x4", "desk-child", "no-rows"])
+                         + ["root-6x4", "desk-child", "leaving-row-fallback", "no-rows"])
 def test_kernel_matches_the_reference_bit_for_bit(case, monkeypatch):
     # The pivot loop makes the pivots and the floating-point operations of
     # its plainer reference, call by call.  Random boxed LPs are solved cold,
     # then warm and cold under each tightened bound; the 6x4 root LP runs in
     # rounds of at most 20 pivots, so some rounds end on the cap; a desk
-    # branch-and-bound child starts from its parent's optimal basis; and an
-    # LP with no rows has no basics.
+    # branch-and-bound child starts from its parent's optimal basis; a
+    # start whose largest violation lies within its own relative tolerance
+    # takes the kernel's fallback choice of the leaving row; and an LP with
+    # no rows has no basics.
     seen = _checked_against_the_reference(monkeypatch)
     if case.startswith("random-"):
         k = int(case.split("-")[1])
@@ -715,6 +717,25 @@ def test_kernel_matches_the_reference_bit_for_bit(case, monkeypatch):
         lo[j] = 1.0
         del seen[:]
         assert simplex.solve_prepared(prep, lo, hi, root.basis).status == simplex.OPTIMAL
+    elif case == "leaving-row-fallback":
+        # x0 + u0 <= 1e12 + 100 and x1 + u1 <= 11 from the basis {x0, x1}:
+        # x0 = 1e12 + 100 passes its upper bound 1e12 by 100, the largest
+        # violation but within its tolerance 1e-9 * |x0| (about 1e3); x1 = 11
+        # passes its bound 10 by 1, above its tolerance 1.1e-8.  So the
+        # leaving row is row 1, not row 0, the raw violations' argmax.
+        m = Model()
+        for name, upper, cost in (("x0", 1e12, 0.0), ("x1", 10.0, 0.0),
+                                  ("u0", 1.0, 1.0), ("u1", 1.0, 2.0)):
+            m.set_objective_coef(m.add_variable(name, CONTINUOUS, 0.0, upper), cost)
+        add_row(m, [(0, 1.0), (2, 1.0)], LE, 1e12 + 100)
+        add_row(m, [(1, 1.0), (3, 1.0)], LE, 11.0)
+        prep, (lo, hi) = simplex.prepare(m), simplex.model_bounds(m)
+        state = np.array([simplex._BASIC] * 2 + [simplex._AT_LOWER] * 4, dtype=np.int8)
+        res = simplex.solve_prepared(prep, lo, hi, simplex.Basis(np.array([0, 1]), state))
+        assert seen == [(simplex.OPTIMAL, 1)]
+        # Row 0 keeps x0; row 1's slack, column n + 1 = 5, replaced x1 at its bound.
+        assert res.basis.basic.tolist() == [0, 5]
+        assert res.assignment.tolist() == [1e12, 10.0, 0.0, 0.0]
     else:
         m = Model()
         for name, lower, upper, cost in (("x", -2, 5, 1.0), ("y", 1, 3, -2.0)):
