@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from . import bnb, simplex
-from .confl import (TECHNOLOGIES, UnattainableCoverageError, build_3confl, strengthen,
+from .confl import (TECHNOLOGIES, UnattainableCoverageError, build_3confl,
                     strengthening_pairs, verify_solution)
 from .heuristic import HeuristicParams, ogap, run
 from .instance_io import (
@@ -35,6 +35,9 @@ from .instance_io import (
     write_instance,
 )
 from .milp import export_lp_text
+# Unused here (`export-lp --strong` writes the strengthening_pairs array),
+# but perfbench/tracing.py wraps this name.
+from .confl import strengthen  # noqa: F401
 
 logger = logging.getLogger("confl3")
 
@@ -272,19 +275,18 @@ def _cmd_exact(args) -> int:
 def _cmd_export_lp(args) -> int:
     instance = _load_instance(args.instance)
     confl = build_3confl(instance)
-    if args.strong:
-        confl = strengthen(confl, instance)
+    pairs = strengthening_pairs(confl, instance) if args.strong else None
     # Opened only now, so that an input error leaves no file; a failed
     # write removes the partial one.
     fh = open(args.output, "w", encoding="utf-8")
     try:
         with fh:
-            export_lp_text(confl.model, fh)
+            export_lp_text(confl.model, fh, pairs)
     except BaseException:
         os.remove(args.output)
         raise
-    logger.info("wrote %s (%d variables, %d rows)", args.output,
-                len(confl.model.variables), len(confl.model.constraints))
+    logger.info("wrote %s (%d variables, %d rows)", args.output, len(confl.model.variables),
+                len(confl.model.constraints) + (0 if pairs is None else len(pairs)))
     return 0
 
 

@@ -544,7 +544,10 @@ def strengthening_pairs(confl: ConflModel, instance: Instance) -> np.ndarray:
 
 def strengthen(confl: ConflModel, instance: Instance) -> ConflModel:
     """Copy of the model with its :func:`strengthening_pairs` appended as
-    rows ``x_a + x_b <= 1`` by one bulk append."""
+    rows ``x_a + x_b <= 1`` by one bulk append.  No command builds this
+    model: ``export-lp --strong`` writes the pair array itself
+    (``milp.export_lp_text(model, out, pairs)``).  Tests and the benchmark's
+    root LP and export check still call it."""
     pairs = strengthening_pairs(confl, instance)
     m = confl.model.copy()
     m.add_rows(pairs, np.ones(pairs.shape), LE, 1.0)

@@ -292,16 +292,36 @@ def _row_lines(names: np.ndarray, rows: Rows, a: int, b: int) -> list[str]:
                   (_SENSE_TEXTS[rows.sense[a:b]], _texts(rows.rhs[a:b], _fmt)[:, 0]))
 
 
-def export_lp_text(model: Model, out: TextIO) -> None:
+def _pair_lines(names: np.ndarray, pairs: np.ndarray, a: int) -> list[str]:
+    """The lines ``c<a + i>: 1.0 <name> + 1.0 <name> <= 1.0`` of the rows
+    ``x_p + x_q <= 1`` given as the (k, 2) id array `pairs`: every such row
+    has the same coefficients, sense and right-hand side, so each line is
+    one fixed template over two names."""
+    return list(map("".join, zip(
+        itertools.repeat(" c"), map(str, range(a, a + len(pairs))),
+        itertools.repeat(": 1.0 "), names[pairs[:, 0]].tolist(),
+        itertools.repeat(" + 1.0 "), names[pairs[:, 1]].tolist(),
+        itertools.repeat(" <= 1.0"))))
+
+
+def export_lp_text(model: Model, out: TextIO, pairs: np.ndarray | None = None) -> None:
     """Write `model` to the text stream `out` in the de-facto LP text format
     (Minimize / Subject To / Bounds / Binaries).
 
     Deterministic: variables appear in insertion order, constraints are named
     ``c0, c1, ...`` in insertion order, coefficients use shortest exact reprs.
-    The rows are written in blocks of ``_EXPORT_BLOCK_ROWS``, so the export
-    never holds the text of the whole file.
+    `pairs`, an int64 (k, 2) array of variable ids such as
+    ``confl.strengthening_pairs`` returns, adds the rows ``x_a + x_b <= 1``
+    after the model's m rows, named ``c<m>`` on: the bytes are those of the
+    model with the pairs appended by :meth:`Model.add_rows`, without that
+    model.  The rows are written in blocks of ``_EXPORT_BLOCK_ROWS``, so the
+    export never holds the text of the whole file.
     """
     names = np.array([v.name for v in model.variables], dtype=object)
+    if pairs is not None and pairs.size and not (
+            0 <= pairs.min() and pairs.max() < len(names)
+            and np.all(pairs[:, 0] != pairs[:, 1])):
+        raise ValueError("pairs must hold two distinct variable ids per row")
     lines = ["Minimize"]
     if model.objective:
         objective = np.fromiter(model.objective.values(), dtype=float)
@@ -316,6 +336,8 @@ def export_lp_text(model: Model, out: TextIO) -> None:
     m = len(rows.rhs)
     for a in range(0, m, _EXPORT_BLOCK_ROWS):
         out.write("\n".join(_row_lines(names, rows, a, min(a + _EXPORT_BLOCK_ROWS, m))) + "\n")
+    for a in range(0, 0 if pairs is None else len(pairs), _EXPORT_BLOCK_ROWS):
+        out.write("\n".join(_pair_lines(names, pairs[a:a + _EXPORT_BLOCK_ROWS], m + a)) + "\n")
     lines = ["Bounds"]
     for var in model.variables:
         lo = "-inf" if var.lower == -math.inf else _fmt(var.lower)

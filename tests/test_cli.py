@@ -260,16 +260,18 @@ def test_zero_cost_pipeline_reports_zero_gaps(tmp_path, capsys):
 
 
 def test_solve_and_exact_strong_never_build_a_strengthened_model(tmp_path, monkeypatch):
-    """The cut pool comes straight from `strengthening_pairs`: with
-    `strengthen` refusing to run, both commands write the same documents."""
+    """The cut pool and the exported strengthening rows come straight from
+    `strengthening_pairs`: with `strengthen` refusing to run, the three
+    commands write the same documents and the same LP file."""
     inst_path = tmp_path / "inst.json"
     inst_path.write_text(write_instance(generate(strengthening_preset(), 0)), encoding="utf-8")
-    commands = [["solve", str(inst_path), "--iters", "2"], ["exact", str(inst_path), "--strong"]]
+    commands = [["solve", str(inst_path), "--iters", "2"], ["exact", str(inst_path), "--strong"],
+                ["export-lp", str(inst_path), "--strong"]]
 
     def documents(tag):
         out = []
         for k, argv in enumerate(commands):
-            path = tmp_path / f"{tag}{k}.json"
+            path = tmp_path / f"{tag}{k}.out"
             assert main(argv + ["-o", str(path)]) == 0
             out.append(path.read_bytes())
         return out

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from confl3 import milp
+from confl3.confl import build_3confl, strengthen, strengthening_pairs
+from confl3.instance_io import GeneratorParams, generate
 from confl3.milp import (
     BINARY,
     CONTINUOUS,
@@ -20,6 +22,7 @@ from confl3.milp import (
     lp_relaxation,
 )
 
+from instances import calm_wireless_instance, strengthening_preset
 from oracles import evaluate
 from rows import add_row, row, row_list
 
@@ -511,3 +514,54 @@ def test_export_streams_its_rows():
         tracemalloc.stop()
     assert sink.chars > 40 * k
     assert peak < sink.chars / 4, (peak, sink.chars)
+
+
+@pytest.mark.parametrize("case, block", [
+    ("no-pairs", milp._EXPORT_BLOCK_ROWS),
+    ("preset", milp._EXPORT_BLOCK_ROWS),
+    ("preset", 7),
+])
+def test_pairs_export_as_the_strengthened_model(case, block, monkeypatch):
+    """The pair rows written straight from the (k, 2) array give the text of
+    the model with the pairs appended as rows, whether there are none, or
+    they end mid-block and their names cross block offsets."""
+    inst = calm_wireless_instance() if case == "no-pairs" else generate(strengthening_preset(), 0)
+    plain = build_3confl(inst)
+    pairs = strengthening_pairs(plain, inst)
+    assert (len(pairs) == 0) == (case == "no-pairs")
+    if block == 7:
+        # Several blocks of pairs, the first and last of them partial.
+        assert len(pairs) > 3 * block
+        assert len(plain.model.constraints) % block and len(pairs) % block
+    monkeypatch.setattr(milp, "_EXPORT_BLOCK_ROWS", block)
+    got = io.StringIO()
+    export_lp_text(plain.model, got, pairs)
+    assert got.getvalue() == _export(strengthen(plain, inst).model)
+
+
+@pytest.mark.parametrize("pairs", [[[0, 3]], [[-1, 0]], [[1, 1]]],
+                         ids=["unknown-id", "negative-id", "repeated-id"])
+def test_pairs_of_unknown_or_repeated_ids_are_refused(pairs):
+    m, _ = small_model()
+    with pytest.raises(ValueError, match="two distinct variable ids"):
+        export_lp_text(m, _CountingSink(), np.array(pairs, dtype=np.int64))
+
+
+def test_pairs_export_holds_little_beside_the_pairs():
+    """On the 12x8 export preset, detecting the pairs and writing them
+    with the model peaks below 2.5 times the pairs' own 3.8 MB (8.3 times
+    when they were appended to a model and written as its rows)."""
+    inst = generate(GeneratorParams(grid_width=12, grid_height=8, n_facilities=10,
+                                    n_central_offices=3, n_steiner=4), 0)
+    plain = build_3confl(inst)
+    # The first export imports what numpy loads lazily; that is no text.
+    export_lp_text(small_model()[0], _CountingSink(), np.array([[0, 1]]))
+    tracemalloc.start()
+    try:
+        pairs = strengthening_pairs(plain, inst)
+        export_lp_text(plain.model, _CountingSink(), pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) == 238_410
+    assert peak <= 2.5 * pairs.nbytes, peak / pairs.nbytes
