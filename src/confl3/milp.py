@@ -292,16 +292,15 @@ def _row_lines(names: np.ndarray, rows: Rows, a: int, b: int) -> list[str]:
                   (_SENSE_TEXTS[rows.sense[a:b]], _texts(rows.rhs[a:b], _fmt)[:, 0]))
 
 
-def _pair_lines(names: np.ndarray, pairs: np.ndarray, a: int) -> list[str]:
-    """The lines ``c<a + i>: 1.0 <name> + 1.0 <name> <= 1.0`` of the rows
-    ``x_p + x_q <= 1`` given as the (k, 2) id array `pairs`: every such row
-    has the same coefficients, sense and right-hand side, so each line is
-    one fixed template over two names."""
-    return list(map("".join, zip(
-        itertools.repeat(" c"), map(str, range(a, a + len(pairs))),
-        itertools.repeat(": 1.0 "), names[pairs[:, 0]].tolist(),
-        itertools.repeat(" + 1.0 "), names[pairs[:, 1]].tolist(),
-        itertools.repeat(" <= 1.0"))))
+def _pair_text(names: np.ndarray, pairs: np.ndarray, a: int) -> str:
+    """The lines ``c<a + i>: 1.0 <name> + 1.0 <name> <= 1.0``, each ended by a
+    newline, of the rows ``x_p + x_q <= 1`` given as the (k, 2) id array
+    `pairs`: one line template repeated k times and filled by one ``%``."""
+    args: list = [None] * (3 * len(pairs))
+    args[0::3] = range(a, a + len(pairs))
+    args[1::3] = names[pairs[:, 0]].tolist()
+    args[2::3] = names[pairs[:, 1]].tolist()
+    return (" c%d: 1.0 %s + 1.0 %s <= 1.0\n" * len(pairs)) % tuple(args)
 
 
 def export_lp_text(model: Model, out: TextIO, pairs: np.ndarray | None = None) -> None:
@@ -315,9 +314,14 @@ def export_lp_text(model: Model, out: TextIO, pairs: np.ndarray | None = None) -
     after the model's m rows, named ``c<m>`` on: the bytes are those of the
     model with the pairs appended by :meth:`Model.add_rows`, without that
     model.  The rows are written in blocks of ``_EXPORT_BLOCK_ROWS``, so the
-    export never holds the text of the whole file.
+    export never holds the text of the whole file; a block of pairs is one
+    filled template (:func:`_pair_text`).  `pairs` that are not a 2-D integer
+    array of two columns of distinct ids of the model raise ValueError first.
     """
     names = np.array([v.name for v in model.variables], dtype=object)
+    if pairs is not None and not (isinstance(pairs, np.ndarray) and pairs.ndim == 2
+                                  and pairs.shape[1] == 2 and pairs.dtype.kind in "iu"):
+        raise ValueError("pairs must be a 2-D integer array with two columns")
     if pairs is not None and pairs.size and not (
             0 <= pairs.min() and pairs.max() < len(names)
             and np.all(pairs[:, 0] != pairs[:, 1])):
@@ -337,7 +341,7 @@ def export_lp_text(model: Model, out: TextIO, pairs: np.ndarray | None = None) -
     for a in range(0, m, _EXPORT_BLOCK_ROWS):
         out.write("\n".join(_row_lines(names, rows, a, min(a + _EXPORT_BLOCK_ROWS, m))) + "\n")
     for a in range(0, 0 if pairs is None else len(pairs), _EXPORT_BLOCK_ROWS):
-        out.write("\n".join(_pair_lines(names, pairs[a:a + _EXPORT_BLOCK_ROWS], m + a)) + "\n")
+        out.write(_pair_text(names, pairs[a:a + _EXPORT_BLOCK_ROWS], m + a))
     lines = ["Bounds"]
     for var in model.variables:
         lo = "-inf" if var.lower == -math.inf else _fmt(var.lower)

@@ -347,6 +347,70 @@ class TestConflictPairs:
             )
             assert not strict.any()
 
+    @given(
+        *[st.one_of(st.just(0.0), st.floats(0.0, 1.0))] * 4,
+        st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+        st.floats(0.5, 2.0), st.floats(1.1, 4.0), st.floats(-6.0, -1.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_one_step_bound_marks_only_infeasible_pairs(self, a1, b1, a2, b2, p_min_share,
+                                                        p_max, delta, log_eta):
+        # Fadings of 0, p_min = 0 and p_min = p_max, and noise down to 1e-6.
+        from confl3.confl import WirelessParams, _one_step_conflicts
+
+        w = WirelessParams(p_min_share * p_max, p_max, delta, 10.0**log_eta, {})
+        if _one_step_conflicts(a1, b1, a2, b2, w):
+            assert not _two_sir_feasible(a1, b1, a2, b2, w)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_screened_masks_are_the_vertex_test_masks(self, seed):
+        """On random blocks, with fadings of 0, the one-step bound followed by
+        the vertex test on what it leaves open gives the vertex test's masks."""
+        from confl3.confl import (WirelessParams, _conflict_masks, _one_step_conflicts,
+                                  _pair_block_feasible)
+
+        rng = np.random.default_rng(seed)
+        n_fac, n_users = 5, 30
+        fading = rng.random((n_fac, n_users)) * (rng.random((n_fac, n_users)) > 0.2)
+        fac, user = np.nonzero(rng.random((n_fac, n_users)) < 0.6)
+        shuffle = rng.permutation(len(fac))
+        p_max = rng.uniform(0.5, 2.0)
+        w = WirelessParams(p_max * [0.0, 1.0, rng.random()][seed % 3], p_max,
+                           rng.uniform(1.1, 4.0), 10.0 ** rng.uniform(-6.0, -1.0), {})
+        order, bounds, masks = _conflict_masks(w, fac[shuffle], user[shuffle], fading)
+        f, u = fac[shuffle][order], user[shuffle][order]
+        marked = checked = 0
+        for k, mask in enumerate(masks):
+            u1, f2, u2 = u[bounds[k]:bounds[k + 1]], f[bounds[k + 1]:], u[bounds[k + 1]:]
+            block = (fading[k, u1][:, None], fading[f2, u1[:, None]],
+                     fading[f2, u2][None], fading[k, u2][None])
+            np.testing.assert_array_equal(mask, ~_pair_block_feasible(*block, w))
+            marked += int(_one_step_conflicts(*block, w).sum())
+            checked += mask.size
+        # Both stages decide some pairs.
+        assert 0 < marked < checked
+
+    def test_vertex_test_sees_few_pairs(self, monkeypatch):
+        """On the 12x8 export preset (seed 0) the one-step bound decides all
+        but 4,723 of the 236,886 pairs (2.0 %); the vertex test may see 5 %."""
+        from confl3 import confl
+
+        vertex_test, seen = confl._pair_block_feasible, []
+
+        def counting(*args):
+            feasible = vertex_test(*args)
+            seen.append(feasible.size)
+            return feasible
+
+        monkeypatch.setattr(confl, "_pair_block_feasible", counting)
+        inst = generate(GeneratorParams(grid_width=12, grid_height=8, n_facilities=10,
+                                        n_central_offices=3, n_steiner=4), 0)
+        _, frank, urank, fading = confl._wireless_ranks(inst)
+        _, _, masks = confl._conflict_masks(inst.wireless, frank, urank, fading)
+        checked = sum(mask.size for mask in masks)
+        assert checked == 236_886
+        assert sum(seen) <= 0.05 * checked, sum(seen) / checked
+
     def test_decoupled_requirements_do_not_conflict(self):
         assert conflict_pairs(calm_wireless_instance()).shape == (0, 2)
 

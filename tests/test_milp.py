@@ -547,6 +547,22 @@ def test_pairs_of_unknown_or_repeated_ids_are_refused(pairs):
         export_lp_text(m, _CountingSink(), np.array(pairs, dtype=np.int64))
 
 
+@pytest.mark.parametrize("pairs", [
+    np.array([[0.0, 1.0]]),
+    np.array([[0, 1, 2]], dtype=np.int64),
+    np.array([0, 1], dtype=np.int64),
+    np.array([[False, True]]),
+    [[0, 1]],
+], ids=["float", "three-columns", "one-dimensional", "bool", "list"])
+def test_pairs_not_a_two_column_integer_array_are_refused_before_writing(pairs):
+    """Malformed pairs are refused before the header is written: unchecked,
+    a float array fails mid-stream and a third column is silently dropped."""
+    sink = _CountingSink()
+    with pytest.raises(ValueError, match="2-D integer array with two columns"):
+        export_lp_text(small_model()[0], sink, pairs)
+    assert sink.chars == 0
+
+
 def test_pairs_export_holds_little_beside_the_pairs():
     """On the 12x8 export preset, detecting the pairs and writing them
     with the model peaks below 2.5 times the pairs' own 3.8 MB (8.3 times
