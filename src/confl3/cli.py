@@ -149,8 +149,8 @@ def _instance_ref(instance) -> dict:
 
 def _check_output(path: str) -> None:
     """Raise OSError when `path` cannot be written: it is a directory, or
-    its parent directory is missing or not writable.  `solve` and `exact`
-    call this before any work, so a bad path costs no solve."""
+    its parent directory is missing or not writable.  `solve`, `exact` and
+    `export-lp` call this before any work, so a bad path costs no solve."""
     parent = os.path.dirname(path) or "."
     if os.path.isdir(path):
         raise IsADirectoryError(f"output is a directory: {path}")
@@ -273,6 +273,7 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_export_lp(args) -> int:
+    _check_output(args.output)
     instance = _load_instance(args.instance)
     confl = build_3confl(instance)
     pairs = strengthening_pairs(confl, instance) if args.strong else None

@@ -9,18 +9,20 @@ wireless tier, detects the two families of strengthening inequalities
 (lone-blocker and pairwise-conflict rows), and re-verifies full solutions
 directly against the raw instance data.  Rows are written as
 :class:`~confl3.milp.Model` takes them, column ids and coefficients: the
-builder appends each row family with one :meth:`Model.add_rows` call.
+builder adds each variable family with one :meth:`Model.add_variables`
+call and appends all row families with one :meth:`Model.add_rows` call.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .milp import BINARY, CONTINUOUS, EQ, GE, LE, Assignment, Model
+from .milp import BINARY, CONTINUOUS, EQ, GE, LE, Assignment, Model, flatten_rows
 
 TECH_FIBER = 1
 TECH_COPPER = 2
@@ -269,50 +271,56 @@ def build_3confl(instance: Instance) -> ConflModel:
     """The model over technologies {1, 2, 3}: wired tiers plus wireless with
     per-(facility, user) big-M SIR rows and semi-continuous power bounds.
     The one gate of an instance, read or built by hand: :func:`validate_instance`
-    runs first, so an instance of another shape raises before a model exists."""
+    runs first, so an instance of another shape raises before a model exists.
+    Each variable family is added, and given its costs, by one call, and all
+    row families are appended by one :meth:`Model.add_rows` call."""
     validate_instance(instance)
     w = instance.wireless
     m = Model()
     arcs = [(ROOT_ID, co.id, co.open_cost) for co in instance.central_offices]
     arcs += [(a.tail, a.head, a.cost) for a in instance.core_arcs]
 
-    z: dict[tuple[str, int], int] = {}
-    for f in instance.facilities:
-        for t in TECHNOLOGIES:
-            z[f.id, t] = m.add_variable(f"z_{f.id}_t{t}", BINARY, 0, 1)
-            m.set_objective_coef(z[f.id, t], f.open_cost[t])
+    keys = [(f.id, t) for f in instance.facilities for t in TECHNOLOGIES]
+    z = dict(zip(keys, m.add_variables([f"z_{f}_t{t}" for f, t in keys], BINARY, 0, 1)))
+    m.set_objective_coefs(z.values(), [f.open_cost[t] for f in instance.facilities
+                                       for t in TECHNOLOGIES])
 
-    x: dict[tuple[str, str], int] = {}
-    for tail, head, cost in arcs:
-        x[tail, head] = m.add_variable(f"x_{tail}_{head}", BINARY, 0, 1)
-        m.set_objective_coef(x[tail, head], cost)
+    x = dict(zip([(tail, head) for tail, head, _ in arcs],
+                 m.add_variables([f"x_{tail}_{head}" for tail, head, _ in arcs], BINARY, 0, 1)))
+    m.set_objective_coefs(x.values(), [cost for _, _, cost in arcs])
 
-    y: dict[tuple[str, str, int], int] = {}
-    for t in TECHNOLOGIES:
-        for a in instance.assignment_arcs.get(t, []):
-            y[a.facility, a.user, t] = m.add_variable(
-                f"y_{a.facility}_{a.user}_t{t}", BINARY, 0, 1
-            )
-            m.set_objective_coef(y[a.facility, a.user, t], a.cost)
+    assigned = [(a, t) for t in TECHNOLOGIES for a in instance.assignment_arcs.get(t, [])]
+    y = dict(zip([(a.facility, a.user, t) for a, t in assigned],
+                 m.add_variables([f"y_{a.facility}_{a.user}_t{t}" for a, t in assigned],
+                                 BINARY, 0, 1)))
+    m.set_objective_coefs(y.values(), [a.cost for a, _ in assigned])
 
-    v: dict[tuple[str, int], int] = {}
-    for u in instance.users:
-        for t in TECHNOLOGIES:
-            v[u.id, t] = m.add_variable(f"v_{u.id}_t{t}", BINARY, 0, 1)
+    keys = [(u.id, t) for u in instance.users for t in TECHNOLOGIES]
+    v = dict(zip(keys, m.add_variables([f"v_{u}_t{t}" for u, t in keys], BINARY, 0, 1)))
 
-    flow: dict[tuple[str, str, str], int] = {}
-    for tail, head, _ in arcs:
-        for f in instance.facilities:
-            flow[tail, head, f.id] = m.add_variable(
-                f"phi_{tail}_{head}_{f.id}", CONTINUOUS, 0.0, 1.0
-            )
+    keys = [(tail, head, f.id) for tail, head, _ in arcs for f in instance.facilities]
+    flow = dict(zip(keys, m.add_variables([f"phi_{tail}_{head}_{f}" for tail, head, f in keys],
+                                          CONTINUOUS, 0.0, 1.0)))
 
-    power = {f.id: m.add_variable(f"p_{f.id}", CONTINUOUS, 0.0, w.p_max)
-             for f in instance.facilities}
+    power = dict(zip([f.id for f in instance.facilities],
+                     m.add_variables([f"p_{f.id}" for f in instance.facilities],
+                                     CONTINUOUS, 0.0, w.p_max)))
+
+    # Every row family in the flat form of Model.add_rows (terms, senses,
+    # right-hand sides, row lengths), appended by one call at the end.
+    families = []
+
+    def add_family(cols, coefs, sense, rhs, lengths=None):
+        if lengths is None:
+            cols, lengths = flatten_rows(cols, np.int64)
+            coefs = flatten_rows(coefs, float)[0]
+        k = len(lengths)
+        families.append((cols, coefs, [sense] * k if isinstance(sense, str) else sense,
+                         np.broadcast_to(np.asarray(rhs, dtype=float), k), lengths))
 
     # Facility opens on at most one technology.
     single = np.array([[z[f.id, t] for t in TECHNOLOGIES] for f in instance.facilities])
-    m.add_rows(single, np.ones(single.shape), LE, 1.0)
+    add_family(single, np.ones(single.shape), LE, 1.0)
 
     # A served user has exactly one active assignment arc on its technology.
     arcs_of: dict[tuple[str, int], list[int]] = {}
@@ -320,21 +328,20 @@ def build_3confl(instance: Instance) -> ConflModel:
         arcs_of.setdefault((uid, t), []).append(yid)
     served = [(arcs_of.get((u.id, t), []), v[u.id, t])
               for u in instance.users for t in TECHNOLOGIES]
-    m.add_rows([yids + [vid] for yids, vid in served],
+    add_family([yids + [vid] for yids, vid in served],
                [[1.0] * len(yids) + [-1.0] for yids, _ in served], EQ, 0.0)
 
     # Assignment arcs only out of facilities opened on that technology.
     linking = np.array([(yid, z[fid, t]) for (fid, uid, t), yid in y.items()])
-    m.add_rows(linking, np.tile([1.0, -1.0], (len(linking), 1)), LE, 0.0)
+    add_family(linking, np.tile([1.0, -1.0], (len(linking), 1)), LE, 0.0)
 
     # Coverage requirement; users on a better technology tau <= t count too.
     if instance.users:
-        m.add_rows(
-            [[v[u.id, tau] for u in instance.users for tau in TECHNOLOGIES if tau <= t]
-             for t in TECHNOLOGIES],
-            [[u.weight for u in instance.users for tau in TECHNOLOGIES if tau <= t]
-             for t in TECHNOLOGIES],
-            GE, [instance.coverage_thresholds[t] for t in TECHNOLOGIES])
+        add_family([[v[u.id, tau] for u in instance.users for tau in TECHNOLOGIES if tau <= t]
+                    for t in TECHNOLOGIES],
+                   [[u.weight for u in instance.users for tau in TECHNOLOGIES if tau <= t]
+                    for t in TECHNOLOGIES],
+                   GE, [instance.coverage_thresholds[t] for t in TECHNOLOGIES])
 
     # Unit of flow from the artificial root to each opened facility,
     # one commodity per facility.  A node with no arcs and no demand, such
@@ -359,45 +366,59 @@ def build_3confl(instance: Instance) -> ConflModel:
             if cols:
                 balance_cols.append(cols)
                 balance_coefs.append(coefs)
-    m.add_rows(balance_cols, balance_coefs, EQ, 0.0)
+    add_family(balance_cols, balance_coefs, EQ, 0.0)
 
     # Flow only on installed arcs.
     capacity = np.array([(flow[tail, head, f.id], x[tail, head])
                          for tail, head, _ in arcs for f in instance.facilities])
-    m.add_rows(capacity, np.tile([1.0, -1.0], (len(capacity), 1)), LE, 0.0)
+    add_family(capacity, np.tile([1.0, -1.0], (len(capacity), 1)), LE, 0.0)
 
-    # SIR rows, deactivated through big-M when the assignment is off.
-    sir_cols, sir_coefs, sir_rhs = [], [], []
-    for (fid, uid, t), yid in y.items():
-        if t != TECH_WIRELESS:
-            continue
-        m_fu = big_m(instance, fid, uid)
-        interferers = [k.id for k in instance.facilities
-                       if k.id != fid and w.fading[k.id, uid] != 0.0]
-        sir_cols.append([power[fid]] + [power[k] for k in interferers] + [yid])
-        sir_coefs.append([w.fading[fid, uid]]
-                         + [-w.delta * w.fading[k, uid] for k in interferers] + [-m_fu])
-        sir_rhs.append(w.delta * w.eta_noise - m_fu)
-    m.add_rows(sir_cols, sir_coefs, GE, sir_rhs)
+    # SIR rows, deactivated through big-M when the assignment is off.  The
+    # row of wireless arc j, serving u from f, is
+    #     a_fu p_f - delta sum_k a_ku p_k - M_j y_j >= delta eta - M_j
+    # over the other facilities k with a_ku != 0, in facility order, where
+    # M_j = delta eta + delta sum_{k != f} a_ku p_max is the tightest
+    # constant that silences the row when y_j = 0 (server silent, every
+    # interferer at full power), summed one facility after another in
+    # instance order.  All of it comes from `gains`, the fading of each
+    # facility (down) to the user of each wireless arc (across).
+    wireless = instance.assignment_arcs.get(TECH_WIRELESS, [])
+    user_at = {u.id: j for j, u in enumerate(instance.users)}
+    fac_at = {f.id: k for k, f in enumerate(instance.facilities)}
+    nf = len(instance.facilities)
+    fading = np.array([[w.fading[f.id, u.id] for u in instance.users]
+                       for f in instance.facilities], dtype=float).reshape(nf, len(user_at))
+    gains = fading[:, [user_at[a.user] for a in wireless]]
+    server = np.array([fac_at[a.facility] for a in wireless], dtype=np.int64)
+    other = server != np.arange(nf)[:, None]
+    interference = np.zeros(len(wireless))
+    for k in range(nf):
+        interference += np.where(other[k], gains[k] * w.p_max, 0.0)
+    big_m = w.delta * w.eta_noise + w.delta * interference
+    # Each arc's candidate terms: its server's power, every facility's
+    # power, its y; `keep` drops the server and the silent ones from the
+    # middle.
+    power_ids = np.array([power[f.id] for f in instance.facilities], dtype=np.int64)
+    cols = np.empty((len(wireless), nf + 2), dtype=np.int64)
+    cols[:, 0] = power_ids[server]
+    cols[:, 1:-1] = power_ids
+    cols[:, -1] = [y[a.facility, a.user, TECH_WIRELESS] for a in wireless]
+    coefs = np.column_stack([gains[server, np.arange(len(wireless))], (-w.delta * gains).T,
+                             -big_m])
+    keep = np.ones(cols.shape, dtype=bool)
+    keep[:, 1:-1] = (other & (gains != 0.0)).T
+    add_family(cols[keep], coefs[keep], GE, w.delta * w.eta_noise - big_m, keep.sum(axis=1))
 
     # Semi-continuous power: p_min z <= p <= p_max z, each facility's two
     # rows in turn.
     pz = np.array([(power[f.id], z[f.id, TECH_WIRELESS]) for f in instance.facilities])
-    m.add_rows(np.repeat(pz, 2, axis=0),
+    add_family(np.repeat(pz, 2, axis=0),
                np.tile([[1.0, -w.p_max], [1.0, -w.p_min]], (len(pz), 1)), [LE, GE] * len(pz), 0.0)
 
+    cols, coefs, senses, rhs, lengths = zip(*families)
+    m.add_rows(np.concatenate(cols), np.concatenate(coefs), list(itertools.chain(*senses)),
+               np.concatenate(rhs), np.concatenate(lengths))
     return ConflModel(m, arcs, z, x, y, v, flow, power)
-
-
-def big_m(instance: Instance, fid: str, uid: str) -> float:
-    """Tightest constant that silences the SIR row of (fid, uid) when the
-    assignment variable is 0: worst in-bounds case is the server silent and
-    every interferer at full power."""
-    w = instance.wireless
-    interference = sum(
-        w.fading[k.id, uid] * w.p_max for k in instance.facilities if k.id != fid
-    )
-    return w.delta * w.eta_noise + w.delta * interference
 
 
 def _wireless_ranks(instance: Instance) -> tuple[list[str], np.ndarray, np.ndarray,
@@ -485,7 +506,7 @@ def _conflict_masks(w: WirelessParams, frank: np.ndarray, urank: np.ndarray,
     every arc of the later facilities across the columns.  The pairs that
     :func:`_one_step_conflicts` leaves open (2 % on the 12x8 export preset)
     go to the vertex test :func:`_pair_block_feasible`, so the masks are
-    those of that test alone."""
+    those of that test alone; a block with no open pair skips the test."""
     order = np.lexsort((urank, frank))
     f, u = frank[order], urank[order]
     bounds = np.searchsorted(f, np.arange(len(fading) + 1))
@@ -497,7 +518,8 @@ def _conflict_masks(w: WirelessParams, frank: np.ndarray, urank: np.ndarray,
         a2, b2 = fading[f2, u2][None], fading[k, u2][None]
         mask = _one_step_conflicts(a1, b1, a2, b2, w)
         i, j = np.nonzero(~mask)
-        mask[i, j] = ~_pair_block_feasible(a1[i, 0], b1[i, j], a2[0, j], b2[0, j], w)
+        if len(i):
+            mask[i, j] = ~_pair_block_feasible(a1[i, 0], b1[i, j], a2[0, j], b2[0, j], w)
         masks.append(mask)
     return order, bounds, masks
 

@@ -5,17 +5,19 @@ bounds), a block of linear rows and a minimization objective.  A row is its
 column ids and its coefficients, nothing else: the rows are one immutable
 :class:`Rows` value of CSR-style row starts, column ids and coefficients,
 plus a sense and a right-hand side for each row, all read-only arrays.
-:meth:`Model.add_rows` appends rows given in that form, as (k, L) arrays
-or as k sequences (:func:`flatten_rows` reads both); its checks run over
-all of them, a failed check appends nothing, and an append replaces the
-model's `Rows` value by a new one.  :attr:`Model.constraints` hands that
-value to the consumers (:func:`export_lp_text`, ``simplex.prepare``).
+:meth:`Model.add_rows` appends rows given in that form, as (k, L) arrays,
+as k sequences (:func:`flatten_rows` reads both) or flat with their
+lengths; its checks run over all of them, a failed check appends nothing,
+and an append replaces the model's `Rows` value by a new one.
+:attr:`Model.constraints` hands that value to the consumers
+(:func:`export_lp_text`, ``simplex.prepare``).
 
-Models are built through :meth:`Model.add_variable` and :meth:`Model.add_rows`
-and treated as immutable afterwards: every transformation
-(:func:`lp_relaxation`, :func:`apply_fixings`) returns a fresh copy.  Copies
-share the `Rows` value, so a copy may append (as the strengthening does)
-without changing the original.
+Models are built through :meth:`Model.add_variables` (a family of
+variables of one kind and one pair of bounds per call;
+:meth:`Model.add_variable` adds one) and :meth:`Model.add_rows`, and
+treated as immutable afterwards: every transformation (:func:`lp_relaxation`,
+:func:`apply_fixings`) returns a fresh copy.  Copies share the `Rows` value,
+so a copy may append (as the strengthening does) without changing the original.
 """
 
 from __future__ import annotations
@@ -102,36 +104,62 @@ class Model:
         """This model's rows as read-only arrays."""
         return self._rows
 
-    def add_variable(self, name: str, kind: str, lower: float, upper: float) -> int:
+    def add_variables(self, names, kind: str, lower: float, upper: float) -> range:
+        """Append one variable of `kind` with bounds [lower, upper] per name,
+        in order, and return their ids.  The checks run before any is
+        added: an unknown kind, then for each name in turn a name already
+        taken and bounds that are NaN, inverted or, for a binary, not in
+        {0, 1}; the error names the first variable that fails."""
+        names = list(names)
         if kind not in (BINARY, CONTINUOUS):
             raise ValueError(f"unknown variable kind {kind!r}")
-        if name in self._names:
-            raise ValueError(f"duplicate variable name {name!r}")
         if math.isnan(lower) or math.isnan(upper):
-            raise ValueError(f"NaN bound for {name!r}")
-        if lower > upper:
-            raise ValueError(f"inverted bounds for {name!r}: [{lower}, {upper}]")
-        if kind == BINARY and not (lower in (0.0, 1.0) and upper in (0.0, 1.0)):
-            raise ValueError(f"binary variable {name!r} must have bounds in {{0,1}}")
-        vid = len(self.variables)
-        self.variables.append(Variable(vid, name, kind, float(lower), float(upper)))
-        self._names.add(name)
-        return vid
+            fault = "NaN bound for {!r}"
+        elif lower > upper:
+            fault = f"inverted bounds for {{!r}}: [{lower}, {upper}]"
+        elif kind == BINARY and not (lower in (0.0, 1.0) and upper in (0.0, 1.0)):
+            fault = "binary variable {!r} must have bounds in {{0,1}}"
+        else:
+            fault = None
+        fresh: set[str] = set()
+        for name in names:
+            if name in self._names or name in fresh:
+                raise ValueError(f"duplicate variable name {name!r}")
+            if fault:
+                raise ValueError(fault.format(name))
+            fresh.add(name)
+        ids = range(len(self.variables), len(self.variables) + len(names))
+        self.variables += map(Variable, ids, names, itertools.repeat(kind),
+                              itertools.repeat(float(lower)), itertools.repeat(float(upper)))
+        self._names |= fresh
+        return ids
 
-    def add_rows(self, cols, coefs, sense, rhs) -> range:
+    def add_variable(self, name: str, kind: str, lower: float, upper: float) -> int:
+        """:meth:`add_variables` of the one name `name`; returns its id."""
+        return self.add_variables([name], kind, lower, upper)[0]
+
+    def add_rows(self, cols, coefs, sense, rhs, lengths=None) -> range:
         """Append k rows: row i is
         ``sum_j coefs[i][j] * x[cols[i][j]]  sense[i]  rhs[i]``.
 
         `cols` and `coefs` hold the terms of the rows, as (k, L) arrays or as
-        k sequences of any length; `sense` is one sense for every row or k of
-        them, and `rhs` one value or k.  The checks of :meth:`_check_rows`
-        run once over all rows; when one fails, nothing is appended and the
-        error names the first offending row by the id it would have had.
-        The new rows and the old ones go into fresh arrays, so copies of
-        this model keep their rows.  Returns the ids of the new rows.
+        k sequences of any length, or, given the k row `lengths`, flat: the
+        terms of every row, row after row.  `sense` is one sense for every
+        row or k of them, and `rhs` one value or k.  The checks of
+        :meth:`_check_rows` run once over all rows; when one fails, nothing
+        is appended and the error names the first offending row by the id
+        it would have had.  The new rows and the old ones go into fresh
+        arrays, so copies of this model keep their rows.  Returns the ids of
+        the new rows.
         """
-        cols, lengths = flatten_rows(cols, np.int64)
-        coefs, coef_lengths = flatten_rows(coefs, float)
+        if lengths is None:
+            cols, lengths = flatten_rows(cols, np.int64)
+            coefs, coef_lengths = flatten_rows(coefs, float)
+        else:
+            cols, coefs = np.asarray(cols, dtype=np.int64), np.asarray(coefs, dtype=float)
+            lengths = np.asarray(lengths, dtype=np.int64)
+            coef_lengths = lengths if (cols.shape == coefs.shape == (lengths.sum(),)
+                                       and np.all(lengths >= 0)) else None
         k = len(lengths)
         if isinstance(sense, str):
             senses = [sense] * k
@@ -183,10 +211,25 @@ class Model:
                 i, message = locate(hits[0])
                 raise ValueError(f"{message} (row {len(self._rows.rhs) + int(i)})")
 
+    def set_objective_coefs(self, vids, costs) -> None:
+        """Add ``costs[i]`` to the objective coefficient of variable
+        ``vids[i]``, starting from 0.0 (so a cost of -0.0 reads 0.0).  An
+        unknown id, or a cost count other than the id count, raises before
+        any coefficient changes."""
+        vids, costs = list(vids), [float(cost) for cost in costs]
+        n = len(self.variables)
+        bad = [vid for vid in vids if not 0 <= vid < n]
+        if bad:
+            raise ValueError(f"objective references unknown variable id {bad[0]}")
+        if len(costs) != len(vids):
+            raise ValueError("set_objective_coefs needs one cost per variable id")
+        get = self.objective.get
+        for vid, cost in zip(vids, costs):
+            self.objective[vid] = get(vid, 0.0) + cost
+
     def set_objective_coef(self, vid: int, cost: float) -> None:
-        if not 0 <= vid < len(self.variables):
-            raise ValueError(f"objective references unknown variable id {vid}")
-        self.objective[vid] = self.objective.get(vid, 0.0) + float(cost)
+        """:meth:`set_objective_coefs` of the one variable `vid`."""
+        self.set_objective_coefs([vid], [cost])
 
     def binary_ids(self) -> list[int]:
         return [v.id for v in self.variables if v.kind == BINARY]
@@ -295,12 +338,19 @@ def _row_lines(names: np.ndarray, rows: Rows, a: int, b: int) -> list[str]:
 def _pair_text(names: np.ndarray, pairs: np.ndarray, a: int) -> str:
     """The lines ``c<a + i>: 1.0 <name> + 1.0 <name> <= 1.0``, each ended by a
     newline, of the rows ``x_p + x_q <= 1`` given as the (k, 2) id array
-    `pairs`: one line template repeated k times and filled by one ``%``."""
-    args: list = [None] * (3 * len(pairs))
-    args[0::3] = range(a, a + len(pairs))
-    args[1::3] = names[pairs[:, 0]].tolist()
-    args[2::3] = names[pairs[:, 1]].tolist()
-    return (" c%d: 1.0 %s + 1.0 %s <= 1.0\n" * len(pairs)) % tuple(args)
+    `pairs`.  Each run of rows with one first id p is one line template with
+    p's name written in (a ``%`` in it doubled), repeated; one ``%`` fills
+    all of them with the row numbers and the names of the second ids."""
+    first = pairs[:, 0]
+    runs = np.flatnonzero(np.concatenate([[True], first[1:] != first[:-1]]))
+    template = "".join(
+        (" c%d: 1.0 " + name.replace("%", "%%") + " + 1.0 %s <= 1.0\n") * count
+        for name, count in zip(names[first[runs]].tolist(),
+                               np.diff(runs, append=len(first)).tolist()))
+    args: list = [None] * (2 * len(pairs))
+    args[0::2] = range(a, a + len(pairs))
+    args[1::2] = names[pairs[:, 1]].tolist()
+    return template % tuple(args)
 
 
 def export_lp_text(model: Model, out: TextIO, pairs: np.ndarray | None = None) -> None:
@@ -314,8 +364,9 @@ def export_lp_text(model: Model, out: TextIO, pairs: np.ndarray | None = None) -
     after the model's m rows, named ``c<m>`` on: the bytes are those of the
     model with the pairs appended by :meth:`Model.add_rows`, without that
     model.  The rows are written in blocks of ``_EXPORT_BLOCK_ROWS``, so the
-    export never holds the text of the whole file; a block of pairs is one
-    filled template (:func:`_pair_text`).  `pairs` that are not a 2-D integer
+    export never holds the text of the whole file; in a block of pairs, each
+    run of rows that share their first id is one template, and one ``%``
+    fills them all (:func:`_pair_text`).  `pairs` that are not a 2-D integer
     array of two columns of distinct ids of the model raise ValueError first.
     """
     names = np.array([v.name for v in model.variables], dtype=object)

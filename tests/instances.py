@@ -289,6 +289,31 @@ def repair_instance() -> Instance:
     )
 
 
+def zero_fading_instance() -> Instance:
+    """Three facilities and two users, four wireless arcs.  f1 reaches no
+    user (fading 0), so it is no interferer in any SIR row; it serves u1
+    all the same, so that SIR row keeps a zero coefficient on f1's power.
+    The generator never writes a zero fading."""
+    fading = {("f0", "u0"): 0.7, ("f1", "u0"): 0.0, ("f2", "u0"): 0.3,
+              ("f0", "u1"): 0.2, ("f1", "u1"): 0.0, ("f2", "u1"): 0.55}
+    facilities = ["f0", "f1", "f2"]
+    return Instance(
+        users=[User("u0", 1.0, (0.0, 0.0)), User("u1", 1.0, (1.0, 0.0))],
+        facilities=[Facility(f, (float(k), 1.0), {1: 10.0, 2: 10.0, 3: 1.0})
+                    for k, f in enumerate(facilities)],
+        central_offices=[CentralOffice("g0", 1.0)],
+        steiner_nodes=[],
+        core_arcs=[CoreArc("g0", f, 1.0) for f in facilities],
+        assignment_arcs={1: [], 2: [], 3: [
+            AssignmentArc("f0", "u0", 1.0), AssignmentArc("f2", "u0", 1.0),
+            AssignmentArc("f1", "u1", 1.0), AssignmentArc("f0", "u1", 1.0)]},
+        coverage_thresholds={1: 0.0, 2: 0.0, 3: 0.0},
+        wireless=WirelessParams(p_min=0.1, p_max=1.3, delta=1.8, eta_noise=0.05,
+                                fading=fading),
+        name="zero-fading",
+    )
+
+
 def calm_wireless_instance() -> Instance:
     """Wireless tier with no lone blockers and no conflicts: p_min = 0 lets
     interferers fall silent and the cross fadings are zero."""

@@ -6,8 +6,9 @@ enumerates every 0/1 pattern of the binaries, completing the continuous
 part with an LP solve per surviving pattern.  The pairwise power-feasibility
 oracle decides one pair of wireless services at a time by enumerating the
 vertices of its power polygon, the lone-blocker oracle tests one interferer
-at a time, and :func:`evaluate` recomputes a point's objective and row
-violations from a model's rows.  For LPs too large to enumerate,
+at a time, :func:`big_m` sums one SIR row's big-M facility by facility, and
+:func:`evaluate` recomputes a point's objective and row violations from a
+model's rows.  For LPs too large to enumerate,
 :func:`highs_lp_optimum` and :func:`highs_mip_optimum` ask scipy's HiGHS,
 which shares no code with the bundled solvers.  :func:`dual_simplex` is
 the bundled pivot loop in its plainer first form, the reference that the
@@ -261,6 +262,19 @@ def _two_sir_feasible(
             continue
         return True
     return False
+
+
+def big_m(instance: Instance, fid: str, uid: str) -> float:
+    """Tightest constant that silences the SIR row of (fid, uid) when the
+    assignment variable is 0: worst in-bounds case is the server silent and
+    every interferer at full power.  The big-M of the SIR rows of
+    ``build_3confl``, computed one arc at a time by a running sum over the
+    facilities in instance order."""
+    w = instance.wireless
+    interference = sum(
+        w.fading[k.id, uid] * w.p_max for k in instance.facilities if k.id != fid
+    )
+    return w.delta * w.eta_noise + w.delta * interference
 
 
 def superinterferers(instance: Instance, uid: str, fid: str) -> set[str]:

@@ -13,7 +13,7 @@ import pytest
 
 from confl3 import bnb, simplex
 from confl3.cli import main as cli_main
-from confl3.confl import TECHNOLOGIES, big_m, build_3confl, covers, strengthen, verify_solution
+from confl3.confl import TECHNOLOGIES, build_3confl, covers, strengthen, verify_solution
 from confl3.heuristic import (
     FOS,
     AttractivenessTable,
@@ -34,7 +34,7 @@ from instances import (
     conflict_instance,
     pair_instance,
 )
-from oracles import enumerate_binary_patterns, mip_enumeration_optimum
+from oracles import big_m, enumerate_binary_patterns, mip_enumeration_optimum
 from rows import row_list
 from solve import solve_model
 

@@ -545,6 +545,25 @@ def test_a_bad_output_path_fails_before_any_solve(tmp_path, capsys, monkeypatch,
     assert err.startswith("error: output ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("output", ["missing-dir/x.lp", "."], ids=["missing-dir", "directory"])
+def test_a_bad_export_path_fails_before_any_build(tmp_path, capsys, monkeypatch, output):
+    """`export-lp --strong` checks its output path before it builds a model,
+    as `solve` and `exact` do: on the full default grid the build and the
+    conflict detection take about 0.7 s before the open would fail."""
+    inst_path = _generate(tmp_path)
+
+    def refuse(*args):
+        raise AssertionError("built a model before the output path was checked")
+
+    monkeypatch.setattr(cli, "build_3confl", refuse)
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main(["export-lp", str(inst_path), "--strong", "-o", output]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: output ") and err.count("\n") == 1, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
+
+
 def test_generate_defaults_are_the_generator_defaults(tmp_path):
     out = tmp_path / "g.json"
     assert main(["generate", "--seed", "3", "-o", str(out)]) == 0

@@ -13,7 +13,6 @@ from confl3.confl import (
     CoreArc,
     SteinerNode,
     UnattainableCoverageError,
-    big_m,
     build_3confl,
     check_attainable,
     conflict_pairs,
@@ -23,7 +22,7 @@ from confl3.confl import (
     verify_solution,
 )
 from confl3.instance_io import GeneratorParams, generate
-from confl3.milp import LE, apply_fixings, lp_relaxation
+from confl3.milp import GE, LE, apply_fixings, lp_relaxation
 
 from instances import (
     CLI_PARAMS,
@@ -33,9 +32,11 @@ from instances import (
     repair_instance,
     wired_tiny,
     wireless_single,
+    zero_fading_instance,
 )
 from oracles import (
     _two_sir_feasible,
+    big_m,
     enumerate_binary_patterns,
     evaluate,
     mip_enumeration_optimum,
@@ -392,7 +393,9 @@ class TestConflictPairs:
 
     def test_vertex_test_sees_few_pairs(self, monkeypatch):
         """On the 12x8 export preset (seed 0) the one-step bound decides all
-        but 4,723 of the 236,886 pairs (2.0 %); the vertex test may see 5 %."""
+        but 4,723 of the 236,886 pairs (2.0 %); the vertex test may see 5 %,
+        and runs on no block where the bound leaves no pair open (the last
+        facility's block has no pair at all)."""
         from confl3 import confl
 
         vertex_test, seen = confl._pair_block_feasible, []
@@ -410,6 +413,7 @@ class TestConflictPairs:
         checked = sum(mask.size for mask in masks)
         assert checked == 236_886
         assert sum(seen) <= 0.05 * checked, sum(seen) / checked
+        assert len(masks) == 10 and 0 < len(seen) < 10 and all(seen), seen
 
     def test_decoupled_requirements_do_not_conflict(self):
         assert conflict_pairs(calm_wireless_instance()).shape == (0, 2)
@@ -600,6 +604,31 @@ class TestSirAlgebra:
             direct = w.fading["f0", "u0"] * p["f0"] - w.delta * w.fading["f1", "u0"] * p["f1"]
             # wipe the big-M part: with y = 1 the row must equal the raw inequality
             assert lhs - rhs == pytest.approx(direct - w.delta * w.eta_noise, abs=1e-12)
+
+
+    def test_rows_follow_the_per_arc_rule_with_zero_fadings(self):
+        """Each SIR row, in wireless arc order, is exactly the per-arc rule:
+        the server's power at its fading (0 included), each other facility
+        with a nonzero fading at -delta times it in facility order, and the
+        assignment at -big_m, >= delta eta - big_m.  No generated instance
+        has a zero fading, so no byte pin reaches the interferer filter."""
+        inst = zero_fading_instance()
+        confl = build_3confl(inst)
+        w = inst.wireless
+        want = []
+        for a in inst.assignment_arcs[3]:
+            m = big_m(inst, a.facility, a.user)
+            others = [k.id for k in inst.facilities
+                      if k.id != a.facility and w.fading[k.id, a.user] != 0.0]
+            terms = ((confl.power[a.facility], w.fading[a.facility, a.user]),
+                     *((confl.power[k], -w.delta * w.fading[k, a.user]) for k in others),
+                     (confl.y[a.facility, a.user, 3], -m))
+            want.append((terms, GE, w.delta * w.eta_noise - m))
+        got = [r for r in row_list(confl.model.constraints) if _is_sir_row(confl, r)]
+        assert got == want
+        # f1 reaches no user, so it interferes in no row; it serves u1 at 0.
+        assert [len(terms) for terms, _, _ in got] == [3, 3, 4, 3]
+        assert got[2][0][0] == (confl.power["f1"], 0.0)
 
 
 class TestVerifySolution:

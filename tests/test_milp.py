@@ -2,13 +2,14 @@ import io
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from confl3 import milp
-from confl3.confl import build_3confl, strengthen, strengthening_pairs
+from confl3.confl import build_3confl, strengthening_pairs
 from confl3.instance_io import GeneratorParams, generate
 from confl3.milp import (
     BINARY,
@@ -17,6 +18,7 @@ from confl3.milp import (
     GE,
     LE,
     Model,
+    Variable,
     apply_fixings,
     export_lp_text,
     lp_relaxation,
@@ -76,6 +78,37 @@ class TestAddVariable:
         with pytest.raises(ValueError, match="NaN"):
             m.add_variable("x", CONTINUOUS, lower, upper)
         assert m.variables == []
+
+
+    def test_a_family_gets_consecutive_ids_or_nothing(self):
+        m = Model()
+        m.add_variable("a", BINARY, 0, 1)
+        assert m.add_variables(["b", "c"], CONTINUOUS, 0, 2.5) == range(1, 3)
+        assert m.variables[1:] == [Variable(1, "b", CONTINUOUS, 0.0, 2.5),
+                                   Variable(2, "c", CONTINUOUS, 0.0, 2.5)]
+        for names in (["d", "b"], ["d", "d"]):
+            with pytest.raises(ValueError, match=f"duplicate variable name '{names[1]}'"):
+                m.add_variables(names, BINARY, 0, 1)
+        # The first variable with a fault is named, its name checked first.
+        with pytest.raises(ValueError, match="inverted bounds for 'd'"):
+            m.add_variables(["d", "a"], CONTINUOUS, 1.0, 0.0)
+        with pytest.raises(ValueError, match="duplicate variable name 'a'"):
+            m.add_variables(["a", "d"], CONTINUOUS, 1.0, 0.0)
+        assert len(m.variables) == 3
+        assert m.add_variable("d", BINARY, 0, 1) == 3
+
+    def test_family_costs_add_from_zero_or_not_at_all(self):
+        m = Model()
+        ids = m.add_variables(["a", "b"], CONTINUOUS, 0.0, 1.0)
+        m.set_objective_coefs(ids, [-0.0, 2.0])
+        assert math.copysign(1.0, m.objective[0]) == 1.0
+        with pytest.raises(ValueError, match="unknown variable id 2"):
+            m.set_objective_coefs([1, 2], [1.0, 1.0])
+        with pytest.raises(ValueError, match="one cost per variable id"):
+            m.set_objective_coefs([1, 0], [1.0])
+        assert m.objective == {0: 0.0, 1: 2.0}
+        m.set_objective_coefs([1, 1], [1.0, 0.5])
+        assert m.objective == {0: 0.0, 1: 3.5}
 
 
 class TestAddConstraint:
@@ -159,6 +192,21 @@ class TestAddRows:
             add_row(single, list(zip(cols[i].tolist(), coefs[i].tolist())), sense, rhs)
         assert row_list(bulk.constraints) == row_list(single.constraints)
         assert _export(bulk) == _export(single)
+
+    def test_flat_rows_with_lengths_equal_nested_rows(self):
+        flat, (x1, x2, p) = small_model()
+        nested, _ = small_model()
+        nested.add_rows([[x1], [x2, p, x1]], [[1.0], [0.5, -1.0, 2.0]], [LE, GE], [1.0, 0.0])
+        ids = flat.add_rows([x1, x2, p, x1], [1.0, 0.5, -1.0, 2.0], [LE, GE], [1.0, 0.0],
+                            [1, 3])
+        assert ids == range(2, 4)
+        assert row_list(flat.constraints) == row_list(nested.constraints)
+        for cols, coefs, lengths in [([x1, x2], [1.0, 1.0], [1, 2]),
+                                     ([x1, x2], [1.0], [1, 1]),
+                                     ([x1, x2], [1.0, 1.0], [3, -1])]:
+            with pytest.raises(ValueError, match="add_rows needs"):
+                flat.add_rows(cols, coefs, LE, 1.0, lengths)
+        assert len(flat.constraints) == 4
 
     def test_mismatched_shapes_rejected(self):
         m, (x1, x2, _) = small_model()
@@ -520,23 +568,37 @@ def test_export_streams_its_rows():
     ("no-pairs", milp._EXPORT_BLOCK_ROWS),
     ("preset", milp._EXPORT_BLOCK_ROWS),
     ("preset", 7),
+    *((case, block) for case in ("percent-names", "shuffled")
+      for block in (1, 3, milp._EXPORT_BLOCK_ROWS)),
 ])
 def test_pairs_export_as_the_strengthened_model(case, block, monkeypatch):
     """The pair rows written straight from the (k, 2) array give the text of
-    the model with the pairs appended as rows, whether there are none, or
-    they end mid-block and their names cross block offsets."""
+    the model with the pairs appended as rows by `add_rows`, whether there
+    are none, or they end mid-block and their names cross block offsets;
+    also when the names hold ``%`` (the line templates hold the first name)
+    and when the pairs are shuffled, so that most runs of one first id are
+    one row long."""
     inst = calm_wireless_instance() if case == "no-pairs" else generate(strengthening_preset(), 0)
     plain = build_3confl(inst)
     pairs = strengthening_pairs(plain, inst)
     assert (len(pairs) == 0) == (case == "no-pairs")
+    model = plain.model
+    if case == "percent-names":
+        model = plain.model.copy()
+        model.variables = [replace(v, name=f"%{v.name}%s%%") for v in model.variables]
+    if case == "shuffled":
+        pairs = pairs[np.random.default_rng(0).permutation(len(pairs))]
+        assert np.count_nonzero(pairs[1:, 0] == pairs[:-1, 0]) < 0.2 * len(pairs)
     if block == 7:
         # Several blocks of pairs, the first and last of them partial.
         assert len(pairs) > 3 * block
         assert len(plain.model.constraints) % block and len(pairs) % block
+    strong = model.copy()
+    strong.add_rows(pairs, np.ones(pairs.shape), LE, 1.0)
     monkeypatch.setattr(milp, "_EXPORT_BLOCK_ROWS", block)
     got = io.StringIO()
-    export_lp_text(plain.model, got, pairs)
-    assert got.getvalue() == _export(strengthen(plain, inst).model)
+    export_lp_text(model, got, pairs)
+    assert got.getvalue() == _export(strong)
 
 
 @pytest.mark.parametrize("pairs", [[[0, 3]], [[-1, 0]], [[1, 1]]],
