@@ -13,7 +13,7 @@ import sys
 
 from confl3.confl import build_3confl, conflict_pairs, strengthening_pairs
 from confl3.instance_io import GeneratorParams, generate
-from confl3.simplex import model_bounds, prepare, separate, solve_prepared
+from confl3.simplex import prepare, separate, solve_prepared
 
 # Sparse wireless coverage with a high power floor: users mostly have a
 # single candidate server, every open transmitter interferes, so the
@@ -50,7 +50,7 @@ def main() -> int:
         plain = build_3confl(instance)
         pairs = strengthening_pairs(plain, instance)
         prep = prepare(plain.model)
-        lo, hi = model_bounds(plain.model)
+        lo, hi = plain.model.variables.lower, plain.model.variables.upper
         lp_plain = solve_prepared(prep, lo, hi)
         _, lp_strong = separate(prep, lo, hi, lp_plain, pairs)
         if lp_plain.status != "optimal" or lp_strong.status != "optimal":

@@ -149,8 +149,9 @@ def _instance_ref(instance) -> dict:
 
 def _check_output(path: str) -> None:
     """Raise OSError when `path` cannot be written: it is a directory, or
-    its parent directory is missing or not writable.  `solve`, `exact` and
-    `export-lp` call this before any work, so a bad path costs no solve."""
+    its parent directory is missing or not writable.  `generate`, `solve`,
+    `exact` and `export-lp` call this before any work, so a bad path costs
+    no solve."""
     parent = os.path.dirname(path) or "."
     if os.path.isdir(path):
         raise IsADirectoryError(f"output is a directory: {path}")
@@ -183,8 +184,7 @@ def _write_solution(path: str, kind: str, instance, confl, status: str,
         **fields,
     }
     if assignment is not None:
-        doc["assignment"] = dict(zip((v.name for v in confl.model.variables),
-                                     assignment.tolist()))
+        doc["assignment"] = dict(zip(confl.model.variables.names.tolist(), assignment.tolist()))
         check = verify_solution(instance, confl, assignment)
         doc["verified"] = (check.feasible and abs(check.objective - objective)
                            <= 1e-9 * max(1.0, abs(objective)))
@@ -194,6 +194,7 @@ def _write_solution(path: str, kind: str, instance, confl, status: str,
 
 
 def _cmd_generate(args) -> int:
+    _check_output(args.output)
     values = _flag_values(args, _GENERATOR_FLAGS)
     for field in ("radii", "coverage_fractions"):
         per_tech = [float(x) for x in values[field].split(",")]
@@ -254,7 +255,8 @@ def _cmd_exact(args) -> int:
     deadline = time.monotonic() + args.time_limit
     confl = build_3confl(instance)
     pool = strengthening_pairs(confl, instance) if args.strong else None
-    res = bnb.solve_mip(simplex.prepare(confl.model), *simplex.model_bounds(confl.model),
+    cols = confl.model.variables
+    res = bnb.solve_mip(simplex.prepare(confl.model), cols.lower, cols.upper,
                         deadline=deadline, pool=pool)
     _write_solution(
         args.output, "exact", instance, confl, res.status, res.objective, res.lower_bound,

@@ -152,7 +152,8 @@ class HeuristicContext:
         self.potential = check_attainable(instance)
         self.pool = strengthening_pairs(self.plain, instance)
         self.plain_prep = simplex.prepare(self.plain.model)
-        self.base_lo, self.base_hi = simplex.model_bounds(self.plain.model)
+        cols = self.plain.model.variables
+        self.base_lo, self.base_hi = cols.lower, cols.upper
         plain_root = simplex.solve_prepared(self.plain_prep, self.base_lo, self.base_hi)
         _, root = simplex.separate(self.plain_prep, self.base_lo, self.base_hi, plain_root,
                                    self.pool)

@@ -1,23 +1,24 @@
 """Solver-agnostic MILP intermediate representation.
 
-A :class:`Model` is a flat list of variables (binary or continuous, with
-bounds), a block of linear rows and a minimization objective.  A row is its
-column ids and its coefficients, nothing else: the rows are one immutable
-:class:`Rows` value of CSR-style row starts, column ids and coefficients,
-plus a sense and a right-hand side for each row, all read-only arrays.
-:meth:`Model.add_rows` appends rows given in that form, as (k, L) arrays,
-as k sequences (:func:`flatten_rows` reads both) or flat with their
-lengths; its checks run over all of them, a failed check appends nothing,
-and an append replaces the model's `Rows` value by a new one.
-:attr:`Model.constraints` hands that value to the consumers
-(:func:`export_lp_text`, ``simplex.prepare``).
+A :class:`Model` is a block of variables (binary or continuous, with
+bounds), a block of linear rows and a minimization objective.  Both blocks
+are immutable values of read-only arrays.  The variables are one
+:class:`Columns` value: a name, a binary flag and two bounds per variable
+id.  A row is its column ids and its coefficients, nothing else: the rows
+are one :class:`Rows` value of CSR-style row starts, column ids and
+coefficients, plus a sense and a right-hand side for each row.
+:meth:`Model.add_variables` appends a family of variables of one kind and
+one pair of bounds; :meth:`Model.add_rows` appends rows given as (k, L)
+arrays, as k sequences (:func:`flatten_rows` reads both) or flat with their
+lengths.  The checks of either call run over the whole family, a failed
+check appends nothing, and an append replaces the model's value by a new
+one.  :attr:`Model.variables` and :attr:`Model.constraints` hand the values
+to the consumers (:func:`export_lp_text`, ``simplex.prepare``).
 
-Models are built through :meth:`Model.add_variables` (a family of
-variables of one kind and one pair of bounds per call;
-:meth:`Model.add_variable` adds one) and :meth:`Model.add_rows`, and
-treated as immutable afterwards: every transformation (:func:`lp_relaxation`,
-:func:`apply_fixings`) returns a fresh copy.  Copies share the `Rows` value,
-so a copy may append (as the strengthening does) without changing the original.
+Models are treated as immutable once built: every transformation
+(:func:`lp_relaxation`, :func:`apply_fixings`) returns a fresh copy.
+Copies share both values, so a copy may append (as the strengthening does)
+without changing the original.
 """
 
 from __future__ import annotations
@@ -38,15 +39,6 @@ GE = ">="
 SENSES = (LE, EQ, GE)   # a row's sense code is its index here
 
 _SENSE_CODE = {s: k for k, s in enumerate(SENSES)}
-
-
-@dataclass(frozen=True)
-class Variable:
-    id: int
-    name: str
-    kind: str
-    lower: float
-    upper: float
 
 
 # A point: one float per variable id, indexed by id, as the solvers return it.
@@ -77,6 +69,27 @@ class Rows:
         return np.repeat(np.arange(len(self.rhs)), np.diff(self.starts))
 
 
+@dataclass(frozen=True)
+class Columns:
+    """The variables of a model as read-only arrays.  Variable ``i`` is
+    named ``names[i]``, is binary when ``binary[i]`` and has the bounds
+    ``lower[i]`` and ``upper[i]``."""
+
+    names: np.ndarray    # (n,) object, str
+    binary: np.ndarray   # (n,) bool
+    lower: np.ndarray    # (n,)
+    upper: np.ndarray    # (n,)
+
+    def __post_init__(self):
+        for a in (self.names, self.binary, self.lower, self.upper):
+            a.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+
+_NO_COLUMNS = Columns(np.empty(0, dtype=object), np.empty(0, dtype=bool), np.empty(0),
+                      np.empty(0))
 _NO_ROWS = Rows(np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0),
                 np.empty(0, dtype=np.int8), np.empty(0))
 
@@ -94,10 +107,15 @@ def flatten_rows(rows, dtype) -> tuple[np.ndarray, np.ndarray]:
 
 class Model:
     def __init__(self):
-        self.variables: list[Variable] = []
         self.objective: dict[int, float] = {}
         self._names: set[str] = set()
+        self._columns = _NO_COLUMNS
         self._rows = _NO_ROWS
+
+    @property
+    def variables(self) -> Columns:
+        """This model's variables as read-only arrays."""
+        return self._columns
 
     @property
     def constraints(self) -> Rows:
@@ -128,15 +146,13 @@ class Model:
             if fault:
                 raise ValueError(fault.format(name))
             fresh.add(name)
-        ids = range(len(self.variables), len(self.variables) + len(names))
-        self.variables += map(Variable, ids, names, itertools.repeat(kind),
-                              itertools.repeat(float(lower)), itertools.repeat(float(upper)))
+        old, k = self._columns, len(names)
+        self._columns = Columns(np.concatenate([old.names, np.array(names, dtype=object)]),
+                                np.concatenate([old.binary, np.full(k, kind == BINARY)]),
+                                np.concatenate([old.lower, np.full(k, float(lower))]),
+                                np.concatenate([old.upper, np.full(k, float(upper))]))
         self._names |= fresh
-        return ids
-
-    def add_variable(self, name: str, kind: str, lower: float, upper: float) -> int:
-        """:meth:`add_variables` of the one name `name`; returns its id."""
-        return self.add_variables([name], kind, lower, upper)[0]
+        return range(len(old), len(old) + k)
 
     def add_rows(self, cols, coefs, sense, rhs, lengths=None) -> range:
         """Append k rows: row i is
@@ -187,7 +203,7 @@ class Model:
         row that has it: an unknown sense, an empty row, a non-finite
         right-hand side, an unknown variable id, a variable repeated within
         a row, a non-finite coefficient."""
-        n = len(self.variables)
+        n, names = len(self._columns), self._columns.names
         row_of = np.repeat(np.arange(len(lengths)), lengths)
         # Sorted (row, variable) keys; equal neighbours repeat a variable.
         keys = np.sort(row_of * n + cols)
@@ -202,9 +218,9 @@ class Model:
              lambda e: (row_of[e], f"constraint references unknown variable id {cols[e]}")),
             (keys[1:][keys[1:] == keys[:-1]],
              lambda key: (key // n,
-                          f"duplicate variable {self.variables[key % n].name!r} in constraint terms")),
+                          f"duplicate variable {names[key % n]!r} in constraint terms")),
             (np.flatnonzero(~np.isfinite(coefs)),
-             lambda e: (row_of[e], f"non-finite coefficient on {self.variables[cols[e]].name!r}")),
+             lambda e: (row_of[e], f"non-finite coefficient on {names[cols[e]]!r}")),
         ]
         for hits, locate in faults:
             if len(hits):
@@ -227,18 +243,11 @@ class Model:
         for vid, cost in zip(vids, costs):
             self.objective[vid] = get(vid, 0.0) + cost
 
-    def set_objective_coef(self, vid: int, cost: float) -> None:
-        """:meth:`set_objective_coefs` of the one variable `vid`."""
-        self.set_objective_coefs([vid], [cost])
-
-    def binary_ids(self) -> list[int]:
-        return [v.id for v in self.variables if v.kind == BINARY]
-
     def copy(self) -> "Model":
         m = Model()
-        m.variables = list(self.variables)
         m.objective = dict(self.objective)
         m._names = set(self._names)
+        m._columns = self._columns
         m._rows = self._rows
         return m
 
@@ -250,9 +259,8 @@ def lp_relaxation(model: Model) -> Model:
     :func:`apply_fixings` survive the relaxation.
     """
     relaxed = model.copy()
-    relaxed.variables = [
-        replace(v, kind=CONTINUOUS) if v.kind == BINARY else v for v in model.variables
-    ]
+    cols = model.variables
+    relaxed._columns = replace(cols, binary=np.zeros(len(cols), dtype=bool))
     return relaxed
 
 
@@ -261,20 +269,18 @@ def apply_fixings(model: Model, fixings: dict[int, float]) -> Model:
 
     Binary variables may only be fixed to 0 or 1 (within 1e-6).
     """
-    fixed = model.copy()
-    variables = list(model.variables)
+    fixed, cols = model.copy(), model.variables
+    lower, upper = cols.lower.copy(), cols.upper.copy()
     for vid, value in fixings.items():
-        if not 0 <= vid < len(variables):
+        if not 0 <= vid < len(cols):
             raise ValueError(f"fixing references unknown variable id {vid}")
-        var = variables[vid]
-        if value < var.lower - 1e-9 or value > var.upper + 1e-9:
-            raise ValueError(
-                f"fixing {var.name!r} = {value} outside bounds [{var.lower}, {var.upper}]"
-            )
-        if var.kind == BINARY and min(abs(value), abs(value - 1.0)) > 1e-6:
-            raise ValueError(f"fixing binary {var.name!r} to fractional value {value}")
-        variables[vid] = replace(var, lower=float(value), upper=float(value))
-    fixed.variables = variables
+        name, lo, hi = cols.names[vid], float(cols.lower[vid]), float(cols.upper[vid])
+        if value < lo - 1e-9 or value > hi + 1e-9:
+            raise ValueError(f"fixing {name!r} = {value} outside bounds [{lo}, {hi}]")
+        if cols.binary[vid] and min(abs(value), abs(value - 1.0)) > 1e-6:
+            raise ValueError(f"fixing binary {name!r} to fractional value {value}")
+        lower[vid] = upper[vid] = float(value)
+    fixed._columns = replace(cols, lower=lower, upper=upper)
     return fixed
 
 
@@ -369,7 +375,8 @@ def export_lp_text(model: Model, out: TextIO, pairs: np.ndarray | None = None) -
     fills them all (:func:`_pair_text`).  `pairs` that are not a 2-D integer
     array of two columns of distinct ids of the model raise ValueError first.
     """
-    names = np.array([v.name for v in model.variables], dtype=object)
+    cols = model.variables
+    names = cols.names
     if pairs is not None and not (isinstance(pairs, np.ndarray) and pairs.ndim == 2
                                   and pairs.shape[1] == 2 and pairs.dtype.kind in "iu"):
         raise ValueError("pairs must be a 2-D integer array with two columns")
@@ -393,15 +400,10 @@ def export_lp_text(model: Model, out: TextIO, pairs: np.ndarray | None = None) -
         out.write("\n".join(_row_lines(names, rows, a, min(a + _EXPORT_BLOCK_ROWS, m))) + "\n")
     for a in range(0, 0 if pairs is None else len(pairs), _EXPORT_BLOCK_ROWS):
         out.write(_pair_text(names, pairs[a:a + _EXPORT_BLOCK_ROWS], m + a))
-    lines = ["Bounds"]
-    for var in model.variables:
-        lo = "-inf" if var.lower == -math.inf else _fmt(var.lower)
-        hi = "+inf" if var.upper == math.inf else _fmt(var.upper)
-        lines.append(f" {lo} <= {var.name} <= {hi}")
-    binaries = [v.name for v in model.variables if v.kind == BINARY]
-    if binaries:
-        lines.append("Binaries")
-        for name in binaries:
-            lines.append(f" {name}")
+    lower = _texts(cols.lower, _fmt)[:, 0].tolist()
+    upper = _texts(cols.upper, lambda x: "+inf" if x == math.inf else _fmt(x))[:, 0].tolist()
+    lines = ["Bounds", *map(" {} <= {} <= {}".format, lower, names.tolist(), upper)]
+    if cols.binary.any():
+        lines += ["Binaries", *(" " + name for name in names[cols.binary].tolist())]
     lines.append("End")
     out.write("\n".join(lines) + "\n")

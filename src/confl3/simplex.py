@@ -84,7 +84,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .milp import BINARY, EQ, GE, SENSES, Assignment, Model, flatten_rows
+from .milp import EQ, GE, SENSES, Assignment, Model, flatten_rows
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -191,7 +191,7 @@ def prepare(model: Model) -> PreparedLp:
         costs[vid] += cost
     return PreparedLp(*_by_column(entry_rows, r.cols, sign[entry_rows] * r.coefs, n),
                       sign * r.rhs, r.sense == SENSES.index(EQ), costs,
-                      np.array(model.binary_ids(), dtype=int))
+                      np.flatnonzero(model.variables.binary))
 
 
 def append_rows(prep: PreparedLp, cols, coefs, rhs: np.ndarray) -> PreparedLp:
@@ -235,19 +235,14 @@ def separate(prep: PreparedLp, lo: np.ndarray, hi: np.ndarray, res: LpResult, po
     return prep, res
 
 
-def model_bounds(model: Model) -> tuple[np.ndarray, np.ndarray]:
-    """The variable bounds of `model` as the vectors `lo`, `hi`."""
-    return (np.array([v.lower for v in model.variables]),
-            np.array([v.upper for v in model.variables]))
-
-
 def solve_lp(model: Model) -> LpResult:
     """Solve a pure-LP model. Binary variables are a contract violation:
     callers relax first."""
-    for v in model.variables:
-        if v.kind == BINARY:
-            raise ValueError(f"solve_lp called on model with binary variable {v.name!r}")
-    return solve_prepared(prepare(model), *model_bounds(model))
+    cols = model.variables
+    if cols.binary.any():
+        raise ValueError("solve_lp called on model with binary variable "
+                         f"{cols.names[cols.binary][0]!r}")
+    return solve_prepared(prepare(model), cols.lower, cols.upper)
 
 
 def solve_prepared(prep: PreparedLp, lo: np.ndarray, hi: np.ndarray,

@@ -10,7 +10,6 @@ import pytest
 
 from confl3.confl import build_3confl, strengthen
 from confl3.instance_io import GeneratorParams, generate
-from confl3.milp import BINARY
 
 from solve import solve_model
 
@@ -46,7 +45,7 @@ def scan_qualifying(preset: dict, count: int, max_seed: int = 600):
             seed += 1
             continue
         confl = build_3confl(instance)
-        n_bin = sum(1 for v in confl.model.variables if v.kind == BINARY)
+        n_bin = int(confl.model.variables.binary.sum())
         if 1 <= len(instance.users) <= 8 and n_bin <= MAX_BINARIES:
             found.append((seed, instance, confl))
         seed += 1

@@ -62,8 +62,7 @@ def lp_vertex_optimum(model: Model) -> tuple[str, float | None, np.ndarray | Non
     Every variable must have finite bounds.  Returns (status, objective, x).
     """
     n = len(model.variables)
-    lo = np.array([v.lower for v in model.variables])
-    hi = np.array([v.upper for v in model.variables])
+    lo, hi = model.variables.lower, model.variables.upper
     assert np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)), "oracle needs a bounded box"
 
     planes: list[tuple[np.ndarray, float]] = []
@@ -139,7 +138,7 @@ def highs_lp_optimum(model: Model) -> tuple[str, float | None]:
     eq = r.sense == SENSES.index(EQ)
     sign = np.where(r.sense == SENSES.index(GE), -1.0, 1.0)
     ub = np.flatnonzero(~eq)
-    bounds = [(v.lower, v.upper) for v in model.variables]
+    bounds = list(zip(model.variables.lower.tolist(), model.variables.upper.tolist()))
     res = linprog(cost, A_ub=a[ub] * sign[ub, None], b_ub=r.rhs[ub] * sign[ub],
                   A_eq=a[np.flatnonzero(eq)], b_eq=r.rhs[eq], bounds=bounds, method="highs")
     if res.status == 2:
@@ -156,8 +155,8 @@ def highs_mip_optimum(model: Model) -> tuple[str, float | None]:
     le, ge = r.sense == SENSES.index(LE), r.sense == SENSES.index(GE)
     rows = LinearConstraint(a, np.where(le, -np.inf, r.rhs), np.where(ge, np.inf, r.rhs))
     integrality = np.zeros(len(cost))
-    integrality[model.binary_ids()] = 1
-    bounds = Bounds([v.lower for v in model.variables], [v.upper for v in model.variables])
+    integrality[model.variables.binary] = 1
+    bounds = Bounds(model.variables.lower, model.variables.upper)
     res = milp(cost, integrality=integrality, bounds=bounds, constraints=rows,
                options={"mip_rel_gap": 0.0})
     if res.status == 2:
@@ -175,7 +174,7 @@ def enumerate_binary_patterns(model: Model):
     infeasible regardless of the continuous variables, so the enumeration
     stays exhaustive.
     """
-    bin_ids = model.binary_ids()
+    bin_ids = np.flatnonzero(model.variables.binary).tolist()
     b = len(bin_ids)
     assert b <= 22, "enumeration oracle is meant for tiny models"
     pos = {vid: k for k, vid in enumerate(bin_ids)}
@@ -190,8 +189,8 @@ def enumerate_binary_patterns(model: Model):
             pure_sense.append(sense)
 
     relaxed = lp_relaxation(model)
-    bin_lo = np.array([model.variables[vid].lower for vid in bin_ids])
-    bin_hi = np.array([model.variables[vid].upper for vid in bin_ids])
+    bin_lo = model.variables.lower[bin_ids]
+    bin_hi = model.variables.upper[bin_ids]
     mat = np.array(pure_rows).T if pure_rows else None
     rhs = np.array(pure_rhs)
     chunk = 1 << 16

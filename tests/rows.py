@@ -1,11 +1,12 @@
-"""Row helpers for tests.  A row of a model is its column ids and its
-coefficients (plus a sense and a right-hand side), stored in the model's
-:class:`confl3.milp.Rows` arrays; these helpers append one row and read
-rows back in that form."""
+"""Row and column helpers for tests.  A row of a model is its column ids
+and its coefficients (plus a sense and a right-hand side), stored in the
+model's :class:`confl3.milp.Rows` arrays; these helpers append one row and
+read rows back in that form, and read variables back from the model's
+:class:`confl3.milp.Columns` arrays."""
 
 from __future__ import annotations
 
-from confl3.milp import SENSES, Model, Rows
+from confl3.milp import SENSES, Columns, Model, Rows
 
 
 def add_row(model: Model, terms, sense: str, rhs: float) -> int:
@@ -27,3 +28,9 @@ def row_list(rows: Rows) -> list:
     """Every row of `rows`, each as :func:`row` reads it."""
     return [row(rows, i) for i in range(len(rows))]
 
+
+
+def column_list(cols: Columns) -> list[tuple[str, bool, float, float]]:
+    """Every variable of `cols` as ``(name, binary, lower, upper)``, by id."""
+    return list(zip(cols.names.tolist(), cols.binary.tolist(), cols.lower.tolist(),
+                    cols.upper.tolist()))

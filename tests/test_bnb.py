@@ -26,10 +26,10 @@ from solve import solve_model
 
 def test_cover_pair():
     m = Model()
-    a = m.add_variable("x1", BINARY, 0, 1)
-    b = m.add_variable("x2", BINARY, 0, 1)
-    m.set_objective_coef(a, 1.0)
-    m.set_objective_coef(b, 1.0)
+    a = m.add_variables(["x1"], BINARY, 0, 1)[0]
+    b = m.add_variables(["x2"], BINARY, 0, 1)[0]
+    m.set_objective_coefs([a], [1.0])
+    m.set_objective_coefs([b], [1.0])
     add_row(m, [(a, 1.0), (b, 1.0)], GE, 1.0)
     r = solve_model(m, 10.0)
     assert r.status == bnb.OPTIMAL
@@ -39,8 +39,8 @@ def test_cover_pair():
 
 def test_contradictory_fixing_proved_infeasible():
     m = Model()
-    v = m.add_variable("x1", BINARY, 0, 1)
-    m.set_objective_coef(v, 1.0)
+    v = m.add_variables(["x1"], BINARY, 0, 1)[0]
+    m.set_objective_coefs([v], [1.0])
     add_row(m, [(v, 1.0)], GE, 1.0)
     r = solve_model(apply_fixings(m, {v: 0.0}), 10.0)
     assert r.status == bnb.INFEASIBLE
@@ -71,11 +71,11 @@ def test_branches_on_the_highest_weighted_fractionality(monkeypatch):
     binary closest to 0.5 with the lowest id is z, but b has the highest
     |c| * min(f, 1 - f), so the first child bounds b."""
     m = Model()
-    z = m.add_variable("z", BINARY, 0, 1)
-    a = m.add_variable("a", BINARY, 0, 1)
-    b = m.add_variable("b", BINARY, 0, 1)
+    z = m.add_variables(["z"], BINARY, 0, 1)[0]
+    a = m.add_variables(["a"], BINARY, 0, 1)[0]
+    b = m.add_variables(["b"], BINARY, 0, 1)[0]
     for vid, cost, scale in ((z, 0.0, 2.0), (a, 1.0, 2.0), (b, 10.0, 4.0)):
-        m.set_objective_coef(vid, cost)
+        m.set_objective_coefs([vid], [cost])
         add_row(m, [(vid, scale)], GE, 1.0)
     root, j = _first_branch(m, monkeypatch)
     frac = root.assignment[[z, a, b]]
@@ -87,9 +87,9 @@ def test_branches_on_the_highest_weighted_fractionality(monkeypatch):
 
 def test_a_zero_cost_binary_is_branched_on_when_no_costed_one_is_fractional(monkeypatch):
     m = Model()
-    x = m.add_variable("x", BINARY, 0, 1)
-    z = m.add_variable("z", BINARY, 0, 1)
-    m.set_objective_coef(x, 1.0)
+    x = m.add_variables(["x"], BINARY, 0, 1)[0]
+    z = m.add_variables(["z"], BINARY, 0, 1)[0]
+    m.set_objective_coefs([x], [1.0])
     add_row(m, [(z, 2.0)], GE, 1.0)
     root, j = _first_branch(m, monkeypatch)
     assert root.assignment == pytest.approx([0.0, 0.5])
@@ -116,10 +116,11 @@ def test_desk_optimum_matches_highs(seed):
 
 def _random_milp(rng: np.random.Generator, n_bin=8, n_cont=3, n_cons=8) -> Model:
     m = Model()
-    bins = [m.add_variable(f"b{i}", BINARY, 0, 1) for i in range(n_bin)]
-    conts = [m.add_variable(f"c{i}", CONTINUOUS, 0.0, float(rng.uniform(1, 4))) for i in range(n_cont)]
+    bins = list(m.add_variables([f"b{i}" for i in range(n_bin)], BINARY, 0, 1))
+    conts = [m.add_variables([f"c{i}"], CONTINUOUS, 0.0, float(rng.uniform(1, 4)))[0]
+             for i in range(n_cont)]
     for vid in bins + conts:
-        m.set_objective_coef(vid, float(rng.normal()))
+        m.set_objective_coefs([vid], [float(rng.normal())])
     everything = bins + conts
     for _ in range(n_cons):
         terms = [(i, float(rng.normal())) for i in everything if rng.random() < 0.6]
@@ -149,7 +150,7 @@ def test_incumbent_is_integral_and_feasible(seed):
         return
     _, violations = evaluate(m, r.incumbent, tol=1e-6)
     assert violations == []
-    for vid in m.binary_ids():
+    for vid in np.flatnonzero(m.variables.binary):
         assert min(abs(r.incumbent[vid]), abs(r.incumbent[vid] - 1.0)) <= 1e-6
 
 
@@ -190,7 +191,7 @@ def test_time_limit_respected():
 def test_a_passed_deadline_solves_no_lp(monkeypatch):
     m = _random_milp(np.random.default_rng(7), n_bin=6)
     prep = simplex.prepare(m)
-    lo, hi = simplex.model_bounds(m)
+    lo, hi = m.variables.lower, m.variables.upper
 
     def no_lp(*args, **kwargs):
         raise AssertionError("an LP was solved after the deadline")
@@ -206,7 +207,7 @@ def test_a_passed_deadline_solves_no_lp(monkeypatch):
 def test_the_deadline_is_keyword_only():
     m = _random_milp(np.random.default_rng(7), n_bin=6)
     with pytest.raises(TypeError):
-        bnb.solve_mip(simplex.prepare(m), *simplex.model_bounds(m), 120.0)
+        bnb.solve_mip(simplex.prepare(m), m.variables.lower, m.variables.upper, 120.0)
 
 
 def test_node_limit():
@@ -246,7 +247,8 @@ def test_children_share_the_bound_vector_branching_leaves(monkeypatch):
     # upper bounds, as the same read-only arrays; the caller's arrays keep
     # their values and flags.
     model = build_3confl(generate(DESK, 1)).model
-    prep, (lo, hi) = simplex.prepare(model), simplex.model_bounds(model)
+    prep = simplex.prepare(model)
+    lo, hi = model.variables.lower.copy(), model.variables.upper.copy()
     given = lo.copy(), hi.copy()
     events = []   # ("pop" | "push", heap entry), in order
     push, pop = heapq.heappush, heapq.heappop
@@ -294,7 +296,7 @@ def test_pool_cuts_match_the_full_row_model(case, monkeypatch):
     inst = _pool_case(case)
     plain = build_3confl(inst)
     strong, pool = strengthen(plain, inst).model, strengthening_pairs(plain, inst)
-    lo, hi = simplex.model_bounds(plain.model)
+    lo, hi = plain.model.variables.lower, plain.model.variables.upper
     appended = []
     append_rows = simplex.append_rows
 
@@ -328,7 +330,7 @@ def test_pool_rows_are_appended_once_for_the_whole_tree(monkeypatch):
     plain = build_3confl(inst)
     pool = strengthening_pairs(plain, inst)
     prep = simplex.prepare(plain.model)
-    lo, hi = simplex.model_bounds(plain.model)
+    lo, hi = plain.model.variables.lower, plain.model.variables.upper
     appended, masks = [], []
     append_rows, separate = simplex.append_rows, simplex.separate
 
@@ -361,7 +363,7 @@ def test_a_remembered_start_factorization_changes_no_tree(with_pool):
     inst = generate(DESK, 2)
     plain = build_3confl(inst)
     pool = strengthening_pairs(plain, inst) if with_pool else None
-    lo, hi = simplex.model_bounds(plain.model)
+    lo, hi = plain.model.variables.lower, plain.model.variables.upper
     prep = simplex.prepare(plain.model)
     root = simplex.solve_prepared(prep, lo, hi).basis
     want = bnb.solve_mip(simplex.prepare(plain.model), lo, hi, deadline=time.monotonic() + 120.0,

@@ -49,7 +49,7 @@ def test_generate_solve_roundtrip(tmp_path, capsys):
 
     instance = read_instance(inst_path.read_text())
     confl = build_3confl(instance)
-    assignment = np.array([doc["assignment"][v.name] for v in confl.model.variables])
+    assignment = np.array([doc["assignment"][name] for name in confl.model.variables.names])
     assert verify_solution(instance, confl, assignment).feasible
 
 
@@ -231,7 +231,8 @@ def test_a_wrong_objective_is_not_verified(tmp_path, caplog):
     recomputes from the instance is not verified."""
     instance = read_instance(_generate(tmp_path).read_text())
     model = build_3confl(instance)
-    res = bnb.solve_mip(simplex.prepare(model.model), *simplex.model_bounds(model.model))
+    cols = model.model.variables
+    res = bnb.solve_mip(simplex.prepare(model.model), cols.lower, cols.upper)
     out = tmp_path / "out.json"
     for objective, verified in [(res.objective, True), (res.objective + 1.0, False)]:
         caplog.clear()
@@ -545,20 +546,28 @@ def test_a_bad_output_path_fails_before_any_solve(tmp_path, capsys, monkeypatch,
     assert err.startswith("error: output ") and err.count("\n") == 1, err
 
 
-@pytest.mark.parametrize("output", ["missing-dir/x.lp", "."], ids=["missing-dir", "directory"])
-def test_a_bad_export_path_fails_before_any_build(tmp_path, capsys, monkeypatch, output):
+@pytest.mark.parametrize(
+    "command, output",
+    [("export-lp", "missing-dir/x.lp"), ("export-lp", "."),
+     ("generate", "missing-dir/x.json"), ("generate", ".")],
+    ids=["missing-dir", "directory", "generate-missing-dir", "generate-directory"])
+def test_a_bad_export_path_fails_before_any_build(tmp_path, capsys, monkeypatch, command,
+                                                  output):
     """`export-lp --strong` checks its output path before it builds a model,
-    as `solve` and `exact` do: on the full default grid the build and the
-    conflict detection take about 0.7 s before the open would fail."""
+    and `generate` before it draws an instance, as `solve` and `exact` do:
+    on the full default grid the build and the conflict detection take
+    about 0.7 s before the open would fail."""
     inst_path = _generate(tmp_path)
 
     def refuse(*args):
-        raise AssertionError("built a model before the output path was checked")
+        raise AssertionError("built before the output path was checked")
 
     monkeypatch.setattr(cli, "build_3confl", refuse)
+    monkeypatch.setattr(cli, "generate", refuse)
     monkeypatch.chdir(tmp_path)
     capsys.readouterr()
-    assert main(["export-lp", str(inst_path), "--strong", "-o", output]) == 2
+    argv = ["generate"] if command == "generate" else ["export-lp", str(inst_path), "--strong"]
+    assert main([*argv, "-o", output]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: output ") and err.count("\n") == 1, err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]

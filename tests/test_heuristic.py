@@ -842,7 +842,7 @@ class TestSeparation:
         ctx = HeuristicContext(inst)
         strong = strengthen(ctx.plain, inst).model
         full = simplex.prepare(strong)
-        lo, hi = simplex.model_bounds(strong)
+        lo, hi = strong.variables.lower, strong.variables.upper
 
         def full_value(fixed):
             lo_f = lo.copy()

@@ -18,7 +18,6 @@ from confl3.milp import (
     GE,
     LE,
     Model,
-    Variable,
     apply_fixings,
     export_lp_text,
     lp_relaxation,
@@ -26,7 +25,7 @@ from confl3.milp import (
 
 from instances import calm_wireless_instance, strengthening_preset
 from oracles import evaluate
-from rows import add_row, row, row_list
+from rows import add_row, column_list, row, row_list
 
 
 def _export(m) -> str:
@@ -38,11 +37,11 @@ def _export(m) -> str:
 
 def small_model():
     m = Model()
-    x1 = m.add_variable("x1", BINARY, 0, 1)
-    x2 = m.add_variable("x2", BINARY, 0, 1)
-    p = m.add_variable("p", CONTINUOUS, 0.0, 1.0)
-    m.set_objective_coef(x1, 2.0)
-    m.set_objective_coef(p, 0.5)
+    x1 = m.add_variables(["x1"], BINARY, 0, 1)[0]
+    x2 = m.add_variables(["x2"], BINARY, 0, 1)[0]
+    p = m.add_variables(["p"], CONTINUOUS, 0.0, 1.0)[0]
+    m.set_objective_coefs([x1], [2.0])
+    m.set_objective_coefs([p], [0.5])
     add_row(m, [(x1, 1.0), (x2, 1.0)], LE, 1.0)
     add_row(m, [(p, 1.0), (x1, -1.0)], LE, 0.0)
     return m, (x1, x2, p)
@@ -51,41 +50,40 @@ def small_model():
 class TestAddVariable:
     def test_fresh_ids_and_growth(self):
         m = Model()
-        a = m.add_variable("z_f1_t3", BINARY, 0, 1)
+        a = m.add_variables(["z_f1_t3"], BINARY, 0, 1)[0]
         assert a == 0 and len(m.variables) == 1
-        b = m.add_variable("p_f1", CONTINUOUS, 0, 1.0)
+        b = m.add_variables(["p_f1"], CONTINUOUS, 0, 1.0)[0]
         assert b == 1 and len(m.variables) == 2
 
     def test_duplicate_name_rejected(self):
         m = Model()
-        m.add_variable("z_f1_t3", BINARY, 0, 1)
+        m.add_variables(["z_f1_t3"], BINARY, 0, 1)
         with pytest.raises(ValueError, match="duplicate"):
-            m.add_variable("z_f1_t3", BINARY, 0, 1)
+            m.add_variables(["z_f1_t3"], BINARY, 0, 1)
 
     def test_inverted_bounds_rejected(self):
         m = Model()
         with pytest.raises(ValueError, match="inverted"):
-            m.add_variable("x", CONTINUOUS, 2.0, 1.0)
+            m.add_variables(["x"], CONTINUOUS, 2.0, 1.0)
 
     def test_binary_bounds_must_be_01(self):
         m = Model()
         with pytest.raises(ValueError):
-            m.add_variable("x", BINARY, 0.0, 0.5)
+            m.add_variables(["x"], BINARY, 0.0, 0.5)
 
     @pytest.mark.parametrize("lower, upper", [(math.nan, 1.0), (0.0, math.nan)])
     def test_nan_bound_rejected(self, lower, upper):
         m = Model()
         with pytest.raises(ValueError, match="NaN"):
-            m.add_variable("x", CONTINUOUS, lower, upper)
-        assert m.variables == []
+            m.add_variables(["x"], CONTINUOUS, lower, upper)
+        assert len(m.variables) == 0
 
 
     def test_a_family_gets_consecutive_ids_or_nothing(self):
         m = Model()
-        m.add_variable("a", BINARY, 0, 1)
+        m.add_variables(["a"], BINARY, 0, 1)
         assert m.add_variables(["b", "c"], CONTINUOUS, 0, 2.5) == range(1, 3)
-        assert m.variables[1:] == [Variable(1, "b", CONTINUOUS, 0.0, 2.5),
-                                   Variable(2, "c", CONTINUOUS, 0.0, 2.5)]
+        assert column_list(m.variables)[1:] == [("b", False, 0.0, 2.5), ("c", False, 0.0, 2.5)]
         for names in (["d", "b"], ["d", "d"]):
             with pytest.raises(ValueError, match=f"duplicate variable name '{names[1]}'"):
                 m.add_variables(names, BINARY, 0, 1)
@@ -95,7 +93,7 @@ class TestAddVariable:
         with pytest.raises(ValueError, match="duplicate variable name 'a'"):
             m.add_variables(["a", "d"], CONTINUOUS, 1.0, 0.0)
         assert len(m.variables) == 3
-        assert m.add_variable("d", BINARY, 0, 1) == 3
+        assert m.add_variables(["d"], BINARY, 0, 1)[0] == 3
 
     def test_family_costs_add_from_zero_or_not_at_all(self):
         m = Model()
@@ -110,6 +108,28 @@ class TestAddVariable:
         m.set_objective_coefs([1, 1], [1.0, 0.5])
         assert m.objective == {0: 0.0, 1: 3.5}
 
+    def test_variables_are_read_only_arrays_shared_by_copies(self):
+        m, (x1, _, p) = small_model()
+        cols = m.variables
+        before = column_list(cols)
+        for array in (cols.names, cols.binary, cols.lower, cols.upper):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[1]
+        assert m.copy().variables is cols
+        relaxed = lp_relaxation(m)
+        fixed = apply_fixings(m, {x1: 1.0, p: 0.5})
+        # The transformations return new arrays, read-only too, and leave
+        # the original's arrays as they were.
+        assert m.variables is cols and column_list(cols) == before
+        assert relaxed.variables.names is fixed.variables.names is cols.names
+        for new in (relaxed.variables, fixed.variables):
+            for array in (new.names, new.binary, new.lower, new.upper):
+                assert not array.flags.writeable
+        assert column_list(fixed.variables)[x1] == ("x1", True, 1.0, 1.0)
+        assert column_list(fixed.variables)[p] == ("p", False, 0.5, 0.5)
+
+
 
 class TestAddConstraint:
     def test_sequential_ids(self):
@@ -119,13 +139,13 @@ class TestAddConstraint:
 
     def test_unknown_variable_rejected(self):
         m = Model()
-        m.add_variable("x1", BINARY, 0, 1)
+        m.add_variables(["x1"], BINARY, 0, 1)
         with pytest.raises(ValueError, match="unknown"):
             add_row(m, [(5, 1.0)], LE, 1.0)
 
     def test_duplicate_term_rejected(self):
         m = Model()
-        x1 = m.add_variable("x1", BINARY, 0, 1)
+        x1 = m.add_variables(["x1"], BINARY, 0, 1)[0]
         with pytest.raises(ValueError, match="duplicate"):
             add_row(m, [(x1, 1.0), (x1, 1.0)], LE, 1.0)
 
@@ -133,7 +153,7 @@ class TestAddConstraint:
                                             (GE, -math.inf), (EQ, math.nan)])
     def test_non_finite_rhs_rejected(self, sense, rhs):
         m = Model()
-        x = m.add_variable("x", CONTINUOUS, 0, 10)
+        x = m.add_variables(["x"], CONTINUOUS, 0, 10)[0]
         with pytest.raises(ValueError, match="non-finite right-hand side"):
             add_row(m, [(x, 1.0)], sense, rhs)
         assert len(m.constraints) == 0
@@ -251,23 +271,24 @@ class TestLpRelaxation:
     def test_binaries_become_continuous(self):
         m, _ = small_model()
         r = lp_relaxation(m)
-        assert all(v.kind == CONTINUOUS for v in r.variables)
-        assert [(v.lower, v.upper) for v in r.variables[:2]] == [(0.0, 1.0), (0.0, 1.0)]
+        assert not r.variables.binary.any()
+        assert [(lo, hi) for _, _, lo, hi in column_list(r.variables)[:2]] == [(0.0, 1.0),
+                                                                              (0.0, 1.0)]
         # source untouched
-        assert m.variables[0].kind == BINARY
+        assert m.variables.binary[0]
 
     def test_identity_on_continuous_model(self):
         m = Model()
-        m.add_variable("x", CONTINUOUS, -1.0, 4.0)
+        m.add_variables(["x"], CONTINUOUS, -1.0, 4.0)
         r = lp_relaxation(m)
-        assert r.variables == m.variables
+        assert column_list(r.variables) == column_list(m.variables)
         assert row_list(r.constraints) == row_list(m.constraints)
 
     def test_fixed_binary_stays_fixed(self):
         m, (x1, _, _) = small_model()
         fixed = apply_fixings(m, {x1: 1.0})
         r = lp_relaxation(fixed)
-        assert (r.variables[x1].lower, r.variables[x1].upper) == (1.0, 1.0)
+        assert (r.variables.lower[x1], r.variables.upper[x1]) == (1.0, 1.0)
 
 
 class TestApplyFixings:
@@ -281,18 +302,18 @@ class TestApplyFixings:
             fixings[x2] = 0.0
         a = lp_relaxation(apply_fixings(m, fixings))
         b = apply_fixings(lp_relaxation(m), fixings)
-        assert a.variables == b.variables
+        assert column_list(a.variables) == column_list(b.variables)
         assert row_list(a.constraints) == row_list(b.constraints)
 
     def test_bounds_collapse(self):
         m, (x1, _, _) = small_model()
         f = apply_fixings(m, {x1: 1.0})
-        assert (f.variables[x1].lower, f.variables[x1].upper) == (1.0, 1.0)
+        assert (f.variables.lower[x1], f.variables.upper[x1]) == (1.0, 1.0)
 
     def test_empty_fixing_is_identity(self):
         m, _ = small_model()
         f = apply_fixings(m, {})
-        assert f.variables == m.variables
+        assert column_list(f.variables) == column_list(m.variables)
         assert row_list(f.constraints) == row_list(m.constraints)
         assert f.objective == m.objective
 
@@ -315,14 +336,14 @@ class TestApplyFixings:
 class TestEvaluate:
     def test_violation_reported_with_slack(self):
         m = Model()
-        x = m.add_variable("x1", CONTINUOUS, 0, 10)
+        x = m.add_variables(["x1"], CONTINUOUS, 0, 10)[0]
         cid = add_row(m, [(x, 1.0)], GE, 1.0)
         obj, violations = evaluate(m, np.array([0.0]))
         assert violations == [(cid, 1.0)]
 
     def test_zero_cost_objective(self):
         m = Model()
-        x = m.add_variable("x1", CONTINUOUS, 0, 10)
+        x = m.add_variables(["x1"], CONTINUOUS, 0, 10)[0]
         add_row(m, [(x, 1.0)], LE, 10.0)
         obj, violations = evaluate(m, np.array([3.0]))
         assert obj == 0.0 and violations == []
@@ -337,7 +358,7 @@ class TestEvaluate:
     @given(st.floats(-5, 5), st.floats(-5, 5))
     def test_equality_violation_is_absolute_residual(self, a, b):
         m = Model()
-        x = m.add_variable("x", CONTINUOUS, -10, 10)
+        x = m.add_variables(["x"], CONTINUOUS, -10, 10)[0]
         add_row(m, [(x, 1.0)], EQ, a)
         _, violations = evaluate(m, np.array([b]), tol=1e-9)
         if abs(a - b) > 1e-9:
@@ -349,8 +370,8 @@ class TestEvaluate:
 class TestExportLpText:
     def test_skeleton_sections(self):
         m = Model()
-        x = m.add_variable("x", CONTINUOUS, 0, 2)
-        m.set_objective_coef(x, 1.0)
+        x = m.add_variables(["x"], CONTINUOUS, 0, 2)[0]
+        m.set_objective_coefs([x], [1.0])
         add_row(m, [(x, 1.0)], GE, 1.0)
         text = _export(m)
         for section in ("Minimize", "Subject To", "Bounds", "End"):
@@ -371,7 +392,7 @@ class TestExportLpText:
 
         m, _ = small_model()
         parsed = parse_lp_text(_export(m))
-        assert parsed.names == [v.name for v in m.variables]
+        assert parsed.names == m.variables.names.tolist()
         assert parsed.binaries == {"x1", "x2"}
         assert parsed.objective == {"x1": 2.0, "p": 0.5}
         assert len(parsed.rows) == len(m.constraints)
@@ -381,7 +402,7 @@ class TestExportLpText:
 
     def test_infinite_bound_rendering(self):
         m = Model()
-        m.add_variable("x", CONTINUOUS, 0, math.inf)
+        m.add_variables(["x"], CONTINUOUS, 0, math.inf)
         assert "0.0 <= x <= +inf" in _export(m)
 
     def test_reimported_model_solves_to_same_optimum(self):
@@ -396,9 +417,9 @@ class TestExportLpText:
         ids = {}
         for name, (lo, hi) in parsed.bounds.items():
             kind = BINARY if name in parsed.binaries else CONTINUOUS
-            ids[name] = rebuilt.add_variable(name, kind, lo, hi)
+            ids[name] = rebuilt.add_variables([name], kind, lo, hi)[0]
         for name, cost in parsed.objective.items():
-            rebuilt.set_objective_coef(ids[name], cost)
+            rebuilt.set_objective_coefs([ids[name]], [cost])
         for parsed_row in parsed.rows:
             add_row(rebuilt, [(ids[n], c) for n, c in parsed_row.coefs.items()],
                     parsed_row.sense, parsed_row.rhs)
@@ -424,18 +445,19 @@ def _loop_export(m) -> str:
     """The LP text written one row at a time: the reference the
     array export must match byte for byte."""
     lines = ["Minimize"]
-    obj = [(m.variables[vid].name, cost) for vid, cost in m.objective.items()]
+    names = m.variables.names
+    obj = [(names[vid], cost) for vid, cost in m.objective.items()]
     lines.append(" obj: " + (_loop_terms_text(obj) if obj else "0"))
     lines.append("Subject To")
     for cid, (terms, sense, rhs) in enumerate(row_list(m.constraints)):
-        named = [(m.variables[vid].name, coef) for vid, coef in terms]
+        named = [(names[vid], coef) for vid, coef in terms]
         lines.append(f" c{cid}: {_loop_terms_text(named)} {sense} {rhs!r}")
     lines.append("Bounds")
-    for var in m.variables:
-        lo = "-inf" if var.lower == -math.inf else repr(var.lower)
-        hi = "+inf" if var.upper == math.inf else repr(var.upper)
-        lines.append(f" {lo} <= {var.name} <= {hi}")
-    binaries = [v.name for v in m.variables if v.kind == BINARY]
+    for name, _, lower, upper in column_list(m.variables):
+        lo = "-inf" if lower == -math.inf else repr(lower)
+        hi = "+inf" if upper == math.inf else repr(upper)
+        lines.append(f" {lo} <= {name} <= {hi}")
+    binaries = [name for name, binary, _, _ in column_list(m.variables) if binary]
     if binaries:
         lines += ["Binaries"] + [f" {name}" for name in binaries]
     lines.append("End")
@@ -473,16 +495,16 @@ def test_array_paths_match_row_loops(seed, monkeypatch):
     m = Model()
     n = int(rng.integers(1, 10))
     for j in range(n):
-        m.add_variable(f"v{j}", BINARY if j % 3 == 0 else CONTINUOUS, 0, 1)
+        m.add_variables([f"v{j}"], BINARY if j % 3 == 0 else CONTINUOUS, 0, 1)
     for j in rng.permutation(n)[:int(rng.integers(0, n + 1))]:
-        m.set_objective_coef(int(j), draw())
+        m.set_objective_coefs([int(j)], [draw()])
     for r in range(int(rng.integers(0, 12))):
         ids = rng.permutation(n)[:int(rng.integers(1, n + 1))]
         add_row(m, [(int(i), draw()) for i in ids], [LE, EQ, GE][r % 3], draw())
     for block in BLOCK_SIZES:
         monkeypatch.setattr(milp, "_EXPORT_BLOCK_ROWS", block)
         assert _export(m) == _loop_export(m)
-    x = np.array([rng.random() for _ in m.variables])
+    x = np.array([rng.random() for _ in range(n)])
     assert evaluate(m, x)[1] == _loop_violations(m, x)
     prep = simplex.prepare(m)
     dense = np.zeros((len(m.constraints), n))
@@ -503,8 +525,8 @@ def _mixed_width_model() -> Model:
     rng = np.random.default_rng(7)
     m = Model()
     for j in range(12):
-        m.add_variable(f"v{j}", BINARY if j % 2 else CONTINUOUS, 0, 1)
-        m.set_objective_coef(j, float(rng.normal()))
+        m.add_variables([f"v{j}"], BINARY if j % 2 else CONTINUOUS, 0, 1)
+        m.set_objective_coefs([j], [float(rng.normal())])
     for r in range(50):
         ids = rng.permutation(12)[:int(rng.integers(1, 8))]
         add_row(m, [(int(i), float(rng.normal())) for i in ids],
@@ -514,8 +536,8 @@ def _mixed_width_model() -> Model:
 
 def _rowless_model() -> Model:
     m = Model()
-    m.add_variable("x", BINARY, 0, 1)
-    m.add_variable("y", CONTINUOUS, -math.inf, 2.5)
+    m.add_variables(["x"], BINARY, 0, 1)
+    m.add_variables(["y"], CONTINUOUS, -math.inf, 2.5)
     return m
 
 
@@ -545,7 +567,7 @@ def test_export_streams_its_rows():
     m = Model()
     n = 3000
     for j in range(n):
-        m.add_variable(f"w_u{j // 30}_f{j % 30}_t3", BINARY, 0, 1)
+        m.add_variables([f"w_u{j // 30}_f{j % 30}_t3"], BINARY, 0, 1)
     rng = np.random.default_rng(0)
     k = 300_000
     first = rng.integers(0, n - 1, size=k)
@@ -585,7 +607,8 @@ def test_pairs_export_as_the_strengthened_model(case, block, monkeypatch):
     model = plain.model
     if case == "percent-names":
         model = plain.model.copy()
-        model.variables = [replace(v, name=f"%{v.name}%s%%") for v in model.variables]
+        names = [f"%{name}%s%%" for name in model.variables.names.tolist()]
+        model._columns = replace(model.variables, names=np.array(names, dtype=object))
     if case == "shuffled":
         pairs = pairs[np.random.default_rng(0).permutation(len(pairs))]
         assert np.count_nonzero(pairs[1:, 0] == pairs[:-1, 0]) < 0.2 * len(pairs)

@@ -17,8 +17,8 @@ from rows import add_row, row_list
 
 def test_simple_lower_bounded_min():
     m = Model()
-    x = m.add_variable("x", CONTINUOUS, 0, 10)
-    m.set_objective_coef(x, 1.0)
+    x = m.add_variables(["x"], CONTINUOUS, 0, 10)[0]
+    m.set_objective_coefs([x], [1.0])
     add_row(m, [(x, 1.0)], GE, 3.0)
     r = simplex.solve_lp(m)
     assert r.status == simplex.OPTIMAL
@@ -28,8 +28,8 @@ def test_simple_lower_bounded_min():
 @pytest.mark.parametrize("lower, upper", [(0, math.inf), (-math.inf, 0), (0, math.nan)])
 def test_unboxed_columns_are_rejected(lower, upper):
     m = Model()
-    x = m.add_variable("x", CONTINUOUS, 0, 1)
-    m.set_objective_coef(x, -1.0)
+    x = m.add_variables(["x"], CONTINUOUS, 0, 1)[0]
+    m.set_objective_coefs([x], [-1.0])
     add_row(m, [(x, 1.0)], GE, 0.0)
     with pytest.raises(ValueError, match="finite"):
         simplex.solve_prepared(simplex.prepare(m), np.array([lower]), np.array([upper]))
@@ -41,7 +41,7 @@ def test_prepare_refuses_rows_and_inverse_past_2_gib(m):
     2 GiB and 16,385 do not.  The refusal names the sizes and comes before
     anything of m entries is allocated."""
     model = Model()
-    x = model.add_variable("x", CONTINUOUS, 0, 1)
+    x = model.add_variables(["x"], CONTINUOUS, 0, 1)[0]
     model.add_rows(np.full((m, 1), x), np.ones((m, 1)), LE, np.ones(m))
     size = 8 * m * m
     if size <= 2 * 1024**3:
@@ -71,8 +71,8 @@ def test_prepare_allocates_nothing_of_size_m_by_n(monkeypatch):
     m, n = 500, 50_000
     model = Model()
     for j in range(n):
-        model.add_variable(f"x{j}", CONTINUOUS, 0, 1)
-        model.set_objective_coef(j, 1.0)
+        model.add_variables([f"x{j}"], CONTINUOUS, 0, 1)
+        model.set_objective_coefs([j], [1.0])
     # Column j has rows r_j, r_j + 167 and r_j + 334 (mod m), all distinct.
     row_of = (rng.integers(0, m, size=(n, 1)) + np.array([0, 167, 334])) % m
     order = np.argsort(row_of.ravel(), kind="stable")
@@ -80,7 +80,7 @@ def test_prepare_allocates_nothing_of_size_m_by_n(monkeypatch):
     cols = np.split(np.repeat(np.arange(n), 3)[order], cuts)
     coefs = np.split(rng.uniform(0.5, 1.5, size=3 * n)[order], cuts)
     model.add_rows(cols, coefs, [GE] * 40 + [LE] * (m - 40), np.ones(m))
-    lo, hi = simplex.model_bounds(model)
+    lo, hi = model.variables.lower, model.variables.upper
     monkeypatch.setattr(simplex, "_REFACTOR_EVERY", 5)
     tracemalloc.start()
     try:
@@ -97,26 +97,26 @@ def test_prepare_allocates_nothing_of_size_m_by_n(monkeypatch):
 
 def test_infeasible_detected():
     m = Model()
-    x = m.add_variable("x", CONTINUOUS, 0, 10)
+    x = m.add_variables(["x"], CONTINUOUS, 0, 10)[0]
     add_row(m, [(x, 1.0)], LE, 1.0)
     add_row(m, [(x, 1.0)], GE, 2.0)
-    m.set_objective_coef(x, 1.0)
+    m.set_objective_coefs([x], [1.0])
     assert simplex.solve_lp(m).status == simplex.INFEASIBLE
 
 
 def test_binary_variable_is_contract_violation():
     m = Model()
-    m.add_variable("x", BINARY, 0, 1)
+    m.add_variables(["x"], BINARY, 0, 1)
     with pytest.raises(ValueError, match="binary"):
         simplex.solve_lp(m)
 
 
 def test_no_constraints_box_problem():
     m = Model()
-    x = m.add_variable("x", CONTINUOUS, -2, 5)
-    y = m.add_variable("y", CONTINUOUS, 1, 3)
-    m.set_objective_coef(x, 1.0)
-    m.set_objective_coef(y, -2.0)
+    x = m.add_variables(["x"], CONTINUOUS, -2, 5)[0]
+    y = m.add_variables(["y"], CONTINUOUS, 1, 3)[0]
+    m.set_objective_coefs([x], [1.0])
+    m.set_objective_coefs([y], [-2.0])
     r = simplex.solve_lp(m)
     assert r.status == simplex.OPTIMAL
     assert r.objective == pytest.approx(-2 - 6)
@@ -128,9 +128,9 @@ def test_degenerate_cycling_guard():
     # the optimum stays -0.05, reached by the dual simplex through
     # degenerate pivots.
     m = Model()
-    x = [m.add_variable(f"x{i}", CONTINUOUS, 0, 1e4) for i in range(4)]
+    x = [m.add_variables([f"x{i}"], CONTINUOUS, 0, 1e4)[0] for i in range(4)]
     for vid, c in zip(x, (-0.75, 150.0, -0.02, 6.0)):
-        m.set_objective_coef(vid, c)
+        m.set_objective_coefs([vid], [c])
     add_row(m, [(x[0], 0.25), (x[1], -60.0), (x[2], -0.04), (x[3], 9.0)], LE, 0.0)
     add_row(m, [(x[0], 0.5), (x[1], -90.0), (x[2], -0.02), (x[3], 3.0)], LE, 0.0)
     add_row(m, [(x[2], 1.0)], LE, 1.0)
@@ -141,9 +141,10 @@ def test_degenerate_cycling_guard():
 
 def _random_lp(rng: np.random.Generator, n_vars=5, n_cons=8) -> Model:
     m = Model()
-    ids = [m.add_variable(f"v{i}", CONTINUOUS, 0.0, float(rng.uniform(1, 6))) for i in range(n_vars)]
+    ids = [m.add_variables([f"v{i}"], CONTINUOUS, 0.0, float(rng.uniform(1, 6)))[0]
+           for i in range(n_vars)]
     for i in ids:
-        m.set_objective_coef(i, float(rng.normal()))
+        m.set_objective_coefs([i], [float(rng.normal())])
     for _ in range(n_cons):
         terms = [(i, float(rng.normal())) for i in ids if rng.random() < 0.8]
         if not terms:
@@ -184,10 +185,11 @@ def _feasible_lp(rng: np.random.Generator, dependent: bool, n_vars=4, n_cons=5) 
     scale: no basis can drive both rows' fixed slacks out, so one stays
     basic at 0."""
     m = Model()
-    ids = [m.add_variable(f"v{i}", CONTINUOUS, 0.0, float(rng.uniform(1, 6))) for i in range(n_vars)]
-    point = np.array([rng.uniform(0.2, 0.8) * m.variables[i].upper for i in ids])
+    ids = [m.add_variables([f"v{i}"], CONTINUOUS, 0.0, float(rng.uniform(1, 6)))[0]
+           for i in range(n_vars)]
+    point = np.array([rng.uniform(0.2, 0.8) * m.variables.upper[i] for i in ids])
     for i in ids:
-        m.set_objective_coef(i, float(rng.normal()))
+        m.set_objective_coefs([i], [float(rng.normal())])
     for sense in [LE, GE, EQ] + [str(rng.choice([LE, GE])) for _ in range(n_cons - 3)]:
         coefs = rng.normal(size=n_vars)
         lhs = float(coefs @ point)
@@ -236,8 +238,7 @@ def test_warm_start_matches_cold_solve_and_oracle(seed, dependent, monkeypatch):
     rng = np.random.default_rng(900 + seed)
     model = _feasible_lp(rng, dependent)
     prep = simplex.prepare(model)
-    lo = np.array([v.lower for v in model.variables])
-    hi = np.array([v.upper for v in model.variables])
+    lo, hi = model.variables.lower, model.variables.upper
     n, m = len(lo), len(model.constraints)
     root = simplex.solve_prepared(prep, lo, hi)
     assert root.status == simplex.OPTIMAL
@@ -265,7 +266,7 @@ def test_warm_start_matches_cold_solve_and_oracle(seed, dependent, monkeypatch):
         warm = simplex.solve_prepared(prep, cut_lo, cut_hi, root.basis)
         cold = simplex.solve_prepared(prep, cut_lo, cut_hi)
         cut_model = model.copy()
-        cut_model.variables[j] = replace(cut_model.variables[j], lower=new_lo, upper=new_hi)
+        cut_model._columns = replace(model.variables, lower=cut_lo, upper=cut_hi)
         check(warm, cold, cut_model, (j, new_lo, new_hi))
 
     # Appended rows that cut the root point off, a random one and an
@@ -307,17 +308,17 @@ def _unboxed_lp(rng: np.random.Generator, n_vars=5, n_cons=4) -> tuple[Model, Mo
     point = []
     for j, kind in enumerate(kinds):
         if kind == "up":
-            m.add_variable(f"v{j}", CONTINUOUS, 0.0, math.inf)
+            m.add_variables([f"v{j}"], CONTINUOUS, 0.0, math.inf)
             point.append(rng.uniform(0.0, 2.0))
         elif kind == "down":
             u = float(rng.uniform(-2.0, 3.0))
-            m.add_variable(f"v{j}", CONTINUOUS, -math.inf, u)
+            m.add_variables([f"v{j}"], CONTINUOUS, -math.inf, u)
             point.append(u - rng.uniform(0.0, 2.0))
         else:
             u = float(rng.uniform(1.0, 6.0))
-            m.add_variable(f"v{j}", CONTINUOUS, 0.0, u)
+            m.add_variables([f"v{j}"], CONTINUOUS, 0.0, u)
             point.append(rng.uniform(0.2, 0.8) * u)
-        m.set_objective_coef(j, float(costs[j]))
+        m.set_objective_coefs([j], [float(costs[j])])
     point = np.array(point)
     for _ in range(n_cons):
         coefs = rng.normal(size=n_vars)
@@ -331,14 +332,15 @@ def _unboxed_lp(rng: np.random.Generator, n_vars=5, n_cons=4) -> tuple[Model, Mo
 
     # The row bounds each [0, inf) column by reach and each (-inf, u]
     # column from below by u - reach; one more unit keeps them redundant.
-    reach = cap + sum(v.upper for v, k in zip(m.variables, kinds) if k == "down")
-    boxed = m.copy()
+    reach = cap + sum(u for u, k in zip(m.variables.upper.tolist(), kinds) if k == "down")
+    lower, upper = m.variables.lower.copy(), m.variables.upper.copy()
     for j, kind in enumerate(kinds):
-        v = boxed.variables[j]
         if kind == "up":
-            boxed.variables[j] = replace(v, upper=reach + 1.0)
+            upper[j] = reach + 1.0
         elif kind == "down":
-            boxed.variables[j] = replace(v, lower=v.upper - reach - 1.0)
+            lower[j] = upper[j] - reach - 1.0
+    boxed = m.copy()
+    boxed._columns = replace(m.variables, lower=lower, upper=upper)
     return m, boxed
 
 
@@ -384,8 +386,8 @@ def test_foreign_basis_with_wrong_signed_slack_is_refused():
     # [0, inf) slack has no other bound to flip to.
     def lp(cost):
         m = Model()
-        x = m.add_variable("x", CONTINUOUS, 0, 10)
-        m.set_objective_coef(x, cost)
+        x = m.add_variables(["x"], CONTINUOUS, 0, 10)[0]
+        m.set_objective_coefs([x], [cost])
         add_row(m, [(x, 1.0)], LE, 5.0)
         return m
 
@@ -393,8 +395,8 @@ def test_foreign_basis_with_wrong_signed_slack_is_refused():
     assert maximize.objective == pytest.approx(-5.0)
     model = lp(1.0)
     with pytest.raises(ArithmeticError, match="dual feasible"):
-        simplex.solve_prepared(simplex.prepare(model), *simplex.model_bounds(model),
-                               maximize.basis)
+        simplex.solve_prepared(simplex.prepare(model), model.variables.lower,
+                               model.variables.upper, maximize.basis)
     assert simplex.solve_lp(model).objective == pytest.approx(0.0)
 
 
@@ -417,7 +419,7 @@ def _prep_of(rows: np.ndarray) -> simplex.PreparedLp:
     k, n = rows.shape
     model = Model()
     for j in range(n):
-        model.add_variable(f"x{j}", CONTINUOUS, 0, 1)
+        model.add_variables([f"x{j}"], CONTINUOUS, 0, 1)
     return simplex.append_rows(simplex.prepare(model), np.broadcast_to(np.arange(n), (k, n)),
                                rows, np.zeros(k))
 
@@ -519,7 +521,7 @@ def test_cold_solve_factorizes_only_basic_structurals(monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", recording_inv)
     monkeypatch.setattr(simplex, "_invert", recording_invert)
     monkeypatch.setattr(simplex, "_REFACTOR_EVERY", 20)
-    lo, hi = simplex.model_bounds(model)
+    lo, hi = model.variables.lower, model.variables.upper
     assert simplex.solve_prepared(prep, lo, hi).status == simplex.OPTIMAL
     assert factorizations[0] == (0, [])
     assert len(factorizations) > 3
@@ -535,7 +537,7 @@ def _grid_6x4_model() -> Model:
 
 def _grid_6x4():
     model = _grid_6x4_model()
-    return simplex.prepare(model), *simplex.model_bounds(model)
+    return simplex.prepare(model), model.variables.lower, model.variables.upper
 
 
 def test_the_iteration_cap_falls_across_rounds(monkeypatch):
@@ -694,7 +696,7 @@ def test_kernel_matches_the_reference_bit_for_bit(case, monkeypatch):
     if case.startswith("random-"):
         k = int(case.split("-")[1])
         model = _feasible_lp(np.random.default_rng(3100 + k), dependent=k % 2 == 1)
-        prep, (lo, hi) = simplex.prepare(model), simplex.model_bounds(model)
+        prep, lo, hi = simplex.prepare(model), model.variables.lower, model.variables.upper
         root = simplex.solve_prepared(prep, lo, hi)
         assert root.status == simplex.OPTIMAL
         for j, new_lo, new_hi in _bound_cuts(root.assignment, lo, hi):
@@ -710,7 +712,8 @@ def test_kernel_matches_the_reference_bit_for_bit(case, monkeypatch):
         assert (None, 20) in seen
     elif case == "desk-child":
         model = build_3confl(generate(DESK, seed=0)).model
-        prep, (lo, hi) = simplex.prepare(model), simplex.model_bounds(model)
+        prep, lo, hi = (simplex.prepare(model), model.variables.lower.copy(),
+                        model.variables.upper)
         root = simplex.solve_prepared(prep, lo, hi)
         x = root.assignment
         j = next(j for j in prep.binaries if 1e-6 < x[j] < 1 - 1e-6)
@@ -726,10 +729,10 @@ def test_kernel_matches_the_reference_bit_for_bit(case, monkeypatch):
         m = Model()
         for name, upper, cost in (("x0", 1e12, 0.0), ("x1", 10.0, 0.0),
                                   ("u0", 1.0, 1.0), ("u1", 1.0, 2.0)):
-            m.set_objective_coef(m.add_variable(name, CONTINUOUS, 0.0, upper), cost)
+            m.set_objective_coefs(m.add_variables([name], CONTINUOUS, 0.0, upper), [cost])
         add_row(m, [(0, 1.0), (2, 1.0)], LE, 1e12 + 100)
         add_row(m, [(1, 1.0), (3, 1.0)], LE, 11.0)
-        prep, (lo, hi) = simplex.prepare(m), simplex.model_bounds(m)
+        prep, lo, hi = simplex.prepare(m), m.variables.lower, m.variables.upper
         state = np.array([simplex._BASIC] * 2 + [simplex._AT_LOWER] * 4, dtype=np.int8)
         res = simplex.solve_prepared(prep, lo, hi, simplex.Basis(np.array([0, 1]), state))
         assert seen == [(simplex.OPTIMAL, 1)]
@@ -739,7 +742,7 @@ def test_kernel_matches_the_reference_bit_for_bit(case, monkeypatch):
     else:
         m = Model()
         for name, lower, upper, cost in (("x", -2, 5, 1.0), ("y", 1, 3, -2.0)):
-            m.set_objective_coef(m.add_variable(name, CONTINUOUS, lower, upper), cost)
+            m.set_objective_coefs(m.add_variables([name], CONTINUOUS, lower, upper), [cost])
         assert simplex.solve_lp(m).objective == -8.0
         assert seen == [(simplex.OPTIMAL, 0)]
     assert case == "no-rows" or sum(pivots for _, pivots in seen) > 0
@@ -750,13 +753,13 @@ def test_cut_loop_appends_each_pool_row_once(monkeypatch):
     tolerance-level miss would) ends the loop instead of appending the row
     again; a mask shared between calls keeps it out of later calls too."""
     m = Model()
-    a = m.add_variable("a", BINARY, 0, 1)
-    b = m.add_variable("b", BINARY, 0, 1)
-    m.set_objective_coef(a, -1.0)
-    m.set_objective_coef(b, -1.0)
+    a = m.add_variables(["a"], BINARY, 0, 1)[0]
+    b = m.add_variables(["b"], BINARY, 0, 1)[0]
+    m.set_objective_coefs([a], [-1.0])
+    m.set_objective_coefs([b], [-1.0])
     pool = np.array([[a, b]])
     prep = simplex.prepare(m)
-    lo, hi = simplex.model_bounds(m)
+    lo, hi = m.variables.lower, m.variables.upper
     res = simplex.solve_prepared(prep, lo, hi)
     assert res.assignment.tolist() == [1.0, 1.0]
     calls = []
@@ -792,7 +795,7 @@ def test_a_remembered_start_factorization_changes_no_result(monkeypatch):
     the same call returns on a fresh `prepare(model)`."""
     model = build_3confl(generate(DESK, seed=1)).model
     prep = simplex.prepare(model)
-    lo, hi = simplex.model_bounds(model)
+    lo, hi = model.variables.lower, model.variables.upper
     root = simplex.solve_prepared(prep, lo, hi)
     assert prep.warm is None   # a cold solve remembers nothing
     x = root.assignment
@@ -867,8 +870,8 @@ def _sparse_lp(rng: np.random.Generator, n_cons: int, n_vars: int, density: floa
     lo = rng.uniform(-3.0, 1.0, size=n_vars)
     hi = lo + rng.uniform(0.5, 5.0, size=n_vars)
     for j in range(n_vars):
-        m.add_variable(f"v{j}", CONTINUOUS, float(lo[j]), float(hi[j]))
-        m.set_objective_coef(j, float(rng.normal()))
+        m.add_variables([f"v{j}"], CONTINUOUS, float(lo[j]), float(hi[j]))
+        m.set_objective_coefs([j], [float(rng.normal())])
     point = lo + rng.uniform(0.2, 0.8, size=n_vars) * (hi - lo)
     used = np.flatnonzero(np.arange(n_vars) % 5)
     for _ in range(n_cons):
@@ -986,7 +989,8 @@ def test_bundled_lp_matches_highs(case):
         n_cons = int(rng.integers(200, 401))
         model = _sparse_lp(rng, n_cons, n_vars=int(rng.integers(150, 300)), density=0.03)
     want_status, want_obj = highs_lp_optimum(model)
-    got = simplex.solve_prepared(simplex.prepare(model), *simplex.model_bounds(model))
+    got = simplex.solve_prepared(simplex.prepare(model), model.variables.lower,
+                                 model.variables.upper)
     assert got.status == want_status == simplex.OPTIMAL
     assert got.objective == pytest.approx(want_obj, rel=1e-9, abs=1e-9)
     _, violations = evaluate(model, got.assignment, tol=1e-6)
