@@ -166,14 +166,16 @@ class HeuristicContext:
 
     def relaxation_value(self, strong: bool, ones: frozenset) -> float | None:
         """Optimal value of the (strengthened or plain) relaxation with the
-        given (facility, technology) openings forced to 1; None if infeasible."""
+        given (facility, technology) openings forced to 1; None if infeasible.
+        A strengthened value starts from the plain one, which is memoized too."""
         if (strong, ones) not in self._memo:
             lo = self.base_lo.copy()
             lo[[self.plain.z[key] for key in ones]] = 1.0
             res = simplex.solve_prepared(self.plain_prep, lo, self.base_hi, self.root_basis)
+            self._memo[False, ones] = res.objective
             if strong:
                 _, res = simplex.separate(self.plain_prep, lo, self.base_hi, res, self.pool)
-            self._memo[strong, ones] = res.objective
+                self._memo[True, ones] = res.objective
         return self._memo[strong, ones]
 
     def score(self, value: float | None) -> float:

@@ -19,6 +19,19 @@ slacks' rows of the inverse from it (Koberstein, PhD thesis, Paderborn
 2005; Bixby, Oper. Res. 50, 2002).
 The slack basis of a cold start has an empty kernel and factorizes nothing.
 
+A basic slack's row of the inverse is that kernel view too: row l's slack
+has the row ``e_l - A_l,S B^-1_S`` over the basic structurals S.  Most rows
+of a strengthened LP keep their slack basic, so its updates mostly write
+slacks' rows.  Once one update of a dual simplex round writes more than
+``_SLACK_ROWS_CAP`` (8,192) entries into rows whose basic is a slack, the
+round stops updating those rows: only the structurals' rows take each
+later update, a leaving slack's pivot row is derived as above from the
+rows' nonzeros (a by-row view built at that first switch), and row l's
+slack takes row l of ``[A | I] (e_q - z)`` as its entry of the entering
+column's image ``B^-1 a_q``, z that image's entries at the basic
+structurals.  The next round factorizes afresh as every round does.  No
+update of the desk-scale LPs comes near the cap, so they never switch.
+
 :func:`prepare` builds the nonzeros once, and refuses with
 :class:`ProblemTooLargeError`, before it allocates, a model whose dense
 basis inverse, 8 m² bytes for m rows, would pass 2 GiB.  :func:`solve_prepared`
@@ -98,6 +111,9 @@ _PIVTOL = 1e-7      # smallest |alpha| of an entering column; a smaller one is n
 _FEASTOL = 1e-7     # final bound check
 _DUAL_FEASTOL = 1e-9  # bound violation (relative) the dual simplex repairs
 _REFACTOR_EVERY = 150
+# The most entries one product-form update may write into the rows of the
+# inverse whose basic is a slack before the round stops updating those rows.
+_SLACK_ROWS_CAP = 8192
 # The most bytes `prepare` lets the dense basis inverse take: 8 m² bytes
 # for m rows.
 _MAX_DENSE_BYTES = 2 * 1024**3
@@ -341,7 +357,10 @@ def _solve(prep: PreparedLp, lo_s: np.ndarray, hi_s: np.ndarray, start: Basis,
 def _dual_simplex(prep, lo, hi, basis, state, x, binv, d, max_iter):
     """Bounded dual simplex on the matrix `prep` from a dual feasible basis
     with inverse `binv` and reduced costs `d`, all updated in place, making
-    at most `max_iter` pivots.
+    at most `max_iter` pivots.  Once an update writes more than
+    ``_SLACK_ROWS_CAP`` entries into basic slacks' rows, those rows of
+    `binv` are left stale (see the module docstring); the duals, which give
+    slacks zero cost, and the basic structurals' rows stay exact.
 
     Returns (OPTIMAL, pivots) once every basic lies within its bounds,
     (INFEASIBLE, pivots) when a violated row has no entering column, and
@@ -358,6 +377,10 @@ def _dual_simplex(prep, lo, hi, basis, state, x, binv, d, max_iter):
     lo_b, hi_b = lo[basis], hi[basis]
     bx = x[basis]              # the basics' values, written back to x on return
     alpha = np.empty(n + len(basis))  # the pivot row [y A | y] of y = binv[r]
+    # The rows of A by their nonzeros, built once an update writes more than
+    # _SLACK_ROWS_CAP entries into the basic slacks' rows of binv; from then
+    # on this round leaves those rows stale and derives what it reads of them.
+    by_row = None
     try:
         for it in range(max_iter + 1):
             viol = np.maximum(lo_b - bx, bx - hi_b)
@@ -375,6 +398,12 @@ def _dual_simplex(prep, lo, hi, basis, state, x, binv, d, max_iter):
             leave = int(basis[r])
             increase = lo_b[r] - bx[r] > 0
             target = lo[leave] if increase else hi[leave]
+            if by_row is not None:
+                slack = basis >= n
+                if leave >= n:
+                    pos = np.full(n, -1)   # each structural's basis position, -1 if nonbasic
+                    pos[basis[~slack]] = np.flatnonzero(~slack)
+                    binv[r] = _slack_row(by_row, binv, pos, leave - n)
 
             # Entering columns move the leaving basic toward its violated
             # bound and keep every reduced cost on its side of zero.
@@ -393,6 +422,8 @@ def _dual_simplex(prep, lo, hi, basis, state, x, binv, d, max_iter):
                 w = binv[:, prep.row_ids[nz]] @ prep.vals[nz]
             else:
                 w = binv[:, q - n].copy()
+            if by_row is not None:
+                _slack_entries(prep, w, basis, slack, q)
             step = (bx[r] - target) / w[r]
             bx -= step * w
             bx[r] = x[q] + step
@@ -405,7 +436,13 @@ def _dual_simplex(prep, lo, hi, basis, state, x, binv, d, max_iter):
             state[q] = _BASIC
             move[q] = 0.0
             lo_b[r], hi_b[r] = lo[q], hi[q]
-            _replace_column(binv, w, r)
+            if by_row is not None:
+                slack[r] = False
+                w[slack] = 0.0     # the stale rows take no update
+            if (_replace_column(binv, w, r) > _SLACK_ROWS_CAP and by_row is None
+                    and np.count_nonzero(basis[w.nonzero()[0]] >= n)
+                    * np.count_nonzero(binv[r]) > _SLACK_ROWS_CAP):
+                by_row = _by_row(prep)
     finally:
         x[basis] = bx
 
@@ -454,17 +491,55 @@ def _invert(prep: PreparedLp, basis: np.ndarray) -> np.ndarray:
     return binv
 
 
-def _replace_column(binv, w, r) -> None:
+def _replace_column(binv, w, r) -> int:
     """Update `binv` in place to the inverse after row r's basic column was
     replaced by the column whose image under the old inverse is `w`: a
     product-form update.  The pivot ``w[r]`` is the entering column's
-    ``alpha``, which the ratio test admits only above ``_PIVTOL``."""
+    ``alpha``, which the ratio test admits only above ``_PIVTOL``.  Returns
+    the number of entries the update rewrote: the nonzero rows of `w` times
+    the nonzero columns of the new row r."""
     row = binv[r] / w[r]
     # Only the entries in the nonzero rows of w and nonzero columns of row
     # change; slack-heavy bases leave both sparse.
     rw, cr = w.nonzero()[0], row.nonzero()[0]
     binv[rw[:, None], cr] -= w[rw, None] * row[cr]
     binv[r] = row
+    return len(rw) * len(cr)
+
+
+def _by_row(prep: PreparedLp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzeros of the rows, row by row and in column order within a
+    row: row l's are the column ids and values at ``starts[l]:starts[l + 1]``
+    of the returned ``(starts, col_ids, vals)``."""
+    order = np.argsort(prep.row_ids, kind="stable")
+    starts = np.searchsorted(prep.row_ids[order], np.arange(len(prep.rhs) + 1))
+    return starts, prep.col_ids[order], prep.vals[order]
+
+
+def _slack_row(by_row, binv, pos, l) -> np.ndarray:
+    """Row l's slack's row of the basis inverse, from the basic structurals'
+    rows alone: ``e_l - sum_j A_lj B^-1[pos[j]]`` over the basic structurals
+    j of row l, where `pos` maps each structural to its basis position (-1
+    when nonbasic) and `by_row` is :func:`_by_row`."""
+    starts, cols, vals = by_row
+    span = slice(starts[l], starts[l + 1])
+    at = pos[cols[span]]
+    on = at >= 0
+    y = -(vals[span][on, None] * binv[at[on]]).sum(axis=0)
+    y[l] += 1.0
+    return y
+
+
+def _slack_entries(prep, w, basis, slack, q) -> None:
+    """Set the entries of `w`, the entering column q's image ``B^-1 a_q``,
+    in the rows whose basic is a slack (the mask `slack`) from its entries
+    in the basic structurals' rows: row l's slack takes row l of
+    ``[A | I] (e_q - z)``, z those entries placed at their columns."""
+    n = len(prep.costs)
+    v = np.zeros(n + len(w))
+    v[q] = 1.0
+    v[basis[~slack]] = -w[~slack]
+    w[slack] = (_times_point(prep, v[:n]) + v[n:])[basis[slack] - n]
 
 
 def _reduced_costs(prep, basis, binv) -> np.ndarray:

@@ -27,7 +27,7 @@ from confl3.confl import Instance, WirelessParams
 from confl3.milp import EQ, GE, LE, SENSES, Model, apply_fixings, lp_relaxation
 from confl3 import simplex
 from confl3.simplex import (_AT_LOWER, _AT_UPPER, _BASIC, _DUAL_FEASTOL, _PIVTOL, INFEASIBLE,
-                            OPTIMAL, PreparedLp, _row_times)
+                            OPTIMAL, PreparedLp, _row_times, _times_point)
 from rows import row_list
 
 _FEAS = 1e-7
@@ -294,13 +294,18 @@ def superinterferers(instance: Instance, uid: str, fid: str) -> set[str]:
 # gather and scatter of the basics, one concatenated pivot row and an
 # np.ix_/np.outer update per pivot.  The kernel in confl3.simplex must make
 # the same pivots and the same floating-point operations, so the two agree
-# bit for bit from identical inputs.
+# bit for bit from identical inputs.  Both follow one rule: once an update
+# writes more than simplex._SLACK_ROWS_CAP entries into rows whose basic is
+# a slack, the rest of the call leaves those rows of the inverse stale and
+# derives a slack's pivot row and its entry of each entering column from the
+# basic structurals' rows.
 
 
 def dual_simplex(prep, lo, hi, basis, state, x, binv, d, max_iter):
     """The reference pivot loop: :func:`simplex._dual_simplex` as it was
-    written before its numpy calls were trimmed, kept so that the kernel can
-    be checked against it bit for bit.
+    written before its numpy calls were trimmed, plus the rule above on the
+    basic slacks' rows, kept so that the kernel can be checked against it
+    bit for bit.
 
     Bounded dual simplex on the matrix `prep` from a dual feasible basis
     with inverse `binv` and reduced costs `d`, all updated in place, making
@@ -310,13 +315,14 @@ def dual_simplex(prep, lo, hi, basis, state, x, binv, d, max_iter):
     (INFEASIBLE, pivots) when a violated row has no entering column, and
     (None, max_iter) when the pivots run out first.
     """
-    n = len(prep.costs)
+    n, m = len(prep.costs), len(basis)
     fixed = lo == hi
     # The way each column may move off its bound: +1 up from its lower, -1
     # down from its upper, 0 for basic and fixed columns.
     move = np.where(state == _AT_LOWER, 1.0, -1.0)
     move[(state == _BASIC) | fixed] = 0.0
     lo_b, hi_b = lo[basis], hi[basis]
+    stale = False   # whether the basic slacks' rows of binv are left stale
     for it in range(max_iter + 1):
         bx = x[basis]
         below = lo_b - bx
@@ -331,6 +337,8 @@ def dual_simplex(prep, lo, hi, basis, state, x, binv, d, max_iter):
         leave = int(basis[r])
         increase = below[r] > 0
         target = lo[leave] if increase else hi[leave]
+        if stale and leave >= n:
+            binv[r, :] = slack_row(prep, binv, basis, leave - n)
 
         # Entering columns move the leaving basic toward its violated bound
         # and keep every reduced cost on its side of zero.
@@ -344,6 +352,8 @@ def dual_simplex(prep, lo, hi, basis, state, x, binv, d, max_iter):
         q = int(near[np.argmax(np.abs(alpha[near]))])
 
         w = times_column(prep, binv, q) if q < n else binv[:, q - n].copy()
+        if stale:
+            set_slack_entries(prep, w, basis, q)
         step = (x[leave] - target) / w[r]
         x[basis] = bx - step * w
         x[q] += step
@@ -356,7 +366,34 @@ def dual_simplex(prep, lo, hi, basis, state, x, binv, d, max_iter):
         state[q] = _BASIC
         move[q] = 0.0
         lo_b[r], hi_b[r] = lo[q], hi[q]
-        replace_column(binv, w, r)
+        if stale:
+            w[(basis >= n) & (np.arange(m) != r)] = 0.0
+        rw, cr = replace_column(binv, w, r)
+        stale = stale or int(np.sum(basis[rw] >= n)) * len(cr) > simplex._SLACK_ROWS_CAP
+
+
+def slack_row(prep: PreparedLp, binv: np.ndarray, basis: np.ndarray, l: int) -> np.ndarray:
+    """Row l's slack's row of the basis inverse: ``e_l`` minus row l's
+    coefficients on the basic structurals times their rows of `binv`."""
+    mine = np.flatnonzero(prep.row_ids == l)    # row l's nonzeros, by column
+    at = [np.flatnonzero(basis == j) for j in prep.col_ids[mine]]
+    on = [len(a) > 0 for a in at]
+    terms = prep.vals[mine][on][:, None] * binv[[int(a[0]) for a in at if len(a)]]
+    y = -terms.sum(axis=0)
+    y[l] += 1.0
+    return y
+
+
+def set_slack_entries(prep: PreparedLp, w: np.ndarray, basis: np.ndarray, q: int) -> None:
+    """Set the basic slacks' entries of `w`, the image of column q under the
+    inverse, to ``[A | I] (e_q - z)`` at their rows, z the basic
+    structurals' values in `w` placed at their columns."""
+    n = len(prep.costs)
+    v = np.zeros(n + len(w))
+    v[q] = 1.0
+    for k in np.flatnonzero(basis < n):
+        v[basis[k]] = -w[k]
+    w[basis >= n] = (_times_point(prep, v[:n]) + v[n:])[basis[basis >= n] - n]
 
 
 def times_column(prep: PreparedLp, binv: np.ndarray, q: int) -> np.ndarray:
@@ -365,14 +402,16 @@ def times_column(prep: PreparedLp, binv: np.ndarray, q: int) -> np.ndarray:
     return binv[:, prep.row_ids[nz]] @ prep.vals[nz]
 
 
-def replace_column(binv, w, r) -> None:
+def replace_column(binv, w, r) -> tuple[np.ndarray, np.ndarray]:
     """Update `binv` in place to the inverse after row r's basic column was
     replaced by the column whose image under the old inverse is `w`: a
     product-form update.  The pivot ``w[r]`` is the entering column's
-    ``alpha``, which the ratio test admits only above ``_PIVTOL``."""
+    ``alpha``, which the ratio test admits only above ``_PIVTOL``.  Returns
+    the rows and the columns whose entries the update rewrote."""
     row = binv[r, :] / w[r]
     # Only the entries in the nonzero rows of w and nonzero columns of row
     # change; slack-heavy bases leave both sparse.
     rw, cr = np.flatnonzero(w), np.flatnonzero(row)
     binv[np.ix_(rw, cr)] -= np.outer(w[rw], row[cr])
     binv[r, :] = row
+    return rw, cr

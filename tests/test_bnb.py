@@ -141,13 +141,35 @@ def test_random_milps_match_enumeration(seed):
         assert got.objective == pytest.approx(want_obj, abs=1e-6)
 
 
+def _feasible_milp(rng: np.random.Generator, n_bin=6, n_cont=3, n_cons=8) -> Model:
+    """A random MILP shaped as :func:`_random_milp`, feasible by
+    construction: each row's right-hand side leaves a drawn point, binaries
+    at 0 or 1 and continuous values inside their boxes, a positive slack."""
+    m = Model()
+    bins = list(m.add_variables([f"b{i}" for i in range(n_bin)], BINARY, 0, 1))
+    upper = rng.uniform(1, 4, size=n_cont)
+    conts = [m.add_variables([f"c{i}"], CONTINUOUS, 0.0, float(u))[0] for i, u in enumerate(upper)]
+    everything = bins + conts
+    for vid in everything:
+        m.set_objective_coefs([vid], [float(rng.normal())])
+    point = np.concatenate([rng.integers(0, 2, size=n_bin), rng.uniform(0.2, 0.8) * upper])
+    for _ in range(n_cons):
+        terms = [(i, float(rng.normal())) for i in everything if rng.random() < 0.6]
+        if not terms:
+            terms = [(everything[0], 1.0)]
+        sense = str(rng.choice([LE, GE]))
+        lhs = sum(coef * point[i] for i, coef in terms)
+        margin = abs(float(rng.normal())) + 0.1
+        add_row(m, terms, sense, lhs + margin if sense == LE else lhs - margin)
+    return m
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_incumbent_is_integral_and_feasible(seed):
     rng = np.random.default_rng(300 + seed)
-    m = _random_milp(rng, n_bin=6)
+    m = _feasible_milp(rng)
     r = solve_model(m, 60.0)
-    if r.incumbent is None:
-        return
+    assert r.status == bnb.OPTIMAL and r.incumbent is not None
     _, violations = evaluate(m, r.incumbent, tol=1e-6)
     assert violations == []
     for vid in np.flatnonzero(m.variables.binary):
@@ -157,13 +179,13 @@ def test_incumbent_is_integral_and_feasible(seed):
 @pytest.mark.parametrize("seed", range(8))
 def test_lp_relaxation_bounds_mip(seed):
     rng = np.random.default_rng(600 + seed)
-    m = _random_milp(rng, n_bin=6)
+    m = _feasible_milp(rng)
     mip = solve_model(m, 60.0)
     lp = simplex.solve_lp(lp_relaxation(m))
-    if mip.status == bnb.OPTIMAL:
-        assert lp.status == simplex.OPTIMAL
-        assert lp.objective <= mip.objective + 1e-6
-        assert mip.lower_bound <= mip.objective + 1e-9
+    assert mip.status == bnb.OPTIMAL and mip.incumbent is not None
+    assert lp.status == simplex.OPTIMAL
+    assert lp.objective <= mip.objective + 1e-6
+    assert mip.lower_bound <= mip.objective + 1e-9
 
 
 def test_determinism_across_runs():

@@ -179,6 +179,25 @@ class TestPosteriorAttractiveness:
         with pytest.raises(ValueError, match="clash"):
             posterior_attractiveness(FOS(frozenset({("f0", 1)})), ("f0", 3), ctx)
 
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_the_empty_state_is_scored_from_the_a_priori_solves(self, seed, monkeypatch):
+        # Each a-priori score solves the plain relaxation of its opening on
+        # the way to the strengthened one, so scoring any opening against the
+        # empty state afterwards, as the construction's first step does,
+        # solves no LP and reads what a fresh context's plain solve gives.
+        inst = generate(DESK, seed)
+        ctx = HeuristicContext(inst)
+        attractiveness_init(inst, ctx)
+        keys = [(f.id, t) for f in inst.facilities for t in TECHNOLOGIES]
+        fresh = HeuristicContext(inst)
+        want = {key: posterior_attractiveness(FOS(), key, fresh) for key in keys}
+
+        def no_lp(*args, **kwargs):
+            raise AssertionError("an LP was solved")
+
+        monkeypatch.setattr(simplex, "solve_prepared", no_lp)
+        assert {key: posterior_attractiveness(FOS(), key, ctx) for key in keys} == want
+
 
 class TestFixingProbabilities:
     def test_hand_blend(self):

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from confl3 import simplex
+from confl3.cli import main
 from confl3.confl import build_3confl, strengthen, strengthening_pairs
-from confl3.instance_io import generate
+from confl3.instance_io import generate, write_instance
 from confl3.milp import BINARY, CONTINUOUS, EQ, GE, LE, Model, lp_relaxation
 
 from instances import DESK, strengthening_preset
@@ -551,7 +552,7 @@ def test_the_iteration_cap_falls_across_rounds(monkeypatch):
 
     def counting_replace(binv, w, r):
         pivots.append(r)
-        replace_column(binv, w, r)
+        return replace_column(binv, w, r)
 
     def bounded_dual(*args):
         calls.append(args[-1])
@@ -591,7 +592,7 @@ def test_each_round_starts_on_a_fresh_factorization(monkeypatch):
 
     def counting_replace(binv, w, r):
         made[-1] += 1
-        replace_column(binv, w, r)
+        return replace_column(binv, w, r)
 
     def checking_dual(prep, lo, hi, basis, state, x, binv, d, max_iter):
         np.testing.assert_array_equal(binv, invert(prep, basis))
@@ -637,9 +638,10 @@ def test_corrupted_update_is_caught_by_the_certificate(seed, monkeypatch):
     rounds = []
 
     def corrupting_replace(binv, w, r):
-        replace_column(binv, w, r)
+        changed = replace_column(binv, w, r)
         if len(rounds) == 1:
             binv[r, r] += 1e-3
+        return changed
 
     def counting_dual(*args):
         rounds.append(0)
@@ -681,30 +683,64 @@ def _checked_against_the_reference(monkeypatch) -> list:
     return seen
 
 
+def _counting_switches(monkeypatch) -> list:
+    """Record the row count of each dual simplex call that stops updating
+    its basic slacks' rows of the inverse: each builds the rows' view once."""
+    by_row = simplex._by_row
+    switches = []
+
+    def counting(prep):
+        switches.append(len(prep.rhs))
+        return by_row(prep)
+
+    monkeypatch.setattr(simplex, "_by_row", counting)
+    return switches
+
+
+def _row_heavy_lp(k: int) -> Model:
+    """A random sparse boxed LP of 300-600 rows over 40-80 columns, so that
+    most basics are slacks and the entering columns' images are dense."""
+    rng = np.random.default_rng(2600 + k)
+    n_cons = int(rng.integers(300, 601))
+    return _sparse_lp(rng, n_cons, n_vars=int(rng.integers(40, 81)), density=0.08)
+
+
 @pytest.mark.parametrize("case", [f"random-{k}" for k in range(20)]
-                         + ["root-6x4", "desk-child", "leaving-row-fallback", "no-rows"])
+                         + [f"row-heavy-{k}" for k in range(3)]
+                         + ["root-6x4", "desk-child", "leaving-row-fallback", "no-rows",
+                            "strong-8x6"])
 def test_kernel_matches_the_reference_bit_for_bit(case, monkeypatch):
     # The pivot loop makes the pivots and the floating-point operations of
     # its plainer reference, call by call.  Random boxed LPs are solved cold,
-    # then warm and cold under each tightened bound; the 6x4 root LP runs in
-    # rounds of at most 20 pivots, so some rounds end on the cap; a desk
-    # branch-and-bound child starts from its parent's optimal basis; a
-    # start whose largest violation lies within its own relative tolerance
-    # takes the kernel's fallback choice of the leaving row; and an LP with
-    # no rows has no basics.
+    # then warm and cold under each tightened bound, and row-heavy ones,
+    # whose rounds stop updating the basic slacks' rows of the inverse, under
+    # every tenth; the 6x4 root LP runs in rounds of at most 20 pivots, so
+    # some rounds end on the cap; a desk branch-and-bound child starts from
+    # its parent's optimal basis; a start whose largest violation lies within
+    # its own relative tolerance takes the kernel's fallback choice of the
+    # leaving row; an LP with no rows has no basics; and the strengthened 8x6
+    # root LP of the benchmark's scale workload stops updating its slacks'
+    # rows.
     seen = _checked_against_the_reference(monkeypatch)
-    if case.startswith("random-"):
-        k = int(case.split("-")[1])
-        model = _feasible_lp(np.random.default_rng(3100 + k), dependent=k % 2 == 1)
+    switches = _counting_switches(monkeypatch)
+    if case.startswith(("random-", "row-heavy-")):
+        k = int(case.split("-")[-1])
+        model = (_row_heavy_lp(k) if case.startswith("row-heavy-")
+                 else _feasible_lp(np.random.default_rng(3100 + k), dependent=k % 2 == 1))
         prep, lo, hi = simplex.prepare(model), model.variables.lower, model.variables.upper
         root = simplex.solve_prepared(prep, lo, hi)
         assert root.status == simplex.OPTIMAL
-        for j, new_lo, new_hi in _bound_cuts(root.assignment, lo, hi):
+        cuts = list(_bound_cuts(root.assignment, lo, hi))
+        for j, new_lo, new_hi in cuts[:: 10 if case.startswith("row-heavy-") else 1]:
             cut_lo, cut_hi = lo.copy(), hi.copy()
             cut_lo[j], cut_hi[j] = new_lo, new_hi
             simplex.solve_prepared(prep, cut_lo, cut_hi, root.basis)
             simplex.solve_prepared(prep, cut_lo, cut_hi)
         assert {simplex.OPTIMAL} < {status for status, _ in seen}
+        assert bool(switches) == case.startswith("row-heavy-")
+    elif case == "strong-8x6":
+        assert simplex.solve_lp(_strong_8x6_root()).status == simplex.OPTIMAL
+        assert switches
     elif case == "root-6x4":
         monkeypatch.setattr(simplex, "_REFACTOR_EVERY", 20)
         prep, lo, hi = _grid_6x4()
@@ -975,15 +1011,21 @@ def _strong_8x6_root() -> Model:
     return lp_relaxation(strengthen(build_3confl(instance), instance).model)
 
 
-@pytest.mark.parametrize("case", ["strong-8x6", "plain-6x4"] + [f"sparse-{k}" for k in range(10)])
-def test_bundled_lp_matches_highs(case):
+@pytest.mark.parametrize("case", ["strong-8x6", "plain-6x4"] + [f"sparse-{k}" for k in range(10)]
+                         + [f"row-heavy-{k}" for k in range(6)])
+def test_bundled_lp_matches_highs(case, monkeypatch):
     # LPs far beyond vertex enumeration, against scipy's HiGHS: the
     # strengthened 8x6 root LP of the benchmark's scale workload, the 6x4
-    # root LP, and random sparse boxed LPs of 200-400 rows.
+    # root LP, random sparse boxed LPs of 200-400 rows, and row-heavy ones
+    # whose rounds, like the 8x6 root LP's, stop updating the basic slacks'
+    # rows of the inverse.
+    switches = _counting_switches(monkeypatch)
     if case == "strong-8x6":
         model = _strong_8x6_root()
     elif case == "plain-6x4":
         model = _grid_6x4_model()
+    elif case.startswith("row-heavy-"):
+        model = _row_heavy_lp(int(case.split("-")[-1]))
     else:
         rng = np.random.default_rng(2400 + int(case.split("-")[1]))
         n_cons = int(rng.integers(200, 401))
@@ -991,7 +1033,58 @@ def test_bundled_lp_matches_highs(case):
     want_status, want_obj = highs_lp_optimum(model)
     got = simplex.solve_prepared(simplex.prepare(model), model.variables.lower,
                                  model.variables.upper)
+    assert bool(switches) or not case.startswith(("strong-", "row-heavy-"))
     assert got.status == want_status == simplex.OPTIMAL
     assert got.objective == pytest.approx(want_obj, rel=1e-9, abs=1e-9)
     _, violations = evaluate(model, got.assignment, tol=1e-6)
     assert violations == []
+
+
+@pytest.mark.parametrize("case", ["strong-8x6", "row-heavy-0", "row-heavy-3"])
+def test_a_stale_round_keeps_the_structurals_rows_of_the_inverse(case, monkeypatch):
+    # After a dual simplex call that stopped updating its basic slacks' rows
+    # of the inverse, the basic structurals' rows still match a fresh
+    # factorization of the final basis to 1e-9, and each basic slack's row
+    # derived from them matches its fresh row too.
+    dual, invert, by_row = simplex._dual_simplex, simplex._invert, simplex._by_row
+    switches = _counting_switches(monkeypatch)
+    checked = []
+
+    def checking_dual(prep, lo, hi, basis, state, x, binv, d, max_iter):
+        before = len(switches)
+        out = dual(prep, lo, hi, basis, state, x, binv, d, max_iter)
+        if len(switches) > before:
+            n = len(prep.costs)
+            fresh = invert(prep, basis)
+            structural = basis < n
+            np.testing.assert_allclose(binv[structural], fresh[structural], rtol=0, atol=1e-9)
+            pos = np.full(n, -1)
+            pos[basis[structural]] = np.flatnonzero(structural)
+            rows = by_row(prep)
+            for r in np.flatnonzero(~structural):
+                np.testing.assert_allclose(simplex._slack_row(rows, binv, pos, basis[r] - n),
+                                           fresh[r], rtol=0, atol=1e-9)
+            checked.append(out)
+        return out
+
+    monkeypatch.setattr(simplex, "_dual_simplex", checking_dual)
+    model = (_strong_8x6_root() if case == "strong-8x6"
+             else _row_heavy_lp(int(case.split("-")[-1])))
+    assert simplex.solve_lp(model).status == simplex.OPTIMAL
+    assert checked and len(checked) == len(switches)
+
+
+def test_the_slack_rows_rule_stays_off_at_desk_scale(tmp_path, monkeypatch):
+    # No update of `exact` or `solve --iters 2` on the desk seeds 0-7 comes
+    # near the cap, so every desk pivot keeps the whole inverse up to date;
+    # the strengthened 8x6 root LP passes it.
+    switches = _counting_switches(monkeypatch)
+    for seed in range(8):
+        path = tmp_path / f"desk-{seed}.json"
+        path.write_text(write_instance(generate(DESK, seed)), encoding="utf-8")
+        assert main(["exact", str(path), "-o", str(tmp_path / f"ref-{seed}.json")]) == 0
+        assert main(["solve", str(path), "--iters", "2", "--seed", str(seed),
+                     "-o", str(tmp_path / f"sol-{seed}.json")]) == 0
+    assert switches == []
+    assert simplex.solve_lp(_strong_8x6_root()).status == simplex.OPTIMAL
+    assert switches
