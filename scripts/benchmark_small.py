@@ -15,7 +15,6 @@ from confl3 import bnb
 from confl3.confl import verify_solution
 from confl3.heuristic import HeuristicParams, UnattainableCoverageError, run
 from confl3.instance_io import GeneratorParams, gap_row, generate, report
-from confl3.simplex import prepare
 
 PARAMS = GeneratorParams(
     grid_width=4,
@@ -55,9 +54,7 @@ def main() -> int:
 
         # The heuristic's bound is its strengthened root, and its model the plain one.
         confl = heur.confl
-        cols = confl.model.variables
-        exact = bnb.solve_mip(prepare(confl.model), cols.lower, cols.upper,
-                              deadline=time.monotonic() + 120.0)
+        exact = bnb.Session(confl.model).mip({}, deadline=time.monotonic() + 120.0)
         if exact.status != "optimal" or heur.status != "feasible":
             print(f"seed {seed}: exact={exact.status}, heuristic={heur.status}; skipped")
             seed += 1

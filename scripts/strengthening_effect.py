@@ -3,17 +3,17 @@
 
 Prints, per seeded instance, the plain relaxation value, the strengthened
 one, the number of strengthening rows and the relative bound improvement.
-The strengthened value comes from the cut loop on the plain matrix, which
-appends only the rows the plain optimum violates.
+The strengthened value comes from the cut loop of a solver session on the
+plain model, which appends only the rows the plain optimum violates.
 
 Usage: python scripts/strengthening_effect.py [n_instances]
 """
 
 import sys
 
+from confl3.bnb import Session
 from confl3.confl import build_3confl, conflict_pairs, strengthening_pairs
 from confl3.instance_io import GeneratorParams, generate
-from confl3.simplex import prepare, separate, solve_prepared
 
 # Sparse wireless coverage with a high power floor: users mostly have a
 # single candidate server, every open transmitter interferes, so the
@@ -49,10 +49,9 @@ def main() -> int:
             continue
         plain = build_3confl(instance)
         pairs = strengthening_pairs(plain, instance)
-        prep = prepare(plain.model)
-        lo, hi = plain.model.variables.lower, plain.model.variables.upper
-        lp_plain = solve_prepared(prep, lo, hi)
-        _, lp_strong = separate(prep, lo, hi, lp_plain, pairs)
+        session = Session(plain.model)
+        lp_plain = session.root()
+        lp_strong = session.cut({}, lp_plain, pairs)
         if lp_plain.status != "optimal" or lp_strong.status != "optimal":
             seed += 1
             continue

@@ -5,7 +5,7 @@ prepared matrix (:func:`confl3.simplex.prepare`, possibly with rows
 appended), the variable bounds of the problem as two vectors, and
 optionally an optimal basis of the same matrix under other bounds.  The
 binaries are the prepared matrix's binary ids.  So a caller that solves
-many problems over one matrix, such as the fixing heuristic, prepares it
+many problems over one matrix, such as a :class:`Session`, prepares it
 once and changes only the bounds.  Time is one absolute
 :func:`time.monotonic` deadline that the caller takes once and hands down;
 the tree checks it before each node, never inside an LP.
@@ -30,6 +30,16 @@ extends it over the rows cut since).  Nodes keep that basis, never its
 inverse.  An incumbent is one float array indexed by variable id.
 Deterministic given its arguments: ties in the node heap fall back to
 creation order.
+
+A :class:`Session` is the one way the heuristic, ``exact`` and the scripts
+drive the bundled solvers.  It prepares a model's matrix once and solves
+under the model's bounds with some variables pinned: :meth:`Session.lp` an
+LP, :meth:`Session.cut` the cut loop from an LP's result,
+:meth:`Session.mip` branch and bound, with ``<=`` rows appended for that
+call only.  :meth:`Session.root` solves the plain root LP from the slack
+basis and keeps its optimal basis as the start of every later call; before
+it, calls start from the slack basis.  Only the session knows the prepared
+matrix and the basis, so it is where another backend would plug in.
 """
 
 from __future__ import annotations
@@ -41,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .milp import Assignment
+from .milp import Assignment, Model
 from . import simplex
 
 OPTIMAL = "optimal"
@@ -166,6 +176,49 @@ def solve_mip(prep: simplex.PreparedLp, lo: np.ndarray, hi: np.ndarray, *,
         bound = open_bound if heap else -math.inf
         return MipResult(TIMEOUT_NO_INCUMBENT, None, None, bound, nodes)
     return MipResult(INFEASIBLE, None, None, math.inf, nodes)
+
+
+class Session:
+    """The bundled solvers on one model's matrix, prepared once.  `pins`
+    maps variable ids to the values they are fixed at, under the model's
+    bounds; every call starts from the basis :meth:`root` kept, or from the
+    slack basis before it."""
+
+    def __init__(self, model: Model):
+        self._prep = simplex.prepare(model)
+        self._lo, self._hi = model.variables.lower, model.variables.upper
+        self._basis: simplex.Basis | None = None
+
+    def _bounds(self, pins: dict[int, float]) -> tuple[np.ndarray, np.ndarray]:
+        lo, hi = self._lo.copy(), self._hi.copy()
+        lo[list(pins)] = hi[list(pins)] = list(pins.values())
+        return lo, hi
+
+    def root(self) -> simplex.LpResult:
+        """The plain root LP, solved from the slack basis; an optimal
+        basis becomes the start of every later call."""
+        res = simplex.solve_prepared(self._prep, self._lo, self._hi)
+        self._basis = res.basis
+        return res
+
+    def lp(self, pins: dict[int, float]) -> simplex.LpResult:
+        return simplex.solve_prepared(self._prep, *self._bounds(pins), self._basis)
+
+    def cut(self, pins: dict[int, float], res: simplex.LpResult,
+            pool: np.ndarray) -> simplex.LpResult:
+        """The cut loop over the pair rows `pool` from `res`, an optimum of
+        :meth:`lp` under the same `pins` (see :func:`confl3.simplex.separate`)."""
+        return simplex.separate(self._prep, *self._bounds(pins), res, pool)[1]
+
+    def mip(self, pins: dict[int, float], *, deadline: float, rows=None,
+            pool: np.ndarray | None = None) -> MipResult:
+        """:func:`solve_mip` until `deadline`, cuts from `pool`, with the
+        ``<=`` rows `rows`, a ``(cols, coefs, rhs)`` triple as
+        :func:`confl3.simplex.append_rows` takes it, appended for this call
+        only."""
+        prep = self._prep if rows is None else simplex.append_rows(self._prep, *rows)
+        return solve_mip(prep, *self._bounds(pins), deadline=deadline, basis=self._basis,
+                         pool=pool)
 
 
 def _frozen(bounds: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from . import bnb, simplex
+from . import bnb
 from .confl import (TECHNOLOGIES, UnattainableCoverageError, build_3confl,
                     strengthening_pairs, verify_solution)
 from .heuristic import HeuristicParams, ogap, run
@@ -251,13 +251,11 @@ def _cmd_exact(args) -> int:
         raise ValueError("time_limit must be positive")
     _check_output(args.output)
     instance = _load_instance(args.instance)
-    # The deadline covers the model build, the pool and `prepare` too.
+    # The deadline covers the model build, the pool and the session's prepared matrix too.
     deadline = time.monotonic() + args.time_limit
     confl = build_3confl(instance)
     pool = strengthening_pairs(confl, instance) if args.strong else None
-    cols = confl.model.variables
-    res = bnb.solve_mip(simplex.prepare(confl.model), cols.lower, cols.upper,
-                        deadline=deadline, pool=pool)
+    res = bnb.Session(confl.model).mip({}, deadline=deadline, pool=pool)
     _write_solution(
         args.output, "exact", instance, confl, res.status, res.objective, res.lower_bound,
         res.incumbent,

@@ -14,18 +14,16 @@ inside a hamming ball around the fixing.  A final improvement pass runs
 the same neighborhood search around the best solution with an objective
 cutoff.  All of it runs under one deadline (see :func:`run`).
 
-A :class:`HeuristicContext` is the solve session of a run: the plain
-model, its matrix prepared once with its root's optimal basis, and the
+A :class:`HeuristicContext` holds what a run shares: the plain model, a
+:class:`confl3.bnb.Session` on it whose root LP is solved, and the
 strengthening rows as variable pairs, straight from
-:func:`confl3.confl.strengthening_pairs`.  Fixing relaxations change only
-bounds, start from that basis and are memoized; a strengthened one then
-runs the cut loop branch and bound shares
-(:func:`confl3.simplex.separate`), appending the violated pairs.  Pinned
-checks (bound overlays) and VLNS (appended hamming and cutoff rows) solve
-the plain matrix from the root basis, which the solver extends over
-appended rows; :func:`run` checks each distinct opening state once, as B&B
-is deterministic.  Solutions are the solvers' arrays, one float per
-variable id of the plain model.
+:func:`confl3.confl.strengthening_pairs`.  Fixing relaxations pin openings
+and are memoized; a strengthened one then runs the session's cut loop,
+which appends the violated pairs.  Pinned checks pin the opening state and
+VLNS passes its hamming and cutoff rows, both to the session's branch and
+bound; :func:`run` checks each distinct opening state once, as B&B is
+deterministic.  Solutions are the solvers' arrays, one float per variable
+id of the plain model.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bnb, simplex
+from . import bnb
 from .confl import (TECHNOLOGIES, ConflModel, Instance, UnattainableCoverageError,
                     build_3confl, check_attainable, covers, strengthening_pairs)
 from .milp import Assignment
@@ -136,11 +134,11 @@ class RunResult:
 
 
 class HeuristicContext:
-    """The solve session of one instance: the plain model, its prepared
-    matrix with its root's optimal basis (`root_basis`), the strengthening
-    pairs (`pool`), the strengthened root bound, the opening reach its
-    screen checked (`potential`), a memo of fixing LPs and the `deadline`
-    (a :func:`time.monotonic` value) its sub-solves share.
+    """What one run on an instance shares: the plain model, a solver
+    `session` on it with its root LP solved, the strengthening pairs
+    (`pool`), the strengthened root bound, the opening reach its screen
+    checked (`potential`), a memo of fixing LPs and the `deadline` (a
+    :func:`time.monotonic` value) its sub-solves share.
 
     Raises :class:`UnattainableCoverageError` for an instance with no
     solution: first the :func:`check_attainable` screen, which names the
@@ -151,17 +149,12 @@ class HeuristicContext:
         self.plain = build_3confl(instance)
         self.potential = check_attainable(instance)
         self.pool = strengthening_pairs(self.plain, instance)
-        self.plain_prep = simplex.prepare(self.plain.model)
-        cols = self.plain.model.variables
-        self.base_lo, self.base_hi = cols.lower, cols.upper
-        plain_root = simplex.solve_prepared(self.plain_prep, self.base_lo, self.base_hi)
-        _, root = simplex.separate(self.plain_prep, self.base_lo, self.base_hi, plain_root,
-                                   self.pool)
-        if root.status != simplex.OPTIMAL:
+        self.session = bnb.Session(self.plain.model)
+        root = self.session.cut({}, self.session.root(), self.pool)
+        if root.status != bnb.OPTIMAL:
             raise UnattainableCoverageError(
                 "coverage thresholds are unattainable: the strengthened relaxation is infeasible")
         self.root_value = root.objective
-        self.root_basis = plain_root.basis
         self._memo: dict[tuple[bool, frozenset], float | None] = {}
 
     def relaxation_value(self, strong: bool, ones: frozenset) -> float | None:
@@ -169,13 +162,11 @@ class HeuristicContext:
         given (facility, technology) openings forced to 1; None if infeasible.
         A strengthened value starts from the plain one, which is memoized too."""
         if (strong, ones) not in self._memo:
-            lo = self.base_lo.copy()
-            lo[[self.plain.z[key] for key in ones]] = 1.0
-            res = simplex.solve_prepared(self.plain_prep, lo, self.base_hi, self.root_basis)
+            pins = {self.plain.z[key]: 1.0 for key in ones}
+            res = self.session.lp(pins)
             self._memo[False, ones] = res.objective
             if strong:
-                _, res = simplex.separate(self.plain_prep, lo, self.base_hi, res, self.pool)
-                self._memo[True, ones] = res.objective
+                self._memo[True, ones] = self.session.cut(pins, res, self.pool).objective
         return self._memo[strong, ones]
 
     def score(self, value: float | None) -> float:
@@ -279,10 +270,8 @@ def check_and_repair(instance: Instance, ctx: HeuristicContext, fos: FOS,
     ball around the same pins.  `instance` is the context's instance."""
     center = {(fid, t): 1.0 if (fid, t) in fos.entries else 0.0
               for fid in fos.facilities() for t in TECHNOLOGIES}
-    lo, hi = ctx.base_lo.copy(), ctx.base_hi.copy()
-    pinned = [ctx.plain.z[key] for key in center]
-    lo[pinned] = hi[pinned] = list(center.values())
-    res = _sub_mip(ctx, params, params.subproblem_time_limit, ctx.plain_prep, lo, hi)
+    pins = {ctx.plain.z[key]: value for key, value in center.items()}
+    res = _sub_mip(ctx, params, params.subproblem_time_limit, pins)
     if res.has_solution():
         return SolveOutcome(res.status, res.incumbent, res.objective)
     return vlns(instance, ctx, center, params)
@@ -297,12 +286,11 @@ def vlns(instance: Instance, ctx: HeuristicContext, center: dict[tuple[str, int]
     pins; other opening variables do not enter the distance.  With a
     `cutoff` (an incumbent objective) it is an improve search: an objective
     row strictly below the cutoff is added, so only improving solutions can
-    come back.  Without one it is a repair.  Both are ``<=`` rows appended
-    to the context's plain matrix; `instance` is the context's instance.
+    come back.  Without one it is a repair.  Both are ``<=`` rows of this
+    sub-MIP alone; `instance` is the context's instance.
     """
     n = params.radius(len(instance.facilities))
 
-    prep = ctx.plain_prep
     cols, coefs, rhs = [], [], []
     if center:
         cols.append([ctx.plain.z[key] for key in center])
@@ -311,25 +299,22 @@ def vlns(instance: Instance, ctx: HeuristicContext, center: dict[tuple[str, int]
     if cutoff is not None:
         # Margin well above the LP feasibility tolerance, or the solver can
         # tolerance-accept points sitting on the cutoff plane.
-        priced = np.flatnonzero(prep.costs)
-        cols.append(priced)
-        coefs.append(prep.costs[priced])
+        cols.append(list(ctx.plain.model.objective))
+        coefs.append(list(ctx.plain.model.objective.values()))
         rhs.append(cutoff - 1e-4 * max(1.0, abs(cutoff)))
-    res = _sub_mip(ctx, params, params.vlns_time_limit,
-                   simplex.append_rows(prep, cols, coefs, np.array(rhs)),
-                   ctx.base_lo, ctx.base_hi)
+    res = _sub_mip(ctx, params, params.vlns_time_limit, {}, (cols, coefs, np.array(rhs)))
     return SolveOutcome(res.status, res.incumbent, res.objective, cutoff is None)
 
 
 def _sub_mip(ctx: HeuristicContext, params: HeuristicParams, cap: float,
-             prep: simplex.PreparedLp, lo: np.ndarray, hi: np.ndarray) -> bnb.MipResult:
-    """Branch and bound from the root basis until `cap` seconds from now or
-    the context's deadline, whichever comes first (the deadline alone in
-    test mode, where it is infinite)."""
+             pins: dict[int, float], rows=None) -> bnb.MipResult:
+    """The session's branch and bound under `pins` and `rows` until `cap`
+    seconds from now or the context's deadline, whichever comes first (the
+    deadline alone in test mode, where it is infinite)."""
     deadline = ctx.deadline
     if not params.test_iterations:
         deadline = min(time.monotonic() + cap, deadline)
-    return bnb.solve_mip(prep, lo, hi, deadline=deadline, basis=ctx.root_basis)
+    return ctx.session.mip(pins, deadline=deadline, rows=rows)
 
 
 def tau_update(tau: AttractivenessTable, sigma_solutions: list[tuple[FOS, float]],

@@ -408,3 +408,88 @@ def test_no_pool_appends_nothing(monkeypatch):
     monkeypatch.setattr(simplex, "append_rows", None)
     r = solve_model(build_3confl(generate(DESK, 2)).model, 60.0)
     assert r.status == bnb.OPTIMAL
+
+
+def _recording_lps(monkeypatch) -> list:
+    """Record every `simplex.solve_prepared` call as (lo, hi, start basis,
+    result), the bounds copied."""
+    calls = []
+    solve_prepared = simplex.solve_prepared
+
+    def recording(prep, lo, hi, basis=None):
+        calls.append((np.array(lo), np.array(hi), basis, solve_prepared(prep, lo, hi, basis)))
+        return calls[-1][3]
+
+    monkeypatch.setattr(simplex, "solve_prepared", recording)
+    return calls
+
+
+def _desk_pins(confl) -> dict[int, float]:
+    """Open the first facility on fiber and close its other technologies."""
+    fid = sorted(confl.z)[0][0]
+    return {confl.z[fid, t]: float(t == 1) for t in (1, 2, 3)}
+
+
+class TestSession:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_before_root_a_mip_is_the_tree_of_a_fresh_prepare(self, seed, monkeypatch):
+        model = build_3confl(generate(DESK, seed)).model
+        cols = model.variables
+        calls = _recording_lps(monkeypatch)
+        want = bnb.solve_mip(simplex.prepare(model), cols.lower, cols.upper)
+        want_lps, calls[:] = list(calls), []
+        got = bnb.Session(model).mip({}, deadline=math.inf)
+        assert want.status == bnb.OPTIMAL and want.nodes > 10
+        assert ((got.status, got.nodes, got.objective, got.lower_bound)
+                == (want.status, want.nodes, want.objective, want.lower_bound))
+        assert np.array_equal(got.incumbent, want.incumbent)
+        assert len(calls) == len(want_lps)
+        for (lo, hi, basis, res), (want_lo, want_hi, want_basis, want_res) in zip(calls, want_lps):
+            assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
+            assert (basis is None) == (want_basis is None)
+            assert (res.status, res.objective) == (want_res.status, want_res.objective)
+
+    def test_after_root_lp_and_mip_start_from_the_root_basis(self, monkeypatch):
+        confl = build_3confl(generate(DESK, 1))
+        session = bnb.Session(confl.model)
+        calls = _recording_lps(monkeypatch)
+        session.lp({})
+        assert calls[-1][2] is None  # the slack basis before root()
+        root = session.root()
+        assert root.status == simplex.OPTIMAL and calls[-1][2] is None
+        pins = _desk_pins(confl)
+        for solve in (lambda: session.lp(pins), lambda: session.mip(pins, deadline=math.inf)):
+            calls[:] = []
+            solve()
+            assert calls[0][2] is root.basis
+
+    def test_rows_of_one_mip_are_gone_after_it(self):
+        model = build_3confl(generate(DESK, 3)).model
+        want = solve_model(model, 60.0)
+        assert want.status == bnb.OPTIMAL and want.objective > 1.0
+        session = bnb.Session(model)
+        session.root()
+        below = want.objective - 1.0   # no point costs less than the optimum
+        cutoff = ([list(model.objective)], [list(model.objective.values())], np.array([below]))
+        assert session.mip({}, deadline=math.inf, rows=cutoff).status == bnb.INFEASIBLE
+        got = session.mip({}, deadline=math.inf)
+        assert got.status == bnb.OPTIMAL
+        assert got.objective == pytest.approx(want.objective, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_lp_agrees_with_solve_prepared_under_the_same_bounds(self, seed):
+        confl = build_3confl(generate(DESK, seed))
+        cols = confl.model.variables
+        pins = _desk_pins(confl)
+        lo, hi = cols.lower.copy(), cols.upper.copy()
+        lo[list(pins)] = hi[list(pins)] = list(pins.values())
+        want = simplex.solve_prepared(simplex.prepare(confl.model), lo, hi)
+        session = bnb.Session(confl.model)
+        cold = session.lp(pins)   # from the slack basis, as `want`
+        assert cold.status == want.status and cold.objective == want.objective
+        session.root()
+        warm = session.lp(pins)
+        assert warm.status == want.status
+        if want.status == simplex.OPTIMAL:
+            assert warm.objective == pytest.approx(want.objective, rel=1e-9, abs=1e-9)
+            assert np.all(warm.assignment >= lo) and np.all(warm.assignment <= hi)

@@ -425,7 +425,7 @@ class TestCheckAndRepair:
         real_solve = heur_mod.bnb.solve_mip
         calls = {"n": 0}
 
-        def starving_solve(prep, lo, hi, *, deadline, node_limit=None, basis=None):
+        def starving_solve(prep, lo, hi, *, deadline, node_limit=None, basis=None, pool=None):
             calls["n"] += 1
             if calls["n"] == 1:
                 return real_solve(prep, lo, hi, deadline=deadline, node_limit=0, basis=basis)
@@ -683,7 +683,7 @@ class TestOneClock:
         caps = [params.subproblem_time_limit]
         real_solve, real_vlns = bnb.solve_mip, heuristic.vlns
 
-        def spending_solve(prep, lo, hi, *, deadline, node_limit=None, basis=None):
+        def spending_solve(prep, lo, hi, *, deadline, node_limit=None, basis=None, pool=None):
             # The sub-solve's deadline less the reading `_sub_mip` took.
             budget = deadline - readings[-1]
             budgets.append((budget, caps[-1], run_deadline - readings[-1]))
