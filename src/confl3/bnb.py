@@ -18,6 +18,7 @@ left at its initial value, the objective coefficient (Linderoth &
 Savelsbergh, INFORMS J. Comput. 11, 1999; Achterberg, Koch & Martin, Oper.
 Res. Lett. 33, 2005): a binary that moves the objective most is branched on
 first, and zero-cost binaries only when no costed binary is fractional.
+:func:`ogap` measures a gap with the tolerance the tree prunes by.
 Cuts come from an
 optional pool of valid rows ``x_a + x_b <= 1``, a (k, 2) array of variable
 ids such as :func:`confl3.confl.strengthening_pairs` returns: each node runs
@@ -230,3 +231,18 @@ def _frozen(bounds: np.ndarray) -> np.ndarray:
 
 def _gap_eps(obj: float) -> float:
     return 1e-9 * max(1.0, abs(obj))
+
+
+def ogap(v: float, lower: float) -> float:
+    """Optimality gap (v - L) / v of a feasible value against a lower bound;
+    0 when they are equal, a zero-cost optimum included, and when the bound
+    exceeds the value by at most the tree's pruning tolerance :func:`_gap_eps`
+    (1e-9, relative above 1).  A larger excess means the bound or the value
+    is wrong, and raises ``ValueError``."""
+    if v == lower or 0 < lower - v <= _gap_eps(v):
+        return 0.0
+    if not v > 0:
+        raise ValueError(f"ogap needs a positive feasible value, got {v}")
+    if lower > v:
+        raise ValueError(f"bound inconsistency: lower bound {lower} exceeds value {v}")
+    return (v - lower) / v

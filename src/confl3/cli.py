@@ -23,7 +23,7 @@ import numpy as np
 from . import bnb
 from .confl import (TECHNOLOGIES, UnattainableCoverageError, build_3confl,
                     strengthening_pairs, verify_solution)
-from .heuristic import HeuristicParams, ogap, run
+from .heuristic import HeuristicParams, run
 from .instance_io import (
     GeneratorParams,
     SchemaError,
@@ -178,7 +178,7 @@ def _write_solution(path: str, kind: str, instance, confl, status: str,
         "status": status,
         "objective": objective,
         "lower_bound": None if math.isinf(lower_bound) else lower_bound,
-        "gap": None if objective is None else ogap(objective, lower_bound),
+        "gap": None if objective is None else bnb.ogap(objective, lower_bound),
         "assignment": None,
         "verified": False,
         **fields,

@@ -272,7 +272,7 @@ def build_3confl(instance: Instance) -> ConflModel:
     per-(facility, user) big-M SIR rows and semi-continuous power bounds.
     The one gate of an instance, read or built by hand: :func:`validate_instance`
     runs first, so an instance of another shape raises before a model exists.
-    Each variable family is added, and given its costs, by one call, and all
+    Each variable family is added with its costs by one call, and all
     row families are appended by one :meth:`Model.add_rows` call."""
     validate_instance(instance)
     w = instance.wireless
@@ -281,19 +281,18 @@ def build_3confl(instance: Instance) -> ConflModel:
     arcs += [(a.tail, a.head, a.cost) for a in instance.core_arcs]
 
     keys = [(f.id, t) for f in instance.facilities for t in TECHNOLOGIES]
-    z = dict(zip(keys, m.add_variables([f"z_{f}_t{t}" for f, t in keys], BINARY, 0, 1)))
-    m.set_objective_coefs(z.values(), [f.open_cost[t] for f in instance.facilities
-                                       for t in TECHNOLOGIES])
+    z = dict(zip(keys, m.add_variables([f"z_{f}_t{t}" for f, t in keys], BINARY, 0, 1,
+                                       [f.open_cost[t] for f in instance.facilities
+                                        for t in TECHNOLOGIES])))
 
     x = dict(zip([(tail, head) for tail, head, _ in arcs],
-                 m.add_variables([f"x_{tail}_{head}" for tail, head, _ in arcs], BINARY, 0, 1)))
-    m.set_objective_coefs(x.values(), [cost for _, _, cost in arcs])
+                 m.add_variables([f"x_{tail}_{head}" for tail, head, _ in arcs], BINARY, 0, 1,
+                                 [cost for _, _, cost in arcs])))
 
     assigned = [(a, t) for t in TECHNOLOGIES for a in instance.assignment_arcs.get(t, [])]
     y = dict(zip([(a.facility, a.user, t) for a, t in assigned],
                  m.add_variables([f"y_{a.facility}_{a.user}_t{t}" for a, t in assigned],
-                                 BINARY, 0, 1)))
-    m.set_objective_coefs(y.values(), [a.cost for a, _ in assigned])
+                                 BINARY, 0, 1, [a.cost for a, _ in assigned])))
 
     keys = [(u.id, t) for u in instance.users for t in TECHNOLOGIES]
     v = dict(zip(keys, m.add_variables([f"v_{u}_t{t}" for u, t in keys], BINARY, 0, 1)))

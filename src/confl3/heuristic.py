@@ -179,21 +179,6 @@ class HeuristicContext:
         return max(EPS_TAU, self.root_value / value)
 
 
-def ogap(v: float, lower: float) -> float:
-    """Optimality gap (v - L) / v of a feasible value against a lower bound;
-    0 when they are equal, a zero-cost optimum included, and when the bound
-    exceeds the value by at most branch and bound's pruning tolerance (1e-9,
-    relative above 1).  A larger excess means the bound or the value is
-    wrong, and raises ``ValueError``."""
-    if v == lower or 0 < lower - v <= bnb._gap_eps(v):
-        return 0.0
-    if not v > 0:
-        raise ValueError(f"ogap needs a positive feasible value, got {v}")
-    if lower > v:
-        raise ValueError(f"bound inconsistency: lower bound {lower} exceeds value {v}")
-    return (v - lower) / v
-
-
 def attractiveness_init(instance: Instance, ctx: HeuristicContext) -> AttractivenessTable:
     """One strengthened-relaxation solve per (facility, technology) opening;
     scores are the root value over the fixed value, floored when infeasible.
@@ -285,9 +270,10 @@ def vlns(instance: Instance, ctx: HeuristicContext, center: dict[tuple[str, int]
     `center` maps (facility, technology) to 0/1 over the coordinates it
     pins; other opening variables do not enter the distance.  With a
     `cutoff` (an incumbent objective) it is an improve search: an objective
-    row strictly below the cutoff is added, so only improving solutions can
-    come back.  Without one it is a repair.  Both are ``<=`` rows of this
-    sub-MIP alone; `instance` is the context's instance.
+    row strictly below the cutoff is added, the plain model's nonzero costs
+    on their variables, so only improving solutions can come back.  Without
+    one it is a repair.  Both are ``<=`` rows of this sub-MIP alone;
+    `instance` is the context's instance.
     """
     n = params.radius(len(instance.facilities))
 
@@ -297,10 +283,12 @@ def vlns(instance: Instance, ctx: HeuristicContext, center: dict[tuple[str, int]
         coefs.append([-1.0 if value >= 0.5 else 1.0 for value in center.values()])
         rhs.append(float(n - sum(value >= 0.5 for value in center.values())))
     if cutoff is not None:
+        cost = ctx.plain.model.variables.cost
+        costed = np.flatnonzero(cost)
+        cols.append(costed)
+        coefs.append(cost[costed])
         # Margin well above the LP feasibility tolerance, or the solver can
         # tolerance-accept points sitting on the cutoff plane.
-        cols.append(list(ctx.plain.model.objective))
-        coefs.append(list(ctx.plain.model.objective.values()))
         rhs.append(cutoff - 1e-4 * max(1.0, abs(cutoff)))
     res = _sub_mip(ctx, params, params.vlns_time_limit, {}, (cols, coefs, np.array(rhs)))
     return SolveOutcome(res.status, res.incumbent, res.objective, cutoff is None)
@@ -326,12 +314,12 @@ def tau_update(tau: AttractivenessTable, sigma_solutions: list[tuple[FOS, float]
     was built from.  Degenerate baseline (zero average gap) skips the
     update.
     """
-    base_gap = ogap(v_bar, min(lower, v_bar))
+    base_gap = bnb.ogap(v_bar, min(lower, v_bar))
     if base_gap <= 1e-15:
         return tau
     new_tau = dict(tau.tau)
     for fos, value in sigma_solutions:
-        rel = (base_gap - ogap(value, min(lower, value))) / base_gap
+        rel = (base_gap - bnb.ogap(value, min(lower, value))) / base_gap
         for key in fos.entries:
             new_tau[key] = max(EPS_TAU, new_tau[key] + tau.tau0[key] * rel)
     return AttractivenessTable(tau=new_tau, tau0=dict(tau.tau0))
@@ -413,4 +401,4 @@ def run(instance: Instance, params: HeuristicParams) -> RunResult:
     objective = best.objective
     lower = min(lower, objective)
     return RunResult("feasible", best.assignment, objective, lower,
-                     ogap(objective, lower), trace, outer, ctx.plain)
+                     bnb.ogap(objective, lower), trace, outer, ctx.plain)

@@ -30,7 +30,7 @@ from .confl import (
     check_attainable,
     validate_instance,
 )
-from .heuristic import ogap
+from .bnb import ogap
 
 FORMAT_TAG = "confl3-instance/1"
 
@@ -64,7 +64,6 @@ class GeneratorParams:
     delta: float = 2.0
     eta_noise: float = 0.05
     pathloss_exponent: float = 3.0
-    reference_distance: float = 1.0
     max_retries: int = 20
 
     def validate(self) -> None:
@@ -194,9 +193,7 @@ def _generate_once(params: GeneratorParams, rng: np.random.Generator, seed: int)
     for f in facilities:
         for u in users:
             d = _dist(f.position, u.position)
-            fading[f.id, u.id] = min(
-                1.0, (params.reference_distance / d) ** params.pathloss_exponent
-            )
+            fading[f.id, u.id] = min(1.0, (1.0 / d) ** params.pathloss_exponent)
     wireless = WirelessParams(
         p_min=params.p_min,
         p_max=params.p_max,

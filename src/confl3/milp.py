@@ -1,19 +1,21 @@
 """Solver-agnostic MILP intermediate representation.
 
-A :class:`Model` is a block of variables (binary or continuous, with
-bounds), a block of linear rows and a minimization objective.  Both blocks
-are immutable values of read-only arrays.  The variables are one
-:class:`Columns` value: a name, a binary flag and two bounds per variable
-id.  A row is its column ids and its coefficients, nothing else: the rows
-are one :class:`Rows` value of CSR-style row starts, column ids and
-coefficients, plus a sense and a right-hand side for each row.
-:meth:`Model.add_variables` appends a family of variables of one kind and
-one pair of bounds; :meth:`Model.add_rows` appends rows given as (k, L)
-arrays, as k sequences (:func:`flatten_rows` reads both) or flat with their
-lengths.  The checks of either call run over the whole family, a failed
-check appends nothing, and an append replaces the model's value by a new
-one.  :attr:`Model.variables` and :attr:`Model.constraints` hand the values
-to the consumers (:func:`export_lp_text`, ``simplex.prepare``).
+A :class:`Model` minimizes the total cost of a block of variables (binary
+or continuous, with bounds) under a block of linear rows.  Both blocks are
+immutable values of read-only arrays.  The variables are one
+:class:`Columns` value: a name, a binary flag, two bounds and a cost per
+variable id, each set when the variable is added.  A row is its column ids
+and its coefficients, nothing else: the rows are one :class:`Rows` value
+of CSR-style row starts, column ids and coefficients, plus a sense and a
+right-hand side for each row.  :meth:`Model.add_variables` appends a
+family of variables of one kind and one pair of bounds, with their costs;
+:meth:`Model.add_rows` appends rows given as (k, L) arrays, as k sequences
+(:func:`flatten_rows` reads both) or flat with their lengths.  The checks
+of either call run over the whole family, a failed check appends nothing,
+and an append replaces the model's value by a new one.
+:attr:`Model.variables` and :attr:`Model.constraints` hand the values to
+the consumers (``simplex.prepare``, and :func:`export_lp_text`, whose
+objective line lists the nonzero costs in id order).
 
 Models are treated as immutable once built: every transformation
 (:func:`lp_relaxation`, :func:`apply_fixings`) returns a fresh copy.
@@ -72,16 +74,18 @@ class Rows:
 @dataclass(frozen=True)
 class Columns:
     """The variables of a model as read-only arrays.  Variable ``i`` is
-    named ``names[i]``, is binary when ``binary[i]`` and has the bounds
-    ``lower[i]`` and ``upper[i]``."""
+    named ``names[i]``, is binary when ``binary[i]``, has the bounds
+    ``lower[i]`` and ``upper[i]`` and the objective coefficient
+    ``cost[i]``."""
 
     names: np.ndarray    # (n,) object, str
     binary: np.ndarray   # (n,) bool
     lower: np.ndarray    # (n,)
     upper: np.ndarray    # (n,)
+    cost: np.ndarray     # (n,)
 
     def __post_init__(self):
-        for a in (self.names, self.binary, self.lower, self.upper):
+        for a in (self.names, self.binary, self.lower, self.upper, self.cost):
             a.flags.writeable = False
 
     def __len__(self) -> int:
@@ -89,7 +93,7 @@ class Columns:
 
 
 _NO_COLUMNS = Columns(np.empty(0, dtype=object), np.empty(0, dtype=bool), np.empty(0),
-                      np.empty(0))
+                      np.empty(0), np.empty(0))
 _NO_ROWS = Rows(np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0),
                 np.empty(0, dtype=np.int8), np.empty(0))
 
@@ -107,7 +111,6 @@ def flatten_rows(rows, dtype) -> tuple[np.ndarray, np.ndarray]:
 
 class Model:
     def __init__(self):
-        self.objective: dict[int, float] = {}
         self._names: set[str] = set()
         self._columns = _NO_COLUMNS
         self._rows = _NO_ROWS
@@ -122,15 +125,27 @@ class Model:
         """This model's rows as read-only arrays."""
         return self._rows
 
-    def add_variables(self, names, kind: str, lower: float, upper: float) -> range:
+    def add_variables(self, names, kind: str, lower: float, upper: float,
+                      cost=0.0) -> range:
         """Append one variable of `kind` with bounds [lower, upper] per name,
-        in order, and return their ids.  The checks run before any is
-        added: an unknown kind, then for each name in turn a name already
-        taken and bounds that are NaN, inverted or, for a binary, not in
-        {0, 1}; the error names the first variable that fails."""
+        in order, and return their ids.  `cost` is the objective coefficient
+        of every new variable or a sequence of one per name; each is added
+        to 0.0, so a cost of -0.0 reads 0.0.  The checks run before any is
+        added: an unknown kind, a cost count other than the name count, a
+        non-finite cost, then for each name in turn a name already taken and
+        bounds that are NaN, inverted or, for a binary, not in {0, 1}; the
+        error names the first variable that fails."""
         names = list(names)
         if kind not in (BINARY, CONTINUOUS):
             raise ValueError(f"unknown variable kind {kind!r}")
+        cost = 0.0 + np.asarray(cost, dtype=float)
+        if cost.ndim == 0:
+            cost = np.full(len(names), cost)
+        elif cost.shape != (len(names),):
+            raise ValueError("add_variables needs one cost or one cost per name")
+        bad = np.flatnonzero(~np.isfinite(cost))
+        if len(bad):
+            raise ValueError(f"non-finite cost {cost[bad[0]]} for {names[bad[0]]!r}")
         if math.isnan(lower) or math.isnan(upper):
             fault = "NaN bound for {!r}"
         elif lower > upper:
@@ -150,7 +165,8 @@ class Model:
         self._columns = Columns(np.concatenate([old.names, np.array(names, dtype=object)]),
                                 np.concatenate([old.binary, np.full(k, kind == BINARY)]),
                                 np.concatenate([old.lower, np.full(k, float(lower))]),
-                                np.concatenate([old.upper, np.full(k, float(upper))]))
+                                np.concatenate([old.upper, np.full(k, float(upper))]),
+                                np.concatenate([old.cost, cost]))
         self._names |= fresh
         return range(len(old), len(old) + k)
 
@@ -227,25 +243,8 @@ class Model:
                 i, message = locate(hits[0])
                 raise ValueError(f"{message} (row {len(self._rows.rhs) + int(i)})")
 
-    def set_objective_coefs(self, vids, costs) -> None:
-        """Add ``costs[i]`` to the objective coefficient of variable
-        ``vids[i]``, starting from 0.0 (so a cost of -0.0 reads 0.0).  An
-        unknown id, or a cost count other than the id count, raises before
-        any coefficient changes."""
-        vids, costs = list(vids), [float(cost) for cost in costs]
-        n = len(self.variables)
-        bad = [vid for vid in vids if not 0 <= vid < n]
-        if bad:
-            raise ValueError(f"objective references unknown variable id {bad[0]}")
-        if len(costs) != len(vids):
-            raise ValueError("set_objective_coefs needs one cost per variable id")
-        get = self.objective.get
-        for vid, cost in zip(vids, costs):
-            self.objective[vid] = get(vid, 0.0) + cost
-
     def copy(self) -> "Model":
         m = Model()
-        m.objective = dict(self.objective)
         m._names = set(self._names)
         m._columns = self._columns
         m._rows = self._rows
@@ -363,8 +362,10 @@ def export_lp_text(model: Model, out: TextIO, pairs: np.ndarray | None = None) -
     """Write `model` to the text stream `out` in the de-facto LP text format
     (Minimize / Subject To / Bounds / Binaries).
 
-    Deterministic: variables appear in insertion order, constraints are named
-    ``c0, c1, ...`` in insertion order, coefficients use shortest exact reprs.
+    Deterministic: variables appear in id order, the objective line with
+    the variables of nonzero cost only (``obj: 0`` when there are none),
+    constraints are named ``c0, c1, ...`` in insertion order, coefficients
+    use shortest exact reprs.
     `pairs`, an int64 (k, 2) array of variable ids such as
     ``confl.strengthening_pairs`` returns, adds the rows ``x_a + x_b <= 1``
     after the model's m rows, named ``c<m>`` on: the bytes are those of the
@@ -385,10 +386,9 @@ def export_lp_text(model: Model, out: TextIO, pairs: np.ndarray | None = None) -
             and np.all(pairs[:, 0] != pairs[:, 1])):
         raise ValueError("pairs must hold two distinct variable ids per row")
     lines = ["Minimize"]
-    if model.objective:
-        objective = np.fromiter(model.objective.values(), dtype=float)
-        lines += _lines(names, np.array([0, len(objective)]),
-                        np.fromiter(model.objective, dtype=np.int64), objective,
+    costed = np.flatnonzero(cols.cost)
+    if len(costed):
+        lines += _lines(names, np.array([0, len(costed)]), costed, cols.cost[costed],
                         lambda ids: [[" obj: "]])
     else:
         lines.append(" obj: 0")

@@ -202,11 +202,8 @@ def prepare(model: Model) -> PreparedLp:
         raise ProblemTooLargeError(m, n, size)
     sign = np.where(r.sense == SENSES.index(GE), -1.0, 1.0)
     entry_rows = r.entry_rows()
-    costs = np.zeros(n)
-    for vid, cost in model.objective.items():
-        costs[vid] += cost
     return PreparedLp(*_by_column(entry_rows, r.cols, sign[entry_rows] * r.coefs, n),
-                      sign * r.rhs, r.sense == SENSES.index(EQ), costs,
+                      sign * r.rhs, r.sense == SENSES.index(EQ), model.variables.cost,
                       np.flatnonzero(model.variables.binary))
 
 

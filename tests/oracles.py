@@ -45,7 +45,8 @@ def evaluate(model: Model, assignment: np.ndarray,
         raise ValueError(f"partial assignment: expected {n} values, got shape "
                          f"{np.shape(assignment)}")
     values = assignment.tolist()
-    objective = sum(cost * values[vid] for vid, cost in model.objective.items())
+    objective = sum(cost * values[vid]
+                    for vid, cost in enumerate(model.variables.cost.tolist()) if cost)
     rows = model.constraints
     # bincount adds each row's products in term order, as a running sum would.
     lhs = np.bincount(rows.entry_rows(), weights=rows.coefs * assignment[rows.cols],
@@ -83,9 +84,7 @@ def lp_vertex_optimum(model: Model) -> tuple[str, float | None, np.ndarray | Non
         planes.append((ej, lo[j]))
         planes.append((ej, hi[j]))
 
-    cost = np.zeros(n)
-    for vid, c in model.objective.items():
-        cost[vid] += c
+    cost = model.variables.cost
 
     def feasible(x: np.ndarray) -> bool:
         if np.any(x < lo - _FEAS) or np.any(x > hi + _FEAS):
@@ -123,10 +122,7 @@ def _highs_arrays(model: Model) -> tuple[np.ndarray, csr_array]:
     itself, not by :func:`simplex.prepare`."""
     r = model.constraints
     n = len(model.variables)
-    cost = np.zeros(n)
-    for vid, c in model.objective.items():
-        cost[vid] += c
-    return cost, csr_array((r.coefs, (r.entry_rows(), r.cols)), shape=(len(r.rhs), n))
+    return model.variables.cost, csr_array((r.coefs, (r.entry_rows(), r.cols)), shape=(len(r.rhs), n))
 
 
 def highs_lp_optimum(model: Model) -> tuple[str, float | None]:

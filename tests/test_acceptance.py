@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from confl3 import bnb, simplex
+from confl3.bnb import ogap
 from confl3.cli import main as cli_main
 from confl3.confl import TECHNOLOGIES, build_3confl, covers, strengthen, verify_solution
 from confl3.heuristic import (
@@ -20,7 +21,6 @@ from confl3.heuristic import (
     HeuristicContext,
     HeuristicParams,
     fixing_probabilities,
-    ogap,
     run,
     tau_update,
     vlns,

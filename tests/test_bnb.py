@@ -26,10 +26,7 @@ from solve import solve_model
 
 def test_cover_pair():
     m = Model()
-    a = m.add_variables(["x1"], BINARY, 0, 1)[0]
-    b = m.add_variables(["x2"], BINARY, 0, 1)[0]
-    m.set_objective_coefs([a], [1.0])
-    m.set_objective_coefs([b], [1.0])
+    a, b = m.add_variables(["x1", "x2"], BINARY, 0, 1, 1.0)
     add_row(m, [(a, 1.0), (b, 1.0)], GE, 1.0)
     r = solve_model(m, 10.0)
     assert r.status == bnb.OPTIMAL
@@ -39,8 +36,7 @@ def test_cover_pair():
 
 def test_contradictory_fixing_proved_infeasible():
     m = Model()
-    v = m.add_variables(["x1"], BINARY, 0, 1)[0]
-    m.set_objective_coefs([v], [1.0])
+    v = m.add_variables(["x1"], BINARY, 0, 1, 1.0)[0]
     add_row(m, [(v, 1.0)], GE, 1.0)
     r = solve_model(apply_fixings(m, {v: 0.0}), 10.0)
     assert r.status == bnb.INFEASIBLE
@@ -71,11 +67,8 @@ def test_branches_on_the_highest_weighted_fractionality(monkeypatch):
     binary closest to 0.5 with the lowest id is z, but b has the highest
     |c| * min(f, 1 - f), so the first child bounds b."""
     m = Model()
-    z = m.add_variables(["z"], BINARY, 0, 1)[0]
-    a = m.add_variables(["a"], BINARY, 0, 1)[0]
-    b = m.add_variables(["b"], BINARY, 0, 1)[0]
-    for vid, cost, scale in ((z, 0.0, 2.0), (a, 1.0, 2.0), (b, 10.0, 4.0)):
-        m.set_objective_coefs([vid], [cost])
+    z, a, b = m.add_variables(["z", "a", "b"], BINARY, 0, 1, [0.0, 1.0, 10.0])
+    for vid, scale in ((z, 2.0), (a, 2.0), (b, 4.0)):
         add_row(m, [(vid, scale)], GE, 1.0)
     root, j = _first_branch(m, monkeypatch)
     frac = root.assignment[[z, a, b]]
@@ -87,9 +80,8 @@ def test_branches_on_the_highest_weighted_fractionality(monkeypatch):
 
 def test_a_zero_cost_binary_is_branched_on_when_no_costed_one_is_fractional(monkeypatch):
     m = Model()
-    x = m.add_variables(["x"], BINARY, 0, 1)[0]
+    x = m.add_variables(["x"], BINARY, 0, 1, 1.0)[0]
     z = m.add_variables(["z"], BINARY, 0, 1)[0]
-    m.set_objective_coefs([x], [1.0])
     add_row(m, [(z, 2.0)], GE, 1.0)
     root, j = _first_branch(m, monkeypatch)
     assert root.assignment == pytest.approx([0.0, 0.5])
@@ -116,11 +108,11 @@ def test_desk_optimum_matches_highs(seed):
 
 def _random_milp(rng: np.random.Generator, n_bin=8, n_cont=3, n_cons=8) -> Model:
     m = Model()
-    bins = list(m.add_variables([f"b{i}" for i in range(n_bin)], BINARY, 0, 1))
-    conts = [m.add_variables([f"c{i}"], CONTINUOUS, 0.0, float(rng.uniform(1, 4)))[0]
-             for i in range(n_cont)]
-    for vid in bins + conts:
-        m.set_objective_coefs([vid], [float(rng.normal())])
+    upper = [float(rng.uniform(1, 4)) for _ in range(n_cont)]
+    costs = [float(rng.normal()) for _ in range(n_bin + n_cont)]
+    bins = list(m.add_variables([f"b{i}" for i in range(n_bin)], BINARY, 0, 1, costs[:n_bin]))
+    conts = [m.add_variables([f"c{i}"], CONTINUOUS, 0.0, u, c)[0]
+             for i, (u, c) in enumerate(zip(upper, costs[n_bin:]))]
     everything = bins + conts
     for _ in range(n_cons):
         terms = [(i, float(rng.normal())) for i in everything if rng.random() < 0.6]
@@ -146,12 +138,12 @@ def _feasible_milp(rng: np.random.Generator, n_bin=6, n_cont=3, n_cons=8) -> Mod
     construction: each row's right-hand side leaves a drawn point, binaries
     at 0 or 1 and continuous values inside their boxes, a positive slack."""
     m = Model()
-    bins = list(m.add_variables([f"b{i}" for i in range(n_bin)], BINARY, 0, 1))
     upper = rng.uniform(1, 4, size=n_cont)
-    conts = [m.add_variables([f"c{i}"], CONTINUOUS, 0.0, float(u))[0] for i, u in enumerate(upper)]
+    costs = [float(rng.normal()) for _ in range(n_bin + n_cont)]
+    bins = list(m.add_variables([f"b{i}" for i in range(n_bin)], BINARY, 0, 1, costs[:n_bin]))
+    conts = [m.add_variables([f"c{i}"], CONTINUOUS, 0.0, float(u), c)[0]
+             for i, (u, c) in enumerate(zip(upper, costs[n_bin:]))]
     everything = bins + conts
-    for vid in everything:
-        m.set_objective_coefs([vid], [float(rng.normal())])
     point = np.concatenate([rng.integers(0, 2, size=n_bin), rng.uniform(0.2, 0.8) * upper])
     for _ in range(n_cons):
         terms = [(i, float(rng.normal())) for i in everything if rng.random() < 0.6]
@@ -470,7 +462,8 @@ class TestSession:
         session = bnb.Session(model)
         session.root()
         below = want.objective - 1.0   # no point costs less than the optimum
-        cutoff = ([list(model.objective)], [list(model.objective.values())], np.array([below]))
+        costed = np.flatnonzero(model.variables.cost)
+        cutoff = ([costed], [model.variables.cost[costed]], np.array([below]))
         assert session.mip({}, deadline=math.inf, rows=cutoff).status == bnb.INFEASIBLE
         got = session.mip({}, deadline=math.inf)
         assert got.status == bnb.OPTIMAL

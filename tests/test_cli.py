@@ -709,6 +709,16 @@ def test_importing_the_package_loads_no_module():
     assert done.stdout == "[]\n"
 
 
+def test_reading_instances_loads_no_heuristic():
+    # The gap rule lives beside the tree's pruning tolerance in bnb, so the
+    # instance and report module needs nothing of the heuristic.
+    script = ("import sys, confl3.instance_io\n"
+              "print('confl3.heuristic' in sys.modules)\n")
+    done = _python(script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
 def _python(script: str) -> subprocess.CompletedProcess:
     """`script` run by a new interpreter that imports confl3 from this tree."""
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])

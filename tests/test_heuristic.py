@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from confl3 import bnb, confl, heuristic, simplex
+from confl3.bnb import ogap
 from confl3.confl import (TECHNOLOGIES, AssignmentArc, build_3confl, covers, strengthen,
                           verify_solution)
 from confl3.heuristic import (
@@ -22,7 +23,6 @@ from confl3.heuristic import (
     build_fos,
     check_and_repair,
     fixing_probabilities,
-    ogap,
     posterior_attractiveness,
     run,
     tau_update,
@@ -734,7 +734,9 @@ def _vlns_model(confl, center, radius, cutoff=None):
     add_row(model, [(confl.z[k], -1.0 if v >= 0.5 else 1.0) for k, v in sorted(center.items())],
             LE, float(radius - ones))
     if cutoff is not None:
-        add_row(model, list(model.objective.items()), LE, cutoff)
+        cost = model.variables.cost
+        costed = np.flatnonzero(cost)
+        add_row(model, list(zip(costed.tolist(), cost[costed].tolist())), LE, cutoff)
     return model
 
 

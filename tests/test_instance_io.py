@@ -51,19 +51,21 @@ class TestGenerate:
         assert a != b
 
     def test_fading_caps_at_one_inside_reference_distance(self):
-        params = GeneratorParams(**TINY, reference_distance=3.0)
-        inst = generate(params, 3)
+        # The reference distance is one pixel.  Facilities sit on lattice
+        # points and users at pixel centres, so the users inside it are
+        # those of the four pixels around a facility, sqrt(0.5) px away.
+        inst = generate(GeneratorParams(**TINY), 3)
         w = inst.wireless
-        close = [
-            (f, u)
-            for f in inst.facilities
-            for u in inst.users
-            if math.dist(f.position, u.position) <= 3.0
-        ]
+        dist = {(f.id, u.id): math.dist(f.position, u.position)
+                for f in inst.facilities for u in inst.users}
+        close = [pair for pair, d in dist.items() if d <= 1.0]
         assert close, "expected at least one pair within the reference distance"
-        for f, u in close:
-            assert w.fading[f.id, u.id] == 1.0
-        assert all(0.0 <= a <= 1.0 for a in w.fading.values())
+        for pair in close:
+            assert dist[pair] == pytest.approx(math.sqrt(0.5))
+            assert w.fading[pair] == 1.0
+        for pair, d in dist.items():
+            if d > 1.0:
+                assert w.fading[pair] == (1.0 / d) ** 3.0 < 1.0
 
     @pytest.mark.parametrize("seed", range(50))
     def test_small_instances_validate_and_build(self, seed):

@@ -37,11 +37,8 @@ def _export(m) -> str:
 
 def small_model():
     m = Model()
-    x1 = m.add_variables(["x1"], BINARY, 0, 1)[0]
-    x2 = m.add_variables(["x2"], BINARY, 0, 1)[0]
-    p = m.add_variables(["p"], CONTINUOUS, 0.0, 1.0)[0]
-    m.set_objective_coefs([x1], [2.0])
-    m.set_objective_coefs([p], [0.5])
+    x1, x2 = m.add_variables(["x1", "x2"], BINARY, 0, 1, [2.0, 0.0])
+    p = m.add_variables(["p"], CONTINUOUS, 0.0, 1.0, 0.5)[0]
     add_row(m, [(x1, 1.0), (x2, 1.0)], LE, 1.0)
     add_row(m, [(p, 1.0), (x1, -1.0)], LE, 0.0)
     return m, (x1, x2, p)
@@ -97,16 +94,56 @@ class TestAddVariable:
 
     def test_family_costs_add_from_zero_or_not_at_all(self):
         m = Model()
-        ids = m.add_variables(["a", "b"], CONTINUOUS, 0.0, 1.0)
-        m.set_objective_coefs(ids, [-0.0, 2.0])
-        assert math.copysign(1.0, m.objective[0]) == 1.0
-        with pytest.raises(ValueError, match="unknown variable id 2"):
-            m.set_objective_coefs([1, 2], [1.0, 1.0])
-        with pytest.raises(ValueError, match="one cost per variable id"):
-            m.set_objective_coefs([1, 0], [1.0])
-        assert m.objective == {0: 0.0, 1: 2.0}
-        m.set_objective_coefs([1, 1], [1.0, 0.5])
-        assert m.objective == {0: 0.0, 1: 3.5}
+        m.add_variables(["a", "b"], CONTINUOUS, 0.0, 1.0, [-0.0, 2.0])
+        m.add_variables(["c", "d"], CONTINUOUS, 0.0, 1.0, -0.0)
+        assert m.variables.cost.tolist() == [0.0, 2.0, 0.0, 0.0]
+        assert [math.copysign(1.0, c) for c in m.variables.cost.tolist()] == [1.0] * 4
+        with pytest.raises(ValueError, match="one cost per name"):
+            m.add_variables(["e", "f"], CONTINUOUS, 0.0, 1.0, [1.0])
+        assert len(m.variables) == 4
+
+    def test_a_family_takes_one_cost_or_one_per_name(self):
+        m = Model()
+        m.add_variables(["a"], BINARY, 0, 1)
+        m.add_variables(["b", "c"], BINARY, 0, 1, 1.5)
+        m.add_variables(["d", "e", "f"], CONTINUOUS, 0.0, 2.0, np.array([3.0, -1.0, 0.25]))
+        assert m.variables.cost.tolist() == [0.0, 1.5, 1.5, 3.0, -1.0, 0.25]
+        assert m.variables.cost.dtype == np.float64
+
+    @pytest.mark.parametrize("cost", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]], []])
+    def test_a_wrong_cost_count_adds_nothing(self, cost):
+        m = Model()
+        m.add_variables(["a"], BINARY, 0, 1, 4.0)
+        with pytest.raises(ValueError, match="add_variables needs one cost or one cost per name"):
+            m.add_variables(["b", "c"], BINARY, 0, 1, cost)
+        assert len(m.variables) == 1 and m.variables.cost.tolist() == [4.0]
+        # The names stay free.
+        assert m.add_variables(["b", "c"], BINARY, 0, 1, [5.0, 6.0]) == range(1, 3)
+        assert m.variables.cost.tolist() == [4.0, 5.0, 6.0]
+
+    @pytest.mark.parametrize("cost, name", [(math.nan, "a"), ([1.0, math.inf], "b"),
+                                            ([1.0, -math.inf], "b")])
+    def test_a_non_finite_cost_adds_nothing(self, cost, name):
+        m = Model()
+        with pytest.raises(ValueError, match=f"non-finite cost .* for '{name}'"):
+            m.add_variables(["a", "b"], CONTINUOUS, 0.0, 1.0, cost)
+        assert len(m.variables) == 0
+        assert m.add_variables(["a", "b"], CONTINUOUS, 0.0, 1.0) == range(2)
+
+    def test_costs_are_read_only_and_kept_by_copies(self):
+        m, (x1, _, p) = small_model()
+        cost = m.variables.cost
+        assert cost.tolist() == [2.0, 0.0, 0.5]
+        with pytest.raises(ValueError, match="read-only"):
+            cost[0] = 1.0
+        copy, relaxed = m.copy(), lp_relaxation(m)
+        fixed = apply_fixings(m, {x1: 1.0, p: 0.5})
+        for other in (copy, relaxed, fixed):
+            assert other.variables.cost is cost
+        # An append to a copy leaves the original's costs alone.
+        copy.add_variables(["q"], CONTINUOUS, 0.0, 1.0, 7.0)
+        assert copy.variables.cost.tolist() == [2.0, 0.0, 0.5, 7.0]
+        assert m.variables.cost is cost and cost.tolist() == [2.0, 0.0, 0.5]
 
     def test_variables_are_read_only_arrays_shared_by_copies(self):
         m, (x1, _, p) = small_model()
@@ -315,7 +352,7 @@ class TestApplyFixings:
         f = apply_fixings(m, {})
         assert column_list(f.variables) == column_list(m.variables)
         assert row_list(f.constraints) == row_list(m.constraints)
-        assert f.objective == m.objective
+        assert f.variables.cost is m.variables.cost
 
     def test_out_of_bounds_rejected(self):
         m, (_, _, p) = small_model()
@@ -370,12 +407,23 @@ class TestEvaluate:
 class TestExportLpText:
     def test_skeleton_sections(self):
         m = Model()
-        x = m.add_variables(["x"], CONTINUOUS, 0, 2)[0]
-        m.set_objective_coefs([x], [1.0])
+        x = m.add_variables(["x"], CONTINUOUS, 0, 2, 1.0)[0]
         add_row(m, [(x, 1.0)], GE, 1.0)
         text = _export(m)
         for section in ("Minimize", "Subject To", "Bounds", "End"):
             assert section in text
+
+    def test_a_zero_cost_variable_is_not_written(self):
+        m = Model()
+        m.add_variables(["a", "b", "c"], CONTINUOUS, 0.0, 1.0, [0.0, -2.0, -0.0])
+        m.add_variables(["d"], BINARY, 0, 1, 1.5)
+        assert _export(m).splitlines()[1] == " obj: -2.0 b + 1.5 d"
+
+    def test_all_zero_costs_write_a_zero_objective(self):
+        m = Model()
+        x = m.add_variables(["x", "y"], CONTINUOUS, 0.0, 1.0, [0.0, -0.0])[0]
+        add_row(m, [(x, 1.0)], GE, 0.5)
+        assert _export(m).splitlines()[:3] == ["Minimize", " obj: 0", "Subject To"]
 
     def test_empty_model_is_valid(self):
         text = _export(Model())
@@ -417,9 +465,8 @@ class TestExportLpText:
         ids = {}
         for name, (lo, hi) in parsed.bounds.items():
             kind = BINARY if name in parsed.binaries else CONTINUOUS
-            ids[name] = rebuilt.add_variables([name], kind, lo, hi)[0]
-        for name, cost in parsed.objective.items():
-            rebuilt.set_objective_coefs([ids[name]], [cost])
+            ids[name] = rebuilt.add_variables([name], kind, lo, hi,
+                                              parsed.objective.get(name, 0.0))[0]
         for parsed_row in parsed.rows:
             add_row(rebuilt, [(ids[n], c) for n, c in parsed_row.coefs.items()],
                     parsed_row.sense, parsed_row.rhs)
@@ -446,7 +493,7 @@ def _loop_export(m) -> str:
     array export must match byte for byte."""
     lines = ["Minimize"]
     names = m.variables.names
-    obj = [(names[vid], cost) for vid, cost in m.objective.items()]
+    obj = [(names[vid], cost) for vid, cost in enumerate(m.variables.cost.tolist()) if cost]
     lines.append(" obj: " + (_loop_terms_text(obj) if obj else "0"))
     lines.append("Subject To")
     for cid, (terms, sense, rhs) in enumerate(row_list(m.constraints)):
@@ -494,10 +541,11 @@ def test_array_paths_match_row_loops(seed, monkeypatch):
 
     m = Model()
     n = int(rng.integers(1, 10))
-    for j in range(n):
-        m.add_variables([f"v{j}"], BINARY if j % 3 == 0 else CONTINUOUS, 0, 1)
+    costs = [0.0] * n
     for j in rng.permutation(n)[:int(rng.integers(0, n + 1))]:
-        m.set_objective_coefs([int(j)], [draw()])
+        costs[j] = draw()
+    for j in range(n):
+        m.add_variables([f"v{j}"], BINARY if j % 3 == 0 else CONTINUOUS, 0, 1, costs[j])
     for r in range(int(rng.integers(0, 12))):
         ids = rng.permutation(n)[:int(rng.integers(1, n + 1))]
         add_row(m, [(int(i), draw()) for i in ids], [LE, EQ, GE][r % 3], draw())
@@ -525,8 +573,7 @@ def _mixed_width_model() -> Model:
     rng = np.random.default_rng(7)
     m = Model()
     for j in range(12):
-        m.add_variables([f"v{j}"], BINARY if j % 2 else CONTINUOUS, 0, 1)
-        m.set_objective_coefs([j], [float(rng.normal())])
+        m.add_variables([f"v{j}"], BINARY if j % 2 else CONTINUOUS, 0, 1, float(rng.normal()))
     for r in range(50):
         ids = rng.permutation(12)[:int(rng.integers(1, 8))]
         add_row(m, [(int(i), float(rng.normal())) for i in ids],

@@ -18,19 +18,38 @@ from rows import add_row, row_list
 
 def test_simple_lower_bounded_min():
     m = Model()
-    x = m.add_variables(["x"], CONTINUOUS, 0, 10)[0]
-    m.set_objective_coefs([x], [1.0])
+    x = m.add_variables(["x"], CONTINUOUS, 0, 10, 1.0)[0]
     add_row(m, [(x, 1.0)], GE, 3.0)
     r = simplex.solve_lp(m)
     assert r.status == simplex.OPTIMAL
     assert r.objective == pytest.approx(3.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_prepared_costs_are_the_model_costs(seed):
+    """The prepared costs are the model's cost array bit for bit, and
+    build_3confl gives each z, x and y its opening, arc or assignment cost
+    and every other variable none."""
+    instance = generate(DESK, seed)
+    confl = build_3confl(instance)
+    cost = confl.model.variables.cost
+    assert np.array_equal(simplex.prepare(confl.model).costs.view(np.int64), cost.view(np.int64))
+    want = np.zeros(len(cost))
+    for f in instance.facilities:
+        for t, open_cost in f.open_cost.items():
+            want[confl.z[f.id, t]] = open_cost
+    for tail, head, arc_cost in confl.arcs:
+        want[confl.x[tail, head]] = arc_cost
+    for t, arcs in instance.assignment_arcs.items():
+        for a in arcs:
+            want[confl.y[a.facility, a.user, t]] = a.cost
+    assert np.array_equal(cost.view(np.int64), want.view(np.int64))
+
+
 @pytest.mark.parametrize("lower, upper", [(0, math.inf), (-math.inf, 0), (0, math.nan)])
 def test_unboxed_columns_are_rejected(lower, upper):
     m = Model()
-    x = m.add_variables(["x"], CONTINUOUS, 0, 1)[0]
-    m.set_objective_coefs([x], [-1.0])
+    x = m.add_variables(["x"], CONTINUOUS, 0, 1, -1.0)[0]
     add_row(m, [(x, 1.0)], GE, 0.0)
     with pytest.raises(ValueError, match="finite"):
         simplex.solve_prepared(simplex.prepare(m), np.array([lower]), np.array([upper]))
@@ -71,9 +90,7 @@ def test_prepare_allocates_nothing_of_size_m_by_n(monkeypatch):
     rng = np.random.default_rng(31)
     m, n = 500, 50_000
     model = Model()
-    for j in range(n):
-        model.add_variables([f"x{j}"], CONTINUOUS, 0, 1)
-        model.set_objective_coefs([j], [1.0])
+    model.add_variables([f"x{j}" for j in range(n)], CONTINUOUS, 0, 1, 1.0)
     # Column j has rows r_j, r_j + 167 and r_j + 334 (mod m), all distinct.
     row_of = (rng.integers(0, m, size=(n, 1)) + np.array([0, 167, 334])) % m
     order = np.argsort(row_of.ravel(), kind="stable")
@@ -98,10 +115,9 @@ def test_prepare_allocates_nothing_of_size_m_by_n(monkeypatch):
 
 def test_infeasible_detected():
     m = Model()
-    x = m.add_variables(["x"], CONTINUOUS, 0, 10)[0]
+    x = m.add_variables(["x"], CONTINUOUS, 0, 10, 1.0)[0]
     add_row(m, [(x, 1.0)], LE, 1.0)
     add_row(m, [(x, 1.0)], GE, 2.0)
-    m.set_objective_coefs([x], [1.0])
     assert simplex.solve_lp(m).status == simplex.INFEASIBLE
 
 
@@ -114,10 +130,8 @@ def test_binary_variable_is_contract_violation():
 
 def test_no_constraints_box_problem():
     m = Model()
-    x = m.add_variables(["x"], CONTINUOUS, -2, 5)[0]
-    y = m.add_variables(["y"], CONTINUOUS, 1, 3)[0]
-    m.set_objective_coefs([x], [1.0])
-    m.set_objective_coefs([y], [-2.0])
+    m.add_variables(["x"], CONTINUOUS, -2, 5, 1.0)
+    m.add_variables(["y"], CONTINUOUS, 1, 3, -2.0)
     r = simplex.solve_lp(m)
     assert r.status == simplex.OPTIMAL
     assert r.objective == pytest.approx(-2 - 6)
@@ -129,9 +143,8 @@ def test_degenerate_cycling_guard():
     # the optimum stays -0.05, reached by the dual simplex through
     # degenerate pivots.
     m = Model()
-    x = [m.add_variables([f"x{i}"], CONTINUOUS, 0, 1e4)[0] for i in range(4)]
-    for vid, c in zip(x, (-0.75, 150.0, -0.02, 6.0)):
-        m.set_objective_coefs([vid], [c])
+    x = m.add_variables([f"x{i}" for i in range(4)], CONTINUOUS, 0, 1e4,
+                        [-0.75, 150.0, -0.02, 6.0])
     add_row(m, [(x[0], 0.25), (x[1], -60.0), (x[2], -0.04), (x[3], 9.0)], LE, 0.0)
     add_row(m, [(x[0], 0.5), (x[1], -90.0), (x[2], -0.02), (x[3], 3.0)], LE, 0.0)
     add_row(m, [(x[2], 1.0)], LE, 1.0)
@@ -142,10 +155,9 @@ def test_degenerate_cycling_guard():
 
 def _random_lp(rng: np.random.Generator, n_vars=5, n_cons=8) -> Model:
     m = Model()
-    ids = [m.add_variables([f"v{i}"], CONTINUOUS, 0.0, float(rng.uniform(1, 6)))[0]
-           for i in range(n_vars)]
-    for i in ids:
-        m.set_objective_coefs([i], [float(rng.normal())])
+    uppers = [float(rng.uniform(1, 6)) for _ in range(n_vars)]
+    ids = [m.add_variables([f"v{i}"], CONTINUOUS, 0.0, upper, float(rng.normal()))[0]
+           for i, upper in enumerate(uppers)]
     for _ in range(n_cons):
         terms = [(i, float(rng.normal())) for i in ids if rng.random() < 0.8]
         if not terms:
@@ -186,11 +198,10 @@ def _feasible_lp(rng: np.random.Generator, dependent: bool, n_vars=4, n_cons=5) 
     scale: no basis can drive both rows' fixed slacks out, so one stays
     basic at 0."""
     m = Model()
-    ids = [m.add_variables([f"v{i}"], CONTINUOUS, 0.0, float(rng.uniform(1, 6)))[0]
-           for i in range(n_vars)]
-    point = np.array([rng.uniform(0.2, 0.8) * m.variables.upper[i] for i in ids])
-    for i in ids:
-        m.set_objective_coefs([i], [float(rng.normal())])
+    uppers = [float(rng.uniform(1, 6)) for _ in range(n_vars)]
+    point = np.array([rng.uniform(0.2, 0.8) * upper for upper in uppers])
+    ids = [m.add_variables([f"v{i}"], CONTINUOUS, 0.0, upper, float(rng.normal()))[0]
+           for i, upper in enumerate(uppers)]
     for sense in [LE, GE, EQ] + [str(rng.choice([LE, GE])) for _ in range(n_cons - 3)]:
         coefs = rng.normal(size=n_vars)
         lhs = float(coefs @ point)
@@ -309,17 +320,16 @@ def _unboxed_lp(rng: np.random.Generator, n_vars=5, n_cons=4) -> tuple[Model, Mo
     point = []
     for j, kind in enumerate(kinds):
         if kind == "up":
-            m.add_variables([f"v{j}"], CONTINUOUS, 0.0, math.inf)
+            m.add_variables([f"v{j}"], CONTINUOUS, 0.0, math.inf, costs[j])
             point.append(rng.uniform(0.0, 2.0))
         elif kind == "down":
             u = float(rng.uniform(-2.0, 3.0))
-            m.add_variables([f"v{j}"], CONTINUOUS, -math.inf, u)
+            m.add_variables([f"v{j}"], CONTINUOUS, -math.inf, u, costs[j])
             point.append(u - rng.uniform(0.0, 2.0))
         else:
             u = float(rng.uniform(1.0, 6.0))
-            m.add_variables([f"v{j}"], CONTINUOUS, 0.0, u)
+            m.add_variables([f"v{j}"], CONTINUOUS, 0.0, u, costs[j])
             point.append(rng.uniform(0.2, 0.8) * u)
-        m.set_objective_coefs([j], [float(costs[j])])
     point = np.array(point)
     for _ in range(n_cons):
         coefs = rng.normal(size=n_vars)
@@ -387,8 +397,7 @@ def test_foreign_basis_with_wrong_signed_slack_is_refused():
     # [0, inf) slack has no other bound to flip to.
     def lp(cost):
         m = Model()
-        x = m.add_variables(["x"], CONTINUOUS, 0, 10)[0]
-        m.set_objective_coefs([x], [cost])
+        x = m.add_variables(["x"], CONTINUOUS, 0, 10, cost)[0]
         add_row(m, [(x, 1.0)], LE, 5.0)
         return m
 
@@ -765,7 +774,7 @@ def test_kernel_matches_the_reference_bit_for_bit(case, monkeypatch):
         m = Model()
         for name, upper, cost in (("x0", 1e12, 0.0), ("x1", 10.0, 0.0),
                                   ("u0", 1.0, 1.0), ("u1", 1.0, 2.0)):
-            m.set_objective_coefs(m.add_variables([name], CONTINUOUS, 0.0, upper), [cost])
+            m.add_variables([name], CONTINUOUS, 0.0, upper, cost)
         add_row(m, [(0, 1.0), (2, 1.0)], LE, 1e12 + 100)
         add_row(m, [(1, 1.0), (3, 1.0)], LE, 11.0)
         prep, lo, hi = simplex.prepare(m), m.variables.lower, m.variables.upper
@@ -778,7 +787,7 @@ def test_kernel_matches_the_reference_bit_for_bit(case, monkeypatch):
     else:
         m = Model()
         for name, lower, upper, cost in (("x", -2, 5, 1.0), ("y", 1, 3, -2.0)):
-            m.set_objective_coefs(m.add_variables([name], CONTINUOUS, lower, upper), [cost])
+            m.add_variables([name], CONTINUOUS, lower, upper, cost)
         assert simplex.solve_lp(m).objective == -8.0
         assert seen == [(simplex.OPTIMAL, 0)]
     assert case == "no-rows" or sum(pivots for _, pivots in seen) > 0
@@ -789,10 +798,7 @@ def test_cut_loop_appends_each_pool_row_once(monkeypatch):
     tolerance-level miss would) ends the loop instead of appending the row
     again; a mask shared between calls keeps it out of later calls too."""
     m = Model()
-    a = m.add_variables(["a"], BINARY, 0, 1)[0]
-    b = m.add_variables(["b"], BINARY, 0, 1)[0]
-    m.set_objective_coefs([a], [-1.0])
-    m.set_objective_coefs([b], [-1.0])
+    a, b = m.add_variables(["a", "b"], BINARY, 0, 1, -1.0)
     pool = np.array([[a, b]])
     prep = simplex.prepare(m)
     lo, hi = m.variables.lower, m.variables.upper
@@ -906,8 +912,7 @@ def _sparse_lp(rng: np.random.Generator, n_cons: int, n_vars: int, density: floa
     lo = rng.uniform(-3.0, 1.0, size=n_vars)
     hi = lo + rng.uniform(0.5, 5.0, size=n_vars)
     for j in range(n_vars):
-        m.add_variables([f"v{j}"], CONTINUOUS, float(lo[j]), float(hi[j]))
-        m.set_objective_coefs([j], [float(rng.normal())])
+        m.add_variables([f"v{j}"], CONTINUOUS, float(lo[j]), float(hi[j]), float(rng.normal()))
     point = lo + rng.uniform(0.2, 0.8, size=n_vars) * (hi - lo)
     used = np.flatnonzero(np.arange(n_vars) % 5)
     for _ in range(n_cons):
