@@ -333,7 +333,8 @@ def run(instance: Instance, params: HeuristicParams) -> RunResult:
     the time left (with none left it solves no LP); `params.test_iterations`
     swaps the clock for an iteration cap and an infinite deadline.  Each
     distinct opening state is checked once; repeats reuse its outcome, timed
-    out or not.
+    out or not.  Under the clock the outer phase also ends after an outer
+    iteration that built no opening state it had not checked before.
     """
     params.validate()
     deadline = math.inf if params.test_iterations else time.monotonic() + params.global_time_limit
@@ -356,6 +357,7 @@ def run(instance: Instance, params: HeuristicParams) -> RunResult:
 
         inner_best: SolveOutcome | None = None
         solutions: list[tuple[FOS, float]] = []
+        built_new = False
         for sigma in range(1, params.sigma_count + 1):
             if time.monotonic() >= outer_end:
                 break
@@ -366,6 +368,7 @@ def run(instance: Instance, params: HeuristicParams) -> RunResult:
                                         for t in TECHNOLOGIES),
                      "repaired": False, "objective": None, "best": None}
             if fos not in checked:
+                built_new = True
                 checked[fos] = check_and_repair(instance, ctx, fos, params)
             outcome = checked[fos]
             entry["repaired"] = outcome.repaired
@@ -387,6 +390,8 @@ def run(instance: Instance, params: HeuristicParams) -> RunResult:
             best is None or inner_best.objective < best.objective
         ):
             best = inner_best
+        if params.test_iterations is None and not built_new:
+            break
 
     if best is not None:
         center = {

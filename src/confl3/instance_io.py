@@ -4,15 +4,25 @@ The generator discretizes a rectangular service area into pixels, puts
 users at pixel centers and network nodes at lattice points, wires the core
 with a k-nearest proximity graph plus office-facility arcs, and derives
 wireless fading from a capped power-law path-loss model.
+
+An instance document holds `meta` (the format tag and the name) and then
+one key per other field of :class:`~confl3.confl.Instance`; each record in
+it is an object of its :mod:`confl3.confl` dataclass's fields, in field
+order.  :func:`write_instance` and :func:`read_instance` walk those fields,
+so the dataclasses are the schema's one statement: a field's annotation
+says how its value is written and checked.  Only `meta` is laid out by
+hand.
 """
 
 from __future__ import annotations
 
 import csv as csvlib
+import functools
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -219,55 +229,42 @@ def _dist(a: tuple[float, float], b: tuple[float, float]) -> float:
 
 
 # --- serialization ---------------------------------------------------------
+#
+# An annotation is a str, a finite float, a position (a list of two
+# numbers), a list of records, a map keyed by technology, a record, or the
+# fading map, an object per facility of an entry per user.
+
+
+@functools.cache
+def _fields(cls) -> tuple[tuple[str, object], ...]:
+    """(name, annotation) of each field of record type `cls`, in field order."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in fields(cls))
+
+
+def _write(value, hint, instance: Instance):
+    """The JSON form of `value`, annotated `hint`; the fading map follows
+    the order of `instance`'s facilities and users."""
+    if hint is float or hint is str:
+        return value
+    if is_dataclass(hint):
+        return {name: _write(getattr(value, name), h, instance) for name, h in _fields(hint)}
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is tuple:
+        return list(value)
+    if origin is list:
+        return [_write(item, args[0], instance) for item in value]
+    if origin is dict and args[0] is int:
+        return {str(t): _write(item, args[1], instance) for t, item in sorted(value.items())}
+    # The fading map, by facility then user in the instance's order.
+    return {f.id: {u.id: value[f.id, u.id] for u in instance.users}
+            for f in instance.facilities}
 
 
 def write_instance(instance: Instance) -> str:
-    doc = {
-        "meta": {"format": FORMAT_TAG, "name": instance.name},
-        "users": [
-            {"id": u.id, "weight": u.weight, "position": list(u.position)}
-            for u in instance.users
-        ],
-        "facilities": [
-            {
-                "id": f.id,
-                "position": list(f.position),
-                "open_cost": {str(t): c for t, c in sorted(f.open_cost.items())},
-            }
-            for f in instance.facilities
-        ],
-        "central_offices": [
-            {"id": c.id, "open_cost": c.open_cost} for c in instance.central_offices
-        ],
-        "steiner_nodes": [{"id": s.id} for s in instance.steiner_nodes],
-        "core_arcs": [
-            {"tail": a.tail, "head": a.head, "cost": a.cost} for a in instance.core_arcs
-        ],
-        "assignment_arcs": {
-            str(t): [
-                {"facility": a.facility, "user": a.user, "cost": a.cost} for a in arcs
-            ]
-            for t, arcs in sorted(instance.assignment_arcs.items())
-        },
-        "coverage_thresholds": {
-            str(t): w for t, w in sorted(instance.coverage_thresholds.items())
-        },
-        "wireless": {
-            "p_min": instance.wireless.p_min,
-            "p_max": instance.wireless.p_max,
-            "delta": instance.wireless.delta,
-            "eta_noise": instance.wireless.eta_noise,
-            "fading": _fading_doc(instance),
-        },
-    }
-    return json.dumps(doc, indent=1)
-
-
-def _fading_doc(instance: Instance) -> dict:
-    out: dict[str, dict[str, float]] = {}
-    for f in instance.facilities:
-        out[f.id] = {u.id: instance.wireless.fading[f.id, u.id] for u in instance.users}
-    return out
+    doc = _write(instance, Instance, instance)
+    meta = {"format": FORMAT_TAG, "name": doc.pop("name")}
+    return json.dumps({"meta": meta, **doc}, indent=1)
 
 
 def _number(value, path: str) -> float:
@@ -281,13 +278,6 @@ def _number(value, path: str) -> float:
     if not math.isfinite(number):
         raise SchemaError(f"{path}: expected a finite number, got {value}")
     return number
-
-
-def _position(doc: dict, path: str) -> tuple[float, float]:
-    pos = _need(doc, "position", list, path)
-    if len(pos) != 2:
-        raise SchemaError(f"{path}.position: expected two numbers, got {len(pos)} entries")
-    return tuple(_number(p, f"{path}.position[{k}]") for k, p in enumerate(pos))
 
 
 def _by_technology(doc: dict, path: str, read) -> dict:
@@ -305,17 +295,52 @@ def _by_technology(doc: dict, path: str, read) -> dict:
     return out
 
 
+def _read(value, hint, path: str):
+    """`value` read as annotated `hint`: its JSON type is checked, then
+    its content.  A record in a list is found not to be an object by
+    :func:`_need`, as it reads the record's first field."""
+    if hint is float:
+        return _number(value, path)
+    if hint is str:
+        if not isinstance(value, str):
+            raise SchemaError(f"{path}: expected str")
+        return value
+    origin, args = get_origin(hint), get_args(hint)
+    record = is_dataclass(hint)
+    kind = list if origin is tuple else dict if record else origin or hint
+    if not isinstance(value, kind):
+        raise SchemaError(f"{path}: expected {kind.__name__}")
+    if origin is tuple:
+        if len(value) != 2:
+            raise SchemaError(f"{path}: expected two numbers, got {len(value)} entries")
+        return tuple(_number(p, f"{path}[{k}]") for k, p in enumerate(value))
+    if origin is list:
+        return [_record(item, args[0], f"{path}[{i}]") for i, item in enumerate(value)]
+    if origin is dict and args[0] is int:
+        return _by_technology(value, path, lambda item, t: _read(item, args[1], f"{path}.{t}"))
+    if origin is dict:   # the fading map: facility -> user -> coefficient
+        fading = {}
+        for fid, row in value.items():
+            if not isinstance(row, dict):
+                raise SchemaError(f"{path}.{fid}: expected object")
+            for uid, number in row.items():
+                fading[fid, uid] = _number(number, f"{path}.{fid}.{uid}")
+        return fading
+    if record:
+        return _record(value, hint, path)
+    return value
+
+
+def _record(doc, cls, path: str):
+    return cls(*[_need(doc, name, hint, path) for name, hint in _fields(cls)])
+
+
 def _need(doc: dict, key: str, kind, path: str):
     if not isinstance(doc, dict):
         raise SchemaError(f"{path or 'top level'}: expected an object")
     if key not in doc:
         raise SchemaError(f"missing field {path}.{key}" if path else f"missing field {key}")
-    value = doc[key]
-    if kind is float:
-        return _number(value, f"{path + '.' if path else ''}{key}")
-    if not isinstance(value, kind):
-        raise SchemaError(f"{path + '.' if path else ''}{key}: expected {kind.__name__}")
-    return value
+    return _read(doc[key], kind, f"{path}.{key}" if path else key)
 
 
 def read_instance(text: str) -> Instance:
@@ -332,89 +357,8 @@ def read_instance(text: str) -> Instance:
     name = meta.get("name", "instance")
     if not isinstance(name, str):
         raise SchemaError("meta.name: expected str")
-
-    users = []
-    for i, u in enumerate(_need(doc, "users", list, "")):
-        path = f"users[{i}]"
-        users.append(
-            User(
-                _need(u, "id", str, path),
-                _need(u, "weight", float, path),
-                _position(u, path),
-            )
-        )
-    facilities = []
-    for i, f in enumerate(_need(doc, "facilities", list, "")):
-        path = f"facilities[{i}]"
-        costs = _by_technology(_need(f, "open_cost", dict, path), f"{path}.open_cost",
-                               lambda c, t: _number(c, f"{path}.open_cost.{t}"))
-        facilities.append(
-            Facility(_need(f, "id", str, path), _position(f, path), costs)
-        )
-    offices = [
-        CentralOffice(
-            _need(c, "id", str, f"central_offices[{i}]"),
-            _need(c, "open_cost", float, f"central_offices[{i}]"),
-        )
-        for i, c in enumerate(_need(doc, "central_offices", list, ""))
-    ]
-    steiner = [
-        SteinerNode(_need(s, "id", str, f"steiner_nodes[{i}]"))
-        for i, s in enumerate(_need(doc, "steiner_nodes", list, ""))
-    ]
-    core_arcs = [
-        CoreArc(
-            _need(a, "tail", str, f"core_arcs[{i}]"),
-            _need(a, "head", str, f"core_arcs[{i}]"),
-            _need(a, "cost", float, f"core_arcs[{i}]"),
-        )
-        for i, a in enumerate(_need(doc, "core_arcs", list, ""))
-    ]
-
-    def read_arcs(arcs, t):
-        if not isinstance(arcs, list):
-            raise SchemaError(f"assignment_arcs.{t}: expected list")
-        return [
-            AssignmentArc(
-                _need(a, "facility", str, f"assignment_arcs.{t}[{i}]"),
-                _need(a, "user", str, f"assignment_arcs.{t}[{i}]"),
-                _need(a, "cost", float, f"assignment_arcs.{t}[{i}]"),
-            )
-            for i, a in enumerate(arcs)
-        ]
-
-    assignment_arcs = _by_technology(_need(doc, "assignment_arcs", dict, ""),
-                                     "assignment_arcs", read_arcs)
-    thresholds = _by_technology(_need(doc, "coverage_thresholds", dict, ""),
-                                "coverage_thresholds",
-                                lambda w, t: _number(w, f"coverage_thresholds.{t}"))
-
-    raw = _need(doc, "wireless", dict, "")
-    fading = {}
-    for fid, row in _need(raw, "fading", dict, "wireless").items():
-        if not isinstance(row, dict):
-            raise SchemaError(f"wireless.fading.{fid}: expected object")
-        for uid, value in row.items():
-            fading[fid, uid] = _number(value, f"wireless.fading.{fid}.{uid}")
-    wireless = WirelessParams(
-        p_min=_need(raw, "p_min", float, "wireless"),
-        p_max=_need(raw, "p_max", float, "wireless"),
-        delta=_need(raw, "delta", float, "wireless"),
-        eta_noise=_need(raw, "eta_noise", float, "wireless"),
-        fading=fading,
-    )
-
-    return Instance(
-        users=users,
-        facilities=facilities,
-        central_offices=offices,
-        steiner_nodes=steiner,
-        core_arcs=core_arcs,
-        assignment_arcs=assignment_arcs,
-        coverage_thresholds=thresholds,
-        wireless=wireless,
-        name=name,
-    )
+    return Instance(name=name, **{key: _need(doc, key, hint, "")
+                                  for key, hint in _fields(Instance) if key != "name"})
 
 
 # --- gap report -------------------------------------------------------------

@@ -345,13 +345,19 @@ def calm_wireless_instance() -> Instance:
     )
 
 
-# The desk-scale generator preset of scripts/benchmark_small.py.
-DESK = GeneratorParams(
-    grid_width=4, grid_height=3, n_facilities=3, n_central_offices=1, n_steiner=0,
-    users_per_pixel=0.4, knn=2, radii={1: 1.6, 2: 2.4, 3: 3.2},
-    coverage_fractions={1: 0.2, 2: 0.4, 3: 0.5}, delta=1.8, eta_noise=0.05,
-    max_retries=1,
-)
+def _script_preset(script: str) -> GeneratorParams:
+    """The generator preset `PARAMS` of scripts/<script>.py, loaded from the
+    script itself so that tests and script share one copy."""
+    path = pathlib.Path(__file__).parents[1] / "scripts" / f"{script}.py"
+    spec = importlib.util.spec_from_file_location(script, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.PARAMS
+
+
+# The desk-scale preset, on which the benchmark script compares exact and
+# heuristic.
+DESK = _script_preset("benchmark_small")
 
 # The preset of tests/test_cli.py's GEN_ARGS; with --seed 4 they write the
 # instance the CLI tests use.
@@ -365,8 +371,4 @@ CLI_PARAMS = GeneratorParams(
 def strengthening_preset() -> GeneratorParams:
     """The preset of scripts/strengthening_effect.py, on which the
     strengthening rows bind at the relaxation optimum."""
-    path = pathlib.Path(__file__).parents[1] / "scripts" / "strengthening_effect.py"
-    spec = importlib.util.spec_from_file_location("strengthening_effect", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.PARAMS
+    return _script_preset("strengthening_effect")

@@ -624,6 +624,27 @@ class TestOneClock:
         run(inst, params)
         assert time.monotonic() - start <= 3.0 + 3.0
 
+    def test_the_outer_phase_ends_once_an_iteration_builds_nothing_new(self):
+        # Desk seed 1 has few opening states, all built within the first
+        # outer iterations; without the stop, the outer phase would repeat
+        # them until its deadline, its trace growing all the while.
+        inst = generate(DESK, 1)
+        params = HeuristicParams(global_time_limit=3.0, subproblem_time_limit=1.0,
+                                 vlns_time_limit=1.0)
+        result = run(inst, params)
+        assert result.iterations <= 5
+        assert result.objective == pytest.approx(35.454, abs=1e-3)
+        # The last outer iteration built only states that earlier ones built.
+        earlier = [e["fos"] for e in result.trace if e["outer"] < result.iterations]
+        last = [e["fos"] for e in result.trace if e["outer"] == result.iterations]
+        assert last and all(fos in earlier for fos in last)
+
+    def test_test_mode_runs_every_iteration_of_its_cap(self):
+        # The same repeats do not end a test-mode run: its documents stay the same.
+        result = run(generate(DESK, 1), HeuristicParams(test_iterations=6))
+        assert result.iterations == 6
+        assert max(e["outer"] for e in result.trace) == 6
+
     def test_no_sub_solve_starts_after_the_deadline(self, monkeypatch):
         inst = calm_wireless_instance()
         ctx = HeuristicContext(inst, deadline=time.monotonic() - 1.0)
@@ -707,7 +728,15 @@ class TestOneClock:
         for budget, cap, left in budgets:
             assert budget <= min(cap, left)
             assert budget > 0 or left <= 0
-        assert any(budget < cap for budget, cap, _ in budgets)
+        # A run whose last outer iteration built only states checked before
+        # ends its outer phase early (desk seed 0 has one opening state),
+        # so every sub-solve gets its whole cap; any other reaches its
+        # deadline, and the time left cuts some budget below its cap.
+        earlier = [e["fos"] for e in res.trace if e["outer"] < res.iterations]
+        if all(e["fos"] in earlier for e in res.trace if e["outer"] == res.iterations):
+            assert all(budget == cap for budget, cap, _ in budgets)
+        else:
+            assert any(budget < cap for budget, cap, _ in budgets)
 
 
 def _agree(got_status, got_obj, want: bnb.MipResult) -> bool:

@@ -225,6 +225,51 @@ class TestSerialization:
         with pytest.raises(SchemaError, match=re.escape(message)):
             read_instance(json.dumps(doc))
 
+    def test_every_field_of_every_record_is_required_and_typed(self):
+        # The records are found in the document itself: the top level, the
+        # first entry of each list and every object that is not a map.  A
+        # map is keyed by technology numbers or node ids; `meta` is left
+        # out, as its keys are optional.
+        text = write_instance(generate(GeneratorParams(**TINY), 7))
+        doc = json.loads(text)
+        ids = {node.get("id") for nodes in doc.values() if isinstance(nodes, list)
+               for node in nodes}
+
+        def records(node, path):
+            if isinstance(node, list) and node:
+                yield from records(node[0], f"{path}[0]")
+            elif isinstance(node, dict):
+                if path != "meta" and not all(k.isdigit() or k in ids for k in node):
+                    yield path, list(node)
+                for key, value in node.items():
+                    yield from records(value, f"{path}.{key}" if path else key)
+
+        found = dict(records(doc, ""))
+        assert list(found) == ["", "users[0]", "facilities[0]", "central_offices[0]",
+                               "steiner_nodes[0]", "core_arcs[0]", "assignment_arcs.1[0]",
+                               "assignment_arcs.2[0]", "assignment_arcs.3[0]", "wireless"]
+
+        def wrong(value):
+            if isinstance(value, str):
+                return 1.0
+            return {} if isinstance(value, list) else [] if isinstance(value, dict) else "x"
+
+        for path, keys in found.items():
+            for key in keys:
+                field = f"{path}.{key}" if path else key
+                for edit, message in (
+                    (lambda obj: obj.pop(key), rf"missing field {re.escape(field)}\Z"),
+                    (lambda obj: obj.update({key: wrong(obj[key])}),
+                     rf"{re.escape(field)}: expected "),
+                ):
+                    edited = json.loads(text)
+                    obj = edited
+                    for step in re.findall(r"[^.\[\]]+", path):
+                        obj = obj[int(step)] if isinstance(obj, list) else obj[step]
+                    edit(obj)
+                    with pytest.raises(SchemaError, match=f"^{message}"):
+                        read_instance(json.dumps(edited))
+
     def test_missing_format_tag_is_read(self):
         inst = generate(GeneratorParams(**TINY), 7)
         doc = json.loads(write_instance(inst))
