@@ -24,11 +24,19 @@ optional pool of valid rows ``x_a + x_b <= 1``, a (k, 2) array of variable
 ids such as :func:`confl3.confl.strengthening_pairs` returns: each node runs
 the cut loop :func:`confl3.simplex.separate`, and a row appended at any node
 stays for the rest of the tree.  The root relaxation starts from the given
-basis, or from the slack basis without one; every other node, and the
-re-solve that polishes a near-integral point, starts from the optimal basis
-of its parent (a dual simplex warm start, see :mod:`confl3.simplex`, which
-extends it over the rows cut since).  Nodes keep that basis, never its
-inverse.  An incumbent is one float array indexed by variable id.
+basis and factor, or from the slack basis without them; every other node,
+and the re-solve that polishes a near-integral point, starts from the
+optimal basis of its parent (a dual simplex warm start, see
+:mod:`confl3.simplex`, which extends it over the rows cut since).  The
+polish also starts from its node's final basis inverse, its
+:class:`~confl3.simplex.Factor`, and a branched node's factor is kept until
+both of its children have started from it.  A node that finds no factor
+while its sibling is still to start (its parent's was dropped, or went
+stale) factorizes their common start once, with
+:func:`~confl3.simplex.factorize`, and keeps that for the sibling.  At
+most ``_KEPT_FACTORS`` are kept; past that the tree drops the one whose
+children best-bound order reaches last, the largest (value, creation
+order).  An incumbent is one float array indexed by variable id.
 Deterministic given its arguments: ties in the node heap fall back to
 creation order.
 
@@ -38,9 +46,10 @@ under the model's bounds with some variables pinned: :meth:`Session.lp` an
 LP, :meth:`Session.cut` the cut loop from an LP's result,
 :meth:`Session.mip` branch and bound, with ``<=`` rows appended for that
 call only.  :meth:`Session.root` solves the plain root LP from the slack
-basis and keeps its optimal basis as the start of every later call; before
-it, calls start from the slack basis.  Only the session knows the prepared
-matrix and the basis, so it is where another backend would plug in.
+basis and keeps its optimal basis and factor as the start of every later
+call; before it, calls start from the slack basis.  Only the session knows
+the prepared matrix, the basis and the factor, so it is where another
+backend would plug in.
 """
 
 from __future__ import annotations
@@ -61,6 +70,8 @@ INFEASIBLE = "infeasible"
 TIMEOUT_NO_INCUMBENT = "timeout_no_incumbent"
 
 _INT_TOL = 1e-6
+# The most basis inverses the tree keeps for children yet to start.
+_KEPT_FACTORS = 4
 
 
 @dataclass(frozen=True)
@@ -77,11 +88,13 @@ class MipResult:
 
 def solve_mip(prep: simplex.PreparedLp, lo: np.ndarray, hi: np.ndarray, *,
               deadline: float = math.inf, node_limit: int | None = None,
-              basis: simplex.Basis | None = None, pool: np.ndarray | None = None) -> MipResult:
+              basis: simplex.Basis | None = None, factor: simplex.Factor | None = None,
+              pool: np.ndarray | None = None) -> MipResult:
     """Branch and bound until `deadline`, a :func:`time.monotonic` value
     checked once per node, over `prep` under `lo`/`hi`, the root from
-    `basis`, cuts from `pool`.  A deadline already passed solves no LP and
-    returns `timeout_no_incumbent` after 0 nodes with lower bound -inf.
+    `basis` and its `factor`, cuts from `pool`.  A deadline already passed
+    solves no LP and returns `timeout_no_incumbent` after 0 nodes with lower
+    bound -inf.
 
     Branches on the fractional binary of highest ``|c_j| * min(f_j, 1 - f_j)``
     (lowest id on ties), where c_j is its objective coefficient in `prep`
@@ -100,12 +113,17 @@ def solve_mip(prep: simplex.PreparedLp, lo: np.ndarray, hi: np.ndarray, *,
     cut = None if pool is None else np.zeros(len(pool), dtype=bool)
 
     counter = 0
-    # (bound, creation order, lower bounds, upper bounds, parent basis); the
-    # bound vectors are read-only, as siblings share them.
-    heap: list[tuple[float, int, np.ndarray, np.ndarray, simplex.Basis | None]] = [
+    # (bound, creation order, lower bounds, upper bounds, parent basis,
+    # parent's creation order); the bound vectors are read-only, as siblings
+    # share them.
+    heap: list[tuple[float, int, np.ndarray, np.ndarray, simplex.Basis | None, int]] = [
         (-math.inf, counter, _frozen(np.asarray(lo, dtype=float)),
-         _frozen(np.asarray(hi, dtype=float)), basis)
+         _frozen(np.asarray(hi, dtype=float)), basis, -1)
     ]
+    # [factor or None, children yet to start] of each node with a child in
+    # the heap, by the node's value and creation order, the children's bound
+    # and parent; the root's parent is (-inf, -1).
+    kept: dict[tuple[float, int], list] = {(-math.inf, -1): [factor, 1]}
     incumbent: Assignment | None = None
     incumbent_obj = math.inf
     nodes = 0
@@ -121,10 +139,19 @@ def solve_mip(prep: simplex.PreparedLp, lo: np.ndarray, hi: np.ndarray, *,
         if node_limit is not None and nodes >= node_limit:
             hit_limit = True
             break
-        _, _, node_lo, node_hi, start_basis = heapq.heappop(heap)
+        bound, node, node_lo, node_hi, start_basis, parent = heapq.heappop(heap)
         nodes += 1
+        slot = kept[bound, parent]
+        slot[1] -= 1
+        factor = slot[0]
+        if factor is None and slot[1]:
+            # The sibling starts from the same basis: factorize it for both.
+            factor = slot[0] = simplex.factorize(prep, start_basis)
+            _drop_past_cap(kept)
+        if not slot[1]:
+            del kept[bound, parent]
 
-        res = simplex.solve_prepared(prep, node_lo, node_hi, start_basis)
+        res = simplex.solve_prepared(prep, node_lo, node_hi, start_basis, factor)
         if pool is not None:
             prep, res = simplex.separate(prep, node_lo, node_hi, res, pool, cut)
         if res.status == simplex.INFEASIBLE:
@@ -141,7 +168,7 @@ def solve_mip(prep: simplex.PreparedLp, lo: np.ndarray, hi: np.ndarray, *,
             # so incumbents carry no integrality drift in their objective.
             pin_lo, pin_hi = node_lo.copy(), node_hi.copy()
             pin_lo[bin_ids] = pin_hi[bin_ids] = np.round(frac)
-            polished = simplex.solve_prepared(prep, pin_lo, pin_hi, res.basis)
+            polished = simplex.solve_prepared(prep, pin_lo, pin_hi, res.basis, res.factor)
             if polished.status == simplex.OPTIMAL:
                 if polished.objective < incumbent_obj:
                     incumbent = polished.assignment
@@ -158,14 +185,16 @@ def solve_mip(prep: simplex.PreparedLp, lo: np.ndarray, hi: np.ndarray, *,
         # Highest |c_j| * min(f_j, 1 - f_j); argmax keeps the lowest id on ties.
         scores = np.where(fractional, weight * dist, -math.inf)
         j = int(bin_ids[int(np.argmax(scores))])
+        kept[value, node] = [res.factor, 2]
+        _drop_past_cap(kept)
         down_hi = node_hi.copy()
         down_hi[j] = 0.0
         counter += 1
-        heapq.heappush(heap, (value, counter, node_lo, _frozen(down_hi), res.basis))
+        heapq.heappush(heap, (value, counter, node_lo, _frozen(down_hi), res.basis, node))
         up_lo = node_lo.copy()
         up_lo[j] = 1.0
         counter += 1
-        heapq.heappush(heap, (value, counter, _frozen(up_lo), node_hi, res.basis))
+        heapq.heappush(heap, (value, counter, _frozen(up_lo), node_hi, res.basis, node))
 
     open_bound = heap[0][0] if heap else math.inf
     if incumbent is not None:
@@ -182,13 +211,14 @@ def solve_mip(prep: simplex.PreparedLp, lo: np.ndarray, hi: np.ndarray, *,
 class Session:
     """The bundled solvers on one model's matrix, prepared once.  `pins`
     maps variable ids to the values they are fixed at, under the model's
-    bounds; every call starts from the basis :meth:`root` kept, or from the
-    slack basis before it."""
+    bounds; every call starts from the basis and factor :meth:`root` kept,
+    or from the slack basis before it."""
 
     def __init__(self, model: Model):
         self._prep = simplex.prepare(model)
         self._lo, self._hi = model.variables.lower, model.variables.upper
         self._basis: simplex.Basis | None = None
+        self._factor: simplex.Factor | None = None
 
     def _bounds(self, pins: dict[int, float]) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = self._lo.copy(), self._hi.copy()
@@ -197,13 +227,14 @@ class Session:
 
     def root(self) -> simplex.LpResult:
         """The plain root LP, solved from the slack basis; an optimal
-        basis becomes the start of every later call."""
+        basis and its factor become the start of every later call."""
         res = simplex.solve_prepared(self._prep, self._lo, self._hi)
-        self._basis = res.basis
+        self._basis, self._factor = res.basis, res.factor
         return res
 
     def lp(self, pins: dict[int, float]) -> simplex.LpResult:
-        return simplex.solve_prepared(self._prep, *self._bounds(pins), self._basis)
+        return simplex.solve_prepared(self._prep, *self._bounds(pins), self._basis,
+                                      self._factor)
 
     def cut(self, pins: dict[int, float], res: simplex.LpResult,
             pool: np.ndarray) -> simplex.LpResult:
@@ -219,7 +250,15 @@ class Session:
         only."""
         prep = self._prep if rows is None else simplex.append_rows(self._prep, *rows)
         return solve_mip(prep, *self._bounds(pins), deadline=deadline, basis=self._basis,
-                         pool=pool)
+                         factor=self._factor, pool=pool)
+
+
+def _drop_past_cap(kept: dict[tuple[float, int], list]) -> None:
+    """Past ``_KEPT_FACTORS`` factors in `kept`, drop the one whose children
+    best-bound order reaches last: the largest key."""
+    held = [key for key, slot in kept.items() if slot[0] is not None]
+    if len(held) > _KEPT_FACTORS:
+        kept[max(held)][0] = None
 
 
 def _frozen(bounds: np.ndarray) -> np.ndarray:

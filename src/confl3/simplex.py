@@ -60,19 +60,25 @@ per :class:`PreparedLp`, by :func:`prepare` or :func:`append_rows`.
 Every optimal result carries its final :class:`Basis`; handed back to
 :func:`solve_prepared` with other bounds or more rows, it is still dual
 feasible, because only the bounds changed and each appended row has a
-zero dual.  A prepared matrix keeps one slot: the caller's
-:class:`Basis` object of its last warm solve and that basis's fresh
-factorization.  A solve from the same object (by identity) under other
-bounds, as branch and bound's sibling nodes and the heuristic's fixing LPs
-make, starts from a copy of it, which is the array a new factorization
-would compute, so no result changes.  A solve runs rounds, and the start of
-a round is the only place that factorizes.  A round is one fresh
-factorization of the basis (in the first round the slot may supply it),
-reduced costs recomputed from scratch, a flip of each wrong-signed nonbasic
-column to its other bound, and a bounded dual simplex of at most
-``_REFACTOR_EVERY`` (150) product-form pivots toward basics within their
-bounds (a row it cannot repair proves the bounds infeasible).  A round that
-ends on that cap starts the next.  Each pivot's leaving row is the first
+zero dual.  It also carries, as a :class:`Factor`, the basis inverse the
+solve ended on and that inverse's age, the product-form updates it has
+taken since it was last factorized; there is none when the last round left
+the basic slacks' rows stale.  Handed back with its basis to a solve of the
+same :class:`PreparedLp` (by identity), as branch and bound hands a node's
+to its children, a factor younger than ``_REFACTOR_EVERY`` stands in for
+the first round's factorization: that round updates a copy of it and makes
+at most ``_REFACTOR_EVERY`` minus its age pivots, so no inverse takes more
+updates than one round's since it was factorized.  Rows appended make
+another matrix, whose solves factorize.  A solve handed no factor
+factorizes its start, as :func:`factorize` does.  A solve runs rounds,
+and the start of a round is the only place that factorizes.  A round is
+one fresh factorization of the basis (in the first round a handed factor
+may stand in for it), reduced costs recomputed from scratch, a flip of
+each wrong-signed nonbasic column to its other bound, and a bounded dual
+simplex of at most ``_REFACTOR_EVERY`` (150) product-form pivots, less the
+age of the inverse it starts from, toward basics within their bounds (a
+row it cannot repair proves the bounds infeasible).  A round that ends on
+that cap starts the next.  Each pivot's leaving row is the first
 of the rows whose bound violation is largest among those above their own
 tolerance, ``_DUAL_FEASTOL * max(1, |x|)`` of the basic's value x.  The
 pivot loop takes the first argmax of the raw violations and keeps it when
@@ -82,10 +88,10 @@ tolerance and take the first argmax again (NaN, which no comparison zeroes,
 is taken as before).  The entering column has the least ratio of reduced
 cost to pivot-row entry, and among ratios within 1e-12 of it the entry of
 largest magnitude.  A solve stops after a round whose dual
-simplex reaches feasibility with no pivot, which priced a fresh
-factorization, or with an updated factorization that passes the
-certificate of :func:`_certified`, checked against the raw rows; a round
-that fails it is followed by another.  Spending the pivot budget of all
+simplex reaches feasibility on a fresh factorization with no pivot, or on
+an updated one, a handed factor included, that passes the certificate of
+:func:`_certified`, checked against the raw rows; a round that fails it is
+followed by another.  Spending the pivot budget of all
 rounds, a nonbasic slack with a wrong-signed reduced cost, or a final point
 outside its bounds raises :class:`ArithmeticError`.
 """
@@ -134,9 +140,7 @@ class ProblemTooLargeError(ValueError):
 class Basis:
     """A simplex basis over the columns ``[structural | slack]``: the basic
     column of each row and the state of every column (at lower, at upper or
-    basic).  It never holds the inverse, so it is cheap to keep per node.
-    Its arrays must not change: a prepared matrix keys the factorization it
-    remembers on the object."""
+    basic).  It never holds the inverse, so it is cheap to keep per node."""
 
     basic: np.ndarray    # (m,) column index basic in each row
     state: np.ndarray    # (n + m,) int8: _AT_LOWER, _AT_UPPER or _BASIC
@@ -148,9 +152,10 @@ class LpResult:
     objective: float | None = None
     assignment: Assignment | None = None
     basis: Basis | None = None    # set on optimal results
+    factor: Factor | None = None  # set on optimal results unless the last round went stale
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PreparedLp:
     # The nonzeros of the rows, >= rows negated, by column and then by row:
     # column j's are row_ids[starts[j]:starts[j + 1]] and that slice of vals.
@@ -165,21 +170,28 @@ class PreparedLp:
     # Derived once from the above, read-only: the slack columns' bounds,
     # [0, inf) for <= rows and [0, 0] for = rows, and the costs over
     # [structural | slack], [c | 0].
-    slack_lo: np.ndarray = field(init=False, repr=False, compare=False)
-    slack_hi: np.ndarray = field(init=False, repr=False, compare=False)
-    cost: np.ndarray = field(init=False, repr=False, compare=False)
-    # The caller's Basis object of the last warm solve and the inverse of
-    # that basis extended over every row, as _invert built it; never handed
-    # to _solve itself, which updates its inverse in place.
-    warm: tuple[Basis, np.ndarray] | None = field(default=None, repr=False, compare=False)
+    slack_lo: np.ndarray = field(init=False, repr=False)
+    slack_hi: np.ndarray = field(init=False, repr=False)
+    cost: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         m = len(self.rhs)
-        self.slack_lo = np.zeros(m)
-        self.slack_hi = np.where(self.is_eq, 0.0, math.inf)
-        self.cost = np.concatenate([self.costs, np.zeros(m)])
-        for a in (self.slack_lo, self.slack_hi, self.cost):
+        derived = {"slack_lo": np.zeros(m), "slack_hi": np.where(self.is_eq, 0.0, math.inf),
+                   "cost": np.concatenate([self.costs, np.zeros(m)])}
+        for name, a in derived.items():
             a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
+
+@dataclass(frozen=True, eq=False)
+class Factor:
+    """A basis inverse `binv` (read-only) over the rows of `prep`: the one a
+    solve ended on, or :func:`factorize`'s; its `age` is the product-form
+    updates it has taken since :func:`_invert` computed it."""
+
+    binv: np.ndarray
+    age: int
+    prep: PreparedLp
 
 
 def _by_column(row_ids, col_ids, vals, n):
@@ -259,48 +271,62 @@ def solve_lp(model: Model) -> LpResult:
 
 
 def solve_prepared(prep: PreparedLp, lo: np.ndarray, hi: np.ndarray,
-                   basis: Basis | None = None) -> LpResult:
+                   basis: Basis | None = None, factor: Factor | None = None) -> LpResult:
     """Solve the prepared matrix under the finite variable bounds `lo`/`hi`.
 
     The solve starts from `basis`, an optimal basis as returned in
     :attr:`LpResult.basis` for this matrix and costs under other bounds,
     possibly before rows were appended (:func:`append_rows`): each row past
     the basis gets a basic slack.  None is the empty basis, so each row's
-    slack is basic (see the module docstring).  Another basis may leave a
-    ``<=`` row's slack nonbasic with a wrong-signed reduced cost, which no
-    bound flip can fix; that raises :class:`ArithmeticError`.  An infinite
-    or NaN bound, or a basis with more rows than the matrix, raises
-    :class:`ValueError`.  The optimal point is the array of the variables'
-    values, clipped to `lo`/`hi`.
+    slack is basic (see the module docstring).  `factor` is the
+    :attr:`LpResult.factor` returned with `basis`, or its :func:`factorize`;
+    the first round starts from a copy of it when it belongs to `prep` and
+    is younger than ``_REFACTOR_EVERY``, and factorizes `basis` otherwise.
+    Another basis may leave a ``<=`` row's slack nonbasic with a
+    wrong-signed reduced cost, which no bound flip can fix; that raises
+    :class:`ArithmeticError`.  An infinite or NaN bound, or a basis with
+    more rows than the matrix, raises :class:`ValueError`.  The optimal
+    point is the array of the variables' values, clipped to `lo`/`hi`.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         raise ValueError("the bundled simplex needs finite variable bounds")
-    cold = basis is None
-    if cold:
+    start = _extended(prep, basis)
+    if np.any(lo > hi + 1e-12):
+        return LpResult(INFEASIBLE)
+    if factor is not None and factor.prep is prep and factor.age < _REFACTOR_EVERY:
+        binv, age = factor.binv.copy(), factor.age
+    else:
+        binv, age = _invert(prep, start.basic), 0
+    status, x, end, factor = _solve(prep, lo, hi, start, binv, age)
+    if status != OPTIMAL:
+        return LpResult(status)
+    x = np.clip(x, lo, hi)
+    return LpResult(OPTIMAL, float(prep.costs @ x), x, end, factor)
+
+
+def factorize(prep: PreparedLp, basis: Basis | None) -> Factor:
+    """The factor a solve of `prep` from `basis` handed none computes for
+    its start: the fresh inverse of `basis` extended over the rows."""
+    binv = _invert(prep, _extended(prep, basis).basic)
+    binv.flags.writeable = False
+    return Factor(binv, 0, prep)
+
+
+def _extended(prep: PreparedLp, basis: Basis | None) -> Basis:
+    """`basis`, None being the empty basis, with a basic slack in each row
+    of `prep` past it."""
+    if basis is None:
         basis = Basis(np.empty(0, dtype=int), np.full(len(prep.costs), _AT_LOWER, dtype=np.int8))
     k = len(prep.rhs) - len(basis.basic)
     if k < 0:
         raise ValueError(f"basis of {len(basis.basic)} rows for a matrix of {len(prep.rhs)}")
-    if np.any(lo > hi + 1e-12):
-        return LpResult(INFEASIBLE)
-    start = basis
-    if k:
-        new = np.arange(len(basis.state), len(basis.state) + k)
-        start = Basis(np.concatenate([basis.basic, new]),
-                      np.concatenate([basis.state, np.full(k, _BASIC, dtype=np.int8)]))
-    if cold:
-        binv = _invert(prep, start.basic)
-    else:
-        if prep.warm is None or prep.warm[0] is not basis:
-            prep.warm = (basis, _invert(prep, start.basic))
-        binv = prep.warm[1].copy()
-    status, x, end = _solve(prep, lo, hi, start, binv)
-    if status != OPTIMAL:
-        return LpResult(status)
-    x = np.clip(x, lo, hi)
-    return LpResult(OPTIMAL, float(prep.costs @ x), x, end)
+    if not k:
+        return basis
+    new = np.arange(len(basis.state), len(basis.state) + k)
+    return Basis(np.concatenate([basis.basic, new]),
+                 np.concatenate([basis.state, np.full(k, _BASIC, dtype=np.int8)]))
 
 
 def _max_iter(prep: PreparedLp) -> int:
@@ -310,11 +336,14 @@ def _max_iter(prep: PreparedLp) -> int:
 
 
 def _solve(prep: PreparedLp, lo_s: np.ndarray, hi_s: np.ndarray, start: Basis,
-           binv: np.ndarray):
-    """Rounds from `start`, whose inverse `binv` the first round updates in
-    place: each a fresh factorization, bound flips and at most
-    ``_REFACTOR_EVERY`` dual simplex pivots, until a round reaches
-    feasibility with no pivot or on a certified point."""
+           binv: np.ndarray, age: int):
+    """Rounds from `start`, whose inverse `binv` has taken `age` updates
+    since it was factorized; the first round updates it in place, and each
+    later one starts on a fresh factorization.  A round flips bounds and
+    pivots until its inverse has taken ``_REFACTOR_EVERY`` updates; the
+    rounds end once one reaches feasibility on a fresh inverse with no
+    pivot, or on a certified point.  Returns the status, the point, the
+    final basis and its factor."""
     n = len(prep.costs)
     lo = np.concatenate([lo_s, prep.slack_lo])
     hi = np.concatenate([hi_s, prep.slack_hi])
@@ -334,21 +363,22 @@ def _solve(prep: PreparedLp, lo_s: np.ndarray, hi_s: np.ndarray, start: Basis,
             state[wrong] = np.where(upper, _AT_LOWER, _AT_UPPER)
             x[wrong] = np.where(upper, lo[wrong], hi[wrong])
         _recompute_basics(prep, basis, state, x, binv)
-        status, pivots = _dual_simplex(prep, lo, hi, basis, state, x, binv, d,
-                                       min(budget, _REFACTOR_EVERY))
+        status, pivots, stale = _dual_simplex(prep, lo, hi, basis, state, x, binv, d,
+                                              min(budget, _REFACTOR_EVERY - age))
+        age += pivots
         if status == INFEASIBLE:
-            return INFEASIBLE, None, None
-        if status == OPTIMAL and (not pivots
-                                  or _certified(prep, lo, hi, basis, state, x, binv)):
+            return INFEASIBLE, None, None, None
+        if status == OPTIMAL and (not age or _certified(prep, lo, hi, basis, state, x, binv)):
             break
         budget -= pivots
         if status is None and not budget:
             raise ArithmeticError("dual simplex iteration limit exceeded")
-        binv = _invert(prep, basis)
+        binv, age = _invert(prep, basis), 0
     tol = _FEASTOL * np.maximum(1.0, np.abs(x))
     if np.any(x < lo - tol) or np.any(x > hi + tol):
         raise ArithmeticError("simplex final point violates its bounds")
-    return OPTIMAL, x[:n].copy(), Basis(basis, state)
+    binv.flags.writeable = False
+    return OPTIMAL, x[:n].copy(), Basis(basis, state), None if stale else Factor(binv, age, prep)
 
 
 def _dual_simplex(prep, lo, hi, basis, state, x, binv, d, max_iter):
@@ -359,12 +389,13 @@ def _dual_simplex(prep, lo, hi, basis, state, x, binv, d, max_iter):
     `binv` are left stale (see the module docstring); the duals, which give
     slacks zero cost, and the basic structurals' rows stay exact.
 
-    Returns (OPTIMAL, pivots) once every basic lies within its bounds,
-    (INFEASIBLE, pivots) when a violated row has no entering column, and
-    (None, max_iter) when the pivots run out first.
+    Returns (OPTIMAL, pivots, stale) once every basic lies within its
+    bounds, (INFEASIBLE, pivots, stale) when a violated row has no entering
+    column, and (None, max_iter, stale) when the pivots run out first;
+    `stale` is whether the basic slacks' rows were left stale.
     """
     if not len(basis):
-        return OPTIMAL, 0
+        return OPTIMAL, 0, False
     n = len(prep.costs)
     fixed = lo == hi
     # The way each column may move off its bound: +1 up from its lower, -1
@@ -389,9 +420,9 @@ def _dual_simplex(prep, lo, hi, basis, state, x, binv, d, max_iter):
                 viol[viol <= _DUAL_FEASTOL * np.maximum(1.0, np.abs(bx))] = 0.0
                 r = int(viol.argmax())
                 if viol[r] == 0.0:
-                    return OPTIMAL, it
+                    return OPTIMAL, it, by_row is not None
             if it == max_iter:
-                return None, it
+                return None, it, by_row is not None
             leave = int(basis[r])
             increase = lo_b[r] - bx[r] > 0
             target = lo[leave] if increase else hi[leave]
@@ -408,7 +439,7 @@ def _dual_simplex(prep, lo, hi, basis, state, x, binv, d, max_iter):
             m_alpha = move * alpha
             cand = (m_alpha < -_PIVTOL if increase else m_alpha > _PIVTOL).nonzero()[0]
             if not len(cand):
-                return INFEASIBLE, it
+                return INFEASIBLE, it, by_row is not None
             size = np.abs(alpha[cand])
             ratios = np.maximum(move[cand] * d[cand], 0.0) / size
             near = ratios <= ratios.min() + 1e-12

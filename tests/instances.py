@@ -359,6 +359,11 @@ def _script_preset(script: str) -> GeneratorParams:
 # heuristic.
 DESK = _script_preset("benchmark_small")
 
+# The optimal objectives of DESK seeds 0-7; the bundled branch and bound and
+# scipy's HiGHS `milp` agree on each to 1e-12.
+DESK_OPTIMUM = [32.44466609506176, 35.45398252352517, 35.190712794268144, 30.23419157550137,
+                32.923684010334455, 33.2927591457942, 29.066837943192752, 32.45877099172833]
+
 # The preset of tests/test_cli.py's GEN_ARGS; with --seed 4 they write the
 # instance the CLI tests use.
 CLI_PARAMS = GeneratorParams(

@@ -307,9 +307,10 @@ def dual_simplex(prep, lo, hi, basis, state, x, binv, d, max_iter):
     with inverse `binv` and reduced costs `d`, all updated in place, making
     at most `max_iter` pivots.
 
-    Returns (OPTIMAL, pivots) once every basic lies within its bounds,
-    (INFEASIBLE, pivots) when a violated row has no entering column, and
-    (None, max_iter) when the pivots run out first.
+    Returns (OPTIMAL, pivots, stale) once every basic lies within its
+    bounds, (INFEASIBLE, pivots, stale) when a violated row has no entering
+    column, and (None, max_iter, stale) when the pivots run out first;
+    `stale` is whether the basic slacks' rows were left stale.
     """
     n, m = len(prep.costs), len(basis)
     fixed = lo == hi
@@ -326,9 +327,9 @@ def dual_simplex(prep, lo, hi, basis, state, x, binv, d, max_iter):
         viol = np.maximum(below, above)
         viol[viol <= _DUAL_FEASTOL * np.maximum(1.0, np.abs(bx))] = 0.0
         if not viol.any():
-            return OPTIMAL, it
+            return OPTIMAL, it, stale
         if it == max_iter:
-            return None, it
+            return None, it, stale
         r = int(np.argmax(viol))
         leave = int(basis[r])
         increase = below[r] > 0
@@ -342,7 +343,7 @@ def dual_simplex(prep, lo, hi, basis, state, x, binv, d, max_iter):
         m_alpha = move * alpha
         cand = np.flatnonzero(m_alpha < -_PIVTOL if increase else m_alpha > _PIVTOL)
         if not len(cand):
-            return INFEASIBLE, it
+            return INFEASIBLE, it, stale
         ratios = np.maximum(move[cand] * d[cand], 0.0) / np.abs(alpha[cand])
         near = cand[ratios <= ratios.min() + 1e-12]
         q = int(near[np.argmax(np.abs(alpha[near]))])

@@ -1,5 +1,6 @@
 import heapq
 import math
+import sys
 import time
 
 import numpy as np
@@ -18,7 +19,7 @@ from confl3.milp import (
     lp_relaxation,
 )
 
-from instances import CLI_PARAMS, DESK, conflict_instance, strengthening_preset
+from instances import CLI_PARAMS, DESK, DESK_OPTIMUM, conflict_instance, strengthening_preset
 from oracles import evaluate, highs_mip_optimum, mip_enumeration_optimum
 from rows import add_row
 from solve import solve_model
@@ -49,8 +50,8 @@ def _first_branch(model: Model, monkeypatch) -> tuple[simplex.LpResult, int]:
     calls = []
     solve_prepared = simplex.solve_prepared
 
-    def recording_solve_prepared(prep, lo, hi, basis=None):
-        res = solve_prepared(prep, lo, hi, basis)
+    def recording_solve_prepared(prep, lo, hi, basis=None, factor=None):
+        res = solve_prepared(prep, lo, hi, basis, factor)
         calls.append((lo.copy(), hi.copy(), res))
         return res
 
@@ -244,10 +245,10 @@ def test_only_the_root_relaxation_is_solved_cold(monkeypatch):
     cold = []
     solve_prepared = simplex.solve_prepared
 
-    def counting_solve_prepared(prep, lo, hi, basis=None):
+    def counting_solve_prepared(prep, lo, hi, basis=None, factor=None):
         if basis is None:
             cold.append(prep)
-        return solve_prepared(prep, lo, hi, basis)
+        return solve_prepared(prep, lo, hi, basis, factor)
 
     monkeypatch.setattr(simplex, "solve_prepared", counting_solve_prepared)
     r = solve_model(model, 60.0)
@@ -371,9 +372,9 @@ def test_pool_rows_are_appended_once_for_the_whole_tree(monkeypatch):
 
 @pytest.mark.parametrize("with_pool", [False, True], ids=["plain", "pool"])
 def test_a_remembered_start_factorization_changes_no_tree(with_pool):
-    """Two trees on one prepared matrix, the second starting with the
-    root's start basis already in the matrix's slot, both build the tree of
-    a run on a fresh `prepare`: the same nodes, optimum and incumbent."""
+    """Two trees on one prepared matrix, the second after another solve
+    from the root's start basis, both build the tree of a run on a fresh
+    `prepare`: the same nodes, optimum and incumbent."""
     inst = generate(DESK, 2)
     plain = build_3confl(inst)
     pool = strengthening_pairs(plain, inst) if with_pool else None
@@ -386,13 +387,76 @@ def test_a_remembered_start_factorization_changes_no_tree(with_pool):
     first = bnb.solve_mip(prep, lo, hi, deadline=time.monotonic() + 120.0, basis=root,
                           pool=pool)
     simplex.solve_prepared(prep, lo, hi, root)
-    assert prep.warm[0] is root
     second = bnb.solve_mip(prep, lo, hi, deadline=time.monotonic() + 120.0, basis=root,
                           pool=pool)
     for got in (first, second):
         assert ((got.status, got.nodes, got.objective, got.lower_bound)
                 == (want.status, want.nodes, want.objective, want.lower_bound))
         assert np.array_equal(got.incumbent, want.incumbent)
+
+
+def _session_tree(model, pool) -> bnb.MipResult:
+    """The tree of a session after its root LP: the root node starts from
+    the root's basis and factor."""
+    session = bnb.Session(model)
+    assert session.root().status == simplex.OPTIMAL
+    return session.mip({}, deadline=math.inf, pool=pool)
+
+
+@pytest.mark.parametrize("case", [("desk", s, p) for s in range(8) for p in (False, True)]
+                         + [("strengthening", s, p) for s in range(4) for p in (False, True)],
+                         ids=str)
+def test_handed_factors_change_no_tree(case, monkeypatch):
+    """A tree whose nodes start from their parents' factors and the tree
+    with every factor dropped end with the same status, node count,
+    objective and lower bound, the DESK optimum on the DESK seeds."""
+    name, seed, with_pool = case
+    inst = generate(DESK if name == "desk" else strengthening_preset(), seed)
+    plain = build_3confl(inst)
+    pool = strengthening_pairs(plain, inst) if with_pool else None
+    got = _session_tree(plain.model, pool)
+    solve_prepared = simplex.solve_prepared
+    monkeypatch.setattr(simplex, "solve_prepared",
+                        lambda prep, lo, hi, basis=None, factor=None:
+                        solve_prepared(prep, lo, hi, basis))
+    want = _session_tree(plain.model, pool)
+    assert got.status == want.status == bnb.OPTIMAL
+    assert got.nodes == want.nodes
+    for a, b in ((got.objective, want.objective), (got.lower_bound, want.lower_bound)):
+        assert a == pytest.approx(b, rel=1e-9)
+    if name == "desk":
+        assert got.objective == pytest.approx(DESK_OPTIMUM[seed], rel=1e-9)
+        assert want.objective == pytest.approx(DESK_OPTIMUM[seed], rel=1e-9)
+
+
+@pytest.mark.parametrize("kept", [0, 1, 2, bnb._KEPT_FACTORS])
+def test_the_tree_keeps_at_most_kept_factors(kept, monkeypatch):
+    """`solve_mip` never holds more than ``_KEPT_FACTORS`` factors for
+    children yet to start, and holds that many on a tree of DESK seed 2; any
+    cap builds the same tree."""
+    model = build_3confl(generate(DESK, 2)).model
+    want = _session_tree(model, None)
+    monkeypatch.setattr(bnb, "_KEPT_FACTORS", kept)
+    sizes, handed = [], []
+    solve_prepared = simplex.solve_prepared
+
+    def recording(prep, lo, hi, basis=None, factor=None):
+        caller = sys._getframe(1)
+        if caller.f_code is bnb.solve_mip.__code__:
+            sizes.append(sum(slot[0] is not None for slot in caller.f_locals["kept"].values()))
+            handed.append(factor is not None)
+        return solve_prepared(prep, lo, hi, basis, factor)
+
+    monkeypatch.setattr(simplex, "solve_prepared", recording)
+    got = _session_tree(model, None)
+    assert (got.status, got.nodes) == (want.status, want.nodes)
+    assert got.objective == pytest.approx(want.objective, rel=1e-9)
+    assert got.lower_bound == pytest.approx(want.lower_bound, rel=1e-9)
+    assert want.nodes > 50
+    assert max(sizes) == kept
+    # The root starts from the session's factor; with none kept, a node
+    # whose sibling is still to start factorizes its start and hands that on.
+    assert handed[0] and sum(handed) > 1
 
 
 def test_no_pool_appends_nothing(monkeypatch):
@@ -408,8 +472,9 @@ def _recording_lps(monkeypatch) -> list:
     calls = []
     solve_prepared = simplex.solve_prepared
 
-    def recording(prep, lo, hi, basis=None):
-        calls.append((np.array(lo), np.array(hi), basis, solve_prepared(prep, lo, hi, basis)))
+    def recording(prep, lo, hi, basis=None, factor=None):
+        calls.append((np.array(lo), np.array(hi), basis,
+                      solve_prepared(prep, lo, hi, basis, factor)))
         return calls[-1][3]
 
     monkeypatch.setattr(simplex, "solve_prepared", recording)

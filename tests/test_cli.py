@@ -152,10 +152,10 @@ def test_exact_strong_prepares_only_the_plain_matrix(tmp_path, capsys, monkeypat
         prepared.append(prepare(model))
         return prepared[-1]
 
-    def counting_solve_prepared(prep, lo, hi, basis=None):
+    def counting_solve_prepared(prep, lo, hi, basis=None, factor=None):
         if basis is None:
             cold.append(prep)
-        return solve_prepared(prep, lo, hi, basis)
+        return solve_prepared(prep, lo, hi, basis, factor)
 
     def counting_append_rows(prep, cols, coefs, rhs):
         appended.append(len(rhs))

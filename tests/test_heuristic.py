@@ -425,12 +425,14 @@ class TestCheckAndRepair:
         real_solve = heur_mod.bnb.solve_mip
         calls = {"n": 0}
 
-        def starving_solve(prep, lo, hi, *, deadline, node_limit=None, basis=None, pool=None):
+        def starving_solve(prep, lo, hi, *, deadline, node_limit=None, basis=None, factor=None,
+                           pool=None):
             calls["n"] += 1
             if calls["n"] == 1:
-                return real_solve(prep, lo, hi, deadline=deadline, node_limit=0, basis=basis)
+                return real_solve(prep, lo, hi, deadline=deadline, node_limit=0, basis=basis,
+                                  factor=factor)
             return real_solve(prep, lo, hi, deadline=deadline, node_limit=node_limit,
-                              basis=basis)
+                              basis=basis, factor=factor)
 
         monkeypatch.setattr(heur_mod.bnb, "solve_mip", starving_solve)
         out = check_and_repair(inst, ctx, fos, HeuristicParams(test_iterations=1))
@@ -704,14 +706,15 @@ class TestOneClock:
         caps = [params.subproblem_time_limit]
         real_solve, real_vlns = bnb.solve_mip, heuristic.vlns
 
-        def spending_solve(prep, lo, hi, *, deadline, node_limit=None, basis=None, pool=None):
+        def spending_solve(prep, lo, hi, *, deadline, node_limit=None, basis=None, factor=None,
+                           pool=None):
             # The sub-solve's deadline less the reading `_sub_mip` took.
             budget = deadline - readings[-1]
             budgets.append((budget, caps[-1], run_deadline - readings[-1]))
             if budget <= 0:
-                return real_solve(prep, lo, hi, deadline=-math.inf, basis=basis)
+                return real_solve(prep, lo, hi, deadline=-math.inf, basis=basis, factor=factor)
             now[0] += budget
-            return real_solve(prep, lo, hi, node_limit=node_limit, basis=basis)
+            return real_solve(prep, lo, hi, node_limit=node_limit, basis=basis, factor=factor)
 
         def vlns_capped(*args, **kwargs):
             caps.append(params.vlns_time_limit)
@@ -835,10 +838,10 @@ class TestSolveSession:
         cold, prepared = [], []
         solve_prepared, prepare = simplex.solve_prepared, simplex.prepare
 
-        def counting_solve_prepared(prep, lo, hi, basis=None):
+        def counting_solve_prepared(prep, lo, hi, basis=None, factor=None):
             if basis is None:
                 cold.append(prep)
-            return solve_prepared(prep, lo, hi, basis)
+            return solve_prepared(prep, lo, hi, basis, factor)
 
         def counting_prepare(model):
             prepared.append(model)

@@ -608,10 +608,10 @@ def test_each_round_starts_on_a_fresh_factorization(monkeypatch):
         assert max_iter <= simplex._REFACTOR_EVERY
         made.append(0)
         inside.append(True)
-        status, pivots = dual(prep, lo, hi, basis, state, x, binv, d, max_iter)
+        status, pivots, stale = dual(prep, lo, hi, basis, state, x, binv, d, max_iter)
         inside.pop()
         assert pivots == made[-1] <= max_iter
-        return status, pivots
+        return status, pivots, stale
 
     for name in ("_invert", "_recompute_basics", "_reduced_costs"):
         monkeypatch.setattr(simplex, name, guarded(name, getattr(simplex, name)))
@@ -745,7 +745,7 @@ def test_kernel_matches_the_reference_bit_for_bit(case, monkeypatch):
             cut_lo[j], cut_hi[j] = new_lo, new_hi
             simplex.solve_prepared(prep, cut_lo, cut_hi, root.basis)
             simplex.solve_prepared(prep, cut_lo, cut_hi)
-        assert {simplex.OPTIMAL} < {status for status, _ in seen}
+        assert {simplex.OPTIMAL} < {status for status, _, _ in seen}
         assert bool(switches) == case.startswith("row-heavy-")
     elif case == "strong-8x6":
         assert simplex.solve_lp(_strong_8x6_root()).status == simplex.OPTIMAL
@@ -754,7 +754,7 @@ def test_kernel_matches_the_reference_bit_for_bit(case, monkeypatch):
         monkeypatch.setattr(simplex, "_REFACTOR_EVERY", 20)
         prep, lo, hi = _grid_6x4()
         assert simplex.solve_prepared(prep, lo, hi).status == simplex.OPTIMAL
-        assert (None, 20) in seen
+        assert (None, 20, False) in seen
     elif case == "desk-child":
         model = build_3confl(generate(DESK, seed=0)).model
         prep, lo, hi = (simplex.prepare(model), model.variables.lower.copy(),
@@ -780,7 +780,7 @@ def test_kernel_matches_the_reference_bit_for_bit(case, monkeypatch):
         prep, lo, hi = simplex.prepare(m), m.variables.lower, m.variables.upper
         state = np.array([simplex._BASIC] * 2 + [simplex._AT_LOWER] * 4, dtype=np.int8)
         res = simplex.solve_prepared(prep, lo, hi, simplex.Basis(np.array([0, 1]), state))
-        assert seen == [(simplex.OPTIMAL, 1)]
+        assert seen == [(simplex.OPTIMAL, 1, False)]
         # Row 0 keeps x0; row 1's slack, column n + 1 = 5, replaced x1 at its bound.
         assert res.basis.basic.tolist() == [0, 5]
         assert res.assignment.tolist() == [1e12, 10.0, 0.0, 0.0]
@@ -789,8 +789,8 @@ def test_kernel_matches_the_reference_bit_for_bit(case, monkeypatch):
         for name, lower, upper, cost in (("x", -2, 5, 1.0), ("y", 1, 3, -2.0)):
             m.add_variables([name], CONTINUOUS, lower, upper, cost)
         assert simplex.solve_lp(m).objective == -8.0
-        assert seen == [(simplex.OPTIMAL, 0)]
-    assert case == "no-rows" or sum(pivots for _, pivots in seen) > 0
+        assert seen == [(simplex.OPTIMAL, 0, False)]
+    assert case == "no-rows" or sum(pivots for _, pivots, _ in seen) > 0
 
 
 def test_cut_loop_appends_each_pool_row_once(monkeypatch):
@@ -830,16 +830,15 @@ def _same_result(got, want):
 
 
 def test_a_remembered_start_factorization_changes_no_result(monkeypatch):
-    """A prepared matrix keeps the factorization of its last warm start
-    basis and reuses it for a solve from the same Basis object.  Solves
-    from the same basis under other bounds, interleaved with other bases, a
-    cold solve, appended rows and a raising solve, each return bitwise what
-    the same call returns on a fresh `prepare(model)`."""
+    """A solve handed no factor factorizes its start, and one handed the
+    `factorize` of its basis starts from the array that factorization
+    computes.  Solves from the same basis under other bounds, interleaved
+    with other bases, a cold solve, appended rows and a raising solve, each
+    return bitwise what the same call returns on a fresh `prepare(model)`."""
     model = build_3confl(generate(DESK, seed=1)).model
     prep = simplex.prepare(model)
     lo, hi = model.variables.lower, model.variables.upper
     root = simplex.solve_prepared(prep, lo, hi)
-    assert prep.warm is None   # a cold solve remembers nothing
     x = root.assignment
     bins = prep.binaries
     frac = bins[np.abs(x[bins] - np.round(x[bins])) > 1e-6][:4]
@@ -852,8 +851,10 @@ def test_a_remembered_start_factorization_changes_no_result(monkeypatch):
             bounds.append((b_lo, b_hi))
     a = root.basis
     first = simplex.solve_prepared(prep, *bounds[0], a)
-    assert first.status == simplex.OPTIMAL and prep.warm[0] is a
+    assert first.status == simplex.OPTIMAL
     b = first.basis
+    fresh = {basis: simplex.factorize(prep, basis) for basis in (a, b)}
+    assert fresh[a].age == 0 and fresh[a].prep is prep and not fresh[a].binv.flags.writeable
     shared = []
     invert = simplex._invert
 
@@ -862,32 +863,29 @@ def test_a_remembered_start_factorization_changes_no_result(monkeypatch):
         return invert(p, basis)
 
     monkeypatch.setattr(simplex, "_invert", counting_invert)
-    # The slot holds `a`: the 1st, 2nd and 6th solves reuse `a`'s inverse and
-    # the 8th `b`'s; the cold 5th factorizes the slack basis and leaves the
-    # slot alone.
     calls = [(a, 1), (a, 2), (b, 3), (a, 4), (None, 5), (a, 6), (b, 7), (b, 2)]
     for basis, k in calls:
-        got = simplex.solve_prepared(prep, *bounds[k], basis)
-        _same_result(got, simplex.solve_prepared(simplex.prepare(model), *bounds[k], basis))
+        want = simplex.solve_prepared(simplex.prepare(model), *bounds[k], basis)
+        _same_result(simplex.solve_prepared(prep, *bounds[k], basis), want)
         if basis is not None:
-            assert prep.warm[0] is basis
-        np.testing.assert_array_equal(prep.warm[1], invert(prep, prep.warm[0].basic))
-    assert sum(shared) == 4 and len(shared) == 4 + len(calls)
+            _same_result(simplex.solve_prepared(prep, *bounds[k], basis, fresh[basis]), want)
+    # One factorization per solve: none where a fresh factor stands in.
+    assert sum(shared) == len(calls) and len(shared) == 2 * len(calls)
+    np.testing.assert_array_equal(fresh[a].binv, invert(prep, a.basic))
 
-    # Rows appended past the basis: the new matrix starts with an empty
-    # slot, extends the old basis and remembers the extended inverse.
+    # Rows appended past the basis: the new matrix extends the old basis,
+    # and so does its `factorize`.
     cut = [range(len(prep.costs))], [-prep.costs]
     cut_prep = simplex.append_rows(prep, *cut, np.array([-(root.objective + 0.5)]))
-    assert cut_prep.warm is None
+    extended = simplex.factorize(cut_prep, a)
+    assert extended.binv.shape == (len(cut_prep.rhs),) * 2
     for k in (0, 3):
-        got = simplex.solve_prepared(cut_prep, *bounds[k], a)
-        fresh = simplex.append_rows(simplex.prepare(model), *cut, cut_prep.rhs[-1:])
-        _same_result(got, simplex.solve_prepared(fresh, *bounds[k], a))
-        assert cut_prep.warm[1].shape == (len(cut_prep.rhs),) * 2
-    assert prep.warm[0] is b
+        got = simplex.solve_prepared(cut_prep, *bounds[k], a, extended)
+        again = simplex.append_rows(simplex.prepare(model), *cut, cut_prep.rhs[-1:])
+        _same_result(got, simplex.solve_prepared(again, *bounds[k], a))
 
     # A solve that scribbles over the inverse it is handed and then raises
-    # leaves the remembered one intact.
+    # leaves the handed factor intact.
     dual = simplex._dual_simplex
 
     def failing_dual(prep, lo, hi, basis, state, x, binv, d, max_iter):
@@ -896,12 +894,171 @@ def test_a_remembered_start_factorization_changes_no_result(monkeypatch):
 
     monkeypatch.setattr(simplex, "_dual_simplex", failing_dual)
     with pytest.raises(ArithmeticError):
-        simplex.solve_prepared(prep, *bounds[5], a)
+        simplex.solve_prepared(prep, *bounds[5], a, fresh[a])
     monkeypatch.setattr(simplex, "_dual_simplex", dual)
-    assert prep.warm[0] is a
-    np.testing.assert_array_equal(prep.warm[1], invert(prep, a.basic))
-    got = simplex.solve_prepared(prep, *bounds[6], a)
+    np.testing.assert_array_equal(fresh[a].binv, invert(prep, a.basic))
+    got = simplex.solve_prepared(prep, *bounds[6], a, fresh[a])
     _same_result(got, simplex.solve_prepared(simplex.prepare(model), *bounds[6], a))
+
+
+@pytest.mark.parametrize("label", [f"random-{k}" for k in range(6)]
+                         + [f"desk-{seed}" for seed in (0, 2, 5)])
+def test_a_handed_factor_agrees_with_a_refactorization(label):
+    """A child solve handed its parent's factor and the same solve that
+    factorizes its start agree on status and objective to 1e-9, and both
+    points satisfy the rows: random boxed LPs and DESK root relaxations,
+    with one-variable tightenings of the root point as children."""
+    kind, k = label.split("-")
+    model = (_feasible_lp(np.random.default_rng(3300 + int(k)), dependent=int(k) % 2 == 1)
+             if kind == "random" else build_3confl(generate(DESK, int(k))).model)
+    prep, lo, hi = simplex.prepare(model), model.variables.lower, model.variables.upper
+    root = simplex.solve_prepared(prep, lo, hi)
+    assert root.status == simplex.OPTIMAL and root.factor is not None
+    statuses = set()
+    cuts = list(_bound_cuts(root.assignment, lo, hi))
+    for j, new_lo, new_hi in cuts[:: 1 if kind == "random" else 7]:
+        cut_lo, cut_hi = lo.copy(), hi.copy()
+        cut_lo[j], cut_hi[j] = new_lo, new_hi
+        handed = simplex.solve_prepared(prep, cut_lo, cut_hi, root.basis, root.factor)
+        fresh = simplex.solve_prepared(prep, cut_lo, cut_hi, root.basis)
+        assert handed.status == fresh.status, (label, j)
+        statuses.add(handed.status)
+        if fresh.status != simplex.OPTIMAL:
+            continue
+        assert handed.objective == pytest.approx(fresh.objective, rel=1e-9, abs=1e-9)
+        cut_model = model.copy()
+        cut_model._columns = replace(model.variables, lower=cut_lo, upper=cut_hi)
+        for res in (handed, fresh):
+            _, violations = evaluate(cut_model, res.assignment, tol=1e-6)
+            assert violations == [], (label, j)
+    assert simplex.OPTIMAL in statuses
+
+
+def _counting_factorizations(monkeypatch) -> dict:
+    """Count the _invert calls and the product-form updates, and record the
+    pivot cap of each dual simplex call."""
+    invert, replace_column, dual = simplex._invert, simplex._replace_column, simplex._dual_simplex
+    seen = {"inverts": 0, "pivots": 0, "caps": []}
+
+    def counting_invert(prep, basis):
+        seen["inverts"] += 1
+        return invert(prep, basis)
+
+    def counting_replace(binv, w, r):
+        seen["pivots"] += 1
+        return replace_column(binv, w, r)
+
+    def recording_dual(*args):
+        seen["caps"].append(args[-1])
+        return dual(*args)
+
+    monkeypatch.setattr(simplex, "_invert", counting_invert)
+    monkeypatch.setattr(simplex, "_replace_column", counting_replace)
+    monkeypatch.setattr(simplex, "_dual_simplex", recording_dual)
+    return seen
+
+
+def test_a_factor_ages_by_its_pivots_and_is_refactorized_at_the_cap(monkeypatch):
+    """A solve that uses the factor it is handed factorizes nothing in its
+    first round, caps that round at ``_REFACTOR_EVERY`` minus the factor's
+    age, and returns the handed age plus its pivots.  A factor of age
+    ``_REFACTOR_EVERY`` or more is factorized afresh."""
+    model = build_3confl(generate(DESK, 2)).model
+    prep, lo, hi = simplex.prepare(model), model.variables.lower, model.variables.upper
+    root = simplex.solve_prepared(prep, lo, hi)
+    x = root.assignment
+    seen = _counting_factorizations(monkeypatch)
+    children = 0
+    for j in prep.binaries[np.abs(x[prep.binaries] - 0.5) < 0.5 - 1e-6]:
+        for value in (0.0, 1.0):
+            b_lo, b_hi = lo.copy(), hi.copy()
+            b_lo[j] = b_hi[j] = value
+            for age in (0, 7, simplex._REFACTOR_EVERY - 1):
+                seen.update(inverts=0, pivots=0, caps=[])
+                handed = replace(root.factor, age=age)
+                child = simplex.solve_prepared(prep, b_lo, b_hi, root.basis, handed)
+                assert seen["caps"][0] == simplex._REFACTOR_EVERY - age
+                if child.status == simplex.OPTIMAL and not seen["inverts"]:
+                    assert child.factor.age == age + seen["pivots"] > age
+                    children += 1
+            for age in (simplex._REFACTOR_EVERY, simplex._REFACTOR_EVERY + 40):
+                seen.update(inverts=0, pivots=0, caps=[])
+                old = replace(root.factor, age=age)
+                simplex.solve_prepared(prep, b_lo, b_hi, root.basis, old)
+                assert seen["inverts"] >= 1 and seen["caps"][0] == simplex._REFACTOR_EVERY
+    assert children > 4
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_corrupted_factor_is_caught_by_the_certificate(seed, monkeypatch):
+    """A handed factor is an updated inverse, not a fresh one, so a round
+    that makes no pivot on it must still pass the certificate: re-solving
+    the root under its own bounds from a factor with one entry off by 1e-3
+    refactorizes and returns the root's optimum."""
+    model = _feasible_lp(np.random.default_rng(1700 + seed), dependent=False)
+    prep, lo, hi = simplex.prepare(model), model.variables.lower, model.variables.upper
+    root = simplex.solve_prepared(prep, lo, hi)
+    binv = root.factor.binv.copy()
+    binv[0, 0] += 1e-3
+    seen = _counting_factorizations(monkeypatch)
+    got = simplex.solve_prepared(prep, lo, hi, root.basis, replace(root.factor, binv=binv))
+    assert seen["inverts"] == 1
+    assert got.status == simplex.OPTIMAL
+    assert got.objective == pytest.approx(root.objective, rel=1e-9, abs=1e-9)
+    _, violations = evaluate(model, got.assignment, tol=1e-6)
+    assert violations == []
+
+
+def test_a_factor_of_another_matrix_is_never_used(monkeypatch):
+    """A factor serves only the prepared matrix it was made on: one from
+    another `prepare` of the same model, or the matrix before rows were
+    appended, is factorized afresh, with the result of a solve handed none."""
+    model = build_3confl(generate(DESK, 1)).model
+    prep, lo, hi = simplex.prepare(model), model.variables.lower, model.variables.upper
+    root = simplex.solve_prepared(prep, lo, hi)
+    cut = [range(len(prep.costs))], [-prep.costs]
+    others = [simplex.prepare(model),
+              simplex.append_rows(prep, *cut, np.array([-(root.objective + 0.5)]))]
+    seen = _counting_factorizations(monkeypatch)
+    for other in others:
+        want = simplex.solve_prepared(other, lo, hi, root.basis)
+        seen.update(inverts=0)
+        got = simplex.solve_prepared(other, lo, hi, root.basis, root.factor)
+        assert seen["inverts"] >= 1
+        _same_result(got, want)
+        assert got.factor.prep is other
+
+
+@pytest.mark.parametrize("cap", [0, 64, 512])
+def test_a_solve_whose_last_round_went_stale_returns_no_factor(cap, monkeypatch):
+    """With ``_SLACK_ROWS_CAP`` lowered, rounds of the DESK and 6x4 LPs
+    stop updating their basic slacks' rows: a solve returns a factor exactly
+    when its last round kept every row of the inverse up to date."""
+    dual = simplex._dual_simplex
+    last = []
+
+    def recording_dual(*args):
+        last[:] = [dual(*args)]
+        return last[0]
+
+    monkeypatch.setattr(simplex, "_dual_simplex", recording_dual)
+    monkeypatch.setattr(simplex, "_SLACK_ROWS_CAP", cap)
+    stale = []
+    for model in [build_3confl(generate(DESK, s)).model for s in range(3)] + [_grid_6x4_model()]:
+        prep, lo, hi = simplex.prepare(model), model.variables.lower, model.variables.upper
+        res = simplex.solve_prepared(prep, lo, hi)
+        assert res.status == simplex.OPTIMAL
+        assert (res.factor is None) == last[0][2]
+        stale.append(last[0][2])
+        if res.factor is None:
+            continue
+        x = res.assignment
+        j = next(j for j in prep.binaries if 1e-6 < x[j] < 1 - 1e-6)
+        b_lo = lo.copy()
+        b_lo[j] = 1.0
+        child = simplex.solve_prepared(prep, b_lo, hi, res.basis, res.factor)
+        assert child.status != simplex.OPTIMAL or (child.factor is None) == last[0][2]
+    assert any(stale) or cap == 512
 
 
 def _sparse_lp(rng: np.random.Generator, n_cons: int, n_vars: int, density: float) -> Model:
